@@ -28,7 +28,7 @@ from .effectiveness import (
 from .exceptions import ConfigError, DataError, ScaRecoError
 from .features import PreferenceDataset, build_dataset, load_features
 from .ingestion import load_gdc_mapping, load_report, load_snapshot
-from .matching import MatchStage, compute_line_mapping, label_release, match_warning
+from .matching import MatchStage, compute_line_mapping, match_warning
 from .metrics import MicroMetrics, micro_metrics
 from .recommend import (
     ModelKind,
@@ -75,7 +75,6 @@ __all__ = [
     "f_beta",
     "generate_corpus",
     "identical",
-    "label_release",
     "load_features",
     "load_gdc_mapping",
     "load_report",

@@ -154,11 +154,3 @@ def align_project(
 
 def _compatible(members: list[AlignedWarning], candidate: AlignedWarning) -> bool:
     return all(identical((m, candidate), ignore_label=True) for m in members)
-
-
-def distinct_counts(result: AlignmentResult) -> tuple[int, int]:
-    """(number of distinct defects, number of actionable ones)."""
-    actionable = sum(
-        1 for g in result.groups if g.resolved_label is WarningLabel.ACTIONABLE
-    )
-    return len(result.groups), actionable

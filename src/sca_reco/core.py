@@ -159,12 +159,6 @@ def warning_sort_key(warning: AlignedWarning):
     )
 
 
-def canonical_warning_order(a: AlignedWarning, b: AlignedWarning) -> int:
-    """Three-way comparison consistent with :func:`warning_sort_key`."""
-    ka, kb = warning_sort_key(a), warning_sort_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 def sort_warnings(warnings) -> list[AlignedWarning]:
     return sorted(warnings, key=warning_sort_key)
 

@@ -6,7 +6,7 @@ deterministic given its ``random_state``.
 """
 
 from .base import BaseEstimator, check_array, check_X_y, check_is_fitted
-from .decomposition import PCA, PcaResult, pca
+from .decomposition import PCA
 from .forest import RandomForestClassifier
 from .linear import LogisticRegression
 from .mlp import MLPClassifier
@@ -24,8 +24,6 @@ __all__ = [
     "LogisticRegression",
     "MLPClassifier",
     "PCA",
-    "PcaResult",
-    "pca",
     "RandomForestClassifier",
     "StandardScaler",
 ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..exceptions import InvalidK
@@ -56,23 +54,3 @@ class PCA(BaseEstimator):
         check_is_fitted(self, "components_")
         projections = np.asarray(projections, dtype=np.float64)
         return projections @ self.components_ + self.mean_
-
-
-@dataclass(frozen=True)
-class PcaResult:
-    components: np.ndarray  # (k, d)
-    explained_variance: np.ndarray  # (k,), non-increasing
-    mean: np.ndarray  # (d,)
-    projections: np.ndarray  # (n, k)
-
-
-def pca(matrix, k: int) -> PcaResult:
-    """Functional wrapper: fit a k-component PCA and project the input."""
-    estimator = PCA(n_components=k)
-    projections = estimator.fit_transform(matrix)
-    return PcaResult(
-        components=estimator.components_,
-        explained_variance=estimator.explained_variance_,
-        mean=estimator.mean_,
-        projections=projections,
-    )

@@ -24,10 +24,9 @@ class StandardScaler(BaseEstimator):
         X = check_array(X)
         if X.shape[0] < 2:
             raise TooFewSamples("standardization needs at least 2 rows")
-        self.mean_ = X.mean(axis=0)
-        self.std_ = X.std(axis=0)  # population (ddof=0)
-        self.scale_ = np.where(self.std_ == 0.0, 1.0, self.std_)
-        return self
+        return self.load_fitted_state(
+            {"means": X.mean(axis=0), "stds": X.std(axis=0)}  # population (ddof=0)
+        )
 
     def transform(self, X) -> np.ndarray:
         check_is_fitted(self, "mean_")
@@ -40,3 +39,13 @@ class StandardScaler(BaseEstimator):
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
+
+    def get_fitted_state(self) -> dict:
+        check_is_fitted(self, "mean_")
+        return {"means": self.mean_.tolist(), "stds": self.std_.tolist()}
+
+    def load_fitted_state(self, state: dict) -> "StandardScaler":
+        self.mean_ = np.asarray(state["means"], dtype=np.float64)
+        self.std_ = np.asarray(state["stds"], dtype=np.float64)
+        self.scale_ = np.where(self.std_ == 0.0, 1.0, self.std_)
+        return self

@@ -21,7 +21,6 @@ from .exceptions import (
     TooFewSamples,
     UnknownFeature,
 )
-from .estimators.preprocessing import StandardScaler
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,3 @@ def build_dataset(
         label_sets=tuple(tuple(label_sets[v.project_id]) for v in kept),
         sca_order=tuple(sca_order),
     )
-
-
-def standardize(dataset: PreferenceDataset) -> tuple[PreferenceDataset, StandardScaler]:
-    """Zero-mean unit-variance columns (population variance).
-
-    Zero-variance columns become all zeros.  The fitted scaler is returned so
-    prediction-time inputs can be transformed with the same parameters.
-    """
-    scaler = StandardScaler().fit(dataset.matrix)
-    return replace(dataset, matrix=scaler.transform(dataset.matrix)), scaler

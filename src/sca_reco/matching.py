@@ -15,6 +15,12 @@ cascade, strongest evidence first:
 
 Matching is one-to-one: old warnings are processed in canonical order and a
 consumed candidate is unavailable to later warnings.
+
+The pairwise predicates ``match_location``, ``match_snippet`` and
+``match_hash`` are the single definition of each stage: ``match_warning``
+runs them as they are, and tests and oracles call the same functions.
+``MatchContext`` is the only cache; it resolves class files, diff-maps old
+start lines, cuts snippets and hashes token windows once per release pair.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 
 from .core import (
     AlignedWarning,
@@ -60,10 +67,6 @@ class MatchOutcome:
     matched: AlignedWarning | None
     stage: MatchStage | None
 
-    @property
-    def is_match(self) -> bool:
-        return self.matched is not None
-
 
 @dataclass(frozen=True)
 class LineMapping:
@@ -72,9 +75,6 @@ class LineMapping:
 
     files: dict[str, dict[int, int]]
     deleted_files: frozenset[str]
-
-    def known_paths(self) -> set[str]:
-        return set(self.files) | set(self.deleted_files)
 
 
 def compute_line_mapping(old: Release, new: Release) -> LineMapping:
@@ -104,73 +104,11 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
     Prefers ``<package path>/<OuterClass>.java``; falls back to the
     lexicographically first file whose path ends with the class file name.
     """
-    return _resolve_among(release.files.keys(), class_info)
-
-
-def _resolve_among(paths, class_info: str) -> str | None:
     primary, leaf = _class_file_candidates(class_info)
-    paths = set(paths)
-    if primary in paths:
+    if primary in release.files:
         return primary
-    hits = sorted(p for p in paths if p == leaf or p.endswith("/" + leaf))
-    return hits[0] if hits else None
-
-
-def _location_target(warning: AlignedWarning, mapping: LineMapping) -> int | None:
-    """Where the warned old line lives in the new release, if anywhere.
-
-    A deleted or changed line falls back to the nearest surviving line above.
-    """
-    path = _resolve_among(mapping.known_paths(), warning.class_info)
-    if path is None or path in mapping.deleted_files:
-        return None
-    file_map = mapping.files[path]
-    for line in range(warning.start_line, 0, -1):
-        if line in file_map:
-            return file_map[line]
-    return None
-
-
-def _method_paths_differ(raw_a: RawWarning, raw_b: RawWarning) -> bool:
-    # The method condition is vacuous when either side omits the method.
-    if raw_a.method_path is None or raw_b.method_path is None:
-        return False
-    return raw_a.method_path != raw_b.method_path
-
-
-def match_location(
-    w_a: AlignedWarning,
-    w_b: AlignedWarning,
-    mapping: LineMapping,
-    raw_a: RawWarning,
-    raw_b: RawWarning,
-) -> bool:
-    if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
-        return False
-    if _method_paths_differ(raw_a, raw_b):
-        return False
-    target = _location_target(w_a, mapping)
-    if target is None:
-        return False
-    return abs(target - w_b.start_line) <= LOCATION_OFFSET_LIMIT
-
-
-def _snippet(release: Release, warning: AlignedWarning) -> str | None:
-    path = resolve_class_file(release, warning.class_info)
-    if path is None:
-        return None
-    lines = release.files[path][warning.start_line - 1 : warning.end_line]
-    if not lines:
-        return None
-    return "".join(line.strip() for line in lines)
-
-
-def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, old: Release, new: Release) -> bool:
-    if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
-        return False
-    snippet_a = _snippet(old, w_a)
-    snippet_b = _snippet(new, w_b)
-    return snippet_a is not None and snippet_a == snippet_b
+    hits = [p for p in release.files if p == leaf or p.endswith("/" + leaf)]
+    return min(hits, default=None)
 
 
 def _token_stream(lines: tuple[str, ...]) -> tuple[list[str], list[int]]:
@@ -192,50 +130,16 @@ def _fnv1a(data: bytes) -> int:
     return value
 
 
-def _window_hash_from_stream(
-    stream: tuple[list[str], list[int]], start_line: int
-) -> int | None:
-    tokens, token_lines = stream
-    if not tokens:
-        return None
-    anchor = bisect_left(token_lines, start_line)
-    window = tokens[max(0, anchor - HASH_WINDOW_TOKENS) : anchor + HASH_WINDOW_TOKENS]
-    if not window:
-        return None
-    return _fnv1a(bytes([_SEPARATOR]).join(t.encode("utf-8") for t in window))
-
-
-def _window_hash(lines: tuple[str, ...], start_line: int) -> int | None:
-    """FNV-1a over the tokens surrounding ``start_line``.
-
-    Window: the HASH_WINDOW_TOKENS tokens before the first token at or after
-    the warned line plus the same count from that token onward, truncated at
-    file boundaries.  Tokens are joined by a single 0x1F byte before hashing.
-    """
-    return _window_hash_from_stream(_token_stream(lines), start_line)
-
-
-def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, old: Release, new: Release) -> bool:
-    if w_a.new_type != w_b.new_type:
-        return False
-    path_a = resolve_class_file(old, w_a.class_info)
-    path_b = resolve_class_file(new, w_b.class_info)
-    if path_a is None or path_b is None:
-        return False
-    hash_a = _window_hash(old.files[path_a], w_a.start_line)
-    hash_b = _window_hash(new.files[path_b], w_b.start_line)
-    return hash_a is not None and hash_a == hash_b
-
-
 @dataclass(frozen=True)
 class MatchContext:
     """Everything the cascade needs besides the two warnings themselves.
 
     ``raws_old``/``raws_new`` are the source reports; warnings refer into
-    them through their origin index.  The memo dict caches class-file
-    resolutions, snippets, token streams, and window hashes for the lifetime
-    of one release pair; all cached values are pure functions of the two
-    releases, so caching cannot change any outcome.
+    them through their origin index.  ``which`` names a side, ``"old"`` or
+    ``"new"``.  The memo dict caches class-file resolutions, location
+    targets, snippets, token streams, and window hashes for the lifetime of
+    one release pair; all cached values are pure functions of the two
+    releases and their line mapping, so caching cannot change any outcome.
     """
 
     old: Release
@@ -254,7 +158,24 @@ class MatchContext:
             self.memo[key] = resolve_class_file(self._release(which), class_info)
         return self.memo[key]
 
+    def location_target(self, warning: AlignedWarning) -> int | None:
+        """Where the warned old line lives in the new release, if anywhere.
+
+        A deleted or changed line falls back to the nearest surviving line
+        above; a deleted file or an unresolved class has no target.
+        """
+        key = ("target", warning.class_info, warning.start_line)
+        if key not in self.memo:
+            self.memo[key] = None
+            file_map = self.mapping.files.get(self.resolve("old", warning.class_info), {})
+            for line in range(warning.start_line, 0, -1):
+                if line in file_map:
+                    self.memo[key] = file_map[line]
+                    break
+        return self.memo[key]
+
     def snippet(self, which: str, warning: AlignedWarning) -> str | None:
+        """The whitespace-trimmed text of the warned lines, joined."""
         key = ("snippet", which, warning.class_info, warning.start_line, warning.end_line)
         if key not in self.memo:
             path = self.resolve(which, warning.class_info)
@@ -269,19 +190,62 @@ class MatchContext:
         return self.memo[key]
 
     def window_hash(self, which: str, warning: AlignedWarning) -> int | None:
+        """FNV-1a over the tokens surrounding the warned start line.
+
+        Window: the HASH_WINDOW_TOKENS tokens before the first token at or
+        after the warned line plus the same count from that token onward,
+        truncated at file boundaries.  Tokens are joined by a single 0x1F
+        byte before hashing.
+        """
         key = ("hash", which, warning.class_info, warning.start_line)
         if key not in self.memo:
+            self.memo[key] = None
             path = self.resolve(which, warning.class_info)
-            if path is None:
-                self.memo[key] = None
-            else:
+            if path is not None:
                 stream_key = ("tokens", which, path)
                 if stream_key not in self.memo:
-                    self.memo[stream_key] = _token_stream(self._release(which).files[path])
-                self.memo[key] = _window_hash_from_stream(
-                    self.memo[stream_key], warning.start_line
-                )
+                    lines = self._release(which).files[path]
+                    self.memo[stream_key] = _token_stream(lines)
+                tokens, token_lines = self.memo[stream_key]
+                anchor = bisect_left(token_lines, warning.start_line)
+                low = max(0, anchor - HASH_WINDOW_TOKENS)
+                window = tokens[low : anchor + HASH_WINDOW_TOKENS]
+                if window:
+                    self.memo[key] = _fnv1a(
+                        bytes([_SEPARATOR]).join(t.encode("utf-8") for t in window)
+                    )
         return self.memo[key]
+
+
+def match_location(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
+    """Stage 1: old warning ``w_a`` and new warning ``w_b`` share category,
+    class and method, and the diff-mapped old start line lands within
+    LOCATION_OFFSET_LIMIT lines of ``w_b``."""
+    if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
+        return False
+    target = context.location_target(w_a)
+    if target is None or abs(target - w_b.start_line) > LOCATION_OFFSET_LIMIT:
+        return False
+    method_a = context.raws_old[w_a.origin[1]].method_path
+    method_b = context.raws_new[w_b.origin[1]].method_path
+    # The method condition is vacuous when either side omits the method.
+    return method_a is None or method_b is None or method_a == method_b
+
+
+def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
+    """Stage 2: same category and class, and identical trimmed warned text."""
+    if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
+        return False
+    snippet_a = context.snippet("old", w_a)
+    return snippet_a is not None and snippet_a == context.snippet("new", w_b)
+
+
+def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
+    """Stage 3: same category and identical token-window hash."""
+    if w_a.new_type != w_b.new_type:
+        return False
+    hash_a = context.window_hash("old", w_a)
+    return hash_a is not None and hash_a == context.window_hash("new", w_b)
 
 
 def match_warning(
@@ -295,40 +259,19 @@ def match_warning(
     (for the location stage the difference is taken from the diff-mapped old
     line); remaining ties go to the canonically first candidate.
     """
-    raw_a = context.raws_old[w_a.origin[1]]
-    target = _location_target(w_a, context.mapping)
-
-    def location_hit(c: AlignedWarning) -> bool:
-        if target is None:
-            return False
-        if w_a.new_type != c.new_type or w_a.class_info != c.class_info:
-            return False
-        if _method_paths_differ(raw_a, context.raws_new[c.origin[1]]):
-            return False
-        return abs(target - c.start_line) <= LOCATION_OFFSET_LIMIT
-
-    def snippet_hit(c: AlignedWarning) -> bool:
-        if w_a.new_type != c.new_type or w_a.class_info != c.class_info:
-            return False
-        snippet_a = context.snippet("old", w_a)
-        return snippet_a is not None and snippet_a == context.snippet("new", c)
-
-    def hash_hit(c: AlignedWarning) -> bool:
-        if w_a.new_type != c.new_type:
-            return False
-        hash_a = context.window_hash("old", w_a)
-        return hash_a is not None and hash_a == context.window_hash("new", c)
-
     stages = (
-        (MatchStage.LOCATION, location_hit, lambda c: abs(target - c.start_line)),
-        (MatchStage.SNIPPET, snippet_hit, lambda c: abs(w_a.start_line - c.start_line)),
-        (MatchStage.HASH, hash_hit, lambda c: abs(w_a.start_line - c.start_line)),
+        (MatchStage.LOCATION, match_location, context.location_target(w_a)),
+        (MatchStage.SNIPPET, match_snippet, w_a.start_line),
+        (MatchStage.HASH, match_hash, w_a.start_line),
     )
-    for stage, hit, distance in stages:
-        hits = [c for c in candidates if hit(c)]
+    for stage, predicate, anchor in stages:
+        hits = [
+            (abs(anchor - c.start_line), warning_sort_key(c), c)
+            for c in candidates
+            if predicate(w_a, c, context)
+        ]
         if hits:
-            best = min(hits, key=lambda c: (distance(c), warning_sort_key(c)))
-            return MatchOutcome(best, stage)
+            return MatchOutcome(min(hits, key=itemgetter(0, 1))[2], stage)
     return MatchOutcome(None, None)
 
 
@@ -345,14 +288,11 @@ class AuditRecord:
     matched_origin: int | None
 
 
-def _is_gone(
-    warning: AlignedWarning, snapshot: ProjectSnapshot, mapping: LineMapping
-) -> bool:
+def _is_gone(warning: AlignedWarning, context: MatchContext) -> bool:
     """True when the warned code cannot be judged in the newer release."""
-    old_path = resolve_class_file(snapshot.release_old, warning.class_info)
-    if old_path is not None and old_path in mapping.deleted_files:
+    if context.resolve("old", warning.class_info) in context.mapping.deleted_files:
         return True
-    return resolve_class_file(snapshot.release_new, warning.class_info) is None
+    return context.resolve("new", warning.class_info) is None
 
 
 def label_release_detailed(
@@ -392,7 +332,7 @@ def label_release_detailed(
         if outcome.matched is not None:
             available.pop(outcome.matched.origin[1])
             label = WarningLabel.UNACTIONABLE
-        elif _is_gone(warning, snapshot, line_mapping):
+        elif _is_gone(warning, context):
             label = WarningLabel.UNKNOWN
         else:
             label = WarningLabel.ACTIONABLE
@@ -410,13 +350,3 @@ def label_release_detailed(
         )
     return labeled, audit
 
-
-def label_release(
-    snapshot: ProjectSnapshot,
-    sca: ScaId,
-    mapping: GdcMapping,
-    line_mapping: LineMapping | None = None,
-) -> list[AlignedWarning]:
-    """Label one analyzer's old-release warnings (see label_release_detailed)."""
-    labeled, _ = label_release_detailed(snapshot, sca, mapping, line_mapping)
-    return labeled

@@ -136,16 +136,11 @@ class RecommendationModel:
     kind: ModelKind
     hyperparams: dict
     feature_names: tuple[str, ...]
-    means: np.ndarray
-    stds: np.ndarray
+    scaler: StandardScaler
     classes: tuple[ScaId, ...]
     estimator: object
     seed: int
     version: int = MODEL_FILE_VERSION
-
-    def _transform(self, matrix: np.ndarray) -> np.ndarray:
-        scale = np.where(self.stds == 0.0, 1.0, self.stds)
-        return (matrix - self.means) / scale
 
     def predict_matrix(self, matrix, feature_names: Sequence[str]) -> list[ScaId]:
         if tuple(feature_names) != self.feature_names:
@@ -156,7 +151,7 @@ class RecommendationModel:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(self.feature_names):
             raise FeatureMismatch("feature matrix width disagrees with the model")
-        indices = self.estimator.predict(self._transform(matrix))
+        indices = self.estimator.predict(self.scaler.transform(matrix))
         return [self.classes[i] for i in indices]
 
     def predict(self, vector: FeatureVector) -> ScaId:
@@ -168,10 +163,7 @@ class RecommendationModel:
             "kind": self.kind.value,
             "hyperparams": self.hyperparams,
             "feature_names": list(self.feature_names),
-            "standardization": {
-                "means": self.means.tolist(),
-                "stds": self.stds.tolist(),
-            },
+            "standardization": self.scaler.get_fitted_state(),
             "params": {
                 "classes": list(self.classes),
                 "state": self.estimator.get_fitted_state(),
@@ -201,20 +193,43 @@ class RecommendationModel:
             kind = parse_model_kind(document["kind"])
             hyperparams = document["hyperparams"]
             seed = int(document["seed"])
+            feature_names = tuple(document["feature_names"])
+            scaler = StandardScaler().load_fitted_state(document["standardization"])
+            if not len(scaler.mean_) == len(scaler.std_) == len(feature_names):
+                raise SchemaError(
+                    f"{path}: standardization has {len(scaler.mean_)} means and "
+                    f"{len(scaler.std_)} stds for {len(feature_names)} features"
+                )
+            classes = tuple(document["params"]["classes"])
+            state = document["params"]["state"]
+            n_classes = _state_class_count(kind, state)
+            if len(classes) != n_classes:
+                raise SchemaError(
+                    f"{path}: {len(classes)} classes listed for an estimator "
+                    f"fitted on {n_classes}"
+                )
             estimator = build_estimator(kind, hyperparams, seed)
-            estimator.load_fitted_state(document["params"]["state"])
+            estimator.load_fitted_state(state)
             return cls(
                 kind=kind,
                 hyperparams=hyperparams,
-                feature_names=tuple(document["feature_names"]),
-                means=np.asarray(document["standardization"]["means"], dtype=np.float64),
-                stds=np.asarray(document["standardization"]["stds"], dtype=np.float64),
-                classes=tuple(document["params"]["classes"]),
+                feature_names=feature_names,
+                scaler=scaler,
+                classes=classes,
                 estimator=estimator,
                 seed=seed,
             )
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"{path}: malformed model file: {exc}") from exc
+
+
+def _state_class_count(kind: ModelKind, state: dict) -> int:
+    """The class count a saved estimator state was fitted on."""
+    if kind is ModelKind.LR:
+        return len(state["b"])
+    if kind is ModelKind.MLP:
+        return len(state["b2"])
+    return int(state["n_classes"])
 
 
 def encode_labels(
@@ -246,8 +261,7 @@ def train(
         kind=kind,
         hyperparams=resolve_hyperparams(kind, hyperparams),
         feature_names=dataset.feature_names,
-        means=scaler.mean_,
-        stds=scaler.std_,
+        scaler=scaler,
         classes=classes,
         estimator=estimator,
         seed=seed,

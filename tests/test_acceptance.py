@@ -35,6 +35,7 @@ from sca_reco.estimators import PCA
 from sca_reco.features import PreferenceDataset
 from sca_reco.ingestion import canonicalize, load_snapshot
 from sca_reco.matching import (
+    MatchContext,
     MatchStage,
     compute_line_mapping,
     label_release_detailed,
@@ -185,11 +186,21 @@ def maximum_matching_size(n_old: int, edges: list[set[int]]) -> int:
     return sum(1 for i in range(n_old) if augment(i, set()))
 
 
-def permissible(w_old, w_new, line_mapping, snap, raw_old, raw_new) -> bool:
+def permissible(w_old, w_new, pair: MatchContext) -> bool:
     return (
-        match_location(w_old, w_new, line_mapping, raw_old, raw_new)
-        or match_snippet(w_old, w_new, snap.release_old, snap.release_new)
-        or match_hash(w_old, w_new, snap.release_old, snap.release_new)
+        match_location(w_old, w_new, pair)
+        or match_snippet(w_old, w_new, pair)
+        or match_hash(w_old, w_new, pair)
+    )
+
+
+def pair_context(snap, sca, line_mapping) -> MatchContext:
+    return MatchContext(
+        old=snap.release_old,
+        new=snap.release_new,
+        mapping=line_mapping,
+        raws_old=snap.reports_old[sca],
+        raws_new=snap.reports_new[sca],
     )
 
 
@@ -263,15 +274,14 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
             # the greedy one-to-one match count equals the optimum
             old_canon = [canonicalize(r, context.mapping, i) for i, r in enumerate(raws_old)]
             new_canon = [canonicalize(r, context.mapping, i) for i, r in enumerate(raws_new)]
+            pair = pair_context(snap, "solo", line_mapping)
             edges = [
                 {
                     j
                     for j, w_new in enumerate(new_canon)
-                    if permissible(
-                        w_old, w_new, line_mapping, snap, raws_old[i], raws_new[j]
-                    )
+                    if permissible(w_old, w_new, pair)
                 }
-                for i, w_old in enumerate(old_canon)
+                for w_old in old_canon
             ]
             optimum = maximum_matching_size(len(old_canon), edges)
             matched = sum(
@@ -326,6 +336,7 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
                 snap, "alpha", mapping, line_mapping
             )
             new_canon = [canonicalize(r, mapping, i) for i, r in enumerate(raws_new)]
+            pair = pair_context(snap, "alpha", line_mapping)
             taken = [a.matched_origin for a in audit if a.matched_origin is not None]
             assert len(taken) == len(set(taken))  # one-to-one
             keys = [warning_sort_key(w) for w in labeled]
@@ -339,19 +350,11 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
                     continue
                 assert warning.label is WarningLabel.UNACTIONABLE
                 candidate = new_canon[entry.matched_origin]
-                raw_pair = (
-                    snap.reports_old["alpha"][warning.origin[1]],
-                    snap.reports_new["alpha"][candidate.origin[1]],
-                )
                 # a later stage fires only where the earlier stages miss
                 if entry.stage is not MatchStage.LOCATION:
-                    assert not match_location(
-                        warning, candidate, line_mapping, *raw_pair
-                    )
+                    assert not match_location(warning, candidate, pair)
                 if entry.stage is MatchStage.HASH:
-                    assert not match_snippet(
-                        warning, candidate, snap.release_old, snap.release_new
-                    )
+                    assert not match_snippet(warning, candidate, pair)
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
         info["detail"] = (

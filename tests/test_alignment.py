@@ -9,7 +9,6 @@ from sca_reco.alignment import (
     AlignedGroup,
     AlignmentResult,
     align_project,
-    distinct_counts,
     identical,
 )
 from sca_reco.core import WarningLabel
@@ -199,14 +198,14 @@ def test_group_constructor_validates_membership():
 
 
 def test_distinct_counts():
-    assert distinct_counts(AlignmentResult((), ())) == (0, 0)
+    assert AlignmentResult((), ()).groups == ()
     labeled = {
         "alpha": [aw(class_info=C, start=10, end=12, label=A, sca="alpha"),
                   aw(class_info=C, start=40, label=U, sca="alpha", index=1)],
         "beta": [aw(class_info=C, start=11, end=12, label=A, sca="beta")],
     }
     result = align_project(labeled, ("alpha", "beta"))
-    assert distinct_counts(result) == (2, 1)
+    assert [g.resolved_label for g in result.groups] == [A, U]
 
 
 def test_union_semantics_one_shared_defect():
@@ -215,4 +214,4 @@ def test_union_semantics_one_shared_defect():
         for i, sca in enumerate(SCAS)
     }
     result = align_project(labeled, SCAS)
-    assert distinct_counts(result) == (1, 1)
+    assert [g.resolved_label for g in result.groups] == [A]

@@ -242,6 +242,60 @@ def test_train_and_recommend(workspace, tmp_path, capsys):
     assert rc == 2
 
 
+
+def corrupted_model(workspace, tmp_path, kind, corrupt):
+    """Train a ``kind`` model, let ``corrupt`` edit its JSON, return the path."""
+    path = tmp_path / f"{kind}.json"
+    rc = cli.main(
+        [
+            "train",
+            "--evaluations",
+            str(workspace["evaluations"]),
+            "--features",
+            str(workspace["features"]),
+            "--model",
+            kind,
+            "--cv-folds",
+            "2",
+            "--out",
+            str(path),
+        ]
+    )
+    assert rc == 0
+    document = json.loads(path.read_text(encoding="utf-8"))
+    corrupt(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return path
+
+
+def recommend_exit(workspace, model_path, capsys):
+    capsys.readouterr()
+    rc = cli.main(
+        ["recommend", "--model-file", str(model_path), "--features", str(workspace["features"])]
+    )
+    return rc, capsys.readouterr().err
+
+
+def test_truncated_standardization_exits_2(workspace, tmp_path, capsys):
+    def cut_means(document):
+        document["standardization"]["means"] = document["standardization"]["means"][:2]
+
+    path = corrupted_model(workspace, tmp_path, "dt", cut_means)
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("kind", ["dt", "knn", "lr", "mlp", "rf"])
+def test_class_list_shorter_than_estimator_exits_2(workspace, tmp_path, capsys, kind):
+    def cut_classes(document):
+        document["params"]["classes"] = document["params"]["classes"][:1]
+
+    path = corrupted_model(workspace, tmp_path, kind, cut_classes)
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert str(path) in err
+
 def test_baseline_commands(workspace, capsys):
     rc = cli.main(
         ["baseline", "--evaluations", str(workspace["evaluations"]), "--repeats", "20"]

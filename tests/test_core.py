@@ -11,7 +11,6 @@ from sca_reco.core import (
     GdcCategory,
     GdcTaxonomy,
     RawWarning,
-    canonical_warning_order,
     format_beta,
     load_taxonomy,
     parse_beta,
@@ -83,9 +82,8 @@ def test_canonical_order_class_then_lines():
     second = aw(class_info="a.A", start=5, end=7)
     third = aw(class_info="a.B", start=1, end=1)
     assert warning_sort_key(first) < warning_sort_key(second) < warning_sort_key(third)
-    assert canonical_warning_order(first, second) == -1
-    assert canonical_warning_order(third, first) == 1
-    assert canonical_warning_order(first, first) == 0
+    assert warning_sort_key(third) > warning_sort_key(first)
+    assert warning_sort_key(first) == warning_sort_key(aw(class_info="a.A", start=5, end=5))
 
 
 def test_sort_warnings_is_total_and_stable():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sca_reco.estimators import StandardScaler
 from sca_reco.exceptions import (
     DuplicateProject,
     MismatchError,
@@ -18,7 +19,6 @@ from sca_reco.features import (
     FeatureVector,
     build_dataset,
     load_features,
-    standardize,
 )
 
 
@@ -157,11 +157,12 @@ def test_feature_index_unknown_name():
 
 
 def test_standardize_oracle():
-    scaled, scaler = standardize(dataset2())
+    scaler = StandardScaler()
+    scaled = scaler.fit_transform(dataset2().matrix)
     # column a was 1,2,3: mean 2, population std sqrt(2/3)
     expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2.0 / 3.0)
-    assert np.allclose(scaled.matrix[:, 0], expected, atol=1e-12)
-    assert np.allclose(scaled.matrix.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(scaled[:, 0], expected, atol=1e-12)
+    assert np.allclose(scaled.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(scaler.mean_, [2.0, 20.0], atol=1e-12)
-    rescaled, _ = standardize(scaled)
-    assert np.allclose(rescaled.matrix, scaled.matrix, atol=1e-9)
+    rescaled = StandardScaler().fit_transform(scaled)
+    assert np.allclose(rescaled, scaled, atol=1e-9)

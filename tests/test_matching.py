@@ -11,7 +11,6 @@ from sca_reco.matching import (
     MatchContext,
     MatchStage,
     compute_line_mapping,
-    label_release,
     label_release_detailed,
     match_hash,
     match_location,
@@ -104,14 +103,27 @@ def test_resolve_unknown_class():
 # location stage
 
 
+def make_context(old_files, new_files, raws_old=(), raws_new=()):
+    """One MatchContext for a release pair; warnings index the reports by origin."""
+    old_release = release(old_files)
+    new_release = release(new_files, old=False)
+    return MatchContext(
+        old=old_release,
+        new=new_release,
+        mapping=compute_line_mapping(old_release, new_release),
+        raws_old=tuple(raws_old),
+        raws_new=tuple(raws_new),
+    )
+
+
 def location_fixture(new_start: int, method_a="a", method_b="a"):
     files = {"com/example/Foo.java": [f"line {k}" for k in range(1, 30)]}
-    mapping = compute_line_mapping(release(files), release(files, old=False))
-    w_a = aw(class_info=FOO, start=12, end=12)
-    w_b = aw(class_info=FOO, start=new_start, end=new_start, index=1)
     raw_a = raw(method=method_a, start=12, end=12)
     raw_b = raw(method=method_b, start=new_start, end=new_start)
-    return w_a, w_b, mapping, raw_a, raw_b
+    context = make_context(files, files, [raw_a], [raw_b])
+    w_a = aw(class_info=FOO, start=12, end=12)
+    w_b = aw(class_info=FOO, start=new_start, end=new_start)
+    return w_a, w_b, context
 
 
 def test_location_zero_offset():
@@ -131,26 +143,29 @@ def test_location_method_path_must_agree():
 
 
 def test_location_type_and_class_must_agree():
-    w_a, w_b, mapping, raw_a, raw_b = location_fixture(12)
-    other_type = aw(new_type="resource_leak", class_info=FOO, start=12, end=12, index=1)
-    assert not match_location(w_a, other_type, mapping, raw_a, raw_b)
-    other_class = aw(class_info=BAR, start=12, end=12, index=1)
-    assert not match_location(w_a, other_class, mapping, raw_a, raw_b)
+    w_a, w_b, context = location_fixture(12)
+    other_type = aw(new_type="resource_leak", class_info=FOO, start=12, end=12)
+    assert not match_location(w_a, other_type, context)
+    other_class = aw(class_info=BAR, start=12, end=12)
+    assert not match_location(w_a, other_class, context)
 
 
 def test_location_deleted_line_falls_back_to_line_above():
     old_lines = ["keep 1", "keep 2", "warned text", "keep 3"]
     new_lines = ["keep 1", "keep 2", "replacement", "keep 3"]
-    files_old = {"com/example/Foo.java": old_lines}
-    files_new = {"com/example/Foo.java": new_lines}
-    mapping = compute_line_mapping(release(files_old), release(files_new, old=False))
+    context = make_context(
+        {"com/example/Foo.java": old_lines},
+        {"com/example/Foo.java": new_lines},
+        [raw(start=3)],
+        [raw(start=5), raw(start=6)],
+    )
     w_a = aw(class_info=FOO, start=3, end=3)
     # old line 3 was changed; the nearest surviving line above (2) maps to 2,
     # so a candidate at line 2..5 is still within the offset limit
-    w_b = aw(class_info=FOO, start=5, end=5, index=1)
-    assert match_location(w_a, w_b, mapping, raw(start=3), raw(start=5))
+    w_b = aw(class_info=FOO, start=5, end=5, index=0)
+    assert match_location(w_a, w_b, context)
     w_far = aw(class_info=FOO, start=6, end=6, index=1)
-    assert not match_location(w_a, w_far, mapping, raw(start=3), raw(start=6))
+    assert not match_location(w_a, w_far, context)
 
 
 # snippet stage
@@ -163,7 +178,7 @@ def test_snippet_moved_block_matches():
     new_files = {"com/example/Foo.java": class_file("Foo", moved)}
     w_a = aw(class_info=FOO, start=4, end=5)
     w_b = aw(class_info=FOO, start=44, end=45, index=1)
-    assert match_snippet(w_a, w_b, release(old_files), release(new_files, old=False))
+    assert match_snippet(w_a, w_b, make_context(old_files, new_files))
 
 
 def test_snippet_edited_text_fails():
@@ -171,7 +186,7 @@ def test_snippet_edited_text_fails():
     new_files = {"com/example/Foo.java": class_file("Foo", ["    int v = fetch();"])}
     w_a = aw(class_info=FOO, start=4, end=4)
     w_b = aw(class_info=FOO, start=4, end=4, index=1)
-    assert not match_snippet(w_a, w_b, release(old_files), release(new_files, old=False))
+    assert not match_snippet(w_a, w_b, make_context(old_files, new_files))
 
 
 def test_snippet_requires_same_class():
@@ -180,7 +195,7 @@ def test_snippet_requires_same_class():
     new_files = {"com/example/Bar.java": class_file("Bar", body)}
     w_a = aw(class_info=FOO, start=4, end=4)
     w_b = aw(class_info=BAR, start=4, end=4, index=1)
-    assert not match_snippet(w_a, w_b, release(old_files), release(new_files, old=False))
+    assert not match_snippet(w_a, w_b, make_context(old_files, new_files))
 
 
 def test_snippet_ignores_leading_and_trailing_whitespace():
@@ -188,7 +203,7 @@ def test_snippet_ignores_leading_and_trailing_whitespace():
     new_files = {"com/example/Foo.java": class_file("Foo", ["\tint v = load();  "])}
     w_a = aw(class_info=FOO, start=4, end=4)
     w_b = aw(class_info=FOO, start=4, end=4, index=1)
-    assert match_snippet(w_a, w_b, release(old_files), release(new_files, old=False))
+    assert match_snippet(w_a, w_b, make_context(old_files, new_files))
 
 
 # hash stage
@@ -199,7 +214,7 @@ def test_hash_survives_class_rename():
     new_files = {"com/example/Bar.java": class_file("Bar", token_body())}
     w_a = aw(class_info=FOO, start=WARNED_LINE, end=WARNED_LINE)
     w_b = aw(class_info=BAR, start=WARNED_LINE, end=WARNED_LINE, index=1)
-    assert match_hash(w_a, w_b, release(old_files), release(new_files, old=False))
+    assert match_hash(w_a, w_b, make_context(old_files, new_files))
 
 
 def test_hash_one_token_flip_fails():
@@ -209,42 +224,30 @@ def test_hash_one_token_flip_fails():
     new_files = {"com/example/Foo.java": class_file("Foo", edited)}
     w_a = aw(class_info=FOO, start=WARNED_LINE, end=WARNED_LINE)
     w_b = aw(class_info=FOO, start=WARNED_LINE, end=WARNED_LINE, index=1)
-    assert not match_hash(w_a, w_b, release(old_files), release(new_files, old=False))
+    assert not match_hash(w_a, w_b, make_context(old_files, new_files))
 
 
 def test_hash_requires_same_type():
     files = {"com/example/Foo.java": class_file("Foo", token_body())}
     w_a = aw(class_info=FOO, start=WARNED_LINE, end=WARNED_LINE)
     w_b = aw(new_type="resource_leak", class_info=FOO, start=WARNED_LINE, end=WARNED_LINE, index=1)
-    assert not match_hash(w_a, w_b, release(files), release(files, old=False))
+    assert not match_hash(w_a, w_b, make_context(files, files))
 
 
 def test_hash_window_truncates_at_file_top():
     files = {"com/example/Foo.java": ["int a = 1;", "int b = 2;", "int c = 3;"]}
     w_a = aw(class_info=FOO, start=1, end=1)
     w_b = aw(class_info=FOO, start=1, end=1, index=1)
-    assert match_hash(w_a, w_b, release(files), release(files, old=False))
+    assert match_hash(w_a, w_b, make_context(files, files))
 
 
 def test_hash_empty_file_never_matches():
     old_files = {"com/example/Foo.java": [""]}
     w = aw(class_info=FOO, start=1, end=1)
-    assert not match_hash(w, w, release(old_files), release(old_files, old=False))
+    assert not match_hash(w, w, make_context(old_files, old_files))
 
 
 # cascade
-
-
-def make_context(old_files, new_files, raws_old, raws_new):
-    old_release = release(old_files)
-    new_release = release(new_files, old=False)
-    return MatchContext(
-        old=old_release,
-        new=new_release,
-        mapping=compute_line_mapping(old_release, new_release),
-        raws_old=tuple(raws_old),
-        raws_new=tuple(raws_new),
-    )
 
 
 def test_cascade_prefers_location_over_snippet():
@@ -298,7 +301,7 @@ def test_cascade_no_match():
     files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
     context = make_context(files, files, [raw(start=4)], [])
     outcome = match_warning(aw(class_info=FOO, start=4, end=4), [], context)
-    assert not outcome.is_match
+    assert outcome.matched is None
     assert outcome.stage is None
 
 
@@ -319,14 +322,14 @@ def test_label_fixed_warning_actionable():
     old_files = {"com/example/Foo.java": class_file("Foo", ["    int v = load();"])}
     new_files = {"com/example/Foo.java": class_file("Foo", ["    int v = safe();"])}
     snap = snapshot(old_files, new_files, {"alpha": [raw(start=4)]}, {"alpha": []})
-    labeled = label_release(snap, "alpha", identity_mapping())
+    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
     assert [w.label for w in labeled] == [A]
 
 
 def test_label_deleted_file_unknown():
     old_files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
     snap = snapshot(old_files, {"Other.java": ["x"]}, {"alpha": [raw(start=4)]}, {"alpha": []})
-    labeled = label_release(snap, "alpha", identity_mapping())
+    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
     assert [w.label for w in labeled] == [UNKNOWN]
 
 
@@ -334,7 +337,7 @@ def test_label_unresolvable_class_unknown():
     files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
     ghost = raw(class_path="com.example.Ghost", start=4)
     snap = snapshot(files, files, {"alpha": [ghost]}, {"alpha": []})
-    labeled = label_release(snap, "alpha", identity_mapping())
+    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
     assert [w.label for w in labeled] == [UNKNOWN]
 
 
@@ -343,7 +346,7 @@ def test_label_identity_pair_all_unactionable():
     files = {"com/example/Foo.java": class_file("Foo", body)}
     reports = {"alpha": [raw(start=5), raw(start=8, original_type="LEAK"), raw(start=11)]}
     snap = snapshot(files, files, reports, reports)
-    labeled = label_release(snap, "alpha", identity_mapping())
+    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
     assert all(w.label is U for w in labeled)
 
 
@@ -352,7 +355,7 @@ def test_label_one_to_one_consumption():
     old_reports = {"alpha": [raw(start=4), raw(start=5)]}
     new_reports = {"alpha": [raw(start=4)]}
     snap = snapshot(files, files, old_reports, new_reports)
-    labeled = label_release(snap, "alpha", identity_mapping())
+    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
     assert sorted(w.label.value for w in labeled) == ["actionable", "unactionable"]
     # canonical order processes line 4 first, so it wins the single candidate
     assert labeled[0].start_line == 4 and labeled[0].label is U
@@ -369,7 +372,7 @@ def test_label_report_order_irrelevant():
 
     def run(old_order, new_order):
         snap = snapshot(old_files, new_files, {"alpha": old_order}, {"alpha": new_order})
-        labeled = label_release(snap, "alpha", identity_mapping())
+        labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
         return [(w.class_info, w.start_line, w.new_type, w.label) for w in labeled]
 
     baseline = run(warnings, new_warnings)
@@ -381,7 +384,7 @@ def test_label_unlisted_analyzer_rejected():
     files = {"com/example/Foo.java": class_file("Foo", [])}
     snap = snapshot(files, files, {"alpha": []}, {"alpha": []})
     with pytest.raises(SchemaError):
-        label_release(snap, "missing", identity_mapping())
+        label_release_detailed(snap, "missing", identity_mapping())
 
 
 def test_cascade_dominance_on_reported_pair():
@@ -397,12 +400,12 @@ def test_cascade_dominance_on_reported_pair():
     candidate = aw(class_info=FOO, start=5, end=5, index=0)
     outcome = match_warning(w_a, [candidate], context)
     assert outcome.stage is MatchStage.SNIPPET
-    assert not match_location(w_a, candidate, context.mapping, raw_a, raw_b)
+    assert not match_location(w_a, candidate, context)
 
 
 def test_labeled_output_in_canonical_order():
     files = {"com/example/Foo.java": class_file("Foo", ["    int a;", "    int b;", "    int c;"])}
     reports = {"alpha": [raw(start=6), raw(start=4), raw(start=5)]}
     snap = snapshot(files, files, reports, reports)
-    labeled = label_release(snap, "alpha", identity_mapping())
+    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
     assert [w.start_line for w in labeled] == [4, 5, 6]

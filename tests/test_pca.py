@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sca_reco.estimators import PCA, pca
+from sca_reco.estimators import PCA
 from sca_reco.exceptions import InvalidK
 from sca_reco.rng import SplitMix64
 
@@ -86,13 +86,3 @@ def test_deterministic():
     b = PCA(n_components=3).fit(X)
     assert np.array_equal(a.components_, b.components_)
     assert np.array_equal(a.explained_variance_, b.explained_variance_)
-
-
-def test_functional_wrapper_matches_estimator():
-    X = random_matrix(10, 4, seed=700)
-    result = pca(X, 2)
-    model = PCA(n_components=2).fit(X)
-    assert np.array_equal(result.components, model.components_)
-    assert np.array_equal(result.explained_variance, model.explained_variance_)
-    assert np.array_equal(result.mean, model.mean_)
-    assert np.array_equal(result.projections, model.transform(X))
