@@ -99,6 +99,14 @@ def align_project(
     best compatible unconsumed warning: minimal summed start-line distance to
     the current members, ties by canonical order.  Labels are ignored while
     grouping and resolved by vote afterwards.
+
+    Each analyzer's pool is indexed by (category, class, start line), and a
+    seed looks only at the buckets within OFFSET_LIMIT lines of its start.
+    ``identical`` accepts a member only if it shares the seed's category and
+    class and starts within OFFSET_LIMIT lines of it, so those buckets hold
+    every compatible candidate; the pick is by a total order, so the groups
+    are the same as when scanning the whole pool.  The index lives for one
+    call, that is for one project.
     """
     for sca, warnings in labeled.items():
         for w in warnings:
@@ -110,6 +118,7 @@ def align_project(
     pools: dict[ScaId, list[AlignedWarning]] = {
         sca: sort_warnings(labeled.get(sca, ())) for sca in sca_order
     }
+    indexes = {sca: _index_by_line(pool) for sca, pool in pools.items()}
     consumed: set[tuple[ScaId, int]] = set()
     raw_groups: list[list[AlignedWarning]] = []
 
@@ -120,20 +129,19 @@ def align_project(
             consumed.add(seed.origin)
             members = [seed]
             for later in sca_order[i + 1 :]:
-                best = None
-                best_key = None
-                for candidate in pools[later]:
-                    if candidate.origin in consumed:
-                        continue
-                    if not _compatible(members, candidate):
-                        continue
-                    distance = sum(
-                        abs(candidate.start_line - m.start_line) for m in members
+                compatible = [
+                    candidate
+                    for candidate in _near(indexes[later], seed)
+                    if candidate.origin not in consumed and _compatible(members, candidate)
+                ]
+                if compatible:
+                    best = min(
+                        compatible,
+                        key=lambda c: (
+                            sum(abs(c.start_line - m.start_line) for m in members),
+                            warning_sort_key(c),
+                        ),
                     )
-                    key = (distance, warning_sort_key(candidate))
-                    if best_key is None or key < best_key:
-                        best, best_key = candidate, key
-                if best is not None:
                     consumed.add(best.origin)
                     members.append(best)
             raw_groups.append(members)
@@ -154,3 +162,17 @@ def align_project(
 
 def _compatible(members: list[AlignedWarning], candidate: AlignedWarning) -> bool:
     return all(identical((m, candidate), ignore_label=True) for m in members)
+
+
+def _index_by_line(pool: list[AlignedWarning]) -> dict[tuple, list[AlignedWarning]]:
+    index: dict[tuple, list[AlignedWarning]] = {}
+    for w in pool:
+        index.setdefault((w.new_type, w.class_info, w.start_line), []).append(w)
+    return index
+
+
+def _near(index: dict[tuple, list[AlignedWarning]], seed: AlignedWarning):
+    """Indexed warnings sharing the seed's category and class that start
+    within OFFSET_LIMIT lines of it."""
+    for line in range(seed.start_line - OFFSET_LIMIT, seed.start_line + OFFSET_LIMIT + 1):
+        yield from index.get((seed.new_type, seed.class_info, line), ())

@@ -244,11 +244,22 @@ def load_snapshot(corpus_root: str | Path, project_id: str) -> ProjectSnapshot:
 
 
 def list_projects(corpus_root: str | Path) -> list[str]:
-    """Project ids in a corpus: the sorted subdirectory names."""
+    """Project ids in a corpus: the sorted names of the subdirectories that
+    hold a releases.json.
+
+    Other subdirectories, such as an output directory placed inside the
+    corpus, are not projects; they are skipped and logged at info level.
+    """
     root = Path(corpus_root)
     if not root.is_dir():
         raise IoError(f"corpus directory {root} does not exist")
-    return sorted(p.name for p in root.iterdir() if p.is_dir())
+    projects = []
+    for name in sorted(p.name for p in root.iterdir() if p.is_dir()):
+        if (root / name / "releases.json").is_file():
+            projects.append(name)
+        else:
+            log.info("ignoring %s: no releases.json, so not a project", root / name)
+    return projects
 
 
 def load_sca_order(corpus_root: str | Path) -> list[ScaId]:
@@ -263,7 +274,6 @@ def load_sca_order(corpus_root: str | Path) -> list[ScaId]:
             raise SchemaError(f"{listing} lists no analyzer ids")
         return order
     found: set[str] = set()
-    for project in list_projects(root):
-        for reports_dir in (Path(root) / project).glob("*/reports"):
-            found.update(p.stem for p in reports_dir.glob("*.json"))
+    for reports_dir in root.glob("*/*/reports"):
+        found.update(p.stem for p in reports_dir.glob("*.json"))
     return sorted(found)

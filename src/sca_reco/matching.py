@@ -19,8 +19,12 @@ consumed candidate is unavailable to later warnings.
 The pairwise predicates ``match_location``, ``match_snippet`` and
 ``match_hash`` are the single definition of each stage: ``match_warning``
 runs them as they are, and tests and oracles call the same functions.
-``MatchContext`` is the only cache; it resolves class files, diff-maps old
-start lines, cuts snippets and hashes token windows once per release pair.
+``label_release_detailed`` indexes the newer release's warnings by the keys
+the predicates compare, so each old warning is tried only against the few
+candidates that could match it; the index never decides a match itself.
+``ReleasePair`` is the only cache.  It resolves class files, diff-maps old
+start lines, cuts snippets and hashes token windows once per project, and
+all analyzers of the project share it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import accumulate
 from operator import itemgetter
 
 from .core import (
@@ -51,7 +56,7 @@ HASH_WINDOW_TOKENS = 50  # tokens taken on each side of the warned line
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_SEPARATOR = 0x1F
+_SEPARATOR = "\x1f"
 
 
 class MatchStage(Enum):
@@ -111,15 +116,24 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
     return min(hits, default=None)
 
 
-def _token_stream(lines: tuple[str, ...]) -> tuple[list[str], list[int]]:
-    """All identifier/number tokens of a file with their 1-based line numbers."""
+def _token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
+    """All identifier/number tokens of a file as the bytes a window hashes.
+
+    Returns the tokens, each followed by the separator byte; the offset of
+    every token in those bytes, plus the total length; and every token's
+    1-based line number.  Tokens are ASCII, so the text encodes byte for
+    byte, and a window over tokens ``low:high`` is the slice from the
+    offset of ``low`` to one before the offset of ``high``.
+    """
     tokens: list[str] = []
     token_lines: list[int] = []
     for number, line in enumerate(lines, start=1):
-        for match in _TOKEN_RE.finditer(line):
-            tokens.append(match.group())
-            token_lines.append(number)
-    return tokens, token_lines
+        found = _TOKEN_RE.findall(line)
+        tokens += found
+        token_lines += [number] * len(found)
+    offsets = list(accumulate((len(token) + 1 for token in tokens), initial=0))
+    text = "".join(token + _SEPARATOR for token in tokens)
+    return text.encode("ascii"), offsets, token_lines
 
 
 def _fnv1a(data: bytes) -> int:
@@ -131,23 +145,27 @@ def _fnv1a(data: bytes) -> int:
 
 
 @dataclass(frozen=True)
-class MatchContext:
-    """Everything the cascade needs besides the two warnings themselves.
+class ReleasePair:
+    """One project's two releases, their line mapping, and a memo over them.
 
-    ``raws_old``/``raws_new`` are the source reports; warnings refer into
-    them through their origin index.  ``which`` names a side, ``"old"`` or
-    ``"new"``.  The memo dict caches class-file resolutions, location
-    targets, snippets, token streams, and window hashes for the lifetime of
-    one release pair; all cached values are pure functions of the two
-    releases and their line mapping, so caching cannot change any outcome.
+    A project builds one pair and shares it across all its analyzers.  The
+    memo caches class-file resolutions, location targets, snippets, token
+    streams and window hashes.  Each of these is a pure function of the two
+    releases and their line mapping, never of a report, so sharing the memo
+    cannot change any outcome.  FNV-1a values are memoized by the window
+    bytes, so an old and a new window over unchanged code are hashed once.
+    ``which`` names a side, ``"old"`` or ``"new"``.  The memo lives as long
+    as the pair: one project, never a whole corpus.
     """
 
     old: Release
     new: Release
     mapping: LineMapping
-    raws_old: tuple[RawWarning, ...]
-    raws_new: tuple[RawWarning, ...]
     memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def diff(cls, old: Release, new: Release) -> ReleasePair:
+        return cls(old, new, compute_line_mapping(old, new))
 
     def _release(self, which: str) -> Release:
         return self.old if which == "old" else self.new
@@ -206,15 +224,31 @@ class MatchContext:
                 if stream_key not in self.memo:
                     lines = self._release(which).files[path]
                     self.memo[stream_key] = _token_stream(lines)
-                tokens, token_lines = self.memo[stream_key]
+                text, offsets, token_lines = self.memo[stream_key]
                 anchor = bisect_left(token_lines, warning.start_line)
                 low = max(0, anchor - HASH_WINDOW_TOKENS)
-                window = tokens[low : anchor + HASH_WINDOW_TOKENS]
-                if window:
-                    self.memo[key] = _fnv1a(
-                        bytes([_SEPARATOR]).join(t.encode("utf-8") for t in window)
-                    )
+                high = min(len(token_lines), anchor + HASH_WINDOW_TOKENS)
+                if low < high:
+                    data = text[offsets[low] : offsets[high] - 1]
+                    fnv_key = ("fnv", data)
+                    if fnv_key not in self.memo:
+                        self.memo[fnv_key] = _fnv1a(data)
+                    self.memo[key] = self.memo[fnv_key]
         return self.memo[key]
+
+
+@dataclass(frozen=True)
+class MatchContext:
+    """Everything the cascade needs besides the two warnings themselves.
+
+    ``releases`` is the project's shared ``ReleasePair``.  ``raws_old`` and
+    ``raws_new`` are one analyzer's source reports; warnings refer into them
+    through their origin index.
+    """
+
+    releases: ReleasePair
+    raws_old: tuple[RawWarning, ...]
+    raws_new: tuple[RawWarning, ...]
 
 
 def match_location(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
@@ -223,7 +257,7 @@ def match_location(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchConte
     LOCATION_OFFSET_LIMIT lines of ``w_b``."""
     if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
         return False
-    target = context.location_target(w_a)
+    target = context.releases.location_target(w_a)
     if target is None or abs(target - w_b.start_line) > LOCATION_OFFSET_LIMIT:
         return False
     method_a = context.raws_old[w_a.origin[1]].method_path
@@ -236,16 +270,18 @@ def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContex
     """Stage 2: same category and class, and identical trimmed warned text."""
     if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
         return False
-    snippet_a = context.snippet("old", w_a)
-    return snippet_a is not None and snippet_a == context.snippet("new", w_b)
+    releases = context.releases
+    snippet_a = releases.snippet("old", w_a)
+    return snippet_a is not None and snippet_a == releases.snippet("new", w_b)
 
 
 def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
     """Stage 3: same category and identical token-window hash."""
     if w_a.new_type != w_b.new_type:
         return False
-    hash_a = context.window_hash("old", w_a)
-    return hash_a is not None and hash_a == context.window_hash("new", w_b)
+    releases = context.releases
+    hash_a = releases.window_hash("old", w_a)
+    return hash_a is not None and hash_a == releases.window_hash("new", w_b)
 
 
 def match_warning(
@@ -260,7 +296,7 @@ def match_warning(
     line); remaining ties go to the canonically first candidate.
     """
     stages = (
-        (MatchStage.LOCATION, match_location, context.location_target(w_a)),
+        (MatchStage.LOCATION, match_location, context.releases.location_target(w_a)),
         (MatchStage.SNIPPET, match_snippet, w_a.start_line),
         (MatchStage.HASH, match_hash, w_a.start_line),
     )
@@ -288,51 +324,98 @@ class AuditRecord:
     matched_origin: int | None
 
 
-def _is_gone(warning: AlignedWarning, context: MatchContext) -> bool:
+def _is_gone(warning: AlignedWarning, releases: ReleasePair) -> bool:
     """True when the warned code cannot be judged in the newer release."""
-    if context.resolve("old", warning.class_info) in context.mapping.deleted_files:
+    if releases.resolve("old", warning.class_info) in releases.mapping.deleted_files:
         return True
-    return context.resolve("new", warning.class_info) is None
+    return releases.resolve("new", warning.class_info) is None
+
+
+def _index(warnings: list[AlignedWarning], key) -> dict[tuple, list[int]]:
+    """Origin indices of ``warnings`` bucketed by ``key``.
+
+    A key whose last part is None (a missing snippet or hash) is left out,
+    because no predicate accepts a missing value.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    for warning in warnings:
+        bucket_key = key(warning)
+        if bucket_key[-1] is not None:
+            buckets.setdefault(bucket_key, []).append(warning.origin[1])
+    return buckets
 
 
 def label_release_detailed(
     snapshot: ProjectSnapshot,
     sca: ScaId,
     mapping: GdcMapping,
-    line_mapping: LineMapping | None = None,
+    releases: ReleasePair | None = None,
 ) -> tuple[list[AlignedWarning], list[AuditRecord]]:
     """Label one analyzer's old-release warnings, returning an audit trail.
 
     Matched warnings are unactionable; unmatched ones are actionable unless
     their file was deleted or their class no longer resolves, in which case
     they are unknown.  Output is in canonical order.
+
+    ``releases`` is the snapshot's ``ReleasePair``; pass the same one for
+    every analyzer of a project so that its diff and memo are shared.  It
+    is built from the snapshot when omitted.
+
+    The newer release's warnings are indexed by the keys the predicates
+    compare: (category, class, start line) for the location stage, (category,
+    class, snippet) for the snippet stage, and (category, window hash) for
+    the hash stage, built the first time an old warning reaches it.  Each
+    old warning hands ``match_warning`` only the unconsumed warnings in its
+    location buckets (the diff-mapped target line +- LOCATION_OFFSET_LIMIT)
+    and its snippet bucket, and adds its hash bucket when neither the
+    location nor the snippet stage matched.  Every warning a stage's
+    predicate accepts is in that stage's buckets, and ``match_warning``
+    picks by a total order, so any superset of a stage's hits gives the
+    same pick as scanning every unconsumed warning.
     """
     if sca not in snapshot.reports_old:
         raise SchemaError(f"project {snapshot.project_id} has no {sca!r} report")
     raws_old = snapshot.reports_old[sca]
     raws_new = snapshot.reports_new[sca]
-    if line_mapping is None:
-        line_mapping = compute_line_mapping(snapshot.release_old, snapshot.release_new)
-    context = MatchContext(
-        old=snapshot.release_old,
-        new=snapshot.release_new,
-        mapping=line_mapping,
-        raws_old=raws_old,
-        raws_new=raws_new,
-    )
+    if releases is None:
+        releases = ReleasePair.diff(snapshot.release_old, snapshot.release_new)
+    context = MatchContext(releases, raws_old, raws_new)
     old_canon = [canonicalize(raw, mapping, i) for i, raw in enumerate(raws_old)]
     new_canon = [canonicalize(raw, mapping, i) for i, raw in enumerate(raws_new)]
-    available = dict(enumerate(new_canon))
+    available = set(range(len(new_canon)))
+    by_line = _index(new_canon, lambda w: (w.new_type, w.class_info, w.start_line))
+    by_snippet = _index(
+        new_canon, lambda w: (w.new_type, w.class_info, releases.snippet("new", w))
+    )
+    by_hash: dict[tuple, list[int]] | None = None
+
+    def unconsumed(buckets: list[list[int]]) -> list[AlignedWarning]:
+        picked = set().union(*buckets) & available
+        return [new_canon[i] for i in sorted(picked)]
 
     labeled: list[AlignedWarning] = []
     audit: list[AuditRecord] = []
     for warning in sort_warnings(old_canon):
-        candidates = [available[i] for i in sorted(available)]
-        outcome = match_warning(warning, candidates, context)
+        kind = (warning.new_type, warning.class_info)
+        buckets = [by_snippet.get((*kind, releases.snippet("old", warning)), [])]
+        target = releases.location_target(warning)
+        if target is not None:
+            lines = range(target - LOCATION_OFFSET_LIMIT, target + LOCATION_OFFSET_LIMIT + 1)
+            buckets += [by_line.get((*kind, line), []) for line in lines]
+        outcome = match_warning(warning, unconsumed(buckets), context)
+        if outcome.stage is None or outcome.stage is MatchStage.HASH:
+            # a hash hit among these candidates may not be the nearest one
+            if by_hash is None:
+                by_hash = _index(
+                    new_canon, lambda w: (w.new_type, releases.window_hash("new", w))
+                )
+            hash_key = (warning.new_type, releases.window_hash("old", warning))
+            buckets.append(by_hash.get(hash_key, []))
+            outcome = match_warning(warning, unconsumed(buckets), context)
         if outcome.matched is not None:
-            available.pop(outcome.matched.origin[1])
+            available.remove(outcome.matched.origin[1])
             label = WarningLabel.UNACTIONABLE
-        elif _is_gone(warning, context):
+        elif _is_gone(warning, releases):
             label = WarningLabel.UNKNOWN
         else:
             label = WarningLabel.ACTIONABLE
@@ -349,4 +432,3 @@ def label_release_detailed(
             )
         )
     return labeled, audit
-

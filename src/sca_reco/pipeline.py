@@ -35,7 +35,7 @@ from .ingestion import (
     load_sca_order,
     load_snapshot,
 )
-from .matching import AuditRecord, MatchStage, compute_line_mapping, label_release_detailed
+from .matching import AuditRecord, MatchStage, ReleasePair, label_release_detailed
 
 log = logging.getLogger(__name__)
 
@@ -113,15 +113,13 @@ def label_project(context: CorpusContext, snapshot: ProjectSnapshot) -> ProjectL
             f"project {snapshot.project_id}: reports from unlisted analyzers "
             f"{sorted(unknown)}"
         )
-    line_mapping = compute_line_mapping(snapshot.release_old, snapshot.release_new)
+    releases = ReleasePair.diff(snapshot.release_old, snapshot.release_new)
     by_sca: dict[ScaId, tuple[AlignedWarning, ...]] = {}
     audits: dict[ScaId, tuple[AuditRecord, ...]] = {}
     for sca in context.sca_order:
         if sca not in snapshot.reports_old:
             continue
-        labeled, audit = label_release_detailed(
-            snapshot, sca, context.mapping, line_mapping
-        )
+        labeled, audit = label_release_detailed(snapshot, sca, context.mapping, releases)
         by_sca[sca] = tuple(labeled)
         audits[sca] = tuple(audit)
     return ProjectLabels(snapshot.project_id, by_sca, audits)

@@ -192,6 +192,8 @@ class RecommendationModel:
                 raise SchemaError(f"{path}: unsupported model file version")
             kind = parse_model_kind(document["kind"])
             hyperparams = document["hyperparams"]
+            if not isinstance(hyperparams, dict):
+                raise SchemaError(f"{path}: hyperparams must be a JSON object")
             seed = int(document["seed"])
             feature_names = tuple(document["feature_names"])
             scaler = StandardScaler().load_fitted_state(document["standardization"])
@@ -219,8 +221,12 @@ class RecommendationModel:
                 estimator=estimator,
                 seed=seed,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: malformed model file: {exc}") from exc
+        except UnsupportedModelKind as exc:
+            # the kind and hyperparameters come from the file, so a
+            # disagreement between them is bad data, not bad configuration
+            raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _state_class_count(kind: ModelKind, state: dict) -> int:

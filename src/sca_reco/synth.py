@@ -236,12 +236,12 @@ def _class_rename_eligible(lines: list[str], decl_line: int, starts: list[int]) 
     the window hash invariant under the rename and the site guaranteed to be
     matched by the hash stage.
     """
-    tokens, token_lines = _token_stream(tuple(lines))
+    _, _, token_lines = _token_stream(tuple(lines))
     for start in starts:
         for jitter in (0, 1):
             anchor = bisect_left(token_lines, start + jitter)
             low = max(0, anchor - HASH_WINDOW_TOKENS)
-            high = min(len(tokens), anchor + HASH_WINDOW_TOKENS)
+            high = min(len(token_lines), anchor + HASH_WINDOW_TOKENS)
             if any(token_lines[i] == decl_line for i in range(low, high)):
                 return False
     return True

@@ -37,7 +37,7 @@ from sca_reco.ingestion import canonicalize, load_snapshot
 from sca_reco.matching import (
     MatchContext,
     MatchStage,
-    compute_line_mapping,
+    ReleasePair,
     label_release_detailed,
     match_hash,
     match_location,
@@ -194,14 +194,8 @@ def permissible(w_old, w_new, pair: MatchContext) -> bool:
     )
 
 
-def pair_context(snap, sca, line_mapping) -> MatchContext:
-    return MatchContext(
-        old=snap.release_old,
-        new=snap.release_new,
-        mapping=line_mapping,
-        raws_old=snap.reports_old[sca],
-        raws_new=snap.reports_new[sca],
-    )
+def pair_context(snap, sca, releases: ReleasePair) -> MatchContext:
+    return MatchContext(releases, snap.reports_old[sca], snap.reports_new[sca])
 
 
 def fuzz_sources():
@@ -253,10 +247,8 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
         agreements = 0
         for project in truth.projects:
             snap = load_snapshot(out, project.project_id)
-            line_mapping = compute_line_mapping(snap.release_old, snap.release_new)
-            labeled, audit = label_release_detailed(
-                snap, "solo", context.mapping, line_mapping
-            )
+            releases = ReleasePair.diff(snap.release_old, snap.release_new)
+            labeled, audit = label_release_detailed(snap, "solo", context.mapping, releases)
             raws_old = snap.reports_old["solo"]
             raws_new = snap.reports_new["solo"]
             assert len(raws_old) <= 20
@@ -274,7 +266,7 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
             # the greedy one-to-one match count equals the optimum
             old_canon = [canonicalize(r, context.mapping, i) for i, r in enumerate(raws_old)]
             new_canon = [canonicalize(r, context.mapping, i) for i, r in enumerate(raws_new)]
-            pair = pair_context(snap, "solo", line_mapping)
+            pair = pair_context(snap, "solo", releases)
             edges = [
                 {
                     j
@@ -296,7 +288,7 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
         old_files, new_files = fuzz_sources()
         mapping = identity_mapping()
         base = snapshot(old_files, new_files, {"alpha": []}, {"alpha": []})
-        line_mapping = compute_line_mapping(base.release_old, base.release_new)
+        releases = ReleasePair.diff(base.release_old, base.release_new)
         classes = (
             "com.example.Foo",
             "com.example.Bar",
@@ -332,11 +324,9 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
             snap = snapshot(
                 old_files, new_files, {"alpha": raws_old}, {"alpha": raws_new}
             )
-            labeled, audit = label_release_detailed(
-                snap, "alpha", mapping, line_mapping
-            )
+            labeled, audit = label_release_detailed(snap, "alpha", mapping, releases)
             new_canon = [canonicalize(r, mapping, i) for i, r in enumerate(raws_new)]
-            pair = pair_context(snap, "alpha", line_mapping)
+            pair = pair_context(snap, "alpha", releases)
             taken = [a.matched_origin for a in audit if a.matched_origin is not None]
             assert len(taken) == len(set(taken))  # one-to-one
             keys = [warning_sort_key(w) for w in labeled]

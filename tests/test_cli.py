@@ -146,6 +146,22 @@ def test_corrupted_project_partial_failure(workspace, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 11
 
 
+def test_evaluate_rerun_with_out_dir_inside_corpus(workspace, tmp_path):
+    # the README flow writes demo/eval and demo/mine inside the corpus; a
+    # rerun must not take them for projects
+    clone = tmp_path / "clone"
+    shutil.copytree(workspace["corpus"], clone)
+    (clone / "mine").mkdir()
+    argv = ["evaluate", "--corpus", str(clone), "--out-dir", str(clone / "eval")]
+    assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
+    rerun = (clone / "eval" / "evaluations.jsonl").read_bytes()
+    assert rerun == workspace["evaluations"].read_bytes()
+    labels = tmp_path / "labels.jsonl"
+    assert cli.main(["label", "--corpus", str(clone), "--out", str(labels)]) == 0
+    assert labels.read_bytes() == workspace["labels"].read_bytes()
+
+
 def test_mine_writes_selection(workspace, tmp_path, capsys):
     out_dir = tmp_path / "mine"
     rc = cli.main(
@@ -295,6 +311,37 @@ def test_class_list_shorter_than_estimator_exits_2(workspace, tmp_path, capsys, 
     rc, err = recommend_exit(workspace, path, capsys)
     assert rc == 2
     assert str(path) in err
+
+# a hyperparameter that each kind does not have
+FOREIGN_HYPERPARAM = {
+    "dt": "n_estimators",
+    "knn": "l2",
+    "lr": "hidden_units",
+    "mlp": "n_neighbors",
+    "rf": "metric",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FOREIGN_HYPERPARAM))
+def test_kind_disagreeing_with_hyperparams_exits_2(workspace, tmp_path, capsys, kind):
+    def add_foreign(document):
+        document["hyperparams"][FOREIGN_HYPERPARAM[kind]] = 1
+
+    path = corrupted_model(workspace, tmp_path, kind, add_foreign)
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "field, value", [("hyperparams", [1]), ("seed", "abc")], ids=["hyperparams", "seed"]
+)
+def test_malformed_model_field_exits_2(workspace, tmp_path, capsys, field, value):
+    path = corrupted_model(workspace, tmp_path, "dt", lambda doc: doc.update({field: value}))
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert str(path) in err
+
 
 def test_baseline_commands(workspace, capsys):
     rc = cli.main(

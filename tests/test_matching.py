@@ -10,6 +10,7 @@ from sca_reco.exceptions import SchemaError
 from sca_reco.matching import (
     MatchContext,
     MatchStage,
+    ReleasePair,
     compute_line_mapping,
     label_release_detailed,
     match_hash,
@@ -105,15 +106,8 @@ def test_resolve_unknown_class():
 
 def make_context(old_files, new_files, raws_old=(), raws_new=()):
     """One MatchContext for a release pair; warnings index the reports by origin."""
-    old_release = release(old_files)
-    new_release = release(new_files, old=False)
-    return MatchContext(
-        old=old_release,
-        new=new_release,
-        mapping=compute_line_mapping(old_release, new_release),
-        raws_old=tuple(raws_old),
-        raws_new=tuple(raws_new),
-    )
+    releases = ReleasePair.diff(release(old_files), release(new_files, old=False))
+    return MatchContext(releases, raws_old=tuple(raws_old), raws_new=tuple(raws_new))
 
 
 def location_fixture(new_start: int, method_a="a", method_b="a"):
