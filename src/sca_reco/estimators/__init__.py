@@ -1,11 +1,12 @@
 """Small scikit-learn-style estimators implemented on numpy.
 
-Every estimator follows the fit/predict (or fit/transform) protocol, exposes
-its constructor arguments through ``get_params``/``set_params``, and is
-deterministic given its ``random_state``.
+Every estimator follows the fit/predict (or fit/transform) protocol, checks
+its hyperparameters in its constructor, and is deterministic given its
+``random_state``.  The classifiers report ``n_classes_`` and ``n_features_``
+after ``fit`` and after ``load_fitted_state``.
 """
 
-from .base import BaseEstimator, check_array, check_X_y, check_is_fitted
+from .base import check_array, check_X_y, check_is_fitted
 from .decomposition import PCA
 from .forest import RandomForestClassifier
 from .linear import LogisticRegression
@@ -15,7 +16,6 @@ from .preprocessing import StandardScaler
 from .tree import DecisionTreeClassifier
 
 __all__ = [
-    "BaseEstimator",
     "check_array",
     "check_X_y",
     "check_is_fitted",

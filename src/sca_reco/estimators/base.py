@@ -1,42 +1,12 @@
-"""Estimator base class and input validation helpers."""
+"""Input and fitted-state validation helpers shared by the estimators."""
 
 from __future__ import annotations
 
-import inspect
+import operator
 
 import numpy as np
 
 from ..exceptions import LengthMismatch, NotFittedError
-
-
-class BaseEstimator:
-    """Minimal estimator protocol: parameters are constructor arguments."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [
-            name
-            for name, parameter in signature.parameters.items()
-            if name != "self"
-            and parameter.kind
-            not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
-        ]
-
-    def get_params(self) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "BaseEstimator":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"{type(self).__name__} has no parameter {name!r}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        arguments = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
-        return f"{type(self).__name__}({arguments})"
 
 
 def check_array(X, *, name: str = "X") -> np.ndarray:
@@ -75,3 +45,30 @@ def check_is_fitted(estimator, attribute: str) -> None:
         raise NotFittedError(
             f"{type(estimator).__name__} must be fitted before this call"
         )
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """An integer hyperparameter of at least ``minimum``, as an int."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {count}")
+    return count
+
+
+def state_array(state: dict, key: str, shape: tuple) -> np.ndarray:
+    """``state[key]`` as a float array of the given shape.
+
+    ``None`` in ``shape`` matches any size; every size must be at least 1,
+    so a loaded estimator never predicts from an empty array.
+    """
+    array = np.asarray(state[key], dtype=np.float64)
+    if array.ndim != len(shape) or any(
+        size < 1 or (want is not None and size != want)
+        for size, want in zip(array.shape, shape)
+    ):
+        expected = "x".join("n" if want is None else str(want) for want in shape)
+        raise ValueError(f"{key} has shape {array.shape}, expected {expected}")
+    return array

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import InvalidK
-from .base import BaseEstimator, check_array, check_is_fitted
+from .base import check_array, check_is_fitted
 
 
-class PCA(BaseEstimator):
+class PCA:
     """PCA of mean-centered data; explained variances use the population
     convention (singular values squared over n).
 

@@ -7,11 +7,11 @@ import math
 import numpy as np
 
 from ..rng import derive_seed
-from .base import BaseEstimator, check_array, check_is_fitted, check_X_y
+from .base import check_array, check_count, check_is_fitted, check_X_y
 from .tree import DecisionTreeClassifier
 
 
-class RandomForestClassifier(BaseEstimator):
+class RandomForestClassifier:
     """Majority vote over bootstrap-trained trees.
 
     Each tree draws n rows with replacement (unless ``bootstrap`` is off)
@@ -30,35 +30,26 @@ class RandomForestClassifier(BaseEstimator):
         min_samples_split: int = 2,
         random_state: int | None = None,
     ):
-        self.n_estimators = n_estimators
+        self.n_estimators = check_count("n_estimators", n_estimators, 1)
+        if max_features not in (None, "sqrt"):
+            max_features = check_count("max_features", max_features, 1)
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
+        self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
         self.random_state = random_state
         self.trees_ = None
         self.n_classes_ = None
         self.n_features_ = None
         self.feature_importances_ = None
 
-    def _resolve_max_features(self, d: int) -> int | None:
-        if self.max_features is None:
-            return None
-        if self.max_features == "sqrt":
-            return max(1, int(math.sqrt(d)))
-        value = int(self.max_features)
-        if value < 1:
-            raise ValueError("max_features must be at least 1")
-        return min(value, d)
-
     def fit(self, X, y, n_classes: int | None = None) -> "RandomForestClassifier":
-        if self.n_estimators < 1:
-            raise ValueError("n_estimators must be at least 1")
         X, y, k = check_X_y(X, y, n_classes)
         n, d = X.shape
         self.n_classes_ = k
         self.n_features_ = d
-        per_split = self._resolve_max_features(d)
+        # a tree examines every feature when its budget reaches d
+        per_split = max(1, int(math.sqrt(d))) if self.max_features == "sqrt" else self.max_features
         seed = self.random_state or 0
         trees = []
         importances = np.zeros(d)
@@ -98,8 +89,12 @@ class RandomForestClassifier(BaseEstimator):
     def load_fitted_state(self, state: dict) -> "RandomForestClassifier":
         self.n_classes_ = int(state["n_classes"])
         self.n_features_ = int(state["n_features"])
-        self.trees_ = [
+        trees = [
             DecisionTreeClassifier().load_fitted_state(tree_state)
             for tree_state in state["trees"]
         ]
+        fitted = (self.n_classes_, self.n_features_)
+        if not trees or any((t.n_classes_, t.n_features_) != fitted for t in trees):
+            raise ValueError("a forest needs trees fitted on its classes and features")
+        self.trees_ = trees
         return self

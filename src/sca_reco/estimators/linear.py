@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_array, check_is_fitted, check_X_y
+from .base import check_array, check_is_fitted, check_X_y, state_array
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -13,12 +13,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-class LogisticRegression(BaseEstimator):
+class LogisticRegression:
     """Softmax regression minimizing mean cross-entropy plus an L2 penalty.
 
     The objective is mean CE + l2/(2n) * sum(W^2); the bias is not
     penalized.  Weights start at zero, so training is deterministic without
-    any seed.
+    any seed.  ``feature_importances_`` is the mean absolute coefficient
+    of each feature over the classes.
     """
 
     def __init__(self, l2: float = 1.0, learning_rate: float = 0.1, n_iter: int = 1000):
@@ -27,6 +28,8 @@ class LogisticRegression(BaseEstimator):
         self.n_iter = n_iter
         self.W_ = None
         self.b_ = None
+        self.n_classes_ = None
+        self.n_features_ = None
 
     def fit(self, X, y, n_classes: int | None = None) -> "LogisticRegression":
         X, y, k = check_X_y(X, y, n_classes)
@@ -44,7 +47,14 @@ class LogisticRegression(BaseEstimator):
             b -= self.learning_rate * grad_b
         self.W_ = W
         self.b_ = b
+        self.n_classes_ = k
+        self.n_features_ = d
         return self
+
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        check_is_fitted(self, "W_")
+        return np.mean(np.abs(self.W_), axis=0)
 
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, "W_")
@@ -59,6 +69,7 @@ class LogisticRegression(BaseEstimator):
         return {"W": self.W_.tolist(), "b": self.b_.tolist()}
 
     def load_fitted_state(self, state: dict) -> "LogisticRegression":
-        self.W_ = np.asarray(state["W"], dtype=np.float64)
-        self.b_ = np.asarray(state["b"], dtype=np.float64)
+        self.b_ = state_array(state, "b", (None,))
+        self.W_ = state_array(state, "W", (len(self.b_), None))
+        self.n_classes_, self.n_features_ = self.W_.shape
         return self

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import derive_seed
-from .base import BaseEstimator, check_array, check_is_fitted, check_X_y
+from .base import check_array, check_count, check_is_fitted, check_X_y, state_array
 from .linear import softmax
 
 
-class MLPClassifier(BaseEstimator):
+class MLPClassifier:
     """One ReLU hidden layer, softmax output, full-batch updates.
 
     Weights start from a seeded Glorot-style uniform draw (biases at zero);
@@ -25,7 +25,7 @@ class MLPClassifier(BaseEstimator):
         epochs: int = 200,
         random_state: int | None = None,
     ):
-        self.hidden_units = hidden_units
+        self.hidden_units = check_count("hidden_units", hidden_units, 1)
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.epochs = epochs
@@ -34,10 +34,10 @@ class MLPClassifier(BaseEstimator):
         self.b1_ = None
         self.W2_ = None
         self.b2_ = None
+        self.n_classes_ = None
+        self.n_features_ = None
 
     def fit(self, X, y, n_classes: int | None = None) -> "MLPClassifier":
-        if self.hidden_units < 1:
-            raise ValueError("hidden_units must be at least 1")
         X, y, k = check_X_y(X, y, n_classes)
         n, d = X.shape
         h = self.hidden_units
@@ -68,6 +68,7 @@ class MLPClassifier(BaseEstimator):
                 velocity -= self.learning_rate * grad
                 param += velocity
         self.W1_, self.b1_, self.W2_, self.b2_ = W1, b1, W2, b2
+        self.n_classes_, self.n_features_ = k, d
         return self
 
     def decision_function(self, X) -> np.ndarray:
@@ -89,8 +90,9 @@ class MLPClassifier(BaseEstimator):
         }
 
     def load_fitted_state(self, state: dict) -> "MLPClassifier":
-        self.W1_ = np.asarray(state["W1"], dtype=np.float64)
-        self.b1_ = np.asarray(state["b1"], dtype=np.float64)
-        self.W2_ = np.asarray(state["W2"], dtype=np.float64)
-        self.b2_ = np.asarray(state["b2"], dtype=np.float64)
+        self.b1_ = state_array(state, "b1", (None,))
+        self.b2_ = state_array(state, "b2", (None,))
+        self.W1_ = state_array(state, "W1", (None, len(self.b1_)))
+        self.W2_ = state_array(state, "W2", (len(self.b1_), len(self.b2_)))
+        self.n_classes_, self.n_features_ = len(self.b2_), self.W1_.shape[0]
         return self

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BaseEstimator, check_array, check_is_fitted, check_X_y
+from .base import check_array, check_count, check_is_fitted, check_X_y
 
 
-class KNeighborsClassifier(BaseEstimator):
+class KNeighborsClassifier:
     """Majority vote over the k nearest training rows (Euclidean distance).
 
     Determinism: equal distances are ordered by training-row index, and vote
@@ -16,15 +16,15 @@ class KNeighborsClassifier(BaseEstimator):
     """
 
     def __init__(self, n_neighbors: int = 5):
-        self.n_neighbors = n_neighbors
+        self.n_neighbors = check_count("n_neighbors", n_neighbors, 1)
         self.X_ = None
         self.y_ = None
         self.n_classes_ = None
+        self.n_features_ = None
 
     def fit(self, X, y, n_classes: int | None = None) -> "KNeighborsClassifier":
-        if self.n_neighbors < 1:
-            raise ValueError("n_neighbors must be at least 1")
         self.X_, self.y_, self.n_classes_ = check_X_y(X, y, n_classes)
+        self.n_features_ = self.X_.shape[1]
         return self
 
     def predict(self, X) -> np.ndarray:
@@ -48,7 +48,6 @@ class KNeighborsClassifier(BaseEstimator):
         }
 
     def load_fitted_state(self, state: dict) -> "KNeighborsClassifier":
-        self.n_classes_ = int(state["n_classes"])
-        self.X_ = np.asarray(state["X"], dtype=np.float64)
-        self.y_ = np.asarray(state["y"], dtype=np.int64)
+        self.X_, self.y_, self.n_classes_ = check_X_y(state["X"], state["y"], state["n_classes"])
+        self.n_features_ = self.X_.shape[1]
         return self

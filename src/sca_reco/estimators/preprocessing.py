@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import TooFewSamples
-from .base import BaseEstimator, check_array, check_is_fitted
+from .base import check_array, check_is_fitted
 
 
-class StandardScaler(BaseEstimator):
+class StandardScaler:
     """Center to zero mean and scale to unit population variance per column.
 
     Zero-variance columns keep a scale of 1 so the training matrix maps to

@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import derive_seed
-from .base import BaseEstimator, check_array, check_is_fitted, check_X_y
+from .base import check_array, check_count, check_is_fitted, check_X_y
 
 
-class DecisionTreeClassifier(BaseEstimator):
+class DecisionTreeClassifier:
     """Gini-impurity CART; unlimited depth unless capped.
 
     ``max_features`` limits how many non-constant features each node
@@ -32,7 +32,7 @@ class DecisionTreeClassifier(BaseEstimator):
         random_state: int | None = None,
     ):
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
+        self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
         self.max_features = max_features
         self.random_state = random_state
         self.tree_ = None
@@ -41,8 +41,6 @@ class DecisionTreeClassifier(BaseEstimator):
         self.feature_importances_ = None
 
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
-        if self.min_samples_split < 2:
-            raise ValueError("min_samples_split must be at least 2")
         X, y, k = check_X_y(X, y, n_classes)
         self.n_classes_ = k
         self.n_features_ = X.shape[1]
@@ -144,7 +142,25 @@ class DecisionTreeClassifier(BaseEstimator):
         }
 
     def load_fitted_state(self, state: dict) -> "DecisionTreeClassifier":
+        """Restore a saved tree, checking every node so that ``predict``
+        reaches only valid features and classes."""
         self.n_classes_ = int(state["n_classes"])
         self.n_features_ = int(state["n_features"])
+        stack = [state["tree"]]
+        while stack:
+            node = stack.pop()
+            if "feature" not in node:
+                valid = _is_index(node["class"], self.n_classes_)
+            else:
+                threshold_ok = type(node["threshold"]) in (int, float)
+                valid = threshold_ok and _is_index(node["feature"], self.n_features_)
+                stack += [node["left"], node["right"]]
+            if not valid:
+                raise ValueError("a tree node holds a bad class, feature or threshold")
         self.tree_ = state["tree"]
         return self
+
+
+def _is_index(value, size: int) -> bool:
+    """True for an int in ``range(size)``; JSON booleans and floats are not."""
+    return type(value) is int and 0 <= value < size

@@ -82,6 +82,10 @@ class InvalidTarget(ConfigError):
     """Requested number of surviving features is out of range."""
 
 
+class InvalidCount(ConfigError, ValueError):
+    """A count such as folds or repeats is below its minimum."""
+
+
 class InvalidK(ConfigError):
     """Requested number of principal components is out of range."""
 

@@ -116,7 +116,7 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
     return min(hits, default=None)
 
 
-def _token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
+def token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
     """All identifier/number tokens of a file as the bytes a window hashes.
 
     Returns the tokens, each followed by the separator byte; the offset of
@@ -134,6 +134,21 @@ def _token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
     offsets = list(accumulate((len(token) + 1 for token in tokens), initial=0))
     text = "".join(token + _SEPARATOR for token in tokens)
     return text.encode("ascii"), offsets, token_lines
+
+
+def hash_window(token_lines: list[int], start_line: int) -> range:
+    """The indices of the tokens a window hash at ``start_line`` covers.
+
+    ``token_lines`` holds every token's line number, as ``token_stream``
+    returns it.  The window is the HASH_WINDOW_TOKENS tokens before the
+    first token at or after ``start_line`` plus the same count from that
+    token onward, truncated at file boundaries.
+    """
+    anchor = bisect_left(token_lines, start_line)
+    return range(
+        max(0, anchor - HASH_WINDOW_TOKENS),
+        min(len(token_lines), anchor + HASH_WINDOW_TOKENS),
+    )
 
 
 def _fnv1a(data: bytes) -> int:
@@ -208,13 +223,8 @@ class ReleasePair:
         return self.memo[key]
 
     def window_hash(self, which: str, warning: AlignedWarning) -> int | None:
-        """FNV-1a over the tokens surrounding the warned start line.
-
-        Window: the HASH_WINDOW_TOKENS tokens before the first token at or
-        after the warned line plus the same count from that token onward,
-        truncated at file boundaries.  Tokens are joined by a single 0x1F
-        byte before hashing.
-        """
+        """FNV-1a over the ``hash_window`` tokens of the warned start line,
+        joined by a single 0x1F byte."""
         key = ("hash", which, warning.class_info, warning.start_line)
         if key not in self.memo:
             self.memo[key] = None
@@ -223,13 +233,11 @@ class ReleasePair:
                 stream_key = ("tokens", which, path)
                 if stream_key not in self.memo:
                     lines = self._release(which).files[path]
-                    self.memo[stream_key] = _token_stream(lines)
+                    self.memo[stream_key] = token_stream(lines)
                 text, offsets, token_lines = self.memo[stream_key]
-                anchor = bisect_left(token_lines, warning.start_line)
-                low = max(0, anchor - HASH_WINDOW_TOKENS)
-                high = min(len(token_lines), anchor + HASH_WINDOW_TOKENS)
-                if low < high:
-                    data = text[offsets[low] : offsets[high] - 1]
+                window = hash_window(token_lines, warning.start_line)
+                if window:
+                    data = text[offsets[window.start] : offsets[window.stop] - 1]
                     fnv_key = ("fnv", data)
                     if fnv_key not in self.memo:
                         self.memo[fnv_key] = _fnv1a(data)

@@ -144,12 +144,6 @@ def evaluate_labels(
     )
 
 
-def run_project(context: CorpusContext, project_id: str, beta: float) -> ProjectEvaluation:
-    snapshot = load_snapshot(context.root, project_id)
-    labels = label_project(context, snapshot)
-    return evaluate_labels(labels, context.sca_order, beta)
-
-
 def _run_isolated(worker: Callable[[str], object], project_ids: Sequence[str], jobs: int):
     """Apply ``worker`` per project, catching per-project data errors."""
 
@@ -185,9 +179,12 @@ def label_corpus(
 def evaluate_corpus(
     context: CorpusContext, beta: float, jobs: int = 1
 ) -> tuple[list[ProjectEvaluation], list[ProjectFailure]]:
+    """Label every project, then score the labels; failures of either step
+    come back sorted by project id."""
     validate_beta(beta)
-    projects = list_projects(context.root)
-    return _run_isolated(lambda p: run_project(context, p, beta), projects, jobs)
+    all_labels, label_failures = label_corpus(context, jobs)
+    evaluations, failures = evaluate_label_records(all_labels, context.sca_order, beta)
+    return evaluations, sorted(label_failures + failures, key=lambda f: f.project_id)
 
 
 def evaluate_label_records(
@@ -203,6 +200,7 @@ def evaluate_label_records(
         try:
             evaluations.append(evaluate_labels(labels, sca_order, beta))
         except DataError as exc:
+            log.warning("project %s failed: %s", labels.project_id, exc)
             failures.append(ProjectFailure(labels.project_id, str(exc)))
     return evaluations, failures
 

@@ -30,7 +30,9 @@ from .estimators import (
 from .exceptions import (
     DegenerateDataset,
     FeatureMismatch,
+    InvalidCount,
     IoError,
+    LengthMismatch,
     ParseError,
     SchemaError,
     TooFewSamples,
@@ -72,6 +74,16 @@ DEFAULT_HYPERPARAMS: dict[ModelKind, dict] = {
 }
 
 
+# the estimator class behind each kind, and whether it takes a seed
+ESTIMATORS: dict[ModelKind, tuple[type, bool]] = {
+    ModelKind.DT: (DecisionTreeClassifier, True),
+    ModelKind.KNN: (KNeighborsClassifier, False),
+    ModelKind.LR: (LogisticRegression, False),
+    ModelKind.MLP: (MLPClassifier, True),
+    ModelKind.RF: (RandomForestClassifier, True),
+}
+
+
 def parse_model_kind(token: str) -> ModelKind:
     try:
         return ModelKind(token.strip().lower())
@@ -88,45 +100,15 @@ def resolve_hyperparams(kind: ModelKind, overrides: dict | None = None) -> dict:
     return params
 
 
-def build_estimator(kind: ModelKind, hyperparams: dict, seed: int):
+def build_estimator(kind: ModelKind, hyperparams: dict | None, seed: int):
     """Instantiate the estimator behind a model kind."""
     hp = resolve_hyperparams(kind, hyperparams)
-    if kind is ModelKind.DT:
-        if hp["criterion"] != "gini":
-            raise UnsupportedModelKind("only the gini criterion is implemented")
-        return DecisionTreeClassifier(
-            max_depth=hp["max_depth"],
-            min_samples_split=hp["min_samples_split"],
-            random_state=seed,
-        )
-    if kind is ModelKind.KNN:
-        if hp["metric"] != "euclidean":
-            raise UnsupportedModelKind("only the euclidean metric is implemented")
-        return KNeighborsClassifier(n_neighbors=hp["n_neighbors"])
-    if kind is ModelKind.LR:
-        return LogisticRegression(
-            l2=hp["l2"], learning_rate=hp["learning_rate"], n_iter=hp["n_iter"]
-        )
-    if kind is ModelKind.MLP:
-        return MLPClassifier(
-            hidden_units=hp["hidden_units"],
-            learning_rate=hp["learning_rate"],
-            momentum=hp["momentum"],
-            epochs=hp["epochs"],
-            random_state=seed,
-        )
-    if kind is ModelKind.RF:
-        if hp["criterion"] != "gini":
-            raise UnsupportedModelKind("only the gini criterion is implemented")
-        return RandomForestClassifier(
-            n_estimators=hp["n_estimators"],
-            max_features=hp["max_features"],
-            bootstrap=hp["bootstrap"],
-            max_depth=hp["max_depth"],
-            min_samples_split=hp["min_samples_split"],
-            random_state=seed,
-        )
-    raise UnsupportedModelKind(str(kind))
+    if hp.pop("criterion", "gini") != "gini":
+        raise UnsupportedModelKind("only the gini criterion is implemented")
+    if hp.pop("metric", "euclidean") != "euclidean":
+        raise UnsupportedModelKind("only the euclidean metric is implemented")
+    estimator_class, seeded = ESTIMATORS[kind]
+    return estimator_class(**hp, random_state=seed) if seeded else estimator_class(**hp)
 
 
 @dataclass
@@ -203,15 +185,14 @@ class RecommendationModel:
                     f"{len(scaler.std_)} stds for {len(feature_names)} features"
                 )
             classes = tuple(document["params"]["classes"])
-            state = document["params"]["state"]
-            n_classes = _state_class_count(kind, state)
-            if len(classes) != n_classes:
-                raise SchemaError(
-                    f"{path}: {len(classes)} classes listed for an estimator "
-                    f"fitted on {n_classes}"
-                )
             estimator = build_estimator(kind, hyperparams, seed)
-            estimator.load_fitted_state(state)
+            estimator.load_fitted_state(document["params"]["state"])
+            listed = (len(classes), len(feature_names))
+            if listed != (estimator.n_classes_, estimator.n_features_):
+                raise SchemaError(
+                    f"{path}: {listed[0]} classes and {listed[1]} features listed for an "
+                    f"estimator fitted on {estimator.n_classes_} and {estimator.n_features_}"
+                )
             return cls(
                 kind=kind,
                 hyperparams=hyperparams,
@@ -221,21 +202,12 @@ class RecommendationModel:
                 estimator=estimator,
                 seed=seed,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, LengthMismatch) as exc:
             raise SchemaError(f"{path}: malformed model file: {exc}") from exc
         except UnsupportedModelKind as exc:
             # the kind and hyperparameters come from the file, so a
             # disagreement between them is bad data, not bad configuration
             raise SchemaError(f"{path}: {exc}") from exc
-
-
-def _state_class_count(kind: ModelKind, state: dict) -> int:
-    """The class count a saved estimator state was fitted on."""
-    if kind is ModelKind.LR:
-        return len(state["b"])
-    if kind is ModelKind.MLP:
-        return len(state["b2"])
-    return int(state["n_classes"])
 
 
 def encode_labels(
@@ -261,7 +233,7 @@ def train(
     if len(classes) < 2:
         raise DegenerateDataset("training labels collapse to a single analyzer")
     scaler = StandardScaler().fit(dataset.matrix)
-    estimator = build_estimator(kind, hyperparams or {}, seed)
+    estimator = build_estimator(kind, hyperparams, seed)
     estimator.fit(scaler.transform(dataset.matrix), y, n_classes=len(classes))
     return RecommendationModel(
         kind=kind,
@@ -283,7 +255,7 @@ def stratified_folds(
     contiguous chunks whose sizes differ by at most one.
     """
     if folds < 2:
-        raise ValueError("folds must be at least 2")
+        raise InvalidCount(f"folds must be at least 2, got {folds}")
     if folds > len(labels):
         raise TooFewSamples(f"cannot split {len(labels)} rows into {folds} folds")
     by_class: dict[ScaId, list[int]] = {}
@@ -354,7 +326,7 @@ def baseline_random(
     results do not depend on evaluation order.
     """
     if repeats < 1:
-        raise ValueError("repeats must be at least 1")
+        raise InvalidCount(f"repeats must be at least 1, got {repeats}")
     if not sca_order:
         raise ValueError("the analyzer list is empty")
     runs = []

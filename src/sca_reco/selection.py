@@ -22,15 +22,17 @@ from .rng import derive_seed
 RANKABLE_KINDS = (ModelKind.RF, ModelKind.DT, ModelKind.LR)
 
 
+def _require_rankable(kind: ModelKind) -> None:
+    if kind not in RANKABLE_KINDS:
+        raise UnsupportedModelKind(
+            f"{kind.value} exposes no per-feature importance; use rf, dt, or lr"
+        )
+
+
 def feature_importances(model: RecommendationModel) -> np.ndarray:
     """Per-feature importance scores of a fitted recommendation model."""
-    if model.kind in (ModelKind.RF, ModelKind.DT):
-        return np.asarray(model.estimator.feature_importances_, dtype=np.float64)
-    if model.kind is ModelKind.LR:
-        return np.mean(np.abs(model.estimator.W_), axis=0)
-    raise UnsupportedModelKind(
-        f"{model.kind.value} exposes no per-feature importance; use rf, dt, or lr"
-    )
+    _require_rankable(model.kind)
+    return np.asarray(model.estimator.feature_importances_, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,7 @@ def rfe(
     hyperparams: dict | None = None,
 ) -> RfeResult:
     """Eliminate features one per round until ``target`` remain."""
-    if kind not in RANKABLE_KINDS:
-        raise UnsupportedModelKind(
-            f"{kind.value} exposes no per-feature importance; use rf, dt, or lr"
-        )
+    _require_rankable(kind)
     n_features = len(dataset.feature_names)
     if not 1 <= target <= n_features:
         raise InvalidTarget(

@@ -23,7 +23,6 @@ class declaration line) forces the hash stage.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from .core import ScaId
 from .exceptions import ConfigError, IoError, ParseError, SchemaError
-from .matching import HASH_WINDOW_TOKENS, _token_stream
+from .matching import hash_window, token_stream
 from .rng import SplitMix64, derive_seed
 
 SITE_CATEGORIES = ("null_dereference", "resource_leak", "api_misuse", "dead_code")
@@ -236,13 +235,11 @@ def _class_rename_eligible(lines: list[str], decl_line: int, starts: list[int]) 
     the window hash invariant under the rename and the site guaranteed to be
     matched by the hash stage.
     """
-    _, _, token_lines = _token_stream(tuple(lines))
+    _, _, token_lines = token_stream(tuple(lines))
     for start in starts:
         for jitter in (0, 1):
-            anchor = bisect_left(token_lines, start + jitter)
-            low = max(0, anchor - HASH_WINDOW_TOKENS)
-            high = min(len(token_lines), anchor + HASH_WINDOW_TOKENS)
-            if any(token_lines[i] == decl_line for i in range(low, high)):
+            window = hash_window(token_lines, start + jitter)
+            if any(token_lines[i] == decl_line for i in window):
                 return False
     return True
 

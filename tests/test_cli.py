@@ -343,6 +343,70 @@ def test_malformed_model_field_exits_2(workspace, tmp_path, capsys, field, value
     assert str(path) in err
 
 
+def _drop_last_column(matrix):
+    return [row[:-1] for row in matrix]
+
+
+def _first_leaf(node):
+    while "feature" in node:
+        node = node["left"]
+    return node
+
+
+def _edit_state(update):
+    """A corruption that hands the estimator state to ``update``."""
+    return lambda document: update(document["params"]["state"])
+
+
+def _set_n_neighbors(value):
+    return lambda document: document["hyperparams"].update(n_neighbors=value)
+
+
+# (kind, corruption): model files whose estimator state or hyperparameters
+# disagree with the rest of the file or with themselves
+CORRUPT_STATE = {
+    "lr-W-narrow": ("lr", _edit_state(lambda s: s.update(W=_drop_last_column(s["W"])))),
+    "mlp-W1-narrow": ("mlp", _edit_state(lambda s: s.update(W1=s["W1"][:-1]))),
+    "dt-feature-99": ("dt", _edit_state(lambda s: s["tree"].update(feature=99))),
+    "dt-leaf-class-7": ("dt", _edit_state(lambda s: _first_leaf(s["tree"]).update({"class": 7}))),
+    "dt-split-no-threshold": ("dt", _edit_state(lambda s: s["tree"].pop("threshold"))),
+    "knn-X-narrow": ("knn", _edit_state(lambda s: s.update(X=_drop_last_column(s["X"])))),
+    "rf-no-trees": ("rf", _edit_state(lambda s: s.update(trees=[]))),
+    "knn-n_neighbors-x": ("knn", _set_n_neighbors("x")),
+    "knn-n_neighbors-null": ("knn", _set_n_neighbors(None)),
+    "knn-n_neighbors-0": ("knn", _set_n_neighbors(0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_STATE))
+def test_corrupt_estimator_state_exits_2(workspace, tmp_path, capsys, case):
+    kind, corrupt = CORRUPT_STATE[case]
+    path = corrupted_model(workspace, tmp_path, kind, corrupt)
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert str(path) in err
+
+
+# each command with a count below its minimum
+BAD_COUNTS = {
+    "mine": ["--model", "dt", "--folds", "1", "--out-dir", "{tmp}"],
+    "train": ["--model", "dt", "--cv-folds", "1", "--out", "{tmp}/model.json"],
+    "sweep": ["--model", "dt", "--folds", "1", "--out", "{tmp}/sweep.tsv"],
+    "baseline": ["--repeats", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_COUNTS))
+def test_count_below_minimum_exits_1(workspace, tmp_path, capsys, command):
+    argv = [command, "--evaluations", str(workspace["evaluations"])]
+    if command != "baseline":
+        argv += ["--features", str(workspace["features"])]
+    argv += [token.format(tmp=tmp_path) for token in BAD_COUNTS[command]]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert "at least" in capsys.readouterr().err
+
+
 def test_baseline_commands(workspace, capsys):
     rc = cli.main(
         ["baseline", "--evaluations", str(workspace["evaluations"]), "--repeats", "20"]

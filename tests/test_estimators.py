@@ -67,15 +67,37 @@ def test_check_is_fitted():
         check_is_fitted(KNeighborsClassifier(), "X_")
 
 
-def test_get_set_params_round_trip():
-    tree = DecisionTreeClassifier(max_depth=3, random_state=7)
-    params = tree.get_params()
-    assert params["max_depth"] == 3 and params["random_state"] == 7
-    tree.set_params(max_depth=5)
-    assert tree.max_depth == 5
-    with pytest.raises(ValueError):
-        tree.set_params(nope=1)
-    assert "max_depth=5" in repr(tree)
+@pytest.mark.parametrize(
+    "estimator_class, name, value",
+    [
+        (DecisionTreeClassifier, "min_samples_split", 1),
+        (RandomForestClassifier, "min_samples_split", 1),
+        (RandomForestClassifier, "n_estimators", 0),
+        (RandomForestClassifier, "max_features", 0),
+        (RandomForestClassifier, "max_features", "log2"),
+        (MLPClassifier, "hidden_units", 0),
+        (KNeighborsClassifier, "n_neighbors", 0),
+        (KNeighborsClassifier, "n_neighbors", "x"),
+        (KNeighborsClassifier, "n_neighbors", None),
+        (KNeighborsClassifier, "n_neighbors", 2.5),
+    ],
+)
+def test_constructor_rejects_bad_hyperparameter(estimator_class, name, value):
+    with pytest.raises(ValueError, match=name):
+        estimator_class(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "estimator_class",
+    [KNeighborsClassifier, LogisticRegression, MLPClassifier],
+    ids=lambda c: c.__name__,
+)
+def test_classifier_reports_class_and_feature_counts(estimator_class):
+    X, y = toy_blobs(n_classes=2, d=3)
+    fitted = estimator_class().fit(X, y, n_classes=4)
+    assert (fitted.n_classes_, fitted.n_features_) == (4, 3)
+    loaded = estimator_class().load_fitted_state(fitted.get_fitted_state())
+    assert (loaded.n_classes_, loaded.n_features_) == (4, 3)
 
 
 # scaler
@@ -189,10 +211,9 @@ def test_forest_importances_and_round_trip():
 
 def test_forest_default_params_echo():
     forest = RandomForestClassifier()
-    params = forest.get_params()
-    assert params["n_estimators"] == 100
-    assert params["max_features"] == "sqrt"
-    assert params["bootstrap"] is True
+    assert forest.n_estimators == 100
+    assert forest.max_features == "sqrt"
+    assert forest.bootstrap is True
 
 
 # k nearest neighbors
@@ -248,6 +269,12 @@ def test_lr_deterministic_and_round_trips():
     assert np.array_equal(a.W_, b.W_)
     fresh = LogisticRegression().load_fitted_state(a.get_fitted_state())
     assert np.array_equal(fresh.predict(X), a.predict(X))
+
+
+def test_lr_importances_are_mean_absolute_coefficients():
+    X, y = toy_blobs(seed=31)
+    lr = LogisticRegression().fit(X, y)
+    assert np.array_equal(lr.feature_importances_, np.abs(lr.W_).mean(axis=0))
 
 
 # multilayer perceptron

@@ -36,7 +36,7 @@ from sca_reco.matching import (
     label_release_detailed,
     match_warning,
 )
-from sca_reco.pipeline import load_corpus_context, run_project
+from sca_reco.pipeline import evaluate_corpus, load_corpus_context
 from sca_reco.synth import SynthConfig, generate_corpus
 
 SCAS = ("alpha", "beta")
@@ -293,7 +293,7 @@ def counted_calls(corpus, monkeypatch):
     for name in ("match_location", "match_snippet", "match_hash"):
         counting(matching, name)
     counting(alignment, "identical")
-    run_project(load_corpus_context(corpus), "p000", 1.0)
+    evaluate_corpus(load_corpus_context(corpus), 1.0)
     monkeypatch.undo()
     snap = load_snapshot(corpus, "p000")
     return sum(len(report) for report in snap.reports_old.values()), calls

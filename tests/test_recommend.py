@@ -107,7 +107,7 @@ def test_lr_model_separates_training_data():
 def test_rf_defaults_are_embedded():
     model = train(two_class_dataset(), ModelKind.RF, seed=0)
     assert model.hyperparams["n_estimators"] == 100
-    assert model.estimator.get_params()["n_estimators"] == 100
+    assert model.estimator.n_estimators == 100
 
 
 def test_predict_single_vector():

@@ -12,9 +12,9 @@ from sca_reco.exceptions import ConfigError
 from sca_reco.ingestion import list_projects, load_sca_order
 from sca_reco.pipeline import (
     corpus_features,
+    evaluate_corpus,
     label_corpus,
     load_corpus_context,
-    run_project,
 )
 from sca_reco.synth import (
     AnalyzerProfile,
@@ -124,9 +124,10 @@ def test_pipeline_reproduces_site_truth(small_corpus):
 
 def test_pipeline_counts_match_truth_counts(small_corpus):
     out, truth = small_corpus
-    context = load_corpus_context(out)
+    evaluations, _ = evaluate_corpus(load_corpus_context(out), beta=1.0)
+    by_project = {evaluation.project_id: evaluation for evaluation in evaluations}
     for project in truth.projects:
-        evaluation = run_project(context, project.project_id, beta=1.0)
+        evaluation = by_project[project.project_id]
         for score in evaluation.scores:
             counts = score.counts
             assert (counts.tp, counts.fp, counts.union_actionable) == project.counts(
