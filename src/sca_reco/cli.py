@@ -39,6 +39,7 @@ from .recommend import (
     baseline_fixed,
     baseline_random,
     beta_sweep,
+    check_folds,
     cross_validate,
     dataset_from_evaluations,
     parse_model_kind,
@@ -142,6 +143,8 @@ def _cmd_train(args) -> int:
             if line.strip()
         ]
         dataset = dataset.subset_features(names)
+    if args.cv_folds is not None:
+        check_folds(args.cv_folds)
     model = train(dataset, kind, seed=args.seed)
     model.save(args.out)
     print(
@@ -149,7 +152,7 @@ def _cmd_train(args) -> int:
         f"classes: {','.join(model.classes)} -> {args.out}",
         file=sys.stderr,
     )
-    if args.cv_folds:
+    if args.cv_folds is not None:
         result = cross_validate(dataset, kind, folds=args.cv_folds, seed=args.seed)
         m = result.mean
         print(f"cv\t{m.p_micro!r}\t{m.r_micro!r}\t{m.f1_micro!r}")

@@ -1,4 +1,11 @@
-"""Random forest: bagged Gini trees with per-split feature subsampling."""
+"""Random forest: bagged Gini trees with per-split feature subsampling.
+
+``fit`` hands all bootstrap samples to ``tree.fit_lockstep``, which grows
+the trees side by side, one vectorized split search per step across all
+of them.  Each tree still draws from its own seeded stream, in its own
+depth-first order, so every tree, and the importances summed over them in
+tree order, come out the same as when each tree was fitted on its own.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,7 @@ import numpy as np
 
 from ..rng import derive_seed
 from .base import check_array, check_count, check_is_fitted, check_X_y
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, fit_lockstep
 
 
 class RandomForestClassifier:
@@ -51,19 +58,22 @@ class RandomForestClassifier:
         # a tree examines every feature when its budget reaches d
         per_split = max(1, int(math.sqrt(d))) if self.max_features == "sqrt" else self.max_features
         seed = self.random_state or 0
+        samples = np.empty((self.n_estimators, n), dtype=np.int64)
         trees = []
-        importances = np.zeros(d)
         for t in range(self.n_estimators):
             boot_rng = np.random.Generator(np.random.PCG64(derive_seed(seed, t, 0)))
-            rows = boot_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            tree = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                max_features=per_split,
-                random_state=derive_seed(seed, t, 1),
+            samples[t] = boot_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            trees.append(
+                DecisionTreeClassifier(
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    max_features=per_split,
+                    random_state=derive_seed(seed, t, 1),
+                )
             )
-            tree.fit(X[rows], y[rows], n_classes=k)
-            trees.append(tree)
+        fit_lockstep(trees, X, y, k, samples)
+        importances = np.zeros(d)
+        for tree in trees:  # one tree at a time: a pairwise sum would round differently
             importances += tree.feature_importances_
         self.trees_ = trees
         self.feature_importances_ = importances / self.n_estimators

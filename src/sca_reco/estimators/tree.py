@@ -1,10 +1,27 @@
-"""CART decision tree with Gini impurity.
+"""CART decision trees with Gini impurity, grown in lockstep.
+
+``fit_lockstep`` grows a batch of trees at once: the single tree of a
+``DecisionTreeClassifier`` or all trees of a ``RandomForestClassifier``.
+Each tree keeps its own depth-first stack, pushing the right child before
+the left, so it visits its nodes in preorder.  Every step pops the next node
+of every tree that still has one and searches all of their splits in one
+vectorized pass, which removes the numpy call overhead of many small
+per-node searches.  Growing one depth at a time instead would not keep the
+draw order: a right child's draws depend on the size of its left sibling's
+subtree.
 
 Split search is exact: every candidate feature is scanned at the midpoints
-between consecutive distinct values, vectorized with numpy.  Determinism is
-pinned down to tie level: equal gains go to the earlier feature in scan
-order, then to the lower threshold; leaf ties go to the smallest class
-index.
+between consecutive distinct values.  Each tree's columns are sorted once
+(stable argsort), and a node's members are compacted to the front of that
+order.  Class counts are cumulated with the class axis last and contiguous,
+so the Gini sums add in the same order as a per-node search would.
+Determinism is pinned down to tie level: equal gains go to the earlier
+feature in candidate order, then to the lower threshold; leaf ties go to
+the smallest class index.  Only a node that passes the stop checks (impure,
+at least ``min_samples_split`` rows, above ``max_depth``) draws its
+``permutation(d)``, from its own tree's PCG64 stream and in preorder, and
+importances accumulate in that same order.  So a tree's nodes, thresholds
+and importances do not depend on which other trees share its batch.
 """
 
 from __future__ import annotations
@@ -13,6 +30,10 @@ import numpy as np
 
 from ..rng import derive_seed
 from .base import check_array, check_count, check_is_fitted, check_X_y
+
+# cap on rows x features x classes per lockstep batch, which bounds the
+# memory of the per-step arrays; larger forests are grown in several batches
+BATCH_CELLS = 1 << 22
 
 
 class DecisionTreeClassifier:
@@ -31,6 +52,8 @@ class DecisionTreeClassifier:
         max_features: int | None = None,
         random_state: int | None = None,
     ):
+        if max_features is not None:
+            max_features = check_count("max_features", max_features, 1)
         self.max_depth = max_depth
         self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
         self.max_features = max_features
@@ -42,85 +65,8 @@ class DecisionTreeClassifier:
 
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, k = check_X_y(X, y, n_classes)
-        self.n_classes_ = k
-        self.n_features_ = X.shape[1]
-        self.feature_importances_ = np.zeros(self.n_features_)
-        self._n_total = X.shape[0]
-        rng = np.random.Generator(
-            np.random.PCG64(derive_seed(self.random_state or 0))
-        )
-        self.tree_ = self._grow(X, y, np.arange(X.shape[0]), 0, rng)
+        fit_lockstep([self], X, y, k, np.arange(X.shape[0])[None, :])
         return self
-
-    def _candidate_columns(self, X_node: np.ndarray, rng) -> list[int]:
-        d = X_node.shape[1]
-        if self.max_features is None or self.max_features >= d:
-            order = np.arange(d)
-            budget = d
-        else:
-            order = rng.permutation(d)
-            budget = self.max_features
-        mins = X_node.min(axis=0)
-        maxs = X_node.max(axis=0)
-        informative = [int(f) for f in order if mins[f] < maxs[f]]
-        return informative[:budget]
-
-    def _best_split(self, X_node, y_node, counts, parent_gini, columns):
-        """Best (feature, threshold, gain) over the candidate columns.
-
-        Ties break to the earlier column in ``columns`` and then to the
-        lower split position.
-        """
-        n = X_node.shape[0]
-        sub = X_node[:, columns]
-        order = np.argsort(sub, axis=0, kind="stable")
-        xs = np.take_along_axis(sub, order, axis=0)
-        valid = xs[1:] > xs[:-1]
-        if not valid.any():
-            return None
-        ys = y_node[order]
-        one_hot = np.eye(self.n_classes_, dtype=np.float64)[ys]
-        left_counts = np.cumsum(one_hot, axis=0)[:-1]  # counts left of each boundary
-        n_left = np.arange(1, n, dtype=np.float64)[:, None]
-        n_right = n - n_left
-        right_counts = counts[None, None, :] - left_counts
-        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=2)
-        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=2)
-        weighted = (n_left * gini_left + n_right * gini_right) / n
-        gains = np.where(valid, parent_gini - weighted, -np.inf)
-        flat = int(np.argmax(gains.T))  # feature-major: earlier column wins ties
-        f_local, position = divmod(flat, n - 1)
-        threshold = float((xs[position, f_local] + xs[position + 1, f_local]) / 2.0)
-        return int(columns[f_local]), threshold, float(gains[position, f_local])
-
-    def _grow(self, X, y, indices, depth, rng) -> dict:
-        y_node = y[indices]
-        counts = np.bincount(y_node, minlength=self.n_classes_).astype(np.float64)
-        majority = int(np.argmax(counts))
-        n = indices.size
-        parent_gini = 1.0 - ((counts / n) ** 2).sum()
-        if (
-            parent_gini == 0.0
-            or n < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-        ):
-            return {"class": majority}
-        X_node = X[indices]
-        columns = self._candidate_columns(X_node, rng)
-        if not columns:
-            return {"class": majority}
-        split = self._best_split(X_node, y_node, counts, parent_gini, columns)
-        if split is None:
-            return {"class": majority}
-        feature, threshold, gain = split
-        self.feature_importances_[feature] += (n / self._n_total) * gain
-        left_mask = X_node[:, feature] <= threshold
-        return {
-            "feature": feature,
-            "threshold": threshold,
-            "left": self._grow(X, y, indices[left_mask], depth + 1, rng),
-            "right": self._grow(X, y, indices[~left_mask], depth + 1, rng),
-        }
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "tree_")
@@ -164,3 +110,166 @@ class DecisionTreeClassifier:
 def _is_index(value, size: int) -> bool:
     """True for an int in ``range(size)``; JSON booleans and floats are not."""
     return type(value) is int and 0 <= value < size
+
+
+def fit_lockstep(trees, X, y, n_classes: int, samples) -> None:
+    """Fit ``trees[i]`` on the rows ``samples[i]`` of a checked ``X``, ``y``.
+
+    The trees must share ``max_depth``, ``min_samples_split`` and
+    ``max_features``; each draws from its own ``random_state``.  Every tree
+    comes out as if fitted alone, so the batch size never changes a model.
+    """
+    first = trees[0]
+    n_rows, d = samples.shape[1], X.shape[1]
+    batch = max(1, BATCH_CELLS // max(1, n_rows * d * n_classes))
+    for start in range(0, len(trees), batch):
+        chunk = trees[start : start + batch]
+        rngs = [
+            np.random.Generator(np.random.PCG64(derive_seed(t.random_state or 0)))
+            for t in chunk
+        ]
+        roots, importances = _grow_lockstep(
+            X[samples[start : start + batch]],
+            y[samples[start : start + batch]],
+            n_classes,
+            rngs,
+            first.max_features,
+            first.max_depth,
+            first.min_samples_split,
+        )
+        for tree, root, importance in zip(chunk, roots, importances):
+            tree.tree_ = root
+            tree.n_classes_ = n_classes
+            tree.n_features_ = d
+            tree.feature_importances_ = importance
+
+
+def _grow_lockstep(Xt, yt, k, rngs, max_features, max_depth, min_samples_split):
+    """Grow one tree per leading row of ``Xt`` (trees, rows, features) and
+    ``yt`` (trees, rows); returns the root nodes and the importances."""
+    n_trees, n_rows, d = Xt.shape
+    one_hot = np.eye(k)[yt]  # (trees, rows, classes)
+    by_value = np.argsort(Xt, axis=1, kind="stable")  # row positions in value order, per column
+    X_rows = np.ascontiguousarray(Xt.transpose(1, 0, 2))
+    draws = max_features is not None and max_features < d
+    budget = max_features if draws else d
+    importances = np.zeros((n_trees, d))
+    # per tree, the nodes that pass the stop checks and wait for a split:
+    # (node to fill in, member mask over the tree's rows, depth)
+    stacks = [[] for _ in range(n_trees)]
+
+    def settle(nodes, trees, masks, depths):
+        """Make each new node a leaf, or push it if it passes the stop checks."""
+        counts, sizes, gini = _node_stats(one_hot, trees, masks)
+        grows = (gini != 0.0) & (sizes >= min_samples_split)
+        if max_depth is not None:
+            grows &= depths < max_depth
+        for i, (t, grow, majority) in enumerate(
+            zip(trees.tolist(), grows.tolist(), counts.argmax(axis=1).tolist())
+        ):
+            if grow:
+                stacks[t].append((nodes[i], masks[i], depths[i]))
+            else:
+                nodes[i]["class"] = majority
+
+    roots = [{} for _ in range(n_trees)]
+    everyone = np.ones((n_trees, n_rows), dtype=bool)
+    settle(roots, np.arange(n_trees), everyone, np.zeros(n_trees, dtype=np.int64))
+    active = [t for t in range(n_trees) if stacks[t]]
+    while active:
+        popped = [stacks[t].pop() for t in active]
+        trees = np.array(active)
+        masks = np.stack([members for _, members, _ in popped])
+        counts, sizes, gini = _node_stats(one_hot, trees, masks)
+        if draws:  # one draw per popped node, from its own tree's stream
+            orders = np.array([rngs[t].permutation(d) for t in active])
+        else:
+            orders = np.broadcast_to(np.arange(d), (len(active), d))
+        columns, n_columns = _candidate_columns(X_rows[:, trees], masks, orders, budget)
+        splits = np.flatnonzero(n_columns)
+        majority = counts.argmax(axis=1).tolist()
+        for b in np.flatnonzero(n_columns == 0).tolist():
+            popped[b][0]["class"] = majority[b]
+        if splits.size:
+            trees, masks, sizes = trees[splits], masks[splits], sizes[splits]
+            feature, threshold, gain = _best_splits(
+                Xt, one_hot, by_value, trees, masks, columns[splits], n_columns[splits],
+                counts[splits], sizes, gini[splits],
+            )
+            importances[trees, feature] += (sizes / n_rows) * gain
+            goes_left = Xt[trees, :, feature] <= threshold[:, None]
+            children, depths = [], []
+            for b, f, t in zip(splits.tolist(), feature.tolist(), threshold.tolist()):
+                node, _, depth = popped[b]
+                node.update(feature=f, threshold=t, left={}, right={})
+                children += [node["right"], node["left"]]
+                depths.append(depth + 1)
+            # right before left, so that each tree pops its left child first
+            child_masks = np.stack([masks & ~goes_left, masks & goes_left], axis=1)
+            settle(
+                children,
+                np.repeat(trees, 2),
+                child_masks.reshape(-1, n_rows),
+                np.repeat(depths, 2),
+            )
+        active = [t for t in active if stacks[t]]
+    return roots, importances
+
+
+def _node_stats(one_hot, trees, masks):
+    """Class counts, sizes and Gini impurity of nodes given as member masks."""
+    counts = np.matmul(masks[:, None, :].astype(np.float64), one_hot[trees])[:, 0]
+    sizes = masks.sum(axis=1)
+    return counts, sizes, 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+
+
+def _candidate_columns(X_rows, masks, orders, budget: int):
+    """Each node's first ``budget`` non-constant columns in ``orders``.
+
+    Returns (nodes, width) column ids, left-aligned, and how many of each
+    row are real; the rest of a row is padding.  ``X_rows`` is (rows,
+    nodes, features), because numpy takes a min or max over the outer axis
+    much faster than over a middle one.
+    """
+    inside = masks.T[:, :, None]
+    lowest = np.where(inside, X_rows, np.inf).min(axis=0)
+    varies = lowest < np.where(inside, X_rows, -np.inf).max(axis=0)
+    rows = np.arange(len(orders))[:, None]
+    ordered = varies[rows, orders]
+    chosen = ordered & (np.cumsum(ordered, axis=1) <= budget)
+    n_chosen = chosen.sum(axis=1)
+    front = np.argsort(~chosen, axis=1, kind="stable")[:, : n_chosen.max()]
+    return orders[rows, front], n_chosen
+
+
+def _best_splits(Xt, one_hot, by_value, trees, masks, columns, n_columns, counts, sizes, gini):
+    """Best (feature, threshold, gain) of each node over its columns.
+
+    Ties break to the earlier column in ``columns`` and then to the lower
+    split position.
+    """
+    n_nodes, width = columns.shape
+    pick = np.arange(n_nodes)
+    node_axis, tree_axis = pick[:, None, None], trees[:, None, None]
+    column_axis = columns[:, None, :]
+    # each column's row positions in value order, with the node's members first
+    order = by_value[tree_axis, np.arange(Xt.shape[1])[None, :, None], column_axis]
+    n = int(sizes.max())
+    front = np.argsort(~masks[node_axis, order], axis=1, kind="stable")[:, :n]
+    order = order[node_axis, front, np.arange(width)]
+    xs = Xt[tree_axis, order, column_axis]  # (nodes, n, width)
+    left_counts = np.cumsum(one_hot[tree_axis, order], axis=1)[:, :-1]
+    n_left = np.arange(1, n, dtype=np.float64)[None, :, None]
+    n_right = sizes[:, None, None] - n_left  # not positive past a node's last member
+    right_counts = counts[:, None, None, :] - left_counts
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=3)
+        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=3)
+        weighted = (n_left * gini_left + n_right * gini_right) / sizes[:, None, None]
+    real = np.arange(width) < n_columns[:, None, None]
+    valid = (xs[:, 1:] > xs[:, :-1]) & (n_right > 0) & real
+    gains = np.where(valid, gini[:, None, None] - weighted, -np.inf)
+    flat = gains.transpose(0, 2, 1).reshape(n_nodes, -1).argmax(axis=1)  # feature-major
+    column, position = np.divmod(flat, n - 1)
+    threshold = (xs[pick, position, column] + xs[pick, position + 1, column]) / 2.0
+    return columns[pick, column], threshold, gains[pick, position, column]

@@ -246,6 +246,13 @@ def train(
     )
 
 
+def check_folds(folds: int) -> int:
+    """A fold count of at least 2; ``InvalidCount`` otherwise."""
+    if folds < 2:
+        raise InvalidCount(f"folds must be at least 2, got {folds}")
+    return folds
+
+
 def stratified_folds(
     labels: Sequence[ScaId], folds: int, seed: int = 0
 ) -> list[list[int]]:
@@ -254,8 +261,7 @@ def stratified_folds(
     Rows of each class are shuffled with a seeded stream and dealt into
     contiguous chunks whose sizes differ by at most one.
     """
-    if folds < 2:
-        raise InvalidCount(f"folds must be at least 2, got {folds}")
+    check_folds(folds)
     if folds > len(labels):
         raise TooFewSamples(f"cannot split {len(labels)} rows into {folds} folds")
     by_class: dict[ScaId, list[int]] = {}

@@ -16,7 +16,14 @@ import numpy as np
 
 from .exceptions import InvalidTarget, UnsupportedModelKind
 from .features import PreferenceDataset
-from .recommend import CvResult, ModelKind, RecommendationModel, cross_validate, train
+from .recommend import (
+    CvResult,
+    ModelKind,
+    RecommendationModel,
+    check_folds,
+    cross_validate,
+    train,
+)
 from .rng import derive_seed
 
 RANKABLE_KINDS = (ModelKind.RF, ModelKind.DT, ModelKind.LR)
@@ -106,6 +113,7 @@ def rfe_cv(
     The best size is the one with the highest mean micro F1, preferring the
     smaller set on ties.
     """
+    check_folds(folds)
     run = rfe(dataset, kind, min_size, seed, hyperparams)
     scored: list[tuple[int, float, tuple[str, ...]]] = []
     for names in run.path:

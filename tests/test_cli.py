@@ -391,20 +391,24 @@ def test_corrupt_estimator_state_exits_2(workspace, tmp_path, capsys, case):
 BAD_COUNTS = {
     "mine": ["--model", "dt", "--folds", "1", "--out-dir", "{tmp}"],
     "train": ["--model", "dt", "--cv-folds", "1", "--out", "{tmp}/model.json"],
+    "train-cv-folds-0": ["--model", "dt", "--cv-folds", "0", "--out", "{tmp}/model.json"],
     "sweep": ["--model", "dt", "--folds", "1", "--out", "{tmp}/sweep.tsv"],
     "baseline": ["--repeats", "0"],
 }
 
 
-@pytest.mark.parametrize("command", sorted(BAD_COUNTS))
-def test_count_below_minimum_exits_1(workspace, tmp_path, capsys, command):
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_count_below_minimum_exits_1(workspace, tmp_path, capsys, case):
+    command = case.split("-")[0]
     argv = [command, "--evaluations", str(workspace["evaluations"])]
     if command != "baseline":
         argv += ["--features", str(workspace["features"])]
-    argv += [token.format(tmp=tmp_path) for token in BAD_COUNTS[command]]
+    argv += [token.format(tmp=tmp_path) for token in BAD_COUNTS[case]]
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert "at least" in capsys.readouterr().err
+    # the count is checked before any work, so nothing is written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_baseline_commands(workspace, capsys):

@@ -71,6 +71,7 @@ def test_check_is_fitted():
     "estimator_class, name, value",
     [
         (DecisionTreeClassifier, "min_samples_split", 1),
+        (DecisionTreeClassifier, "max_features", 0),
         (RandomForestClassifier, "min_samples_split", 1),
         (RandomForestClassifier, "n_estimators", 0),
         (RandomForestClassifier, "max_features", 0),

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sca_reco.exceptions import InvalidTarget, TooFewSamples, UnsupportedModelKind
+from sca_reco import selection
+from sca_reco.exceptions import InvalidCount, InvalidTarget, TooFewSamples, UnsupportedModelKind
 from sca_reco.features import PreferenceDataset
 from sca_reco.recommend import ModelKind, train
 from sca_reco.selection import (
@@ -118,6 +119,15 @@ def test_rfe_cv_deterministic():
 def test_rfe_cv_rejects_too_many_folds():
     with pytest.raises(TooFewSamples):
         rfe_cv(signal_dataset(), ModelKind.DT, folds=13)
+
+
+def test_rfe_cv_checks_folds_before_eliminating(monkeypatch):
+    def no_elimination(*args, **kwargs):
+        raise AssertionError("rfe ran before the fold count was checked")
+
+    monkeypatch.setattr(selection, "rfe", no_elimination)
+    with pytest.raises(InvalidCount, match="at least 2"):
+        rfe_cv(signal_dataset(), ModelKind.DT, folds=1)
 
 
 def test_selected_features_text():
