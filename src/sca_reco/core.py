@@ -9,6 +9,7 @@ analyzers become comparable.  Both are immutable value objects.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -58,6 +59,17 @@ class GdcTaxonomy:
     @property
     def category_ids(self) -> frozenset[str]:
         return frozenset(c.gdc_id for c in self.categories)
+
+
+def decode_json(text: str, where: str):
+    """``json.loads(text)``; text that is not JSON, or is nested too deeply
+    for the decoder, raises a ParseError that starts with ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc
 
 
 def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:

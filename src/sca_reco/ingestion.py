@@ -15,12 +15,19 @@ names found in the corpus.
 from __future__ import annotations
 
 import datetime as dt
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import AlignedWarning, ProjectSnapshot, RawWarning, Release, ScaId, WarningLabel
+from .core import (
+    AlignedWarning,
+    ProjectSnapshot,
+    RawWarning,
+    Release,
+    ScaId,
+    WarningLabel,
+    decode_json,
+)
 from .exceptions import (
     DuplicateConflict,
     IoError,
@@ -44,10 +51,7 @@ def _read_text(path: Path) -> str:
 
 
 def _read_json(path: Path):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    return decode_json(_read_text(path), str(path))
 
 
 def _require(obj: dict, key: str, kinds, where: str):

@@ -10,7 +10,7 @@ cascade, strongest evidence first:
    start line lands within 3 lines of the candidate;
 2. snippet: same class and category, and the whitespace-trimmed text of the
    warned lines is identical in both releases;
-3. hash: same category and an identical 64-bit hash of the 100 source tokens
+3. hash: same category and an identical window of the 100 source tokens
    surrounding the warned line (survives class and file renames).
 
 Matching is one-to-one: old warnings are processed in canonical order and a
@@ -23,8 +23,8 @@ runs them as they are, and tests and oracles call the same functions.
 the predicates compare, so each old warning is tried only against the few
 candidates that could match it; the index never decides a match itself.
 ``ReleasePair`` is the only cache.  It resolves class files, diff-maps old
-start lines, cuts snippets and hashes token windows once per project, and
-all analyzers of the project share it.
+start lines, cuts snippets and token windows once per project, and all
+analyzers of the project share it.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ LOCATION_OFFSET_LIMIT = 3
 HASH_WINDOW_TOKENS = 50  # tokens taken on each side of the warned line
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
 _SEPARATOR = "\x1f"
 
 
@@ -117,7 +115,7 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
 
 
 def token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
-    """All identifier/number tokens of a file as the bytes a window hashes.
+    """All identifier/number tokens of a file as the bytes a window cuts.
 
     Returns the tokens, each followed by the separator byte; the offset of
     every token in those bytes, plus the total length; and every token's
@@ -137,7 +135,7 @@ def token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
 
 
 def hash_window(token_lines: list[int], start_line: int) -> range:
-    """The indices of the tokens a window hash at ``start_line`` covers.
+    """The indices of the tokens the hash-stage window at ``start_line`` covers.
 
     ``token_lines`` holds every token's line number, as ``token_stream``
     returns it.  The window is the HASH_WINDOW_TOKENS tokens before the
@@ -151,26 +149,17 @@ def hash_window(token_lines: list[int], start_line: int) -> range:
     )
 
 
-def _fnv1a(data: bytes) -> int:
-    value = _FNV_OFFSET
-    for byte in data:
-        value ^= byte
-        value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return value
-
-
 @dataclass(frozen=True)
 class ReleasePair:
     """One project's two releases, their line mapping, and a memo over them.
 
     A project builds one pair and shares it across all its analyzers.  The
     memo caches class-file resolutions, location targets, snippets, token
-    streams and window hashes.  Each of these is a pure function of the two
+    streams and token windows.  Each of these is a pure function of the two
     releases and their line mapping, never of a report, so sharing the memo
-    cannot change any outcome.  FNV-1a values are memoized by the window
-    bytes, so an old and a new window over unchanged code are hashed once.
-    ``which`` names a side, ``"old"`` or ``"new"``.  The memo lives as long
-    as the pair: one project, never a whole corpus.
+    cannot change any outcome.  ``which`` names a side, ``"old"`` or
+    ``"new"``.  The memo lives as long as the pair: one project, never a
+    whole corpus.
     """
 
     old: Release
@@ -222,9 +211,11 @@ class ReleasePair:
                 )
         return self.memo[key]
 
-    def window_hash(self, which: str, warning: AlignedWarning) -> int | None:
-        """FNV-1a over the ``hash_window`` tokens of the warned start line,
-        joined by a single 0x1F byte."""
+    def window_hash(self, which: str, warning: AlignedWarning) -> bytes | None:
+        """The ``hash_window`` tokens of the warned start line, joined by
+        single 0x1F bytes; None for an unresolved class or a file without
+        tokens.  Tokens never contain 0x1F, so equal bytes mean equal token
+        sequences: the window is its own exact key."""
         key = ("hash", which, warning.class_info, warning.start_line)
         if key not in self.memo:
             self.memo[key] = None
@@ -237,11 +228,7 @@ class ReleasePair:
                 text, offsets, token_lines = self.memo[stream_key]
                 window = hash_window(token_lines, warning.start_line)
                 if window:
-                    data = text[offsets[window.start] : offsets[window.stop] - 1]
-                    fnv_key = ("fnv", data)
-                    if fnv_key not in self.memo:
-                        self.memo[fnv_key] = _fnv1a(data)
-                    self.memo[key] = self.memo[fnv_key]
+                    self.memo[key] = text[offsets[window.start] : offsets[window.stop] - 1]
         return self.memo[key]
 
 
@@ -284,7 +271,8 @@ def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContex
 
 
 def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
-    """Stage 3: same category and identical token-window hash."""
+    """Stage 3: same category and an identical token window, compared by
+    its bytes."""
     if w_a.new_type != w_b.new_type:
         return False
     releases = context.releases
@@ -342,7 +330,7 @@ def _is_gone(warning: AlignedWarning, releases: ReleasePair) -> bool:
 def _index(warnings: list[AlignedWarning], key) -> dict[tuple, list[int]]:
     """Origin indices of ``warnings`` bucketed by ``key``.
 
-    A key whose last part is None (a missing snippet or hash) is left out,
+    A key whose last part is None (a missing snippet or window) is left out,
     because no predicate accepts a missing value.
     """
     buckets: dict[tuple, list[int]] = {}
@@ -371,7 +359,7 @@ def label_release_detailed(
 
     The newer release's warnings are indexed by the keys the predicates
     compare: (category, class, start line) for the location stage, (category,
-    class, snippet) for the snippet stage, and (category, window hash) for
+    class, snippet) for the snippet stage, and (category, token window) for
     the hash stage, built the first time an old warning reaches it.  Each
     old warning hands ``match_warning`` only the unconsumed warnings in its
     location buckets (the diff-mapped target line +- LOCATION_OFFSET_LIMIT)

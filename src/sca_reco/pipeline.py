@@ -22,11 +22,12 @@ from .core import (
     ProjectSnapshot,
     ScaId,
     WarningLabel,
+    decode_json,
     load_taxonomy,
     validate_beta,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
-from .exceptions import DataError, IoError, ParseError, SchemaError
+from .exceptions import DataError, IoError, SchemaError
 from .features import FeatureVector, load_features
 from .ingestion import (
     GdcMapping,
@@ -282,10 +283,7 @@ def _read_jsonl(path: str | Path) -> list[dict]:
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{number}: {exc}") from exc
+        records.append(decode_json(line, f"{path}:{number}"))
     return records
 
 

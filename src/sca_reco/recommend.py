@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ScaId, format_beta
+from .core import ScaId, decode_json, format_beta
 from .effectiveness import ProjectEvaluation, reevaluate
 from .estimators import (
     DecisionTreeClassifier,
@@ -33,7 +33,6 @@ from .exceptions import (
     InvalidCount,
     IoError,
     LengthMismatch,
-    ParseError,
     SchemaError,
     TooFewSamples,
     UnsupportedModelKind,
@@ -164,11 +163,10 @@ class RecommendationModel:
     def load(cls, path: str | Path) -> "RecommendationModel":
         path = Path(path)
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise IoError(str(exc)) from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+        document = decode_json(text, str(path))
         try:
             if document["version"] != MODEL_FILE_VERSION:
                 raise SchemaError(f"{path}: unsupported model file version")

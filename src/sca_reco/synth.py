@@ -28,8 +28,8 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .core import ScaId
-from .exceptions import ConfigError, IoError, ParseError, SchemaError
+from .core import ScaId, decode_json
+from .exceptions import ConfigError, IoError, SchemaError
 from .matching import hash_window, token_stream
 from .rng import SplitMix64, derive_seed
 
@@ -526,11 +526,10 @@ def load_truth(path: str | Path) -> CorpusTruth:
     """Read a truth manifest back (inverse of the generator's output)."""
     path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    document = decode_json(text, str(path))
     try:
         projects = []
         for entry in document["projects"]:

@@ -146,6 +146,43 @@ def test_corrupted_project_partial_failure(workspace, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 11
 
 
+def nested_json(depth: int) -> str:
+    """A JSON array nested ``depth`` levels deep, past the decoder's limit."""
+    return "[" * depth + "]" * depth
+
+
+def test_nested_report_fails_only_its_project(workspace, tmp_path, capsys):
+    clone = tmp_path / "clone"
+    shutil.copytree(workspace["corpus"], clone)
+    report = next((clone / "p002").glob("*/reports/*.json"))
+    report.write_text(nested_json(100_000), encoding="utf-8")
+    out = tmp_path / "labels.jsonl"
+    capsys.readouterr()
+    rc = cli.main(["label", "--corpus", str(clone), "--out", str(out)])
+    assert rc == 2
+    assert str(report) in capsys.readouterr().err
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 11
+
+
+def test_nested_labels_line_exits_2(workspace, tmp_path, capsys):
+    lines = workspace["labels"].read_text(encoding="utf-8").splitlines()
+    lines[2] = nested_json(5_000)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels", str(labels)]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "eval")]) == 2
+    assert f"{labels}:3" in capsys.readouterr().err
+
+
+def test_nested_model_file_exits_2(workspace, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(nested_json(1_500), encoding="utf-8")
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert str(path) in err
+
+
 def test_evaluate_rerun_with_out_dir_inside_corpus(workspace, tmp_path):
     # the README flow writes demo/eval and demo/mine inside the corpus; a
     # rerun must not take them for projects

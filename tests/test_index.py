@@ -6,6 +6,10 @@ and every unconsumed warning of a later analyzer is tried against a group.
 The indexed code must give the same labels, audit records and groups on
 tie-heavy inputs, and the number of predicate calls it makes must grow
 linearly with the warnings per project.
+
+``FnvReleasePair`` is the hash stage as it first was: each token window
+reduced to its 64-bit FNV-1a hash.  The stage now compares the window bytes
+themselves, which can differ from it only on a hash collision.
 """
 
 from __future__ import annotations
@@ -33,8 +37,10 @@ from sca_reco.matching import (
     MatchContext,
     MatchStage,
     ReleasePair,
+    hash_window,
     label_release_detailed,
     match_warning,
+    token_stream,
 )
 from sca_reco.pipeline import evaluate_corpus, load_corpus_context
 from sca_reco.synth import SynthConfig, generate_corpus
@@ -75,6 +81,32 @@ def reference_label(snap, sca, mapping):
             )
         )
     return labeled, audit
+
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+
+
+def fnv1a(data: bytes) -> int:
+    value = _FNV_OFFSET
+    for byte in data:
+        value ^= byte
+        value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
+    return value
+
+
+class FnvReleasePair(ReleasePair):
+    """A ``ReleasePair`` whose windows are FNV-1a values, cut unmemoized."""
+
+    def window_hash(self, which, warning):
+        path = self.resolve(which, warning.class_info)
+        if path is None:
+            return None
+        text, offsets, token_lines = token_stream(self._release(which).files[path])
+        window = hash_window(token_lines, warning.start_line)
+        if not window:
+            return None
+        return fnv1a(text[offsets[window.start] : offsets[window.stop] - 1])
 
 
 def reference_align(labeled, sca_order):
@@ -127,6 +159,13 @@ CLASSES = ("com.example.Foo", "com.example.Bar", "com.example.Baz", "com.example
 PATHS = {"com.example.Foo": "com/example/Foo.java", "com.example.Bar": "src/com/example/Bar.java"}
 
 lines_st = st.lists(st.sampled_from(LINE_TEXTS), min_size=1, max_size=14)
+# Files long enough that a window can be cut at the top, in the middle or at
+# the bottom of the file.
+long_lines_st = st.lists(
+    st.sampled_from(LINE_TEXTS + (" ".join(f"u{k}" for k in range(40)),)),
+    min_size=1,
+    max_size=32,
+)
 
 
 @st.composite
@@ -148,10 +187,10 @@ def edited(draw, lines):
 
 
 @st.composite
-def release_pairs(draw):
+def release_pairs(draw, file_lines=lines_st):
     old_files, new_files = {}, {}
     for class_info, path in PATHS.items():
-        lines = draw(lines_st)
+        lines = draw(file_lines)
         old_files[path] = lines
         fate = draw(st.sampled_from(("keep", "edit", "delete", "rename")))
         if fate == "keep":
@@ -165,21 +204,21 @@ def release_pairs(draw):
 
 # Start lines cluster on the first few lines, so candidates share lines.
 start_st = st.one_of(st.integers(1, 5), st.integers(1, 18))
-raw_st = st.builds(
-    lambda sca, kind, cls, method, start, span: raw(
-        sca=sca, original_type=kind, class_path=cls, method=method, start=start, end=start + span
-    ),
-    st.just("alpha"),
-    st.sampled_from(("NULL_DEREF", "LEAK")),
-    st.sampled_from(CLASSES),
-    st.sampled_from((None, "m1()", "m2()")),
-    start_st,
-    st.integers(0, 2),
-)
+long_start_st = st.one_of(st.integers(1, 5), st.integers(1, 34))
 
 
-def report_st(sca):
-    return st.lists(raw_st.map(lambda r: replace(r, sca=sca)), max_size=10)
+def report_st(sca, start=start_st):
+    raw_st = st.builds(
+        lambda kind, cls, method, first, span: raw(
+            sca=sca, original_type=kind, class_path=cls, method=method, start=first, end=first + span
+        ),
+        st.sampled_from(("NULL_DEREF", "LEAK")),
+        st.sampled_from(CLASSES),
+        st.sampled_from((None, "m1()", "m2()")),
+        start,
+        st.integers(0, 2),
+    )
+    return st.lists(raw_st, max_size=10)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -198,6 +237,24 @@ def test_indexed_labels_equal_full_scan(pair, reports_old, reports_new):
         indexed = label_release_detailed(snap, sca, mapping, releases)
         assert indexed == reference_label(snap, sca, mapping)
         assert label_release_detailed(snap, sca, mapping) == indexed
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pair=release_pairs(long_lines_st),
+    reports_old=st.fixed_dictionaries({sca: report_st(sca, long_start_st) for sca in SCAS}),
+    reports_new=st.fixed_dictionaries({sca: report_st(sca, long_start_st) for sca in SCAS}),
+)
+def test_window_bytes_label_as_fnv_hashes(pair, reports_old, reports_new):
+    old_files, new_files = pair
+    snap = snapshot(old_files, new_files, reports_old, reports_new)
+    mapping = identity_mapping()
+    releases = ReleasePair.diff(snap.release_old, snap.release_new)
+    fnv_releases = FnvReleasePair.diff(snap.release_old, snap.release_new)
+    for sca in SCAS:
+        assert label_release_detailed(snap, sca, mapping, releases) == label_release_detailed(
+            snap, sca, mapping, fnv_releases
+        )
 
 
 def test_consumed_location_candidates_fall_through_to_hash():

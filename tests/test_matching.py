@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from helpers import A, U, UNKNOWN, aw, identity_mapping, raw, release, snapshot
@@ -12,6 +14,7 @@ from sca_reco.matching import (
     MatchStage,
     ReleasePair,
     compute_line_mapping,
+    hash_window,
     label_release_detailed,
     match_hash,
     match_location,
@@ -239,6 +242,51 @@ def test_hash_empty_file_never_matches():
     old_files = {"com/example/Foo.java": [""]}
     w = aw(class_info=FOO, start=1, end=1)
     assert not match_hash(w, w, make_context(old_files, old_files))
+
+
+TOKEN = re.compile(r"[A-Za-z0-9_]+")
+LONG_BODY = token_body(n_post=30)  # 96 tokens before the warned line, 93 from it
+
+
+@pytest.mark.parametrize(
+    "start_line, width",
+    [(1, 50), (WARNED_LINE, 100), (WARNED_LINE + 25, 68), (WARNED_LINE + 40, 50)],
+    ids=["top", "middle", "bottom", "past-end"],
+)
+def test_window_hash_is_the_joined_window_tokens(start_line, width):
+    lines = class_file("Foo", LONG_BODY)
+    tokens = [(n, token) for n, line in enumerate(lines, start=1) for token in TOKEN.findall(line)]
+    window = hash_window([n for n, _ in tokens], start_line)
+    assert len(window) == width
+    releases = make_context({"com/example/Foo.java": lines}, {}).releases
+    expected = "\x1f".join(tokens[i][1] for i in window).encode("ascii")
+    assert releases.window_hash("old", aw(class_info=FOO, start=start_line)) == expected
+
+
+def test_window_hash_none_without_tokens_or_class():
+    files = {"com/example/Foo.java": ["", "  {", "}"]}
+    releases = make_context(files, files).releases
+    assert releases.window_hash("old", aw(class_info=FOO, start=2)) is None
+    assert releases.window_hash("new", aw(class_info="com.example.Ghost", start=2)) is None
+
+
+def test_hash_ignores_where_tokens_split_across_lines():
+    # the same tokens, two statements per line before the warned one and
+    # three per line after it
+    pre, warned, post = LONG_BODY[:30], LONG_BODY[30], LONG_BODY[31:]
+    rejoined = (
+        ["".join(pre[i : i + 2]) for i in range(0, 30, 2)]
+        + [warned]
+        + ["".join(post[i : i + 3]) for i in range(0, 30, 3)]
+    )
+    old_files = {"com/example/Foo.java": class_file("Foo", LONG_BODY)}
+    new_files = {"com/example/Bar.java": class_file("Bar", rejoined)}
+    new_line = 3 + 15 + 1
+    w_a = aw(class_info=FOO, start=WARNED_LINE, end=WARNED_LINE)
+    w_b = aw(class_info=BAR, start=new_line, end=new_line, index=1)
+    context = make_context(old_files, new_files)
+    assert match_hash(w_a, w_b, context)
+    assert context.releases.window_hash("new", w_b).count(b"\x1f") == 99  # 100 tokens
 
 
 # cascade

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
+from collections import Counter
 
 import pytest
 
+from sca_reco import cli
 from sca_reco.exceptions import IoError
 from sca_reco.pipeline import (
     corpus_features,
@@ -152,3 +155,36 @@ def test_corpus_features_requires_table(context, corpus, tmp_path):
     (clone / "features.csv").unlink()
     with pytest.raises(IoError):
         corpus_features(load_corpus_context(clone))
+
+
+# Labeling behaviour, pinned: a churn-style corpus (most files renamed) sends
+# matches to the snippet and hash stages.  The digests were taken before the
+# hash stage compared windows by their bytes instead of a 64-bit hash, and
+# any change to a label, stage or score changes them.
+CHURN_CONFIG = SynthConfig(
+    n_projects=3, files_per_project=6, mutation_weights=(0.0, 0.1, 0.45, 0.45), seed=17
+)
+CHURN_DIGESTS = {
+    "labels.jsonl": "2086b08029d72ad43dbb6cda6604e9d2de9239320b00b9fafa2ee9332b7ec7ca",
+    "evaluations.jsonl": "ea337213c605d4242b90c6639982aaa5d764aad20a5206d5a1c1ce2e19d406c9",
+}
+
+
+def test_churn_labels_are_pinned(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_corpus(CHURN_CONFIG, corpus)
+    labels = tmp_path / "labels.jsonl"
+    assert cli.main(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
+    argv = ["evaluate", "--corpus", str(corpus), "--labels", str(labels)]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    stages = Counter(
+        warning.get("stage")
+        for line in labels.read_text(encoding="utf-8").splitlines()
+        for warning in json.loads(line)["warnings"]
+    )
+    assert stages["hash"] > 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in CHURN_DIGESTS
+    }
+    assert digests == CHURN_DIGESTS
