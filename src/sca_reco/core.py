@@ -72,6 +72,35 @@ def decode_json(text: str, where: str):
         raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc
 
 
+def encode_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, written
+    with an explicit stack, so a deeply nested value such as a deep decision
+    tree encodes without recursion.  Object keys must be strings."""
+    parts: list[str] = []
+    stack = [(False, value)]  # (is finished text, item)
+    while stack:
+        finished, item = stack.pop()
+        if finished:
+            parts.append(item)
+        elif isinstance(item, dict):
+            pending = [(True, "{")]
+            for i, key in enumerate(sorted(item)):
+                if not isinstance(key, str):
+                    raise TypeError(f"object keys must be strings, got {key!r}")
+                pending += [(True, ("," if i else "") + json.dumps(key) + ":"), (False, item[key])]
+            stack += reversed(pending + [(True, "}")])
+        elif isinstance(item, (list, tuple)):
+            pending = [(True, "[")]
+            for i, element in enumerate(item):
+                if i:
+                    pending.append((True, ","))
+                pending.append((False, element))
+            stack += reversed(pending + [(True, "]")])
+        else:
+            parts.append(json.dumps(item))
+    return "".join(parts)
+
+
 def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:
     """Load a taxonomy TSV (header ``gdc_id<TAB>name<TAB>group``).
 

@@ -3,13 +3,14 @@
 Every estimator follows the fit/predict (or fit/transform) protocol, checks
 its hyperparameters in its constructor, and is deterministic given its
 ``random_state``.  The classifiers report ``n_classes_`` and ``n_features_``
-after ``fit`` and after ``load_fitted_state``.
+after ``fit`` and after ``load_fitted_state``.  ``fit_stacked`` fits a batch
+of logistic regressions as one; ``fit_each`` fits any batch one by one.
 """
 
-from .base import check_array, check_X_y, check_is_fitted
+from .base import check_array, check_X_y, check_is_fitted, fit_each
 from .decomposition import PCA
 from .forest import RandomForestClassifier
-from .linear import LogisticRegression
+from .linear import LogisticRegression, fit_stacked
 from .mlp import MLPClassifier
 from .neighbors import KNeighborsClassifier
 from .preprocessing import StandardScaler
@@ -19,6 +20,8 @@ __all__ = [
     "check_array",
     "check_X_y",
     "check_is_fitted",
+    "fit_each",
+    "fit_stacked",
     "DecisionTreeClassifier",
     "KNeighborsClassifier",
     "LogisticRegression",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -40,6 +42,17 @@ def check_X_y(X, y, n_classes: int | None = None) -> tuple[np.ndarray, np.ndarra
     return X, y, k
 
 
+def fit_each(estimators, Xs, ys, n_classes):
+    """Fit each estimator on its ``X``, ``y`` and class count, one after
+    another, and yield it: the batch fit of kinds that have no faster one.
+
+    Each is fitted only when the caller asks for it, so a caller that drops
+    every model before asking for the next holds one fitted model at a time.
+    """
+    for estimator, X, y, k in zip(estimators, Xs, ys, n_classes):
+        yield estimator.fit(X, y, n_classes=k)
+
+
 def check_is_fitted(estimator, attribute: str) -> None:
     if getattr(estimator, attribute, None) is None:
         raise NotFittedError(
@@ -56,6 +69,21 @@ def check_count(name: str, value, minimum: int) -> int:
     if count < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {count}")
     return count
+
+
+def check_real(
+    name: str, value, low: float, high: float = math.inf, *, low_open: bool = False
+) -> float:
+    """A finite real hyperparameter in ``[low, high)``, or ``(low, high)``
+    with ``low_open``, as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    number = float(value)
+    above_low = low < number if low_open else low <= number
+    if not (math.isfinite(number) and above_low and number < high):
+        interval = f"{'(' if low_open else '['}{low}, {high})"
+        raise ValueError(f"{name} must be a finite number in {interval}, got {value!r}")
+    return number
 
 
 def state_array(state: dict, key: str, shape: tuple) -> np.ndarray:

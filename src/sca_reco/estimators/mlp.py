@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..rng import derive_seed
-from .base import check_array, check_count, check_is_fitted, check_X_y, state_array
+from .base import check_array, check_count, check_is_fitted, check_real, check_X_y, state_array
 from .linear import softmax
 
 
@@ -26,9 +26,9 @@ class MLPClassifier:
         random_state: int | None = None,
     ):
         self.hidden_units = check_count("hidden_units", hidden_units, 1)
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self.epochs = epochs
+        self.learning_rate = check_real("learning_rate", learning_rate, 0.0, low_open=True)
+        self.momentum = check_real("momentum", momentum, 0.0, 1.0)
+        self.epochs = check_count("epochs", epochs, 1)
         self.random_state = random_state
         self.W1_ = None
         self.b1_ = None

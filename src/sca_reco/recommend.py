@@ -9,15 +9,14 @@ predictions against the full set.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ScaId, decode_json, format_beta
+from .core import ScaId, decode_json, encode_json, format_beta
 from .effectiveness import ProjectEvaluation, reevaluate
 from .estimators import (
     DecisionTreeClassifier,
@@ -26,6 +25,8 @@ from .estimators import (
     MLPClassifier,
     RandomForestClassifier,
     StandardScaler,
+    fit_each,
+    fit_stacked,
 )
 from .exceptions import (
     DegenerateDataset,
@@ -73,13 +74,15 @@ DEFAULT_HYPERPARAMS: dict[ModelKind, dict] = {
 }
 
 
-# the estimator class behind each kind, and whether it takes a seed
-ESTIMATORS: dict[ModelKind, tuple[type, bool]] = {
-    ModelKind.DT: (DecisionTreeClassifier, True),
-    ModelKind.KNN: (KNeighborsClassifier, False),
-    ModelKind.LR: (LogisticRegression, False),
-    ModelKind.MLP: (MLPClassifier, True),
-    ModelKind.RF: (RandomForestClassifier, True),
+# the estimator class behind each kind, whether it takes a seed, and the
+# function that fits a batch of its estimators, each on its own rows, and
+# returns an iterable of them
+ESTIMATORS: dict[ModelKind, tuple[type, bool, Callable]] = {
+    ModelKind.DT: (DecisionTreeClassifier, True, fit_each),
+    ModelKind.KNN: (KNeighborsClassifier, False, fit_each),
+    ModelKind.LR: (LogisticRegression, False, fit_stacked),
+    ModelKind.MLP: (MLPClassifier, True, fit_each),
+    ModelKind.RF: (RandomForestClassifier, True, fit_each),
 }
 
 
@@ -106,7 +109,7 @@ def build_estimator(kind: ModelKind, hyperparams: dict | None, seed: int):
         raise UnsupportedModelKind("only the gini criterion is implemented")
     if hp.pop("metric", "euclidean") != "euclidean":
         raise UnsupportedModelKind("only the euclidean metric is implemented")
-    estimator_class, seeded = ESTIMATORS[kind]
+    estimator_class, seeded, _ = ESTIMATORS[kind]
     return estimator_class(**hp, random_state=seed) if seeded else estimator_class(**hp)
 
 
@@ -153,7 +156,7 @@ class RecommendationModel:
         }
         try:
             Path(path).write_text(
-                json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n",
+                encode_json(document) + "\n",
                 encoding="utf-8",
             )
         except OSError as exc:
@@ -225,23 +228,52 @@ def train(
     hyperparams: dict | None = None,
 ) -> RecommendationModel:
     """Fit a recommender on the whole dataset (primary labels)."""
-    if dataset.n_projects < 2:
-        raise TooFewSamples("training needs at least 2 projects")
-    y, classes = encode_labels(dataset.primary_labels(), dataset.sca_order)
-    if len(classes) < 2:
-        raise DegenerateDataset("training labels collapse to a single analyzer")
-    scaler = StandardScaler().fit(dataset.matrix)
-    estimator = build_estimator(kind, hyperparams, seed)
-    estimator.fit(scaler.transform(dataset.matrix), y, n_classes=len(classes))
-    return RecommendationModel(
-        kind=kind,
-        hyperparams=resolve_hyperparams(kind, hyperparams),
-        feature_names=dataset.feature_names,
-        scaler=scaler,
-        classes=classes,
-        estimator=estimator,
-        seed=seed,
+    return next(train_batch([(dataset, seed)], kind, hyperparams))
+
+
+def train_batch(
+    training_sets: Sequence[tuple[PreferenceDataset, int]],
+    kind: ModelKind,
+    hyperparams: dict | None = None,
+) -> Iterator[RecommendationModel]:
+    """Fit one recommender per (dataset, seed) with the kind's batch fit,
+    and yield them in order.
+
+    Every dataset is checked, standardized and label-encoded on its own
+    before anything is fitted, so each model equals the one ``train`` fits
+    on that dataset alone.  Kinds fitted one by one are fitted as the
+    iterator reaches them, so a caller that drops each model holds one at
+    a time.
+    """
+    prepared = []
+    for dataset, seed in training_sets:
+        if dataset.n_projects < 2:
+            raise TooFewSamples("training needs at least 2 projects")
+        y, classes = encode_labels(dataset.primary_labels(), dataset.sca_order)
+        if len(classes) < 2:
+            raise DegenerateDataset("training labels collapse to a single analyzer")
+        scaler = StandardScaler().fit(dataset.matrix)
+        prepared.append((dataset, seed, scaler, classes, scaler.transform(dataset.matrix), y))
+    datasets, seeds, scalers, class_lists, Xs, ys = zip(*prepared)
+    _, _, fit_batch = ESTIMATORS[kind]
+    fitted = fit_batch(
+        (build_estimator(kind, hyperparams, seed) for seed in seeds),
+        Xs,
+        ys,
+        [len(classes) for classes in class_lists],
     )
+    for dataset, seed, scaler, classes, estimator in zip(
+        datasets, seeds, scalers, class_lists, fitted
+    ):
+        yield RecommendationModel(
+            kind=kind,
+            hyperparams=resolve_hyperparams(kind, hyperparams),
+            feature_names=dataset.feature_names,
+            scaler=scaler,
+            classes=classes,
+            estimator=estimator,
+            seed=seed,
+        )
 
 
 def check_folds(folds: int) -> int:
@@ -291,24 +323,50 @@ def cross_validate(
     seed: int = 0,
     hyperparams: dict | None = None,
 ) -> CvResult:
-    """Stratified k-fold cross-validation; the summary is the fold mean."""
-    assignment = stratified_folds(dataset.primary_labels(), folds, seed)
-    all_rows = set(range(dataset.n_projects))
-    per_fold = []
-    for fold_number, test_rows in enumerate(assignment):
-        train_rows = sorted(all_rows - set(test_rows))
-        model = train(
-            dataset.subset_rows(train_rows), kind, derive_seed(seed, fold_number), hyperparams
-        )
-        if test_rows:
-            predictions = model.predict_matrix(
+    """Stratified k-fold cross-validation; the summary is the fold mean.
+
+    A fold with no test rows scores ``MicroMetrics(0.0, 0.0, 0.0)`` and
+    fits no model.
+    """
+    return cross_validate_batch([dataset], kind, folds, seed, hyperparams)[0]
+
+
+def cross_validate_batch(
+    datasets: Sequence[PreferenceDataset],
+    kind: ModelKind,
+    folds: int = 10,
+    seed: int = 0,
+    hyperparams: dict | None = None,
+) -> list[CvResult]:
+    """``cross_validate`` of each dataset, with the models of all their
+    folds fitted in one ``train_batch`` call."""
+    assignments = [
+        stratified_folds(dataset.primary_labels(), folds, seed) for dataset in datasets
+    ]
+    training_sets = []
+    for dataset, assignment in zip(datasets, assignments):
+        for fold_number, test_rows in enumerate(assignment):
+            if test_rows:  # an empty fold scores 0 whatever its model predicts
+                held_out = set(test_rows)
+                train_rows = [i for i in range(dataset.n_projects) if i not in held_out]
+                training_sets.append(
+                    (dataset.subset_rows(train_rows), derive_seed(seed, fold_number))
+                )
+    models = train_batch(training_sets, kind, hyperparams)
+    results = []
+    for dataset, assignment in zip(datasets, assignments):
+        per_fold = []
+        for test_rows in assignment:
+            if not test_rows:
+                per_fold.append(MicroMetrics(0.0, 0.0, 0.0))
+                continue
+            predictions = next(models).predict_matrix(
                 dataset.matrix[test_rows], dataset.feature_names
             )
             truth = [dataset.label_sets[i] for i in test_rows]
             per_fold.append(micro_metrics(truth, predictions))
-        else:
-            per_fold.append(MicroMetrics(0.0, 0.0, 0.0))
-    return CvResult(mean=mean_metrics(per_fold), per_fold=tuple(per_fold))
+        results.append(CvResult(mean=mean_metrics(per_fold), per_fold=tuple(per_fold)))
+    return results
 
 
 def baseline_fixed(
@@ -372,12 +430,11 @@ def beta_sweep(
     the cross-validation.  No re-alignment happens; only the scores move."""
     if not betas:
         raise ValueError("betas must not be empty")
-    rows = []
-    for beta in betas:
-        rescored = [reevaluate(evaluation, beta) for evaluation in evaluations]
-        dataset = dataset_from_evaluations(vectors, rescored)
-        rows.append((beta, cross_validate(dataset, kind, folds, seed)))
-    return rows
+    datasets = [
+        dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+        for beta in betas
+    ]
+    return list(zip(betas, cross_validate_batch(datasets, kind, folds, seed)))
 
 
 def sweep_table(rows: list[tuple[float, CvResult]]) -> str:

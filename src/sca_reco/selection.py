@@ -17,11 +17,10 @@ import numpy as np
 from .exceptions import InvalidTarget, UnsupportedModelKind
 from .features import PreferenceDataset
 from .recommend import (
-    CvResult,
     ModelKind,
     RecommendationModel,
     check_folds,
-    cross_validate,
+    cross_validate_batch,
     train,
 )
 from .rng import derive_seed
@@ -115,12 +114,16 @@ def rfe_cv(
     """
     check_folds(folds)
     run = rfe(dataset, kind, min_size, seed, hyperparams)
-    scored: list[tuple[int, float, tuple[str, ...]]] = []
-    for names in run.path:
-        result: CvResult = cross_validate(
-            dataset.subset_features(list(names)), kind, folds, seed, hyperparams
-        )
-        scored.append((len(names), result.mean.f1_micro, names))
+    results = cross_validate_batch(
+        [dataset.subset_features(list(names)) for names in run.path],
+        kind,
+        folds,
+        seed,
+        hyperparams,
+    )
+    scored = [
+        (len(names), result.mean.f1_micro, names) for names, result in zip(run.path, results)
+    ]
     best_size, _, best_names = max(scored, key=lambda row: (row[1], -row[0]))
     return RfeCvResult(
         selected=best_names,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 
 import pytest
@@ -395,8 +396,8 @@ def _edit_state(update):
     return lambda document: update(document["params"]["state"])
 
 
-def _set_n_neighbors(value):
-    return lambda document: document["hyperparams"].update(n_neighbors=value)
+def _set_hyperparam(**values):
+    return lambda document: document["hyperparams"].update(values)
 
 
 # (kind, corruption): model files whose estimator state or hyperparameters
@@ -409,9 +410,15 @@ CORRUPT_STATE = {
     "dt-split-no-threshold": ("dt", _edit_state(lambda s: s["tree"].pop("threshold"))),
     "knn-X-narrow": ("knn", _edit_state(lambda s: s.update(X=_drop_last_column(s["X"])))),
     "rf-no-trees": ("rf", _edit_state(lambda s: s.update(trees=[]))),
-    "knn-n_neighbors-x": ("knn", _set_n_neighbors("x")),
-    "knn-n_neighbors-null": ("knn", _set_n_neighbors(None)),
-    "knn-n_neighbors-0": ("knn", _set_n_neighbors(0)),
+    "knn-n_neighbors-x": ("knn", _set_hyperparam(n_neighbors="x")),
+    "knn-n_neighbors-null": ("knn", _set_hyperparam(n_neighbors=None)),
+    "knn-n_neighbors-0": ("knn", _set_hyperparam(n_neighbors=0)),
+    "lr-n_iter--5": ("lr", _set_hyperparam(n_iter=-5)),
+    "lr-learning_rate-nan": ("lr", _set_hyperparam(learning_rate=math.nan)),
+    "lr-l2--1": ("lr", _set_hyperparam(l2=-1.0)),
+    "mlp-epochs-x": ("mlp", _set_hyperparam(epochs="x")),
+    "mlp-momentum-inf": ("mlp", _set_hyperparam(momentum=math.inf)),
+    "mlp-learning_rate-0": ("mlp", _set_hyperparam(learning_rate=0)),
 }
 
 

@@ -77,6 +77,20 @@ def test_check_is_fitted():
         (RandomForestClassifier, "max_features", 0),
         (RandomForestClassifier, "max_features", "log2"),
         (MLPClassifier, "hidden_units", 0),
+        (MLPClassifier, "epochs", "x"),
+        (MLPClassifier, "epochs", 0),
+        (MLPClassifier, "learning_rate", 0.0),
+        (MLPClassifier, "learning_rate", "0.01"),
+        (MLPClassifier, "momentum", math.inf),
+        (MLPClassifier, "momentum", 1.0),
+        (MLPClassifier, "momentum", -0.1),
+        (LogisticRegression, "n_iter", -5),
+        (LogisticRegression, "n_iter", 2.5),
+        (LogisticRegression, "learning_rate", math.nan),
+        (LogisticRegression, "learning_rate", -0.1),
+        (LogisticRegression, "l2", -1.0),
+        (LogisticRegression, "l2", math.inf),
+        (LogisticRegression, "l2", True),
         (KNeighborsClassifier, "n_neighbors", 0),
         (KNeighborsClassifier, "n_neighbors", "x"),
         (KNeighborsClassifier, "n_neighbors", None),
@@ -86,6 +100,13 @@ def test_check_is_fitted():
 def test_constructor_rejects_bad_hyperparameter(estimator_class, name, value):
     with pytest.raises(ValueError, match=name):
         estimator_class(**{name: value})
+
+
+def test_constructor_accepts_boundary_hyperparameters():
+    lr = LogisticRegression(l2=0, learning_rate=1e-300, n_iter=1)
+    assert (lr.l2, lr.learning_rate, lr.n_iter) == (0.0, 1e-300, 1)
+    mlp = MLPClassifier(momentum=0, epochs=1)
+    assert (mlp.momentum, mlp.epochs) == (0.0, 1)
 
 
 @pytest.mark.parametrize(

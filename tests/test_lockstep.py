@@ -4,20 +4,26 @@
 and ``_candidate_columns`` that fitted one tree at a time, and
 ``reference_forest`` the forest loop that fitted its trees one by one.  The
 lockstep grower must give the same nodes and bit-equal importances on
-tie-heavy inputs, and must fit trees far deeper than Python's recursion
-limit.
+tie-heavy inputs, and must fit and save trees far deeper than Python's
+recursion limit.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import sys
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_dumps
+from sca_reco import cli
 from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, tree
 from sca_reco.estimators.base import check_X_y
+from sca_reco.features import PreferenceDataset
+from sca_reco.recommend import ModelKind, train
 from sca_reco.rng import derive_seed
 
 
@@ -243,3 +249,41 @@ def test_deep_tree_fits_without_recursion():
     assert (fresh.predict(X) == y).all()
     probe = np.array([[-1.0], [n + 1.0], [n / 2 + 0.25]])
     assert (fresh.predict(probe) == tree.predict(probe)).all()
+
+
+def test_deep_tree_model_saves_and_round_trips(tmp_path, capsys):
+    n = 1500
+    dataset = PreferenceDataset(
+        feature_names=("f0",),
+        project_ids=tuple(f"p{i}" for i in range(n)),
+        matrix=np.arange(n, dtype=np.float64)[:, None],
+        label_sets=tuple((("alpha",), ("beta",))[i % 2] for i in range(n)),
+        sca_order=("alpha", "beta"),
+    )
+    model = train(dataset, ModelKind.DT)
+    path = tmp_path / "deep.json"
+    model.save(path)
+    text = path.read_text(encoding="utf-8")
+    document = {
+        "version": model.version,
+        "kind": "dt",
+        "hyperparams": model.hyperparams,
+        "feature_names": ["f0"],
+        "standardization": model.scaler.get_fitted_state(),
+        "params": {"classes": ["alpha", "beta"], "state": model.estimator.get_fitted_state()},
+        "seed": 0,
+    }
+    assert text == reference_dumps(document) + "\n"
+    # the decoder recurses, so loading this file fails as bad data naming it
+    assert cli.main(["recommend", "--model-file", str(path), "--features", "unread.csv"]) == 2
+    assert str(path) in capsys.readouterr().err
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        state = json.loads(text)["params"]["state"]
+    finally:
+        sys.setrecursionlimit(limit)
+    loaded = DecisionTreeClassifier().load_fitted_state(state)
+    X = model.scaler.transform(dataset.matrix)
+    assert (loaded.predict(X) == model.estimator.predict(X)).all()
+    assert (loaded.predict(X) == np.arange(n) % 2).all()

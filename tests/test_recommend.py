@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import json
+import weakref
+
 import numpy as np
 import pytest
+
+from helpers import reference_dumps
 
 from sca_reco.effectiveness import (
     ConfusionCounts,
     ProjectEvaluation,
     optimal_set,
+    reevaluate,
     score_sca,
 )
+from sca_reco.estimators import DecisionTreeClassifier
 from sca_reco.exceptions import (
     DegenerateDataset,
     FeatureMismatch,
@@ -20,6 +27,7 @@ from sca_reco.exceptions import (
 from sca_reco.features import FeatureVector, PreferenceDataset
 from sca_reco.metrics import MicroMetrics, mean_metrics
 from sca_reco.recommend import (
+    ESTIMATORS,
     CvResult,
     ModelKind,
     RecommendationModel,
@@ -131,6 +139,8 @@ def test_save_load_round_trip(kind, tmp_path):
     model = train(dataset, kind, seed=3, hyperparams=FAST_HP[kind])
     path = tmp_path / f"{kind.value}.json"
     model.save(path)
+    text = path.read_text(encoding="utf-8")
+    assert text == reference_dumps(json.loads(text)) + "\n"
     loaded = RecommendationModel.load(path)
     assert loaded.kind is kind
     assert loaded.feature_names == NAMES
@@ -185,12 +195,43 @@ def test_cross_validate_structure_and_determinism():
     assert result.mean.f1_micro == pytest.approx(1.0)
 
 
-def test_cross_validate_empty_folds_score_zero():
+def test_cross_validate_empty_folds_score_zero(monkeypatch):
     dataset = two_class_dataset()  # 12 rows, 6 per class
-    result = cross_validate(dataset, ModelKind.DT, folds=12, seed=0)
-    assert len(result.per_fold) == 12
-    # each class fills only the first 6 folds, so the last folds are empty
-    assert result.per_fold[-1] == MicroMetrics(0.0, 0.0, 0.0)
+    # each class fills only the first 6 folds, so the last 6 are empty
+    empty = [not rows for rows in stratified_folds(dataset.primary_labels(), 12, seed=0)]
+    assert empty == [False] * 6 + [True] * 6
+    for kind in (ModelKind.DT, ModelKind.LR):
+        estimator_class, seeded, fit_batch = ESTIMATORS[kind]
+        batches = []
+
+        def counted(estimators, *problems, fit_batch=fit_batch):
+            estimators = list(estimators)
+            batches.append(len(estimators))
+            return fit_batch(estimators, *problems)
+
+        monkeypatch.setitem(ESTIMATORS, kind, (estimator_class, seeded, counted))
+        result = cross_validate(dataset, kind, folds=12, seed=0, hyperparams=FAST_HP[kind])
+        assert batches == [6]  # one batch call that fits only the non-empty folds
+        assert len(result.per_fold) == 12
+        assert result.per_fold[6:] == (MicroMetrics(0.0, 0.0, 0.0),) * 6
+        assert result.mean == mean_metrics(result.per_fold)
+
+
+def test_cross_validate_fits_each_non_empty_fold_once(monkeypatch):
+    fitted = weakref.WeakSet()
+    rows, alive = [], []
+    original = DecisionTreeClassifier.fit
+
+    def tracked(self, X, y, n_classes=None):
+        rows.append(len(X))
+        alive.append(len(fitted))
+        fitted.add(self)
+        return original(self, X, y, n_classes)
+
+    monkeypatch.setattr(DecisionTreeClassifier, "fit", tracked)
+    cross_validate(two_class_dataset(), ModelKind.DT, folds=12, seed=0)
+    assert rows == [10] * 6  # each non-empty fold holds out one row per class
+    assert max(alive) <= 1  # each fold's model is dropped before the next but one
 
 
 # baselines
@@ -267,6 +308,23 @@ def test_beta_sweep_single_beta_equals_direct_cv():
     assert len(rows) == 1 and rows[0][0] == 1.0
     direct = cross_validate(dataset, ModelKind.DT, folds=3, seed=0)
     assert rows[0][1] == direct
+
+
+@pytest.mark.parametrize("kind", [ModelKind.DT, ModelKind.LR], ids=lambda k: k.value)
+def test_beta_sweep_rows_equal_standalone_cv(kind):
+    evaluations, vectors, _ = sweep_fixture()
+    # at beta 0 only precision counts, so one project ties both analyzers
+    evaluations[0] = make_evaluation(
+        evaluations[0].project_id, [("alpha", (2, 0, 5)), ("beta", (4, 0, 5))]
+    )
+    betas = [0.0, 0.5, 1.0, 2.0, float("inf")]
+    rows = beta_sweep(evaluations, vectors, kind, betas, folds=4, seed=1)
+    assert [beta for beta, _ in rows] == betas
+    for beta, result in rows:
+        rescored = dataset_from_evaluations(
+            vectors, [reevaluate(evaluation, beta) for evaluation in evaluations]
+        )
+        assert result == cross_validate(rescored, kind, folds=4, seed=1)
 
 
 def test_beta_sweep_covers_all_betas():
