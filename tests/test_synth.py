@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,21 @@ from sca_reco.synth import (
 )
 
 SMALL = SynthConfig(n_projects=4, files_per_project=2, seed=11)
+MINIMAL = SynthConfig(
+    n_projects=1,
+    profiles=(AnalyzerProfile("solo", 0.9, 0.1),),
+    method_bands=((2, 3),),
+    files_per_project=1,
+    seed=3,
+)
+
+# SHA-256 of the JSON of ``tree_digest`` (sorted keys) of each corpus.  Any
+# generated byte that changes (a source line, a report field, a truth entry)
+# changes it, so a refactor of the generator must keep these values.
+PINNED_TREE_DIGESTS = {
+    "small": "55f89d619eaad85dd5b63c16d32d32800f7b467b9f5773b62a22f7e41274aa48",
+    "minimal": "7946b2d230880e65d308d04c7b3c67ee52728d960b3e99dd8caca01f9dd2573e",
+}
 
 
 def tree_digest(root: Path) -> dict[str, str]:
@@ -69,6 +85,13 @@ def test_same_seed_same_bytes(tmp_path):
     generate_corpus(SMALL, a)
     generate_corpus(SMALL, b)
     assert tree_digest(a) == tree_digest(b)
+
+
+@pytest.mark.parametrize("name, config", [("small", SMALL), ("minimal", MINIMAL)])
+def test_corpus_bytes_are_pinned(tmp_path, name, config):
+    generate_corpus(config, tmp_path / name)
+    table = json.dumps(tree_digest(tmp_path / name), sort_keys=True)
+    assert hashlib.sha256(table.encode()).hexdigest() == PINNED_TREE_DIGESTS[name]
 
 
 def test_different_seed_differs(tmp_path):
@@ -164,13 +187,6 @@ def test_full_detection_full_fix_is_all_actionable(tmp_path):
 
 
 def test_minimal_corpus(tmp_path):
-    config = SynthConfig(
-        n_projects=1,
-        profiles=(AnalyzerProfile("solo", 0.9, 0.1),),
-        method_bands=((2, 3),),
-        files_per_project=1,
-        seed=3,
-    )
-    truth = generate_corpus(config, tmp_path / "one")
+    truth = generate_corpus(MINIMAL, tmp_path / "one")
     assert [p.project_id for p in truth.projects] == ["p000"]
     assert load_truth(tmp_path / "one" / "truth.json") == truth
