@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from importlib import resources
 from pathlib import Path
 
 from .exceptions import InvalidBeta, IoError, ParseError, SchemaError
@@ -72,6 +73,26 @@ def decode_json(text: str, where: str):
         raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc
 
 
+def require_field(obj, key: str, kinds, where: str):
+    """``obj[key]``, checked to be an instance of ``kinds`` and not a bool;
+    anything else raises a SchemaError that starts with ``where``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise SchemaError(f"{where}: field {key!r} has the wrong type")
+    return value
+
+
+def optional_field(obj, key: str, kinds, where: str):
+    """Like ``require_field``, but a missing or null field is None."""
+    if isinstance(obj, dict) and obj.get(key) is None:
+        return None
+    return require_field(obj, key, kinds, where)
+
+
 def encode_json(value) -> str:
     """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, written
     with an explicit stack, so a deeply nested value such as a deep decision
@@ -99,6 +120,11 @@ def encode_json(value) -> str:
         else:
             parts.append(json.dumps(item))
     return "".join(parts)
+
+
+def default_taxonomy_path() -> Path:
+    """The taxonomy TSV that ships with the package."""
+    return Path(str(resources.files("sca_reco.data").joinpath("default_taxonomy.tsv")))
 
 
 def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:

@@ -13,8 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import ScaId, WarningLabel, format_beta, parse_beta, validate_beta
-from .exceptions import SchemaError
+from .core import (
+    ScaId,
+    WarningLabel,
+    format_beta,
+    parse_beta,
+    require_field,
+    validate_beta,
+)
+from .exceptions import InvalidBeta, SchemaError
 from .alignment import AlignmentResult
 
 ROUND_DIGITS = 12  # scores are compared at this precision when ranking
@@ -177,24 +184,34 @@ class ProjectEvaluation:
 
     @classmethod
     def from_record(cls, record: dict) -> "ProjectEvaluation":
+        """Inverse of ``to_record``; p, r and f_beta are recomputed from the
+        counts.  A missing field or one of the wrong type or value raises a
+        SchemaError."""
+        where = "evaluation record"
+        project = require_field(record, "project", str, where)
+        beta_field = require_field(record, "beta", (str, int, float), where)
+        entries = require_field(record, "scores", list, where)
+        if not entries:
+            raise SchemaError(f"{where}: field 'scores' is empty")
+        optimal = require_field(record, "optimal", list, where)
+        if not all(isinstance(sca, str) for sca in optimal):
+            raise SchemaError(f"{where}: field 'optimal' must list analyzer ids")
         try:
-            project = record["project"]
-            beta = parse_beta(str(record["beta"]))
-            scores = tuple(
-                score_sca(
-                    project,
-                    entry["sca"],
-                    ConfusionCounts(
-                        entry["tp"], entry["fp"], entry["union_actionable"]
-                    ),
-                    beta,
+            beta = parse_beta(str(beta_field))
+            scores = []
+            for i, entry in enumerate(entries):
+                at = f"{where}: score {i}"
+                sca = require_field(entry, "sca", str, at)
+                counts = ConfusionCounts(
+                    require_field(entry, "tp", int, at),
+                    require_field(entry, "fp", int, at),
+                    require_field(entry, "union_actionable", int, at),
                 )
-                for entry in record["scores"]
-            )
-            optimal = OptimalLabelSet(project, tuple(record["optimal"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad evaluation record: {exc}") from exc
-        return cls(project, beta, scores, optimal)
+                scores.append(score_sca(project, sca, counts, beta))
+            best = OptimalLabelSet(project, tuple(optimal))
+        except (InvalidBeta, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        return cls(project, beta, tuple(scores), best)
 
 
 def reevaluate(evaluation: ProjectEvaluation, beta: float) -> ProjectEvaluation:

@@ -27,6 +27,8 @@ from .core import (
     ScaId,
     WarningLabel,
     decode_json,
+    optional_field,
+    require_field,
 )
 from .exceptions import (
     DuplicateConflict,
@@ -54,53 +56,33 @@ def _read_json(path: Path):
     return decode_json(_read_text(path), str(path))
 
 
-def _require(obj: dict, key: str, kinds, where: str):
-    if key not in obj:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise SchemaError(f"{where}: field {key!r} has the wrong type")
-    return value
-
-
-def _optional_str(obj: dict, key: str, where: str) -> str | None:
-    value = obj.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise SchemaError(f"{where}: field {key!r} must be a string or null")
-    return value
-
-
 def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[ScaId, list[RawWarning]]:
     """Load one analyzer report, checking it belongs to (project, release)."""
     path = Path(path)
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: report must be a JSON object")
-    sca = _require(doc, "sca", str, str(path))
-    project = _require(doc, "project", str, str(path))
-    release = _require(doc, "release", str, str(path))
+    sca = require_field(doc, "sca", str, str(path))
+    project = require_field(doc, "project", str, str(path))
+    release = require_field(doc, "release", str, str(path))
     if project != project_id or release != release_id:
         raise MismatchError(
             f"{path}: report is for {project}/{release}, expected {project_id}/{release_id}"
         )
-    raw = _require(doc, "warnings", list, str(path))
+    raw = require_field(doc, "warnings", list, str(path))
     warnings = []
     for i, entry in enumerate(raw):
         where = f"{path}: warning {i}"
-        if not isinstance(entry, dict):
-            raise SchemaError(f"{where} must be a JSON object")
         warnings.append(
             RawWarning(
                 sca=sca,
-                original_type=_require(entry, "type", str, where),
-                class_path=_require(entry, "class", str, where),
-                method_path=_optional_str(entry, "method", where),
-                start_line=_require(entry, "start_line", int, where),
-                end_line=_require(entry, "end_line", int, where),
-                message=_optional_str(entry, "message", where),
-                severity=_optional_str(entry, "severity", where),
+                original_type=require_field(entry, "type", str, where),
+                class_path=require_field(entry, "class", str, where),
+                method_path=optional_field(entry, "method", str, where),
+                start_line=require_field(entry, "start_line", int, where),
+                end_line=require_field(entry, "end_line", int, where),
+                message=optional_field(entry, "message", str, where),
+                severity=optional_field(entry, "severity", str, where),
             )
         )
     return sca, warnings
@@ -206,9 +188,9 @@ def load_source_tree(
 
 
 def _parse_release_meta(doc: dict, role: str, where: str) -> tuple[str, dt.date]:
-    meta = _require(doc, role, dict, where)
-    release_id = _require(meta, "id", str, where)
-    date_text = _require(meta, "date", str, where)
+    meta = require_field(doc, role, dict, where)
+    release_id = require_field(meta, "id", str, where)
+    date_text = require_field(meta, "date", str, where)
     try:
         timestamp = dt.date.fromisoformat(date_text)
     except ValueError as exc:

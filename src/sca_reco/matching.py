@@ -345,7 +345,7 @@ def label_release_detailed(
     snapshot: ProjectSnapshot,
     sca: ScaId,
     mapping: GdcMapping,
-    releases: ReleasePair | None = None,
+    releases: ReleasePair,
 ) -> tuple[list[AlignedWarning], list[AuditRecord]]:
     """Label one analyzer's old-release warnings, returning an audit trail.
 
@@ -354,8 +354,7 @@ def label_release_detailed(
     they are unknown.  Output is in canonical order.
 
     ``releases`` is the snapshot's ``ReleasePair``; pass the same one for
-    every analyzer of a project so that its diff and memo are shared.  It
-    is built from the snapshot when omitted.
+    every analyzer of a project so that its diff and memo are shared.
 
     The newer release's warnings are indexed by the keys the predicates
     compare: (category, class, start line) for the location stage, (category,
@@ -373,8 +372,6 @@ def label_release_detailed(
         raise SchemaError(f"project {snapshot.project_id} has no {sca!r} report")
     raws_old = snapshot.reports_old[sca]
     raws_new = snapshot.reports_new[sca]
-    if releases is None:
-        releases = ReleasePair.diff(snapshot.release_old, snapshot.release_new)
     context = MatchContext(releases, raws_old, raws_new)
     old_canon = [canonicalize(raw, mapping, i) for i, raw in enumerate(raws_old)]
     new_canon = [canonicalize(raw, mapping, i) for i, raw in enumerate(raws_new)]

@@ -23,7 +23,10 @@ from .core import (
     ScaId,
     WarningLabel,
     decode_json,
+    default_taxonomy_path,
     load_taxonomy,
+    optional_field,
+    require_field,
     validate_beta,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
@@ -49,12 +52,6 @@ class CorpusContext:
     taxonomy: GdcTaxonomy
     mapping: GdcMapping
     sca_order: tuple[ScaId, ...]
-
-
-def default_taxonomy_path() -> Path:
-    from importlib import resources
-
-    return Path(str(resources.files("sca_reco.data").joinpath("default_taxonomy.tsv")))
 
 
 def load_corpus_context(
@@ -230,33 +227,40 @@ def labels_to_record(labels: ProjectLabels) -> dict:
 
 
 def record_to_labels(record: dict) -> ProjectLabels:
-    try:
-        project_id = record["project"]
-        by_sca: dict[ScaId, list[AlignedWarning]] = {}
-        audits: dict[ScaId, list[AuditRecord]] = {}
-        for row in record["warnings"]:
-            sca = row["sca"]
-            warning = AlignedWarning(
-                new_type=row["category"],
-                class_info=row["class"],
-                start_line=row["start_line"],
-                end_line=row["end_line"],
-                label=WarningLabel(row["label"]),
-                origin=(sca, row["index"]),
-            )
-            audit = AuditRecord(
-                class_info=warning.class_info,
-                start_line=warning.start_line,
-                new_type=warning.new_type,
-                outcome=warning.label,
-                stage=MatchStage(row["stage"]) if row.get("stage") else None,
-                matched_line=row.get("matched_line"),
-                matched_origin=row.get("matched_index"),
-            )
-            by_sca.setdefault(sca, []).append(warning)
-            audits.setdefault(sca, []).append(audit)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed label record: {exc}") from exc
+    """Inverse of ``labels_to_record``; a missing field or one of the wrong
+    type raises a SchemaError."""
+    where = "label record"
+    project_id = require_field(record, "project", str, where)
+    by_sca: dict[ScaId, list[AlignedWarning]] = {}
+    audits: dict[ScaId, list[AuditRecord]] = {}
+    for i, row in enumerate(require_field(record, "warnings", list, where)):
+        at = f"{where}: warning {i}"
+        sca = require_field(row, "sca", str, at)
+        stage = optional_field(row, "stage", str, at)
+        try:
+            label = WarningLabel(require_field(row, "label", str, at))
+            stage = MatchStage(stage) if stage else None
+        except ValueError as exc:
+            raise SchemaError(f"{at}: {exc}") from exc
+        warning = AlignedWarning(
+            new_type=require_field(row, "category", str, at),
+            class_info=require_field(row, "class", str, at),
+            start_line=require_field(row, "start_line", int, at),
+            end_line=require_field(row, "end_line", int, at),
+            label=label,
+            origin=(sca, require_field(row, "index", int, at)),
+        )
+        audit = AuditRecord(
+            class_info=warning.class_info,
+            start_line=warning.start_line,
+            new_type=warning.new_type,
+            outcome=label,
+            stage=stage,
+            matched_line=optional_field(row, "matched_line", int, at),
+            matched_origin=optional_field(row, "matched_index", int, at),
+        )
+        by_sca.setdefault(sca, []).append(warning)
+        audits.setdefault(sca, []).append(audit)
     return ProjectLabels(
         project_id,
         {sca: tuple(rows) for sca, rows in by_sca.items()},
@@ -273,7 +277,9 @@ def _write_jsonl(path: str | Path, records) -> None:
         raise IoError(str(exc)) from exc
 
 
-def _read_jsonl(path: str | Path) -> list[dict]:
+def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
+    """``parse`` of each non-blank line's JSON; a SchemaError it raises is
+    prefixed with the file and line number."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -283,7 +289,11 @@ def _read_jsonl(path: str | Path) -> list[dict]:
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        records.append(decode_json(line, f"{path}:{number}"))
+        where = f"{path}:{number}"
+        try:
+            records.append(parse(decode_json(line, where)))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     return records
 
 
@@ -292,7 +302,7 @@ def write_labels(path: str | Path, all_labels: Sequence[ProjectLabels]) -> None:
 
 
 def read_labels(path: str | Path) -> list[ProjectLabels]:
-    return [record_to_labels(r) for r in _read_jsonl(path)]
+    return _read_jsonl(path, record_to_labels)
 
 
 def write_evaluations(path: str | Path, evaluations: Sequence[ProjectEvaluation]) -> None:
@@ -300,7 +310,7 @@ def write_evaluations(path: str | Path, evaluations: Sequence[ProjectEvaluation]
 
 
 def read_evaluations(path: str | Path) -> list[ProjectEvaluation]:
-    return [ProjectEvaluation.from_record(r) for r in _read_jsonl(path)]
+    return _read_jsonl(path, ProjectEvaluation.from_record)
 
 
 def write_optimal_sets(path: str | Path, evaluations: Sequence[ProjectEvaluation]) -> None:

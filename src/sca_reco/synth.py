@@ -18,18 +18,21 @@ fixed.  Per-file mutations exercise the matching cascade: line insertions
 keep the location stage honest, a method rename forces the snippet stage,
 and a class rename (applied only when no site's token window reaches the
 class declaration line) forces the hash stage.
+
+``_plan_file`` makes every decision about a site once and records it in a
+``SiteTruth``; the sources, the reports and ``truth.json`` are all rendered
+from those records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
-from .core import ScaId, decode_json
-from .exceptions import ConfigError, IoError, SchemaError
+from .core import ScaId, default_taxonomy_path
+from .exceptions import ConfigError, IoError
 from .matching import hash_window, token_stream
 from .rng import SplitMix64, derive_seed
 
@@ -135,7 +138,9 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SiteTruth:
-    """Ground truth for one warning site."""
+    """Ground truth for one warning site: every decision the generator made
+    about it, from which its source lines, report entries and manifest
+    entry are all rendered."""
 
     class_old: str
     class_new: str
@@ -180,12 +185,6 @@ class CorpusTruth:
     scas: tuple[ScaId, ...]
     projects: tuple[ProjectTruth, ...]
 
-    def project(self, project_id: str) -> ProjectTruth:
-        for p in self.projects:
-            if p.project_id == project_id:
-                return p
-        raise KeyError(project_id)
-
 
 @dataclass
 class _MethodPlan:
@@ -194,9 +193,7 @@ class _MethodPlan:
     extra_pad: int
     is_decoy: bool
     category: str
-    fixed: bool = False
     old_start: int = 0
-    new_start: int = 0
 
 
 def _stream(seed: int, *parts: int) -> SplitMix64:
@@ -258,21 +255,21 @@ def _pick_mutation(weights: tuple[float, ...], stream: SplitMix64) -> Mutation:
 
 @dataclass
 class _FilePlan:
-    class_name: str
-    mutation: Mutation
     methods: list[_MethodPlan]
+    sites: list[SiteTruth]  # one per method, in method order
     old_lines: list[str]
     new_lines: list[str]
     old_path: str
     new_path: str
-    renamed_method: int | None
 
 
 def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan:
+    """Decide every site of one file and render both of its releases."""
+    seed = config.seed
     package = f"com.synth.p{p:03d}"
     class_name = f"Widget{f}"
     low, high = config.method_bands[archetype]
-    n_methods = low + _stream(config.seed, _T_METHODS, p, f).randrange(high - low + 1)
+    n_methods = low + _stream(seed, _T_METHODS, p, f).randrange(high - low + 1)
     methods = []
     for m in range(n_methods):
         sid = f"p{p:03d}f{f}m{m}"
@@ -280,164 +277,135 @@ def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan
             _MethodPlan(
                 name=f"handle{m}",
                 sid=sid,
-                extra_pad=_stream(config.seed, _T_PAD, p, f, m).randrange(3),
-                is_decoy=_stream(config.seed, _T_KIND, p, f, m).uniform()
-                < config.decoy_fraction,
+                extra_pad=_stream(seed, _T_PAD, p, f, m).randrange(3),
+                is_decoy=_stream(seed, _T_KIND, p, f, m).uniform() < config.decoy_fraction,
                 category=SITE_CATEGORIES[(f + m) % len(SITE_CATEGORIES)],
             )
         )
     old_lines, decl_line = _build_class_lines(
         package, class_name, methods, config.field_lines
     )
-    mutation = _pick_mutation(config.mutation_weights, _stream(config.seed, _T_MUTATION, p, f))
+    mutation = _pick_mutation(config.mutation_weights, _stream(seed, _T_MUTATION, p, f))
     if mutation is Mutation.CLASS_RENAME and not _class_rename_eligible(
         old_lines, decl_line, [plan.old_start for plan in methods]
     ):
         mutation = Mutation.PLAIN
-    renamed_method = 0 if mutation is Mutation.METHOD_RENAME else None
 
-    # Fix decisions.  Sites that must keep matching across a rename are
-    # forced to survive, otherwise they would not exercise the later stages
-    # (and a fixed site in a renamed file would be unjudgeable).
-    for m, plan in enumerate(methods):
-        if plan.is_decoy:
-            continue
-        if mutation is Mutation.CLASS_RENAME or m == renamed_method:
-            continue
-        plan.fixed = (
-            _stream(config.seed, _T_FIX, p, f, m).uniform() < config.edit_intensity
-        )
-
+    # A class rename moves every site of the file to the hash stage; a
+    # method rename moves the first method's site to the snippet stage.
+    class_suffix = "R" if mutation is Mutation.CLASS_RENAME else ""
+    method_suffix = "R" if mutation is Mutation.METHOD_RENAME else ""
+    new_class = class_name + class_suffix
     shift = 0
     new_lines = list(old_lines)
     if mutation is Mutation.INSERT:
-        count = 2 + _stream(config.seed, _T_INSERT, p, f).randrange(4)
+        count = 2 + _stream(seed, _T_INSERT, p, f).randrange(4)
         pads = [f"// generated pad {p} {f} {k}" for k in range(count)]
         new_lines = new_lines[:1] + pads + new_lines[1:]
         shift = count
-    for method in methods:
-        method.new_start = method.old_start + shift
-        if method.fixed:
-            body2 = method.new_start  # 0-based index of the line after the start
+    if class_suffix:
+        new_lines[decl_line - 1] = f"public class {new_class} {{"
+
+    m_scas = len(config.profiles)
+    sites = []
+    for m, method in enumerate(methods):
+        renamed = method_suffix if m == 0 else ""
+        new_start = method.old_start + shift
+        if renamed:
+            decl_index = new_start - 2
+            new_lines[decl_index] = new_lines[decl_index].replace(
+                f" {method.name}(", f" {method.name}{renamed}("
+            )
+        # Sites that must keep matching across a rename are never fixed,
+        # otherwise they would not exercise the later stages (and a fixed
+        # site in a renamed file would be unjudgeable).
+        fixed = (
+            not (method.is_decoy or class_suffix or renamed)
+            and _stream(seed, _T_FIX, p, f, m).uniform() < config.edit_intensity
+        )
+        if fixed:
+            body2 = new_start  # 0-based index of the line after the start
             new_lines[body2] = (
                 f"        int v_{method.sid}_b = guard_{method.sid}(v_{method.sid}_a);"
             )
-    new_class = class_name
-    if mutation is Mutation.METHOD_RENAME:
-        first = methods[0]
-        decl_index = first.new_start - 2
-        new_lines[decl_index] = new_lines[decl_index].replace(
-            f" {first.name}(", f" {first.name}R("
+        detected = []
+        for i in range(m_scas):
+            role = config.profiles[(i - archetype) % m_scas]
+            rate = role.fp_rate if method.is_decoy else role.detection
+            if _stream(seed, _T_DETECT, p, f, m, i).uniform() < rate:
+                detected.append(config.profiles[i].sca)
+        stage = "hash" if class_suffix else "snippet" if renamed else "location"
+        sites.append(
+            SiteTruth(
+                class_old=f"{package}.{class_name}",
+                class_new=f"{package}.{new_class}",
+                method_old=f"{method.name}()",
+                method_new=f"{method.name}{renamed}()",
+                category=method.category,
+                old_start=method.old_start,
+                new_start=new_start,
+                kind="decoy" if method.is_decoy else "defect",
+                fixed=fixed,
+                mutation=mutation.value,
+                detected_by=tuple(detected),
+                expected_stage=None if fixed else stage,
+            )
         )
-    if mutation is Mutation.CLASS_RENAME:
-        new_class = class_name + "R"
-        new_lines[decl_line - 1] = f"public class {new_class} {{"
     package_dir = package.replace(".", "/")
     return _FilePlan(
-        class_name=class_name,
-        mutation=mutation,
         methods=methods,
+        sites=sites,
         old_lines=old_lines,
         new_lines=new_lines,
         old_path=f"{package_dir}/{class_name}.java",
         new_path=f"{package_dir}/{new_class}.java",
-        renamed_method=renamed_method,
     )
 
 
-def _expected_stage(plan: _FilePlan, m: int) -> str:
-    if plan.mutation is Mutation.CLASS_RENAME:
-        return "hash"
-    if plan.renamed_method == m:
-        return "snippet"
-    return "location"
-
-
 def _plan_project(config: SynthConfig, p: int) -> tuple[list[_FilePlan], ProjectTruth]:
-    m_scas = len(config.profiles)
-    archetype = p % m_scas
-    project_id = f"p{p:03d}"
-    package = f"com.synth.{project_id}"
+    archetype = p % len(config.profiles)
     files = [_plan_file(config, p, f, archetype) for f in range(config.files_per_project)]
-    sites = []
-    for f, plan in enumerate(files):
-        for m, method in enumerate(plan.methods):
-            detected = []
-            for i in range(m_scas):
-                role = config.profiles[(i - archetype) % m_scas]
-                rate = role.fp_rate if method.is_decoy else role.detection
-                if _stream(config.seed, _T_DETECT, p, f, m, i).uniform() < rate:
-                    detected.append(config.profiles[i].sca)
-            renamed = plan.renamed_method == m
-            sites.append(
-                SiteTruth(
-                    class_old=f"{package}.{plan.class_name}",
-                    class_new=f"{package}.{plan.class_name}"
-                    + ("R" if plan.mutation is Mutation.CLASS_RENAME else ""),
-                    method_old=f"{method.name}()",
-                    method_new=f"{method.name}{'R' if renamed else ''}()",
-                    category=method.category,
-                    old_start=method.old_start,
-                    new_start=method.new_start,
-                    kind="decoy" if method.is_decoy else "defect",
-                    fixed=method.fixed,
-                    mutation=plan.mutation.value,
-                    detected_by=tuple(detected),
-                    expected_stage=None if method.fixed else _expected_stage(plan, m),
-                )
-            )
     truth = ProjectTruth(
-        project_id=project_id,
+        project_id=f"p{p:03d}",
         archetype=archetype,
         champion=config.profiles[archetype].sca,
-        sites=tuple(sites),
+        sites=tuple(site for plan in files for site in plan.sites),
     )
     return files, truth
 
 
 def _report_document(
-    config: SynthConfig,
+    seed: int,
     p: int,
     files: list[_FilePlan],
     sca_index: int,
+    sca: ScaId,
     release_id: str,
     old: bool,
 ) -> dict:
-    sca = config.profiles[sca_index].sca
-    project_id = f"p{p:03d}"
-    package = f"com.synth.{project_id}"
+    """One analyzer's report on one release: every site it detected, less
+    the sites fixed by the newer release."""
     warnings = []
     for f, plan in enumerate(files):
-        for m, method in enumerate(plan.methods):
-            stream = _stream(config.seed, _T_DETECT, p, f, m, sca_index)
-            archetype = p % len(config.profiles)
-            role = config.profiles[(sca_index - archetype) % len(config.profiles)]
-            rate = role.fp_rate if method.is_decoy else role.detection
-            if stream.uniform() >= rate:
+        for m, site in enumerate(plan.sites):
+            if sca not in site.detected_by or (site.fixed and not old):
                 continue
-            if not old and method.fixed:
-                continue
-            jitter = _stream(config.seed, _T_JITTER, p, f, m, sca_index).randrange(2)
-            start = (method.old_start if old else method.new_start) + jitter
-            end = (method.old_start if old else method.new_start) + 2
-            renamed = plan.renamed_method == m and not old
-            class_name = plan.class_name
-            if plan.mutation is Mutation.CLASS_RENAME and not old:
-                class_name += "R"
+            jitter = _stream(seed, _T_JITTER, p, f, m, sca_index).randrange(2)
+            start = site.old_start if old else site.new_start
             warnings.append(
                 {
-                    "type": f"{sca.upper()}-{method.category}",
-                    "class": f"{package}.{class_name}",
-                    "method": f"{method.name}{'R' if renamed else ''}()",
-                    "start_line": start,
-                    "end_line": end,
-                    "message": f"possible {method.category.replace('_', ' ')}",
+                    "type": f"{sca.upper()}-{site.category}",
+                    "class": site.class_old if old else site.class_new,
+                    "method": site.method_old if old else site.method_new,
+                    "start_line": start + jitter,
+                    "end_line": start + 2,
+                    "message": f"possible {site.category.replace('_', ' ')}",
                     "severity": ("low", "medium", "high")[(f + m) % 3],
                 }
             )
     return {
         "sca": sca,
-        "project": project_id,
+        "project": f"p{p:03d}",
         "release": release_id,
         "warnings": warnings,
     }
@@ -488,114 +456,62 @@ def _dump_json(document) -> str:
 
 
 def _truth_document(truth: CorpusTruth) -> dict:
-    projects = []
-    for project in truth.projects:
-        projects.append(
-            {
-                "project": project.project_id,
-                "archetype": project.archetype,
-                "champion": project.champion,
-                "n_groups": project.n_groups,
-                "counts": {
-                    sca: dict(zip(("tp", "fp", "union"), project.counts(sca)))
-                    for sca in truth.scas
-                },
-                "sites": [
-                    {
-                        "class_old": s.class_old,
-                        "class_new": s.class_new,
-                        "method_old": s.method_old,
-                        "method_new": s.method_new,
-                        "category": s.category,
-                        "old_start": s.old_start,
-                        "new_start": s.new_start,
-                        "kind": s.kind,
-                        "fixed": s.fixed,
-                        "mutation": s.mutation,
-                        "detected_by": list(s.detected_by),
-                        "expected_stage": s.expected_stage,
-                    }
-                    for s in project.sites
-                ],
-            }
-        )
+    projects = [
+        {
+            "project": project.project_id,
+            "archetype": project.archetype,
+            "champion": project.champion,
+            "n_groups": project.n_groups,
+            "counts": {
+                sca: dict(zip(("tp", "fp", "union"), project.counts(sca)))
+                for sca in truth.scas
+            },
+            "sites": [asdict(site) for site in project.sites],
+        }
+        for project in truth.projects
+    ]
     return {"seed": truth.seed, "scas": list(truth.scas), "projects": projects}
 
 
-def load_truth(path: str | Path) -> CorpusTruth:
-    """Read a truth manifest back (inverse of the generator's output)."""
-    path = Path(path)
+def _check_out_dir(out_dir: Path, truth_text: str) -> None:
+    """Refuse a non-empty ``out_dir`` unless it holds this very corpus."""
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    document = decode_json(text, str(path))
-    try:
-        projects = []
-        for entry in document["projects"]:
-            sites = tuple(
-                SiteTruth(
-                    class_old=s["class_old"],
-                    class_new=s["class_new"],
-                    method_old=s["method_old"],
-                    method_new=s["method_new"],
-                    category=s["category"],
-                    old_start=s["old_start"],
-                    new_start=s["new_start"],
-                    kind=s["kind"],
-                    fixed=s["fixed"],
-                    mutation=s["mutation"],
-                    detected_by=tuple(s["detected_by"]),
-                    expected_stage=s["expected_stage"],
-                )
-                for s in entry["sites"]
-            )
-            projects.append(
-                ProjectTruth(
-                    project_id=entry["project"],
-                    archetype=entry["archetype"],
-                    champion=entry["champion"],
-                    sites=sites,
-                )
-            )
-        return CorpusTruth(
-            seed=document["seed"],
-            scas=tuple(document["scas"]),
-            projects=tuple(projects),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed truth manifest: {exc}") from exc
-
-
-def default_taxonomy_text() -> str:
-    return (
-        resources.files("sca_reco.data").joinpath("default_taxonomy.tsv").read_text("utf-8")
+        if not out_dir.exists() or (out_dir.is_dir() and not any(out_dir.iterdir())):
+            return
+        if (out_dir / "truth.json").read_bytes() == truth_text.encode("utf-8"):
+            return
+    except OSError:
+        pass
+    raise ConfigError(
+        f"{out_dir} is not empty and does not hold the corpus of this "
+        "configuration; generate into a new or empty directory"
     )
 
 
 def generate_corpus(config: SynthConfig, out_dir: str | Path) -> CorpusTruth:
     """Write a complete corpus under ``out_dir`` and return its ground truth.
 
-    Output is a pure function of the config, byte for byte, so regenerating
-    into the same directory is idempotent.
+    Output is a pure function of the config, byte for byte.  Every project
+    is planned before anything is written, and ``out_dir`` must be missing,
+    empty, or hold the corpus of the same config (a byte-equal
+    ``truth.json``), so a rerun is idempotent and never mixes its projects
+    with those of another config.
     """
     out_dir = Path(out_dir)
-    truths = []
-    feature_rows = []
-    for p in range(config.n_projects):
-        files, truth = _plan_project(config, p)
-        truths.append(truth)
-        project_dir = out_dir / truth.project_id
-        (old_id, old_date), (new_id, new_date) = OLD_RELEASE, NEW_RELEASE
-        _write_text(
-            project_dir / "releases.json",
-            _dump_json(
-                {
-                    "old": {"id": old_id, "date": old_date},
-                    "new": {"id": new_id, "date": new_date},
-                }
-            ),
-        )
+    plans = [_plan_project(config, p) for p in range(config.n_projects)]
+    truth = CorpusTruth(
+        seed=config.seed, scas=config.scas, projects=tuple(t for _, t in plans)
+    )
+    truth_text = _dump_json(_truth_document(truth))
+    _check_out_dir(out_dir, truth_text)
+    (old_id, old_date), (new_id, new_date) = OLD_RELEASE, NEW_RELEASE
+    releases_text = _dump_json(
+        {"old": {"id": old_id, "date": old_date}, "new": {"id": new_id, "date": new_date}}
+    )
+    csv_lines = ["project," + ",".join(feature_names(config))]
+    for p, (files, project) in enumerate(plans):
+        project_dir = out_dir / project.project_id
+        _write_text(project_dir / "releases.json", releases_text)
         for plan in files:
             _write_text(
                 project_dir / old_id / "src" / plan.old_path,
@@ -605,27 +521,22 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> CorpusTruth:
                 project_dir / new_id / "src" / plan.new_path,
                 "\n".join(plan.new_lines) + "\n",
             )
-        for i in range(len(config.profiles)):
-            sca = config.profiles[i].sca
+        for i, sca in enumerate(config.scas):
             for release_id, old in ((old_id, True), (new_id, False)):
                 _write_text(
                     project_dir / release_id / "reports" / f"{sca}.json",
-                    _dump_json(_report_document(config, p, files, i, release_id, old)),
+                    _dump_json(_report_document(config.seed, p, files, i, sca, release_id, old)),
                 )
-        feature_rows.append((truth.project_id, _project_features(config, p, files)))
+        values = _project_features(config, p, files)
+        csv_lines.append(project.project_id + "," + ",".join(repr(v) for v in values))
 
     _write_text(out_dir / "scas.txt", "".join(f"{sca}\n" for sca in config.scas))
-    _write_text(out_dir / "taxonomy.tsv", default_taxonomy_text())
+    _write_text(out_dir / "taxonomy.tsv", default_taxonomy_path().read_text(encoding="utf-8"))
     map_lines = ["sca\toriginal_type\tgdc_id"]
-    for profile in config.profiles:
+    for sca in config.scas:
         for category in SITE_CATEGORIES:
-            map_lines.append(f"{profile.sca}\t{profile.sca.upper()}-{category}\t{category}")
+            map_lines.append(f"{sca}\t{sca.upper()}-{category}\t{category}")
     _write_text(out_dir / "gdc_map.tsv", "\n".join(map_lines) + "\n")
-    names = feature_names(config)
-    csv_lines = ["project," + ",".join(names)]
-    for project_id, values in feature_rows:
-        csv_lines.append(project_id + "," + ",".join(repr(v) for v in values))
     _write_text(out_dir / "features.csv", "\n".join(csv_lines) + "\n")
-    truth = CorpusTruth(seed=config.seed, scas=config.scas, projects=tuple(truths))
-    _write_text(out_dir / "truth.json", _dump_json(_truth_document(truth)))
+    _write_text(out_dir / "truth.json", truth_text)
     return truth

@@ -9,6 +9,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import sys
+from pathlib import Path
 
 from sca_reco.core import (
     AlignedWarning,
@@ -18,6 +19,8 @@ from sca_reco.core import (
     WarningLabel,
 )
 from sca_reco.ingestion import GdcMapping
+from sca_reco.matching import AuditRecord, ReleasePair, label_release_detailed
+from sca_reco.synth import CorpusTruth, ProjectTruth, SiteTruth
 
 A = WarningLabel.ACTIONABLE
 U = WarningLabel.UNACTIONABLE
@@ -104,6 +107,14 @@ def identity_mapping(pairs: dict[tuple[str, str], str] | None = None) -> GdcMapp
     return GdcMapping(entries)
 
 
+def label_snapshot(
+    snap: ProjectSnapshot, sca: str, mapping: GdcMapping
+) -> tuple[list[AlignedWarning], list[AuditRecord]]:
+    """Label one analyzer's warnings with a ReleasePair of the snapshot's own."""
+    releases = ReleasePair.diff(snap.release_old, snap.release_new)
+    return label_release_detailed(snap, sca, mapping, releases)
+
+
 def java_class(class_name: str, package: str = "com.example", n_methods: int = 2) -> list[str]:
     """A small pseudo-Java file with one method per block of 4 lines."""
     lines = [f"package {package};", "", f"public class {class_name} " + "{"]
@@ -126,3 +137,21 @@ def reference_dumps(value) -> str:
         return json.dumps(value, sort_keys=True, separators=(",", ":"))
     finally:
         sys.setrecursionlimit(limit)
+
+
+def load_truth(path: str | Path) -> CorpusTruth:
+    """Read a generated ``truth.json`` back into the generator's records."""
+    document = json.loads(Path(path).read_text(encoding="utf-8"))
+    projects = tuple(
+        ProjectTruth(
+            project_id=entry["project"],
+            archetype=entry["archetype"],
+            champion=entry["champion"],
+            sites=tuple(
+                SiteTruth(**{**row, "detected_by": tuple(row["detected_by"])})
+                for row in entry["sites"]
+            ),
+        )
+        for entry in document["projects"]
+    )
+    return CorpusTruth(document["seed"], tuple(document["scas"]), projects)

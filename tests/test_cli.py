@@ -76,6 +76,18 @@ def test_data_error_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_synth_over_another_corpus_exits_1(tmp_path, capsys):
+    out = tmp_path / "s"
+    argv = ["synth", "--out", str(out), "--files", "1", "--seed", "5"]
+    assert cli.main(argv + ["--projects", "12"]) == 0
+    written = sorted(out.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv + ["--projects", "10"]) == 1
+    assert str(out) in capsys.readouterr().err
+    assert sorted(out.rglob("*")) == written
+    assert cli.main(argv + ["--projects", "12"]) == 0
+
+
 def test_internal_error_exits_3(workspace, monkeypatch):
     def boom(path):
         raise RuntimeError("wires crossed")
@@ -522,3 +534,78 @@ def test_sweep_command(workspace, tmp_path, capsys):
         ]
     )
     assert rc == 1
+
+
+BAD_VALUES = {
+    "null": None,
+    "int": 5,
+    "float": 1.5,
+    "nan": math.nan,
+    "string": "x",
+    "list": [],
+    "object": {},
+}
+
+# Fields of a stored record, each with the kinds of BAD_VALUES it accepts;
+# every other kind makes the record malformed.  A path element that is an
+# int indexes a list.  Evaluation records also hold p, r and f_beta, which
+# are recomputed from the counts and never read.
+LABEL_FIELDS = {
+    ("project",): {"string"},
+    ("warnings",): {"list"},
+    ("warnings", 0, "sca"): {"string"},
+    ("warnings", 0, "index"): {"int"},
+    ("warnings", 0, "category"): {"string"},
+    ("warnings", 0, "class"): {"string"},
+    ("warnings", 0, "start_line"): {"int"},
+    ("warnings", 0, "end_line"): {"int"},
+    ("warnings", 0, "label"): set(),
+    ("warnings", 0, "stage"): {"null"},
+    ("warnings", 0, "matched_line"): {"null", "int"},
+    ("warnings", 0, "matched_index"): {"null", "int"},
+}
+EVALUATION_FIELDS = {
+    ("project",): {"string"},
+    ("beta",): {"int", "float"},
+    ("scores",): set(),
+    ("scores", 0, "sca"): {"string"},
+    ("scores", 0, "tp"): {"int"},
+    ("scores", 0, "fp"): {"int"},
+    ("scores", 0, "union_actionable"): {"int"},
+    ("optimal",): set(),
+    ("optimal", 0): {"string"},
+}
+
+
+def malformed_cases(kind: str, fields: dict) -> list:
+    return [
+        pytest.param(kind, path, name, id=f"{kind}-{'.'.join(map(str, path))}-{name}")
+        for path, accepted in fields.items()
+        for name in BAD_VALUES
+        if name not in accepted
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    malformed_cases("labels", LABEL_FIELDS) + malformed_cases("evaluations", EVALUATION_FIELDS),
+)
+def test_malformed_stored_record_exits_2(workspace, tmp_path, capsys, kind, path, value):
+    lines = workspace[kind].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    target = record
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = BAD_VALUES[value]
+    lines[1] = json.dumps(record)
+    broken = tmp_path / workspace[kind].name
+    broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if kind == "labels":
+        argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels", str(broken)]
+        argv += ["--out-dir", str(tmp_path / "eval")]
+    else:
+        argv = ["train", "--evaluations", str(broken), "--features", str(workspace["features"])]
+        argv += ["--model", "dt", "--out", str(tmp_path / "model.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert f"{broken}:2: " in capsys.readouterr().err

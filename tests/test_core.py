@@ -11,6 +11,7 @@ from sca_reco.core import (
     GdcCategory,
     GdcTaxonomy,
     RawWarning,
+    default_taxonomy_path,
     format_beta,
     load_taxonomy,
     parse_beta,
@@ -19,7 +20,6 @@ from sca_reco.core import (
     warning_sort_key,
 )
 from sca_reco.exceptions import InvalidBeta, ParseError, SchemaError
-from sca_reco.pipeline import default_taxonomy_path
 
 
 def test_packaged_taxonomy_shape():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import A, U, UNKNOWN, aw, identity_mapping, raw, snapshot
+from helpers import A, U, UNKNOWN, aw, identity_mapping, label_snapshot, raw, snapshot
 from sca_reco import alignment, matching
 from sca_reco.alignment import (
     AlignedGroup,
@@ -236,7 +236,7 @@ def test_indexed_labels_equal_full_scan(pair, reports_old, reports_new):
     for sca in SCAS:
         indexed = label_release_detailed(snap, sca, mapping, releases)
         assert indexed == reference_label(snap, sca, mapping)
-        assert label_release_detailed(snap, sca, mapping) == indexed
+        assert label_snapshot(snap, sca, mapping) == indexed
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -267,7 +267,7 @@ def test_consumed_location_candidates_fall_through_to_hash():
     old = [raw(start=1, method="m1()") for _ in range(3)]
     new = [raw(start=1, method="m1()"), raw(start=3, method="m2()"), raw(start=7, method="m1()")]
     snap = snapshot(files, files, {"alpha": old}, {"alpha": new})
-    labeled, audit = label_release_detailed(snap, "alpha", identity_mapping())
+    labeled, audit = label_snapshot(snap, "alpha", identity_mapping())
     assert (labeled, audit) == reference_label(snap, "alpha", identity_mapping())
     assert [(r.stage, r.matched_line) for r in audit] == [
         (MatchStage.LOCATION, 1),
@@ -286,7 +286,7 @@ def test_hash_hit_among_location_candidates_is_not_final():
     old = [raw(class_path="com.example.Bar", method="m2()", start=2)]
     new = [raw(class_path="com.example.Bar", method="m1()", start=1), raw(start=2)]
     snap = snapshot(files, files, {"alpha": old}, {"alpha": new})
-    labeled, audit = label_release_detailed(snap, "alpha", identity_mapping())
+    labeled, audit = label_snapshot(snap, "alpha", identity_mapping())
     assert (labeled, audit) == reference_label(snap, "alpha", identity_mapping())
     assert (audit[0].stage, audit[0].matched_origin) == (MatchStage.HASH, 1)
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from helpers import raw
-from sca_reco.core import WarningLabel, load_taxonomy
+from sca_reco.core import WarningLabel, default_taxonomy_path, load_taxonomy
 from sca_reco.exceptions import (
     DuplicateConflict,
     IoError,
@@ -27,7 +27,6 @@ from sca_reco.ingestion import (
     load_snapshot,
     load_source_tree,
 )
-from sca_reco.pipeline import default_taxonomy_path
 
 
 def write_report(path, warnings, sca="spotbugs", project="p1", release="r1"):

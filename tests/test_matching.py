@@ -6,7 +6,17 @@ import re
 
 import pytest
 
-from helpers import A, U, UNKNOWN, aw, identity_mapping, raw, release, snapshot
+from helpers import (
+    A,
+    U,
+    UNKNOWN,
+    aw,
+    identity_mapping,
+    label_snapshot,
+    raw,
+    release,
+    snapshot,
+)
 from sca_reco.core import WarningLabel
 from sca_reco.exceptions import SchemaError
 from sca_reco.matching import (
@@ -15,7 +25,6 @@ from sca_reco.matching import (
     ReleasePair,
     compute_line_mapping,
     hash_window,
-    label_release_detailed,
     match_hash,
     match_location,
     match_snippet,
@@ -354,7 +363,7 @@ def test_label_persisting_warning_unactionable():
     files = {"com/example/Foo.java": class_file("Foo", ["    int v = load();"])}
     reports = {"alpha": [raw(start=4)]}
     snap = snapshot(files, files, reports, reports)
-    labeled, audit = label_release_detailed(snap, "alpha", identity_mapping())
+    labeled, audit = label_snapshot(snap, "alpha", identity_mapping())
     assert [w.label for w in labeled] == [U]
     assert audit[0].stage is MatchStage.LOCATION
     assert audit[0].matched_line == 4
@@ -364,14 +373,14 @@ def test_label_fixed_warning_actionable():
     old_files = {"com/example/Foo.java": class_file("Foo", ["    int v = load();"])}
     new_files = {"com/example/Foo.java": class_file("Foo", ["    int v = safe();"])}
     snap = snapshot(old_files, new_files, {"alpha": [raw(start=4)]}, {"alpha": []})
-    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
     assert [w.label for w in labeled] == [A]
 
 
 def test_label_deleted_file_unknown():
     old_files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
     snap = snapshot(old_files, {"Other.java": ["x"]}, {"alpha": [raw(start=4)]}, {"alpha": []})
-    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
     assert [w.label for w in labeled] == [UNKNOWN]
 
 
@@ -379,7 +388,7 @@ def test_label_unresolvable_class_unknown():
     files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
     ghost = raw(class_path="com.example.Ghost", start=4)
     snap = snapshot(files, files, {"alpha": [ghost]}, {"alpha": []})
-    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
     assert [w.label for w in labeled] == [UNKNOWN]
 
 
@@ -388,7 +397,7 @@ def test_label_identity_pair_all_unactionable():
     files = {"com/example/Foo.java": class_file("Foo", body)}
     reports = {"alpha": [raw(start=5), raw(start=8, original_type="LEAK"), raw(start=11)]}
     snap = snapshot(files, files, reports, reports)
-    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
     assert all(w.label is U for w in labeled)
 
 
@@ -397,7 +406,7 @@ def test_label_one_to_one_consumption():
     old_reports = {"alpha": [raw(start=4), raw(start=5)]}
     new_reports = {"alpha": [raw(start=4)]}
     snap = snapshot(files, files, old_reports, new_reports)
-    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
     assert sorted(w.label.value for w in labeled) == ["actionable", "unactionable"]
     # canonical order processes line 4 first, so it wins the single candidate
     assert labeled[0].start_line == 4 and labeled[0].label is U
@@ -414,7 +423,7 @@ def test_label_report_order_irrelevant():
 
     def run(old_order, new_order):
         snap = snapshot(old_files, new_files, {"alpha": old_order}, {"alpha": new_order})
-        labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+        labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
         return [(w.class_info, w.start_line, w.new_type, w.label) for w in labeled]
 
     baseline = run(warnings, new_warnings)
@@ -426,7 +435,7 @@ def test_label_unlisted_analyzer_rejected():
     files = {"com/example/Foo.java": class_file("Foo", [])}
     snap = snapshot(files, files, {"alpha": []}, {"alpha": []})
     with pytest.raises(SchemaError):
-        label_release_detailed(snap, "missing", identity_mapping())
+        label_snapshot(snap, "missing", identity_mapping())
 
 
 def test_cascade_dominance_on_reported_pair():
@@ -449,5 +458,5 @@ def test_labeled_output_in_canonical_order():
     files = {"com/example/Foo.java": class_file("Foo", ["    int a;", "    int b;", "    int c;"])}
     reports = {"alpha": [raw(start=6), raw(start=4), raw(start=5)]}
     snap = snapshot(files, files, reports, reports)
-    labeled = label_release_detailed(snap, "alpha", identity_mapping())[0]
+    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
     assert [w.start_line for w in labeled] == [4, 5, 6]

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from helpers import load_truth
 from sca_reco.core import WarningLabel
 from sca_reco.exceptions import ConfigError
 from sca_reco.ingestion import list_projects, load_sca_order
@@ -22,7 +24,6 @@ from sca_reco.synth import (
     SynthConfig,
     feature_names,
     generate_corpus,
-    load_truth,
 )
 
 SMALL = SynthConfig(n_projects=4, files_per_project=2, seed=11)
@@ -123,8 +124,9 @@ def test_pipeline_reproduces_site_truth(small_corpus):
     context = load_corpus_context(out)
     all_labels, failures = label_corpus(context)
     assert failures == []
+    projects = {project.project_id: project for project in truth.projects}
     for labels in all_labels:
-        project = truth.project(labels.project_id)
+        project = projects[labels.project_id]
         for sca in truth.scas:
             sites = [s for s in project.sites if sca in s.detected_by]
             # reported starts jitter by at most one line below the site start
@@ -190,3 +192,15 @@ def test_minimal_corpus(tmp_path):
     truth = generate_corpus(MINIMAL, tmp_path / "one")
     assert [p.project_id for p in truth.projects] == ["p000"]
     assert load_truth(tmp_path / "one" / "truth.json") == truth
+
+
+def test_refuses_a_directory_holding_anything_else(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    generate_corpus(MINIMAL, empty)
+    other = tmp_path / "other"
+    other.mkdir()
+    (other / "notes.txt").write_text("keep me\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(str(other))):
+        generate_corpus(MINIMAL, other)
+    assert [path.name for path in other.iterdir()] == ["notes.txt"]
