@@ -5,7 +5,8 @@ and ``_candidate_columns`` that fitted one tree at a time, and
 ``reference_forest`` the forest loop that fitted its trees one by one.  The
 lockstep grower must give the same nodes and bit-equal importances on
 tie-heavy inputs, and must fit and save trees far deeper than Python's
-recursion limit.
+recursion limit.  ``walk_predict`` walks a tree's nested dict one row at a
+time; ``predict`` of fitted and of loaded trees and forests must equal it.
 """
 
 from __future__ import annotations
@@ -287,3 +288,59 @@ def test_deep_tree_model_saves_and_round_trips(tmp_path, capsys):
     X = model.scaler.transform(dataset.matrix)
     assert (loaded.predict(X) == model.estimator.predict(X)).all()
     assert (loaded.predict(X) == np.arange(n) % 2).all()
+
+
+def walk_predict(root, X):
+    """Each row's leaf class, found by walking the nested dict from the root."""
+    predictions = []
+    for row in X:
+        node = root
+        while "feature" in node:
+            node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
+        predictions.append(node["class"])
+    return np.array(predictions, dtype=np.int64)
+
+
+def vote_predict(roots, X, k):
+    """The forest vote over ``walk_predict``; ties go to the lowest class."""
+    votes = np.zeros((len(X), k), dtype=np.int64)
+    for root in roots:
+        votes[np.arange(len(X)), walk_predict(root, X)] += 1
+    return votes.argmax(axis=1)
+
+
+# quarters hit the data values (halves), the thresholds between them and
+# values outside the range
+PROBE_ROWS = st.lists(st.lists(st.integers(-1, 9).map(lambda v: v / 4.0), min_size=6, max_size=6))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_heavy_data(), MAX_FEATURES, MAX_DEPTH, PROBE_ROWS, st.integers(0, 2**32))
+def test_tree_predict_equals_the_nested_walk(data, max_features, max_depth, probes, seed):
+    X, y, k = data
+    d = X.shape[1]
+    rows = np.vstack([X, np.array(probes, dtype=np.float64).reshape(-1, 6)[:, :d]])
+    fitted = DecisionTreeClassifier(
+        max_depth=max_depth, max_features=budget(max_features, d), random_state=seed
+    ).fit(X, y, n_classes=k)
+    state = json.loads(json.dumps(fitted.get_fitted_state()))
+    loaded = DecisionTreeClassifier().load_fitted_state(state)
+    expected = walk_predict(state["tree"], rows)
+    assert (fitted.predict(rows) == expected).all()
+    assert (loaded.predict(rows) == expected).all()
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_heavy_data(), MAX_DEPTH, st.integers(1, 12), PROBE_ROWS, st.integers(0, 2**32))
+def test_forest_predict_equals_the_nested_vote(data, max_depth, n_estimators, probes, seed):
+    X, y, k = data
+    d = X.shape[1]
+    rows = np.vstack([X, np.array(probes, dtype=np.float64).reshape(-1, 6)[:, :d]])
+    fitted = RandomForestClassifier(
+        n_estimators=n_estimators, max_depth=max_depth, random_state=seed
+    ).fit(X, y, n_classes=k)
+    state = json.loads(json.dumps(fitted.get_fitted_state()))
+    loaded = RandomForestClassifier().load_fitted_state(state)
+    expected = vote_predict([tree["tree"] for tree in state["trees"]], rows, k)
+    assert (fitted.predict(rows) == expected).all()
+    assert (loaded.predict(rows) == expected).all()

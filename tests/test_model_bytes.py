@@ -1,0 +1,106 @@
+"""The bytes of the tree models' outputs, pinned.
+
+A small synthetic corpus goes through ``train``, ``recommend``, ``mine``
+and ``sweep`` with the tree kinds.  The SHA-256 of each model file and of
+its recommendations, the CV line that ``train --cv-folds`` prints,
+``mine``'s output and ``sweep.tsv`` are fixed below, so a change to how
+trees are grown, stored or applied must leave every one of them as it is.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from sca_reco import cli
+
+PINNED_MODEL_SHA256 = {
+    "rf": "32616e1194b43e693ba347259fb530a35b6bc5361cb36f3c59ed05350502b1b7",
+    "dt": "377bc1b06e72f06e76d8311cae7a51c581f1477cacdb8fc9899fef8d58b37266",
+}
+PINNED_CV_LINES = {
+    "rf": "cv\t0.6916666666666667\t0.6416666666666666\t0.6638888888888889\n",
+    "dt": "cv\t0.4958333333333333\t0.44583333333333336\t0.4680555555555555\n",
+}
+# recommendations for the 40 projects of another corpus, which the models
+# never saw, so forest votes and unseen feature values are exercised
+PINNED_RECOMMENDATIONS_SHA256 = {
+    "rf": "10b33a80a57dc36866c42d9c719b518db97cabcd2a52cb7ac835f44b6544acf0",
+    "dt": "6d365bcfee64cd8ed4c01644df58e401e36e6904af61b20b447421234748c060",
+}
+PINNED_MINE_STDOUT = (
+    "size\tf1_micro\n"
+    "1\t0.4783549783549783\n"
+    "2\t0.6569264069264069\n"
+    "3\t0.7305194805194805\n"
+    "4\t0.8138528138528138\n"
+    "5\t0.7305194805194805\n"
+    "6\t0.6829004329004329\n"
+    "7\t0.7305194805194805\n"
+    "8\t0.6829004329004329\n"
+    "selected (4): loc_total,methods_per_class,noise_0,noise_1\n"
+)
+PINNED_SWEEP_TSV = (
+    "beta\tp_micro\tr_micro\tf1_micro\n"
+    "0\t0.7166666666666667\t0.6833333333333332\t0.6984848484848485\n"
+    "0.5\t0.7916666666666666\t0.7916666666666666\t0.7916666666666666\n"
+    "1\t0.6916666666666667\t0.6416666666666666\t0.6638888888888889\n"
+    "2\t0.775\t0.75\t0.7613636363636364\n"
+    "inf\t0.5\t0.3988095238095238\t0.4420995670995671\n"
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def evaluated(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    corpus = root / "corpus"
+    argv = ["synth", "--out", str(corpus), "--projects", "16", "--files", "3", "--seed", "7"]
+    assert cli.main(argv) == 0
+    assert cli.main(["evaluate", "--corpus", str(corpus), "--out-dir", str(root / "eval")]) == 0
+    other = root / "other"
+    argv = ["synth", "--out", str(other), "--projects", "40", "--files", "3", "--seed", "8"]
+    assert cli.main(argv) == 0
+    return {
+        "root": root,
+        "unseen": str(other / "features.csv"),
+        "data": [
+            "--evaluations", str(root / "eval" / "evaluations.jsonl"),
+            "--features", str(corpus / "features.csv"),
+        ],
+    }
+
+
+@pytest.mark.parametrize("kind", ["rf", "dt"])
+def test_train_bytes_are_pinned(evaluated, capsys, kind):
+    model = evaluated["root"] / f"{kind}.json"
+    argv = ["train", *evaluated["data"], "--model", kind, "--cv-folds", "4", "--out", str(model)]
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == PINNED_CV_LINES[kind]
+    assert sha256(model.read_bytes()) == PINNED_MODEL_SHA256[kind]
+    argv = ["recommend", "--model-file", str(model), "--features", evaluated["unseen"]]
+    assert cli.main(argv) == 0
+    recommendations = capsys.readouterr().out.encode()
+    assert sha256(recommendations) == PINNED_RECOMMENDATIONS_SHA256[kind]
+
+
+def test_mine_bytes_are_pinned(evaluated, tmp_path, capsys):
+    argv = ["mine", *evaluated["data"], "--model", "rf", "--folds", "3"]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == PINNED_MINE_STDOUT
+    selected = (tmp_path / "selected_features.txt").read_text(encoding="utf-8")
+    assert selected.splitlines() == stdout.splitlines()[-1].split(": ")[1].split(",")
+
+
+def test_sweep_bytes_are_pinned(evaluated, tmp_path, capsys):
+    out = tmp_path / "sweep.tsv"
+    argv = ["sweep", *evaluated["data"], "--model", "rf", "--folds", "4"]
+    assert cli.main(argv + ["--betas", "0,0.5,1,2,inf", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == PINNED_SWEEP_TSV

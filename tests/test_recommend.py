@@ -17,7 +17,7 @@ from sca_reco.effectiveness import (
     reevaluate,
     score_sca,
 )
-from sca_reco.estimators import DecisionTreeClassifier
+from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier
 from sca_reco.exceptions import (
     DegenerateDataset,
     FeatureMismatch,
@@ -42,6 +42,7 @@ from sca_reco.recommend import (
     stratified_folds,
     sweep_table,
     train,
+    train_batch,
 )
 from sca_reco.rng import SplitMix64
 
@@ -232,6 +233,27 @@ def test_cross_validate_fits_each_non_empty_fold_once(monkeypatch):
     cross_validate(two_class_dataset(), ModelKind.DT, folds=12, seed=0)
     assert rows == [10] * 6  # each non-empty fold holds out one row per class
     assert max(alive) <= 1  # each fold's model is dropped before the next but one
+
+
+def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
+    # a batch that fitted every fold's forest up front would hold them all
+    # in memory at once
+    fits = []
+    original = RandomForestClassifier.fit
+
+    def counted(self, X, y, n_classes=None):
+        fits.append(len(X))
+        return original(self, X, y, n_classes)
+
+    monkeypatch.setattr(RandomForestClassifier, "fit", counted)
+    dataset = two_class_dataset()
+    training_sets = [(dataset.subset_rows(list(range(start, 12))), start) for start in (0, 2, 4)]
+    models = train_batch(training_sets, ModelKind.RF, FAST_HP[ModelKind.RF])
+    assert fits == []
+    next(models)
+    assert fits == [12]
+    next(models)
+    assert fits == [12, 10]
 
 
 # baselines
