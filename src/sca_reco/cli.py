@@ -92,7 +92,7 @@ def _cmd_evaluate(args) -> int:
     beta = parse_beta(args.beta)
     if args.labels:
         evaluations, failures = evaluate_label_records(
-            read_labels(args.labels), context.sca_order, beta
+            read_labels(args.labels, context.sca_order), context.sca_order, beta
         )
     else:
         evaluations, failures = evaluate_corpus(context, beta, args.jobs)
@@ -109,14 +109,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _load_dataset(args):
+    """The dataset of ``--evaluations`` and ``--features``, with the stored
+    evaluations and feature vectors it joins.  A check that spans the
+    evaluation records names the evaluations file."""
     evaluations = read_evaluations(args.evaluations)
     vectors = load_features(args.features)
-    return dataset_from_evaluations(vectors, evaluations), evaluations
+    try:
+        dataset = dataset_from_evaluations(vectors, evaluations)
+    except DataError as exc:
+        raise type(exc)(f"{args.evaluations}: {exc}") from exc
+    return dataset, evaluations, vectors
 
 
 def _cmd_mine(args) -> int:
     kind = parse_model_kind(args.model)
-    dataset, _ = _load_dataset(args)
+    dataset, _, _ = _load_dataset(args)
     result = rfe_cv(dataset, kind, folds=args.folds, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -135,7 +142,7 @@ def _cmd_mine(args) -> int:
 
 def _cmd_train(args) -> int:
     kind = parse_model_kind(args.model)
-    dataset, _ = _load_dataset(args)
+    dataset, _, _ = _load_dataset(args)
     if args.feature_list:
         names = [
             line.strip()
@@ -200,8 +207,7 @@ def _cmd_sweep(args) -> int:
     betas = [parse_beta(token) for token in args.betas.split(",") if token.strip()]
     if not betas:
         raise ConfigError("--betas lists no values")
-    evaluations = read_evaluations(args.evaluations)
-    vectors = load_features(args.features)
+    _, evaluations, vectors = _load_dataset(args)  # checks the records before any fit
     rows = beta_sweep(evaluations, vectors, kind, betas, folds=args.folds, seed=args.seed)
     table = sweep_table(rows)
     Path(args.out).write_text(table, encoding="utf-8")

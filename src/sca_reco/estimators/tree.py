@@ -1,12 +1,23 @@
-"""CART decision trees with Gini impurity, grown in lockstep.
+"""CART decision trees with Gini impurity, grown in lockstep as flat arrays.
+
+A fitted tree is a row of flat node arrays (``Nodes``): feature, threshold,
+left, right and class, one entry per node, with node 0 the root.  A forest
+keeps all of its trees as rows of one set of arrays.  Growth and prediction
+work on these arrays with no Python work per node.  The nested dict of a
+tree (``{"feature", "threshold", "left", "right"}`` or ``{"class"}``) is made
+only at the edges: ``DecisionTreeClassifier.tree_`` renders it for the model
+file, and ``load_fitted_state`` checks a loaded one node by node and fills
+the arrays from it.
 
 ``fit_lockstep`` grows a batch of trees at once: the single tree of a
 ``DecisionTreeClassifier`` or all trees of a ``RandomForestClassifier``.
-Each tree keeps its own depth-first stack, pushing the right child before
-the left, so it visits its nodes in preorder.  Every step pops the next node
-of every tree that still has one and searches all of their splits in one
-vectorized pass, which removes the numpy call overhead of many small
-per-node searches.  Growing one depth at a time instead would not keep the
+Each tree keeps its own depth-first stack of node ids, pushing the right
+child before the left, so it visits its nodes in preorder.  Every step pops
+the next node of every tree that still has one and searches all of their
+splits in one vectorized pass, which removes the numpy call overhead of
+many small per-node searches.  Row membership is one node id per row, so a
+popped node's rows are those that hold its id, and a split moves its rows to
+the children's ids.  Growing one depth at a time instead would not keep the
 draw order: a right child's draws depend on the size of its left sibling's
 subtree.
 
@@ -20,20 +31,161 @@ feature in candidate order, then to the lower threshold; leaf ties go to
 the smallest class index.  Only a node that passes the stop checks (impure,
 at least ``min_samples_split`` rows, above ``max_depth``) draws its
 ``permutation(d)``, from its own tree's PCG64 stream and in preorder, and
-importances accumulate in that same order.  So a tree's nodes, thresholds
-and importances do not depend on which other trees share its batch.
+importances accumulate in that same order.  The permutations are drawn
+ahead in blocks (``Generator.permuted`` on stacked ``arange(d)`` rows gives
+the same stream as successive ``permutation(d)`` calls), and the generators
+of a batch are built together by ``rng.pcg64_generators``.  So a tree's
+nodes, thresholds and importances do not depend on which other trees share
+its batch.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..rng import derive_seed
+from ..rng import derive_seeds, pcg64_generators
 from .base import check_array, check_count, check_is_fitted, check_X_y
 
 # cap on rows x features x classes per lockstep batch, which bounds the
 # memory of the per-step arrays; larger forests are grown in several batches
 BATCH_CELLS = 1 << 22
+
+# permutations each tree draws ahead at a time
+PERMUTATION_BLOCK = 8
+
+
+class Nodes(NamedTuple):
+    """Trees as flat node arrays, one row per tree.
+
+    A child's id is above its parent's.  A leaf has feature -1 and points
+    left and right to itself, so a descent may go on past it; ``depth`` is
+    how many steps reach every leaf of a tree.
+    """
+
+    feature: np.ndarray  # (trees, capacity) int64
+    threshold: np.ndarray  # (trees, capacity) float64
+    left: np.ndarray  # (trees, capacity) int64
+    right: np.ndarray  # (trees, capacity) int64
+    leaf_class: np.ndarray  # (trees, capacity) int64, read at leaves only
+    count: np.ndarray  # (trees,) nodes in use
+    depth: np.ndarray  # (trees,) edges on the longest root-to-leaf path
+
+    @classmethod
+    def leaves_only(cls, n_trees: int, capacity: int) -> "Nodes":
+        ids = np.broadcast_to(np.arange(capacity), (n_trees, capacity))
+        return cls(
+            feature=np.full((n_trees, capacity), -1, dtype=np.int64),
+            threshold=np.zeros((n_trees, capacity)),
+            left=ids.copy(),
+            right=ids.copy(),
+            leaf_class=np.zeros((n_trees, capacity), dtype=np.int64),
+            count=np.ones(n_trees, dtype=np.int64),
+            depth=np.zeros(n_trees, dtype=np.int64),
+        )
+
+    @classmethod
+    def stack(cls, parts: list["Nodes"]) -> "Nodes":
+        """The trees of ``parts`` in order, as one set of arrays."""
+        capacity = max(part.feature.shape[1] for part in parts)
+        filled = cls.leaves_only(sum(len(part.count) for part in parts), capacity)
+        start = 0
+        for part in parts:
+            rows, width = part.feature.shape
+            for name in ("feature", "threshold", "left", "right", "leaf_class"):
+                getattr(filled, name)[start : start + rows, :width] = getattr(part, name)
+            filled.count[start : start + rows] = part.count
+            filled.depth[start : start + rows] = part.depth
+            start += rows
+        return filled
+
+    def trimmed(self) -> "Nodes":
+        """The same trees with no capacity beyond the largest one."""
+        width = int(self.count.max())
+        return self._replace(**{
+            name: np.ascontiguousarray(getattr(self, name)[:, :width])
+            for name in ("feature", "threshold", "left", "right", "leaf_class")
+        })
+
+    def tree(self, t: int) -> "Nodes":
+        """Tree ``t`` alone."""
+        return Nodes(*(array[t : t + 1] for array in self))
+
+    def classes(self, X: np.ndarray) -> np.ndarray:
+        """The leaf class that each tree gives each row of ``X``, (trees, rows)."""
+        n_trees, capacity = self.feature.shape
+        # a node as its index into the raveled arrays, starting at each root
+        offset = (np.arange(n_trees) * capacity)[:, None]
+        node = np.broadcast_to(offset, (n_trees, X.shape[0]))
+        rows = np.arange(X.shape[0])
+        feature, threshold = self.feature.ravel(), self.threshold.ravel()
+        left, right = (self.left + offset).ravel(), (self.right + offset).ravel()
+        for _ in range(int(self.depth.max(initial=0))):
+            goes_left = X[rows, feature[node]] <= threshold[node]
+            node = np.where(goes_left, left[node], right[node])
+        return self.leaf_class.ravel()[node]
+
+    def render(self, t: int) -> dict:
+        """Tree ``t`` as the nested dict of the model file, built bottom-up."""
+        count = int(self.count[t])
+        feature = self.feature[t, :count].tolist()
+        threshold = self.threshold[t, :count].tolist()
+        left, right = self.left[t, :count].tolist(), self.right[t, :count].tolist()
+        leaf_class = self.leaf_class[t, :count].tolist()
+        made: list[dict] = [{}] * count
+        for i in reversed(range(count)):  # children before their parent
+            if feature[i] < 0:
+                made[i] = {"class": leaf_class[i]}
+            else:
+                made[i] = {
+                    "feature": feature[i],
+                    "threshold": threshold[i],
+                    "left": made[left[i]],
+                    "right": made[right[i]],
+                }
+        return made[0]
+
+    @classmethod
+    def parse(cls, root: dict, n_features: int, n_classes: int) -> "Nodes":
+        """One saved tree's arrays, checking every node so that a descent
+        reaches only valid features and classes.  Ids follow preorder."""
+        feature, threshold, left, right, leaf_class, depth = [], [], [], [], [], []
+        stack = [(root, 0, None)]  # (node, depth, (left or right, parent id) to fill)
+        while stack:
+            node, level, link = stack.pop()
+            i = len(feature)
+            if link is not None:
+                link[0][link[1]] = i
+            depth.append(level)
+            left.append(i)
+            right.append(i)
+            if "feature" not in node:
+                if not _is_index(node["class"], n_classes):
+                    raise ValueError("a tree node holds a bad class, feature or threshold")
+                feature.append(-1)
+                threshold.append(0.0)
+                leaf_class.append(node["class"])
+                continue
+            value = node["threshold"]
+            if type(value) not in (int, float) or not _is_index(node["feature"], n_features):
+                raise ValueError("a tree node holds a bad class, feature or threshold")
+            try:
+                threshold.append(float(value))
+            except OverflowError:  # an int beyond the float range
+                raise ValueError("a tree node holds a bad class, feature or threshold") from None
+            feature.append(node["feature"])
+            leaf_class.append(0)
+            stack += [(node["right"], level + 1, (right, i)), (node["left"], level + 1, (left, i))]
+        return cls(
+            feature=np.array([feature], dtype=np.int64),
+            threshold=np.array([threshold], dtype=np.float64),
+            left=np.array([left], dtype=np.int64),
+            right=np.array([right], dtype=np.int64),
+            leaf_class=np.array([leaf_class], dtype=np.int64),
+            count=np.array([len(feature)], dtype=np.int64),
+            depth=np.array([max(depth)], dtype=np.int64),
+        )
 
 
 class DecisionTreeClassifier:
@@ -42,7 +194,9 @@ class DecisionTreeClassifier:
     ``max_features`` limits how many non-constant features each node
     examines (drawn in seeded random order; constant features do not consume
     the budget).  ``feature_importances_`` accumulates total impurity
-    decrease weighted by the fraction of samples reaching each split.
+    decrease weighted by the fraction of samples reaching each split.  The
+    fitted tree is ``nodes_``, flat arrays; ``tree_`` renders it as a nested
+    dict.
     """
 
     def __init__(
@@ -58,29 +212,34 @@ class DecisionTreeClassifier:
         self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
         self.max_features = max_features
         self.random_state = random_state
-        self.tree_ = None
+        self.nodes_ = None
         self.n_classes_ = None
         self.n_features_ = None
         self.feature_importances_ = None
 
+    @property
+    def tree_(self) -> dict | None:
+        """The fitted tree as nested dicts, made anew on every read."""
+        return None if self.nodes_ is None else self.nodes_.render(0)
+
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, k = check_X_y(X, y, n_classes)
-        fit_lockstep([self], X, y, k, np.arange(X.shape[0])[None, :])
+        nodes, importances = fit_lockstep(
+            X, y, k, np.arange(X.shape[0])[None, :], [self.random_state or 0],
+            self.max_features, self.max_depth, self.min_samples_split,
+        )
+        self.nodes_ = nodes
+        self.n_classes_ = k
+        self.n_features_ = X.shape[1]
+        self.feature_importances_ = importances[0]
         return self
 
     def predict(self, X) -> np.ndarray:
-        check_is_fitted(self, "tree_")
-        X = check_array(X)
-        predictions = np.empty(X.shape[0], dtype=np.int64)
-        for i, row in enumerate(X):
-            node = self.tree_
-            while "feature" in node:
-                node = node["left"] if row[node["feature"]] <= node["threshold"] else node["right"]
-            predictions[i] = node["class"]
-        return predictions
+        check_is_fitted(self, "nodes_")
+        return self.nodes_.classes(check_array(X))[0]
 
     def get_fitted_state(self) -> dict:
-        check_is_fitted(self, "tree_")
+        check_is_fitted(self, "nodes_")
         return {
             "n_classes": int(self.n_classes_),
             "n_features": int(self.n_features_),
@@ -92,18 +251,7 @@ class DecisionTreeClassifier:
         reaches only valid features and classes."""
         self.n_classes_ = int(state["n_classes"])
         self.n_features_ = int(state["n_features"])
-        stack = [state["tree"]]
-        while stack:
-            node = stack.pop()
-            if "feature" not in node:
-                valid = _is_index(node["class"], self.n_classes_)
-            else:
-                threshold_ok = type(node["threshold"]) in (int, float)
-                valid = threshold_ok and _is_index(node["feature"], self.n_features_)
-                stack += [node["left"], node["right"]]
-            if not valid:
-                raise ValueError("a tree node holds a bad class, feature or threshold")
-        self.tree_ = state["tree"]
+        self.nodes_ = Nodes.parse(state["tree"], self.n_features_, self.n_classes_)
         return self
 
 
@@ -112,108 +260,137 @@ def _is_index(value, size: int) -> bool:
     return type(value) is int and 0 <= value < size
 
 
-def fit_lockstep(trees, X, y, n_classes: int, samples) -> None:
-    """Fit ``trees[i]`` on the rows ``samples[i]`` of a checked ``X``, ``y``.
+def fit_lockstep(
+    X, y, n_classes: int, samples, random_states, max_features, max_depth, min_samples_split
+) -> tuple[Nodes, np.ndarray]:
+    """Fit one tree per row of ``samples`` on those rows of a checked ``X``,
+    ``y``; return their nodes and their (trees, features) importances.
 
-    The trees must share ``max_depth``, ``min_samples_split`` and
-    ``max_features``; each draws from its own ``random_state``.  Every tree
-    comes out as if fitted alone, so the batch size never changes a model.
+    Tree ``i`` draws from the stream of ``derive_seed(random_states[i])``.
+    Every tree comes out as if fitted alone, so the batch size never changes
+    a model.
     """
-    first = trees[0]
-    n_rows, d = samples.shape[1], X.shape[1]
+    n_trees, n_rows = samples.shape
+    d = X.shape[1]
+    draws = max_features is not None and max_features < d
+    seeds = derive_seeds(random_states) if draws else None
     batch = max(1, BATCH_CELLS // max(1, n_rows * d * n_classes))
-    for start in range(0, len(trees), batch):
-        chunk = trees[start : start + batch]
-        rngs = [
-            np.random.Generator(np.random.PCG64(derive_seed(t.random_state or 0)))
-            for t in chunk
-        ]
-        roots, importances = _grow_lockstep(
-            X[samples[start : start + batch]],
-            y[samples[start : start + batch]],
-            n_classes,
-            rngs,
-            first.max_features,
-            first.max_depth,
-            first.min_samples_split,
+    parts, importances = [], []
+    for start in range(0, n_trees, batch):
+        rows = samples[start : start + batch]
+        permutations = (
+            _Permutations(pcg64_generators(seeds[start : start + batch]), d) if draws else None
         )
-        for tree, root, importance in zip(chunk, roots, importances):
-            tree.tree_ = root
-            tree.n_classes_ = n_classes
-            tree.n_features_ = d
-            tree.feature_importances_ = importance
+        nodes, importance = _grow_lockstep(
+            X[rows], y[rows], n_classes, permutations, max_features if draws else d,
+            max_depth, min_samples_split,
+        )
+        parts.append(nodes)
+        importances.append(importance)
+    nodes = parts[0] if len(parts) == 1 else Nodes.stack(parts)
+    return nodes.trimmed(), np.concatenate(importances)
 
 
-def _grow_lockstep(Xt, yt, k, rngs, max_features, max_depth, min_samples_split):
+class _Permutations:
+    """Each tree's ``permutation(d)`` draws in stream order, drawn ahead
+    ``PERMUTATION_BLOCK`` at a time."""
+
+    def __init__(self, rngs, d: int):
+        self.rngs = rngs
+        self.identity = np.broadcast_to(np.arange(d), (PERMUTATION_BLOCK, d))
+        self.drawn = np.empty((len(rngs), PERMUTATION_BLOCK, d), dtype=np.int64)
+        self.used = np.full(len(rngs), PERMUTATION_BLOCK)
+
+    def next(self, trees: np.ndarray) -> np.ndarray:
+        """The next permutation of each of ``trees`` (distinct tree ids)."""
+        spent = trees[self.used[trees] == PERMUTATION_BLOCK]
+        for t in spent.tolist():
+            self.rngs[t].permuted(self.identity, axis=1, out=self.drawn[t])
+        self.used[spent] = 0
+        orders = self.drawn[trees, self.used[trees]]
+        self.used[trees] += 1
+        return orders
+
+
+def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split):
     """Grow one tree per leading row of ``Xt`` (trees, rows, features) and
-    ``yt`` (trees, rows); returns the root nodes and the importances."""
+    ``yt`` (trees, rows); returns their nodes and importances.
+
+    ``permutations`` gives each popped node its column order, or is None
+    when every node examines all columns in order.
+    """
     n_trees, n_rows, d = Xt.shape
     one_hot = np.eye(k)[yt]  # (trees, rows, classes)
     by_value = np.argsort(Xt, axis=1, kind="stable")  # row positions in value order, per column
     X_rows = np.ascontiguousarray(Xt.transpose(1, 0, 2))
-    draws = max_features is not None and max_features < d
-    budget = max_features if draws else d
     importances = np.zeros((n_trees, d))
-    # per tree, the nodes that pass the stop checks and wait for a split:
-    # (node to fill in, member mask over the tree's rows, depth)
-    stacks = [[] for _ in range(n_trees)]
+    # a node splits at most n_rows - 1 times, so a tree has under 2 * n_rows nodes
+    nodes = Nodes.leaves_only(n_trees, 2 * n_rows - 1)
+    node_depth = np.zeros_like(nodes.feature)
+    node_of_row = np.zeros((n_trees, n_rows), dtype=np.int64)
+    # per tree, the ids of nodes that passed the stop checks and wait for a
+    # split; they hold disjoint rows, at least two each
+    stack = np.empty((n_trees, n_rows // 2 + 1), dtype=np.int64)
+    height = np.zeros(n_trees, dtype=np.int64)
 
-    def settle(nodes, trees, masks, depths):
-        """Make each new node a leaf, or push it if it passes the stop checks."""
+    def settle(trees, ids, masks):
+        """Give new nodes their majority class and push those that pass the
+        stop checks; a tree's nodes come in push order."""
         counts, sizes, gini = _node_stats(one_hot, trees, masks)
+        nodes.leaf_class[trees, ids] = counts.argmax(axis=1)
         grows = (gini != 0.0) & (sizes >= min_samples_split)
         if max_depth is not None:
-            grows &= depths < max_depth
-        for i, (t, grow, majority) in enumerate(
-            zip(trees.tolist(), grows.tolist(), counts.argmax(axis=1).tolist())
-        ):
-            if grow:
-                stacks[t].append((nodes[i], masks[i], depths[i]))
-            else:
-                nodes[i]["class"] = majority
+            grows &= node_depth[trees, ids] < max_depth
+        trees, ids = trees[grows], ids[grows]
+        second = np.zeros(trees.size, dtype=np.int64)
+        second[1:] = trees[1:] == trees[:-1]
+        stack[trees, height[trees] + second] = ids
+        height[:] += np.bincount(trees, minlength=n_trees)
 
-    roots = [{} for _ in range(n_trees)]
-    everyone = np.ones((n_trees, n_rows), dtype=bool)
-    settle(roots, np.arange(n_trees), everyone, np.zeros(n_trees, dtype=np.int64))
-    active = [t for t in range(n_trees) if stacks[t]]
-    while active:
-        popped = [stacks[t].pop() for t in active]
-        trees = np.array(active)
-        masks = np.stack([members for _, members, _ in popped])
+    settle(
+        np.arange(n_trees), np.zeros(n_trees, dtype=np.int64), np.ones((n_trees, n_rows), dtype=bool)
+    )
+    while True:
+        trees = np.flatnonzero(height)
+        if not trees.size:
+            break
+        height[trees] -= 1
+        ids = stack[trees, height[trees]]
+        masks = node_of_row[trees] == ids[:, None]
         counts, sizes, gini = _node_stats(one_hot, trees, masks)
-        if draws:  # one draw per popped node, from its own tree's stream
-            orders = np.array([rngs[t].permutation(d) for t in active])
+        if permutations is not None:  # one draw per popped node, from its own tree's stream
+            orders = permutations.next(trees)
         else:
-            orders = np.broadcast_to(np.arange(d), (len(active), d))
+            orders = np.broadcast_to(np.arange(d), (trees.size, d))
         columns, n_columns = _candidate_columns(X_rows[:, trees], masks, orders, budget)
-        splits = np.flatnonzero(n_columns)
-        majority = counts.argmax(axis=1).tolist()
-        for b in np.flatnonzero(n_columns == 0).tolist():
-            popped[b][0]["class"] = majority[b]
-        if splits.size:
-            trees, masks, sizes = trees[splits], masks[splits], sizes[splits]
-            feature, threshold, gain = _best_splits(
-                Xt, one_hot, by_value, trees, masks, columns[splits], n_columns[splits],
-                counts[splits], sizes, gini[splits],
-            )
-            importances[trees, feature] += (sizes / n_rows) * gain
-            goes_left = Xt[trees, :, feature] <= threshold[:, None]
-            children, depths = [], []
-            for b, f, t in zip(splits.tolist(), feature.tolist(), threshold.tolist()):
-                node, _, depth = popped[b]
-                node.update(feature=f, threshold=t, left={}, right={})
-                children += [node["right"], node["left"]]
-                depths.append(depth + 1)
-            # right before left, so that each tree pops its left child first
-            child_masks = np.stack([masks & ~goes_left, masks & goes_left], axis=1)
-            settle(
-                children,
-                np.repeat(trees, 2),
-                child_masks.reshape(-1, n_rows),
-                np.repeat(depths, 2),
-            )
-        active = [t for t in active if stacks[t]]
-    return roots, importances
+        splits = np.flatnonzero(n_columns)  # the others stay leaves
+        if not splits.size:
+            continue
+        trees, ids, masks, sizes = trees[splits], ids[splits], masks[splits], sizes[splits]
+        feature, threshold, gain = _best_splits(
+            Xt, one_hot, by_value, trees, masks, columns[splits], n_columns[splits],
+            counts[splits], sizes, gini[splits],
+        )
+        importances[trees, feature] += (sizes / n_rows) * gain
+        goes_left = Xt[trees, :, feature] <= threshold[:, None]
+        left = nodes.count[trees]
+        right = left + 1
+        nodes.count[trees] += 2
+        nodes.feature[trees, ids] = feature
+        nodes.threshold[trees, ids] = threshold
+        nodes.left[trees, ids] = left
+        nodes.right[trees, ids] = right
+        node_depth[trees, left] = node_depth[trees, right] = node_depth[trees, ids] + 1
+        node_of_row[trees] = np.where(
+            masks, np.where(goes_left, left[:, None], right[:, None]), node_of_row[trees]
+        )
+        # right before left, so that each tree pops its left child first
+        settle(
+            np.repeat(trees, 2),
+            np.stack([right, left], axis=1).ravel(),
+            np.stack([masks & ~goes_left, masks & goes_left], axis=1).reshape(-1, n_rows),
+        )
+    return nodes._replace(depth=node_depth.max(axis=1)), importances
 
 
 def _node_stats(one_hot, trees, masks):

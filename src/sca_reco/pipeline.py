@@ -301,8 +301,20 @@ def write_labels(path: str | Path, all_labels: Sequence[ProjectLabels]) -> None:
     _write_jsonl(path, (labels_to_record(l) for l in all_labels))
 
 
-def read_labels(path: str | Path) -> list[ProjectLabels]:
-    return _read_jsonl(path, record_to_labels)
+def read_labels(path: str | Path, sca_order: Sequence[ScaId]) -> list[ProjectLabels]:
+    """The label records of ``path``; a record with rows of an analyzer that
+    ``sca_order`` does not list raises a SchemaError naming the file and line."""
+
+    def parse(record: dict) -> ProjectLabels:
+        labels = record_to_labels(record)
+        unknown = set(labels.by_sca) - set(sca_order)
+        if unknown:
+            raise SchemaError(
+                f"project {labels.project_id}: rows from unlisted analyzers {sorted(unknown)}"
+            )
+        return labels
+
+    return _read_jsonl(path, parse)
 
 
 def write_evaluations(path: str | Path, evaluations: Sequence[ProjectEvaluation]) -> None:

@@ -7,12 +7,28 @@ is what seeded baselines and fold assignment need.  Child seeds are derived
 by folding stream indices into the master seed, so independent units of work
 (folds, trees, repeats) get independent streams that do not depend on
 execution order.
+
+The trees draw from numpy's PCG64 instead, one stream per tree seeded with a
+derived seed.  ``derive_seeds`` derives many seeds at once, and
+``pcg64_generators`` builds their generators: it computes the ``SeedSequence``
+words of every seed in one vectorized pass, which is most of what
+``np.random.PCG64(seed)`` costs, so each generator comes out as if built from
+its seed alone.
 """
 
 from __future__ import annotations
 
+import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+
+# the hash constants of numpy's SeedSequence (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 
 def mix64(value: int) -> int:
@@ -29,6 +45,83 @@ def derive_seed(master: int, *parts: int) -> int:
     for part in parts:
         seed = mix64((seed + _GAMMA * ((part & MASK64) + 1)) & MASK64)
     return seed
+
+
+def _as_u64(value) -> np.ndarray:
+    """Ints, or an integer array, as a uint64 array wrapped to 64 bits."""
+    if not isinstance(value, np.ndarray):
+        value = np.array(value, dtype=object) & MASK64
+    return np.atleast_1d(value).astype(np.uint64)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of every element of a uint64 array (products wrap mod 2**64)."""
+    z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
+
+
+def derive_seeds(master, *parts) -> np.ndarray:
+    """``derive_seed`` element by element over broadcast integer arrays (or
+    ints), as a uint64 array."""
+    seed = _mix64_array(_as_u64(master))
+    for part in parts:
+        seed = _mix64_array(seed + np.uint64(_GAMMA) * (_as_u64(part) + np.uint64(1)))
+    return seed
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands a bit generator words computed in advance."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _hash(values: np.ndarray, constant: int, multiplier: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 values with its running constant;
+    returns the hashed values and the next constant."""
+    values = values ^ np.uint32(constant)
+    constant = (constant * multiplier) & 0xFFFFFFFF
+    values = values * np.uint32(constant)
+    return values ^ (values >> 16), constant
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(int(s)).generate_state(4, np.uint64)`` of each uint64 seed,
+    as rows of an (n, 4) array.
+
+    A seed below 2**32 is one word of entropy and a larger one two, but the
+    pool reads missing words as zeros, so every seed mixes as its low half,
+    its high half and two zero words.
+    """
+    entropy = [seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)]
+    entropy += [np.zeros_like(entropy[0])] * (_POOL_SIZE - 2)
+    pool, constant = [], _INIT_A
+    for word in entropy:
+        hashed, constant = _hash(word, constant, _MULT_A)
+        pool.append(hashed)
+    for source in range(_POOL_SIZE):
+        for target in range(_POOL_SIZE):
+            if source != target:
+                hashed, constant = _hash(pool[source], constant, _MULT_A)
+                mixed = np.uint32(_MIX_MULT_L) * pool[target] - np.uint32(_MIX_MULT_R) * hashed
+                pool[target] = mixed ^ (mixed >> 16)
+    state = np.empty((len(seeds), 2 * _POOL_SIZE), dtype=np.uint32)
+    constant = _INIT_B
+    for word in range(2 * _POOL_SIZE):
+        state[:, word], constant = _hash(pool[word % _POOL_SIZE], constant, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def pcg64_generators(seeds) -> list[np.random.Generator]:
+    """``np.random.Generator(np.random.PCG64(int(s)))`` for each seed."""
+    words = _seed_sequence_words(_as_u64(seeds))
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
 
 class SplitMix64:

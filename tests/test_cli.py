@@ -536,6 +536,65 @@ def test_sweep_command(workspace, tmp_path, capsys):
     assert rc == 1
 
 
+
+def test_labels_of_an_unlisted_analyzer_exit_2(workspace, tmp_path, capsys):
+    lines = workspace["labels"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[2])
+    for row in record["warnings"]:
+        if row["sca"] == "hawkeye":
+            row["sca"] = "x"
+    lines[2] = json.dumps(record)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels", str(labels)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels}:3: " in err
+    assert "['x']" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def _rename_project(record):
+    record["project"] = "x"
+
+
+def _reverse_scores(record):
+    record["scores"].reverse()
+
+
+# evaluation records that are each well formed but disagree with the others
+# or with the feature table, and the message each gets
+CROSS_RECORD = {
+    "no-features": (_rename_project, "labeled projects without features: ['x']"),
+    "analyzer-order": (_reverse_scores, "lists analyzers in a different order"),
+}
+DATASET_COMMANDS = {
+    "mine": ["--model", "dt", "--folds", "3", "--out-dir", "{tmp}/mine"],
+    "train": ["--model", "dt", "--out", "{tmp}/model.json"],
+    "sweep": ["--model", "dt", "--folds", "3", "--out", "{tmp}/sweep.tsv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+@pytest.mark.parametrize("case", sorted(CROSS_RECORD))
+def test_cross_record_check_names_the_evaluations_file(workspace, tmp_path, capsys, case, command):
+    corrupt, message = CROSS_RECORD[case]
+    lines = workspace["evaluations"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    corrupt(record)
+    lines[1] = json.dumps(record)
+    evaluations = tmp_path / "evaluations.jsonl"
+    evaluations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--evaluations", str(evaluations), "--features", str(workspace["features"])]
+    argv += [token.format(tmp=tmp_path) for token in DATASET_COMMANDS[command]]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{evaluations}: " in err
+    assert message in err
+
+
 BAD_VALUES = {
     "null": None,
     "int": 5,

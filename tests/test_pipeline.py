@@ -123,7 +123,7 @@ def test_label_records_round_trip(context, tmp_path):
     assert record_to_labels(record) == all_labels[0]
     path = tmp_path / "labels.jsonl"
     write_labels(path, all_labels)
-    assert read_labels(path) == all_labels
+    assert read_labels(path, context.sca_order) == all_labels
 
 
 def test_evaluation_records_round_trip(context, tmp_path):

@@ -1,13 +1,15 @@
-"""The seeded generator must reproduce the published splitmix64 stream."""
+"""The seeded generator must reproduce the published splitmix64 stream, and
+the batch-built tree generators must equal numpy's own, seed by seed."""
 
 from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sca_reco.rng import MASK64, SplitMix64, derive_seed, mix64
+from sca_reco.rng import MASK64, SplitMix64, derive_seed, derive_seeds, mix64, pcg64_generators
 
 # First five outputs of splitmix64 for seed 0, as published with the
 # reference implementation.
@@ -102,3 +104,47 @@ def test_shuffle_deterministic():
     c = list(range(20))
     SplitMix64(100).shuffle(c)
     assert a != c
+
+
+# seeds at the edges of one and two 32-bit entropy words, plus any 64-bit seed
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, MASK64]
+SEEDS = st.lists(st.integers(0, MASK64), max_size=20).map(lambda drawn: EDGE_SEEDS + drawn)
+
+
+@settings(max_examples=200)
+@given(st.integers(-(2**70), 2**70), SEEDS, st.integers(-(2**70), 2**70))
+def test_derive_seeds_equals_derive_seed(master, parts, last):
+    assert derive_seeds(master).tolist() == [derive_seed(master)]
+    derived = derive_seeds(master, np.array(parts, dtype=np.uint64), last)
+    assert derived.dtype == np.uint64
+    assert derived.tolist() == [derive_seed(master, part, last) for part in parts]
+    assert derive_seeds(parts).tolist() == [derive_seed(seed) for seed in parts]
+
+
+def test_derive_seeds_takes_signed_arrays_like_ints():
+    parts = np.array([-1, -(2**63), 0, 2**63 - 1], dtype=np.int64)
+    assert derive_seeds(9, parts, 1).tolist() == [derive_seed(9, p, 1) for p in parts.tolist()]
+
+
+@settings(max_examples=100)
+@given(SEEDS)
+def test_batch_built_generators_equal_numpy_seeding(seeds):
+    generators = pcg64_generators(np.array(seeds, dtype=np.uint64))
+    assert len(generators) == len(seeds)
+    for generator, seed in zip(generators, seeds):
+        assert generator.bit_generator.state == np.random.PCG64(seed).state
+    for generator, seed in zip(pcg64_generators(derive_seeds(7, np.arange(5), 1)), range(5)):
+        expected = np.random.PCG64(derive_seed(7, seed, 1)).state
+        assert generator.bit_generator.state == expected
+
+
+@settings(max_examples=250)
+@given(st.integers(0, MASK64), st.integers(1, 40), st.integers(1, 12))
+def test_permuted_rows_are_successive_permutations(seed, d, rows):
+    # trees draw their per-node permutation(d) in blocks with permuted()
+    blocked = np.random.Generator(np.random.PCG64(seed))
+    one_by_one = np.random.Generator(np.random.PCG64(seed))
+    drawn = np.empty((rows, d), dtype=np.int64)
+    blocked.permuted(np.broadcast_to(np.arange(d), (rows, d)), axis=1, out=drawn)
+    assert (drawn == np.array([one_by_one.permutation(d) for _ in range(rows)])).all()
+    assert blocked.bit_generator.state == one_by_one.bit_generator.state
