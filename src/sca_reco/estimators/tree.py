@@ -55,6 +55,10 @@ BATCH_CELLS = 1 << 22
 # permutations each tree draws ahead at a time
 PERMUTATION_BLOCK = 8
 
+# nodes per tree that growth makes room for at first; it doubles the room
+# when a tree needs more
+INITIAL_CAPACITY = 16
+
 
 class Nodes(NamedTuple):
     """Trees as flat node arrays, one row per tree.
@@ -72,6 +76,8 @@ class Nodes(NamedTuple):
     count: np.ndarray  # (trees,) nodes in use
     depth: np.ndarray  # (trees,) edges on the longest root-to-leaf path
 
+    PER_NODE = ("feature", "threshold", "left", "right", "leaf_class")
+
     @classmethod
     def leaves_only(cls, n_trees: int, capacity: int) -> "Nodes":
         ids = np.broadcast_to(np.arange(capacity), (n_trees, capacity))
@@ -86,27 +92,21 @@ class Nodes(NamedTuple):
         )
 
     @classmethod
-    def stack(cls, parts: list["Nodes"]) -> "Nodes":
-        """The trees of ``parts`` in order, as one set of arrays."""
-        capacity = max(part.feature.shape[1] for part in parts)
-        filled = cls.leaves_only(sum(len(part.count) for part in parts), capacity)
+    def stack(cls, parts: list["Nodes"], capacity: int | None = None) -> "Nodes":
+        """The trees of ``parts`` in order, as one set of arrays with room
+        for ``capacity`` nodes a tree, by default for the largest tree."""
+        if capacity is None:
+            capacity = max(int(part.count.max()) for part in parts)
+        stacked = cls.leaves_only(sum(len(part.count) for part in parts), capacity)
         start = 0
         for part in parts:
-            rows, width = part.feature.shape
-            for name in ("feature", "threshold", "left", "right", "leaf_class"):
-                getattr(filled, name)[start : start + rows, :width] = getattr(part, name)
-            filled.count[start : start + rows] = part.count
-            filled.depth[start : start + rows] = part.depth
+            rows, width = len(part.count), min(part.feature.shape[1], capacity)
+            for name in cls.PER_NODE:
+                getattr(stacked, name)[start : start + rows, :width] = getattr(part, name)[:, :width]
+            stacked.count[start : start + rows] = part.count
+            stacked.depth[start : start + rows] = part.depth
             start += rows
-        return filled
-
-    def trimmed(self) -> "Nodes":
-        """The same trees with no capacity beyond the largest one."""
-        width = int(self.count.max())
-        return self._replace(**{
-            name: np.ascontiguousarray(getattr(self, name)[:, :width])
-            for name in ("feature", "threshold", "left", "right", "leaf_class")
-        })
+        return stacked
 
     def tree(self, t: int) -> "Nodes":
         """Tree ``t`` alone."""
@@ -287,8 +287,7 @@ def fit_lockstep(
         )
         parts.append(nodes)
         importances.append(importance)
-    nodes = parts[0] if len(parts) == 1 else Nodes.stack(parts)
-    return nodes.trimmed(), np.concatenate(importances)
+    return Nodes.stack(parts), np.concatenate(importances)
 
 
 class _Permutations:
@@ -324,8 +323,8 @@ def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split
     by_value = np.argsort(Xt, axis=1, kind="stable")  # row positions in value order, per column
     X_rows = np.ascontiguousarray(Xt.transpose(1, 0, 2))
     importances = np.zeros((n_trees, d))
-    # a node splits at most n_rows - 1 times, so a tree has under 2 * n_rows nodes
-    nodes = Nodes.leaves_only(n_trees, 2 * n_rows - 1)
+    # n_rows rows split at most n_rows - 1 times, into at most 2 * n_rows - 1 nodes
+    nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1))
     node_depth = np.zeros_like(nodes.feature)
     node_of_row = np.zeros((n_trees, n_rows), dtype=np.int64)
     # per tree, the ids of nodes that passed the stop checks and wait for a
@@ -375,6 +374,9 @@ def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split
         goes_left = Xt[trees, :, feature] <= threshold[:, None]
         left = nodes.count[trees]
         right = left + 1
+        if right.max() >= nodes.feature.shape[1]:
+            nodes = Nodes.stack([nodes], 2 * nodes.feature.shape[1])
+            node_depth = np.concatenate([node_depth, np.zeros_like(node_depth)], axis=1)
         nodes.count[trees] += 2
         nodes.feature[trees, ids] = feature
         nodes.threshold[trees, ids] = threshold

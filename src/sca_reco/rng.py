@@ -18,8 +18,9 @@ its seed alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -70,18 +71,6 @@ def derive_seeds(master, *parts) -> np.ndarray:
     return seed
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence that hands a bit generator words computed in advance."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
 def _hash(values: np.ndarray, constant: int, multiplier: int) -> tuple[np.ndarray, int]:
     """SeedSequence's hash of uint32 values with its running constant;
     returns the hashed values and the next constant."""
@@ -118,10 +107,32 @@ def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
+@functools.cache
+def _seed_words_type() -> type:
+    """A seed sequence that hands a bit generator words computed in advance.
+
+    The class is made on first use because it subclasses a numpy.random
+    type, and importing numpy.random takes about 5 MB of memory that a run
+    fitting no tree never needs.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
 def pcg64_generators(seeds) -> list[np.random.Generator]:
     """``np.random.Generator(np.random.PCG64(int(s)))`` for each seed."""
     words = _seed_sequence_words(_as_u64(seeds))
-    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
 
 
 class SplitMix64:
