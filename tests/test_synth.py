@@ -34,6 +34,18 @@ MINIMAL = SynthConfig(
     files_per_project=1,
     seed=3,
 )
+# churn's shape: every mutation kind, class renames included
+CHURN = SynthConfig(
+    n_projects=3, files_per_project=6, mutation_weights=(0.1, 0.3, 0.3, 0.3), seed=9
+)
+# an analyzer that detects nothing, so some reports list no warnings
+SILENT = SynthConfig(
+    n_projects=2,
+    profiles=(AnalyzerProfile("loud", 0.9, 0.5), AnalyzerProfile("mute", 0.0, 0.0)),
+    method_bands=((2, 4), (3, 5)),
+    files_per_project=2,
+    seed=4,
+)
 
 # SHA-256 of the JSON of ``tree_digest`` (sorted keys) of each corpus.  Any
 # generated byte that changes (a source line, a report field, a truth entry)
@@ -41,6 +53,8 @@ MINIMAL = SynthConfig(
 PINNED_TREE_DIGESTS = {
     "small": "55f89d619eaad85dd5b63c16d32d32800f7b467b9f5773b62a22f7e41274aa48",
     "minimal": "7946b2d230880e65d308d04c7b3c67ee52728d960b3e99dd8caca01f9dd2573e",
+    "churn": "4889c8324c59abdb5f17b96d02046785ca2157bedac2f664b8195533ae60205a",
+    "silent": "4c3f2606550c9ede7e29ed318c2b56e5695164450305208354c8700413f3f9bb",
 }
 
 
@@ -88,7 +102,10 @@ def test_same_seed_same_bytes(tmp_path):
     assert tree_digest(a) == tree_digest(b)
 
 
-@pytest.mark.parametrize("name, config", [("small", SMALL), ("minimal", MINIMAL)])
+@pytest.mark.parametrize(
+    "name, config",
+    [("small", SMALL), ("minimal", MINIMAL), ("churn", CHURN), ("silent", SILENT)],
+)
 def test_corpus_bytes_are_pinned(tmp_path, name, config):
     generate_corpus(config, tmp_path / name)
     table = json.dumps(tree_digest(tmp_path / name), sort_keys=True)
