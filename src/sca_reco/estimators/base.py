@@ -61,8 +61,11 @@ def check_is_fitted(estimator, attribute: str) -> None:
 
 
 def check_count(name: str, value, minimum: int) -> int:
-    """An integer hyperparameter of at least ``minimum``, as an int."""
+    """An integer hyperparameter of at least ``minimum``, as an int; a bool
+    is not a count, though ``operator.index`` takes it."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -49,7 +49,11 @@ class RandomForestClassifier:
         if max_features not in (None, "sqrt"):
             max_features = check_count("max_features", max_features, 1)
         self.max_features = max_features
+        if not isinstance(bootstrap, bool):
+            raise ValueError(f"bootstrap must be a bool, got {bootstrap!r}")
         self.bootstrap = bootstrap
+        if max_depth is not None:
+            max_depth = check_count("max_depth", max_depth, 0)
         self.max_depth = max_depth
         self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
         self.random_state = random_state

@@ -189,7 +189,8 @@ class Nodes(NamedTuple):
 
 
 class DecisionTreeClassifier:
-    """Gini-impurity CART; unlimited depth unless capped.
+    """Gini-impurity CART; unlimited depth unless capped (``max_depth`` 0
+    makes the root a leaf, a majority vote).
 
     ``max_features`` limits how many non-constant features each node
     examines (drawn in seeded random order; constant features do not consume
@@ -208,6 +209,8 @@ class DecisionTreeClassifier:
     ):
         if max_features is not None:
             max_features = check_count("max_features", max_features, 1)
+        if max_depth is not None:
+            max_depth = check_count("max_depth", max_depth, 0)
         self.max_depth = max_depth
         self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
         self.max_features = max_features

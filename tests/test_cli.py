@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sca_reco import cli
+from sca_reco.recommend import DEFAULT_HYPERPARAMS
 
 SCAS = {"hawkeye", "lintmax", "bugnet"}
 
@@ -441,6 +446,67 @@ def test_corrupt_estimator_state_exits_2(workspace, tmp_path, capsys, case):
     rc, err = recommend_exit(workspace, path, capsys)
     assert rc == 2
     assert str(path) in err
+
+
+@pytest.fixture(scope="module")
+def saved_models(workspace, tmp_path_factory):
+    """The directory and decoded JSON of one trained model file per kind."""
+    root = tmp_path_factory.mktemp("models")
+    documents = {}
+    for kind in DEFAULT_HYPERPARAMS:
+        path = corrupted_model(workspace, root, kind.value, lambda document: None)
+        documents[kind.value] = json.loads(path.read_text(encoding="utf-8"))
+    return root, documents
+
+
+# values that no hyperparameter takes: the wrong type, negative, NaN, infinite
+NEVER_VALID = st.one_of(
+    st.text("abcsx0 ", max_size=5).filter(lambda text: text not in ("sqrt", "gini")),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.just("n"), st.integers(0, 3), max_size=1),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-3),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+REAL_HYPERPARAMS = {"l2", "learning_rate", "momentum"}
+OPTIONAL_HYPERPARAMS = {"max_depth", "max_features"}
+
+
+def invalid_values(name):
+    """Values the hyperparameter ``name`` must refuse."""
+    options = [NEVER_VALID]
+    if name != "bootstrap":
+        options.append(st.booleans())
+    if name not in OPTIONAL_HYPERPARAMS:
+        options.append(st.none())
+    if name not in REAL_HYPERPARAMS:
+        options.append(st.floats(1e-3, 1e6).filter(lambda value: not value.is_integer()))
+    return st.one_of(options)
+
+
+HYPERPARAMS = sorted(
+    (kind.value, name) for kind, defaults in DEFAULT_HYPERPARAMS.items() for name in defaults
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=st.sampled_from(HYPERPARAMS), data=st.data())
+def test_invalid_hyperparameter_in_model_file_exits_2(workspace, saved_models, case, data):
+    kind, name = case
+    root, documents = saved_models
+    document = json.loads(json.dumps(documents[kind]))
+    document["hyperparams"][name] = data.draw(invalid_values(name), label=name)
+    path = root / "invalid.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["recommend", "--model-file", str(path), "--features", str(workspace["features"])]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(argv)
+    assert rc == 2
+    assert str(path) in err.getvalue()
 
 
 # each command with a count below its minimum

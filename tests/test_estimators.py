@@ -72,6 +72,14 @@ def test_check_is_fitted():
     [
         (DecisionTreeClassifier, "min_samples_split", 1),
         (DecisionTreeClassifier, "max_features", 0),
+        (DecisionTreeClassifier, "max_depth", -3),
+        (DecisionTreeClassifier, "max_depth", "x"),
+        (DecisionTreeClassifier, "max_depth", 1.5),
+        (DecisionTreeClassifier, "max_depth", True),
+        (RandomForestClassifier, "max_depth", -1),
+        (RandomForestClassifier, "bootstrap", "no"),
+        (RandomForestClassifier, "bootstrap", 1),
+        (RandomForestClassifier, "bootstrap", None),
         (RandomForestClassifier, "min_samples_split", 1),
         (RandomForestClassifier, "n_estimators", 0),
         (RandomForestClassifier, "max_features", 0),
@@ -95,6 +103,7 @@ def test_check_is_fitted():
         (KNeighborsClassifier, "n_neighbors", "x"),
         (KNeighborsClassifier, "n_neighbors", None),
         (KNeighborsClassifier, "n_neighbors", 2.5),
+        (KNeighborsClassifier, "n_neighbors", True),
     ],
 )
 def test_constructor_rejects_bad_hyperparameter(estimator_class, name, value):
