@@ -3,7 +3,7 @@
 ``fit`` draws every tree's bootstrap sample and hands them all to
 ``tree.fit_lockstep``, which grows the trees side by side, one vectorized
 split search per step across all of them.  The bootstrap generators of all
-trees are built in one batch (``rng.pcg64_generators``), and each tree still
+trees are built in one batch (``seeding.pcg64_generators``), and each tree still
 draws its sample with ``integers(0, n, size=n)`` and its splits from its own
 seeded stream, in its own depth-first order, so every tree, and the
 importances summed over them in tree order, come out the same as when each
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ..rng import derive_seeds, pcg64_generators
+from .seeding import derive_seeds, pcg64_generators
 from .base import check_array, check_count, check_is_fitted, check_X_y
 from .tree import DecisionTreeClassifier, Nodes, fit_lockstep
 

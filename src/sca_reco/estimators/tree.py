@@ -34,7 +34,7 @@ at least ``min_samples_split`` rows, above ``max_depth``) draws its
 importances accumulate in that same order.  The permutations are drawn
 ahead in blocks (``Generator.permuted`` on stacked ``arange(d)`` rows gives
 the same stream as successive ``permutation(d)`` calls), and the generators
-of a batch are built together by ``rng.pcg64_generators``.  So a tree's
+of a batch are built together by ``seeding.pcg64_generators``.  So a tree's
 nodes, thresholds and importances do not depend on which other trees share
 its batch.
 """
@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..rng import derive_seeds, pcg64_generators
+from .seeding import derive_seeds, pcg64_generators
 from .base import check_array, check_count, check_is_fitted, check_X_y
 
 # cap on rows x features x classes per lockstep batch, which bounds the

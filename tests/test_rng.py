@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sca_reco.rng import MASK64, SplitMix64, derive_seed, derive_seeds, mix64, pcg64_generators
+from sca_reco.estimators.seeding import derive_seeds, pcg64_generators
+from sca_reco.rng import MASK64, SplitMix64, derive_seed, extend_seed, mix64
 
 # First five outputs of splitmix64 for seed 0, as published with the
 # reference implementation.
@@ -104,6 +105,15 @@ def test_shuffle_deterministic():
     c = list(range(20))
     SplitMix64(100).shuffle(c)
     assert a != c
+
+
+@given(
+    st.integers(-(2**70), 2**70),
+    st.lists(st.integers(-(2**70), 2**70), max_size=4),
+    st.lists(st.integers(-(2**70), 2**70), max_size=4),
+)
+def test_extend_seed_continues_a_derivation(master, prefix, rest):
+    assert extend_seed(derive_seed(master, *prefix), *rest) == derive_seed(master, *prefix, *rest)
 
 
 # seeds at the edges of one and two 32-bit entropy words, plus any 64-bit seed
