@@ -21,20 +21,22 @@ class declaration line) forces the hash stage.
 
 ``_plan_file`` makes every decision about a site once and records it in a
 ``SiteTruth``; the sources, the reports and ``truth.json`` are all rendered
-from those records.
+from those records.  Each random decision draws from its own stream, seeded
+by ``derive_seed(seed, tag, project, file, ...)``; the seed of each tag and
+file, and of each method, is derived once and extended per stream.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
 from .core import ScaId, default_taxonomy_path
 from .exceptions import ConfigError, IoError
 from .matching import hash_window, token_stream
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, extend_seed
 
 SITE_CATEGORIES = ("null_dereference", "resource_leak", "api_misuse", "dead_code")
 
@@ -257,6 +259,8 @@ def _pick_mutation(weights: tuple[float, ...], stream: SplitMix64) -> Mutation:
 class _FilePlan:
     methods: list[_MethodPlan]
     sites: list[SiteTruth]  # one per method, in method order
+    # per site, the start-line jitter (0 or 1) of each analyzer that reports it
+    jitters: list[dict[ScaId, int]]
     old_lines: list[str]
     new_lines: list[str]
     old_path: str
@@ -266,6 +270,9 @@ class _FilePlan:
 def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan:
     """Decide every site of one file and render both of its releases."""
     seed = config.seed
+    pad_seed, kind_seed, fix_seed, detect_seed, jitter_seed = (
+        derive_seed(seed, tag, p, f) for tag in (_T_PAD, _T_KIND, _T_FIX, _T_DETECT, _T_JITTER)
+    )
     package = f"com.synth.p{p:03d}"
     class_name = f"Widget{f}"
     low, high = config.method_bands[archetype]
@@ -277,8 +284,8 @@ def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan
             _MethodPlan(
                 name=f"handle{m}",
                 sid=sid,
-                extra_pad=_stream(seed, _T_PAD, p, f, m).randrange(3),
-                is_decoy=_stream(seed, _T_KIND, p, f, m).uniform() < config.decoy_fraction,
+                extra_pad=SplitMix64(extend_seed(pad_seed, m)).randrange(3),
+                is_decoy=SplitMix64(extend_seed(kind_seed, m)).uniform() < config.decoy_fraction,
                 category=SITE_CATEGORIES[(f + m) % len(SITE_CATEGORIES)],
             )
         )
@@ -307,7 +314,7 @@ def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan
         new_lines[decl_line - 1] = f"public class {new_class} {{"
 
     m_scas = len(config.profiles)
-    sites = []
+    sites, jitters = [], []
     for m, method in enumerate(methods):
         renamed = method_suffix if m == 0 else ""
         new_start = method.old_start + shift
@@ -321,19 +328,24 @@ def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan
         # site in a renamed file would be unjudgeable).
         fixed = (
             not (method.is_decoy or class_suffix or renamed)
-            and _stream(seed, _T_FIX, p, f, m).uniform() < config.edit_intensity
+            and SplitMix64(extend_seed(fix_seed, m)).uniform() < config.edit_intensity
         )
         if fixed:
             body2 = new_start  # 0-based index of the line after the start
             new_lines[body2] = (
                 f"        int v_{method.sid}_b = guard_{method.sid}(v_{method.sid}_a);"
             )
-        detected = []
+        detected, jitter = [], {}
+        method_detect_seed = extend_seed(detect_seed, m)
+        method_jitter_seed = extend_seed(jitter_seed, m)
         for i in range(m_scas):
             role = config.profiles[(i - archetype) % m_scas]
             rate = role.fp_rate if method.is_decoy else role.detection
-            if _stream(seed, _T_DETECT, p, f, m, i).uniform() < rate:
-                detected.append(config.profiles[i].sca)
+            if SplitMix64(extend_seed(method_detect_seed, i)).uniform() < rate:
+                sca = config.profiles[i].sca
+                detected.append(sca)
+                jitter[sca] = SplitMix64(extend_seed(method_jitter_seed, i)).randrange(2)
+        jitters.append(jitter)
         stage = "hash" if class_suffix else "snippet" if renamed else "location"
         sites.append(
             SiteTruth(
@@ -355,6 +367,7 @@ def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan
     return _FilePlan(
         methods=methods,
         sites=sites,
+        jitters=jitters,
         old_lines=old_lines,
         new_lines=new_lines,
         old_path=f"{package_dir}/{class_name}.java",
@@ -374,41 +387,39 @@ def _plan_project(config: SynthConfig, p: int) -> tuple[list[_FilePlan], Project
     return files, truth
 
 
-def _report_document(
-    seed: int,
-    p: int,
-    files: list[_FilePlan],
-    sca_index: int,
-    sca: ScaId,
-    release_id: str,
-    old: bool,
-) -> dict:
+def _report_text(p: int, files: list[_FilePlan], sca: ScaId, release_id: str, old: bool) -> str:
     """One analyzer's report on one release: every site it detected, less
-    the sites fixed by the newer release."""
+    the sites fixed by the newer release.
+
+    The text is what ``_dump_json`` writes for the report document, made
+    faster: each warning is a flat object two levels deep, so the C encoder
+    with that depth's line break and indent as its item separator renders
+    it, once wrapped in its braces, and the rest is written out here.
+    """
+    encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
     warnings = []
     for f, plan in enumerate(files):
-        for m, site in enumerate(plan.sites):
-            if sca not in site.detected_by or (site.fixed and not old):
+        for m, (site, jitters) in enumerate(zip(plan.sites, plan.jitters)):
+            jitter = jitters.get(sca)
+            if jitter is None or (site.fixed and not old):
                 continue
-            jitter = _stream(seed, _T_JITTER, p, f, m, sca_index).randrange(2)
             start = site.old_start if old else site.new_start
-            warnings.append(
-                {
-                    "type": f"{sca.upper()}-{site.category}",
-                    "class": site.class_old if old else site.class_new,
-                    "method": site.method_old if old else site.method_new,
-                    "start_line": start + jitter,
-                    "end_line": start + 2,
-                    "message": f"possible {site.category.replace('_', ' ')}",
-                    "severity": ("low", "medium", "high")[(f + m) % 3],
-                }
-            )
-    return {
-        "sca": sca,
-        "project": f"p{p:03d}",
-        "release": release_id,
-        "warnings": warnings,
-    }
+            warning = {
+                "type": f"{sca.upper()}-{site.category}",
+                "class": site.class_old if old else site.class_new,
+                "method": site.method_old if old else site.method_new,
+                "start_line": start + jitter,
+                "end_line": start + 2,
+                "message": f"possible {site.category.replace('_', ' ')}",
+                "severity": ("low", "medium", "high")[(f + m) % 3],
+            }
+            warnings.append("    {\n      " + encode(warning)[1:-1] + "\n    }")
+    listed = "[\n" + ",\n".join(warnings) + "\n  ]" if warnings else "[]"
+    project = f"p{p:03d}"
+    return (
+        f'{{\n  "project": {encode(project)},\n  "release": {encode(release_id)},\n'
+        f'  "sca": {encode(sca)},\n  "warnings": {listed}\n}}\n'
+    )
 
 
 def _project_features(config: SynthConfig, p: int, files: list[_FilePlan]) -> list[float]:
@@ -443,10 +454,13 @@ def feature_names(config: SynthConfig) -> tuple[str, ...]:
     return FEATURE_NAMES + tuple(f"noise_{j}" for j in range(config.noise_features))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_texts(texts: dict[Path, str]) -> None:
+    """Write each text to its path, making each directory once."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        for directory in {path.parent for path in texts}:
+            directory.mkdir(parents=True, exist_ok=True)
+        for path, text in texts.items():
+            path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
 
@@ -466,7 +480,7 @@ def _truth_document(truth: CorpusTruth) -> dict:
                 sca: dict(zip(("tp", "fp", "union"), project.counts(sca)))
                 for sca in truth.scas
             },
-            "sites": [asdict(site) for site in project.sites],
+            "sites": [vars(site) for site in project.sites],
         }
         for project in truth.projects
     ]
@@ -511,32 +525,30 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> CorpusTruth:
     csv_lines = ["project," + ",".join(feature_names(config))]
     for p, (files, project) in enumerate(plans):
         project_dir = out_dir / project.project_id
-        _write_text(project_dir / "releases.json", releases_text)
+        texts = {project_dir / "releases.json": releases_text}
         for plan in files:
-            _write_text(
-                project_dir / old_id / "src" / plan.old_path,
-                "\n".join(plan.old_lines) + "\n",
-            )
-            _write_text(
-                project_dir / new_id / "src" / plan.new_path,
-                "\n".join(plan.new_lines) + "\n",
-            )
-        for i, sca in enumerate(config.scas):
+            texts[project_dir / old_id / "src" / plan.old_path] = "\n".join(plan.old_lines) + "\n"
+            texts[project_dir / new_id / "src" / plan.new_path] = "\n".join(plan.new_lines) + "\n"
+        for sca in config.scas:
             for release_id, old in ((old_id, True), (new_id, False)):
-                _write_text(
-                    project_dir / release_id / "reports" / f"{sca}.json",
-                    _dump_json(_report_document(config.seed, p, files, i, sca, release_id, old)),
+                texts[project_dir / release_id / "reports" / f"{sca}.json"] = _report_text(
+                    p, files, sca, release_id, old
                 )
+        _write_texts(texts)
         values = _project_features(config, p, files)
         csv_lines.append(project.project_id + "," + ",".join(repr(v) for v in values))
 
-    _write_text(out_dir / "scas.txt", "".join(f"{sca}\n" for sca in config.scas))
-    _write_text(out_dir / "taxonomy.tsv", default_taxonomy_path().read_text(encoding="utf-8"))
     map_lines = ["sca\toriginal_type\tgdc_id"]
     for sca in config.scas:
         for category in SITE_CATEGORIES:
             map_lines.append(f"{sca}\t{sca.upper()}-{category}\t{category}")
-    _write_text(out_dir / "gdc_map.tsv", "\n".join(map_lines) + "\n")
-    _write_text(out_dir / "features.csv", "\n".join(csv_lines) + "\n")
-    _write_text(out_dir / "truth.json", truth_text)
+    _write_texts(
+        {
+            out_dir / "scas.txt": "".join(f"{sca}\n" for sca in config.scas),
+            out_dir / "taxonomy.tsv": default_taxonomy_path().read_text(encoding="utf-8"),
+            out_dir / "gdc_map.tsv": "\n".join(map_lines) + "\n",
+            out_dir / "features.csv": "\n".join(csv_lines) + "\n",
+            out_dir / "truth.json": truth_text,
+        }
+    )
     return truth

@@ -112,6 +112,18 @@ def test_corpus_bytes_are_pinned(tmp_path, name, config):
     assert hashlib.sha256(table.encode()).hexdigest() == PINNED_TREE_DIGESTS[name]
 
 
+def test_json_files_are_written_as_json_dumps_writes_them(tmp_path):
+    # an analyzer id that needs escaping, and one that reports nothing
+    profiles = (AnalyzerProfile('q"\u00e9\\x', 0.9, 0.5), AnalyzerProfile("mute", 0.0, 0.0))
+    config = SynthConfig(
+        n_projects=2, profiles=profiles, method_bands=((2, 3), (2, 3)), files_per_project=2
+    )
+    generate_corpus(config, tmp_path / "c")
+    for path in (tmp_path / "c").rglob("*.json"):
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_different_seed_differs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     generate_corpus(SMALL, a)
