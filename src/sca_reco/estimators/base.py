@@ -64,11 +64,11 @@ def check_count(name: str, value, minimum: int) -> int:
     """An integer hyperparameter of at least ``minimum``, as an int; a bool
     is not a count, though ``operator.index`` takes it."""
     try:
-        if isinstance(value, bool):
-            raise TypeError
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if count < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {count}")
     return count

@@ -3,9 +3,9 @@
 ``fit`` draws every tree's bootstrap sample and hands them all to
 ``tree.fit_lockstep``, which grows the trees side by side, one vectorized
 split search per step across all of them.  The bootstrap generators of all
-trees are built in one batch (``seeding.pcg64_generators``), and each tree still
-draws its sample with ``integers(0, n, size=n)`` and its splits from its own
-seeded stream, in its own depth-first order, so every tree, and the
+trees are built in one batch (``seeding.pcg64_generators``), and each tree
+still draws its sample with ``integers(0, n, size=n)`` and its splits from
+its own seeded stream, in its own depth-first order, so every tree, and the
 importances summed over them in tree order, come out the same as when each
 tree was fitted on its own.
 

@@ -391,10 +391,11 @@ def _report_text(p: int, files: list[_FilePlan], sca: ScaId, release_id: str, ol
     """One analyzer's report on one release: every site it detected, less
     the sites fixed by the newer release.
 
-    The text is what ``_dump_json`` writes for the report document, made
-    faster: each warning is a flat object two levels deep, so the C encoder
-    with that depth's line break and indent as its item separator renders
-    it, once wrapped in its braces, and the rest is written out here.
+    The text equals ``_dump_json`` of the report document, without its
+    pure-Python encoder.  Each warning is a flat object two levels deep, and
+    the C encoder, given that depth's line break and indent as its item
+    separator, renders it as ``indent=2`` does once wrapped in its braces;
+    the rest of the document is written out here.
     """
     encode = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": ")).encode
     warnings = []

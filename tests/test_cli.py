@@ -489,11 +489,7 @@ HYPERPARAMS = sorted(
 )
 
 
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=st.sampled_from(HYPERPARAMS), data=st.data())
 def test_invalid_hyperparameter_in_model_file_exits_2(workspace, saved_models, case, data):
     kind, name = case
