@@ -238,7 +238,7 @@ def _class_rename_eligible(lines: list[str], decl_line: int, starts: list[int]) 
     for start in starts:
         for jitter in (0, 1):
             window = hash_window(token_lines, start + jitter)
-            if any(token_lines[i] == decl_line for i in window):
+            if decl_line in token_lines[window.start : window.stop]:
                 return False
     return True
 
