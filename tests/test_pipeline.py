@@ -170,21 +170,152 @@ CHURN_DIGESTS = {
 }
 
 
+# The same for the default mutation mix, where most matches are found by the
+# location stage.
+DEFAULT_MIX_CONFIG = SynthConfig(n_projects=3, files_per_project=6, seed=17)
+DEFAULT_MIX_DIGESTS = {
+    "labels.jsonl": "fe106362d8483df9fc1629277da954e7ef17a41549678d2eaffeecc4fcac4c28",
+    "evaluations.jsonl": "e3006b800351f83d52cf732db75d692de7b38011d5605bdf9113fc533e2b6cbf",
+}
+
+
+def label_and_evaluate(corpus, out_dir) -> tuple[Counter, dict[str, str]]:
+    """Run ``label`` and ``evaluate --labels`` on ``corpus``; return the
+    count of each match stage and each label, and the SHA-256 of
+    labels.jsonl and evaluations.jsonl."""
+    labels = out_dir / "labels.jsonl"
+    assert cli.main(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
+    argv = ["evaluate", "--corpus", str(corpus), "--labels", str(labels)]
+    assert cli.main(argv + ["--out-dir", str(out_dir)]) == 0
+    seen = Counter()
+    for line in labels.read_text(encoding="utf-8").splitlines():
+        for warning in json.loads(line)["warnings"]:
+            seen[warning.get("stage")] += 1
+            seen[warning["label"]] += 1
+    digests = {
+        name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        for name in ("labels.jsonl", "evaluations.jsonl")
+    }
+    return seen, digests
+
+
 def test_churn_labels_are_pinned(tmp_path):
     corpus = tmp_path / "corpus"
     generate_corpus(CHURN_CONFIG, corpus)
-    labels = tmp_path / "labels.jsonl"
-    assert cli.main(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
-    argv = ["evaluate", "--corpus", str(corpus), "--labels", str(labels)]
-    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
-    stages = Counter(
-        warning.get("stage")
-        for line in labels.read_text(encoding="utf-8").splitlines()
-        for warning in json.loads(line)["warnings"]
-    )
-    assert stages["hash"] > 0
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        for name in CHURN_DIGESTS
-    }
+    seen, digests = label_and_evaluate(corpus, tmp_path)
+    assert seen["hash"] > 0
     assert digests == CHURN_DIGESTS
+
+
+def test_default_mix_labels_are_pinned(tmp_path):
+    corpus = tmp_path / "corpus"
+    generate_corpus(DEFAULT_MIX_CONFIG, corpus)
+    seen, digests = label_and_evaluate(corpus, tmp_path)
+    assert seen["location"] > seen["snippet"] + seen["hash"] > 0
+    assert digests == DEFAULT_MIX_DIGESTS
+
+
+# A hand-made corpus of line-ending and tokenizer edge cases: CRLF sources,
+# a final line ending in a lone \r, a \r inside a line, lines without
+# tokens, non-ASCII text, a warning past the end of its file, a class
+# renamed with its file, a deleted file and an empty report.
+HAND_MADE_DIGESTS = {
+    "labels.jsonl": "ee8170ce0b1b4047a09e12ed86e64a174044fc7da0e3a58c57ba45ab1c2e3c5d",
+    "evaluations.jsonl": "771bfa4621519f56b227df7c2a4e6eee740d2be0a74b6fd09599012eb497a114",
+}
+
+
+def statement(k: int) -> str:
+    if k == 17:
+        return '    String s17 = "h\u00e9llo w\u00f6rld \u4e16\u754c";'
+    if k == 26:
+        return "    int a26 = 1;\rint b26 = 2;"
+    if k % 7 == 3:
+        return ""
+    if k % 11 == 5:
+        return "    // ----"
+    return f"    int v{k} = compute({k}, v{k - 1});"
+
+
+def java_source(name: str, body: list[str]) -> list[str]:
+    return ["package com.example;", "", f"public class {name} {{", *body, "}"]
+
+
+def write_report(path, sca, release, warnings):
+    keys = ("type", "class", "method", "start_line", "end_line")
+    entries = [
+        dict(zip(keys, (kind, f"com.example.{cls}", method, start, end)))
+        for kind, cls, method, start, end in warnings
+    ]
+    doc = {"sca": sca, "project": "p1", "release": release, "warnings": entries}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+
+
+def write_hand_made_corpus(root):
+    body = [statement(k) for k in range(40)]
+    new_body = body[:2] + ["    int moved = 0;", "", body[30]] + body[2:]
+    sources = {
+        "r1": {
+            "Foo.java": "\r\n".join(java_source("Foo", body)) + "\r\n",
+            "Bar.java": "\n".join(java_source("Bar", body)) + "\n",
+            "Gone.java": "\r\n".join(java_source("Gone", body[:12])),
+        },
+        "r2": {
+            "Foo.java": "\r\n".join(java_source("Foo", new_body)) + "\r",
+            "Baz.java": "\r\n".join(java_source("Baz", body)) + "\r\n",
+        },
+    }
+    project = root / "p1"
+    for release, files in sources.items():
+        for name, text in files.items():
+            path = project / release / "src" / "com" / "example" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(text.encode("utf-8"))
+    reports = {
+        ("alpha", "r1"): [
+            ("NULL_DEREF", "Foo", "run", 14, 14),  # location
+            ("LEAK", "Foo", "run", 34, 35),  # snippet: the line moved up
+            ("NULL_DEREF", "Bar", None, 30, 30),  # hash: the class renamed
+            ("NULL_DEREF", "Gone", "run", 10, 10),  # unknown: file deleted
+            ("LEAK", "Foo", None, 20, 20),  # actionable
+            ("LEAK", "Foo", None, 500, 520),  # past the end of the file
+            ("NULL_DEREF", "Foo", None, 7, 7),  # a line without tokens
+            ("LEAK", "Bar", None, 35, 35),  # hash, anchored on a blank line
+        ],
+        ("alpha", "r2"): [
+            ("NULL_DEREF", "Foo", "run", 17, 17),
+            ("LEAK", "Foo", "walk", 7, 8),
+            ("NULL_DEREF", "Baz", None, 30, 30),
+            ("LEAK", "Foo", None, 503, 503),
+            ("NULL_DEREF", "Foo", None, 10, 10),
+            ("LEAK", "Baz", None, 35, 35),
+        ],
+        ("beta", "r1"): [
+            ("NULL_DEREF", "Foo", None, 14, 14),
+            ("LEAK", "Foo", None, 20, 21),
+        ],
+        ("beta", "r2"): [],
+    }
+    for (sca, release), warnings in reports.items():
+        write_report(project / release / "reports" / f"{sca}.json", sca, release, warnings)
+    releases = {
+        "old": {"id": "r1", "date": "2024-01-01"},
+        "new": {"id": "r2", "date": "2024-07-01"},
+    }
+    (project / "releases.json").write_text(json.dumps(releases), encoding="utf-8")
+    (root / "scas.txt").write_text("alpha\nbeta\n", encoding="utf-8")
+    categories = (("NULL_DEREF", "null_dereference"), ("LEAK", "resource_leak"))
+    rows = ["sca\toriginal_type\tgdc_id"] + [
+        f"{sca}\t{kind}\t{gdc_id}" for sca in ("alpha", "beta") for kind, gdc_id in categories
+    ]
+    (root / "gdc_map.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def test_hand_made_corpus_labels_are_pinned(tmp_path):
+    corpus = tmp_path / "corpus"
+    write_hand_made_corpus(corpus)
+    seen, digests = label_and_evaluate(corpus, tmp_path)
+    for outcome in ("location", "snippet", "hash", "unknown", "actionable"):
+        assert seen[outcome] > 0, outcome
+    assert digests == HAND_MADE_DIGESTS
