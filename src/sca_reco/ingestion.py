@@ -73,19 +73,53 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
     warnings = []
     for i, entry in enumerate(raw):
         where = f"{path}: warning {i}"
-        warnings.append(
-            RawWarning(
-                sca=sca,
-                original_type=require_field(entry, "type", str, where),
-                class_path=require_field(entry, "class", str, where),
-                method_path=optional_field(entry, "method", str, where),
-                start_line=require_field(entry, "start_line", int, where),
-                end_line=require_field(entry, "end_line", int, where),
-                message=optional_field(entry, "message", str, where),
-                severity=optional_field(entry, "severity", str, where),
-            )
-        )
+        fields = _entry_fields(entry, where)
+        try:
+            warnings.append(RawWarning(sca, *fields))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     return sca, warnings
+
+
+def _entry_fields(entry, where: str) -> tuple:
+    """A report entry's RawWarning fields after ``sca``, in field order.
+
+    An entry whose fields all have their exact JSON types, with the
+    optional ones null or absent, is read without per-field calls.  Any
+    other entry goes through ``require_field``/``optional_field``, whose
+    SchemaError names the first bad field.
+    """
+    if type(entry) is dict:
+        get = entry.get
+        fields = (
+            get("type"),
+            get("class"),
+            get("method"),
+            get("start_line"),
+            get("end_line"),
+            get("message"),
+            get("severity"),
+        )
+        original_type, class_path, method, start_line, end_line, message, severity = fields
+        if (
+            type(original_type) is str
+            and type(class_path) is str
+            and type(start_line) is int
+            and type(end_line) is int
+            and (method is None or type(method) is str)
+            and (message is None or type(message) is str)
+            and (severity is None or type(severity) is str)
+        ):
+            return fields
+    return (
+        require_field(entry, "type", str, where),
+        require_field(entry, "class", str, where),
+        optional_field(entry, "method", str, where),
+        require_field(entry, "start_line", int, where),
+        require_field(entry, "end_line", int, where),
+        optional_field(entry, "message", str, where),
+        optional_field(entry, "severity", str, where),
+    )
 
 
 @dataclass(frozen=True)
@@ -152,6 +186,8 @@ def _split_lines(text: str) -> tuple[str, ...]:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    if "\r" not in text:
+        return tuple(lines)
     return tuple(line.removesuffix("\r") for line in lines)
 
 

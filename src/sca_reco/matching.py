@@ -24,16 +24,21 @@ the predicates compare, so each old warning is tried only against the few
 candidates that could match it; the index never decides a match itself.
 ``ReleasePair`` is the only cache.  It resolves class files, diff-maps old
 start lines, cuts snippets and token windows once per project, and all
-analyzers of the project share it.
+analyzers of the project share it.  A file is tokenized once, into its
+tokens and per-line prefix token counts; a window is cut from those counts
+and joined from its slice of the tokens.  A diff-mapped start line is found
+by bisection over the file's sorted mapped old lines, so its cost does not
+grow with the start line a report gives.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 
 from .core import (
@@ -69,6 +74,9 @@ class MatchOutcome:
 
     matched: AlignedWarning | None
     stage: MatchStage | None
+
+
+_NO_MATCH = MatchOutcome(None, None)
 
 
 @dataclass(frozen=True)
@@ -114,39 +122,28 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
     return min(hits, default=None)
 
 
-def token_stream(lines: tuple[str, ...]) -> tuple[bytes, list[int], list[int]]:
-    """All identifier/number tokens of a file as the bytes a window cuts.
+def token_stream(lines: Sequence[str]) -> tuple[list[str], list[int]]:
+    """All identifier/number tokens of a file, and where each line's tokens start.
 
-    Returns the tokens, each followed by the separator byte; the offset of
-    every token in those bytes, plus the total length; and every token's
-    1-based line number.  Tokens are ASCII, so the text encodes byte for
-    byte, and a window over tokens ``low:high`` is the slice from the
-    offset of ``low`` to one before the offset of ``high``.
+    Returns the tokens in file order, and the prefix counts ``before``:
+    ``before[i]`` is the number of tokens on the first ``i`` lines, so the
+    tokens of 1-based line ``n`` are ``tokens[before[n - 1] : before[n]]``
+    and ``before[-1]`` is the total.
     """
-    tokens: list[str] = []
-    token_lines: list[int] = []
-    for number, line in enumerate(lines, start=1):
-        found = _TOKEN_RE.findall(line)
-        tokens += found
-        token_lines += [number] * len(found)
-    offsets = list(accumulate((len(token) + 1 for token in tokens), initial=0))
-    text = "".join(token + _SEPARATOR for token in tokens)
-    return text.encode("ascii"), offsets, token_lines
+    per_line = list(map(_TOKEN_RE.findall, lines))
+    return list(chain.from_iterable(per_line)), list(accumulate(map(len, per_line), initial=0))
 
 
-def hash_window(token_lines: list[int], start_line: int) -> range:
+def hash_window(before: list[int], start_line: int) -> range:
     """The indices of the tokens the hash-stage window at ``start_line`` covers.
 
-    ``token_lines`` holds every token's line number, as ``token_stream``
-    returns it.  The window is the HASH_WINDOW_TOKENS tokens before the
+    ``before`` holds the per-line prefix token counts, as ``token_stream``
+    returns them.  The window is the HASH_WINDOW_TOKENS tokens before the
     first token at or after ``start_line`` plus the same count from that
     token onward, truncated at file boundaries.
     """
-    anchor = bisect_left(token_lines, start_line)
-    return range(
-        max(0, anchor - HASH_WINDOW_TOKENS),
-        min(len(token_lines), anchor + HASH_WINDOW_TOKENS),
-    )
+    anchor = before[min(start_line - 1, len(before) - 1)]
+    return range(max(0, anchor - HASH_WINDOW_TOKENS), min(before[-1], anchor + HASH_WINDOW_TOKENS))
 
 
 @dataclass(frozen=True)
@@ -154,8 +151,9 @@ class ReleasePair:
     """One project's two releases, their line mapping, and a memo over them.
 
     A project builds one pair and shares it across all its analyzers.  The
-    memo caches class-file resolutions, location targets, snippets, token
-    streams and token windows.  Each of these is a pure function of the two
+    memo caches class-file resolutions, each old file's sorted mapped lines
+    and the location targets found in them, snippets, token streams and
+    token windows.  Each of these is a pure function of the two
     releases and their line mapping, never of a report, so sharing the memo
     cannot change any outcome.  ``which`` names a side, ``"old"`` or
     ``"new"``.  The memo lives as long as the pair: one project, never a
@@ -188,12 +186,15 @@ class ReleasePair:
         """
         key = ("target", warning.class_info, warning.start_line)
         if key not in self.memo:
-            self.memo[key] = None
-            file_map = self.mapping.files.get(self.resolve("old", warning.class_info), {})
-            for line in range(warning.start_line, 0, -1):
-                if line in file_map:
-                    self.memo[key] = file_map[line]
-                    break
+            path = self.resolve("old", warning.class_info)
+            mapped_key = ("mapped", path)
+            if mapped_key not in self.memo:
+                file_map = self.mapping.files.get(path, {})
+                old_lines = sorted(file_map)
+                self.memo[mapped_key] = old_lines, [file_map[line] for line in old_lines]
+            old_lines, new_lines = self.memo[mapped_key]
+            below = bisect_right(old_lines, warning.start_line)
+            self.memo[key] = new_lines[below - 1] if below else None
         return self.memo[key]
 
     def snippet(self, which: str, warning: AlignedWarning) -> str | None:
@@ -223,12 +224,12 @@ class ReleasePair:
             if path is not None:
                 stream_key = ("tokens", which, path)
                 if stream_key not in self.memo:
-                    lines = self._release(which).files[path]
-                    self.memo[stream_key] = token_stream(lines)
-                text, offsets, token_lines = self.memo[stream_key]
-                window = hash_window(token_lines, warning.start_line)
+                    self.memo[stream_key] = token_stream(self._release(which).files[path])
+                tokens, before = self.memo[stream_key]
+                window = hash_window(before, warning.start_line)
                 if window:
-                    self.memo[key] = text[offsets[window.start] : offsets[window.stop] - 1]
+                    text = _SEPARATOR.join(tokens[window.start : window.stop])
+                    self.memo[key] = text.encode("ascii")
         return self.memo[key]
 
 
@@ -291,6 +292,8 @@ def match_warning(
     (for the location stage the difference is taken from the diff-mapped old
     line); remaining ties go to the canonically first candidate.
     """
+    if not candidates:
+        return _NO_MATCH
     stages = (
         (MatchStage.LOCATION, match_location, context.releases.location_target(w_a)),
         (MatchStage.SNIPPET, match_snippet, w_a.start_line),
@@ -304,7 +307,7 @@ def match_warning(
         ]
         if hits:
             return MatchOutcome(min(hits, key=itemgetter(0, 1))[2], stage)
-    return MatchOutcome(None, None)
+    return _NO_MATCH
 
 
 @dataclass(frozen=True)
@@ -383,8 +386,9 @@ def label_release_detailed(
     by_hash: dict[tuple, list[int]] | None = None
 
     def unconsumed(buckets: list[list[int]]) -> list[AlignedWarning]:
-        picked = set().union(*buckets) & available
-        return [new_canon[i] for i in sorted(picked)]
+        # buckets may share a warning; a repeated candidate cannot change
+        # the pick, which is the minimum of a total order
+        return [new_canon[i] for bucket in buckets for i in bucket if i in available]
 
     labeled: list[AlignedWarning] = []
     audit: list[AuditRecord] = []
@@ -412,7 +416,16 @@ def label_release_detailed(
             label = WarningLabel.UNKNOWN
         else:
             label = WarningLabel.ACTIONABLE
-        labeled.append(replace(warning, label=label))
+        labeled.append(
+            AlignedWarning(
+                warning.new_type,
+                warning.class_info,
+                warning.start_line,
+                warning.end_line,
+                label,
+                warning.origin,
+            )
+        )
         audit.append(
             AuditRecord(
                 class_info=warning.class_info,

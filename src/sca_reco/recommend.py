@@ -339,12 +339,30 @@ def cross_validate_batch(
     hyperparams: dict | None = None,
 ) -> list[CvResult]:
     """``cross_validate`` of each dataset, with the models of all their
-    folds fitted in one ``train_batch`` call."""
+    folds fitted in one ``train_batch`` call.
+
+    Datasets that differ only in the label sets past each primary label
+    (as a beta sweep's often do) share their folds, training rows, seeds
+    and so their models: those are fitted once and scored against each
+    dataset's own label sets.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for position, dataset in enumerate(datasets):
+        key = (
+            dataset.primary_labels(),
+            dataset.feature_names,
+            dataset.sca_order,
+            dataset.matrix.shape,
+            dataset.matrix.tobytes(),
+        )
+        groups.setdefault(key, []).append(position)
+    members = list(groups.values())
     assignments = [
-        stratified_folds(dataset.primary_labels(), folds, seed) for dataset in datasets
+        stratified_folds(datasets[group[0]].primary_labels(), folds, seed) for group in members
     ]
     training_sets = []
-    for dataset, assignment in zip(datasets, assignments):
+    for group, assignment in zip(members, assignments):
+        dataset = datasets[group[0]]
         for fold_number, test_rows in enumerate(assignment):
             if test_rows:  # an empty fold scores 0 whatever its model predicts
                 held_out = set(test_rows)
@@ -353,20 +371,21 @@ def cross_validate_batch(
                     (dataset.subset_rows(train_rows), derive_seed(seed, fold_number))
                 )
     models = train_batch(training_sets, kind, hyperparams)
-    results = []
-    for dataset, assignment in zip(datasets, assignments):
-        per_fold = []
+    per_fold: list[list[MicroMetrics]] = [[] for _ in datasets]
+    for group, assignment in zip(members, assignments):
+        dataset = datasets[group[0]]
         for test_rows in assignment:
             if not test_rows:
-                per_fold.append(MicroMetrics(0.0, 0.0, 0.0))
+                for position in group:
+                    per_fold[position].append(MicroMetrics(0.0, 0.0, 0.0))
                 continue
             predictions = next(models).predict_matrix(
                 dataset.matrix[test_rows], dataset.feature_names
             )
-            truth = [dataset.label_sets[i] for i in test_rows]
-            per_fold.append(micro_metrics(truth, predictions))
-        results.append(CvResult(mean=mean_metrics(per_fold), per_fold=tuple(per_fold)))
-    return results
+            for position in group:
+                truth = [datasets[position].label_sets[i] for i in test_rows]
+                per_fold[position].append(micro_metrics(truth, predictions))
+    return [CvResult(mean=mean_metrics(scores), per_fold=tuple(scores)) for scores in per_fold]
 
 
 def baseline_fixed(
@@ -427,7 +446,9 @@ def beta_sweep(
     seed: int = 0,
 ) -> list[tuple[float, CvResult]]:
     """Re-derive labels from stored confusion counts at each beta and re-run
-    the cross-validation.  No re-alignment happens; only the scores move."""
+    the cross-validation.  No re-alignment happens; only the scores move.
+    Betas that give every project the same primary label share their fitted
+    models, and each beta is scored against its own label sets."""
     if not betas:
         raise ValueError("betas must not be empty")
     datasets = [

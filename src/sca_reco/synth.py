@@ -234,11 +234,13 @@ def _class_rename_eligible(lines: list[str], decl_line: int, starts: list[int]) 
     the window hash invariant under the rename and the site guaranteed to be
     matched by the hash stage.
     """
-    _, _, token_lines = token_stream(tuple(lines))
+    _, before = token_stream(lines)
+    # the declaration line's tokens are indices decl_first .. decl_stop - 1
+    decl_first, decl_stop = before[decl_line - 1], before[decl_line]
     for start in starts:
         for jitter in (0, 1):
-            window = hash_window(token_lines, start + jitter)
-            if decl_line in token_lines[window.start : window.stop]:
+            window = hash_window(before, start + jitter)
+            if max(window.start, decl_first) < min(window.stop, decl_stop):
                 return False
     return True
 

@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from sca_reco.core import (
     AlignedWarning,
     ProjectSnapshot,
@@ -155,3 +157,35 @@ def load_truth(path: str | Path) -> CorpusTruth:
         for entry in document["projects"]
     )
     return CorpusTruth(document["seed"], tuple(document["scas"]), projects)
+
+
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(10**9, 10**18),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1.0, 10.0, ""]),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def mutated_entries(draw, valid: dict):
+    """A report entry made from ``valid``: some fields dropped or given an
+    odd value (null, bool, float, huge or negative integer, wrong type) and
+    extra keys added; one draw in ten is not an object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(st.none(), st.integers(), st.text(max_size=3), st.lists(st.none())))
+    entry = dict(valid)
+    for key in valid:
+        action = draw(st.sampled_from(["keep"] * 4 + ["drop", "retype"]))
+        if action == "drop":
+            del entry[key]
+        elif action == "retype":
+            entry[key] = draw(ODD_VALUES)
+    for key in draw(st.lists(st.text(max_size=6), max_size=2)):
+        entry.setdefault(key, draw(ODD_VALUES))
+    return entry

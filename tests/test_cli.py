@@ -12,7 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import mutated_entries
 from sca_reco import cli
+from sca_reco.exceptions import SchemaError
+from sca_reco.ingestion import load_report
 from sca_reco.recommend import DEFAULT_HYPERPARAMS
 
 SCAS = {"hawkeye", "lintmax", "bugnet"}
@@ -730,3 +733,41 @@ def test_malformed_stored_record_exits_2(workspace, tmp_path, capsys, kind, path
     capsys.readouterr()
     assert cli.main(argv) == 2
     assert f"{broken}:2: " in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def one_project(tmp_path_factory):
+    """A one-project corpus and the text of one of its reports."""
+    corpus = tmp_path_factory.mktemp("report-fuzz") / "corpus"
+    argv = ["synth", "--out", str(corpus), "--projects", "1", "--files", "1", "--seed", "3"]
+    assert cli.main(argv) == 0
+    report = sorted(corpus.glob("*/*/reports/*.json"))[0]
+    return corpus, report, report.read_text(encoding="utf-8")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_label_of_a_mutated_report_never_exits_3(one_project, data):
+    corpus, report, text = one_project
+    document = json.loads(text)
+    warnings = document["warnings"]
+    position = data.draw(st.integers(0, len(warnings) - 1), label="position")
+    warnings[position] = data.draw(mutated_entries(warnings[position]), label="entry")
+    report.write_text(json.dumps(document), encoding="utf-8")
+    try:
+        project, release = report.parts[-4], report.parts[-3]
+        try:
+            load_report(report, project, release)
+            loads = True
+        except SchemaError:
+            loads = False
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            out = corpus.parent / "labels.jsonl"
+            rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
+    finally:
+        report.write_text(text, encoding="utf-8")
+    if loads:
+        assert rc in (0, 2)
+    else:
+        assert rc == 2
+        assert f"{report}: warning {position}" in err.getvalue()

@@ -102,11 +102,11 @@ class FnvReleasePair(ReleasePair):
         path = self.resolve(which, warning.class_info)
         if path is None:
             return None
-        text, offsets, token_lines = token_stream(self._release(which).files[path])
-        window = hash_window(token_lines, warning.start_line)
+        tokens, before = token_stream(self._release(which).files[path])
+        window = hash_window(before, warning.start_line)
         if not window:
             return None
-        return fnv1a(text[offsets[window.start] : offsets[window.stop] - 1])
+        return fnv1a("\x1f".join(tokens[window.start : window.stop]).encode("ascii"))
 
 
 def reference_align(labeled, sca_order):

@@ -5,9 +5,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import raw
-from sca_reco.core import WarningLabel, default_taxonomy_path, load_taxonomy
+from helpers import mutated_entries, raw
+from sca_reco.core import (
+    RawWarning,
+    WarningLabel,
+    default_taxonomy_path,
+    load_taxonomy,
+    optional_field,
+    require_field,
+)
 from sca_reco.exceptions import (
     DuplicateConflict,
     IoError,
@@ -19,6 +28,7 @@ from sca_reco.exceptions import (
 )
 from sca_reco.ingestion import (
     GdcMapping,
+    _split_lines,
     canonicalize,
     list_projects,
     load_gdc_mapping,
@@ -245,3 +255,67 @@ def test_report_name_must_match_declared_sca(tmp_path):
     )
     with pytest.raises(MismatchError):
         load_snapshot(corpus, "p1")
+
+
+# report entries: the exact-type fast path against the per-field checks
+
+VALID_ENTRY = {
+    "type": "NULL_DEREF",
+    "class": "com.example.Foo",
+    "method": "run",
+    "start_line": 10,
+    "end_line": 12,
+    "message": "may be null",
+    "severity": "high",
+}
+
+def checked_report(path, sca, entries):
+    """Every entry through ``require_field``/``optional_field``, as the
+    loader read reports before its fast path."""
+    warnings = []
+    for i, entry in enumerate(entries):
+        where = f"{path}: warning {i}"
+        fields = (
+            require_field(entry, "type", str, where),
+            require_field(entry, "class", str, where),
+            optional_field(entry, "method", str, where),
+            require_field(entry, "start_line", int, where),
+            require_field(entry, "end_line", int, where),
+            optional_field(entry, "message", str, where),
+            optional_field(entry, "severity", str, where),
+        )
+        try:
+            warnings.append(RawWarning(sca, *fields))
+        except SchemaError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    return sca, warnings
+
+
+def outcome(load, *args):
+    try:
+        return load(*args)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(entries=st.lists(mutated_entries(VALID_ENTRY), min_size=1, max_size=4))
+def test_report_fast_path_equals_checked_path(tmp_path, entries):
+    path = tmp_path / "spotbugs.json"
+    write_report(path, entries)
+    expected = outcome(checked_report, path, "spotbugs", entries)
+    assert outcome(load_report, path, "p1", "r1") == expected
+    if isinstance(expected, str):
+        assert expected.startswith(f"{path}: warning ")
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(st.text(alphabet="ab \r\té", max_size=5), max_size=6), end=st.booleans())
+def test_split_lines_strips_one_carriage_return_per_line(lines, end):
+    text = "\n".join(lines) + ("\n" if end else "")
+    expected = text.split("\n")
+    if expected[-1] == "":
+        expected.pop()
+    assert _split_lines(text) == tuple(line.removesuffix("\r") for line in expected)

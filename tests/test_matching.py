@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import re
+import time
+from bisect import bisect_left
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     A,
@@ -30,6 +34,7 @@ from sca_reco.matching import (
     match_snippet,
     match_warning,
     resolve_class_file,
+    token_stream,
 )
 
 FOO = "com.example.Foo"
@@ -174,6 +179,41 @@ def test_location_deleted_line_falls_back_to_line_above():
     assert not match_location(w_a, w_far, context)
 
 
+def walk_target(file_map: dict[int, int], start_line: int) -> int | None:
+    """The new line of the nearest mapped old line at or above ``start_line``,
+    found by walking up one line at a time."""
+    for line in range(start_line, 0, -1):
+        if line in file_map:
+            return file_map[line]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    old=st.lists(st.sampled_from("abc"), max_size=25),
+    new=st.lists(st.sampled_from("abc"), max_size=25),
+    start=st.integers(1, 40),
+    class_info=st.sampled_from([FOO, BAR]),
+    deleted=st.booleans(),
+)
+def test_location_target_equals_the_line_walk(old, new, start, class_info, deleted):
+    new_files = {} if deleted else {"com/example/Foo.java": new}
+    releases = make_context({"com/example/Foo.java": old}, new_files).releases
+    file_map = releases.mapping.files.get("com/example/Foo.java", {}) if class_info == FOO else {}
+    warning = aw(class_info=class_info, start=start)
+    assert releases.location_target(warning) == walk_target(file_map, start)
+
+
+def test_location_target_of_a_huge_start_line_returns_at_once():
+    lines = [f"line {k}" for k in range(1, 30)]
+    releases = make_context(
+        {"com/example/Foo.java": lines}, {"com/example/Foo.java": ["new"] + lines}
+    ).releases
+    began = time.perf_counter()
+    assert releases.location_target(aw(class_info=FOO, start=10**12)) == 30
+    assert time.perf_counter() - began < 1.0
+
+
 # snippet stage
 
 
@@ -264,11 +304,43 @@ LONG_BODY = token_body(n_post=30)  # 96 tokens before the warned line, 93 from i
 )
 def test_window_hash_is_the_joined_window_tokens(start_line, width):
     lines = class_file("Foo", LONG_BODY)
-    tokens = [(n, token) for n, line in enumerate(lines, start=1) for token in TOKEN.findall(line)]
-    window = hash_window([n for n, _ in tokens], start_line)
+    per_line = [TOKEN.findall(line) for line in lines]
+    tokens = [token for found in per_line for token in found]
+    before = [sum(map(len, per_line[:n])) for n in range(len(lines) + 1)]
+    window = hash_window(before, start_line)
     assert len(window) == width
     releases = make_context({"com/example/Foo.java": lines}, {}).releases
-    expected = "\x1f".join(tokens[i][1] for i in window).encode("ascii")
+    expected = "\x1f".join(tokens[i] for i in window).encode("ascii")
+    assert releases.window_hash("old", aw(class_info=FOO, start=start_line)) == expected
+
+
+def reference_window(lines, start_line: int) -> bytes | None:
+    """The hash-stage window as first written: a per-token line list, and
+    the first token at or after ``start_line`` found by bisection."""
+    tokens = [(n, token) for n, line in enumerate(lines, start=1) for token in TOKEN.findall(line)]
+    anchor = bisect_left([n for n, _ in tokens], start_line)
+    window = tokens[max(0, anchor - 50) : anchor + 50]
+    return "\x1f".join(token for _, token in window).encode("ascii") if window else None
+
+
+# token-free punctuation and spacing, ASCII tokens, and non-ASCII letters
+# and digits, which are not tokens
+source_lines = st.lists(
+    st.text(alphabet="ab_9 {};=.\t\u00e9\u4e16\u0663\uff21", max_size=16), max_size=60
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=source_lines, start_line=st.integers(1, 70))
+def test_window_hash_equals_the_per_line_reference(lines, start_line):
+    tokens, before = token_stream(lines)
+    per_line = [TOKEN.findall(line) for line in lines]
+    assert tokens == [token for found in per_line for token in found]
+    assert before == [sum(map(len, per_line[:n])) for n in range(len(lines) + 1)]
+    window = hash_window(before, start_line)
+    assert 0 <= window.start <= window.stop <= len(tokens)
+    releases = make_context({"com/example/Foo.java": lines}, {}).releases
+    expected = reference_window(lines, start_line)
     assert releases.window_hash("old", aw(class_info=FOO, start=start_line)) == expected
 
 

@@ -24,6 +24,7 @@ from sca_reco.exceptions import (
     TooFewSamples,
     UnsupportedModelKind,
 )
+from sca_reco import recommend
 from sca_reco.features import FeatureVector, PreferenceDataset
 from sca_reco.metrics import MicroMetrics, mean_metrics
 from sca_reco.recommend import (
@@ -347,6 +348,64 @@ def test_beta_sweep_rows_equal_standalone_cv(kind):
             vectors, [reevaluate(evaluation, beta) for evaluation in evaluations]
         )
         assert result == cross_validate(rescored, kind, folds=4, seed=1)
+
+
+def sweep_fits(monkeypatch, *args, **kwargs):
+    """``beta_sweep``'s rows and the number of models it fitted."""
+    fitted = []
+
+    def counting(training_sets, *rest):
+        fitted.extend(training_sets)
+        return train_batch(training_sets, *rest)
+
+    monkeypatch.setattr(recommend, "train_batch", counting)
+    return beta_sweep(*args, **kwargs), len(fitted)
+
+
+def nonempty_folds(dataset, folds, seed):
+    return sum(1 for rows in stratified_folds(dataset.primary_labels(), folds, seed) if rows)
+
+
+def test_beta_sweep_fits_once_per_primary_label_vector(monkeypatch):
+    evaluations, vectors, _ = sweep_fixture()
+    evaluations[0] = make_evaluation(
+        evaluations[0].project_id, [("alpha", (2, 0, 5)), ("beta", (4, 0, 5))]
+    )
+    betas = [0.0, 0.5, 1.0, 2.0, float("inf")]
+    rows, fits = sweep_fits(monkeypatch, evaluations, vectors, ModelKind.DT, betas, folds=4)
+    datasets = {
+        dataset.primary_labels(): dataset
+        for dataset in (
+            dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+            for beta in betas
+        )
+    }
+    assert len(datasets) == 2  # beta 0 flips project 0's primary label
+    assert fits == sum(nonempty_folds(dataset, 4, 0) for dataset in datasets.values())
+    for beta, result in rows:
+        rescored = dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+        assert result == cross_validate(rescored, ModelKind.DT, folds=4, seed=0)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.DT, ModelKind.LR], ids=lambda k: k.value)
+def test_beta_sweep_shared_primary_labels_scored_by_own_label_sets(monkeypatch, kind):
+    evaluations, vectors, _ = sweep_fixture()
+    # at beta 0 project 0 ties both analyzers, and alpha stays its primary label
+    evaluations[0] = make_evaluation(
+        evaluations[0].project_id, [("alpha", (4, 0, 5)), ("beta", (2, 0, 5))]
+    )
+    betas = [0.0, 1.0]
+    datasets = [
+        dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+        for beta in betas
+    ]
+    assert datasets[0].primary_labels() == datasets[1].primary_labels()
+    assert datasets[0].label_sets[0] == ("alpha", "beta")
+    assert datasets[1].label_sets[0] == ("alpha",)
+    rows, fits = sweep_fits(monkeypatch, evaluations, vectors, kind, betas, folds=3, seed=2)
+    assert fits == nonempty_folds(datasets[0], 3, 2)
+    for (beta, result), dataset in zip(rows, datasets):
+        assert result == cross_validate(dataset, kind, folds=3, seed=2)
 
 
 def test_beta_sweep_covers_all_betas():
