@@ -72,22 +72,21 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
     raw = require_field(doc, "warnings", list, str(path))
     warnings = []
     for i, entry in enumerate(raw):
-        where = f"{path}: warning {i}"
-        fields = _entry_fields(entry, where)
+        fields = _entry_fields(entry, path, i)
         try:
             warnings.append(RawWarning(sca, *fields))
         except SchemaError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+            raise SchemaError(f"{path}: warning {i}: {exc}") from exc
     return sca, warnings
 
 
-def _entry_fields(entry, where: str) -> tuple:
-    """A report entry's RawWarning fields after ``sca``, in field order.
+def _entry_fields(entry, path: Path, i: int) -> tuple:
+    """Report entry ``i``'s RawWarning fields after ``sca``, in field order.
 
     An entry whose fields all have their exact JSON types, with the
     optional ones null or absent, is read without per-field calls.  Any
     other entry goes through ``require_field``/``optional_field``, whose
-    SchemaError names the first bad field.
+    SchemaError names the file, the entry and its first bad field.
     """
     if type(entry) is dict:
         get = entry.get
@@ -111,6 +110,7 @@ def _entry_fields(entry, where: str) -> tuple:
             and (severity is None or type(severity) is str)
         ):
             return fields
+    where = f"{path}: warning {i}"
     return (
         require_field(entry, "type", str, where),
         require_field(entry, "class", str, where),

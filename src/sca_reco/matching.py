@@ -33,7 +33,7 @@ grow with the start line a report gives.
 
 from __future__ import annotations
 
-import re
+import string
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -58,8 +58,21 @@ from .linediff import lcs_pairs
 LOCATION_OFFSET_LIMIT = 3
 HASH_WINDOW_TOKENS = 50  # tokens taken on each side of the warned line
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 _SEPARATOR = "\x1f"
+
+
+class _Blanks(dict):
+    """A ``str.translate`` table that keeps the characters it lists and
+    turns every other character into a space."""
+
+    def __missing__(self, code: int) -> str:
+        return " "
+
+
+# Tokens are the runs of ASCII letters, digits and underscores.  Blanking
+# every other character except the line break leaves each line's tokens
+# separated by spaces.
+_TOKEN_TEXT = _Blanks((ord(c), c) for c in string.ascii_letters + string.digits + "_\n")
 
 
 class MatchStage(Enum):
@@ -125,12 +138,14 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
 def token_stream(lines: Sequence[str]) -> tuple[list[str], list[int]]:
     """All identifier/number tokens of a file, and where each line's tokens start.
 
-    Returns the tokens in file order, and the prefix counts ``before``:
+    ``lines`` are the file's lines without their line breaks.  Returns the
+    tokens in file order, and the prefix counts ``before``:
     ``before[i]`` is the number of tokens on the first ``i`` lines, so the
     tokens of 1-based line ``n`` are ``tokens[before[n - 1] : before[n]]``
     and ``before[-1]`` is the total.
     """
-    per_line = list(map(_TOKEN_RE.findall, lines))
+    text = "\n".join(lines).translate(_TOKEN_TEXT)
+    per_line = list(map(str.split, text.split("\n"))) if lines else []
     return list(chain.from_iterable(per_line)), list(accumulate(map(len, per_line), initial=0))
 
 
