@@ -269,6 +269,7 @@ VALID_ENTRY = {
     "severity": "high",
 }
 
+
 def checked_report(path, sca, entries):
     """Every entry through ``require_field``/``optional_field``, as the
     loader read reports before its fast path."""
