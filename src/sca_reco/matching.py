@@ -61,18 +61,13 @@ HASH_WINDOW_TOKENS = 50  # tokens taken on each side of the warned line
 _SEPARATOR = "\x1f"
 
 
-class _Blanks(dict):
-    """A ``str.translate`` table that keeps the characters it lists and
-    turns every other character into a space."""
-
-    def __missing__(self, code: int) -> str:
-        return " "
-
-
-# Tokens are the runs of ASCII letters, digits and underscores.  Blanking
-# every other character except the line break leaves each line's tokens
-# separated by spaces.
-_TOKEN_TEXT = _Blanks((ord(c), c) for c in string.ascii_letters + string.digits + "_\n")
+# Tokens are the runs of ASCII letters, digits and underscores.  The table
+# blanks every other byte except the line break, so each line's tokens are
+# left separated by spaces.  A non-ASCII character (a lone surrogate too,
+# through "surrogatepass") encodes to bytes of 0x80 and above, all of which
+# are blanked, so every text takes the same table lookup in C.
+_TOKEN_BYTES = (string.ascii_letters + string.digits + "_\n").encode("ascii")
+_TOKEN_TEXT = bytes(byte if byte in _TOKEN_BYTES else 0x20 for byte in range(256))
 
 
 class MatchStage(Enum):
@@ -144,7 +139,8 @@ def token_stream(lines: Sequence[str]) -> tuple[list[str], list[int]]:
     tokens of 1-based line ``n`` are ``tokens[before[n - 1] : before[n]]``
     and ``before[-1]`` is the total.
     """
-    text = "\n".join(lines).translate(_TOKEN_TEXT)
+    blanked = "\n".join(lines).encode("utf-8", "surrogatepass").translate(_TOKEN_TEXT)
+    text = blanked.decode("ascii")
     per_line = list(map(str.split, text.split("\n"))) if lines else []
     return list(chain.from_iterable(per_line)), list(accumulate(map(len, per_line), initial=0))
 

@@ -339,53 +339,65 @@ def cross_validate_batch(
     hyperparams: dict | None = None,
 ) -> list[CvResult]:
     """``cross_validate`` of each dataset, with the models of all their
-    folds fitted in one ``train_batch`` call.
-
-    Datasets that differ only in the label sets past each primary label
-    (as a beta sweep's often do) share their folds, training rows, seeds
-    and so their models: those are fitted once and scored against each
-    dataset's own label sets.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for position, dataset in enumerate(datasets):
-        key = (
-            dataset.primary_labels(),
-            dataset.feature_names,
-            dataset.sca_order,
-            dataset.matrix.shape,
-            dataset.matrix.tobytes(),
+    folds fitted in one ``train_batch`` call."""
+    return [
+        _score_folds(dataset.label_sets, predicted)
+        for dataset, predicted in zip(
+            datasets, _fold_predictions(datasets, kind, folds, seed, hyperparams)
         )
-        groups.setdefault(key, []).append(position)
-    members = list(groups.values())
+    ]
+
+
+def _fold_predictions(
+    datasets: Sequence[PreferenceDataset],
+    kind: ModelKind,
+    folds: int,
+    seed: int,
+    hyperparams: dict | None,
+) -> list[list[tuple[list[int], list[ScaId] | None]]]:
+    """Per dataset and fold, the test rows and what the fold's model predicts
+    for them; an empty fold fits no model and predicts None.  The models of
+    all datasets' folds are fitted in one ``train_batch`` call."""
     assignments = [
-        stratified_folds(datasets[group[0]].primary_labels(), folds, seed) for group in members
+        stratified_folds(dataset.primary_labels(), folds, seed) for dataset in datasets
     ]
     training_sets = []
-    for group, assignment in zip(members, assignments):
-        dataset = datasets[group[0]]
+    for dataset, assignment in zip(datasets, assignments):
         for fold_number, test_rows in enumerate(assignment):
-            if test_rows:  # an empty fold scores 0 whatever its model predicts
+            if test_rows:
                 held_out = set(test_rows)
                 train_rows = [i for i in range(dataset.n_projects) if i not in held_out]
                 training_sets.append(
                     (dataset.subset_rows(train_rows), derive_seed(seed, fold_number))
                 )
     models = train_batch(training_sets, kind, hyperparams)
-    per_fold: list[list[MicroMetrics]] = [[] for _ in datasets]
-    for group, assignment in zip(members, assignments):
-        dataset = datasets[group[0]]
-        for test_rows in assignment:
-            if not test_rows:
-                for position in group:
-                    per_fold[position].append(MicroMetrics(0.0, 0.0, 0.0))
-                continue
-            predictions = next(models).predict_matrix(
-                dataset.matrix[test_rows], dataset.feature_names
+    return [
+        [
+            (
+                test_rows,
+                next(models).predict_matrix(dataset.matrix[test_rows], dataset.feature_names)
+                if test_rows
+                else None,
             )
-            for position in group:
-                truth = [datasets[position].label_sets[i] for i in test_rows]
-                per_fold[position].append(micro_metrics(truth, predictions))
-    return [CvResult(mean=mean_metrics(scores), per_fold=tuple(scores)) for scores in per_fold]
+            for test_rows in assignment
+        ]
+        for dataset, assignment in zip(datasets, assignments)
+    ]
+
+
+def _score_folds(
+    label_sets: Sequence[Sequence[ScaId]],
+    predicted: list[tuple[list[int], list[ScaId] | None]],
+) -> CvResult:
+    """Score each fold's predictions against ``label_sets``; an empty fold
+    scores 0 whatever its model would predict."""
+    per_fold = tuple(
+        micro_metrics([label_sets[i] for i in test_rows], predictions)
+        if test_rows
+        else MicroMetrics(0.0, 0.0, 0.0)
+        for test_rows, predictions in predicted
+    )
+    return CvResult(mean=mean_metrics(per_fold), per_fold=per_fold)
 
 
 def baseline_fixed(
@@ -447,15 +459,27 @@ def beta_sweep(
 ) -> list[tuple[float, CvResult]]:
     """Re-derive labels from stored confusion counts at each beta and re-run
     the cross-validation.  No re-alignment happens; only the scores move.
-    Betas that give every project the same primary label share their fitted
-    models, and each beta is scored against its own label sets."""
+
+    Every beta's dataset has the same projects and features, so its folds,
+    training rows, seeds and models depend only on its primary labels.  They
+    are fitted once per distinct primary-label vector, and each beta is
+    scored against its own label sets."""
     if not betas:
         raise ValueError("betas must not be empty")
     datasets = [
         dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
         for beta in betas
     ]
-    return list(zip(betas, cross_validate_batch(datasets, kind, folds, seed)))
+    distinct = {}
+    for dataset in datasets:
+        distinct.setdefault(dataset.primary_labels(), dataset)
+    predicted = dict(
+        zip(distinct, _fold_predictions(list(distinct.values()), kind, folds, seed, None))
+    )
+    return [
+        (beta, _score_folds(dataset.label_sets, predicted[dataset.primary_labels()]))
+        for beta, dataset in zip(betas, datasets)
+    ]
 
 
 def sweep_table(rows: list[tuple[float, CvResult]]) -> str:

@@ -323,10 +323,10 @@ def reference_window(lines, start_line: int) -> bytes | None:
     return "\x1f".join(token for _, token in window).encode("ascii") if window else None
 
 
-# token-free punctuation and spacing, ASCII tokens, and non-ASCII letters
-# and digits, which are not tokens
+# token-free punctuation and spacing, ASCII tokens, and non-ASCII letters,
+# digits and a lone surrogate, which are not tokens
 source_lines = st.lists(
-    st.text(alphabet="ab_9 {};=.\t\u00e9\u4e16\u0663\uff21", max_size=16), max_size=60
+    st.text(alphabet="ab_9 {};=.\t\u00e9\u4e16\u0663\uff21\ud800", max_size=16), max_size=60
 )
 
 
