@@ -1,10 +1,11 @@
-"""The bytes of the tree models' outputs, pinned.
+"""The bytes of the tree and logistic-regression models' outputs, pinned.
 
 A small synthetic corpus goes through ``train``, ``recommend``, ``mine``
-and ``sweep`` with the tree kinds.  The SHA-256 of each model file and of
-its recommendations, the CV line that ``train --cv-folds`` prints,
+and ``sweep`` with the kinds rf, dt and lr.  The SHA-256 of each model file
+and of its recommendations, the CV line that ``train --cv-folds`` prints,
 ``mine``'s output and ``sweep.tsv`` are fixed below, so a change to how
-trees are grown, stored or applied must leave every one of them as it is.
+trees are grown or weights descended, stored or applied must leave every
+one of them as it is.
 """
 
 from __future__ import annotations
@@ -18,37 +19,64 @@ from sca_reco import cli
 PINNED_MODEL_SHA256 = {
     "rf": "32616e1194b43e693ba347259fb530a35b6bc5361cb36f3c59ed05350502b1b7",
     "dt": "377bc1b06e72f06e76d8311cae7a51c581f1477cacdb8fc9899fef8d58b37266",
+    "lr": "5d371da362462ca1532df6a8d3c23c1fb5b351446db9d60ea2a97ec434bbc6fc",
 }
 PINNED_CV_LINES = {
     "rf": "cv\t0.6916666666666667\t0.6416666666666666\t0.6638888888888889\n",
     "dt": "cv\t0.4958333333333333\t0.44583333333333336\t0.4680555555555555\n",
+    "lr": "cv\t0.6416666666666666\t0.5916666666666667\t0.6138888888888888\n",
 }
 # recommendations for the 40 projects of another corpus, which the models
 # never saw, so forest votes and unseen feature values are exercised
 PINNED_RECOMMENDATIONS_SHA256 = {
     "rf": "10b33a80a57dc36866c42d9c719b518db97cabcd2a52cb7ac835f44b6544acf0",
     "dt": "6d365bcfee64cd8ed4c01644df58e401e36e6904af61b20b447421234748c060",
+    "lr": "795d683d0fa195a7449b8d0fa3f12053ab84bc351c81026df8c44541cf7d4144",
 }
-PINNED_MINE_STDOUT = (
-    "size\tf1_micro\n"
-    "1\t0.4783549783549783\n"
-    "2\t0.6569264069264069\n"
-    "3\t0.7305194805194805\n"
-    "4\t0.8138528138528138\n"
-    "5\t0.7305194805194805\n"
-    "6\t0.6829004329004329\n"
-    "7\t0.7305194805194805\n"
-    "8\t0.6829004329004329\n"
-    "selected (4): loc_total,methods_per_class,noise_0,noise_1\n"
-)
-PINNED_SWEEP_TSV = (
-    "beta\tp_micro\tr_micro\tf1_micro\n"
-    "0\t0.7166666666666667\t0.6833333333333332\t0.6984848484848485\n"
-    "0.5\t0.7916666666666666\t0.7916666666666666\t0.7916666666666666\n"
-    "1\t0.6916666666666667\t0.6416666666666666\t0.6638888888888889\n"
-    "2\t0.775\t0.75\t0.7613636363636364\n"
-    "inf\t0.5\t0.3988095238095238\t0.4420995670995671\n"
-)
+PINNED_MINE_STDOUT = {
+    "rf": (
+        "size\tf1_micro\n"
+        "1\t0.4783549783549783\n"
+        "2\t0.6569264069264069\n"
+        "3\t0.7305194805194805\n"
+        "4\t0.8138528138528138\n"
+        "5\t0.7305194805194805\n"
+        "6\t0.6829004329004329\n"
+        "7\t0.7305194805194805\n"
+        "8\t0.6829004329004329\n"
+        "selected (4): loc_total,methods_per_class,noise_0,noise_1\n"
+    ),
+    "lr": (
+        "size\tf1_micro\n"
+        "1\t0.6829004329004329\n"
+        "2\t0.4783549783549783\n"
+        "3\t0.6222943722943722\n"
+        "4\t0.6829004329004329\n"
+        "5\t0.6829004329004329\n"
+        "6\t0.7662337662337663\n"
+        "7\t0.7662337662337663\n"
+        "8\t0.7662337662337663\n"
+        "selected (6): loc_total,n_methods,methods_per_class,avg_method_loc,noise_0,noise_1\n"
+    ),
+}
+PINNED_SWEEP_TSV = {
+    "rf": (
+        "beta\tp_micro\tr_micro\tf1_micro\n"
+        "0\t0.7166666666666667\t0.6833333333333332\t0.6984848484848485\n"
+        "0.5\t0.7916666666666666\t0.7916666666666666\t0.7916666666666666\n"
+        "1\t0.6916666666666667\t0.6416666666666666\t0.6638888888888889\n"
+        "2\t0.775\t0.75\t0.7613636363636364\n"
+        "inf\t0.5\t0.3988095238095238\t0.4420995670995671\n"
+    ),
+    "lr": (
+        "beta\tp_micro\tr_micro\tf1_micro\n"
+        "0\t0.55\t0.525\t0.5363636363636364\n"
+        "0.5\t0.6791666666666666\t0.6791666666666666\t0.6791666666666666\n"
+        "1\t0.6416666666666666\t0.5916666666666667\t0.6138888888888888\n"
+        "2\t0.85\t0.8333333333333333\t0.8409090909090909\n"
+        "inf\t0.55\t0.4345238095238095\t0.48376623376623373\n"
+    ),
+}
 
 
 def sha256(data: bytes) -> str:
@@ -75,7 +103,7 @@ def evaluated(tmp_path_factory):
     }
 
 
-@pytest.mark.parametrize("kind", ["rf", "dt"])
+@pytest.mark.parametrize("kind", ["rf", "dt", "lr"])
 def test_train_bytes_are_pinned(evaluated, capsys, kind):
     model = evaluated["root"] / f"{kind}.json"
     argv = ["train", *evaluated["data"], "--model", kind, "--cv-folds", "4", "--out", str(model)]
@@ -90,17 +118,19 @@ def test_train_bytes_are_pinned(evaluated, capsys, kind):
 
 
 def test_mine_bytes_are_pinned(evaluated, tmp_path, capsys):
-    argv = ["mine", *evaluated["data"], "--model", "rf", "--folds", "3"]
-    capsys.readouterr()
-    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
-    stdout = capsys.readouterr().out
-    assert stdout == PINNED_MINE_STDOUT
-    selected = (tmp_path / "selected_features.txt").read_text(encoding="utf-8")
-    assert selected.splitlines() == stdout.splitlines()[-1].split(": ")[1].split(",")
+    for kind, pinned in PINNED_MINE_STDOUT.items():
+        argv = ["mine", *evaluated["data"], "--model", kind, "--folds", "3"]
+        capsys.readouterr()
+        assert cli.main(argv + ["--out-dir", str(tmp_path / kind)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == pinned, kind
+        selected = (tmp_path / kind / "selected_features.txt").read_text(encoding="utf-8")
+        assert selected.splitlines() == stdout.splitlines()[-1].split(": ")[1].split(",")
 
 
 def test_sweep_bytes_are_pinned(evaluated, tmp_path, capsys):
-    out = tmp_path / "sweep.tsv"
-    argv = ["sweep", *evaluated["data"], "--model", "rf", "--folds", "4"]
-    assert cli.main(argv + ["--betas", "0,0.5,1,2,inf", "--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == PINNED_SWEEP_TSV
+    for kind, pinned in PINNED_SWEEP_TSV.items():
+        out = tmp_path / f"sweep_{kind}.tsv"
+        argv = ["sweep", *evaluated["data"], "--model", kind, "--folds", "4"]
+        assert cli.main(argv + ["--betas", "0,0.5,1,2,inf", "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == pinned, kind
