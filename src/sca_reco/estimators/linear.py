@@ -3,11 +3,14 @@
 ``fit_stacked`` fits a batch of models at once: the single model of
 ``LogisticRegression.fit`` or, say, every fold of a cross-validation.  Fits
 of equal shape (rows, features, classes) are stacked into ``(F, n, d)``
-arrays and share one loop, so each step costs a few numpy calls for the
-whole stack instead of a few per model.  Stacked matmuls and sums perform
-the same operations in the same order per model as unstacked ones, so every
-model comes out bit-equal to a fit on its own.  Fits of different shapes go
-to separate stacks; padding them to one shape would change the sums.
+arrays, and all stacks of one class count share one descent loop.  Per
+stack, a step runs only its two matmuls and its bias-gradient sum; the bias
+add, softmax, residual, L2 term and updates run once over flat buffers that
+hold every stack's rows and weights.  Stacked matmuls and sums perform the
+same operations in the same order per model as unstacked ones, and the rest
+is elementwise, so every model comes out bit-equal to a fit on its own.
+Fits of different shapes keep separate matmuls and sums; padding them to
+one shape would change the sums.
 """
 
 from __future__ import annotations
@@ -81,35 +84,76 @@ def fit_stacked(models, Xs, ys, n_classes) -> list[LogisticRegression]:
     hyperparams = (first.l2, first.learning_rate, first.n_iter)
     if any((m.l2, m.learning_rate, m.n_iter) != hyperparams for m in models):
         raise ValueError("a stacked fit needs equal l2, learning_rate and n_iter")
-    stacks: dict[tuple[int, int, int], list[int]] = {}
     checked = [check_X_y(X, y, k) for X, y, k in zip(Xs, ys, n_classes)]
+    loops: dict[int, dict[tuple[int, int], list[int]]] = {}
     for i, (X, _, k) in enumerate(checked):
-        stacks.setdefault((*X.shape, k), []).append(i)
-    for (n, d, k), members in stacks.items():
-        X = np.stack([checked[i][0] for i in members])
-        one_hot = np.zeros((len(members), n, k))
-        for f, i in enumerate(members):
-            one_hot[f, np.arange(n), checked[i][1]] = 1.0
-        W, b = _descend(X, one_hot, *hyperparams)
-        for f, i in enumerate(members):
+        loops.setdefault(k, {}).setdefault(X.shape, []).append(i)
+    for k, stacks in loops.items():
+        members = [i for stack in stacks.values() for i in stack]
+        weights = _descend(
+            [np.stack([checked[i][0] for i in stack]) for stack in stacks.values()],
+            np.concatenate([checked[i][1] for i in members]),
+            k,
+            *hyperparams,
+        )
+        for i, (W, b) in zip(members, weights):
             model = models[i]
-            model.W_, model.b_ = W[f], b[f]
-            model.n_classes_, model.n_features_ = k, d
+            model.W_, model.b_ = W, b
+            model.n_classes_, model.n_features_ = W.shape
     return models
 
 
-def _descend(X, one_hot, l2, learning_rate, n_iter):
-    """Gradient descent from zero weights on a stack: ``X`` is (F, n, d),
-    ``one_hot`` (F, n, k); returns W (F, k, d) and b (F, k)."""
-    n_fits, n, d = X.shape
-    k = one_hot.shape[2]
-    W = np.zeros((n_fits, k, d))
-    b = np.zeros((n_fits, k))
+def _descend(Xs, labels, k, l2, learning_rate, n_iter):
+    """Gradient descent from zero weights on stacks that share the class
+    count ``k``: each of ``Xs`` is (F, n, d), and ``labels`` holds every
+    stack's rows in order.  Returns (W (k, d), b (k,)) per fit, stack by
+    stack.
+
+    Rows and weights of all stacks live in flat buffers; each stack works
+    on views of them, so the elementwise steps run once for the batch.
+    """
+    n_rows = sum(F * n for F, n, _ in (X.shape for X in Xs))
+    n_weights = sum(F * d for F, _, d in (X.shape for X in Xs)) * k
+    n_fits = sum(len(X) for X in Xs)
+    one_hot = np.zeros((n_rows, k))
+    one_hot[np.arange(n_rows), labels] = 1.0
+    logits, residual = np.empty((n_rows, k)), np.empty((n_rows, k))
+    W, grad_W = np.zeros(n_weights), np.empty(n_weights)
+    b, grad_b = np.zeros((n_fits, k)), np.empty((n_fits, k))
+    row_fit = np.empty(n_rows, dtype=np.intp)  # the fit each row belongs to
+    rows_n = np.empty((n_rows, 1))  # the row count n of the row's fit
+    l2_n = np.empty(n_weights)  # l2 / n of the weight's fit
+    forward, backward, fitted = [], [], []  # per stack: matmul operands and views
+    row = weight = fit = 0
+    for X in Xs:
+        F, n, d = X.shape
+        rows, weights = slice(row, row + F * n), slice(weight, weight + F * k * d)
+        row_fit[rows] = np.repeat(np.arange(fit, fit + F), n)
+        rows_n[rows] = n
+        l2_n[weights] = l2 / n
+        stack_W = W[weights].reshape(F, k, d)
+        stack_residual = residual[rows].reshape(F, n, k)
+        forward.append((X, stack_W.transpose(0, 2, 1), logits[rows].reshape(F, n, k)))
+        backward.append(
+            (
+                stack_residual.transpose(0, 2, 1),
+                X,
+                grad_W[weights].reshape(F, k, d),
+                stack_residual,
+                grad_b[fit : fit + F],
+            )
+        )
+        fitted.extend(zip(stack_W, b[fit : fit + F]))
+        row, weight, fit = rows.stop, weights.stop, fit + F
     for _ in range(n_iter):
-        probabilities = softmax(np.matmul(X, W.transpose(0, 2, 1)) + b[:, None, :])
-        residual = (probabilities - one_hot) / n
-        grad_W = np.matmul(residual.transpose(0, 2, 1), X) + (l2 / n) * W
-        grad_b = residual.sum(axis=1)
+        for X, W_T, stack_logits in forward:
+            np.matmul(X, W_T, out=stack_logits)
+        logits += b[row_fit]
+        np.divide(softmax(logits) - one_hot, rows_n, out=residual)
+        for residual_T, X, stack_grad_W, stack_residual, stack_grad_b in backward:
+            np.matmul(residual_T, X, out=stack_grad_W)
+            stack_residual.sum(axis=1, out=stack_grad_b)
+        grad_W += l2_n * W
         W -= learning_rate * grad_W
         b -= learning_rate * grad_b
-    return W, b
+    return fitted

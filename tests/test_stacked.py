@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sca_reco.estimators import LogisticRegression, fit_stacked
+from sca_reco.estimators import LogisticRegression, fit_stacked, linear
 from sca_reco.estimators.base import check_X_y
 from sca_reco.estimators.linear import softmax
 
@@ -54,14 +54,15 @@ def fit_problem(draw, shape):
     return X, y, k
 
 
-SHAPES = st.tuples(st.integers(2, 20), st.integers(1, 6), st.integers(2, 5))
-
-
 @st.composite
 def fit_batch(draw):
-    """1 to 8 problems over at most 3 shapes, so stacks of several form."""
-    shapes = draw(st.lists(SHAPES, min_size=1, max_size=3))
-    picks = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=8))
+    """1 to 10 problems over at most 6 shapes that draw their class counts
+    from at most two, so one descent loop carries stacks of different rows
+    and features, and stacks of several fits form."""
+    class_counts = draw(st.lists(st.integers(2, 5), min_size=1, max_size=2))
+    shape = st.tuples(st.integers(2, 20), st.integers(1, 6), st.sampled_from(class_counts))
+    shapes = draw(st.lists(shape, min_size=1, max_size=6))
+    picks = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=10))
     return [draw(fit_problem(shape)) for shape in picks]
 
 
@@ -110,6 +111,23 @@ def test_single_fit_matches_reference_at_default_hyperparameters():
         model = LogisticRegression().fit(X, y)
         W, b = reference_fit(X, y)
         assert bits(model.W_) == bits(W) and bits(model.b_) == bits(b)
+
+
+def test_one_descent_loop_per_class_count(monkeypatch):
+    """Stacks of different rows and features but one class count share a
+    loop: softmax runs once per iteration over all their rows."""
+    softmax_rows = []
+
+    def counting_softmax(logits):
+        softmax_rows.append(logits.shape)
+        return softmax(logits)
+
+    monkeypatch.setattr(linear, "softmax", counting_softmax)
+    stream = np.random.default_rng(3)
+    shapes = [(7, 1, 3), (9, 8, 3), (7, 2, 3), (9, 8, 3), (5, 3, 2), (6, 3, 2)]
+    problems = [(stream.normal(size=(n, d)), np.arange(n) % k, k) for n, d, k in shapes]
+    fitted(problems, {"n_iter": 4})
+    assert sorted(softmax_rows) == [(11, 2)] * 4 + [(32, 3)] * 4
 
 
 def test_fit_infers_class_count_per_problem():
