@@ -14,13 +14,14 @@ debug/info/warning/error to control diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
 from pathlib import Path
 
 from .core import parse_beta
-from .exceptions import ConfigError, DataError, ScaRecoError
+from .exceptions import ConfigError, DataError, NonFiniteStatistic, ScaRecoError
 from .features import load_features
 from .footprints import export_footprints
 from .pipeline import (
@@ -121,6 +122,21 @@ def _load_dataset(args):
     return dataset, evaluations, vectors
 
 
+def _naming_features_file(command):
+    """Wrap a command that standardizes ``--features``: a feature whose mean
+    or standard deviation overflows is named with that file."""
+
+    @functools.wraps(command)
+    def run(args) -> int:
+        try:
+            return command(args)
+        except NonFiniteStatistic as exc:
+            raise NonFiniteStatistic(f"{args.features}: {exc}") from exc
+
+    return run
+
+
+@_naming_features_file
 def _cmd_mine(args) -> int:
     kind = parse_model_kind(args.model)
     dataset, _, _ = _load_dataset(args)
@@ -140,6 +156,7 @@ def _cmd_mine(args) -> int:
     return 0
 
 
+@_naming_features_file
 def _cmd_train(args) -> int:
     kind = parse_model_kind(args.model)
     dataset, _, _ = _load_dataset(args)
@@ -202,6 +219,7 @@ def _cmd_baseline(args) -> int:
     return 0
 
 
+@_naming_features_file
 def _cmd_sweep(args) -> int:
     kind = parse_model_kind(args.model)
     betas = [parse_beta(token) for token in args.betas.split(",") if token.strip()]

@@ -62,12 +62,21 @@ class GdcTaxonomy:
         return frozenset(c.gdc_id for c in self.categories)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# json.loads would accept NaN, Infinity and -Infinity, which JSON lacks
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_json(text: str, where: str):
-    """``json.loads(text)``; text that is not JSON, or is nested too deeply
-    for the decoder, raises a ParseError that starts with ``where``."""
+    """Decode one JSON text; text that is not JSON (NaN, Infinity and
+    -Infinity included), or is nested too deeply for the decoder, raises a
+    ParseError that starts with ``where``."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return _DECODER.decode(text)
+    except ValueError as exc:  # JSONDecodeError or a rejected constant
         raise ParseError(f"{where}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc

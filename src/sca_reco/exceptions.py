@@ -54,6 +54,10 @@ class NonNumericCell(DataError):
     """A feature table cell is not a finite number."""
 
 
+class NonFiniteStatistic(DataError):
+    """A feature column's mean or standard deviation is not finite."""
+
+
 class UnknownFeature(DataError):
     """A referenced feature name does not exist in the dataset."""
 

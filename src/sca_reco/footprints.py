@@ -31,7 +31,7 @@ class FootprintProjection:
 
 def project_footprint(dataset: PreferenceDataset) -> FootprintProjection:
     """Standardize the feature matrix and project it to two components."""
-    standardized = StandardScaler().fit_transform(dataset.matrix)
+    standardized = StandardScaler().fit_transform(dataset.matrix, dataset.feature_names)
     coordinates = PCA(n_components=2).fit_transform(standardized)
     return FootprintProjection(
         project_ids=dataset.project_ids, coordinates=coordinates

@@ -234,6 +234,23 @@ def _parse_release_meta(doc: dict, role: str, where: str) -> tuple[str, dt.date]
     return release_id, timestamp
 
 
+def unmapped_entry(root, snapshot: ProjectSnapshot, sca: ScaId, mapping: GdcMapping) -> str:
+    """``<report>: warning <i>`` of the first entry of ``sca``'s reports,
+    older release first, whose type ``mapping`` lacks: the entry at which
+    labeling ``sca`` stops with UnmappedType.  ``root`` is the corpus the
+    snapshot was loaded from."""
+    project_dir = Path(root) / snapshot.project_id
+    for release, reports in (
+        (snapshot.release_old, snapshot.reports_old),
+        (snapshot.release_new, snapshot.reports_new),
+    ):
+        for i, raw in enumerate(reports[sca]):
+            if (sca, raw.original_type) not in mapping.entries:
+                report = project_dir / release.release_id / "reports" / f"{sca}.json"
+                return f"{report}: warning {i}"
+    raise ValueError(f"every {sca!r} entry of project {snapshot.project_id} is mapped")
+
+
 def _load_release(project_dir: Path, release_id: str, timestamp: dt.date, project_id: str):
     release_dir = project_dir / release_id
     release = load_source_tree(release_dir / "src", release_id, timestamp)

@@ -30,7 +30,7 @@ from .core import (
     validate_beta,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
-from .exceptions import DataError, IoError, SchemaError
+from .exceptions import DataError, IoError, SchemaError, UnmappedType
 from .features import FeatureVector, load_features
 from .ingestion import (
     GdcMapping,
@@ -38,6 +38,7 @@ from .ingestion import (
     load_gdc_mapping,
     load_sca_order,
     load_snapshot,
+    unmapped_entry,
 )
 from .matching import AuditRecord, MatchStage, ReleasePair, label_release_detailed
 
@@ -117,7 +118,11 @@ def label_project(context: CorpusContext, snapshot: ProjectSnapshot) -> ProjectL
     for sca in context.sca_order:
         if sca not in snapshot.reports_old:
             continue
-        labeled, audit = label_release_detailed(snapshot, sca, context.mapping, releases)
+        try:
+            labeled, audit = label_release_detailed(snapshot, sca, context.mapping, releases)
+        except UnmappedType as exc:
+            where = unmapped_entry(context.root, snapshot, sca, context.mapping)
+            raise UnmappedType(f"{where}: {exc}") from exc
         by_sca[sca] = tuple(labeled)
         audits[sca] = tuple(audit)
     return ProjectLabels(snapshot.project_id, by_sca, audits)

@@ -252,7 +252,7 @@ def train_batch(
         y, classes = encode_labels(dataset.primary_labels(), dataset.sca_order)
         if len(classes) < 2:
             raise DegenerateDataset("training labels collapse to a single analyzer")
-        scaler = StandardScaler().fit(dataset.matrix)
+        scaler = StandardScaler().fit(dataset.matrix, dataset.feature_names)
         prepared.append((dataset, seed, scaler, classes, scaler.transform(dataset.matrix), y))
     datasets, seeds, scalers, class_lists, Xs, ys = zip(*prepared)
     _, _, fit_batch = ESTIMATORS[kind]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import mutated_entries
 from sca_reco import cli
-from sca_reco.exceptions import SchemaError
+from sca_reco.exceptions import ParseError, SchemaError
 from sca_reco.ingestion import load_report
 from sca_reco.recommend import DEFAULT_HYPERPARAMS
 
@@ -360,6 +360,42 @@ def test_truncated_standardization_exits_2(workspace, tmp_path, capsys):
     assert str(path) in err
 
 
+def _set_first(*path, value):
+    """A corruption that sets the first number of the list at ``path``."""
+
+    def corrupt(document):
+        target = document
+        for key in path:
+            target = target[key]
+        while isinstance(target[0], list):
+            target = target[0]
+        target[0] = value
+
+    return corrupt
+
+
+# model files with a constant JSON lacks (json.dumps writes NaN and
+# Infinity), or a negative standard deviation
+NON_FINITE_MODELS = {
+    "means-nan": _set_first("standardization", "means", value=math.nan),
+    "means-inf": _set_first("standardization", "means", value=math.inf),
+    "means--inf": _set_first("standardization", "means", value=-math.inf),
+    "stds-nan": _set_first("standardization", "stds", value=math.nan),
+    "stds-inf": _set_first("standardization", "stds", value=math.inf),
+    "stds--1": _set_first("standardization", "stds", value=-1.0),
+    "W-nan": _set_first("params", "state", "W", value=math.nan),
+    "W-inf": _set_first("params", "state", "W", value=math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_MODELS))
+def test_non_finite_or_negative_model_number_exits_2(workspace, tmp_path, capsys, case):
+    path = corrupted_model(workspace, tmp_path, "lr", NON_FINITE_MODELS[case])
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert f"{path}: " in err
+
+
 @pytest.mark.parametrize("kind", ["dt", "knn", "lr", "mlp", "rf"])
 def test_class_list_shorter_than_estimator_exits_2(workspace, tmp_path, capsys, kind):
     def cut_classes(document):
@@ -641,6 +677,31 @@ DATASET_COMMANDS = {
 }
 
 
+# feature cells whose column mean (a sum past the largest float) or
+# standard deviation (squares past it) overflows, though each is finite
+OVERFLOWING_CELLS = {"mean": ["1.7e308"] * 3, "std": ["1e200", "-1e200"]}
+
+
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_CELLS))
+def test_overflowing_feature_column_names_the_file_and_feature(
+    workspace, tmp_path, capsys, case, command
+):
+    lines = workspace["features"].read_text(encoding="utf-8").splitlines()
+    column = lines[0].split(",").index("loc_total")
+    for row, value in enumerate(OVERFLOWING_CELLS[case], start=1):
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--evaluations", str(workspace["evaluations"]), "--features", str(features)]
+    argv += [token.format(tmp=tmp_path) for token in DATASET_COMMANDS[command]]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert f"{features}: feature 'loc_total': " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
 @pytest.mark.parametrize("case", sorted(CROSS_RECORD))
 def test_cross_record_check_names_the_evaluations_file(workspace, tmp_path, capsys, case, command):
@@ -756,9 +817,12 @@ def test_label_of_a_mutated_report_never_exits_3(one_project, data):
     report.write_text(json.dumps(document), encoding="utf-8")
     try:
         project, release = report.parts[-4], report.parts[-3]
+        where = f"{report}: warning {position}"
         try:
             load_report(report, project, release)
             loads = True
+        except ParseError:  # NaN or Infinity: the text is not JSON
+            loads, where = False, f"{report}: "
         except SchemaError:
             loads = False
         with contextlib.redirect_stderr(io.StringIO()) as err:
@@ -766,8 +830,21 @@ def test_label_of_a_mutated_report_never_exits_3(one_project, data):
             rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
     finally:
         report.write_text(text, encoding="utf-8")
-    if loads:
-        assert rc in (0, 2)
-    else:
-        assert rc == 2
-        assert f"{report}: warning {position}" in err.getvalue()
+    assert rc in ((0, 2) if loads else (2,))
+    if rc == 2:
+        assert where in err.getvalue()
+
+
+def test_unmapped_type_names_the_report_and_entry(one_project):
+    corpus, report, text = one_project
+    document = json.loads(text)
+    document["warnings"][1]["type"] = "NO_SUCH_TYPE"
+    report.write_text(json.dumps(document), encoding="utf-8")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            out = corpus.parent / "labels.jsonl"
+            rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
+    finally:
+        report.write_text(text, encoding="utf-8")
+    assert rc == 2
+    assert f"{report}: warning 1: no category mapping for " in err.getvalue()

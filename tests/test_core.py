@@ -11,6 +11,7 @@ from sca_reco.core import (
     GdcCategory,
     GdcTaxonomy,
     RawWarning,
+    decode_json,
     default_taxonomy_path,
     format_beta,
     load_taxonomy,
@@ -121,3 +122,10 @@ def test_parse_beta_accepts_decimals_and_inf():
 def test_format_beta_round_trips():
     for text in ("0", "0.5", "1", "2", "inf"):
         assert format_beta(parse_beta(text)) == text
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_decode_json_rejects_constants_json_lacks(constant):
+    with pytest.raises(ParseError, match=f"^model.json: {constant} is not a JSON value"):
+        decode_json(f'{{"stds": [1.0, {constant}]}}', "model.json")
+    assert decode_json('{"stds": [1.0, 1e308]}', "model.json") == {"stds": [1.0, 1e308]}

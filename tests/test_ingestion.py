@@ -306,6 +306,13 @@ def outcome(load, *args):
 def test_report_fast_path_equals_checked_path(tmp_path, entries):
     path = tmp_path / "spotbugs.json"
     write_report(path, entries)
+    try:
+        json.dumps(entries, allow_nan=False)
+    except ValueError:  # json.dumps wrote NaN or Infinity, which JSON lacks
+        with pytest.raises(ParseError, match=r"Infinity|NaN") as exc:
+            load_report(path, "p1", "r1")
+        assert str(exc.value).startswith(f"{path}: ")
+        return
     expected = outcome(checked_report, path, "spotbugs", entries)
     assert outcome(load_report, path, "p1", "r1") == expected
     if isinstance(expected, str):
