@@ -105,7 +105,9 @@ class ProjectFailure:
 
 
 def label_project(context: CorpusContext, snapshot: ProjectSnapshot) -> ProjectLabels:
-    """Run the closed-warning heuristic for every analyzer of one project."""
+    """Run the closed-warning heuristic for every analyzer of one project
+    loaded from ``context.root``; a warning type without a category mapping
+    raises an UnmappedType that names its report and entry."""
     unknown = set(snapshot.reports_old) - set(context.sca_order)
     if unknown:
         raise SchemaError(
