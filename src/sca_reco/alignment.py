@@ -6,6 +6,13 @@ each within 3 of one another pairwise, and their line ranges overlap
 pairwise.  Labels are then resolved by vote: unanimous groups keep their
 label, a 2-vs-1 group takes the majority, and a conflicting pair is
 discarded outright.  Warnings that group with nobody stand alone.
+
+The pairwise rule is defined once, in ``_same_defect``.  ``identical``
+applies it to every pair of a group, so ``AlignedGroup`` validates its
+members through it, and the greedy grouping checks each candidate against
+each member with it directly, once per pair.  The grouping looks only at
+the candidates the rule can accept: those of the seed's category and class
+starting within OFFSET_LIMIT lines of it.
 """
 
 from __future__ import annotations
@@ -19,34 +26,40 @@ from .core import AlignedWarning, ScaId, WarningLabel, sort_warnings, warning_so
 OFFSET_LIMIT = 3
 
 
+def _same_defect(a: AlignedWarning, b: AlignedWarning) -> bool:
+    """The pairwise rule: two warnings denote one defect when they share
+    category and class, their start lines and their end lines are each
+    within OFFSET_LIMIT, and their line ranges overlap."""
+    return (
+        a.new_type == b.new_type
+        and a.class_info == b.class_info
+        and abs(a.start_line - b.start_line) <= OFFSET_LIMIT
+        and abs(a.end_line - b.end_line) <= OFFSET_LIMIT
+        and max(a.start_line, b.start_line) <= min(a.end_line, b.end_line)
+    )
+
+
 def identical(warnings: Sequence[AlignedWarning], ignore_label: bool = False) -> bool:
-    """Do these 2 or 3 warnings from distinct analyzers denote one defect?"""
+    """Do these 2 or 3 warnings from distinct analyzers denote one defect?
+
+    Every pair must pass ``_same_defect``, and unless ``ignore_label`` all
+    must carry one label.
+    """
     group = list(warnings)
     if len(group) not in (2, 3):
         raise ValueError("identity is defined for 2 or 3 warnings")
     scas = [w.origin[0] for w in group]
     if len(set(scas)) != len(scas):
         raise ValueError("warnings must come from distinct analyzers")
-    first = group[0]
-    for other in group[1:]:
-        if other.new_type != first.new_type or other.class_info != first.class_info:
-            return False
-        if not ignore_label and other.label is not first.label:
-            return False
-    for a, b in combinations(group, 2):
-        if abs(a.start_line - b.start_line) > OFFSET_LIMIT:
-            return False
-        if abs(a.end_line - b.end_line) > OFFSET_LIMIT:
-            return False
-        if max(a.start_line, b.start_line) > min(a.end_line, b.end_line):
-            return False
-    return True
+    if not ignore_label and any(w.label is not group[0].label for w in group):
+        return False
+    return all(_same_defect(a, b) for a, b in combinations(group, 2))
 
 
 def _resolve_label(members: Sequence[AlignedWarning]) -> WarningLabel | None:
     """Voted label, or None for a conflicting pair (which must be discarded)."""
     labels = [m.label for m in members]
-    if all(label is labels[0] for label in labels):
+    if labels.count(labels[0]) == len(labels):
         return labels[0]
     if len(labels) == 2:
         return None
@@ -100,14 +113,16 @@ def align_project(
     the current members, ties by canonical order.  Labels are ignored while
     grouping and resolved by vote afterwards.
 
-    Each analyzer's pool is indexed by (category, class, start line), and a
-    seed looks only at the buckets within OFFSET_LIMIT lines of its start.
-    ``identical`` accepts a member only if it shares the seed's category and
-    class and starts within OFFSET_LIMIT lines of it, so those buckets hold
-    every compatible candidate; the pick is by a total order, so the groups
-    are the same as when scanning the whole pool.  The index lives for one
-    call, that is for one project.
+    Each analyzer's pool is indexed by (category, class) and then by start
+    line, and a seed looks only at the lines within OFFSET_LIMIT of its
+    start.  ``_same_defect`` accepts a member only if it shares the seed's
+    category and class and starts within OFFSET_LIMIT lines of it, so those
+    lines hold every compatible candidate; the pick is by a total order, so
+    the groups are the same as when scanning the whole pool.  The index
+    lives for one call, that is for one project.
     """
+    if len(set(sca_order)) != len(sca_order):
+        raise ValueError(f"analyzer order {list(sca_order)} repeats an analyzer")
     for sca, warnings in labeled.items():
         for w in warnings:
             if w.label is WarningLabel.UNKNOWN:
@@ -129,19 +144,15 @@ def align_project(
             consumed.add(seed.origin)
             members = [seed]
             for later in sca_order[i + 1 :]:
-                compatible = [
-                    candidate
-                    for candidate in _near(indexes[later], seed)
-                    if candidate.origin not in consumed and _compatible(members, candidate)
-                ]
-                if compatible:
-                    best = min(
-                        compatible,
-                        key=lambda c: (
-                            sum(abs(c.start_line - m.start_line) for m in members),
-                            warning_sort_key(c),
-                        ),
-                    )
+                best = best_key = None
+                for candidate in _near(indexes[later], seed):
+                    if candidate.origin in consumed or not _compatible(members, candidate):
+                        continue
+                    distance = sum(abs(candidate.start_line - m.start_line) for m in members)
+                    key = (distance, warning_sort_key(candidate))
+                    if best_key is None or key < best_key:
+                        best, best_key = candidate, key
+                if best is not None:
                     consumed.add(best.origin)
                     members.append(best)
             raw_groups.append(members)
@@ -161,18 +172,30 @@ def align_project(
 
 
 def _compatible(members: list[AlignedWarning], candidate: AlignedWarning) -> bool:
-    return all(identical((m, candidate), ignore_label=True) for m in members)
+    """Does ``candidate`` pass the pairwise rule with every member?"""
+    for member in members:
+        if not _same_defect(member, candidate):
+            return False
+    return True
 
 
-def _index_by_line(pool: list[AlignedWarning]) -> dict[tuple, list[AlignedWarning]]:
-    index: dict[tuple, list[AlignedWarning]] = {}
+# (category, class) -> start line -> warnings, in canonical order
+_LineIndex = dict[tuple[str, str], dict[int, list[AlignedWarning]]]
+
+
+def _index_by_line(pool: list[AlignedWarning]) -> _LineIndex:
+    index: _LineIndex = {}
     for w in pool:
-        index.setdefault((w.new_type, w.class_info, w.start_line), []).append(w)
+        lines = index.setdefault((w.new_type, w.class_info), {})
+        lines.setdefault(w.start_line, []).append(w)
     return index
 
 
-def _near(index: dict[tuple, list[AlignedWarning]], seed: AlignedWarning):
+def _near(index: _LineIndex, seed: AlignedWarning) -> list[AlignedWarning]:
     """Indexed warnings sharing the seed's category and class that start
     within OFFSET_LIMIT lines of it."""
-    for line in range(seed.start_line - OFFSET_LIMIT, seed.start_line + OFFSET_LIMIT + 1):
-        yield from index.get((seed.new_type, seed.class_info, line), ())
+    lines = index.get((seed.new_type, seed.class_info))
+    if not lines:
+        return []
+    first = seed.start_line - OFFSET_LIMIT
+    return [w for line in range(first, first + 2 * OFFSET_LIMIT + 1) for w in lines.get(line, ())]

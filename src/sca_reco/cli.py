@@ -192,7 +192,12 @@ def _cmd_recommend(args) -> int:
             raise DataError(f"project {args.project!r} is not in the feature table")
     lines = []
     for vector in vectors:
-        lines.append(f"{vector.project_id}\t{model.predict(vector)}")
+        try:
+            lines.append(f"{vector.project_id}\t{model.predict(vector)}")
+        except DataError as exc:
+            raise type(exc)(
+                f"{args.model_file} on {args.features}, project {vector.project_id}: {exc}"
+            ) from exc
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -15,7 +15,9 @@ names found in the corpus.
 from __future__ import annotations
 
 import datetime as dt
+import errno
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,14 +171,20 @@ def load_gdc_mapping(path: str | Path, taxonomy) -> GdcMapping:
     return GdcMapping(entries)
 
 
-def canonicalize(raw: RawWarning, mapping: GdcMapping, origin_index: int) -> AlignedWarning:
-    """Convert a raw warning into canonical form (label is a placeholder)."""
+def canonicalize(
+    raw: RawWarning,
+    mapping: GdcMapping,
+    origin_index: int,
+    label: WarningLabel = WarningLabel.UNKNOWN,
+) -> AlignedWarning:
+    """Convert a raw warning into canonical form with ``label``, which is a
+    placeholder unless the warning has been labeled."""
     return AlignedWarning(
         new_type=mapping.lookup(raw.sca, raw.original_type),
         class_info=raw.class_path,
         start_line=raw.start_line,
         end_line=raw.end_line,
-        label=WarningLabel.UNKNOWN,
+        label=label,
         origin=(raw.sca, origin_index),
     )
 
@@ -191,6 +199,40 @@ def _split_lines(text: str) -> tuple[str, ...]:
     return tuple(line.removesuffix("\r") for line in lines)
 
 
+def _tree_files(directory: str) -> list[tuple[tuple[str, ...], str]]:
+    """Every file under ``directory`` as (path parts relative to it, path),
+    sorted by the parts, so ``a/b.java`` comes before ``a-b.java``.
+
+    Symlinked files are listed, but not broken symlinks or symlink loops;
+    symlinked directories are not entered.
+    """
+    found = []
+    pending = [((), directory)]
+    while pending:
+        parts, path = pending.pop()
+        try:
+            with os.scandir(path) as entries:
+                for entry in entries:
+                    child = (*parts, entry.name)
+                    if entry.is_dir(follow_symlinks=False):
+                        pending.append((child, entry.path))
+                    elif _is_file(entry):
+                        found.append((child, entry.path))
+        except OSError as exc:
+            raise IoError(str(exc)) from exc
+    found.sort()
+    return found
+
+
+def _is_file(entry: os.DirEntry) -> bool:
+    try:
+        return entry.is_file()
+    except OSError as exc:
+        if exc.errno == errno.ELOOP:  # a symlink loop, as Path.is_file sees it
+            return False
+        raise
+
+
 def load_source_tree(
     directory: str | Path, release_id: str, timestamp: dt.date | None = None
 ) -> Release:
@@ -203,12 +245,11 @@ def load_source_tree(
     if not directory.is_dir():
         raise IoError(f"source directory {directory} does not exist")
     files: dict[str, tuple[str, ...]] = {}
-    for path in sorted(directory.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(directory).as_posix()
+    for parts, path in _tree_files(str(directory)):
+        rel = "/".join(parts)
         try:
-            blob = path.read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError as exc:
             raise IoError(str(exc)) from exc
         if b"\x00" in blob:

@@ -16,12 +16,21 @@ cascade, strongest evidence first:
 Matching is one-to-one: old warnings are processed in canonical order and a
 consumed candidate is unavailable to later warnings.
 
-The pairwise predicates ``match_location``, ``match_snippet`` and
-``match_hash`` are the single definition of each stage: ``match_warning``
-runs them as they are, and tests and oracles call the same functions.
-``label_release_detailed`` indexes the newer release's warnings by the keys
-the predicates compare, so each old warning is tried only against the few
-candidates that could match it; the index never decides a match itself.
+Each stage is defined once, by its keys: ``location_kind`` with
+``location_lines`` (and the ``methods_agree`` condition), ``snippet_key``
+and ``hash_key``.  A pair passes a stage exactly when the new warning's key
+is one the old warning's keys accept.  The pairwise predicates
+``match_location``, ``match_snippet`` and ``match_hash`` compare those keys
+for one pair, for tests and oracles.  The cascade (``_Pool``) indexes one
+analyzer's newer-release warnings by each stage's key, and the index
+decides a stage's hits: they are the unconsumed members of the buckets the
+old warning's keys look up, and no predicate re-tests them.
+``match_warning`` runs that cascade over a candidate list and
+``label_release_detailed`` over a whole report, once per old warning.  The
+label pass reads warnings as ``_Site`` records, far cheaper to build than
+an ``AlignedWarning``, and builds each old warning's ``AlignedWarning``
+once, with its label.
+
 ``ReleasePair`` is the only cache.  It resolves class files, diff-maps old
 start lines, cuts snippets and token windows once per project, and all
 analyzers of the project share it.  A file is tokenized once, into its
@@ -39,7 +48,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain
-from operator import itemgetter
 
 from .core import (
     AlignedWarning,
@@ -48,7 +56,6 @@ from .core import (
     Release,
     ScaId,
     WarningLabel,
-    sort_warnings,
     warning_sort_key,
 )
 from .exceptions import SchemaError
@@ -157,6 +164,19 @@ def hash_window(before: list[int], start_line: int) -> range:
     return range(max(0, anchor - HASH_WINDOW_TOKENS), min(before[-1], anchor + HASH_WINDOW_TOKENS))
 
 
+@dataclass(slots=True)
+class _Site:
+    """A report entry's canonical fields before it has a label: what the
+    cascade reads of a warning, old or new.  ``ReleasePair`` and the stage
+    keys read a site as they read an ``AlignedWarning``."""
+
+    new_type: str
+    class_info: str
+    start_line: int
+    end_line: int
+    origin: tuple[ScaId, int]
+
+
 @dataclass(frozen=True)
 class ReleasePair:
     """One project's two releases, their line mapping, and a memo over them.
@@ -189,7 +209,7 @@ class ReleasePair:
             self.memo[key] = resolve_class_file(self._release(which), class_info)
         return self.memo[key]
 
-    def location_target(self, warning: AlignedWarning) -> int | None:
+    def location_target(self, warning: AlignedWarning | _Site) -> int | None:
         """Where the warned old line lives in the new release, if anywhere.
 
         A deleted or changed line falls back to the nearest surviving line
@@ -208,7 +228,7 @@ class ReleasePair:
             self.memo[key] = new_lines[below - 1] if below else None
         return self.memo[key]
 
-    def snippet(self, which: str, warning: AlignedWarning) -> str | None:
+    def snippet(self, which: str, warning: AlignedWarning | _Site) -> str | None:
         """The whitespace-trimmed text of the warned lines, joined."""
         key = ("snippet", which, warning.class_info, warning.start_line, warning.end_line)
         if key not in self.memo:
@@ -218,12 +238,10 @@ class ReleasePair:
             else:
                 lines = self._release(which).files[path]
                 window = lines[warning.start_line - 1 : warning.end_line]
-                self.memo[key] = (
-                    "".join(line.strip() for line in window) if window else None
-                )
+                self.memo[key] = "".join(map(str.strip, window)) if window else None
         return self.memo[key]
 
-    def window_hash(self, which: str, warning: AlignedWarning) -> bytes | None:
+    def window_hash(self, which: str, warning: AlignedWarning | _Site) -> bytes | None:
         """The ``hash_window`` tokens of the warned start line, joined by
         single 0x1F bytes; None for an unresolved class or a file without
         tokens.  Tokens never contain 0x1F, so equal bytes mean equal token
@@ -258,38 +276,159 @@ class MatchContext:
     raws_new: tuple[RawWarning, ...]
 
 
+def location_kind(warning: AlignedWarning | _Site) -> tuple[str, str]:
+    """Stage 1's key less its line: category and class."""
+    return warning.new_type, warning.class_info
+
+
+# Offsets from the location target, nearest first and the lower line first
+# among equally near ones.
+_NEAREST_OFFSETS = sorted(
+    range(-LOCATION_OFFSET_LIMIT, LOCATION_OFFSET_LIMIT + 1), key=lambda d: (abs(d), d)
+)
+
+
+def location_lines(releases: ReleasePair, warning: AlignedWarning | _Site) -> list[int]:
+    """The start lines stage 1 accepts for an older-release warning, in
+    pick order: each line within LOCATION_OFFSET_LIMIT of its diff-mapped
+    target, nearest first and the lower of two equally near lines first;
+    none without a target."""
+    target = releases.location_target(warning)
+    return [] if target is None else [target + offset for offset in _NEAREST_OFFSETS]
+
+
+def methods_agree(method_a: str | None, method_b: str | None) -> bool:
+    """Stage 1's method condition, vacuous when either side omits the method."""
+    return method_a is None or method_b is None or method_a == method_b
+
+
+def snippet_key(
+    releases: ReleasePair, which: str, warning: AlignedWarning | _Site
+) -> tuple | None:
+    """Stage 2's key: category, class and the trimmed warned text; None
+    when the text is missing."""
+    snippet = releases.snippet(which, warning)
+    return None if snippet is None else (warning.new_type, warning.class_info, snippet)
+
+
+def hash_key(
+    releases: ReleasePair, which: str, warning: AlignedWarning | _Site
+) -> tuple | None:
+    """Stage 3's key: category and the token window's bytes; None when the
+    window is missing."""
+    window = releases.window_hash(which, warning)
+    return None if window is None else (warning.new_type, window)
+
+
 def match_location(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
     """Stage 1: old warning ``w_a`` and new warning ``w_b`` share category,
     class and method, and the diff-mapped old start line lands within
     LOCATION_OFFSET_LIMIT lines of ``w_b``."""
-    if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
-        return False
-    target = context.releases.location_target(w_a)
-    if target is None or abs(target - w_b.start_line) > LOCATION_OFFSET_LIMIT:
-        return False
-    method_a = context.raws_old[w_a.origin[1]].method_path
-    method_b = context.raws_new[w_b.origin[1]].method_path
-    # The method condition is vacuous when either side omits the method.
-    return method_a is None or method_b is None or method_a == method_b
+    return (
+        location_kind(w_a) == location_kind(w_b)
+        and w_b.start_line in location_lines(context.releases, w_a)
+        and methods_agree(
+            context.raws_old[w_a.origin[1]].method_path,
+            context.raws_new[w_b.origin[1]].method_path,
+        )
+    )
 
 
 def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
     """Stage 2: same category and class, and identical trimmed warned text."""
-    if w_a.new_type != w_b.new_type or w_a.class_info != w_b.class_info:
-        return False
-    releases = context.releases
-    snippet_a = releases.snippet("old", w_a)
-    return snippet_a is not None and snippet_a == releases.snippet("new", w_b)
+    key = snippet_key(context.releases, "old", w_a)
+    return key is not None and key == snippet_key(context.releases, "new", w_b)
 
 
 def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
     """Stage 3: same category and an identical token window, compared by
     its bytes."""
-    if w_a.new_type != w_b.new_type:
-        return False
-    releases = context.releases
-    hash_a = releases.window_hash("old", w_a)
-    return hash_a is not None and hash_a == releases.window_hash("new", w_b)
+    key = hash_key(context.releases, "old", w_a)
+    return key is not None and key == hash_key(context.releases, "new", w_b)
+
+
+def _index(warnings: Sequence, key) -> dict[tuple, list[int]]:
+    """Positions in ``warnings`` bucketed by ``key``, each bucket ascending;
+    a warning whose key is None is left out."""
+    buckets: dict[tuple, list[int]] = {}
+    for position, warning in enumerate(warnings):
+        bucket_key = key(warning)
+        if bucket_key is not None:
+            buckets.setdefault(bucket_key, []).append(position)
+    return buckets
+
+
+class _Pool:
+    """One analyzer's unconsumed newer-release warnings, indexed by stage key.
+
+    ``warnings`` are in canonical order, and the indexes hold positions in
+    it, so a bucket lists its warnings in canonical order.  The location
+    index maps a warning's ``location_kind`` to its start line and then to
+    its bucket.  Every warning a stage accepts is in the buckets of that
+    stage's keys, which the stage looks up and nothing else.  The hash
+    index is built the first time a warning reaches the hash stage.
+    """
+
+    def __init__(self, warnings: list[AlignedWarning | _Site], context: MatchContext):
+        releases = context.releases
+        self.releases = releases
+        self.raws_old = context.raws_old
+        self.warnings = warnings
+        self.methods = [context.raws_new[w.origin[1]].method_path for w in warnings]
+        self.available = [True] * len(warnings)
+        self.by_location: dict[tuple[str, str], dict[int, list[int]]] = {}
+        for position, warning in enumerate(warnings):
+            lines = self.by_location.setdefault(location_kind(warning), {})
+            lines.setdefault(warning.start_line, []).append(position)
+        self.by_snippet = _index(warnings, lambda w: snippet_key(releases, "new", w))
+        self.by_hash: dict[tuple, list[int]] | None = None
+
+    def take(self, warning: AlignedWarning | _Site) -> tuple[int, MatchStage] | None:
+        """Run the cascade for older-release ``warning``: the position of
+        the warning it matches, which is then consumed, and the stage; None
+        when no stage matches."""
+        hit = self._match(warning)
+        if hit is not None:
+            self.available[hit[0]] = False
+        return hit
+
+    def _match(self, warning: AlignedWarning | _Site) -> tuple[int, MatchStage] | None:
+        """Each stage in turn picks its hit of minimal |start-line
+        difference|, taken from the diff-mapped line for the location stage,
+        and then the canonically first.  The location lines come nearest
+        first and a bucket in canonical order, so the first location hit is
+        the pick."""
+        releases, available = self.releases, self.available
+        lines = self.by_location.get(location_kind(warning))
+        if lines:
+            method = self.raws_old[warning.origin[1]].method_path
+            for line in location_lines(releases, warning):
+                for position in lines.get(line, ()):
+                    if available[position] and methods_agree(method, self.methods[position]):
+                        return position, MatchStage.LOCATION
+        bucket = self.by_snippet.get(snippet_key(releases, "old", warning))
+        position = self._nearest(bucket, warning.start_line)
+        if position is not None:
+            return position, MatchStage.SNIPPET
+        key = hash_key(releases, "old", warning)
+        if key is not None:
+            if self.by_hash is None:
+                self.by_hash = _index(self.warnings, lambda w: hash_key(releases, "new", w))
+            position = self._nearest(self.by_hash.get(key), warning.start_line)
+            if position is not None:
+                return position, MatchStage.HASH
+        return None
+
+    def _nearest(self, bucket: list[int] | None, line: int) -> int | None:
+        """The available position of ``bucket`` whose warning starts nearest
+        ``line``, the canonically first among equally near ones."""
+        best = best_distance = None
+        for position in bucket or ():
+            if self.available[position]:
+                distance = abs(line - self.warnings[position].start_line)
+                if best is None or distance < best_distance:
+                    best, best_distance = position, distance
+        return best
 
 
 def match_warning(
@@ -303,22 +442,12 @@ def match_warning(
     (for the location stage the difference is taken from the diff-mapped old
     line); remaining ties go to the canonically first candidate.
     """
-    if not candidates:
+    pool = _Pool(sorted(candidates, key=warning_sort_key), context)
+    hit = pool.take(w_a)
+    if hit is None:
         return _NO_MATCH
-    stages = (
-        (MatchStage.LOCATION, match_location, context.releases.location_target(w_a)),
-        (MatchStage.SNIPPET, match_snippet, w_a.start_line),
-        (MatchStage.HASH, match_hash, w_a.start_line),
-    )
-    for stage, predicate, anchor in stages:
-        hits = [
-            (abs(anchor - c.start_line), warning_sort_key(c), c)
-            for c in candidates
-            if predicate(w_a, c, context)
-        ]
-        if hits:
-            return MatchOutcome(min(hits, key=itemgetter(0, 1))[2], stage)
-    return _NO_MATCH
+    position, stage = hit
+    return MatchOutcome(pool.warnings[position], stage)
 
 
 @dataclass(frozen=True)
@@ -334,25 +463,28 @@ class AuditRecord:
     matched_origin: int | None
 
 
-def _is_gone(warning: AlignedWarning, releases: ReleasePair) -> bool:
+def _sites(raws: Sequence[RawWarning], mapping: GdcMapping) -> list[_Site]:
+    """The sites of a report's entries, in canonical order."""
+    lookup = mapping.lookup
+    sites = [
+        _Site(
+            lookup(raw.sca, raw.original_type),
+            raw.class_path,
+            raw.start_line,
+            raw.end_line,
+            (raw.sca, i),
+        )
+        for i, raw in enumerate(raws)
+    ]
+    sites.sort(key=warning_sort_key)
+    return sites
+
+
+def _is_gone(warning: _Site, releases: ReleasePair) -> bool:
     """True when the warned code cannot be judged in the newer release."""
     if releases.resolve("old", warning.class_info) in releases.mapping.deleted_files:
         return True
     return releases.resolve("new", warning.class_info) is None
-
-
-def _index(warnings: list[AlignedWarning], key) -> dict[tuple, list[int]]:
-    """Origin indices of ``warnings`` bucketed by ``key``.
-
-    A key whose last part is None (a missing snippet or window) is left out,
-    because no predicate accepts a missing value.
-    """
-    buckets: dict[tuple, list[int]] = {}
-    for warning in warnings:
-        bucket_key = key(warning)
-        if bucket_key[-1] is not None:
-            buckets.setdefault(bucket_key, []).append(warning.origin[1])
-    return buckets
 
 
 def label_release_detailed(
@@ -370,82 +502,42 @@ def label_release_detailed(
     ``releases`` is the snapshot's ``ReleasePair``; pass the same one for
     every analyzer of a project so that its diff and memo are shared.
 
-    The newer release's warnings are indexed by the keys the predicates
-    compare: (category, class, start line) for the location stage, (category,
-    class, snippet) for the snippet stage, and (category, token window) for
-    the hash stage, built the first time an old warning reaches it.  Each
-    old warning hands ``match_warning`` only the unconsumed warnings in its
-    location buckets (the diff-mapped target line +- LOCATION_OFFSET_LIMIT)
-    and its snippet bucket, and adds its hash bucket when neither the
-    location nor the snippet stage matched.  Every warning a stage's
-    predicate accepts is in that stage's buckets, and ``match_warning``
-    picks by a total order, so any superset of a stage's hits gives the
-    same pick as scanning every unconsumed warning.
+    The newer release's warnings form one ``_Pool``, and each old warning,
+    in canonical order, takes its match from it.  Each old warning's
+    ``AlignedWarning`` is built once, with its label.
     """
     if sca not in snapshot.reports_old:
         raise SchemaError(f"project {snapshot.project_id} has no {sca!r} report")
     raws_old = snapshot.reports_old[sca]
     raws_new = snapshot.reports_new[sca]
-    context = MatchContext(releases, raws_old, raws_new)
-    old_canon = [canonicalize(raw, mapping, i) for i, raw in enumerate(raws_old)]
-    new_canon = [canonicalize(raw, mapping, i) for i, raw in enumerate(raws_new)]
-    available = set(range(len(new_canon)))
-    by_line = _index(new_canon, lambda w: (w.new_type, w.class_info, w.start_line))
-    by_snippet = _index(
-        new_canon, lambda w: (w.new_type, w.class_info, releases.snippet("new", w))
-    )
-    by_hash: dict[tuple, list[int]] | None = None
-
-    def unconsumed(buckets: list[list[int]]) -> list[AlignedWarning]:
-        # buckets may share a warning; a repeated candidate cannot change
-        # the pick, which is the minimum of a total order
-        return [new_canon[i] for bucket in buckets for i in bucket if i in available]
-
+    old_sites = _sites(raws_old, mapping)
+    pool = _Pool(_sites(raws_new, mapping), MatchContext(releases, raws_old, raws_new))
     labeled: list[AlignedWarning] = []
     audit: list[AuditRecord] = []
-    for warning in sort_warnings(old_canon):
-        kind = (warning.new_type, warning.class_info)
-        buckets = [by_snippet.get((*kind, releases.snippet("old", warning)), [])]
-        target = releases.location_target(warning)
-        if target is not None:
-            lines = range(target - LOCATION_OFFSET_LIMIT, target + LOCATION_OFFSET_LIMIT + 1)
-            buckets += [by_line.get((*kind, line), []) for line in lines]
-        outcome = match_warning(warning, unconsumed(buckets), context)
-        if outcome.stage is None or outcome.stage is MatchStage.HASH:
-            # a hash hit among these candidates may not be the nearest one
-            if by_hash is None:
-                by_hash = _index(
-                    new_canon, lambda w: (w.new_type, releases.window_hash("new", w))
-                )
-            hash_key = (warning.new_type, releases.window_hash("old", warning))
-            buckets.append(by_hash.get(hash_key, []))
-            outcome = match_warning(warning, unconsumed(buckets), context)
-        if outcome.matched is not None:
-            available.remove(outcome.matched.origin[1])
+    for site in old_sites:
+        hit = pool.take(site)
+        if hit is not None:
+            position, stage = hit
+            matched = pool.warnings[position]
+            matched_line, matched_origin = matched.start_line, matched.origin[1]
             label = WarningLabel.UNACTIONABLE
-        elif _is_gone(warning, releases):
-            label = WarningLabel.UNKNOWN
         else:
-            label = WarningLabel.ACTIONABLE
-        labeled.append(
-            AlignedWarning(
-                warning.new_type,
-                warning.class_info,
-                warning.start_line,
-                warning.end_line,
-                label,
-                warning.origin,
-            )
-        )
+            stage = matched_line = matched_origin = None
+            if _is_gone(site, releases):
+                label = WarningLabel.UNKNOWN
+            else:
+                label = WarningLabel.ACTIONABLE
+        index = site.origin[1]
+        labeled.append(canonicalize(raws_old[index], mapping, index, label))
         audit.append(
             AuditRecord(
-                class_info=warning.class_info,
-                start_line=warning.start_line,
-                new_type=warning.new_type,
-                outcome=label,
-                stage=outcome.stage,
-                matched_line=outcome.matched.start_line if outcome.matched else None,
-                matched_origin=outcome.matched.origin[1] if outcome.matched else None,
+                site.class_info,
+                site.start_line,
+                site.new_type,
+                label,
+                stage,
+                matched_line,
+                matched_origin,
             )
         )
     return labeled, audit

@@ -30,7 +30,7 @@ from .core import (
     validate_beta,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
-from .exceptions import DataError, IoError, SchemaError, UnmappedType
+from .exceptions import DataError, DuplicateProject, IoError, SchemaError, UnmappedType
 from .features import FeatureVector, load_features
 from .ingestion import (
     GdcMapping,
@@ -234,12 +234,14 @@ def labels_to_record(labels: ProjectLabels) -> dict:
 
 
 def record_to_labels(record: dict) -> ProjectLabels:
-    """Inverse of ``labels_to_record``; a missing field or one of the wrong
-    type raises a SchemaError."""
+    """Inverse of ``labels_to_record``; a missing field, one of the wrong
+    type, or a row repeating another's analyzer and index raises a
+    SchemaError."""
     where = "label record"
     project_id = require_field(record, "project", str, where)
     by_sca: dict[ScaId, list[AlignedWarning]] = {}
     audits: dict[ScaId, list[AuditRecord]] = {}
+    seen: dict[tuple[ScaId, int], int] = {}
     for i, row in enumerate(require_field(record, "warnings", list, where)):
         at = f"{where}: warning {i}"
         sca = require_field(row, "sca", str, at)
@@ -266,6 +268,11 @@ def record_to_labels(record: dict) -> ProjectLabels:
             matched_line=optional_field(row, "matched_line", int, at),
             matched_origin=optional_field(row, "matched_index", int, at),
         )
+        first = seen.setdefault(warning.origin, i)
+        if first != i:
+            raise SchemaError(
+                f"{at}: analyzer {sca!r} index {warning.origin[1]} repeats warning {first}"
+            )
         by_sca.setdefault(sca, []).append(warning)
         audits.setdefault(sca, []).append(audit)
     return ProjectLabels(
@@ -285,22 +292,33 @@ def _write_jsonl(path: str | Path, records) -> None:
 
 
 def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
-    """``parse`` of each non-blank line's JSON; a SchemaError it raises is
-    prefixed with the file and line number."""
+    """``parse`` of each non-blank line's JSON, one record per project.
+
+    A SchemaError ``parse`` raises is prefixed with the file and line
+    number.  A record whose ``project_id`` an earlier line gave raises a
+    DuplicateProject naming the file and both lines.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
     records = []
+    first_line: dict[str, int] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{number}"
         try:
-            records.append(parse(decode_json(line, where)))
+            record = parse(decode_json(line, where))
         except SchemaError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
+        first = first_line.setdefault(record.project_id, number)
+        if first != number:
+            raise DuplicateProject(
+                f"{where}: project {record.project_id!r} repeats line {first}"
+            )
+        records.append(record)
     return records
 
 

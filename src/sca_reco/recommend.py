@@ -29,6 +29,7 @@ from .estimators import (
     fit_stacked,
 )
 from .exceptions import (
+    DataError,
     DegenerateDataset,
     FeatureMismatch,
     InvalidCount,
@@ -135,7 +136,13 @@ class RecommendationModel:
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] != len(self.feature_names):
             raise FeatureMismatch("feature matrix width disagrees with the model")
-        indices = self.estimator.predict(self.scaler.transform(matrix))
+        with np.errstate(over="ignore", invalid="ignore"):
+            standardized = self.scaler.transform(matrix)
+        finite = np.isfinite(standardized).all(axis=0)
+        if not finite.all():
+            name = self.feature_names[int(np.argmin(finite))]
+            raise DataError(f"feature {name!r}: standardized value is not finite")
+        indices = self.estimator.predict(standardized)
         return [self.classes[i] for i in indices]
 
     def predict(self, vector: FeatureVector) -> ScaId:

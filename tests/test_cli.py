@@ -396,6 +396,37 @@ def test_non_finite_or_negative_model_number_exits_2(workspace, tmp_path, capsys
     assert f"{path}: " in err
 
 
+# model standardizations that are finite but overflow once applied: a
+# subnormal standard deviation, and a mean a features cell is too far from
+OVERFLOWING_STANDARDIZATIONS = {
+    "subnormal-std": (_set_first("standardization", "stds", value=1e-320), None),
+    "far-mean": (_set_first("standardization", "means", value=1.7e308), "-1.7e308"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_STANDARDIZATIONS))
+def test_overflowing_standardization_names_model_and_features(
+    workspace, tmp_path, capsys, case
+):
+    corrupt, cell = OVERFLOWING_STANDARDIZATIONS[case]
+    path = corrupted_model(workspace, tmp_path, "lr", corrupt)
+    feature = json.loads(path.read_text(encoding="utf-8"))["feature_names"][0]
+    features = workspace["features"]
+    if cell is not None:
+        lines = features.read_text(encoding="utf-8").splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(feature)] = cell
+        lines[1] = ",".join(row)
+        features = tmp_path / "features.csv"
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["recommend", "--model-file", str(path), "--features", str(features)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path} on {features}, project p000: feature {feature!r}: " in err
+    assert "not finite" in err
+
+
 @pytest.mark.parametrize("kind", ["dt", "knn", "lr", "mlp", "rf"])
 def test_class_list_shorter_than_estimator_exits_2(workspace, tmp_path, capsys, kind):
     def cut_classes(document):
@@ -654,6 +685,58 @@ def test_labels_of_an_unlisted_analyzer_exit_2(workspace, tmp_path, capsys):
     assert f"{labels}:3: " in err
     assert "['x']" in err
     assert not (tmp_path / "eval").exists()
+
+
+def _append_first_record(lines):
+    lines.append(lines[0])
+
+
+def _repeat_first_row(lines):
+    record = json.loads(lines[1])
+    record["warnings"].append(dict(record["warnings"][0]))
+    lines[1] = json.dumps(record)
+
+
+# label files that repeat a project, or a warning row within one project's
+# record, and the line each is refused at
+REPEATED_LABELS = {"project": (_append_first_record, 13), "row": (_repeat_first_row, 2)}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_LABELS))
+def test_repeated_label_record_or_row_exits_2(workspace, tmp_path, capsys, case):
+    repeat, line = REPEATED_LABELS[case]
+    lines = workspace["labels"].read_text(encoding="utf-8").splitlines()
+    repeat(lines)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels", str(labels)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels}:{line}: " in err
+    assert "repeats" in err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["baseline"],
+        ["train", "--features", "{features}", "--model", "dt", "--out", "{tmp}/model.json"],
+    ],
+    ids=["baseline", "train"],
+)
+def test_repeated_evaluation_record_exits_2(workspace, tmp_path, capsys, argv):
+    lines = workspace["evaluations"].read_text(encoding="utf-8").splitlines()
+    _append_first_record(lines)
+    evaluations = tmp_path / "evaluations.jsonl"
+    evaluations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [token.format(features=workspace["features"], tmp=tmp_path) for token in argv]
+    capsys.readouterr()
+    assert cli.main(argv + ["--evaluations", str(evaluations)]) == 2
+    err = capsys.readouterr().err
+    assert f"{evaluations}:13: project 'p000' repeats line 1" in err
+    assert not (tmp_path / "model.json").exists()
 
 
 def _rename_project(record):

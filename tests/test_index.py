@@ -3,9 +3,12 @@
 ``reference_label`` and ``reference_align`` are the full scans the indexes
 replaced: every unconsumed new-release warning goes to ``match_warning``,
 and every unconsumed warning of a later analyzer is tried against a group.
+``reference_match`` is ``match_warning`` as it first was, a scan of the
+pairwise predicates, so the stage keys the cascade looks up are checked
+against the predicates that compare them.
 The indexed code must give the same labels, audit records and groups on
-tie-heavy inputs, and the number of predicate calls it makes must grow
-linearly with the warnings per project.
+tie-heavy inputs, and the stage keys it computes and the bucket members it
+examines must grow linearly with the warnings per project.
 
 ``FnvReleasePair`` is the hash stage as it first was: each token window
 reduced to its 64-bit FNV-1a hash.  The stage now compares the window bytes
@@ -35,10 +38,14 @@ from sca_reco.ingestion import canonicalize, load_snapshot
 from sca_reco.matching import (
     AuditRecord,
     MatchContext,
+    MatchOutcome,
     MatchStage,
     ReleasePair,
     hash_window,
     label_release_detailed,
+    match_hash,
+    match_location,
+    match_snippet,
     match_warning,
     token_stream,
 )
@@ -81,6 +88,26 @@ def reference_label(snap, sca, mapping):
             )
         )
     return labeled, audit
+
+
+def reference_match(w_a, candidates, context):
+    """``match_warning`` as a scan of the pairwise predicates: each stage's
+    hits are the candidates its predicate accepts, and the pick is the hit
+    of minimal (start-line distance, canonical key)."""
+    stages = (
+        (MatchStage.LOCATION, match_location, context.releases.location_target(w_a)),
+        (MatchStage.SNIPPET, match_snippet, w_a.start_line),
+        (MatchStage.HASH, match_hash, w_a.start_line),
+    )
+    for stage, predicate, anchor in stages:
+        hits = [
+            (abs(anchor - c.start_line), warning_sort_key(c), c)
+            for c in candidates
+            if predicate(w_a, c, context)
+        ]
+        if hits:
+            return MatchOutcome(min(hits, key=lambda hit: hit[:2])[2], stage)
+    return MatchOutcome(None, None)
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -257,6 +284,30 @@ def test_window_bytes_label_as_fnv_hashes(pair, reports_old, reports_new):
         )
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    pair=release_pairs(),
+    raws_old=report_st("alpha"),
+    raws_new=report_st("alpha"),
+    data=st.data(),
+)
+def test_match_warning_equals_predicate_scan(pair, raws_old, raws_new, data):
+    old_files, new_files = pair
+    snap = snapshot(old_files, new_files, {"alpha": raws_old}, {"alpha": raws_new})
+    mapping = identity_mapping()
+    releases = ReleasePair.diff(snap.release_old, snap.release_new)
+    context = MatchContext(releases, snap.reports_old["alpha"], snap.reports_new["alpha"])
+    new_canon = [canonicalize(r, mapping, i) for i, r in enumerate(raws_new)]
+    for i, r in enumerate(raws_old):
+        warning = canonicalize(r, mapping, i)
+        # any subset, in any order, may be the unconsumed candidates
+        candidates = data.draw(st.permutations(new_canon))
+        del candidates[data.draw(st.integers(0, len(candidates))) :]
+        assert match_warning(warning, candidates, context) == reference_match(
+            warning, candidates, context
+        )
+
+
 def test_consumed_location_candidates_fall_through_to_hash():
     # Three old warnings on line 1 and one new warning left there.  The
     # other new warnings are a method mismatch inside the location window
@@ -319,7 +370,7 @@ def test_indexed_alignment_equals_full_scan(specs, order):
     assert align_project(labeled, order) == reference_align(labeled, order)
 
 
-# quadratic guard: predicate calls per warning stay flat as projects grow
+# quadratic guard: stage work per warning stays flat as projects grow
 
 
 @pytest.fixture(scope="module")
@@ -333,9 +384,20 @@ def grown_corpora(tmp_path_factory):
     return corpora
 
 
+# The per-candidate work left in labeling and aligning: computing a stage's
+# keys for a warning, the method condition of each location bucket member
+# examined, and the pairwise alignment rule of each candidate examined.  A
+# full scan does each of these once per candidate, so it grows
+# quadratically with the warnings per project.
+COUNTED = {
+    matching: ("location_lines", "snippet_key", "hash_key", "methods_agree"),
+    alignment: ("_same_defect",),
+}
+
+
 def counted_calls(corpus, monkeypatch):
-    """Old warnings, and calls of each matching predicate and of
-    ``identical``, for labeling and aligning the corpus's one project."""
+    """Old warnings, and calls of each COUNTED function, for labeling and
+    aligning the corpus's one project."""
     calls = Counter()
 
     def counting(module, name):
@@ -347,9 +409,9 @@ def counted_calls(corpus, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("match_location", "match_snippet", "match_hash"):
-        counting(matching, name)
-    counting(alignment, "identical")
+    for module, names in COUNTED.items():
+        for name in names:
+            counting(module, name)
     evaluate_corpus(load_corpus_context(corpus), 1.0)
     monkeypatch.undo()
     snap = load_snapshot(corpus, "p000")
@@ -360,7 +422,7 @@ def test_predicate_calls_grow_linearly(grown_corpora, monkeypatch):
     sizes = [counted_calls(grown_corpora[f], monkeypatch) for f in (8, 16, 32)]
     for (small_n, small), (large_n, large) in zip(sizes, sizes[1:]):
         assert large_n >= 1.6 * small_n  # the warning count about doubles
-        for name in ("match_location", "match_snippet", "match_hash", "identical"):
+        for name in (name for names in COUNTED.values() for name in names):
             assert small[name] > 0, name
             # a full scan would double the calls per warning
             assert large[name] / large_n <= 1.3 * small[name] / small_n, name

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import mutated_entries, raw
 from sca_reco.core import (
     RawWarning,
+    Release,
     WarningLabel,
     default_taxonomy_path,
     load_taxonomy,
@@ -202,6 +206,63 @@ def test_source_tree_skips_binary(tmp_path):
     (src / "blob.bin").write_bytes(b"\x00\x01\x02")
     tree = load_source_tree(src, "r")
     assert set(tree.files) == {"sub/B.java"}
+
+
+def reference_source_tree(directory, release_id):
+    """``load_source_tree`` as it first was: a sorted ``rglob`` of Paths."""
+    files = {}
+    for path in sorted(Path(directory).rglob("*")):
+        if not path.is_file():
+            continue
+        blob = path.read_bytes()
+        if b"\x00" in blob:
+            continue
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        files[path.relative_to(directory).as_posix()] = _split_lines(text)
+    return Release(release_id, dt.date(1970, 1, 1), files)
+
+
+def test_source_tree_lists_as_the_rglob_reference(tmp_path):
+    src = tmp_path / "src"
+    (src / "a" / "c").mkdir(parents=True)
+    (src / "links").mkdir()
+    (src / "a" / "b.java").write_text("class B {}\n", encoding="utf-8")
+    (src / "a-b.java").write_text("class AB {}\n", encoding="utf-8")
+    (src / "a" / "c" / "D.java").write_text("class D {\r\n}\r\n", encoding="utf-8")
+    (src / ".hidden").write_text("h\n", encoding="utf-8")
+    (src / "blob.bin").write_bytes(b"\x00\x01\x02")
+    (src / "latin1.java").write_bytes(b"caf\xe9\n")
+    (src / "links" / "dir").symlink_to(src / "a", target_is_directory=True)
+    (src / "links" / "file.java").symlink_to(src / "a-b.java")
+    (src / "links" / "broken").symlink_to(src / "nowhere")
+    (src / "links" / "loop").symlink_to(src / "links" / "loop")
+    tree = load_source_tree(src, "r")
+    assert list(tree.files.items()) == list(reference_source_tree(src, "r").files.items())
+    assert list(tree.files) == [".hidden", "a/b.java", "a/c/D.java", "a-b.java", "links/file.java"]
+    assert tree.files["links/file.java"] == ("class AB {}",)
+
+
+# names whose string order differs from their path-part order ("-" and "."
+# sort before "/")
+name_st = st.sampled_from(["a", "a-b", "a.b", "A", "b", "_", "a0"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(paths=st.lists(st.lists(name_st, min_size=1, max_size=3), max_size=12))
+def test_source_tree_order_equals_the_rglob_reference(paths):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp)
+        for parts in paths:
+            path = src.joinpath(*parts)
+            if any(parent.is_file() for parent in path.parents) or path.is_dir():
+                continue  # a file already holds this directory's name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("/".join(parts) + "\n", encoding="utf-8")
+        tree = load_source_tree(src, "r")
+        assert list(tree.files.items()) == list(reference_source_tree(src, "r").files.items())
 
 
 def test_source_tree_missing_dir(tmp_path):

@@ -386,6 +386,24 @@ def test_cascade_prefers_location_over_snippet():
     assert outcome.matched.start_line == 4
 
 
+@pytest.mark.parametrize(
+    "starts, expected",
+    [((6, 4), 4), ((7, 3, 6), 6), ((2, 8), 2), ((5, 4, 6), 5)],
+    ids=["lower-of-a-tie", "nearer-above", "lower-at-distance-3", "exact"],
+)
+def test_location_pick_is_nearest_then_lower_line(starts, expected):
+    # an unchanged file maps old line 5 to new line 5; among location hits
+    # the nearest line wins, and of two equally near the lower line, which
+    # comes first in canonical order
+    files = {"com/example/Foo.java": class_file("Foo", ["    int v;"] * 8)}
+    raws_new = [raw(start=start) for start in starts]
+    context = make_context(files, files, [raw(start=5)], raws_new)
+    candidates = [aw(class_info=FOO, start=start, index=i) for i, start in enumerate(starts)]
+    outcome = match_warning(aw(class_info=FOO, start=5), candidates, context)
+    assert outcome.stage is MatchStage.LOCATION
+    assert outcome.matched.start_line == expected
+
+
 def test_cascade_snippet_when_method_renamed():
     old_body = ["    public void a() {", "        int v = load();", "    }"]
     new_body = ["    public void b() {", "        int v = load();", "    }"]
