@@ -37,7 +37,7 @@ _EXPORTS = {
     "exceptions": ("ConfigError", "DataError", "ScaRecoError"),
     "features": ("PreferenceDataset", "build_dataset", "load_features"),
     "ingestion": ("load_gdc_mapping", "load_report", "load_snapshot"),
-    "matching": ("MatchStage", "compute_line_mapping", "match_warning"),
+    "matching": ("MatchStage", "compute_line_mapping"),
     "metrics": ("MicroMetrics", "micro_metrics"),
     "recommend": (
         "ModelKind",

@@ -166,7 +166,10 @@ def _cmd_train(args) -> int:
             for line in Path(args.feature_list).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
-        dataset = dataset.subset_features(names)
+        try:
+            dataset = dataset.subset_features(names)
+        except DataError as exc:
+            raise type(exc)(f"{args.feature_list}: {exc}") from exc
     if args.cv_folds is not None:
         check_folds(args.cv_folds)
     model = train(dataset, kind, seed=args.seed)

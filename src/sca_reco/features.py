@@ -133,6 +133,14 @@ class PreferenceDataset:
         )
 
     def subset_features(self, names: Sequence[str]) -> "PreferenceDataset":
+        """The dataset's columns ``names``, in that order; an empty or
+        repeated name list raises a SchemaError, an unknown name an
+        UnknownFeature."""
+        if not names:
+            raise SchemaError("the feature list names no feature")
+        if len(set(names)) != len(names):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            raise SchemaError(f"the feature list repeats {repeated}")
         columns = [self.feature_index(name) for name in names]
         return replace(
             self,

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .core import ScaId
 from .estimators import PCA, StandardScaler
-from .exceptions import IoError, UnknownFeature
+from .exceptions import IoError
 from .features import PreferenceDataset
 
 FEATURE_HEADER = "pc1,pc2,project,value"
@@ -71,44 +70,24 @@ def render_optimal_footprint(
     return "\n".join(lines) + "\n"
 
 
-def export_footprints(
-    dataset: PreferenceDataset,
-    out_dir: str | Path,
-    features: Sequence[str] | None = None,
-    scas: Sequence[ScaId] | None = None,
-) -> list[Path]:
-    """Write one CSV per requested feature and analyzer; return the paths.
-
-    With no explicit selection, every feature and every analyzer in the
-    dataset gets a table.
-    """
+def export_footprints(dataset: PreferenceDataset, out_dir: str | Path) -> list[Path]:
+    """Write one CSV per feature and per analyzer of the dataset; return
+    the paths."""
     projection = project_footprint(dataset)
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    if features is None:
-        features = dataset.feature_names
-    else:
-        for name in features:
-            dataset.feature_index(name)  # raises UnknownFeature early
-    if scas is None:
-        scas = dataset.sca_order
-    else:
-        known = set(dataset.sca_order)
-        for sca in scas:
-            if sca not in known:
-                raise UnknownFeature(f"analyzer {sca!r} is not in this dataset")
     written = []
     try:
-        for name in features:
+        for name in dataset.feature_names:
             path = out_dir / f"feature_{name}.csv"
             path.write_text(
                 render_feature_footprint(projection, dataset, name), encoding="utf-8"
             )
             written.append(path)
-        for sca in scas:
+        for sca in dataset.sca_order:
             path = out_dir / f"sca_{sca}.csv"
             path.write_text(
                 render_optimal_footprint(projection, dataset, sca), encoding="utf-8"

@@ -22,12 +22,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
-    AlignedWarning,
     ProjectSnapshot,
     RawWarning,
     Release,
     ScaId,
-    WarningLabel,
     decode_json,
     optional_field,
     require_field,
@@ -169,24 +167,6 @@ def load_gdc_mapping(path: str | Path, taxonomy) -> GdcMapping:
             )
         entries[key] = gdc_id
     return GdcMapping(entries)
-
-
-def canonicalize(
-    raw: RawWarning,
-    mapping: GdcMapping,
-    origin_index: int,
-    label: WarningLabel = WarningLabel.UNKNOWN,
-) -> AlignedWarning:
-    """Convert a raw warning into canonical form with ``label``, which is a
-    placeholder unless the warning has been labeled."""
-    return AlignedWarning(
-        new_type=mapping.lookup(raw.sca, raw.original_type),
-        class_info=raw.class_path,
-        start_line=raw.start_line,
-        end_line=raw.end_line,
-        label=label,
-        origin=(raw.sca, origin_index),
-    )
 
 
 def _split_lines(text: str) -> tuple[str, ...]:

@@ -19,17 +19,15 @@ consumed candidate is unavailable to later warnings.
 Each stage is defined once, by its keys: ``location_kind`` with
 ``location_lines`` (and the ``methods_agree`` condition), ``snippet_key``
 and ``hash_key``.  A pair passes a stage exactly when the new warning's key
-is one the old warning's keys accept.  The pairwise predicates
-``match_location``, ``match_snippet`` and ``match_hash`` compare those keys
-for one pair, for tests and oracles.  The cascade (``_Pool``) indexes one
+is one the old warning's keys accept.  The cascade (``_Pool``) indexes one
 analyzer's newer-release warnings by each stage's key, and the index
 decides a stage's hits: they are the unconsumed members of the buckets the
-old warning's keys look up, and no predicate re-tests them.
-``match_warning`` runs that cascade over a candidate list and
-``label_release_detailed`` over a whole report, once per old warning.  The
-label pass reads warnings as ``_Site`` records, far cheaper to build than
-an ``AlignedWarning``, and builds each old warning's ``AlignedWarning``
-once, with its label.
+old warning's keys look up.  ``label_release_detailed`` is the cascade's
+one entry point: it reads a report's entries as ``_Site`` records, far
+cheaper to build than an ``AlignedWarning``, runs each old site through
+the pool, and builds each old warning's ``AlignedWarning`` once, from its
+site, with its label.  The pairwise predicates that restate each rule for
+one pair live with the tests, which check the indexed keys against them.
 
 ``ReleasePair`` is the only cache.  It resolves class files, diff-maps old
 start lines, cuts snippets and token windows once per project, and all
@@ -59,7 +57,7 @@ from .core import (
     warning_sort_key,
 )
 from .exceptions import SchemaError
-from .ingestion import GdcMapping, canonicalize
+from .ingestion import GdcMapping
 from .linediff import lcs_pairs
 
 LOCATION_OFFSET_LIMIT = 3
@@ -81,17 +79,6 @@ class MatchStage(Enum):
     LOCATION = "location"
     SNIPPET = "snippet"
     HASH = "hash"
-
-
-@dataclass(frozen=True)
-class MatchOutcome:
-    """Result of matching one old warning against the newer release."""
-
-    matched: AlignedWarning | None
-    stage: MatchStage | None
-
-
-_NO_MATCH = MatchOutcome(None, None)
 
 
 @dataclass(frozen=True)
@@ -166,15 +153,16 @@ def hash_window(before: list[int], start_line: int) -> range:
 
 @dataclass(slots=True)
 class _Site:
-    """A report entry's canonical fields before it has a label: what the
-    cascade reads of a warning, old or new.  ``ReleasePair`` and the stage
-    keys read a site as they read an ``AlignedWarning``."""
+    """A report entry's canonical fields before it has a label, and its
+    method path: what the cascade reads of a warning, old or new.
+    ``ReleasePair`` reads a site as it reads an ``AlignedWarning``."""
 
     new_type: str
     class_info: str
     start_line: int
     end_line: int
     origin: tuple[ScaId, int]
+    method: str | None
 
 
 @dataclass(frozen=True)
@@ -262,21 +250,7 @@ class ReleasePair:
         return self.memo[key]
 
 
-@dataclass(frozen=True)
-class MatchContext:
-    """Everything the cascade needs besides the two warnings themselves.
-
-    ``releases`` is the project's shared ``ReleasePair``.  ``raws_old`` and
-    ``raws_new`` are one analyzer's source reports; warnings refer into them
-    through their origin index.
-    """
-
-    releases: ReleasePair
-    raws_old: tuple[RawWarning, ...]
-    raws_new: tuple[RawWarning, ...]
-
-
-def location_kind(warning: AlignedWarning | _Site) -> tuple[str, str]:
+def location_kind(warning: _Site) -> tuple[str, str]:
     """Stage 1's key less its line: category and class."""
     return warning.new_type, warning.class_info
 
@@ -288,7 +262,7 @@ _NEAREST_OFFSETS = sorted(
 )
 
 
-def location_lines(releases: ReleasePair, warning: AlignedWarning | _Site) -> list[int]:
+def location_lines(releases: ReleasePair, warning: _Site) -> list[int]:
     """The start lines stage 1 accepts for an older-release warning, in
     pick order: each line within LOCATION_OFFSET_LIMIT of its diff-mapped
     target, nearest first and the lower of two equally near lines first;
@@ -302,52 +276,21 @@ def methods_agree(method_a: str | None, method_b: str | None) -> bool:
     return method_a is None or method_b is None or method_a == method_b
 
 
-def snippet_key(
-    releases: ReleasePair, which: str, warning: AlignedWarning | _Site
-) -> tuple | None:
+def snippet_key(releases: ReleasePair, which: str, warning: _Site) -> tuple | None:
     """Stage 2's key: category, class and the trimmed warned text; None
     when the text is missing."""
     snippet = releases.snippet(which, warning)
     return None if snippet is None else (warning.new_type, warning.class_info, snippet)
 
 
-def hash_key(
-    releases: ReleasePair, which: str, warning: AlignedWarning | _Site
-) -> tuple | None:
+def hash_key(releases: ReleasePair, which: str, warning: _Site) -> tuple | None:
     """Stage 3's key: category and the token window's bytes; None when the
     window is missing."""
     window = releases.window_hash(which, warning)
     return None if window is None else (warning.new_type, window)
 
 
-def match_location(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
-    """Stage 1: old warning ``w_a`` and new warning ``w_b`` share category,
-    class and method, and the diff-mapped old start line lands within
-    LOCATION_OFFSET_LIMIT lines of ``w_b``."""
-    return (
-        location_kind(w_a) == location_kind(w_b)
-        and w_b.start_line in location_lines(context.releases, w_a)
-        and methods_agree(
-            context.raws_old[w_a.origin[1]].method_path,
-            context.raws_new[w_b.origin[1]].method_path,
-        )
-    )
-
-
-def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
-    """Stage 2: same category and class, and identical trimmed warned text."""
-    key = snippet_key(context.releases, "old", w_a)
-    return key is not None and key == snippet_key(context.releases, "new", w_b)
-
-
-def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
-    """Stage 3: same category and an identical token window, compared by
-    its bytes."""
-    key = hash_key(context.releases, "old", w_a)
-    return key is not None and key == hash_key(context.releases, "new", w_b)
-
-
-def _index(warnings: Sequence, key) -> dict[tuple, list[int]]:
+def _index(warnings: list[_Site], key) -> dict[tuple, list[int]]:
     """Positions in ``warnings`` bucketed by ``key``, each bucket ascending;
     a warning whose key is None is left out."""
     buckets: dict[tuple, list[int]] = {}
@@ -369,12 +312,9 @@ class _Pool:
     index is built the first time a warning reaches the hash stage.
     """
 
-    def __init__(self, warnings: list[AlignedWarning | _Site], context: MatchContext):
-        releases = context.releases
+    def __init__(self, warnings: list[_Site], releases: ReleasePair):
         self.releases = releases
-        self.raws_old = context.raws_old
         self.warnings = warnings
-        self.methods = [context.raws_new[w.origin[1]].method_path for w in warnings]
         self.available = [True] * len(warnings)
         self.by_location: dict[tuple[str, str], dict[int, list[int]]] = {}
         for position, warning in enumerate(warnings):
@@ -383,7 +323,7 @@ class _Pool:
         self.by_snippet = _index(warnings, lambda w: snippet_key(releases, "new", w))
         self.by_hash: dict[tuple, list[int]] | None = None
 
-    def take(self, warning: AlignedWarning | _Site) -> tuple[int, MatchStage] | None:
+    def take(self, warning: _Site) -> tuple[int, MatchStage] | None:
         """Run the cascade for older-release ``warning``: the position of
         the warning it matches, which is then consumed, and the stage; None
         when no stage matches."""
@@ -392,19 +332,20 @@ class _Pool:
             self.available[hit[0]] = False
         return hit
 
-    def _match(self, warning: AlignedWarning | _Site) -> tuple[int, MatchStage] | None:
+    def _match(self, warning: _Site) -> tuple[int, MatchStage] | None:
         """Each stage in turn picks its hit of minimal |start-line
         difference|, taken from the diff-mapped line for the location stage,
         and then the canonically first.  The location lines come nearest
         first and a bucket in canonical order, so the first location hit is
         the pick."""
-        releases, available = self.releases, self.available
+        releases, available, warnings = self.releases, self.available, self.warnings
         lines = self.by_location.get(location_kind(warning))
         if lines:
-            method = self.raws_old[warning.origin[1]].method_path
             for line in location_lines(releases, warning):
                 for position in lines.get(line, ()):
-                    if available[position] and methods_agree(method, self.methods[position]):
+                    if available[position] and methods_agree(
+                        warning.method, warnings[position].method
+                    ):
                         return position, MatchStage.LOCATION
         bucket = self.by_snippet.get(snippet_key(releases, "old", warning))
         position = self._nearest(bucket, warning.start_line)
@@ -431,32 +372,11 @@ class _Pool:
         return best
 
 
-def match_warning(
-    w_a: AlignedWarning,
-    candidates: list[AlignedWarning],
-    context: MatchContext,
-) -> MatchOutcome:
-    """Run the cascade for one old warning over the unconsumed candidates.
-
-    Within a stage the candidate with minimal |start-line difference| wins
-    (for the location stage the difference is taken from the diff-mapped old
-    line); remaining ties go to the canonically first candidate.
-    """
-    pool = _Pool(sorted(candidates, key=warning_sort_key), context)
-    hit = pool.take(w_a)
-    if hit is None:
-        return _NO_MATCH
-    position, stage = hit
-    return MatchOutcome(pool.warnings[position], stage)
-
-
 @dataclass(frozen=True)
 class AuditRecord:
-    """Per-old-warning trace of what the cascade decided and why."""
+    """Per-old-warning trace of what the cascade decided and why; the
+    warning it traces is the ``AlignedWarning`` at the same position."""
 
-    class_info: str
-    start_line: int
-    new_type: str
     outcome: WarningLabel
     stage: MatchStage | None
     matched_line: int | None
@@ -473,6 +393,7 @@ def _sites(raws: Sequence[RawWarning], mapping: GdcMapping) -> list[_Site]:
             raw.start_line,
             raw.end_line,
             (raw.sca, i),
+            raw.method_path,
         )
         for i, raw in enumerate(raws)
     ]
@@ -504,14 +425,12 @@ def label_release_detailed(
 
     The newer release's warnings form one ``_Pool``, and each old warning,
     in canonical order, takes its match from it.  Each old warning's
-    ``AlignedWarning`` is built once, with its label.
+    ``AlignedWarning`` is built once, from its site, with its label.
     """
     if sca not in snapshot.reports_old:
         raise SchemaError(f"project {snapshot.project_id} has no {sca!r} report")
-    raws_old = snapshot.reports_old[sca]
-    raws_new = snapshot.reports_new[sca]
-    old_sites = _sites(raws_old, mapping)
-    pool = _Pool(_sites(raws_new, mapping), MatchContext(releases, raws_old, raws_new))
+    old_sites = _sites(snapshot.reports_old[sca], mapping)
+    pool = _Pool(_sites(snapshot.reports_new[sca], mapping), releases)
     labeled: list[AlignedWarning] = []
     audit: list[AuditRecord] = []
     for site in old_sites:
@@ -527,17 +446,10 @@ def label_release_detailed(
                 label = WarningLabel.UNKNOWN
             else:
                 label = WarningLabel.ACTIONABLE
-        index = site.origin[1]
-        labeled.append(canonicalize(raws_old[index], mapping, index, label))
-        audit.append(
-            AuditRecord(
-                site.class_info,
-                site.start_line,
-                site.new_type,
-                label,
-                stage,
-                matched_line,
-                matched_origin,
+        labeled.append(
+            AlignedWarning(
+                site.new_type, site.class_info, site.start_line, site.end_line, label, site.origin
             )
         )
+        audit.append(AuditRecord(label, stage, matched_line, matched_origin))
     return labeled, audit

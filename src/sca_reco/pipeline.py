@@ -260,9 +260,6 @@ def record_to_labels(record: dict) -> ProjectLabels:
             origin=(sca, require_field(row, "index", int, at)),
         )
         audit = AuditRecord(
-            class_info=warning.class_info,
-            start_line=warning.start_line,
-            new_type=warning.new_type,
             outcome=label,
             stage=stage,
             matched_line=optional_field(row, "matched_line", int, at),

@@ -146,7 +146,15 @@ class RecommendationModel:
         return [self.classes[i] for i in indices]
 
     def predict(self, vector: FeatureVector) -> ScaId:
-        return self.predict_matrix([vector.values], vector.names)[0]
+        """The recommendation for one project.  The model's features are
+        taken from ``vector`` by name, so a model trained on a feature list
+        applies to the full feature table."""
+        value_of = dict(zip(vector.names, vector.values))
+        for name in self.feature_names:
+            if name not in value_of:
+                raise FeatureMismatch(f"model feature {name!r} is not in the feature vector")
+        values = [value_of[name] for name in self.feature_names]
+        return self.predict_matrix([values], self.feature_names)[0]
 
     def save(self, path: str | Path) -> None:
         document = {

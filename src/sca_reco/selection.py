@@ -59,7 +59,6 @@ def rfe(
     kind: ModelKind,
     target: int,
     seed: int = 0,
-    hyperparams: dict | None = None,
 ) -> RfeResult:
     """Eliminate features one per round until ``target`` remain."""
     _require_rankable(kind)
@@ -74,7 +73,7 @@ def rfe(
     round_index = 0
     while len(current) > target:
         subset = dataset.subset_features(current)
-        model = train(subset, kind, derive_seed(seed, round_index), hyperparams)
+        model = train(subset, kind, derive_seed(seed, round_index))
         importances = feature_importances(model)
         # Ties drop the lexicographically smallest name for determinism.
         victim = min(zip(importances, current))[1]
@@ -102,24 +101,18 @@ def rfe_cv(
     kind: ModelKind,
     folds: int = 10,
     seed: int = 0,
-    hyperparams: dict | None = None,
-    min_size: int = 1,
 ) -> RfeCvResult:
     """Score every size along the elimination path and keep the best one.
 
-    The path is computed once (down to ``min_size``); each surviving set is
+    The path is computed once (down to one feature); each surviving set is
     then scored by stratified cross-validation with the same fold assignment.
     The best size is the one with the highest mean micro F1, preferring the
     smaller set on ties.
     """
     check_folds(folds)
-    run = rfe(dataset, kind, min_size, seed, hyperparams)
+    run = rfe(dataset, kind, 1, seed)
     results = cross_validate_batch(
-        [dataset.subset_features(list(names)) for names in run.path],
-        kind,
-        folds,
-        seed,
-        hyperparams,
+        [dataset.subset_features(list(names)) for names in run.path], kind, folds, seed
     )
     scored = [
         (len(names), result.mean.f1_micro, names) for names, result in zip(run.path, results)

@@ -1,7 +1,13 @@
-"""Builders shared by the test modules.
+"""Builders and reference predicates shared by the test modules.
 
 Most matching and alignment tests need small hand-built warnings, releases,
 and snapshots; the functions here keep those fixtures terse.
+
+``match_location``, ``match_snippet`` and ``match_hash`` state each cascade
+stage's rule for one pair of warnings, straight from the rule and the
+``ReleasePair`` primitives (diff-mapped target, trimmed snippet, token
+window), not through the stage keys the label pass indexes by.  The oracles
+that check the label pass compare its hits against them.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -115,6 +122,64 @@ def label_snapshot(
     """Label one analyzer's warnings with a ReleasePair of the snapshot's own."""
     releases = ReleasePair.diff(snap.release_old, snap.release_new)
     return label_release_detailed(snap, sca, mapping, releases)
+
+
+def canonicalize(
+    raw: RawWarning, mapping: GdcMapping, origin_index: int, label: WarningLabel = UNKNOWN
+) -> AlignedWarning:
+    """A report entry in canonical form, with ``label`` as a placeholder."""
+    return AlignedWarning(
+        new_type=mapping.lookup(raw.sca, raw.original_type),
+        class_info=raw.class_path,
+        start_line=raw.start_line,
+        end_line=raw.end_line,
+        label=label,
+        origin=(raw.sca, origin_index),
+    )
+
+
+@dataclass(frozen=True)
+class MatchContext:
+    """What the pairwise predicates read besides the two warnings: the
+    project's ``ReleasePair`` and one analyzer's two reports, which the
+    warnings index through their origin."""
+
+    releases: ReleasePair
+    raws_old: tuple[RawWarning, ...]
+    raws_new: tuple[RawWarning, ...]
+
+
+def match_location(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
+    """Stage 1: old warning ``w_a`` and new warning ``w_b`` share category
+    and class, their methods agree unless a report omits one, and the old
+    start line, diff-mapped into the newer release, lies within 3 lines of
+    ``w_b``'s start line."""
+    if (w_a.new_type, w_a.class_info) != (w_b.new_type, w_b.class_info):
+        return False
+    method_a = context.raws_old[w_a.origin[1]].method_path
+    method_b = context.raws_new[w_b.origin[1]].method_path
+    if method_a is not None and method_b is not None and method_a != method_b:
+        return False
+    target = context.releases.location_target(w_a)
+    return target is not None and abs(target - w_b.start_line) <= 3
+
+
+def match_snippet(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
+    """Stage 2: same category and class, and the whitespace-trimmed text of
+    the warned lines exists and is identical in both releases."""
+    if (w_a.new_type, w_a.class_info) != (w_b.new_type, w_b.class_info):
+        return False
+    snippet = context.releases.snippet("old", w_a)
+    return snippet is not None and snippet == context.releases.snippet("new", w_b)
+
+
+def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) -> bool:
+    """Stage 3: same category, and the token window around the warned line
+    exists and is identical in both releases, whatever the class."""
+    if w_a.new_type != w_b.new_type:
+        return False
+    window = context.releases.window_hash("old", w_a)
+    return window is not None and window == context.releases.window_hash("new", w_b)
 
 
 def java_class(class_name: str, package: str = "com.example", n_methods: int = 2) -> list[str]:

@@ -19,7 +19,19 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from helpers import A, U, aw, identity_mapping, raw, snapshot
+from helpers import (
+    A,
+    U,
+    MatchContext,
+    aw,
+    canonicalize,
+    identity_mapping,
+    match_hash,
+    match_location,
+    match_snippet,
+    raw,
+    snapshot,
+)
 
 from sca_reco import cli
 from sca_reco.alignment import align_project, identical
@@ -33,16 +45,8 @@ from sca_reco.effectiveness import (
 )
 from sca_reco.estimators import PCA
 from sca_reco.features import PreferenceDataset
-from sca_reco.ingestion import canonicalize, load_snapshot
-from sca_reco.matching import (
-    MatchContext,
-    MatchStage,
-    ReleasePair,
-    label_release_detailed,
-    match_hash,
-    match_location,
-    match_snippet,
-)
+from sca_reco.ingestion import load_snapshot
+from sca_reco.matching import MatchStage, ReleasePair, label_release_detailed
 from sca_reco.metrics import micro_metrics
 from sca_reco.pipeline import (
     corpus_features,

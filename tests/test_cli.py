@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -315,6 +316,79 @@ def test_train_and_recommend(workspace, tmp_path, capsys):
     )
     assert rc == 2
 
+
+
+def train_on_list(workspace, feature_list, model_path):
+    return cli.main(
+        [
+            "train",
+            "--evaluations",
+            str(workspace["evaluations"]),
+            "--features",
+            str(workspace["features"]),
+            "--model",
+            "lr",
+            "--feature-list",
+            str(feature_list),
+            "--out",
+            str(model_path),
+        ]
+    )
+
+
+def test_model_of_mined_features_applies_to_the_feature_table(workspace, tmp_path, capsys):
+    mine_dir = tmp_path / "mine"
+    rc = cli.main(
+        [
+            "mine",
+            "--evaluations",
+            str(workspace["evaluations"]),
+            "--features",
+            str(workspace["features"]),
+            "--model",
+            "lr",
+            "--folds",
+            "3",
+            "--out-dir",
+            str(mine_dir),
+        ]
+    )
+    assert rc == 0
+    feature_list = mine_dir / "selected_features.txt"
+    selected = feature_list.read_text(encoding="utf-8").split()
+    with open(workspace["features"], newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert 0 < len(selected) < len(rows[0]) - 1
+    model_path = tmp_path / "model.json"
+    assert train_on_list(workspace, feature_list, model_path) == 0
+
+    columns = [0] + [rows[0].index(name) for name in selected]
+    cut = tmp_path / "cut.csv"
+    with open(cut, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([row[i] for i in columns] for row in rows)
+    outputs = {}
+    for features in (workspace["features"], cut):
+        capsys.readouterr()
+        rc = cli.main(["recommend", "--model-file", str(model_path), "--features", str(features)])
+        assert rc == 0, capsys.readouterr().err
+        outputs[features] = capsys.readouterr().out
+    assert outputs[workspace["features"]] == outputs[cut]
+    assert len(outputs[cut].splitlines()) == 12
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n  \n", "loc_total\nn_files\nloc_total\n", "loc_total\nno_such_feature\n"],
+    ids=["empty", "blank", "repeated", "unknown"],
+)
+def test_unusable_feature_list_exits_2(workspace, tmp_path, capsys, text):
+    feature_list = tmp_path / "features.txt"
+    feature_list.write_text(text, encoding="utf-8")
+    model_path = tmp_path / "model.json"
+    capsys.readouterr()
+    assert train_on_list(workspace, feature_list, model_path) == 2
+    assert str(feature_list) in capsys.readouterr().err
+    assert not model_path.exists()
 
 
 def corrupted_model(workspace, tmp_path, kind, corrupt):

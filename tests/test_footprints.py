@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sca_reco.exceptions import UnknownFeature
 from sca_reco.features import PreferenceDataset
 from sca_reco.footprints import (
     FEATURE_HEADER,
@@ -93,21 +92,3 @@ def test_export_writes_one_file_per_overlay(tmp_path):
         expected = FEATURE_HEADER if path.name.startswith("feature_") else OPTIMAL_HEADER
         assert header == expected
         assert len(path.read_text(encoding="utf-8").splitlines()) == 5
-
-
-def test_export_subset_selection(tmp_path):
-    dataset = dataset4()
-    written = export_footprints(
-        dataset, tmp_path, features=["churn"], scas=["beta"]
-    )
-    assert sorted(p.name for p in written) == ["feature_churn.csv", "sca_beta.csv"]
-
-
-def test_export_validates_names_before_writing(tmp_path):
-    dataset = dataset4()
-    out = tmp_path / "nothing"
-    with pytest.raises(UnknownFeature):
-        export_footprints(dataset, out, features=["nope"])
-    with pytest.raises(UnknownFeature):
-        export_footprints(dataset, out, scas=["gamma"])
-    assert not any(out.glob("*.csv"))

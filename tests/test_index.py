@@ -1,11 +1,14 @@
 """The indexed label cascade and alignment against brute-force references.
 
 ``reference_label`` and ``reference_align`` are the full scans the indexes
-replaced: every unconsumed new-release warning goes to ``match_warning``,
-and every unconsumed warning of a later analyzer is tried against a group.
-``reference_match`` is ``match_warning`` as it first was, a scan of the
-pairwise predicates, so the stage keys the cascade looks up are checked
-against the predicates that compare them.
+replaced.  ``reference_label`` runs each old warning, in canonical order,
+through ``reference_match``, a scan of the pairwise predicates of
+``helpers`` over every new-release warning not yet taken, and then takes
+its match away.  So the stage keys the cascade looks up are checked against
+an independent statement of each rule, and the picks and consumption of the
+cascade against a scan that shares none of its code.
+``reference_align`` tries every unconsumed warning of a later analyzer
+against a group.
 The indexed code must give the same labels, audit records and groups on
 tie-heavy inputs, and the stage keys it computes and the bucket members it
 examines must grow linearly with the warnings per project.
@@ -24,7 +27,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import A, U, UNKNOWN, aw, identity_mapping, label_snapshot, raw, snapshot
+from helpers import (
+    A,
+    U,
+    UNKNOWN,
+    MatchContext,
+    aw,
+    canonicalize,
+    identity_mapping,
+    label_snapshot,
+    match_hash,
+    match_location,
+    match_snippet,
+    raw,
+    snapshot,
+)
 from sca_reco import alignment, matching
 from sca_reco.alignment import (
     AlignedGroup,
@@ -34,19 +51,13 @@ from sca_reco.alignment import (
     identical,
 )
 from sca_reco.core import sort_warnings, warning_sort_key
-from sca_reco.ingestion import canonicalize, load_snapshot
+from sca_reco.ingestion import load_snapshot
 from sca_reco.matching import (
     AuditRecord,
-    MatchContext,
-    MatchOutcome,
     MatchStage,
     ReleasePair,
     hash_window,
     label_release_detailed,
-    match_hash,
-    match_location,
-    match_snippet,
-    match_warning,
     token_stream,
 )
 from sca_reco.pipeline import evaluate_corpus, load_corpus_context
@@ -56,17 +67,18 @@ SCAS = ("alpha", "beta")
 
 
 def reference_label(snap, sca, mapping):
-    """The cascade as a full scan: every unconsumed candidate, every time."""
+    """The cascade as a full scan: each old warning, in canonical order,
+    takes its ``reference_match`` among the new warnings not yet taken."""
     raws_old, raws_new = snap.reports_old[sca], snap.reports_new[sca]
     releases = ReleasePair.diff(snap.release_old, snap.release_new)
     context = MatchContext(releases, raws_old, raws_new)
     old_canon = [canonicalize(r, mapping, i) for i, r in enumerate(raws_old)]
-    available = {i: canonicalize(r, mapping, i) for i, r in enumerate(raws_new)}
+    available = [canonicalize(r, mapping, i) for i, r in enumerate(raws_new)]
     labeled, audit = [], []
     for warning in sort_warnings(old_canon):
-        outcome = match_warning(warning, [available[i] for i in sorted(available)], context)
-        if outcome.matched is not None:
-            del available[outcome.matched.origin[1]]
+        matched, stage = reference_match(warning, available, context)
+        if matched is not None:
+            available.remove(matched)
             label = U
         elif (
             releases.resolve("old", warning.class_info) in releases.mapping.deleted_files
@@ -78,22 +90,21 @@ def reference_label(snap, sca, mapping):
         labeled.append(replace(warning, label=label))
         audit.append(
             AuditRecord(
-                class_info=warning.class_info,
-                start_line=warning.start_line,
-                new_type=warning.new_type,
                 outcome=label,
-                stage=outcome.stage,
-                matched_line=outcome.matched.start_line if outcome.matched else None,
-                matched_origin=outcome.matched.origin[1] if outcome.matched else None,
+                stage=stage,
+                matched_line=matched.start_line if matched else None,
+                matched_origin=matched.origin[1] if matched else None,
             )
         )
     return labeled, audit
 
 
 def reference_match(w_a, candidates, context):
-    """``match_warning`` as a scan of the pairwise predicates: each stage's
-    hits are the candidates its predicate accepts, and the pick is the hit
-    of minimal (start-line distance, canonical key)."""
+    """The cascade for one old warning as a scan of the pairwise
+    predicates: each stage's hits are the candidates its predicate accepts,
+    and the pick is the hit of minimal (start-line distance, canonical key),
+    the distance taken from the diff-mapped line for the location stage.
+    Returns the pick and its stage, or (None, None)."""
     stages = (
         (MatchStage.LOCATION, match_location, context.releases.location_target(w_a)),
         (MatchStage.SNIPPET, match_snippet, w_a.start_line),
@@ -106,8 +117,8 @@ def reference_match(w_a, candidates, context):
             if predicate(w_a, c, context)
         ]
         if hits:
-            return MatchOutcome(min(hits, key=lambda hit: hit[:2])[2], stage)
-    return MatchOutcome(None, None)
+            return min(hits, key=lambda hit: hit[:2])[2], stage
+    return None, None
 
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -281,30 +292,6 @@ def test_window_bytes_label_as_fnv_hashes(pair, reports_old, reports_new):
     for sca in SCAS:
         assert label_release_detailed(snap, sca, mapping, releases) == label_release_detailed(
             snap, sca, mapping, fnv_releases
-        )
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    pair=release_pairs(),
-    raws_old=report_st("alpha"),
-    raws_new=report_st("alpha"),
-    data=st.data(),
-)
-def test_match_warning_equals_predicate_scan(pair, raws_old, raws_new, data):
-    old_files, new_files = pair
-    snap = snapshot(old_files, new_files, {"alpha": raws_old}, {"alpha": raws_new})
-    mapping = identity_mapping()
-    releases = ReleasePair.diff(snap.release_old, snap.release_new)
-    context = MatchContext(releases, snap.reports_old["alpha"], snap.reports_new["alpha"])
-    new_canon = [canonicalize(r, mapping, i) for i, r in enumerate(raws_new)]
-    for i, r in enumerate(raws_old):
-        warning = canonicalize(r, mapping, i)
-        # any subset, in any order, may be the unconsumed candidates
-        candidates = data.draw(st.permutations(new_canon))
-        del candidates[data.draw(st.integers(0, len(candidates))) :]
-        assert match_warning(warning, candidates, context) == reference_match(
-            warning, candidates, context
         )
 
 

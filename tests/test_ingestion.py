@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import mutated_entries, raw
+from helpers import label_snapshot, mutated_entries, raw, snapshot
 from sca_reco.core import (
     RawWarning,
     Release,
@@ -33,7 +33,6 @@ from sca_reco.exceptions import (
 from sca_reco.ingestion import (
     GdcMapping,
     _split_lines,
-    canonicalize,
     list_projects,
     load_gdc_mapping,
     load_report,
@@ -168,21 +167,25 @@ def test_mapping_unknown_category(tmp_path, taxonomy):
 
 
 def test_canonicalize_drops_method_and_severity():
+    # the label pass gives each report entry its canonical form: mapped
+    # category, class, lines and origin, and no method or severity
     mapping = GdcMapping({("alpha", "NULL_DEREF"): "null_dereference"})
-    warning = canonicalize(raw(method="of", start=139, end=139), mapping, origin_index=4)
+    entries = [raw(start=200 + k) for k in range(4)] + [raw(method="of", start=139, end=139)]
+    snap = snapshot({}, {}, {"alpha": entries}, {"alpha": []})
+    warning = label_snapshot(snap, "alpha", mapping)[0][0]
     assert warning.new_type == "null_dereference"
     assert warning.class_info == "com.example.Foo"
     assert (warning.start_line, warning.end_line) == (139, 139)
-    assert warning.label is WarningLabel.UNKNOWN  # placeholder until labeling
+    assert warning.label is WarningLabel.UNKNOWN  # the class resolves in neither release
     assert warning.origin == ("alpha", 4)
     assert not hasattr(warning, "method_path")
     assert not hasattr(warning, "severity")
 
 
 def test_canonicalize_unmapped_type():
-    mapping = GdcMapping({})
+    snap = snapshot({}, {}, {"alpha": [raw()]}, {"alpha": []})
     with pytest.raises(UnmappedType) as exc:
-        canonicalize(raw(), mapping, 0)
+        label_snapshot(snap, "alpha", GdcMapping({}))
     assert "alpha" in str(exc.value) and "NULL_DEREF" in str(exc.value)
 
 

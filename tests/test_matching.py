@@ -14,9 +14,13 @@ from helpers import (
     A,
     U,
     UNKNOWN,
+    MatchContext,
     aw,
     identity_mapping,
     label_snapshot,
+    match_hash,
+    match_location,
+    match_snippet,
     raw,
     release,
     snapshot,
@@ -24,15 +28,10 @@ from helpers import (
 from sca_reco.core import WarningLabel
 from sca_reco.exceptions import SchemaError
 from sca_reco.matching import (
-    MatchContext,
     MatchStage,
     ReleasePair,
     compute_line_mapping,
     hash_window,
-    match_hash,
-    match_location,
-    match_snippet,
-    match_warning,
     resolve_class_file,
     token_stream,
 )
@@ -373,17 +372,17 @@ def test_hash_ignores_where_tokens_split_across_lines():
 # cascade
 
 
+def cascade(old_files, new_files, raws_old, raws_new):
+    """The audit record of each old warning, labeled by the label pass."""
+    snap = snapshot(old_files, new_files, {"alpha": raws_old}, {"alpha": raws_new})
+    return label_snapshot(snap, "alpha", identity_mapping())[1]
+
+
 def test_cascade_prefers_location_over_snippet():
     files = {"com/example/Foo.java": class_file("Foo", ["    int v = load();"] * 3)}
-    context = make_context(files, files, [raw(start=4)], [raw(start=4), raw(start=6)])
-    w_a = aw(class_info=FOO, start=4, end=4)
-    candidates = [
-        aw(class_info=FOO, start=4, end=4, index=0),
-        aw(class_info=FOO, start=6, end=6, index=1),
-    ]
-    outcome = match_warning(w_a, candidates, context)
-    assert outcome.stage is MatchStage.LOCATION
-    assert outcome.matched.start_line == 4
+    [record] = cascade(files, files, [raw(start=4)], [raw(start=4), raw(start=6)])
+    assert record.stage is MatchStage.LOCATION
+    assert record.matched_line == 4
 
 
 @pytest.mark.parametrize(
@@ -396,12 +395,9 @@ def test_location_pick_is_nearest_then_lower_line(starts, expected):
     # the nearest line wins, and of two equally near the lower line, which
     # comes first in canonical order
     files = {"com/example/Foo.java": class_file("Foo", ["    int v;"] * 8)}
-    raws_new = [raw(start=start) for start in starts]
-    context = make_context(files, files, [raw(start=5)], raws_new)
-    candidates = [aw(class_info=FOO, start=start, index=i) for i, start in enumerate(starts)]
-    outcome = match_warning(aw(class_info=FOO, start=5), candidates, context)
-    assert outcome.stage is MatchStage.LOCATION
-    assert outcome.matched.start_line == expected
+    [record] = cascade(files, files, [raw(start=5)], [raw(start=start) for start in starts])
+    assert record.stage is MatchStage.LOCATION
+    assert record.matched_line == expected
 
 
 def test_cascade_snippet_when_method_renamed():
@@ -409,13 +405,8 @@ def test_cascade_snippet_when_method_renamed():
     new_body = ["    public void b() {", "        int v = load();", "    }"]
     old_files = {"com/example/Foo.java": class_file("Foo", old_body)}
     new_files = {"com/example/Foo.java": class_file("Foo", new_body)}
-    context = make_context(
-        old_files, new_files, [raw(method="a", start=5)], [raw(method="b", start=5)]
-    )
-    w_a = aw(class_info=FOO, start=5, end=5)
-    candidates = [aw(class_info=FOO, start=5, end=5, index=0)]
-    outcome = match_warning(w_a, candidates, context)
-    assert outcome.stage is MatchStage.SNIPPET
+    [record] = cascade(old_files, new_files, [raw(method="a", start=5)], [raw(method="b", start=5)])
+    assert record.stage is MatchStage.SNIPPET
 
 
 def test_cascade_hash_distance_tiebreak():
@@ -426,24 +417,21 @@ def test_cascade_hash_distance_tiebreak():
     old_files = {"com/example/Foo.java": class_file("Foo", body)}
     new_files = {"com/example/Bar.java": class_file("Bar", body)}
     gap_first = 3 + 30 + 1  # first blank line of the gap
-    w_a = aw(class_info=FOO, start=gap_first + 1, end=gap_first + 1)
-    raws_new = [raw(start=gap_first), raw(start=gap_first + 4)]
-    context = make_context(old_files, new_files, [raw(start=gap_first + 1)], raws_new)
-    candidates = [
-        aw(class_info=BAR, start=gap_first, end=gap_first, index=0),
-        aw(class_info=BAR, start=gap_first + 4, end=gap_first + 4, index=1),
-    ]
-    outcome = match_warning(w_a, candidates, context)
-    assert outcome.stage is MatchStage.HASH
-    assert outcome.matched.start_line == gap_first  # distance 1 beats distance 3
+    raws_new = [raw(class_path=BAR, start=gap_first), raw(class_path=BAR, start=gap_first + 4)]
+    [record] = cascade(old_files, new_files, [raw(start=gap_first + 1)], raws_new)
+    assert record.stage is MatchStage.HASH
+    assert record.matched_line == gap_first  # distance 1 beats distance 3
 
 
 def test_cascade_no_match():
     files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
-    context = make_context(files, files, [raw(start=4)], [])
-    outcome = match_warning(aw(class_info=FOO, start=4, end=4), [], context)
-    assert outcome.matched is None
-    assert outcome.stage is None
+    [record] = cascade(files, files, [raw(start=4)], [])
+    assert (record.outcome, record.stage, record.matched_line, record.matched_origin) == (
+        A,
+        None,
+        None,
+        None,
+    )
 
 
 # labeling
@@ -536,11 +524,11 @@ def test_cascade_dominance_on_reported_pair():
     old_files = {"com/example/Foo.java": class_file("Foo", old_body)}
     new_files = {"com/example/Foo.java": class_file("Foo", new_body)}
     raw_a, raw_b = raw(method="a", start=5), raw(method="b", start=5)
+    [record] = cascade(old_files, new_files, [raw_a], [raw_b])
+    assert record.stage is MatchStage.SNIPPET
     context = make_context(old_files, new_files, [raw_a], [raw_b])
     w_a = aw(class_info=FOO, start=5, end=5)
-    candidate = aw(class_info=FOO, start=5, end=5, index=0)
-    outcome = match_warning(w_a, [candidate], context)
-    assert outcome.stage is MatchStage.SNIPPET
+    candidate = aw(class_info=FOO, start=5, end=5, index=record.matched_origin)
     assert not match_location(w_a, candidate, context)
 
 

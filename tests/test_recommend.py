@@ -127,6 +127,17 @@ def test_predict_single_vector():
     assert model.predict(vector) == "alpha"
 
 
+def test_predict_takes_the_model_features_by_name():
+    model = train(two_class_dataset().subset_features(["f2", "f0"]), ModelKind.LR, seed=0)
+    probe = [[0.5, 0.05], [0.5, 1.05]]
+    expected = model.predict_matrix(probe, ("f2", "f0"))
+    for (f2, f0), sca in zip(probe, expected):
+        vector = FeatureVector("probe", ("f3", "f0", "f1", "f2"), (9.0, f0, 9.0, f2))
+        assert model.predict(vector) == sca
+    with pytest.raises(FeatureMismatch, match="'f2'"):
+        model.predict(FeatureVector("probe", ("f0", "f1"), (0.05, 1.05)))
+
+
 def test_feature_mismatch_is_rejected():
     model = train(two_class_dataset(), ModelKind.DT, seed=0)
     with pytest.raises(FeatureMismatch):
