@@ -20,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import parse_beta
+from .core import parse_beta, read_text, write_text
 from .exceptions import ConfigError, DataError, NonFiniteStatistic, ScaRecoError
 from .features import load_features
 from .footprints import export_footprints
@@ -143,9 +143,7 @@ def _cmd_mine(args) -> int:
     result = rfe_cv(dataset, kind, folds=args.folds, seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "selected_features.txt").write_text(
-        selected_features_text(result.selected), encoding="utf-8"
-    )
+    write_text(out_dir / "selected_features.txt", selected_features_text(result.selected))
     print("size\tf1_micro")
     for size, score in result.scores:
         print(f"{size}\t{score!r}")
@@ -161,11 +159,7 @@ def _cmd_train(args) -> int:
     kind = parse_model_kind(args.model)
     dataset, _, _ = _load_dataset(args)
     if args.feature_list:
-        names = [
-            line.strip()
-            for line in Path(args.feature_list).read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        names = [line.strip() for line in read_text(args.feature_list).splitlines() if line.strip()]
         try:
             dataset = dataset.subset_features(names)
         except DataError as exc:
@@ -203,7 +197,7 @@ def _cmd_recommend(args) -> int:
             ) from exc
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -236,7 +230,7 @@ def _cmd_sweep(args) -> int:
     _, evaluations, vectors = _load_dataset(args)  # checks the records before any fit
     rows = beta_sweep(evaluations, vectors, kind, betas, folds=args.folds, seed=args.seed)
     table = sweep_table(rows)
-    Path(args.out).write_text(table, encoding="utf-8")
+    write_text(args.out, table)
     sys.stdout.write(table)
     return 0
 

@@ -82,6 +82,38 @@ def decode_json(text: str, where: str):
         raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read as
+    ``\\n``.  A file that cannot be read raises an IoError; bytes that are
+    not UTF-8 raise a ParseError naming the file and the byte offset."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()  # one decode, so exc.start is a file offset
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
+        ) from exc
+
+
+def read_json(path: str | Path):
+    """The JSON document in ``path``; see ``read_text`` and ``decode_json``."""
+    return decode_json(read_text(path), str(path))
+
+
+def write_text(path: str | Path, parts) -> None:
+    """Write ``parts``, one string or an iterable of strings, to ``path`` as
+    UTF-8, in order and without joining them; an OSError becomes an IoError."""
+    if isinstance(parts, str):
+        parts = (parts,)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(parts)
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
+
+
 def require_field(obj, key: str, kinds, where: str):
     """``obj[key]``, checked to be an instance of ``kinds`` and not a bool;
     anything else raises a SchemaError that starts with ``where``."""
@@ -144,19 +176,15 @@ def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:
     pass ``strict_shape=False`` to accept any well-formed taxonomy.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = [line for line in read_text(path).split("\n") if line.strip()]
     if not lines:
         raise ParseError(f"taxonomy file {path} is empty")
-    if tuple(lines[0].rstrip("\r").split("\t")) != TAXONOMY_HEADER:
+    if tuple(lines[0].split("\t")) != TAXONOMY_HEADER:
         raise ParseError(f"taxonomy file {path} has a bad header line")
     categories = []
     groups: list[str] = []
     for line in lines[1:]:
-        cells = line.rstrip("\r").split("\t")
+        cells = line.split("\t")
         if len(cells) != 3:
             raise ParseError(f"taxonomy row {line!r} does not have 3 cells")
         gdc_id, name, group = (c.strip() for c in cells)

@@ -184,8 +184,9 @@ class ProjectEvaluation:
 
     @classmethod
     def from_record(cls, record: dict) -> "ProjectEvaluation":
-        """Inverse of ``to_record``; p, r and f_beta are recomputed from the
-        counts.  A missing field or one of the wrong type or value raises a
+        """Inverse of ``to_record``; p, r, f_beta and the optimal set are
+        recomputed from the counts.  A missing field, one of the wrong type or
+        value, or an ``optimal`` that differs from the recomputed set raises a
         SchemaError."""
         where = "evaluation record"
         project = require_field(record, "project", str, where)
@@ -194,8 +195,6 @@ class ProjectEvaluation:
         if not entries:
             raise SchemaError(f"{where}: field 'scores' is empty")
         optimal = require_field(record, "optimal", list, where)
-        if not all(isinstance(sca, str) for sca in optimal):
-            raise SchemaError(f"{where}: field 'optimal' must list analyzer ids")
         try:
             beta = parse_beta(str(beta_field))
             scores = []
@@ -208,9 +207,14 @@ class ProjectEvaluation:
                     require_field(entry, "union_actionable", int, at),
                 )
                 scores.append(score_sca(project, sca, counts, beta))
-            best = OptimalLabelSet(project, tuple(optimal))
         except (InvalidBeta, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
+        best = optimal_set(scores)
+        if list(best.optimal) != optimal:
+            raise SchemaError(
+                f"{where}: field 'optimal' is {optimal} but the counts give "
+                f"{list(best.optimal)}"
+            )
         return cls(project, beta, tuple(scores), best)
 
 

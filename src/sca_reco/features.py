@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -10,10 +11,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ScaId
+from .core import ScaId, read_text
 from .exceptions import (
     DuplicateProject,
-    IoError,
     MismatchError,
     NonNumericCell,
     ParseError,
@@ -44,11 +44,11 @@ def load_features(path: str | Path) -> list[FeatureVector]:
     unique; project ids must be unique.
     """
     path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path)))
     try:
-        with path.open(newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ParseError(f"feature file {path} is empty")
     header = rows[0]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ScaId
+from .core import ScaId, write_text
 from .estimators import PCA, StandardScaler
 from .exceptions import IoError
 from .features import PreferenceDataset
@@ -80,19 +80,12 @@ def export_footprints(dataset: PreferenceDataset, out_dir: str | Path) -> list[P
     except OSError as exc:
         raise IoError(str(exc)) from exc
     written = []
-    try:
-        for name in dataset.feature_names:
-            path = out_dir / f"feature_{name}.csv"
-            path.write_text(
-                render_feature_footprint(projection, dataset, name), encoding="utf-8"
-            )
-            written.append(path)
-        for sca in dataset.sca_order:
-            path = out_dir / f"sca_{sca}.csv"
-            path.write_text(
-                render_optimal_footprint(projection, dataset, sca), encoding="utf-8"
-            )
-            written.append(path)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    for name in dataset.feature_names:
+        path = out_dir / f"feature_{name}.csv"
+        write_text(path, render_feature_footprint(projection, dataset, name))
+        written.append(path)
+    for sca in dataset.sca_order:
+        path = out_dir / f"sca_{sca}.csv"
+        write_text(path, render_optimal_footprint(projection, dataset, sca))
+        written.append(path)
     return written

@@ -26,8 +26,9 @@ from .core import (
     RawWarning,
     Release,
     ScaId,
-    decode_json,
     optional_field,
+    read_json,
+    read_text,
     require_field,
 )
 from .exceptions import (
@@ -45,21 +46,10 @@ log = logging.getLogger(__name__)
 GDC_MAP_HEADER = ("sca", "original_type", "gdc_id")
 
 
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
-
-
-def _read_json(path: Path):
-    return decode_json(_read_text(path), str(path))
-
-
 def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[ScaId, list[RawWarning]]:
     """Load one analyzer report, checking it belongs to (project, release)."""
     path = Path(path)
-    doc = _read_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: report must be a JSON object")
     sca = require_field(doc, "sca", str, str(path))
@@ -142,16 +132,15 @@ def load_gdc_mapping(path: str | Path, taxonomy) -> GdcMapping:
     are tolerated; the same key mapped to two categories is an error.
     """
     path = Path(path)
-    text = _read_text(path)
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = [line for line in read_text(path).split("\n") if line.strip()]
     if not lines:
         return GdcMapping({})
-    if tuple(lines[0].rstrip("\r").split("\t")) != GDC_MAP_HEADER:
+    if tuple(lines[0].split("\t")) != GDC_MAP_HEADER:
         raise ParseError(f"mapping file {path} has a bad header line")
     known = taxonomy.category_ids
     entries: dict[tuple[str, str], str] = {}
     for line in lines[1:]:
-        cells = line.rstrip("\r").split("\t")
+        cells = line.split("\t")
         if len(cells) != 3:
             raise ParseError(f"mapping row {line!r} does not have 3 cells")
         sca, original_type, gdc_id = (c.strip() for c in cells)
@@ -293,7 +282,7 @@ def load_snapshot(corpus_root: str | Path, project_id: str) -> ProjectSnapshot:
     """Load one project (both releases and all reports) from a corpus."""
     project_dir = Path(corpus_root) / project_id
     meta_path = project_dir / "releases.json"
-    doc = _read_json(meta_path)
+    doc = read_json(meta_path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{meta_path}: must be a JSON object")
     old_id, old_date = _parse_release_meta(doc, "old", str(meta_path))
@@ -327,7 +316,7 @@ def load_sca_order(corpus_root: str | Path) -> list[ScaId]:
     root = Path(corpus_root)
     listing = root / "scas.txt"
     if listing.is_file():
-        order = [line.strip() for line in _read_text(listing).splitlines() if line.strip()]
+        order = [line.strip() for line in read_text(listing).splitlines() if line.strip()]
         if len(set(order)) != len(order):
             raise SchemaError(f"{listing} lists a duplicate analyzer id")
         if not order:

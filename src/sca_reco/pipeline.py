@@ -26,8 +26,10 @@ from .core import (
     default_taxonomy_path,
     load_taxonomy,
     optional_field,
+    read_text,
     require_field,
     validate_beta,
+    write_text,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
 from .exceptions import DataError, DuplicateProject, IoError, SchemaError, UnmappedType
@@ -280,12 +282,7 @@ def record_to_labels(record: dict) -> ProjectLabels:
 
 
 def _write_jsonl(path: str | Path, records) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_text(path, (json.dumps(record, sort_keys=True) + "\n" for record in records))
 
 
 def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
@@ -295,14 +292,9 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
     number.  A record whose ``project_id`` an earlier line gave raises a
     DuplicateProject naming the file and both lines.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
     records = []
     first_line: dict[str, int] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"{path}:{number}"
@@ -353,10 +345,7 @@ def write_optimal_sets(path: str | Path, evaluations: Sequence[ProjectEvaluation
     for evaluation in evaluations:
         optimal = evaluation.optimal.optimal
         lines.append(f"{evaluation.project_id}\t{optimal[0]}\t{','.join(optimal)}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def corpus_features(context: CorpusContext) -> list[FeatureVector]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ScaId, decode_json, encode_json, format_beta
+from .core import ScaId, encode_json, format_beta, read_json, write_text
 from .effectiveness import ProjectEvaluation, reevaluate
 from .estimators import (
     DecisionTreeClassifier,
@@ -33,7 +33,6 @@ from .exceptions import (
     DegenerateDataset,
     FeatureMismatch,
     InvalidCount,
-    IoError,
     LengthMismatch,
     SchemaError,
     TooFewSamples,
@@ -125,7 +124,6 @@ class RecommendationModel:
     classes: tuple[ScaId, ...]
     estimator: object
     seed: int
-    version: int = MODEL_FILE_VERSION
 
     def predict_matrix(self, matrix, feature_names: Sequence[str]) -> list[ScaId]:
         if tuple(feature_names) != self.feature_names:
@@ -158,7 +156,7 @@ class RecommendationModel:
 
     def save(self, path: str | Path) -> None:
         document = {
-            "version": self.version,
+            "version": MODEL_FILE_VERSION,
             "kind": self.kind.value,
             "hyperparams": self.hyperparams,
             "feature_names": list(self.feature_names),
@@ -169,22 +167,11 @@ class RecommendationModel:
             },
             "seed": self.seed,
         }
-        try:
-            Path(path).write_text(
-                encode_json(document) + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
+        write_text(path, encode_json(document) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RecommendationModel":
-        path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(str(exc)) from exc
-        document = decode_json(text, str(path))
+        document = read_json(path)
         try:
             if document["version"] != MODEL_FILE_VERSION:
                 raise SchemaError(f"{path}: unsupported model file version")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import ScaId, default_taxonomy_path
+from .core import ScaId, default_taxonomy_path, read_text, write_text
 from .exceptions import ConfigError, IoError
 from .matching import hash_window, token_stream
 from .rng import SplitMix64, derive_seed, extend_seed
@@ -462,10 +462,10 @@ def _write_texts(texts: dict[Path, str]) -> None:
     try:
         for directory in {path.parent for path in texts}:
             directory.mkdir(parents=True, exist_ok=True)
-        for path, text in texts.items():
-            path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    for path, text in texts.items():
+        write_text(path, text)
 
 
 def _dump_json(document) -> str:
@@ -548,7 +548,7 @@ def generate_corpus(config: SynthConfig, out_dir: str | Path) -> CorpusTruth:
     _write_texts(
         {
             out_dir / "scas.txt": "".join(f"{sca}\n" for sca in config.scas),
-            out_dir / "taxonomy.tsv": default_taxonomy_path().read_text(encoding="utf-8"),
+            out_dir / "taxonomy.tsv": read_text(default_taxonomy_path()),
             out_dir / "gdc_map.tsv": "\n".join(map_lines) + "\n",
             out_dir / "features.csv": "\n".join(csv_lines) + "\n",
             out_dir / "truth.json": truth_text,

@@ -1,5 +1,6 @@
 """Every exported name resolves, so a removed function leaves no dangling
-export, and importing the package or its corpus generator loads no numpy."""
+export; importing the package or its corpus generator loads no numpy; and
+the README's library snippet runs."""
 
 from __future__ import annotations
 
@@ -40,3 +41,15 @@ def test_import_loads_no_numpy(module_name):
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    from sca_reco.synth import SynthConfig, generate_corpus
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    snippet = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    generate_corpus(SynthConfig(n_projects=10, files_per_project=4), tmp_path / "demo")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

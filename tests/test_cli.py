@@ -168,6 +168,72 @@ def test_corrupted_project_partial_failure(workspace, tmp_path):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 11
 
 
+def _label_argv(ws):
+    return ["label", "--corpus", str(ws["corpus"]), "--out", str(ws["root"] / "out.jsonl")]
+
+
+def _train_argv(ws, *extra):
+    argv = ["train", "--evaluations", str(ws["evaluations"]), "--features", str(ws["features"])]
+    return argv + ["--model", "dt", "--out", str(ws["root"] / "model.json"), *extra]
+
+
+def _feature_list_case(ws):
+    path = ws["root"] / "list.txt"
+    path.write_text("loc_total\nn_files\n", encoding="utf-8")
+    return path, _train_argv(ws, "--feature-list", str(path))
+
+
+def _model_case(ws):
+    path = corrupted_model(ws, ws["root"], "dt", lambda document: None)
+    argv = ["recommend", "--model-file", str(path), "--features", str(ws["features"])]
+    return path, argv
+
+
+# each input kind: a function of a copied workspace that returns the file to
+# corrupt and the command that reads it
+INPUT_KINDS = {
+    "report": lambda ws: (next((ws["corpus"] / "p003").glob("*/reports/*.json")), _label_argv(ws)),
+    "releases": lambda ws: (ws["corpus"] / "p003" / "releases.json", _label_argv(ws)),
+    "gdc_map": lambda ws: (ws["corpus"] / "gdc_map.tsv", _label_argv(ws)),
+    "taxonomy": lambda ws: (ws["corpus"] / "taxonomy.tsv", _label_argv(ws)),
+    "scas": lambda ws: (ws["corpus"] / "scas.txt", _label_argv(ws)),
+    "labels": lambda ws: (
+        ws["labels"],
+        ["evaluate", "--corpus", str(ws["corpus"]), "--labels", str(ws["labels"])]
+        + ["--out-dir", str(ws["root"] / "eval")],
+    ),
+    "evaluations": lambda ws: (ws["evaluations"], _train_argv(ws)),
+    "features": lambda ws: (ws["features"], _train_argv(ws)),
+    "feature-list": _feature_list_case,
+    "model": _model_case,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_KINDS))
+def test_undecodable_input_exits_2_and_names_the_file(workspace, tmp_path, capsys, caplog, kind):
+    ws = {"root": tmp_path, "corpus": tmp_path / "corpus"}
+    shutil.copytree(workspace["corpus"], ws["corpus"])
+    ws["features"] = ws["corpus"] / "features.csv"
+    for name in ("labels", "evaluations"):
+        ws[name] = tmp_path / workspace[name].name
+        shutil.copyfile(workspace[name], ws[name])
+    path, argv = INPUT_KINDS[kind](ws)
+    with open(path, "ab") as handle:
+        handle.write(b"\xff")
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 at byte offset " in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not any(record.exc_info for record in caplog.records)
+    if kind in ("report", "releases"):  # only that project fails
+        assert err.count("project ") == 1 and "project p003: " in err
+        labels = (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["project"] for line in labels] == [
+            f"p{i:03d}" for i in range(12) if i != 3
+        ]
+
+
 def nested_json(depth: int) -> str:
     """A JSON array nested ``depth`` levels deep, past the decoder's limit."""
     return "[" * depth + "]" * depth
@@ -792,7 +858,8 @@ def test_repeated_label_record_or_row_exits_2(workspace, tmp_path, capsys, case)
     assert not (tmp_path / "eval").exists()
 
 
-@pytest.mark.parametrize(
+# commands that read --evaluations, one that joins the features and one that does not
+READS_EVALUATIONS = pytest.mark.parametrize(
     "argv",
     [
         ["baseline"],
@@ -800,6 +867,9 @@ def test_repeated_label_record_or_row_exits_2(workspace, tmp_path, capsys, case)
     ],
     ids=["baseline", "train"],
 )
+
+
+@READS_EVALUATIONS
 def test_repeated_evaluation_record_exits_2(workspace, tmp_path, capsys, argv):
     lines = workspace["evaluations"].read_text(encoding="utf-8").splitlines()
     _append_first_record(lines)
@@ -810,6 +880,21 @@ def test_repeated_evaluation_record_exits_2(workspace, tmp_path, capsys, argv):
     assert cli.main(argv + ["--evaluations", str(evaluations)]) == 2
     err = capsys.readouterr().err
     assert f"{evaluations}:13: project 'p000' repeats line 1" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+@READS_EVALUATIONS
+def test_optimal_set_disagreeing_with_counts_exits_2(workspace, tmp_path, capsys, argv):
+    lines = workspace["evaluations"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["optimal"] = [s["sca"] for s in record["scores"] if s["sca"] not in record["optimal"]]
+    lines[0] = json.dumps(record)
+    evaluations = tmp_path / "evaluations.jsonl"
+    evaluations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [token.format(features=workspace["features"], tmp=tmp_path) for token in argv]
+    capsys.readouterr()
+    assert cli.main(argv + ["--evaluations", str(evaluations)]) == 2
+    assert f"{evaluations}:1: evaluation record: field 'optimal' is " in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
 
 
@@ -891,7 +976,8 @@ BAD_VALUES = {
 # Fields of a stored record, each with the kinds of BAD_VALUES it accepts;
 # every other kind makes the record malformed.  A path element that is an
 # int indexes a list.  Evaluation records also hold p, r and f_beta, which
-# are recomputed from the counts and never read.
+# are recomputed from the counts and never read; ``optimal`` must equal the
+# set the counts give, so no value replaces its first entry.
 LABEL_FIELDS = {
     ("project",): {"string"},
     ("warnings",): {"list"},
@@ -915,7 +1001,7 @@ EVALUATION_FIELDS = {
     ("scores", 0, "fp"): {"int"},
     ("scores", 0, "union_actionable"): {"int"},
     ("optimal",): set(),
-    ("optimal", 0): {"string"},
+    ("optimal", 0): set(),
 }
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,12 @@ def test_load_features_requires_project_column(tmp_path):
 def test_load_features_row_width_mismatch(tmp_path):
     path = write_csv(tmp_path, "project,a,b\np1,1\n")
     with pytest.raises(ParseError):
+        load_features(path)
+
+
+def test_load_features_cell_past_the_csv_field_limit(tmp_path):
+    path = write_csv(tmp_path, "project,a\np1,1\np2," + "1" * 200_000 + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:3: "):
         load_features(path)
 
 

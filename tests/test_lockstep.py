@@ -24,7 +24,7 @@ from sca_reco import cli
 from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, tree
 from sca_reco.estimators.base import check_X_y
 from sca_reco.features import PreferenceDataset
-from sca_reco.recommend import ModelKind, train
+from sca_reco.recommend import MODEL_FILE_VERSION, ModelKind, train
 from sca_reco.rng import derive_seed
 
 
@@ -266,7 +266,7 @@ def test_deep_tree_model_saves_and_round_trips(tmp_path, capsys):
     model.save(path)
     text = path.read_text(encoding="utf-8")
     document = {
-        "version": model.version,
+        "version": MODEL_FILE_VERSION,
         "kind": "dt",
         "hyperparams": model.hyperparams,
         "feature_names": ["f0"],
