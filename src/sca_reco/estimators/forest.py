@@ -1,13 +1,24 @@
 """Random forest: bagged Gini trees with per-split feature subsampling.
 
-``fit`` draws every tree's bootstrap sample and hands them all to
-``tree.fit_lockstep``, which grows the trees side by side, one vectorized
-split search per step across all of them.  The bootstrap generators of all
-trees are built in one batch (``seeding.pcg64_generators``), and each tree
-still draws its sample with ``integers(0, n, size=n)`` and its splits from
-its own seeded stream, in its own depth-first order, so every tree, and the
-importances summed over them in tree order, come out the same as when each
-tree was fitted on its own.
+``fit_forests`` fits a batch of forests: the single forest of
+``RandomForestClassifier.fit`` or, say, every fold of a cross-validation.
+Forests that share ``random_state``, ``n_estimators``, row count and
+``bootstrap`` share one bootstrap draw, made when the first of them is
+grown.  Consecutive forests of equal shape (rows, features, classes,
+per-split budget, ``max_depth``, ``min_samples_split``) form a run.  A run
+is cut into groups of whole forests whose trees stay within
+``SHARED_CELLS``, and ``tree.fit_lockstep`` grows the trees of a group side
+by side, one vectorized split search per step across all of them, so small
+forests share the cost of a step.  A forest above ``SHARED_CELLS`` grows
+alone and whole: at a few hundred rows a lockstep gains nothing from more
+trees, and splitting a forest across locksteps adds steps.  Only a forest
+above ``BATCH_CELLS`` grows in several locksteps, which bounds memory.
+
+The bootstrap generators of a forest are built in one batch
+(``seeding.pcg64_generators``), and each tree still draws its sample with
+``integers(0, n, size=n)`` and its splits from its own seeded stream, in its
+own depth-first order, so every tree, and the importances summed over them
+in tree order, come out the same as when each tree was fitted on its own.
 
 The fitted trees are rows of one set of flat node arrays (``tree.Nodes``);
 ``predict`` descends all trees for all rows at once and counts the votes.
@@ -18,12 +29,21 @@ The fitted trees are rows of one set of flat node arrays (``tree.Nodes``);
 from __future__ import annotations
 
 import math
+from collections import Counter, deque
+from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import derive_seeds, pcg64_generators
 from .base import check_array, check_count, check_is_fitted, check_X_y
 from .tree import DecisionTreeClassifier, Nodes, fit_lockstep
+
+# caps on rows x features x classes summed over the trees of one lockstep,
+# which bound the memory of its per-step arrays and of the fitted forests a
+# group hands on together: forests grow together only within SHARED_CELLS,
+# and a forest alone above BATCH_CELLS grows in several locksteps
+SHARED_CELLS = 1 << 17
+BATCH_CELLS = 1 << 22
 
 
 class RandomForestClassifier:
@@ -80,27 +100,7 @@ class RandomForestClassifier:
         return trees
 
     def fit(self, X, y, n_classes: int | None = None) -> "RandomForestClassifier":
-        X, y, k = check_X_y(X, y, n_classes)
-        n, d = X.shape
-        # a tree examines every feature when its budget reaches d
-        per_split = max(1, int(math.sqrt(d))) if self.max_features == "sqrt" else self.max_features
-        seed = self.random_state or 0
-        trees = np.arange(self.n_estimators)
-        if self.bootstrap:
-            samples = np.empty((self.n_estimators, n), dtype=np.int64)
-            for t, boot_rng in enumerate(pcg64_generators(derive_seeds(seed, trees, 0))):
-                samples[t] = boot_rng.integers(0, n, size=n)
-        else:
-            samples = np.broadcast_to(np.arange(n), (self.n_estimators, n))
-        self.nodes_, self.tree_importances_ = fit_lockstep(
-            X, y, k, samples, derive_seeds(seed, trees, 1),
-            per_split, self.max_depth, self.min_samples_split,
-        )
-        self.n_classes_ = k
-        self.n_features_ = d
-        # one tree after another, as cumsum adds: a pairwise sum would round differently
-        self.feature_importances_ = np.cumsum(self.tree_importances_, axis=0)[-1] / self.n_estimators
-        return self
+        return next(fit_forests([self], [X], [y], [n_classes]))
 
     def predict(self, X) -> np.ndarray:
         check_is_fitted(self, "nodes_")
@@ -131,3 +131,125 @@ class RandomForestClassifier:
         self.nodes_ = Nodes.stack([tree.nodes_ for tree in trees])
         self.tree_importances_ = None
         return self
+
+
+def fit_forests(forests, Xs, ys, n_classes):
+    """Fit each forest on its ``X``, ``y`` and class count (``None`` for one
+    more than the largest label), and yield the forests in order, each as
+    soon as the group that grows it completes.
+
+    A group is grown only when the caller asks for its first forest, so a
+    caller that drops each forest before asking for the next holds at most
+    one group of fitted forests.  Every forest comes out as if fitted alone,
+    so the batch never changes a model.
+    """
+    fits = deque()
+    for forest, X, y, k in zip(forests, Xs, ys, n_classes):
+        X, y, k = check_X_y(X, y, k)
+        draw = (forest.random_state or 0, forest.n_estimators, len(y), forest.bootstrap)
+        fits.append(_Fit(forest, X, y, draw, _shape(forest, X, k)))
+    draws = _Draws([fit.draw for fit in fits])
+    # groups: runs of consecutive forests of one shape, cut where their
+    # trees would pass SHARED_CELLS
+    group, cells = [], 0
+    for fit in _popped(fits):
+        n, d, k = fit.shape[:3]
+        fit_cells = fit.forest.n_estimators * n * d * k
+        if group and (fit.shape != group[0].shape or cells + fit_cells > SHARED_CELLS):
+            yield from _fit_group(group, draws)
+            group, cells = [], 0
+        group.append(fit)
+        cells += fit_cells
+    if group:
+        yield from _fit_group(group, draws)
+
+
+class _Fit(NamedTuple):
+    forest: RandomForestClassifier
+    X: np.ndarray  # checked
+    y: np.ndarray
+    draw: tuple  # (seed, trees, rows, bootstrap): forests with equal draws share samples
+    shape: tuple  # forests with equal shapes may share a lockstep (see _shape)
+
+
+def _popped(fits: deque):
+    """The items of ``fits``, each taken out as it is reached, so that a
+    forest already yielded is not held here."""
+    while fits:
+        yield fits.popleft()
+
+
+def _shape(forest: RandomForestClassifier, X, k: int) -> tuple:
+    """What forests must share to grow in one lockstep: rows, features,
+    classes, per-split budget (``d`` when every split examines every
+    feature), ``max_depth`` and ``min_samples_split``."""
+    n, d = X.shape
+    per_split = max(1, int(math.sqrt(d))) if forest.max_features == "sqrt" else forest.max_features
+    budget = d if per_split is None else min(per_split, d)
+    return n, d, k, budget, forest.max_depth, forest.min_samples_split
+
+
+class _Draws:
+    """The sample rows of each distinct draw, made on its first use and let
+    go after its last."""
+
+    def __init__(self, draws):
+        self.uses = Counter(draws)
+        self.samples = {}
+
+    def take(self, draw) -> np.ndarray:
+        samples = self.samples.get(draw)
+        if samples is None:
+            samples = self.samples[draw] = _bootstrap(*draw)
+        self.uses[draw] -= 1
+        if not self.uses[draw]:
+            del self.samples[draw]
+        return samples
+
+
+def _bootstrap(seed, n_trees: int, n: int, bootstrap: bool) -> np.ndarray:
+    """Each tree's sample rows, (trees, rows): tree ``t`` draws ``n`` rows
+    with replacement from the stream of ``derive_seed(seed, t, 0)``."""
+    if not bootstrap:
+        return np.broadcast_to(np.arange(n), (n_trees, n))
+    samples = np.empty((n_trees, n), dtype=np.int64)
+    for t, boot_rng in enumerate(pcg64_generators(derive_seeds(seed, np.arange(n_trees), 0))):
+        samples[t] = boot_rng.integers(0, n, size=n)
+    return samples
+
+
+def _fit_group(group, draws):
+    """Grow the trees of ``group``'s forests, which share one shape, side by
+    side in locksteps of at most ``BATCH_CELLS`` cells, and yield the
+    forests in order."""
+    n, d, k, budget, max_depth, min_samples_split = group[0].shape
+    # every tree's sample as rows of the group's stacked X and y
+    X, y = np.concatenate([fit.X for fit in group]), np.concatenate([fit.y for fit in group])
+    rows = np.concatenate([draws.take(fit.draw) + i * n for i, fit in enumerate(group)])
+    seeds = np.concatenate(
+        [derive_seeds(fit.draw[0], np.arange(fit.forest.n_estimators), 1) for fit in group]
+    )
+    step = max(1, BATCH_CELLS // (n * d * k))
+    grown = [
+        fit_lockstep(
+            X[rows[start : start + step]], y[rows[start : start + step]], k,
+            seeds[start : start + step], budget, max_depth, min_samples_split,
+        )
+        for start in range(0, len(rows), step)
+    ]
+    nodes = Nodes.stack([part for part, _ in grown])
+    importances = np.concatenate([part for _, part in grown])
+    start = 0
+    for fit in group:
+        forest, trees = fit.forest, slice(start, start + fit.forest.n_estimators)
+        # a copy with room for the forest's largest tree only
+        forest.nodes_ = Nodes.stack([Nodes(*(array[trees] for array in nodes))])
+        forest.tree_importances_ = importances[trees].copy()
+        forest.n_classes_ = k
+        forest.n_features_ = d
+        # one tree after another, as cumsum adds: a pairwise sum would round differently
+        forest.feature_importances_ = (
+            np.cumsum(forest.tree_importances_, axis=0)[-1] / forest.n_estimators
+        )
+        yield forest
+        start = trees.stop

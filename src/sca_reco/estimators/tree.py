@@ -9,15 +9,16 @@ only at the edges: ``DecisionTreeClassifier.tree_`` renders it for the model
 file, and ``load_fitted_state`` checks a loaded one node by node and fills
 the arrays from it.
 
-``fit_lockstep`` grows a batch of trees at once: the single tree of a
-``DecisionTreeClassifier`` or all trees of a ``RandomForestClassifier``.
-Each tree keeps its own depth-first stack of node ids, pushing the right
-child before the left, so it visits its nodes in preorder.  Every step pops
-the next node of every tree that still has one and searches all of their
-splits in one vectorized pass, which removes the numpy call overhead of
-many small per-node searches.  Row membership is one node id per row, so a
-popped node's rows are those that hold its id, and a split moves its rows to
-the children's ids.  Growing one depth at a time instead would not keep the
+``fit_lockstep`` grows a batch of trees at once, each on its own block of
+rows: the single tree of a ``DecisionTreeClassifier``, or the trees of a
+group of equal-shape forests (``forest.fit_forests``).  Each tree keeps its
+own depth-first stack of node ids, pushing the right child before the left,
+so it visits its nodes in preorder.  Every step pops the next node of every
+tree that still has one and searches all of their splits in one vectorized
+pass, which removes the numpy call overhead of many small per-node
+searches.  Row membership is one node id per row, so a popped node's rows
+are those that hold its id, and a split moves its rows to the children's
+ids.  Growing one depth at a time instead would not keep the
 draw order: a right child's draws depend on the size of its left sibling's
 subtree.
 
@@ -47,10 +48,6 @@ import numpy as np
 
 from .seeding import derive_seeds, pcg64_generators
 from .base import check_array, check_count, check_is_fitted, check_X_y
-
-# cap on rows x features x classes per lockstep batch, which bounds the
-# memory of the per-step arrays; larger forests are grown in several batches
-BATCH_CELLS = 1 << 22
 
 # permutations each tree draws ahead at a time
 PERMUTATION_BLOCK = 8
@@ -228,7 +225,7 @@ class DecisionTreeClassifier:
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, k = check_X_y(X, y, n_classes)
         nodes, importances = fit_lockstep(
-            X, y, k, np.arange(X.shape[0])[None, :], [self.random_state or 0],
+            X[None], y[None], k, [self.random_state or 0],
             self.max_features, self.max_depth, self.min_samples_split,
         )
         self.nodes_ = nodes
@@ -264,33 +261,25 @@ def _is_index(value, size: int) -> bool:
 
 
 def fit_lockstep(
-    X, y, n_classes: int, samples, random_states, max_features, max_depth, min_samples_split
+    Xt, yt, n_classes: int, random_states, max_features, max_depth, min_samples_split
 ) -> tuple[Nodes, np.ndarray]:
-    """Fit one tree per row of ``samples`` on those rows of a checked ``X``,
-    ``y``; return their nodes and their (trees, features) importances.
+    """Fit tree ``i`` on the rows ``Xt[i]``, ``yt[i]`` of checked
+    (trees, rows, features) and (trees, rows) blocks, all in one lockstep;
+    return their nodes and their (trees, features) importances.
 
     Tree ``i`` draws from the stream of ``derive_seed(random_states[i])``.
-    Every tree comes out as if fitted alone, so the batch size never changes
-    a model.
+    Every tree comes out as if fitted alone, so the batch never changes a
+    model.  The per-step arrays grow with trees x rows x features x classes,
+    so a caller that fits many trees bounds that product.
     """
-    n_trees, n_rows = samples.shape
-    d = X.shape[1]
+    d = Xt.shape[2]
     draws = max_features is not None and max_features < d
-    seeds = derive_seeds(random_states) if draws else None
-    batch = max(1, BATCH_CELLS // max(1, n_rows * d * n_classes))
-    parts, importances = [], []
-    for start in range(0, n_trees, batch):
-        rows = samples[start : start + batch]
-        permutations = (
-            _Permutations(pcg64_generators(seeds[start : start + batch]), d) if draws else None
-        )
-        nodes, importance = _grow_lockstep(
-            X[rows], y[rows], n_classes, permutations, max_features if draws else d,
-            max_depth, min_samples_split,
-        )
-        parts.append(nodes)
-        importances.append(importance)
-    return Nodes.stack(parts), np.concatenate(importances)
+    permutations = (
+        _Permutations(pcg64_generators(derive_seeds(random_states)), d) if draws else None
+    )
+    return _grow_lockstep(
+        Xt, yt, n_classes, permutations, max_features if draws else d, max_depth, min_samples_split
+    )
 
 
 class _Permutations:

@@ -26,6 +26,7 @@ from .estimators import (
     RandomForestClassifier,
     StandardScaler,
     fit_each,
+    fit_forests,
     fit_stacked,
 )
 from .exceptions import (
@@ -82,7 +83,7 @@ ESTIMATORS: dict[ModelKind, tuple[type, bool, Callable]] = {
     ModelKind.KNN: (KNeighborsClassifier, False, fit_each),
     ModelKind.LR: (LogisticRegression, False, fit_stacked),
     ModelKind.MLP: (MLPClassifier, True, fit_each),
-    ModelKind.RF: (RandomForestClassifier, True, fit_each),
+    ModelKind.RF: (RandomForestClassifier, True, fit_forests),
 }
 
 
@@ -243,9 +244,10 @@ def train_batch(
 
     Every dataset is checked, standardized and label-encoded on its own
     before anything is fitted, so each model equals the one ``train`` fits
-    on that dataset alone.  Kinds fitted one by one are fitted as the
-    iterator reaches them, so a caller that drops each model holds one at
-    a time.
+    on that dataset alone.  Models are fitted as the iterator reaches them:
+    a caller that drops each model holds one at a time of the kinds fitted
+    one by one, and at most one group of forests of rf (see
+    ``estimators.forest``).
     """
     prepared = []
     for dataset, seed in training_sets:

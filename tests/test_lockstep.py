@@ -5,8 +5,10 @@ and ``_candidate_columns`` that fitted one tree at a time, and
 ``reference_forest`` the forest loop that fitted its trees one by one.  The
 lockstep grower must give the same nodes and bit-equal importances on
 tie-heavy inputs, and must fit and save trees far deeper than Python's
-recursion limit.  ``walk_predict`` walks a tree's nested dict one row at a
-time; ``predict`` of fitted and of loaded trees and forests must equal it.
+recursion limit.  ``fit_forests`` must give every forest of a mixed batch
+the same bits as a fit on its own, whatever the caps.  ``walk_predict``
+walks a tree's nested dict one row at a time; ``predict`` of fitted and of
+loaded trees and forests must equal it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 
 from helpers import reference_dumps
 from sca_reco import cli
-from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, tree
+from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, fit_forests, forest
 from sca_reco.estimators.base import check_X_y
 from sca_reco.features import PreferenceDataset
 from sca_reco.recommend import MODEL_FILE_VERSION, ModelKind, train
@@ -228,10 +232,148 @@ def test_forest_grown_in_small_batches_is_the_same(monkeypatch):
     X = rng.integers(0, 5, size=(30, 4)) / 4.0
     y = rng.integers(0, 3, size=30)
     whole = RandomForestClassifier(n_estimators=7, random_state=1).fit(X, y)
-    monkeypatch.setattr(tree, "BATCH_CELLS", 2 * 30 * 4 * 3)  # two trees per batch
+    monkeypatch.setattr(forest, "BATCH_CELLS", 2 * 30 * 4 * 3)  # two trees per lockstep
     batched = RandomForestClassifier(n_estimators=7, random_state=1).fit(X, y)
     assert [t.tree_ for t in batched.trees_] == [t.tree_ for t in whole.trees_]
     assert bits(batched.feature_importances_) == bits(whole.feature_importances_)
+
+
+FOREST_SETTINGS = st.fixed_dictionaries(
+    {
+        "n_estimators": st.integers(1, 6),
+        "max_features": st.sampled_from(["sqrt", 1, 2, 7, None]),
+        "bootstrap": st.booleans(),
+        "max_depth": st.sampled_from([None, 1, 3]),
+        "min_samples_split": st.sampled_from([2, 5]),
+        "random_state": st.sampled_from([None, 0, 1, 2**40]),
+    }
+)
+
+
+@st.composite
+def forest_batch(draw):
+    """1 to 8 forests picked from at most 3 data sets (each also mirrored:
+    the same shape with other values) and at most 3 settings, so runs of
+    equal shape, shared bootstrap draws over different data, and forests
+    that repeat a seed with another shape all occur."""
+    datasets = draw(st.lists(tie_heavy_data(), min_size=1, max_size=3))
+    settings_list = draw(st.lists(FOREST_SETTINGS, min_size=1, max_size=3))
+    picks = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(range(len(datasets))),
+                st.booleans(),
+                st.sampled_from(range(len(settings_list))),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    batch = []
+    for data, mirrored, setting in picks:
+        X, y, k = datasets[data]
+        batch.append((2.0 - X if mirrored else X, y, k, settings_list[setting]))
+    return batch
+
+
+TREES_PER_CAP = st.one_of(st.none(), st.integers(1, 7))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(forest_batch(), TREES_PER_CAP, TREES_PER_CAP)
+def test_forest_batch_matches_forests_fitted_alone(batch, shared_trees, lockstep_trees):
+    """Each cap is drawn as a number of trees of the first forest's shape
+    (None keeps the default): ``SHARED_CELLS`` decides which forests grow
+    together and ``BATCH_CELLS`` where a lockstep ends, so boundaries fall
+    between forests and inside them."""
+    alone = [
+        RandomForestClassifier(**setting).fit(X, y, n_classes=k) for X, y, k, setting in batch
+    ]
+    X, _, k, _ = batch[0]
+    caps = {
+        name: getattr(forest, name) if trees is None else trees * X.size * k
+        for name, trees in (("SHARED_CELLS", shared_trees), ("BATCH_CELLS", lockstep_trees))
+    }
+    with mock.patch.multiple(forest, **caps):
+        together = list(
+            fit_forests(
+                [RandomForestClassifier(**setting) for *_, setting in batch],
+                *zip(*[(X, y, k) for X, y, k, _ in batch]),
+            )
+        )
+    assert len(together) == len(alone)
+    for shared, single in zip(together, alone):
+        assert [t.tree_ for t in shared.trees_] == [t.tree_ for t in single.trees_]
+        assert bits(shared.tree_importances_) == bits(single.tree_importances_)
+        assert bits(shared.feature_importances_) == bits(single.feature_importances_)
+        assert (shared.n_classes_, shared.n_features_) == (single.n_classes_, single.n_features_)
+
+
+def test_rfe_cv_shaped_batch_draws_each_bootstrap_once(monkeypatch):
+    """8 feature-set sizes x 8 folds, as RFE-CV fits them: fold ``f`` has
+    the same seed and rows at every size, so the batch draws 8 bootstraps,
+    not 64.  The folds of one size have equal rows and grow in one
+    lockstep, and the forests come back in input order, each size's as
+    soon as its lockstep completes, before the next size is grown."""
+    bootstraps, locksteps = [], []
+    original_generators, original_lockstep = forest.pcg64_generators, forest.fit_lockstep
+
+    def counted_generators(seeds):
+        bootstraps.append(len(seeds))
+        return original_generators(seeds)
+
+    def counted_lockstep(Xt, *args):
+        locksteps.append(Xt.shape)
+        return original_lockstep(Xt, *args)
+
+    monkeypatch.setattr(forest, "pcg64_generators", counted_generators)
+    monkeypatch.setattr(forest, "fit_lockstep", counted_lockstep)
+    rng = np.random.default_rng(11)
+    X, y = rng.normal(size=(24, 8)), np.arange(24) % 3
+    folds = [np.flatnonzero(np.arange(24) % 8 != f) for f in range(8)]  # 21 rows each
+    forests, Xs, ys = [], [], []
+    for size in range(8, 0, -1):
+        for f, rows in enumerate(folds):
+            forests.append(RandomForestClassifier(n_estimators=10, random_state=derive_seed(0, f)))
+            Xs.append(X[rows, :size])
+            ys.append(y[rows])
+    fitted = fit_forests(forests, Xs, ys, [3] * len(forests))
+    first = [next(fitted) for _ in range(8)]
+    assert locksteps == [(80, 21, 8)]
+    rest = list(fitted)
+    assert [built is model for built, model in zip(forests, first + rest)] == [True] * 64
+    assert bootstraps == [10] * 8
+    assert locksteps == [(80, 21, size) for size in range(8, 0, -1)]
+
+
+def test_forest_batch_memory_is_bounded_by_a_group():
+    """Peak traced memory of 37 default forests fitted in one batch at
+    21 rows x 8 features x 3 classes, with each forest dropped as it comes.
+
+    At ``SHARED_CELLS = 1 << 17`` (two forests a lockstep) the peak
+    measured 2.59 MB (numpy 2, x86-64 Linux); the bound is that plus about
+    20 %.  Growing the whole batch in one lockstep peaked at 43.5 MB, a cap
+    of ``1 << 18`` at 6.0 MB, and holding every fitted forest until the
+    batch ends at 5.5 MB, so each of those fails here.  numpy reports its
+    array buffers to tracemalloc, so the peak counts the lockstep's arrays
+    and the fitted node arrays.
+    """
+    rng = np.random.default_rng(7)
+    X, y = rng.normal(size=(21, 8)), np.arange(21) % 3
+    RandomForestClassifier(n_estimators=2).fit(X, y)  # import numpy.random before measuring
+    tracemalloc.start()
+    try:
+        for _ in fit_forests(
+            (RandomForestClassifier(random_state=seed) for seed in range(37)),
+            [X] * 37,
+            [y] * 37,
+            [3] * 37,
+        ):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * 2**20
 
 
 def test_deep_tree_fits_without_recursion():

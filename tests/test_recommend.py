@@ -17,7 +17,7 @@ from sca_reco.effectiveness import (
     reevaluate,
     score_sca,
 )
-from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier
+from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, forest
 from sca_reco.exceptions import (
     DegenerateDataset,
     FeatureMismatch,
@@ -249,15 +249,16 @@ def test_cross_validate_fits_each_non_empty_fold_once(monkeypatch):
 
 def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
     # a batch that fitted every fold's forest up front would hold them all
-    # in memory at once
+    # in memory at once; forests of different row counts grow in separate
+    # locksteps, so each lockstep here is one forest
     fits = []
-    original = RandomForestClassifier.fit
+    original = forest.fit_lockstep
 
-    def counted(self, X, y, n_classes=None):
-        fits.append(len(X))
-        return original(self, X, y, n_classes)
+    def counted(Xt, *args):
+        fits.append(Xt.shape[1])
+        return original(Xt, *args)
 
-    monkeypatch.setattr(RandomForestClassifier, "fit", counted)
+    monkeypatch.setattr(forest, "fit_lockstep", counted)
     dataset = two_class_dataset()
     training_sets = [(dataset.subset_rows(list(range(start, 12))), start) for start in (0, 2, 4)]
     models = train_batch(training_sets, ModelKind.RF, FAST_HP[ModelKind.RF])
