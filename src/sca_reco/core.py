@@ -9,8 +9,10 @@ analyzers become comparable.  Both are immutable value objects.
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -114,24 +116,48 @@ def write_text(path: str | Path, parts) -> None:
         raise IoError(str(exc)) from exc
 
 
-def require_field(obj, key: str, kinds, where: str):
-    """``obj[key]``, checked to be an instance of ``kinds`` and not a bool;
-    anything else raises a SchemaError that starts with ``where``."""
-    if not isinstance(obj, dict):
+class RecordSpec:
+    """The fields of one kind of JSON record, two or more, in order: each
+    key with its exact JSON type or tuple of types, None among them for a
+    field that may be null or absent."""
+
+    def __init__(self, *fields: tuple[str, type | tuple]):
+        self.fields = [(key, kinds if type(kinds) is tuple else (kinds,)) for key, kinds in fields]
+        self.values = operator.itemgetter(*(key for key, _ in fields))
+        self.allowed = frozenset(itertools.product(
+            *([type(None) if kind is None else kind for kind in kinds] for _, kinds in self.fields)
+        ))
+
+
+def read_record(record, spec: RecordSpec, where: str, *args) -> tuple:
+    """The values of ``spec``'s fields in ``record``, in spec order, with a
+    null or absent optional field as None.  Anything else raises a
+    SchemaError that starts with the location ``where % args``, formatted
+    only then, and names the first bad field in spec order."""
+    if type(record) is dict:
+        try:
+            values = spec.values(record)
+        except KeyError:
+            pass
+        else:
+            if tuple(map(type, values)) in spec.allowed:
+                return values
+    if args:
+        where %= args
+    if not isinstance(record, dict):
         raise SchemaError(f"{where} must be a JSON object")
-    if key not in obj:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise SchemaError(f"{where}: field {key!r} has the wrong type")
-    return value
-
-
-def optional_field(obj, key: str, kinds, where: str):
-    """Like ``require_field``, but a missing or null field is None."""
-    if isinstance(obj, dict) and obj.get(key) is None:
-        return None
-    return require_field(obj, key, kinds, where)
+    values = []
+    for key, kinds in spec.fields:
+        value = record.get(key)
+        if value is None and None in kinds:
+            values.append(None)
+        elif key not in record:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        elif type(value) not in kinds:
+            raise SchemaError(f"{where}: field {key!r} has the wrong type")
+        else:
+            values.append(value)
+    return tuple(values)
 
 
 def encode_json(value) -> str:

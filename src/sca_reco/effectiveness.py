@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    RecordSpec,
     ScaId,
     WarningLabel,
     format_beta,
     parse_beta,
-    require_field,
+    read_record,
     validate_beta,
 )
 from .exceptions import InvalidBeta, SchemaError
@@ -151,6 +152,12 @@ def optimal_set(scores: Sequence[EffectivenessScore]) -> OptimalLabelSet:
     )
 
 
+EVALUATION_RECORD = RecordSpec(
+    ("project", str), ("beta", (str, int, float)), ("scores", list), ("optimal", list)
+)
+SCORE_ENTRY = RecordSpec(("sca", str), ("tp", int), ("fp", int), ("union_actionable", int))
+
+
 @dataclass(frozen=True)
 class ProjectEvaluation:
     """Everything the downstream stages need about one evaluated project."""
@@ -186,27 +193,23 @@ class ProjectEvaluation:
     def from_record(cls, record: dict) -> "ProjectEvaluation":
         """Inverse of ``to_record``; p, r, f_beta and the optimal set are
         recomputed from the counts.  A missing field, one of the wrong type or
-        value, or an ``optimal`` that differs from the recomputed set raises a
-        SchemaError."""
+        value, a score repeating another's analyzer, or an ``optimal`` that
+        differs from the recomputed set raises a SchemaError."""
         where = "evaluation record"
-        project = require_field(record, "project", str, where)
-        beta_field = require_field(record, "beta", (str, int, float), where)
-        entries = require_field(record, "scores", list, where)
+        project, beta_field, entries, optimal = read_record(record, EVALUATION_RECORD, where)
         if not entries:
             raise SchemaError(f"{where}: field 'scores' is empty")
-        optimal = require_field(record, "optimal", list, where)
         try:
             beta = parse_beta(str(beta_field))
             scores = []
+            first: dict[ScaId, int] = {}
             for i, entry in enumerate(entries):
-                at = f"{where}: score {i}"
-                sca = require_field(entry, "sca", str, at)
-                counts = ConfusionCounts(
-                    require_field(entry, "tp", int, at),
-                    require_field(entry, "fp", int, at),
-                    require_field(entry, "union_actionable", int, at),
-                )
-                scores.append(score_sca(project, sca, counts, beta))
+                sca, tp, fp, union = read_record(entry, SCORE_ENTRY, "%s: score %d", where, i)
+                if first.setdefault(sca, i) != i:
+                    raise SchemaError(
+                        f"{where}: score {i}: analyzer {sca!r} repeats score {first[sca]}"
+                    )
+                scores.append(score_sca(project, sca, ConfusionCounts(tp, fp, union), beta))
         except (InvalidBeta, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         best = optimal_set(scores)

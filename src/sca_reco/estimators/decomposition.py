@@ -49,8 +49,3 @@ class PCA:
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, projections) -> np.ndarray:
-        check_is_fitted(self, "components_")
-        projections = np.asarray(projections, dtype=np.float64)
-        return projections @ self.components_ + self.mean_

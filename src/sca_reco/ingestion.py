@@ -25,11 +25,11 @@ from .core import (
     ProjectSnapshot,
     RawWarning,
     Release,
+    RecordSpec,
     ScaId,
-    optional_field,
     read_json,
+    read_record,
     read_text,
-    require_field,
 )
 from .exceptions import (
     DuplicateConflict,
@@ -46,70 +46,33 @@ log = logging.getLogger(__name__)
 GDC_MAP_HEADER = ("sca", "original_type", "gdc_id")
 
 
+REPORT_HEADER = RecordSpec(("sca", str), ("project", str), ("release", str), ("warnings", list))
+# the RawWarning fields after ``sca``, in field order
+REPORT_ENTRY = RecordSpec(
+    ("type", str), ("class", str), ("method", (str, None)), ("start_line", int),
+    ("end_line", int), ("message", (str, None)), ("severity", (str, None)),
+)
+
+
 def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[ScaId, list[RawWarning]]:
     """Load one analyzer report, checking it belongs to (project, release)."""
     path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: report must be a JSON object")
-    sca = require_field(doc, "sca", str, str(path))
-    project = require_field(doc, "project", str, str(path))
-    release = require_field(doc, "release", str, str(path))
+    sca, project, release, raw = read_record(doc, REPORT_HEADER, str(path))
     if project != project_id or release != release_id:
         raise MismatchError(
             f"{path}: report is for {project}/{release}, expected {project_id}/{release_id}"
         )
-    raw = require_field(doc, "warnings", list, str(path))
     warnings = []
     for i, entry in enumerate(raw):
-        fields = _entry_fields(entry, path, i)
+        fields = read_record(entry, REPORT_ENTRY, "%s: warning %d", path, i)
         try:
             warnings.append(RawWarning(sca, *fields))
         except SchemaError as exc:
             raise SchemaError(f"{path}: warning {i}: {exc}") from exc
     return sca, warnings
-
-
-def _entry_fields(entry, path: Path, i: int) -> tuple:
-    """Report entry ``i``'s RawWarning fields after ``sca``, in field order.
-
-    An entry whose fields all have their exact JSON types, with the
-    optional ones null or absent, is read without per-field calls.  Any
-    other entry goes through ``require_field``/``optional_field``, whose
-    SchemaError names the file, the entry and its first bad field.
-    """
-    if type(entry) is dict:
-        get = entry.get
-        fields = (
-            get("type"),
-            get("class"),
-            get("method"),
-            get("start_line"),
-            get("end_line"),
-            get("message"),
-            get("severity"),
-        )
-        original_type, class_path, method, start_line, end_line, message, severity = fields
-        if (
-            type(original_type) is str
-            and type(class_path) is str
-            and type(start_line) is int
-            and type(end_line) is int
-            and (method is None or type(method) is str)
-            and (message is None or type(message) is str)
-            and (severity is None or type(severity) is str)
-        ):
-            return fields
-    where = f"{path}: warning {i}"
-    return (
-        require_field(entry, "type", str, where),
-        require_field(entry, "class", str, where),
-        optional_field(entry, "method", str, where),
-        require_field(entry, "start_line", int, where),
-        require_field(entry, "end_line", int, where),
-        optional_field(entry, "message", str, where),
-        optional_field(entry, "severity", str, where),
-    )
 
 
 @dataclass(frozen=True)
@@ -233,10 +196,12 @@ def load_source_tree(
     return Release(release_id, timestamp or dt.date(1970, 1, 1), files)
 
 
-def _parse_release_meta(doc: dict, role: str, where: str) -> tuple[str, dt.date]:
-    meta = require_field(doc, role, dict, where)
-    release_id = require_field(meta, "id", str, where)
-    date_text = require_field(meta, "date", str, where)
+RELEASES = RecordSpec(("old", dict), ("new", dict))
+RELEASE_META = RecordSpec(("id", str), ("date", str))
+
+
+def _parse_release_meta(meta: dict, where: str) -> tuple[str, dt.date]:
+    release_id, date_text = read_record(meta, RELEASE_META, where)
     try:
         timestamp = dt.date.fromisoformat(date_text)
     except ValueError as exc:
@@ -285,8 +250,9 @@ def load_snapshot(corpus_root: str | Path, project_id: str) -> ProjectSnapshot:
     doc = read_json(meta_path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{meta_path}: must be a JSON object")
-    old_id, old_date = _parse_release_meta(doc, "old", str(meta_path))
-    new_id, new_date = _parse_release_meta(doc, "new", str(meta_path))
+    old, new = read_record(doc, RELEASES, str(meta_path))
+    old_id, old_date = _parse_release_meta(old, str(meta_path))
+    new_id, new_date = _parse_release_meta(new, str(meta_path))
     release_old, reports_old = _load_release(project_dir, old_id, old_date, project_id)
     release_new, reports_new = _load_release(project_dir, new_id, new_date, project_id)
     return ProjectSnapshot(project_id, release_old, release_new, reports_old, reports_new)

@@ -20,20 +20,19 @@ from .core import (
     AlignedWarning,
     GdcTaxonomy,
     ProjectSnapshot,
+    RecordSpec,
     ScaId,
     WarningLabel,
     decode_json,
     default_taxonomy_path,
     load_taxonomy,
-    optional_field,
+    read_record,
     read_text,
-    require_field,
     validate_beta,
     write_text,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
 from .exceptions import DataError, DuplicateProject, IoError, SchemaError, UnmappedType
-from .features import FeatureVector, load_features
 from .ingestion import (
     GdcMapping,
     list_projects,
@@ -235,45 +234,40 @@ def labels_to_record(labels: ProjectLabels) -> dict:
     return {"project": labels.project_id, "warnings": rows}
 
 
+LABEL_RECORD = RecordSpec(("project", str), ("warnings", list))
+LABEL_ROW = RecordSpec(
+    ("sca", str), ("stage", (str, None)), ("label", str), ("category", str), ("class", str),
+    ("start_line", int), ("end_line", int), ("index", int), ("matched_line", (int, None)),
+    ("matched_index", (int, None)),
+)
+
+
 def record_to_labels(record: dict) -> ProjectLabels:
     """Inverse of ``labels_to_record``; a missing field, one of the wrong
-    type, or a row repeating another's analyzer and index raises a
+    type or value, or a row repeating another's analyzer and index raises a
     SchemaError."""
     where = "label record"
-    project_id = require_field(record, "project", str, where)
+    project_id, rows = read_record(record, LABEL_RECORD, where)
     by_sca: dict[ScaId, list[AlignedWarning]] = {}
     audits: dict[ScaId, list[AuditRecord]] = {}
     seen: dict[tuple[ScaId, int], int] = {}
-    for i, row in enumerate(require_field(record, "warnings", list, where)):
-        at = f"{where}: warning {i}"
-        sca = require_field(row, "sca", str, at)
-        stage = optional_field(row, "stage", str, at)
+    for i, row in enumerate(rows):
+        sca, stage, label, category, class_info, start, end, index, line, origin = read_record(
+            row, LABEL_ROW, "%s: warning %d", where, i
+        )
         try:
-            label = WarningLabel(require_field(row, "label", str, at))
+            label = WarningLabel(label)
             stage = MatchStage(stage) if stage else None
         except ValueError as exc:
-            raise SchemaError(f"{at}: {exc}") from exc
-        warning = AlignedWarning(
-            new_type=require_field(row, "category", str, at),
-            class_info=require_field(row, "class", str, at),
-            start_line=require_field(row, "start_line", int, at),
-            end_line=require_field(row, "end_line", int, at),
-            label=label,
-            origin=(sca, require_field(row, "index", int, at)),
-        )
-        audit = AuditRecord(
-            outcome=label,
-            stage=stage,
-            matched_line=optional_field(row, "matched_line", int, at),
-            matched_origin=optional_field(row, "matched_index", int, at),
-        )
+            raise SchemaError(f"{where}: warning {i}: {exc}") from exc
+        warning = AlignedWarning(category, class_info, start, end, label, (sca, index))
         first = seen.setdefault(warning.origin, i)
         if first != i:
             raise SchemaError(
-                f"{at}: analyzer {sca!r} index {warning.origin[1]} repeats warning {first}"
+                f"{where}: warning {i}: analyzer {sca!r} index {index} repeats warning {first}"
             )
         by_sca.setdefault(sca, []).append(warning)
-        audits.setdefault(sca, []).append(audit)
+        audits.setdefault(sca, []).append(AuditRecord(label, stage, line, origin))
     return ProjectLabels(
         project_id,
         {sca: tuple(rows) for sca, rows in by_sca.items()},
@@ -346,10 +340,3 @@ def write_optimal_sets(path: str | Path, evaluations: Sequence[ProjectEvaluation
         optimal = evaluation.optimal.optimal
         lines.append(f"{evaluation.project_id}\t{optimal[0]}\t{','.join(optimal)}")
     write_text(path, "\n".join(lines) + "\n")
-
-
-def corpus_features(context: CorpusContext) -> list[FeatureVector]:
-    path = context.root / "features.csv"
-    if not path.is_file():
-        raise IoError(f"no feature table: {path} not found")
-    return load_features(path)

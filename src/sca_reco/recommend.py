@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import ScaId, encode_json, format_beta, read_json, write_text
+from .core import RecordSpec, ScaId, encode_json, format_beta, read_json, read_record, write_text
 from .effectiveness import ProjectEvaluation, reevaluate
 from .estimators import (
     DecisionTreeClassifier,
@@ -44,6 +44,11 @@ from .metrics import MicroMetrics, mean_metrics, micro_metrics
 from .rng import SplitMix64, derive_seed
 
 MODEL_FILE_VERSION = 1
+MODEL_FILE = RecordSpec(
+    ("version", int), ("kind", str), ("hyperparams", dict), ("feature_names", list),
+    ("standardization", dict), ("params", dict), ("seed", int),
+)
+MODEL_PARAMS = RecordSpec(("classes", list), ("state", dict))
 
 
 class ModelKind(Enum):
@@ -173,24 +178,26 @@ class RecommendationModel:
     @classmethod
     def load(cls, path: str | Path) -> "RecommendationModel":
         document = read_json(path)
+        version, kind, hyperparams, feature_names, standardization, params, seed = read_record(
+            document, MODEL_FILE, str(path)
+        )
+        classes, state = read_record(params, MODEL_PARAMS, "%s: params", path)
+        if version != MODEL_FILE_VERSION:
+            raise SchemaError(f"{path}: unsupported model file version")
+        for key, names in (("feature_names", feature_names), ("classes", classes)):
+            if not all(type(name) is str for name in names) or len(set(names)) != len(names):
+                raise SchemaError(f"{path}: field {key!r} must list distinct strings")
+        feature_names, classes = tuple(feature_names), tuple(classes)
         try:
-            if document["version"] != MODEL_FILE_VERSION:
-                raise SchemaError(f"{path}: unsupported model file version")
-            kind = parse_model_kind(document["kind"])
-            hyperparams = document["hyperparams"]
-            if not isinstance(hyperparams, dict):
-                raise SchemaError(f"{path}: hyperparams must be a JSON object")
-            seed = int(document["seed"])
-            feature_names = tuple(document["feature_names"])
-            scaler = StandardScaler().load_fitted_state(document["standardization"])
+            kind = parse_model_kind(kind)
+            scaler = StandardScaler().load_fitted_state(standardization)
             if not len(scaler.mean_) == len(scaler.std_) == len(feature_names):
                 raise SchemaError(
                     f"{path}: standardization has {len(scaler.mean_)} means and "
                     f"{len(scaler.std_)} stds for {len(feature_names)} features"
                 )
-            classes = tuple(document["params"]["classes"])
             estimator = build_estimator(kind, hyperparams, seed)
-            estimator.load_fitted_state(document["params"]["state"])
+            estimator.load_fitted_state(state)
             listed = (len(classes), len(feature_names))
             if listed != (estimator.n_classes_, estimator.n_features_):
                 raise SchemaError(

@@ -8,6 +8,10 @@ stage's rule for one pair of warnings, straight from the rule and the
 ``ReleasePair`` primitives (diff-mapped target, trimmed snippet, token
 window), not through the stage keys the label pass indexes by.  The oracles
 that check the label pass compare its hits against them.
+
+``require_field`` and ``optional_field`` state the rule for one field of a
+JSON record, one call per field, not through ``core.read_record``'s record
+specs.  The equivalence tests of the record readers compare against them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from sca_reco.core import (
     Release,
     WarningLabel,
 )
+from sca_reco.exceptions import SchemaError
 from sca_reco.ingestion import GdcMapping
 from sca_reco.matching import AuditRecord, ReleasePair, label_release_detailed
 from sca_reco.synth import CorpusTruth, ProjectTruth, SiteTruth
@@ -222,6 +227,26 @@ def load_truth(path: str | Path) -> CorpusTruth:
         for entry in document["projects"]
     )
     return CorpusTruth(document["seed"], tuple(document["scas"]), projects)
+
+
+def require_field(obj, key: str, kinds, where: str):
+    """``obj[key]``, checked to be an instance of ``kinds`` and not a bool;
+    anything else raises a SchemaError that starts with ``where``."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise SchemaError(f"{where}: field {key!r} has the wrong type")
+    return value
+
+
+def optional_field(obj, key: str, kinds, where: str):
+    """Like ``require_field``, but a missing or null field is None."""
+    if isinstance(obj, dict) and obj.get(key) is None:
+        return None
+    return require_field(obj, key, kinds, where)
 
 
 ODD_VALUES = st.one_of(

@@ -44,12 +44,11 @@ from sca_reco.effectiveness import (
     reevaluate,
 )
 from sca_reco.estimators import PCA
-from sca_reco.features import PreferenceDataset
+from sca_reco.features import PreferenceDataset, load_features
 from sca_reco.ingestion import load_snapshot
 from sca_reco.matching import MatchStage, ReleasePair, label_release_detailed
 from sca_reco.metrics import micro_metrics
 from sca_reco.pipeline import (
-    corpus_features,
     evaluate_corpus,
     load_corpus_context,
 )
@@ -490,7 +489,7 @@ def test_criterion_05_pca_basis_properties():
             assert np.allclose(gram, np.eye(k), atol=1e-9)
             ev = model.explained_variance_
             assert all(ev[i] >= ev[i + 1] - 1e-12 for i in range(k - 1))
-            back = model.inverse_transform(model.transform(X))
+            back = model.transform(X) @ model.components_ + model.mean_
             rel = np.linalg.norm(back - X) / np.linalg.norm(X)
             assert rel < 1e-8
         elapsed = time.perf_counter() - start
@@ -559,7 +558,7 @@ def corpus60(tmp_path_factory):
     generate_corpus(SynthConfig(n_projects=60, seed=0), out)
     context = load_corpus_context(out)
     evaluations, failures = evaluate_corpus(context, beta=1.0)
-    vectors = corpus_features(context)
+    vectors = load_features(out / "features.csv")
     return {
         "context": context,
         "evaluations": evaluations,

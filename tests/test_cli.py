@@ -13,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import mutated_entries
+from helpers import ODD_VALUES, mutated_entries
 from sca_reco import cli
+from sca_reco.effectiveness import ConfusionCounts, optimal_set, score_sca
 from sca_reco.exceptions import ParseError, SchemaError
 from sca_reco.ingestion import load_report
+from sca_reco.pipeline import read_evaluations, read_labels
 from sca_reco.recommend import DEFAULT_HYPERPARAMS
 
 SCAS = {"hawkeye", "lintmax", "bugnet"}
@@ -715,6 +717,42 @@ def test_invalid_hyperparameter_in_model_file_exits_2(workspace, saved_models, c
     assert str(path) in err.getvalue()
 
 
+def _repeat_first(names):
+    names[1] = names[0]
+
+
+# model file headers that each have a field of the wrong JSON type, a list
+# of names that are not distinct strings, or a missing field
+MALFORMED_HEADERS = {
+    "seed-string": lambda document: document.update(seed="7"),
+    "seed-float": lambda document: document.update(seed=7.9),
+    "seed-bool": lambda document: document.update(seed=True),
+    "version-bool": lambda document: document.update(version=True),
+    "version-float": lambda document: document.update(version=1.0),
+    "kind-int": lambda document: document.update(kind=5),
+    "classes-int": lambda document: document["params"].update(
+        classes=list(range(1, len(document["params"]["classes"]) + 1))
+    ),
+    "classes-repeated": lambda document: _repeat_first(document["params"]["classes"]),
+    "feature_names-repeated": lambda document: _repeat_first(document["feature_names"]),
+    "params-no-state": lambda document: document["params"].pop("state"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_model_header_exits_2(workspace, saved_models, case):
+    root, documents = saved_models
+    document = json.loads(json.dumps(documents["dt"]))
+    MALFORMED_HEADERS[case](document)
+    path = root / "header.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["recommend", "--model-file", str(path), "--features", str(workspace["features"])]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(argv)
+    assert rc == 2
+    assert f"{path}: " in err.getvalue()
+
+
 # each command with a count below its minimum
 BAD_COUNTS = {
     "mine": ["--model", "dt", "--folds", "1", "--out-dir", "{tmp}"],
@@ -919,6 +957,30 @@ DATASET_COMMANDS = {
 }
 
 
+@pytest.mark.parametrize("command", sorted(DATASET_COMMANDS))
+def test_repeated_score_exits_2(workspace, tmp_path, capsys, command):
+    lines = workspace["evaluations"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    entries = record["scores"]
+    entries[1]["sca"] = entries[0]["sca"]
+    # an optimal set the repeated counts give, so only the repeat is wrong
+    scores = [
+        score_sca("x", e["sca"], ConfusionCounts(e["tp"], e["fp"], e["union_actionable"]), 1.0)
+        for e in entries
+    ]
+    record["optimal"] = list(optimal_set(scores).optimal)
+    lines[1] = json.dumps(record)
+    evaluations = tmp_path / "evaluations.jsonl"
+    evaluations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--evaluations", str(evaluations), "--features", str(workspace["features"])]
+    argv += [token.format(tmp=tmp_path) for token in DATASET_COMMANDS[command]]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    message = f"score 1: analyzer {entries[0]['sca']!r} repeats score 0"
+    assert f"{evaluations}:2: evaluation record: {message}" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["evaluations.jsonl"]
+
+
 # feature cells whose column mean (a sum past the largest float) or
 # standard deviation (squares past it) overflows, though each is finite
 OVERFLOWING_CELLS = {"mean": ["1.7e308"] * 3, "std": ["1e200", "-1e200"]}
@@ -1076,6 +1138,58 @@ def test_label_of_a_mutated_report_never_exits_3(one_project, data):
     assert rc in ((0, 2) if loads else (2,))
     if rc == 2:
         assert where in err.getvalue()
+
+
+# each stored record file: the list of rows in its records, its reader, and
+# the command that reads it
+STORED_ROWS = {
+    "labels": (
+        "warnings",
+        lambda path: read_labels(path, sorted(SCAS)),
+        ["evaluate", "--corpus", "{corpus}", "--labels", "{path}", "--out-dir", "{out}/eval"],
+    ),
+    "evaluations": (
+        "scores",
+        read_evaluations,
+        ["train", "--evaluations", "{path}", "--features", "{features}", "--model", "dt"]
+        + ["--out", "{out}/model.json"],
+    ),
+}
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(sorted(STORED_ROWS)), data=st.data())
+def test_command_on_a_mutated_stored_row_never_exits_3(workspace, kind, data):
+    key, read, argv = STORED_ROWS[kind]
+    lines = workspace[kind].read_text(encoding="utf-8").splitlines()
+    number = data.draw(st.integers(1, len(lines)), label="line")
+    record = json.loads(lines[number - 1])
+    rows = record[key]
+    position = data.draw(st.integers(0, len(rows) - 1), label="position")
+    row = rows[position]
+    # a mutated row, or one field of the row given an odd value, which is
+    # often a string or integer, so the command goes on past the type checks
+    key = data.draw(st.sampled_from(sorted(row)), label="key")
+    odd = st.one_of(ODD_VALUES, st.text(max_size=4), st.integers(-3, 3))
+    one_field = st.builds(lambda value: {**row, key: value}, odd)
+    rows[position] = data.draw(st.one_of(mutated_entries(row), one_field), label="row")
+    lines[number - 1] = json.dumps(record)
+    out = workspace["root"] / "mutated"
+    out.mkdir(exist_ok=True)
+    path = out / workspace[kind].name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        read(path)
+        reads = True
+    except (ParseError, SchemaError):
+        reads = False
+    fields = {"corpus": workspace["corpus"], "features": workspace["features"]}
+    argv = [token.format(path=path, out=out, **fields) for token in argv]
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(argv)
+    assert rc in ((0, 2) if reads else (2,))
+    if not reads:
+        assert f"{path}:{number}: " in err.getvalue()
 
 
 def test_unmapped_type_names_the_report_and_entry(one_project):

@@ -10,6 +10,7 @@ import pytest
 from sca_reco.estimators import StandardScaler
 from sca_reco.exceptions import (
     DuplicateProject,
+    IoError,
     MismatchError,
     NonNumericCell,
     ParseError,
@@ -66,6 +67,11 @@ def test_load_features_rejects_text_cell(tmp_path):
     path = write_csv(tmp_path, "project,a\np1,lots\n")
     with pytest.raises(NonNumericCell):
         load_features(path)
+
+
+def test_load_features_missing_file(tmp_path):
+    with pytest.raises(IoError):
+        load_features(tmp_path / "features.csv")
 
 
 def test_load_features_empty_file(tmp_path):

@@ -11,15 +11,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import label_snapshot, mutated_entries, raw, snapshot
+from helpers import label_snapshot, mutated_entries, optional_field, raw, require_field, snapshot
 from sca_reco.core import (
     RawWarning,
     Release,
     WarningLabel,
     default_taxonomy_path,
     load_taxonomy,
-    optional_field,
-    require_field,
 )
 from sca_reco.exceptions import (
     DuplicateConflict,
@@ -335,8 +333,8 @@ VALID_ENTRY = {
 
 
 def checked_report(path, sca, entries):
-    """Every entry through ``require_field``/``optional_field``, as the
-    loader read reports before its fast path."""
+    """Every entry through the per-field rule of ``require_field`` and
+    ``optional_field``."""
     warnings = []
     for i, entry in enumerate(entries):
         where = f"{path}: warning {i}"

@@ -60,7 +60,7 @@ def test_variances_non_increasing_and_complete():
 def test_full_rank_reconstruction():
     X = random_matrix(20, 7, seed=300)
     model = PCA(n_components=7).fit(X)
-    back = model.inverse_transform(model.transform(X))
+    back = model.transform(X) @ model.components_ + model.mean_
     rel = np.linalg.norm(back - X) / np.linalg.norm(X)
     assert rel < 1e-8
 

@@ -8,12 +8,18 @@ import shutil
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import mutated_entries, optional_field, require_field
 from sca_reco import cli
-from sca_reco.exceptions import IoError
+from sca_reco.core import AlignedWarning, WarningLabel
+from sca_reco.effectiveness import ConfusionCounts, ProjectEvaluation, optimal_set, score_sca
+from sca_reco.exceptions import IoError, ParseError, SchemaError
+from sca_reco.matching import AuditRecord, MatchStage
 from sca_reco.pipeline import (
-    corpus_features,
     evaluate_corpus,
+    ProjectLabels,
     evaluate_label_records,
     label_corpus,
     labels_to_record,
@@ -147,14 +153,156 @@ def test_write_optimal_sets_format(context, tmp_path):
         assert optimal == ",".join(evaluation.optimal.optimal)
 
 
-def test_corpus_features_requires_table(context, corpus, tmp_path):
-    vectors = corpus_features(context)
-    assert [v.project_id for v in vectors] == ["p000", "p001", "p002", "p003"]
-    clone = tmp_path / "clone"
-    shutil.copytree(corpus, clone)
-    (clone / "features.csv").unlink()
-    with pytest.raises(IoError):
-        corpus_features(load_corpus_context(clone))
+# stored records: the one record reader against the per-field rule
+
+VALID_ROW = {
+    "sca": "alpha",
+    "index": 0,
+    "category": "NULL_DEREF",
+    "class": "com.example.Foo",
+    "start_line": 10,
+    "end_line": 12,
+    "label": "actionable",
+    "stage": "location",
+    "matched_line": 11,
+    "matched_index": 0,
+}
+VALID_SCORE = {"sca": "alpha", "tp": 1, "fp": 1, "union_actionable": 3}
+# values drawn for some fields: repeated keys, and values of the right type
+# that the record's value checks refuse
+ROW_CHOICES = {
+    "sca": ["alpha", "beta"],
+    "index": [0, 1, 2, 3],
+    "start_line": [0] + [10] * 8 + [13],
+    "label": ["actionable", "unactionable", "unknown"] * 3 + ["x"],
+    "stage": ["location", "hash", None, ""] * 2 + ["x"],
+}
+SCORE_CHOICES = {
+    "sca": ["alpha", "beta", "gamma", "delta", "epsilon"],
+    "tp": [-1] + [0, 1, 2] * 3 + [4],
+    "union_actionable": [3],
+}
+
+
+@st.composite
+def mutated_records(draw, valid: dict, choices: dict):
+    """One to four copies of ``valid``, each with the value of every key of
+    ``choices`` drawn from its list (so some repeat a key or hold a bad
+    value), and one in four mutated."""
+    entries = []
+    for _ in range(draw(st.integers(1, 4))):
+        entry = {**valid, **{key: draw(st.sampled_from(values)) for key, values in choices.items()}}
+        entries.append(draw(mutated_entries(entry)) if draw(st.integers(0, 3)) == 0 else entry)
+    return entries
+
+
+def checked_labels(rows) -> ProjectLabels:
+    """``record_to_labels`` of a record of ``rows``, field by field."""
+    by_sca, audits, seen = {}, {}, {}
+    for i, row in enumerate(rows):
+        at = f"label record: warning {i}"
+        sca = require_field(row, "sca", str, at)
+        stage = optional_field(row, "stage", str, at)
+        label = require_field(row, "label", str, at)
+        category = require_field(row, "category", str, at)
+        class_info = require_field(row, "class", str, at)
+        start = require_field(row, "start_line", int, at)
+        end = require_field(row, "end_line", int, at)
+        index = require_field(row, "index", int, at)
+        line = optional_field(row, "matched_line", int, at)
+        origin = optional_field(row, "matched_index", int, at)
+        try:
+            label = WarningLabel(label)
+            stage = MatchStage(stage) if stage else None
+        except ValueError as exc:
+            raise SchemaError(f"{at}: {exc}") from exc
+        warning = AlignedWarning(category, class_info, start, end, label, (sca, index))
+        if (sca, index) in seen:
+            raise SchemaError(f"{at}: analyzer {sca!r} index {index} repeats warning {seen[sca, index]}")
+        seen[sca, index] = i
+        by_sca.setdefault(sca, []).append(warning)
+        audits.setdefault(sca, []).append(AuditRecord(label, stage, line, origin))
+    return ProjectLabels(
+        "p1",
+        {sca: tuple(rows) for sca, rows in by_sca.items()},
+        {sca: tuple(rows) for sca, rows in audits.items()},
+    )
+
+
+def checked_scores(entries) -> list:
+    """The scores ``ProjectEvaluation.from_record`` computes from
+    ``entries`` at beta 1, field by field."""
+    scores, first = [], {}
+    for i, entry in enumerate(entries):
+        at = f"evaluation record: score {i}"
+        sca = require_field(entry, "sca", str, at)
+        counts = [require_field(entry, key, int, at) for key in ("tp", "fp", "union_actionable")]
+        if sca in first:
+            raise SchemaError(f"{at}: analyzer {sca!r} repeats score {first[sca]}")
+        first[sca] = i
+        try:
+            scores.append(score_sca("p1", sca, ConfusionCounts(*counts), 1.0))
+        except ValueError as exc:
+            raise SchemaError(f"evaluation record: {exc}") from exc
+    return scores
+
+
+def stored_outcome(read, path, record, expected):
+    """``read(path)`` and ``expected()`` after writing ``record`` as the
+    one line of ``path``: the value both give, or both messages."""
+    try:
+        path.write_text(json.dumps(record, allow_nan=False) + "\n", encoding="utf-8")
+    except ValueError:  # NaN or Infinity, which JSON lacks
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"Infinity|NaN") as exc:
+            read(path)
+        assert str(exc.value).startswith(f"{path}:1: ")
+        return None, None
+    try:
+        want = expected()
+    except SchemaError as exc:
+        want = f"{path}:1: {exc}"
+    try:
+        got = read(path)
+    except SchemaError as exc:
+        got = str(exc)
+    return got, want
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(rows=mutated_records(VALID_ROW, ROW_CHOICES))
+def test_label_rows_equal_the_checked_path(tmp_path, rows):
+    # every analyzer a row names is listed, so no record is refused for that
+    listed = [row["sca"] for row in rows if type(row) is dict and type(row.get("sca")) is str]
+    record = {"project": "p1", "warnings": rows}
+    got, want = stored_outcome(
+        lambda path: read_labels(path, listed),
+        tmp_path / "labels.jsonl",
+        record,
+        lambda: [checked_labels(rows)],
+    )
+    assert got == want
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(entries=mutated_records(VALID_SCORE, SCORE_CHOICES))
+def test_evaluation_scores_equal_the_checked_path(tmp_path, entries):
+    try:  # an ``optimal`` the counts give, so only the scores can be refused
+        optimal = list(optimal_set(checked_scores(entries)).optimal)
+    except SchemaError:
+        optimal = []
+
+    def expected():
+        scores = checked_scores(entries)
+        return [ProjectEvaluation("p1", 1.0, tuple(scores), optimal_set(scores))]
+
+    record = {"project": "p1", "beta": "1", "scores": entries, "optimal": optimal}
+    got, want = stored_outcome(read_evaluations, tmp_path / "evaluations.jsonl", record, expected)
+    assert got == want
 
 
 # Labeling behaviour, pinned: a churn-style corpus (most files renamed) sends

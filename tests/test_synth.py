@@ -12,9 +12,9 @@ import pytest
 from helpers import load_truth
 from sca_reco.core import WarningLabel
 from sca_reco.exceptions import ConfigError
+from sca_reco.features import load_features
 from sca_reco.ingestion import list_projects, load_sca_order
 from sca_reco.pipeline import (
-    corpus_features,
     evaluate_corpus,
     label_corpus,
     load_corpus_context,
@@ -142,7 +142,7 @@ def test_corpus_layout_loads(small_corpus):
     assert load_sca_order(out) == list(truth.scas)
     context = load_corpus_context(out)
     assert context.sca_order == truth.scas
-    vectors = corpus_features(context)
+    vectors = load_features(out / "features.csv")
     assert len(vectors) == 4
     assert vectors[0].names == feature_names(SMALL)
     assert [v.project_id for v in vectors] == ["p000", "p001", "p002", "p003"]
