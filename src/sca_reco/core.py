@@ -3,7 +3,11 @@
 A "warning" exists in two forms: the raw record exactly as an analyzer
 reported it, and the canonical form in which the analyzer-native type has
 been replaced by a general defect category so warnings from different
-analyzers become comparable.  Both are immutable value objects.
+analyzers become comparable.  Both are named tuples: immutable, cheap to
+build, and equal exactly when their fields are, as tuples are.  Their
+constructors check nothing; the readers of outside data check each field
+(``ingestion.load_report`` a report's entries, ``pipeline.record_to_labels``
+a stored label row), and the label pass builds them only from checked ones.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .exceptions import InvalidBeta, IoError, ParseError, SchemaError
 
@@ -227,8 +232,7 @@ def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:
     return GdcTaxonomy(tuple(categories), tuple(groups))
 
 
-@dataclass(frozen=True)
-class RawWarning:
+class RawWarning(NamedTuple):
     """One warning exactly as an analyzer reported it."""
 
     sca: ScaId
@@ -240,23 +244,8 @@ class RawWarning:
     message: str | None = None
     severity: str | None = None
 
-    def __post_init__(self):
-        if not self.sca:
-            raise SchemaError("warning has an empty analyzer id")
-        if not self.original_type:
-            raise SchemaError("warning has an empty type")
-        if not self.class_path:
-            raise SchemaError("warning has an empty class path")
-        if self.start_line < 1:
-            raise SchemaError(f"warning start line {self.start_line} < 1")
-        if self.end_line < self.start_line:
-            raise SchemaError(
-                f"warning line span {self.start_line}..{self.end_line} is inverted"
-            )
 
-
-@dataclass(frozen=True)
-class AlignedWarning:
+class AlignedWarning(NamedTuple):
     """A warning in canonical form: general category plus location and label.
 
     ``origin`` is (analyzer id, index of the warning in its source report),
@@ -269,12 +258,6 @@ class AlignedWarning:
     end_line: int
     label: WarningLabel
     origin: tuple[ScaId, int]
-
-    def __post_init__(self):
-        if self.start_line < 1 or self.end_line < self.start_line:
-            raise SchemaError(
-                f"warning line span {self.start_line}..{self.end_line} is invalid"
-            )
 
 
 def warning_sort_key(warning: AlignedWarning):

@@ -95,7 +95,10 @@ def state_array(state: dict, key: str, shape: tuple) -> np.ndarray:
     ``None`` in ``shape`` matches any size; every size must be at least 1,
     so a loaded estimator never predicts from an empty array.
     """
-    array = np.asarray(state[key], dtype=np.float64)
+    try:
+        array = np.asarray(state[key], dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # not numbers, or ragged
+        raise ValueError(f"field {key!r}: {exc}") from exc
     if array.ndim != len(shape) or any(
         size < 1 or (want is not None and size != want)
         for size, want in zip(array.shape, shape)

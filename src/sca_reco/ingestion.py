@@ -68,10 +68,17 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
     warnings = []
     for i, entry in enumerate(raw):
         fields = read_record(entry, REPORT_ENTRY, "%s: warning %d", path, i)
-        try:
-            warnings.append(RawWarning(sca, *fields))
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: warning {i}: {exc}") from exc
+        original_type, class_path, _, start, end, _, _ = fields
+        if not (sca and original_type and class_path and 0 < start <= end):
+            fault = (
+                "has an empty analyzer id" if not sca
+                else "has an empty type" if not original_type
+                else "has an empty class path" if not class_path
+                else f"start line {start} < 1" if start < 1
+                else f"line span {start}..{end} is inverted"
+            )
+            raise SchemaError(f"{path}: warning {i}: warning {fault}")
+        warnings.append(RawWarning(sca, *fields))
     return sca, warnings
 
 

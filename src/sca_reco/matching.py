@@ -23,19 +23,23 @@ is one the old warning's keys accept.  The cascade (``_Pool``) indexes one
 analyzer's newer-release warnings by each stage's key, and the index
 decides a stage's hits: they are the unconsumed members of the buckets the
 old warning's keys look up.  ``label_release_detailed`` is the cascade's
-one entry point: it reads a report's entries as ``_Site`` records, far
-cheaper to build than an ``AlignedWarning``, runs each old site through
-the pool, and builds each old warning's ``AlignedWarning`` once, from its
-site, with its label.  The pairwise predicates that restate each rule for
-one pair live with the tests, which check the indexed keys against them.
+one entry point: it reads a report's entries as ``_Site`` tuples, whose
+fields come in canonical order so that sites sort as plain tuples, runs
+each old site through the pool, and builds each old warning's
+``AlignedWarning`` once, from its site, with its label.  An old warning's
+snippet is cut only when some newer warning shares its category and class,
+since every snippet key carries both.  The pairwise predicates that
+restate each rule for one pair live with the tests, which check the
+indexed keys against them.
 
-``ReleasePair`` is the only cache.  It resolves class files, diff-maps old
-start lines, cuts snippets and token windows once per project, and all
-analyzers of the project share it.  A file is tokenized once, into its
-tokens and per-line prefix token counts; a window is cut from those counts
-and joined from its slice of the tokens.  A diff-mapped start line is found
-by bisection over the file's sorted mapped old lines, so its cost does not
-grow with the start line a report gives.
+``ReleasePair`` is the only cache.  It resolves class files, sorts each
+old file's mapped lines and tokenizes each file once per project, and all
+analyzers of the project share it.  A file's tokens are kept as one
+ASCII buffer of its tokens joined by 0x1F, the prefix sums of their
+lengths, and the per-line prefix token counts; a window's tokens are found
+from those counts, and its bytes are one slice of the buffer.  A
+diff-mapped start line is found by bisection over the file's sorted mapped
+old lines, so its cost does not grow with the start line a report gives.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain
+from typing import NamedTuple
 
 from .core import (
     AlignedWarning,
@@ -54,7 +59,6 @@ from .core import (
     Release,
     ScaId,
     WarningLabel,
-    warning_sort_key,
 )
 from .exceptions import SchemaError
 from .ingestion import GdcMapping
@@ -151,16 +155,18 @@ def hash_window(before: list[int], start_line: int) -> range:
     return range(max(0, anchor - HASH_WINDOW_TOKENS), min(before[-1], anchor + HASH_WINDOW_TOKENS))
 
 
-@dataclass(slots=True)
-class _Site:
+class _Site(NamedTuple):
     """A report entry's canonical fields before it has a label, and its
     method path: what the cascade reads of a warning, old or new.
-    ``ReleasePair`` reads a site as it reads an ``AlignedWarning``."""
+    ``ReleasePair`` reads a site as it reads an ``AlignedWarning``.  The
+    fields up to ``origin`` are those of ``warning_sort_key`` in its order,
+    and no two sites of a report share an origin, so sites sort as tuples
+    in canonical order."""
 
-    new_type: str
     class_info: str
     start_line: int
     end_line: int
+    new_type: str
     origin: tuple[ScaId, int]
     method: str | None
 
@@ -170,13 +176,14 @@ class ReleasePair:
     """One project's two releases, their line mapping, and a memo over them.
 
     A project builds one pair and shares it across all its analyzers.  The
-    memo caches class-file resolutions, each old file's sorted mapped lines
-    and the location targets found in them, snippets, token streams and
-    token windows.  Each of these is a pure function of the two
-    releases and their line mapping, never of a report, so sharing the memo
-    cannot change any outcome.  ``which`` names a side, ``"old"`` or
-    ``"new"``.  The memo lives as long as the pair: one project, never a
-    whole corpus.
+    memo caches class-file resolutions, each old file's sorted mapped
+    lines, and, per side, the token buffer of each file a window is cut
+    from.  It keeps no token list, window, snippet or location target:
+    each of those is a slice or a bisection, cheaper to redo than to key.
+    What it keeps is a pure function of the two releases and their line
+    mapping, never of a report, so sharing the memo cannot change any
+    outcome.  ``which`` names a side, ``"old"`` or ``"new"``.  The memo
+    lives as long as the pair: one project, never a whole corpus.
     """
 
     old: Release
@@ -203,51 +210,45 @@ class ReleasePair:
         A deleted or changed line falls back to the nearest surviving line
         above; a deleted file or an unresolved class has no target.
         """
-        key = ("target", warning.class_info, warning.start_line)
+        key = ("mapped", self.resolve("old", warning.class_info))
         if key not in self.memo:
-            path = self.resolve("old", warning.class_info)
-            mapped_key = ("mapped", path)
-            if mapped_key not in self.memo:
-                file_map = self.mapping.files.get(path, {})
-                old_lines = sorted(file_map)
-                self.memo[mapped_key] = old_lines, [file_map[line] for line in old_lines]
-            old_lines, new_lines = self.memo[mapped_key]
-            below = bisect_right(old_lines, warning.start_line)
-            self.memo[key] = new_lines[below - 1] if below else None
-        return self.memo[key]
+            file_map = self.mapping.files.get(key[1], {})
+            old_lines = sorted(file_map)
+            self.memo[key] = old_lines, [file_map[line] for line in old_lines]
+        old_lines, new_lines = self.memo[key]
+        below = bisect_right(old_lines, warning.start_line)
+        return new_lines[below - 1] if below else None
 
     def snippet(self, which: str, warning: AlignedWarning | _Site) -> str | None:
         """The whitespace-trimmed text of the warned lines, joined."""
-        key = ("snippet", which, warning.class_info, warning.start_line, warning.end_line)
-        if key not in self.memo:
-            path = self.resolve(which, warning.class_info)
-            if path is None:
-                self.memo[key] = None
-            else:
-                lines = self._release(which).files[path]
-                window = lines[warning.start_line - 1 : warning.end_line]
-                self.memo[key] = "".join(map(str.strip, window)) if window else None
-        return self.memo[key]
+        path = self.resolve(which, warning.class_info)
+        if path is None:
+            return None
+        window = self._release(which).files[path][warning.start_line - 1 : warning.end_line]
+        return "".join(map(str.strip, window)) if window else None
 
     def window_hash(self, which: str, warning: AlignedWarning | _Site) -> bytes | None:
         """The ``hash_window`` tokens of the warned start line, joined by
         single 0x1F bytes; None for an unresolved class or a file without
         tokens.  Tokens never contain 0x1F, so equal bytes mean equal token
-        sequences: the window is its own exact key."""
-        key = ("hash", which, warning.class_info, warning.start_line)
+        sequences: the window is its own exact key.  It is one slice of the
+        file's tokens joined the same way, where token ``k`` starts at byte
+        ``lengths[k] + k``: the lengths of the tokens before it, and ``k``
+        separators."""
+        path = self.resolve(which, warning.class_info)
+        if path is None:
+            return None
+        key = ("tokens", which, path)
         if key not in self.memo:
-            self.memo[key] = None
-            path = self.resolve(which, warning.class_info)
-            if path is not None:
-                stream_key = ("tokens", which, path)
-                if stream_key not in self.memo:
-                    self.memo[stream_key] = token_stream(self._release(which).files[path])
-                tokens, before = self.memo[stream_key]
-                window = hash_window(before, warning.start_line)
-                if window:
-                    text = _SEPARATOR.join(tokens[window.start : window.stop])
-                    self.memo[key] = text.encode("ascii")
-        return self.memo[key]
+            tokens, before = token_stream(self._release(which).files[path])
+            lengths = list(accumulate(map(len, tokens), initial=0))
+            self.memo[key] = _SEPARATOR.join(tokens).encode("ascii"), lengths, before
+        text, lengths, before = self.memo[key]
+        window = hash_window(before, warning.start_line)
+        if not window:
+            return None
+        first, stop = window.start, window.stop
+        return text[lengths[first] + first : lengths[stop] + stop - 1]
 
 
 def location_kind(warning: _Site) -> tuple[str, str]:
@@ -340,17 +341,17 @@ class _Pool:
         the pick."""
         releases, available, warnings = self.releases, self.available, self.warnings
         lines = self.by_location.get(location_kind(warning))
-        if lines:
+        if lines:  # else no newer warning shares the kind a snippet key carries
             for line in location_lines(releases, warning):
                 for position in lines.get(line, ()):
                     if available[position] and methods_agree(
                         warning.method, warnings[position].method
                     ):
                         return position, MatchStage.LOCATION
-        bucket = self.by_snippet.get(snippet_key(releases, "old", warning))
-        position = self._nearest(bucket, warning.start_line)
-        if position is not None:
-            return position, MatchStage.SNIPPET
+            bucket = self.by_snippet.get(snippet_key(releases, "old", warning))
+            position = self._nearest(bucket, warning.start_line)
+            if position is not None:
+                return position, MatchStage.SNIPPET
         key = hash_key(releases, "old", warning)
         if key is not None:
             if self.by_hash is None:
@@ -372,8 +373,7 @@ class _Pool:
         return best
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     """Per-old-warning trace of what the cascade decided and why; the
     warning it traces is the ``AlignedWarning`` at the same position."""
 
@@ -387,17 +387,10 @@ def _sites(raws: Sequence[RawWarning], mapping: GdcMapping) -> list[_Site]:
     """The sites of a report's entries, in canonical order."""
     lookup = mapping.lookup
     sites = [
-        _Site(
-            lookup(raw.sca, raw.original_type),
-            raw.class_path,
-            raw.start_line,
-            raw.end_line,
-            (raw.sca, i),
-            raw.method_path,
-        )
-        for i, raw in enumerate(raws)
+        _Site(class_path, start, end, lookup(sca, original_type), (sca, i), method)
+        for i, (sca, original_type, class_path, method, start, end, _, _) in enumerate(raws)
     ]
-    sites.sort(key=warning_sort_key)
+    sites.sort()
     return sites
 
 
@@ -442,14 +435,8 @@ def label_release_detailed(
             label = WarningLabel.UNACTIONABLE
         else:
             stage = matched_line = matched_origin = None
-            if _is_gone(site, releases):
-                label = WarningLabel.UNKNOWN
-            else:
-                label = WarningLabel.ACTIONABLE
-        labeled.append(
-            AlignedWarning(
-                site.new_type, site.class_info, site.start_line, site.end_line, label, site.origin
-            )
-        )
+            label = WarningLabel.UNKNOWN if _is_gone(site, releases) else WarningLabel.ACTIONABLE
+        class_info, start_line, end_line, new_type, origin, _ = site
+        labeled.append(AlignedWarning(new_type, class_info, start_line, end_line, label, origin))
         audit.append(AuditRecord(label, stage, matched_line, matched_origin))
     return labeled, audit

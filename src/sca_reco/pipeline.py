@@ -240,12 +240,16 @@ LABEL_ROW = RecordSpec(
     ("start_line", int), ("end_line", int), ("index", int), ("matched_line", (int, None)),
     ("matched_index", (int, None)),
 )
+# a row's label and stage texts by one dict lookup; any other text goes to
+# the enum, whose ValueError names it
+_LABELS = {label.value: label for label in WarningLabel}
+_STAGES = {None: None, "": None, **{stage.value: stage for stage in MatchStage}}
 
 
 def record_to_labels(record: dict) -> ProjectLabels:
     """Inverse of ``labels_to_record``; a missing field, one of the wrong
-    type or value, or a row repeating another's analyzer and index raises a
-    SchemaError."""
+    type or value, a line span that is not 1 <= start <= end, or a row
+    repeating another's analyzer and index raises a SchemaError."""
     where = "label record"
     project_id, rows = read_record(record, LABEL_RECORD, where)
     by_sca: dict[ScaId, list[AlignedWarning]] = {}
@@ -256,10 +260,12 @@ def record_to_labels(record: dict) -> ProjectLabels:
             row, LABEL_ROW, "%s: warning %d", where, i
         )
         try:
-            label = WarningLabel(label)
-            stage = MatchStage(stage) if stage else None
+            label = _LABELS[label] if label in _LABELS else WarningLabel(label)
+            stage = _STAGES[stage] if stage in _STAGES else MatchStage(stage)
         except ValueError as exc:
             raise SchemaError(f"{where}: warning {i}: {exc}") from exc
+        if not 0 < start <= end:
+            raise SchemaError(f"{where}: warning {i}: warning line span {start}..{end} is invalid")
         warning = AlignedWarning(category, class_info, start, end, label, (sca, index))
         first = seen.setdefault(warning.origin, i)
         if first != i:

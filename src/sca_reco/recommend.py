@@ -9,6 +9,7 @@ predictions against the full set.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -49,6 +50,7 @@ MODEL_FILE = RecordSpec(
     ("standardization", dict), ("params", dict), ("seed", int),
 )
 MODEL_PARAMS = RecordSpec(("classes", list), ("state", dict))
+STANDARDIZATION = RecordSpec(("means", list), ("stds", list))
 
 
 class ModelKind(Enum):
@@ -182,20 +184,25 @@ class RecommendationModel:
             document, MODEL_FILE, str(path)
         )
         classes, state = read_record(params, MODEL_PARAMS, "%s: params", path)
+        means, stds = read_record(standardization, STANDARDIZATION, "%s: standardization", path)
         if version != MODEL_FILE_VERSION:
             raise SchemaError(f"{path}: unsupported model file version")
         for key, names in (("feature_names", feature_names), ("classes", classes)):
             if not all(type(name) is str for name in names) or len(set(names)) != len(names):
                 raise SchemaError(f"{path}: field {key!r} must list distinct strings")
         feature_names, classes = tuple(feature_names), tuple(classes)
+        for key, values in (("means", means), ("stds", stds)):
+            if len(values) != len(feature_names) or not all(
+                type(value) in (int, float) and abs(value) <= sys.float_info.max
+                for value in values
+            ):
+                raise SchemaError(
+                    f"{path}: standardization: field {key!r} must list one finite number "
+                    f"for each of the {len(feature_names)} features"
+                )
         try:
             kind = parse_model_kind(kind)
             scaler = StandardScaler().load_fitted_state(standardization)
-            if not len(scaler.mean_) == len(scaler.std_) == len(feature_names):
-                raise SchemaError(
-                    f"{path}: standardization has {len(scaler.mean_)} means and "
-                    f"{len(scaler.std_)} stds for {len(feature_names)} features"
-                )
             estimator = build_estimator(kind, hyperparams, seed)
             estimator.load_fitted_state(state)
             listed = (len(classes), len(feature_names))
@@ -213,7 +220,9 @@ class RecommendationModel:
                 estimator=estimator,
                 seed=seed,
             )
-        except (KeyError, TypeError, ValueError, LengthMismatch) as exc:
+        except KeyError as exc:
+            raise SchemaError(f"{path}: malformed model file: missing field {exc}") from exc
+        except (TypeError, ValueError, LengthMismatch) as exc:
             raise SchemaError(f"{path}: malformed model file: {exc}") from exc
         except UnsupportedModelKind as exc:
             # the kind and hyperparameters come from the file, so a

@@ -11,7 +11,10 @@ that check the label pass compare its hits against them.
 
 ``require_field`` and ``optional_field`` state the rule for one field of a
 JSON record, one call per field, not through ``core.read_record``'s record
-specs.  The equivalence tests of the record readers compare against them.
+specs.  ``check_report_entry`` and ``check_label_span`` state the value
+rules the readers apply to a report entry and a stored label row, one
+condition at a time.  The equivalence tests of the record readers compare
+against them.
 """
 
 from __future__ import annotations
@@ -247,6 +250,28 @@ def optional_field(obj, key: str, kinds, where: str):
     if isinstance(obj, dict) and obj.get(key) is None:
         return None
     return require_field(obj, key, kinds, where)
+
+
+def check_report_entry(where: str, sca, original_type, class_path, start_line, end_line):
+    """A report entry's analyzer, type and class must be non-empty and its
+    lines must satisfy 1 <= start <= end; the first condition that fails
+    raises a SchemaError that starts with ``where``."""
+    for fails, message in (
+        (sca == "", "warning has an empty analyzer id"),
+        (original_type == "", "warning has an empty type"),
+        (class_path == "", "warning has an empty class path"),
+        (start_line < 1, f"warning start line {start_line} < 1"),
+        (end_line < start_line, f"warning line span {start_line}..{end_line} is inverted"),
+    ):
+        if fails:
+            raise SchemaError(f"{where}: {message}")
+
+
+def check_label_span(where: str, start_line, end_line):
+    """A stored label row's lines must satisfy 1 <= start <= end; anything
+    else raises a SchemaError that starts with ``where``."""
+    if start_line < 1 or end_line < start_line:
+        raise SchemaError(f"{where}: warning line span {start_line}..{end_line} is invalid")
 
 
 ODD_VALUES = st.one_of(

@@ -53,3 +53,13 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     exec(compile(snippet, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_warning_records_are_tuples():
+    # a label pass builds several of these per warning; a tuple is several
+    # times cheaper to build than a frozen dataclass
+    from sca_reco.matching import AuditRecord
+
+    assert {"AlignedWarning", "RawWarning"} <= set(sca_reco.__all__)
+    for record in (sca_reco.RawWarning, sca_reco.AlignedWarning, AuditRecord):
+        assert issubclass(record, tuple), record.__name__

@@ -569,6 +569,48 @@ def test_overflowing_standardization_names_model_and_features(
     assert "not finite" in err
 
 
+def _edit_field(path: str, to):
+    """A corruption that replaces the field at the dotted ``path`` by ``to``
+    of its value, or deletes it when ``to`` is None."""
+
+    def corrupt(document):
+        *parents, key = path.split(".")
+        for parent in parents:
+            document = document[parent]
+        if to is None:
+            del document[key]
+        else:
+            document[key] = to(document[key])
+
+    return corrupt
+
+
+# lr model files with a standardization or state field of the wrong shape,
+# each with the field its refusal must name
+MALFORMED_MODEL_FIELDS = {
+    "stds-nested": (_edit_field("standardization.stds", to=lambda v: [[x] for x in v]), "'stds'"),
+    "stds-a-bool": (_edit_field("standardization.stds", to=lambda v: [True] + v[1:]), "'stds'"),
+    "means-true": (_edit_field("standardization.means", to=lambda v: True), "'means'"),
+    "means-huge-int": (
+        _edit_field("standardization.means", to=lambda v: [10**400] + v[1:]),
+        "'means'",
+    ),
+    "means-missing": (_edit_field("standardization.means", to=None), "'means'"),
+    "W-missing": (_edit_field("params.state.W", to=None), "'W'"),
+    "W-strings": (_edit_field("params.state.W", to=lambda v: [["a"] * len(v[0])] * len(v)), "'W'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_FIELDS))
+def test_malformed_model_field_is_named(workspace, tmp_path, capsys, case):
+    corrupt, field = MALFORMED_MODEL_FIELDS[case]
+    path = corrupted_model(workspace, tmp_path, "lr", corrupt)
+    rc, err = recommend_exit(workspace, path, capsys)
+    assert rc == 2
+    assert f"{path}: " in err
+    assert f"field {field}" in err
+
+
 @pytest.mark.parametrize("kind", ["dt", "knn", "lr", "mlp", "rf"])
 def test_class_list_shorter_than_estimator_exits_2(workspace, tmp_path, capsys, kind):
     def cut_classes(document):
@@ -1190,6 +1232,56 @@ def test_command_on_a_mutated_stored_row_never_exits_3(workspace, kind, data):
     assert rc in ((0, 2) if reads else (2,))
     if not reads:
         assert f"{path}:{number}: " in err.getvalue()
+
+
+def _set_entry(position, **values):
+    return lambda document: document["warnings"][position].update(values)
+
+
+# report edits whose fields keep their JSON types but hold values a warning
+# cannot have, each with the entry and the fault it is refused with
+REFUSED_ENTRIES = {
+    "empty-analyzer": (lambda doc: doc.update(sca=""), "warning 0: ", "empty analyzer id"),
+    "empty-type": (_set_entry(1, type=""), "warning 1: ", "empty type"),
+    "empty-class": (_set_entry(1, **{"class": ""}), "warning 1: ", "empty class path"),
+    "start-line-0": (_set_entry(1, start_line=0, end_line=4), "warning 1: ", "start line 0 < 1"),
+    "inverted-span": (_set_entry(1, start_line=5, end_line=4), "warning 1: ", "5..4 is inverted"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_ENTRIES))
+def test_report_entry_of_impossible_values_exits_2(one_project, case):
+    corpus, report, text = one_project
+    edit, entry, fault = REFUSED_ENTRIES[case]
+    document = json.loads(text)
+    edit(document)
+    report.write_text(json.dumps(document), encoding="utf-8")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            out = corpus.parent / "labels.jsonl"
+            rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
+    finally:
+        report.write_text(text, encoding="utf-8")
+    assert rc == 2
+    assert f"{report}: {entry}warning " in err.getvalue()
+    assert fault in err.getvalue()
+
+
+@pytest.mark.parametrize("start, end", [(9, 8), (0, 4)], ids=["inverted-span", "start-line-0"])
+def test_label_row_of_an_impossible_span_exits_2(workspace, tmp_path, capsys, start, end):
+    lines = workspace["labels"].read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["warnings"][2].update(start_line=start, end_line=end)
+    lines[1] = json.dumps(record)
+    labels = tmp_path / "labels.jsonl"
+    labels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels", str(labels)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert f"{labels}:2: label record: warning 2: " in err
+    assert f"line span {start}..{end} is invalid" in err
+    assert not (tmp_path / "eval").exists()
 
 
 def test_unmapped_type_names_the_report_and_entry(one_project):

@@ -10,7 +10,6 @@ from helpers import aw
 from sca_reco.core import (
     GdcCategory,
     GdcTaxonomy,
-    RawWarning,
     decode_json,
     default_taxonomy_path,
     format_beta,
@@ -57,25 +56,6 @@ def test_taxonomy_crlf_tolerated(tmp_path):
     path.write_text("gdc_id\tname\tgroup\r\na\tA\tg1\r\n", encoding="utf-8")
     taxonomy = load_taxonomy(path, strict_shape=False)
     assert taxonomy.categories[0].group == "g1"
-
-
-def test_raw_warning_inverted_span_rejected():
-    with pytest.raises(SchemaError):
-        RawWarning("alpha", "T", "C", None, start_line=5, end_line=4)
-    with pytest.raises(SchemaError):
-        RawWarning("alpha", "T", "C", None, start_line=0, end_line=4)
-
-
-def test_raw_warning_empty_fields_rejected():
-    with pytest.raises(SchemaError):
-        RawWarning("", "T", "C", None, 1, 1)
-    with pytest.raises(SchemaError):
-        RawWarning("alpha", "T", "", None, 1, 1)
-
-
-def test_aligned_warning_span_validated():
-    with pytest.raises(SchemaError):
-        aw(start=9, end=8)
 
 
 def test_canonical_order_class_then_lines():

@@ -21,7 +21,6 @@ themselves, which can differ from it only on a hash collision.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,7 +86,7 @@ def reference_label(snap, sca, mapping):
             label = UNKNOWN
         else:
             label = A
-        labeled.append(replace(warning, label=label))
+        labeled.append(warning._replace(label=label))
         audit.append(
             AuditRecord(
                 outcome=label,

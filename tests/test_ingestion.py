@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import label_snapshot, mutated_entries, optional_field, raw, require_field, snapshot
+from helpers import (
+    check_report_entry,
+    label_snapshot,
+    mutated_entries,
+    optional_field,
+    raw,
+    require_field,
+    snapshot,
+)
 from sca_reco.core import (
     RawWarning,
     Release,
@@ -334,7 +342,7 @@ VALID_ENTRY = {
 
 def checked_report(path, sca, entries):
     """Every entry through the per-field rule of ``require_field`` and
-    ``optional_field``."""
+    ``optional_field``, then the value rule of ``check_report_entry``."""
     warnings = []
     for i, entry in enumerate(entries):
         where = f"{path}: warning {i}"
@@ -347,10 +355,9 @@ def checked_report(path, sca, entries):
             optional_field(entry, "message", str, where),
             optional_field(entry, "severity", str, where),
         )
-        try:
-            warnings.append(RawWarning(sca, *fields))
-        except SchemaError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
+        original_type, class_path, _, start, end, _, _ = fields
+        check_report_entry(where, sca, original_type, class_path, start, end)
+        warnings.append(RawWarning(sca, *fields))
     return sca, warnings
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import mutated_entries, optional_field, require_field
+from helpers import check_label_span, mutated_entries, optional_field, require_field
 from sca_reco import cli
 from sca_reco.core import AlignedWarning, WarningLabel
 from sca_reco.effectiveness import ConfusionCounts, ProjectEvaluation, optimal_set, score_sca
@@ -216,6 +216,7 @@ def checked_labels(rows) -> ProjectLabels:
             stage = MatchStage(stage) if stage else None
         except ValueError as exc:
             raise SchemaError(f"{at}: {exc}") from exc
+        check_label_span(at, start, end)
         warning = AlignedWarning(category, class_info, start, end, label, (sca, index))
         if (sca, index) in seen:
             raise SchemaError(f"{at}: analyzer {sca!r} index {index} repeats warning {seen[sca, index]}")
@@ -361,6 +362,32 @@ def test_default_mix_labels_are_pinned(tmp_path):
     seen, digests = label_and_evaluate(corpus, tmp_path)
     assert seen["location"] > seen["snippet"] + seen["hash"] > 0
     assert digests == DEFAULT_MIX_DIGESTS
+
+
+# The label side's bytes at the benchmark's seed, on two small corpora of
+# the default mix and of the churn workload's mix; each reaches every stage.
+SEED_9_LABEL_DIGESTS = {
+    "default": (
+        {},
+        "68f740cbe9cb791796626dfd3f685e4317b66be3774cc3a09d60a164a3933568",
+        "5fb8c7e10ed3cb80e6ad40b172abf1861654f4645bb638507a9eccc7094312b8",
+    ),
+    "churn": (
+        {"mutation_weights": (0.0, 0.1, 0.45, 0.45)},
+        "36978bdb149fa4bae49ec96490e1d607635013d311c5b6498cacd7ba7417b940",
+        "9efada02b3750762df27db19ec626c909924914a28d1d1894011c2e549aec4da",
+    ),
+}
+
+
+@pytest.mark.parametrize("mix", sorted(SEED_9_LABEL_DIGESTS))
+def test_seed_9_labels_are_pinned(tmp_path, mix):
+    mix_options, labels_sha, evaluations_sha = SEED_9_LABEL_DIGESTS[mix]
+    corpus = tmp_path / "corpus"
+    generate_corpus(SynthConfig(n_projects=3, files_per_project=8, seed=9, **mix_options), corpus)
+    seen, digests = label_and_evaluate(corpus, tmp_path)
+    assert all(seen[stage] > 0 for stage in ("location", "snippet", "hash"))
+    assert digests == {"labels.jsonl": labels_sha, "evaluations.jsonl": evaluations_sha}
 
 
 # A hand-made corpus of line-ending and tokenizer edge cases: CRLF sources,
