@@ -6,15 +6,23 @@ and of its recommendations, the CV line that ``train --cv-folds`` prints,
 ``mine``'s output and ``sweep.tsv`` are fixed below, so a change to how
 trees are grown or weights descended, stored or applied must leave every
 one of them as it is.
+
+Those fits have about 14 rows.  A 100-tree forest and a single tree fitted
+directly on 190 rows x 8 features x 3 classes, the size of a fit at the
+paper's 213 projects, are pinned too: the SHA-256 of their node arrays and
+importances.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from sca_reco import cli
+from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier
+from sca_reco.rng import derive_seed
 
 PINNED_MODEL_SHA256 = {
     "rf": "32616e1194b43e693ba347259fb530a35b6bc5361cb36f3c59ed05350502b1b7",
@@ -77,6 +85,11 @@ PINNED_SWEEP_TSV = {
         "inf\t0.55\t0.4345238095238095\t0.48376623376623373\n"
     ),
 }
+# node arrays and importances of direct fits at 190 rows x 8 features x 3 classes
+PINNED_PAPER_SCALE_SHA256 = {
+    "rf": "9ec2eb5c58af1f7579f7abecfba793aee0bb08bfe9747e39e2e3f79aa7d87270",
+    "dt": "3824f3f49159a5ecf44286e0a4ac73641820b4425adf3dc22560b7b8bca52d71",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -134,3 +147,40 @@ def test_sweep_bytes_are_pinned(evaluated, tmp_path, capsys):
         argv = ["sweep", *evaluated["data"], "--model", kind, "--folds", "4"]
         assert cli.main(argv + ["--betas", "0,0.5,1,2,inf", "--out", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == pinned, kind
+
+
+def paper_scale_data():
+    """190 rows x 8 features with repeated values, and 3 classes, drawn
+    from the package's pure-Python seed derivation so that they are the
+    same on every platform."""
+    X = np.array(
+        [[derive_seed(19, i, j) % 97 / 8.0 for j in range(8)] for i in range(190)]
+    )
+    y = np.array([derive_seed(20, i) % 3 for i in range(190)])
+    return X, y
+
+
+def nodes_digest(estimator) -> str:
+    """SHA-256 of every tree's used nodes and the importances, in tree order."""
+    nodes = estimator.nodes_
+    digest = hashlib.sha256()
+    for t, count in enumerate(nodes.count.tolist()):
+        for name in nodes.PER_NODE:
+            digest.update(np.ascontiguousarray(getattr(nodes, name)[t, :count]).tobytes())
+        digest.update(nodes.depth[t : t + 1].tobytes())
+    importances = getattr(estimator, "tree_importances_", None)
+    if importances is not None:
+        digest.update(np.ascontiguousarray(importances).tobytes())
+    digest.update(np.ascontiguousarray(estimator.feature_importances_).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["rf", "dt"])
+def test_paper_scale_fit_is_pinned(kind):
+    X, y = paper_scale_data()
+    if kind == "rf":
+        estimator = RandomForestClassifier(n_estimators=100, random_state=13)
+    else:
+        estimator = DecisionTreeClassifier(random_state=13)
+    estimator.fit(X, y, n_classes=3)
+    assert nodes_digest(estimator) == PINNED_PAPER_SCALE_SHA256[kind]
