@@ -14,11 +14,13 @@ alone and whole: at a few hundred rows a lockstep gains nothing from more
 trees, and splitting a forest across locksteps adds steps.  Only a forest
 above ``BATCH_CELLS`` grows in several locksteps, which bounds memory.
 
-The bootstrap generators of a forest are built in one batch
-(``seeding.pcg64_generators``), and each tree still draws its sample with
-``integers(0, n, size=n)`` and its splits from its own seeded stream, in its
-own depth-first order, so every tree, and the importances summed over them
-in tree order, come out the same as when each tree was fitted on its own.
+Tree ``t``'s sample is the ``integers(0, n, size=n)`` of a generator
+seeded with ``derive_seed(random_state, t, 0)``; ``seeding.pcg64_integers``
+computes the samples of all of a forest's trees at once from raw PCG64
+words, draw for draw as numpy would.  Each tree draws its splits from its
+own seeded stream, in its own depth-first order, so every tree, and the
+importances summed over them in tree order, come out the same as when each
+tree was fitted on its own.
 
 The fitted trees are rows of one set of flat node arrays (``tree.Nodes``);
 ``predict`` descends all trees for all rows at once and counts the votes.
@@ -34,9 +36,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import derive_seeds, pcg64_generators
+from ..core import RecordSpec, read_record
+from .seeding import derive_seeds, pcg64_integers
 from .base import check_array, check_count, check_is_fitted, check_X_y
-from .tree import DecisionTreeClassifier, Nodes, fit_lockstep
+from .tree import TREE_STATE, DecisionTreeClassifier, Nodes, fit_lockstep
 
 # caps on rows x features x classes summed over the trees of one lockstep,
 # which bound the memory of its per-step arrays and of the fitted forests a
@@ -44,6 +47,9 @@ from .tree import DecisionTreeClassifier, Nodes, fit_lockstep
 # and a forest alone above BATCH_CELLS grows in several locksteps
 SHARED_CELLS = 1 << 17
 BATCH_CELLS = 1 << 22
+
+# a saved forest's fitted state; each of its trees is a tree.TREE_STATE
+FOREST_STATE = RecordSpec(("n_classes", int), ("n_features", int), ("trees", list))
 
 
 class RandomForestClassifier:
@@ -119,16 +125,17 @@ class RandomForestClassifier:
         }
 
     def load_fitted_state(self, state: dict) -> "RandomForestClassifier":
-        self.n_classes_ = int(state["n_classes"])
-        self.n_features_ = int(state["n_features"])
-        trees = [
-            DecisionTreeClassifier().load_fitted_state(tree_state)
-            for tree_state in state["trees"]
-        ]
+        self.n_classes_, self.n_features_, tree_states = read_record(state, FOREST_STATE, "state")
         fitted = (self.n_classes_, self.n_features_)
-        if not trees or any((t.n_classes_, t.n_features_) != fitted for t in trees):
+        trees = []
+        for i, tree_state in enumerate(tree_states):
+            n_classes, n_features, root = read_record(tree_state, TREE_STATE, "state: tree %d", i)
+            if (n_classes, n_features) != fitted:
+                raise ValueError("a forest needs trees fitted on its classes and features")
+            trees.append(Nodes.parse(root, self.n_features_, self.n_classes_))
+        if not trees:
             raise ValueError("a forest needs trees fitted on its classes and features")
-        self.nodes_ = Nodes.stack([tree.nodes_ for tree in trees])
+        self.nodes_ = Nodes.stack(trees)
         self.tree_importances_ = None
         return self
 
@@ -212,10 +219,7 @@ def _bootstrap(seed, n_trees: int, n: int, bootstrap: bool) -> np.ndarray:
     with replacement from the stream of ``derive_seed(seed, t, 0)``."""
     if not bootstrap:
         return np.broadcast_to(np.arange(n), (n_trees, n))
-    samples = np.empty((n_trees, n), dtype=np.int64)
-    for t, boot_rng in enumerate(pcg64_generators(derive_seeds(seed, np.arange(n_trees), 0))):
-        samples[t] = boot_rng.integers(0, n, size=n)
-    return samples
+    return pcg64_integers(derive_seeds(seed, np.arange(n_trees), 0), n)
 
 
 def _fit_group(group, draws):

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import RecordSpec, read_record
 from .base import check_array, check_count, check_is_fitted, check_X_y
+
+# a saved model's fitted state: its training rows, labels and class count
+KNN_STATE = RecordSpec(("X", list), ("y", list), ("n_classes", int))
 
 
 class KNeighborsClassifier:
@@ -48,6 +52,6 @@ class KNeighborsClassifier:
         }
 
     def load_fitted_state(self, state: dict) -> "KNeighborsClassifier":
-        self.X_, self.y_, self.n_classes_ = check_X_y(state["X"], state["y"], state["n_classes"])
+        self.X_, self.y_, self.n_classes_ = check_X_y(*read_record(state, KNN_STATE, "state"))
         self.n_features_ = self.X_.shape[1]
         return self

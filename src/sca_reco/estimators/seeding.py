@@ -6,6 +6,10 @@ derived from the estimator's ``random_state`` (``rng.derive_seed``).
 builds their generators: it computes the ``SeedSequence`` words of every
 seed in one vectorized pass, which is most of what ``np.random.PCG64(seed)``
 costs, so each generator comes out as if built from its seed alone.
+``pcg64_words`` takes raw words from bit generators seeded the same way, and
+``pcg64_integers`` turns them into the bootstrap draws of
+``Generator.integers`` with numpy's own bounding, so a forest's samples
+need no ``Generator`` and no per-tree ``integers`` call.
 
 This is the numpy half of the package's seeding.  It lives here, beside the
 tree estimators that use it, so that ``rng`` stays pure Python and the
@@ -112,3 +116,36 @@ def pcg64_generators(seeds) -> list[np.random.Generator]:
     words = _seed_sequence_words(_as_u64(seeds))
     seed_words = _seed_words_type()
     return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in words]
+
+
+def pcg64_words(seeds, n_words: int) -> np.ndarray:
+    """The first ``n_words`` raw outputs of ``np.random.PCG64(int(s))`` for
+    each seed, as the rows of a uint64 array."""
+    seed_words = _seed_words_type()
+    words = np.empty((len(seeds), n_words), dtype=np.uint64)
+    for row, state in zip(words, _seed_sequence_words(_as_u64(seeds))):
+        row[:] = np.random.PCG64(seed_words(state)).random_raw(n_words)
+    return words
+
+
+def pcg64_integers(seeds, n: int) -> np.ndarray:
+    """``np.random.Generator(np.random.PCG64(int(s))).integers(0, n, size=n)``
+    for each seed, as the rows of an int64 array (``n`` below 2**32).
+
+    numpy bounds each draw with Lemire's method on the next 32-bit half of a
+    raw word, low half first: a half ``h`` gives ``(h * n) >> 32`` unless
+    ``(h * n) mod 2**32`` falls under ``2**32 mod n``, and then it draws
+    again.  So a row is ``ceil(n / 2)`` raw words bounded all at once, and
+    only a row with such a rejection (a chance of about n / 2**32 a draw)
+    is drawn again by numpy itself.  ``n`` = 1 draws nothing.
+    """
+    seeds = _as_u64(seeds)
+    if n == 1:
+        return np.zeros((len(seeds), 1), dtype=np.int64)
+    words = pcg64_words(seeds, (n + 1) // 2)
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=2).reshape(len(seeds), -1)[:, :n]
+    scaled = halves * np.uint64(n)
+    samples = (scaled >> 32).astype(np.int64)
+    for t in np.flatnonzero(((scaled & 0xFFFFFFFF) < 2**32 % n).any(axis=1)):
+        samples[t] = pcg64_generators(seeds[t : t + 1])[0].integers(0, n, size=n)
+    return samples

@@ -24,9 +24,15 @@ subtree.
 
 Split search is exact: every candidate feature is scanned at the midpoints
 between consecutive distinct values.  Each tree's columns are sorted once
-(stable argsort), and a node's members are compacted to the front of that
-order.  Class counts are cumulated with the class axis last and contiguous,
-so the Gini sums add in the same order as a per-node search would.
+(stable argsort), values and labels alike.  A step gathers the members of
+every popped node, in each candidate column's value order, into flat arrays,
+and counts the rows of each class left of every split as differences of
+integer running counts, one class at a time, so the counts are exact.  The
+Gini sums add the class shares in the order of numpy's pairwise sum over a
+class-last axis (``_class_sum``), so they have the bits of a per-node
+search.  A node's class counts come from its parent's split (the left
+child's from the running counts, the right child's as the rest), so only
+the roots are counted from their labels.
 Determinism is pinned down to tie level: equal gains go to the earlier
 feature in candidate order, then to the lower threshold; leaf ties go to
 the smallest class index.  Only a node that passes the stop checks (impure,
@@ -46,6 +52,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..core import RecordSpec, read_record
 from .seeding import derive_seeds, pcg64_generators
 from .base import check_array, check_count, check_is_fitted, check_X_y
 
@@ -55,6 +62,9 @@ PERMUTATION_BLOCK = 8
 # nodes per tree that growth makes room for at first; it doubles the room
 # when a tree needs more
 INITIAL_CAPACITY = 16
+
+# a saved tree's fitted state
+TREE_STATE = RecordSpec(("n_classes", int), ("n_features", int), ("tree", dict))
 
 
 class Nodes(NamedTuple):
@@ -249,9 +259,8 @@ class DecisionTreeClassifier:
     def load_fitted_state(self, state: dict) -> "DecisionTreeClassifier":
         """Restore a saved tree, checking every node so that ``predict``
         reaches only valid features and classes."""
-        self.n_classes_ = int(state["n_classes"])
-        self.n_features_ = int(state["n_features"])
-        self.nodes_ = Nodes.parse(state["tree"], self.n_features_, self.n_classes_)
+        self.n_classes_, self.n_features_, root = read_record(state, TREE_STATE, "state")
+        self.nodes_ = Nodes.parse(root, self.n_features_, self.n_classes_)
         return self
 
 
@@ -303,6 +312,26 @@ class _Permutations:
         return orders
 
 
+class _Presorted(NamedTuple):
+    """Each tree's columns in value order (stable argsort), as (trees,
+    features, rows) arrays: the values, the labels, and each row's index
+    into the raveled (trees, rows) row arrays."""
+
+    x: np.ndarray  # float64
+    y: np.ndarray  # the smallest integer type that holds the classes
+    key: np.ndarray  # int64
+
+    @classmethod
+    def of(cls, Xt, yt, k: int) -> "_Presorted":
+        n_trees, n_rows, _ = Xt.shape
+        columns = np.ascontiguousarray(Xt.transpose(0, 2, 1))
+        key = np.argsort(columns, axis=2, kind="stable")
+        x = np.take_along_axis(columns, key, axis=2)
+        del columns
+        key += (np.arange(n_trees) * n_rows)[:, None, None]
+        return cls(x=x, y=yt.astype(np.min_scalar_type(k - 1)).ravel()[key], key=key)
+
+
 def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split):
     """Grow one tree per leading row of ``Xt`` (trees, rows, features) and
     ``yt`` (trees, rows); returns their nodes and importances.
@@ -311,59 +340,72 @@ def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split
     when every node examines all columns in order.
     """
     n_trees, n_rows, d = Xt.shape
-    one_hot = np.eye(k)[yt]  # (trees, rows, classes)
-    by_value = np.argsort(Xt, axis=1, kind="stable")  # row positions in value order, per column
-    X_rows = np.ascontiguousarray(Xt.transpose(1, 0, 2))
+    presorted = _Presorted.of(Xt, yt, k)
     importances = np.zeros((n_trees, d))
     # n_rows rows split at most n_rows - 1 times, into at most 2 * n_rows - 1 nodes
     nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1))
     node_depth = np.zeros_like(nodes.feature)
     node_of_row = np.zeros((n_trees, n_rows), dtype=np.int64)
     # per tree, the ids of nodes that passed the stop checks and wait for a
-    # split; they hold disjoint rows, at least two each
-    stack = np.empty((n_trees, n_rows // 2 + 1), dtype=np.int64)
+    # split, with their class counts, sizes and Gini impurities; they hold
+    # disjoint rows, at least two each
+    room = n_rows // 2 + 1
+    stack = np.empty((n_trees, room), dtype=np.int64)
+    stack_counts = np.empty((k, n_trees, room), dtype=np.int64)
+    stack_sizes = np.empty((n_trees, room), dtype=np.int64)
+    stack_gini = np.empty((n_trees, room))
     height = np.zeros(n_trees, dtype=np.int64)
 
-    def settle(trees, ids, masks):
-        """Give new nodes their majority class and push those that pass the
-        stop checks; a tree's nodes come in push order."""
-        counts, sizes, gini = _node_stats(one_hot, trees, masks)
-        nodes.leaf_class[trees, ids] = counts.argmax(axis=1)
+    def settle(trees, ids, counts, sizes):
+        """Give new nodes their majority class from their (classes, nodes)
+        ``counts`` and push those that pass the stop checks; a tree's nodes
+        come in push order."""
+        gini = _gini(counts, sizes)
+        nodes.leaf_class[trees, ids] = counts.argmax(axis=0)
         grows = (gini != 0.0) & (sizes >= min_samples_split)
         if max_depth is not None:
             grows &= node_depth[trees, ids] < max_depth
-        trees, ids = trees[grows], ids[grows]
+        grows = np.flatnonzero(grows)
+        trees = trees[grows]
         second = np.zeros(trees.size, dtype=np.int64)
         second[1:] = trees[1:] == trees[:-1]
-        stack[trees, height[trees] + second] = ids
+        slot = height[trees] + second
+        stack[trees, slot] = ids[grows]
+        stack_counts[:, trees, slot] = counts[:, grows]
+        stack_sizes[trees, slot] = sizes[grows]
+        stack_gini[trees, slot] = gini[grows]
         height[:] += np.bincount(trees, minlength=n_trees)
 
     settle(
-        np.arange(n_trees), np.zeros(n_trees, dtype=np.int64), np.ones((n_trees, n_rows), dtype=bool)
+        np.arange(n_trees),
+        np.zeros(n_trees, dtype=np.int64),
+        (yt == np.arange(k)[:, None, None]).sum(axis=2),
+        np.full(n_trees, n_rows),
     )
     while True:
         trees = np.flatnonzero(height)
         if not trees.size:
             break
         height[trees] -= 1
-        ids = stack[trees, height[trees]]
+        slot = height[trees]
+        ids = stack[trees, slot]
         masks = node_of_row[trees] == ids[:, None]
-        counts, sizes, gini = _node_stats(one_hot, trees, masks)
+        members = node_of_row.ravel()[presorted.key[trees]] == ids[:, None, None]
         if permutations is not None:  # one draw per popped node, from its own tree's stream
             orders = permutations.next(trees)
         else:
             orders = np.broadcast_to(np.arange(d), (trees.size, d))
-        columns, n_columns = _candidate_columns(X_rows[:, trees], masks, orders, budget)
+        columns, n_columns = _candidate_columns(presorted.x[trees], members, orders, budget)
         splits = np.flatnonzero(n_columns)  # the others stay leaves
         if not splits.size:
             continue
-        trees, ids, masks, sizes = trees[splits], ids[splits], masks[splits], sizes[splits]
-        feature, threshold, gain = _best_splits(
-            Xt, one_hot, by_value, trees, masks, columns[splits], n_columns[splits],
-            counts[splits], sizes, gini[splits],
+        trees, ids, masks, slot = trees[splits], ids[splits], masks[splits], slot[splits]
+        counts, sizes = stack_counts[:, trees, slot], stack_sizes[trees, slot]
+        feature, threshold, gain, goes_left, left_sizes, left_counts = _best_splits(
+            presorted, Xt, trees, masks, members[splits], columns[splits], n_columns[splits],
+            counts, sizes, stack_gini[trees, slot],
         )
         importances[trees, feature] += (sizes / n_rows) * gain
-        goes_left = Xt[trees, :, feature] <= threshold[:, None]
         left = nodes.count[trees]
         right = left + 1
         if right.max() >= nodes.feature.shape[1]:
@@ -382,29 +424,55 @@ def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split
         settle(
             np.repeat(trees, 2),
             np.stack([right, left], axis=1).ravel(),
-            np.stack([masks & ~goes_left, masks & goes_left], axis=1).reshape(-1, n_rows),
+            np.stack([counts - left_counts, left_counts], axis=2).reshape(k, -1),
+            np.stack([sizes - left_sizes, left_sizes], axis=1).ravel(),
         )
     return nodes._replace(depth=node_depth.max(axis=1)), importances
 
 
-def _node_stats(one_hot, trees, masks):
-    """Class counts, sizes and Gini impurity of nodes given as member masks."""
-    counts = np.matmul(masks[:, None, :].astype(np.float64), one_hot[trees])[:, 0]
-    sizes = masks.sum(axis=1)
-    return counts, sizes, 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+def _class_sum(planes: np.ndarray) -> np.ndarray:
+    """The sum over the leading (class) axis, added in the order in which
+    numpy's pairwise ``sum`` adds a contiguous last axis: one running sum
+    below 8 classes, eight running sums joined pairwise from 8 to 128, and
+    two halves, cut at a multiple of 8, above 128.  So a class-major sum
+    has the bits of the class-last ``.sum(axis=-1)``."""
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _class_sum(planes[:half]) + _class_sum(planes[half:])
+    if n < 8:
+        total, rest = planes[0].copy(), planes[1:]
+    else:
+        tail = n - n % 8
+        lanes = planes[:8].copy()
+        for start in range(8, tail, 8):
+            lanes += planes[start : start + 8]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        rest = planes[tail:]
+    for plane in rest:
+        total += plane
+    return total
 
 
-def _candidate_columns(X_rows, masks, orders, budget: int):
+def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Gini impurity from (classes, ...) integer counts and their sizes."""
+    return 1.0 - _class_sum((counts / sizes) ** 2)
+
+
+def _candidate_columns(xs, members, orders, budget: int):
     """Each node's first ``budget`` non-constant columns in ``orders``.
 
-    Returns (nodes, width) column ids, left-aligned, and how many of each
-    row are real; the rest of a row is padding.  ``X_rows`` is (rows,
-    nodes, features), because numpy takes a min or max over the outer axis
-    much faster than over a middle one.
+    ``xs`` holds each node's tree's columns in value order and ``members``
+    marks the node's rows in them, both (nodes, features, rows), so a column
+    varies when its first and last members differ.  Returns (nodes, width)
+    column ids, left-aligned, and how many of each row are real; the rest
+    of a row is padding.
     """
-    inside = masks.T[:, :, None]
-    lowest = np.where(inside, X_rows, np.inf).min(axis=0)
-    varies = lowest < np.where(inside, X_rows, -np.inf).max(axis=0)
+    lowest = members.argmax(axis=2)[..., None]
+    highest = members.shape[2] - 1 - members[..., ::-1].argmax(axis=2)[..., None]
+    varies = (np.take_along_axis(xs, lowest, 2) < np.take_along_axis(xs, highest, 2))[..., 0]
     rows = np.arange(len(orders))[:, None]
     ordered = varies[rows, orders]
     chosen = ordered & (np.cumsum(ordered, axis=1) <= budget)
@@ -413,34 +481,53 @@ def _candidate_columns(X_rows, masks, orders, budget: int):
     return orders[rows, front], n_chosen
 
 
-def _best_splits(Xt, one_hot, by_value, trees, masks, columns, n_columns, counts, sizes, gini):
-    """Best (feature, threshold, gain) of each node over its columns.
+def _best_splits(presorted, Xt, trees, masks, members, columns, n_columns, counts, sizes, gini):
+    """Each node's best split over its columns, and its left child.
 
-    Ties break to the earlier column in ``columns`` and then to the lower
-    split position.
+    Returns the (feature, threshold, gain) of each node, which of its
+    tree's rows go left, and the left child's size and (classes, nodes)
+    class counts.  The members of each (node, real column) pair are taken
+    in the column's value order, pair after pair, into flat arrays; a split
+    may follow any member whose successor in the pair has a larger value.
+    Class counts left of a split are differences of integer running counts
+    per class, so they are exact, and the Gini sums add the classes in the
+    order of a class-last sum (``_class_sum``).  Ties break to the earlier
+    column in ``columns`` and then to the lower split position.
     """
+    n_trees, d, n_rows = presorted.x.shape
     n_nodes, width = columns.shape
-    pick = np.arange(n_nodes)
-    node_axis, tree_axis = pick[:, None, None], trees[:, None, None]
-    column_axis = columns[:, None, :]
-    # each column's row positions in value order, with the node's members first
-    order = by_value[tree_axis, np.arange(Xt.shape[1])[None, :, None], column_axis]
-    n = int(sizes.max())
-    front = np.argsort(~masks[node_axis, order], axis=1, kind="stable")[:, :n]
-    order = order[node_axis, front, np.arange(width)]
-    xs = Xt[tree_axis, order, column_axis]  # (nodes, n, width)
-    left_counts = np.cumsum(one_hot[tree_axis, order], axis=1)[:, :-1]
-    n_left = np.arange(1, n, dtype=np.float64)[None, :, None]
-    n_right = sizes[:, None, None] - n_left  # not positive past a node's last member
-    right_counts = counts[:, None, None, :] - left_counts
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gini_left = 1.0 - ((left_counts / n_left[..., None]) ** 2).sum(axis=3)
-        gini_right = 1.0 - ((right_counts / n_right[..., None]) ** 2).sum(axis=3)
-        weighted = (n_left * gini_left + n_right * gini_right) / sizes[:, None, None]
-    real = np.arange(width) < n_columns[:, None, None]
-    valid = (xs[:, 1:] > xs[:, :-1]) & (n_right > 0) & real
-    gains = np.where(valid, gini[:, None, None] - weighted, -np.inf)
-    flat = gains.transpose(0, 2, 1).reshape(n_nodes, -1).argmax(axis=1)  # feature-major
-    column, position = np.divmod(flat, n - 1)
-    threshold = (xs[pick, position, column] + xs[pick, position + 1, column]) / 2.0
-    return columns[pick, column], threshold, gains[pick, position, column]
+    node = np.repeat(np.arange(n_nodes), n_columns)
+    column = columns[np.arange(width) < n_columns[:, None]]
+    pair = trees[node] * d + column  # the pair's row in the raveled presorted arrays
+    length = sizes[node]
+    first = np.cumsum(length) - length  # each pair's first member in the flat arrays
+    taken = np.flatnonzero(members[node, column])
+    taken += np.repeat((pair - np.arange(pair.size)) * n_rows, length)
+    xs, ys = presorted.x.ravel()[taken], presorted.y.ravel()[taken]
+    owner = np.repeat(np.arange(pair.size), length)
+    # the splits, each after a member; every node has at least one
+    after = np.flatnonzero((xs[1:] > xs[:-1]) & (owner[1:] == owner[:-1]))
+    after_pair = owner[after]
+    after_node = node[after_pair]
+    running = np.zeros((len(counts), xs.size + 1), dtype=np.int64)
+    np.cumsum(ys == np.arange(len(counts))[:, None], axis=1, out=running[:, 1:])
+    left = running.take(after + 1, axis=1) - running.take(first[after_pair], axis=1)
+    n_left = after + 1 - first[after_pair]
+    n_right = sizes[after_node] - n_left
+    weighted = (
+        n_left * _gini(left, n_left) + n_right * _gini(counts[:, after_node] - left, n_right)
+    ) / sizes[after_node]
+    gains = gini[after_node] - weighted
+    # each node's first split of the largest gain
+    starts = np.searchsorted(after_node, np.arange(n_nodes))
+    best = gains == np.maximum.reduceat(gains, starts)[after_node]
+    pick = np.minimum.reduceat(np.where(best, np.arange(after.size), after.size), starts)
+    split, chosen = after[pick], after_pair[pick]
+    threshold = (xs[split] + xs[split + 1]) / 2.0
+    feature = column[chosen]
+    goes_left = Xt[trees, :, feature] <= threshold[:, None]
+    # the left child: a prefix of the chosen pair's members
+    left_sizes = np.count_nonzero(masks & goes_left, axis=1)
+    start = first[chosen]
+    left_counts = running[:, start + left_sizes] - running[:, start]
+    return feature, threshold, gains[pick], goes_left, left_sizes, left_counts

@@ -205,29 +205,29 @@ class RecommendationModel:
             scaler = StandardScaler().load_fitted_state(standardization)
             estimator = build_estimator(kind, hyperparams, seed)
             estimator.load_fitted_state(state)
-            listed = (len(classes), len(feature_names))
-            if listed != (estimator.n_classes_, estimator.n_features_):
-                raise SchemaError(
-                    f"{path}: {listed[0]} classes and {listed[1]} features listed for an "
-                    f"estimator fitted on {estimator.n_classes_} and {estimator.n_features_}"
-                )
-            return cls(
-                kind=kind,
-                hyperparams=hyperparams,
-                feature_names=feature_names,
-                scaler=scaler,
-                classes=classes,
-                estimator=estimator,
-                seed=seed,
-            )
         except KeyError as exc:
             raise SchemaError(f"{path}: malformed model file: missing field {exc}") from exc
-        except (TypeError, ValueError, LengthMismatch) as exc:
+        except (TypeError, ValueError, LengthMismatch, SchemaError) as exc:
             raise SchemaError(f"{path}: malformed model file: {exc}") from exc
         except UnsupportedModelKind as exc:
             # the kind and hyperparameters come from the file, so a
             # disagreement between them is bad data, not bad configuration
             raise SchemaError(f"{path}: {exc}") from exc
+        listed = (len(classes), len(feature_names))
+        if listed != (estimator.n_classes_, estimator.n_features_):
+            raise SchemaError(
+                f"{path}: {listed[0]} classes and {listed[1]} features listed for an "
+                f"estimator fitted on {estimator.n_classes_} and {estimator.n_features_}"
+            )
+        return cls(
+            kind=kind,
+            hyperparams=hyperparams,
+            feature_names=feature_names,
+            scaler=scaler,
+            classes=classes,
+            estimator=estimator,
+            seed=seed,
+        )
 
 
 def encode_labels(

@@ -585,26 +585,50 @@ def _edit_field(path: str, to):
     return corrupt
 
 
-# lr model files with a standardization or state field of the wrong shape,
-# each with the field its refusal must name
+# model files with a standardization or state field of the wrong shape or
+# type, each with the kind trained and the field its refusal must name
 MALFORMED_MODEL_FIELDS = {
-    "stds-nested": (_edit_field("standardization.stds", to=lambda v: [[x] for x in v]), "'stds'"),
-    "stds-a-bool": (_edit_field("standardization.stds", to=lambda v: [True] + v[1:]), "'stds'"),
-    "means-true": (_edit_field("standardization.means", to=lambda v: True), "'means'"),
-    "means-huge-int": (
-        _edit_field("standardization.means", to=lambda v: [10**400] + v[1:]),
-        "'means'",
+    "stds-nested": (
+        "lr", _edit_field("standardization.stds", to=lambda v: [[x] for x in v]), "'stds'"
     ),
-    "means-missing": (_edit_field("standardization.means", to=None), "'means'"),
-    "W-missing": (_edit_field("params.state.W", to=None), "'W'"),
-    "W-strings": (_edit_field("params.state.W", to=lambda v: [["a"] * len(v[0])] * len(v)), "'W'"),
+    "stds-a-bool": (
+        "lr", _edit_field("standardization.stds", to=lambda v: [True] + v[1:]), "'stds'"
+    ),
+    "means-true": ("lr", _edit_field("standardization.means", to=lambda v: True), "'means'"),
+    "means-huge-int": (
+        "lr", _edit_field("standardization.means", to=lambda v: [10**400] + v[1:]), "'means'"
+    ),
+    "means-missing": ("lr", _edit_field("standardization.means", to=None), "'means'"),
+    "W-missing": ("lr", _edit_field("params.state.W", to=None), "'W'"),
+    "W-strings": (
+        "lr", _edit_field("params.state.W", to=lambda v: [["a"] * len(v[0])] * len(v)), "'W'"
+    ),
+    # counts read with int() loaded truncated: 3.9 classes as 3, true features as 1
+    "dt-classes-float": (
+        "dt", _edit_field("params.state.n_classes", to=lambda v: v + 0.9), "'n_classes'"
+    ),
+    "dt-features-true": (
+        "dt", _edit_field("params.state.n_features", to=lambda v: True), "'n_features'"
+    ),
+    "dt-classes-text": (
+        "dt", _edit_field("params.state.n_classes", to=lambda v: "abc"), "'n_classes'"
+    ),
+    "rf-classes-float": ("rf", _edit_field("params.state.n_classes", to=float), "'n_classes'"),
+    "rf-tree-features-true": (
+        "rf",
+        _edit_field("params.state.trees", to=lambda v: [{**v[0], "n_features": True}, *v[1:]]),
+        "'n_features'",
+    ),
+    "knn-classes-float": (
+        "knn", _edit_field("params.state.n_classes", to=lambda v: v + 0.5), "'n_classes'"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_MODEL_FIELDS))
 def test_malformed_model_field_is_named(workspace, tmp_path, capsys, case):
-    corrupt, field = MALFORMED_MODEL_FIELDS[case]
-    path = corrupted_model(workspace, tmp_path, "lr", corrupt)
+    kind, corrupt, field = MALFORMED_MODEL_FIELDS[case]
+    path = corrupted_model(workspace, tmp_path, kind, corrupt)
     rc, err = recommend_exit(workspace, path, capsys)
     assert rc == 2
     assert f"{path}: " in err

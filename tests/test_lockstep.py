@@ -27,6 +27,7 @@ from helpers import reference_dumps
 from sca_reco import cli
 from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, fit_forests, forest
 from sca_reco.estimators.base import check_X_y
+from sca_reco.estimators.tree import _class_sum
 from sca_reco.features import PreferenceDataset
 from sca_reco.recommend import MODEL_FILE_VERSION, ModelKind, train
 from sca_reco.rng import derive_seed
@@ -227,6 +228,17 @@ def test_forest_of_many_classes_matches_on_wide_sums():
     assert bits(forest.feature_importances_) == bits(importances)
 
 
+def test_class_sum_has_the_bits_of_numpy_sum_over_the_last_axis():
+    # the split search adds class planes; numpy's sum over a class-last axis
+    # is pairwise from 8 terms, so a running sum over 8 or more planes differs
+    rng = np.random.default_rng(11)
+    for k in [*range(2, 41), 128, 129, 200]:
+        shares = rng.random((k, 30, 4)) * (rng.random((k, 30, 4)) < 0.6)  # zeros included
+        planes = shares**2
+        expected = np.ascontiguousarray(np.moveaxis(planes, 0, -1)).sum(axis=-1)
+        assert bits(_class_sum(planes)) == bits(expected), k
+
+
 def test_forest_grown_in_small_batches_is_the_same(monkeypatch):
     rng = np.random.default_rng(3)
     X = rng.integers(0, 5, size=(30, 4)) / 4.0
@@ -316,17 +328,17 @@ def test_rfe_cv_shaped_batch_draws_each_bootstrap_once(monkeypatch):
     lockstep, and the forests come back in input order, each size's as
     soon as its lockstep completes, before the next size is grown."""
     bootstraps, locksteps = [], []
-    original_generators, original_lockstep = forest.pcg64_generators, forest.fit_lockstep
+    original_integers, original_lockstep = forest.pcg64_integers, forest.fit_lockstep
 
-    def counted_generators(seeds):
+    def counted_integers(seeds, n):
         bootstraps.append(len(seeds))
-        return original_generators(seeds)
+        return original_integers(seeds, n)
 
     def counted_lockstep(Xt, *args):
         locksteps.append(Xt.shape)
         return original_lockstep(Xt, *args)
 
-    monkeypatch.setattr(forest, "pcg64_generators", counted_generators)
+    monkeypatch.setattr(forest, "pcg64_integers", counted_integers)
     monkeypatch.setattr(forest, "fit_lockstep", counted_lockstep)
     rng = np.random.default_rng(11)
     X, y = rng.normal(size=(24, 8)), np.arange(24) % 3

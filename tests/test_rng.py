@@ -1,5 +1,6 @@
 """The seeded generator must reproduce the published splitmix64 stream, and
-the batch-built tree generators must equal numpy's own, seed by seed."""
+the batch-built tree generators and bootstrap draws must equal numpy's own,
+seed by seed."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sca_reco.estimators import forest, seeding
 from sca_reco.estimators.seeding import derive_seeds, pcg64_generators
 from sca_reco.rng import MASK64, SplitMix64, derive_seed, extend_seed, mix64
 
@@ -158,3 +160,39 @@ def test_permuted_rows_are_successive_permutations(seed, d, rows):
     blocked.permuted(np.broadcast_to(np.arange(d), (rows, d)), axis=1, out=drawn)
     assert (drawn == np.array([one_by_one.permutation(d) for _ in range(rows)])).all()
     assert blocked.bit_generator.state == one_by_one.bit_generator.state
+
+
+def numpy_bootstrap(seed, t, n):
+    return np.random.Generator(np.random.PCG64(derive_seed(seed, t, 0))).integers(0, n, size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, MASK64),
+    st.one_of(st.sampled_from([1, 2, 3, 128, 190, 255, 256, 257, 400]), st.integers(1, 400)),
+    st.integers(1, 300),
+)
+def test_bootstrap_rows_equal_numpy_integers(seed, n, n_trees):
+    samples = forest._bootstrap(seed, n_trees, n, True)
+    assert samples.shape == (n_trees, n) and samples.dtype == np.int64
+    for t in range(n_trees):
+        assert (samples[t] == numpy_bootstrap(seed, t, n)).all()
+
+
+def test_bootstrap_row_with_a_lemire_rejection_is_drawn_again(monkeypatch):
+    """A raw word whose halves fall under Lemire's threshold makes numpy
+    draw again, so the sampler must hand that row to numpy."""
+    n = 190  # 2**32 % 190 = 46: a half of 0 is rejected
+    assert 2**32 % n > 0
+    original = seeding.pcg64_words
+
+    def one_row_rejected(seeds, n_words):
+        words = original(seeds, n_words)
+        words[1] = 0  # every draw of tree 1 rejected, which would give zeros
+        return words
+
+    monkeypatch.setattr(seeding, "pcg64_words", one_row_rejected)
+    samples = forest._bootstrap(3, 4, n, True)
+    for t in range(4):
+        assert (samples[t] == numpy_bootstrap(3, t, n)).all()
+    assert samples[1].any()
