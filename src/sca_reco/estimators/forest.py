@@ -127,15 +127,15 @@ class RandomForestClassifier:
     def load_fitted_state(self, state: dict) -> "RandomForestClassifier":
         self.n_classes_, self.n_features_, tree_states = read_record(state, FOREST_STATE, "state")
         fitted = (self.n_classes_, self.n_features_)
-        trees = []
-        for i, tree_state in enumerate(tree_states):
-            n_classes, n_features, root = read_record(tree_state, TREE_STATE, "state: tree %d", i)
-            if (n_classes, n_features) != fitted:
-                raise ValueError("a forest needs trees fitted on its classes and features")
-            trees.append(Nodes.parse(root, self.n_features_, self.n_classes_))
-        if not trees:
+        trees = [
+            read_record(tree_state, TREE_STATE, "state: tree %d", i)
+            for i, tree_state in enumerate(tree_states)
+        ]
+        if not trees or any((n_classes, n_features) != fitted for n_classes, n_features, _ in trees):
             raise ValueError("a forest needs trees fitted on its classes and features")
-        self.nodes_ = Nodes.stack(trees)
+        self.nodes_ = Nodes.stack(
+            [Nodes.parse(root, self.n_features_, self.n_classes_) for *_, root in trees]
+        )
         self.tree_importances_ = None
         return self
 

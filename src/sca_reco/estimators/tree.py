@@ -324,10 +324,9 @@ class _Presorted(NamedTuple):
     @classmethod
     def of(cls, Xt, yt, k: int) -> "_Presorted":
         n_trees, n_rows, _ = Xt.shape
-        columns = np.ascontiguousarray(Xt.transpose(0, 2, 1))
+        columns = Xt.transpose(0, 2, 1)
         key = np.argsort(columns, axis=2, kind="stable")
         x = np.take_along_axis(columns, key, axis=2)
-        del columns
         key += (np.arange(n_trees) * n_rows)[:, None, None]
         return cls(x=x, y=yt.astype(np.min_scalar_type(k - 1)).ravel()[key], key=key)
 
@@ -458,7 +457,8 @@ def _class_sum(planes: np.ndarray) -> np.ndarray:
 
 def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Gini impurity from (classes, ...) integer counts and their sizes."""
-    return 1.0 - _class_sum((counts / sizes) ** 2)
+    shares = counts / sizes
+    return 1.0 - _class_sum(np.square(shares, out=shares))
 
 
 def _candidate_columns(xs, members, orders, budget: int):
