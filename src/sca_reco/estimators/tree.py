@@ -319,7 +319,7 @@ class _Presorted(NamedTuple):
 
     x: np.ndarray  # float64
     y: np.ndarray  # the smallest integer type that holds the classes
-    key: np.ndarray  # int64
+    key: np.ndarray  # int32: trees x rows stays far below 2**31 (16 GiB a float64 column)
 
     @classmethod
     def of(cls, Xt, yt, k: int) -> "_Presorted":
@@ -327,7 +327,7 @@ class _Presorted(NamedTuple):
         columns = Xt.transpose(0, 2, 1)
         key = np.argsort(columns, axis=2, kind="stable")
         x = np.take_along_axis(columns, key, axis=2)
-        key += (np.arange(n_trees) * n_rows)[:, None, None]
+        key = (key + (np.arange(n_trees) * n_rows)[:, None, None]).astype(np.int32)
         return cls(x=x, y=yt.astype(np.min_scalar_type(k - 1)).ravel()[key], key=key)
 
 
@@ -344,7 +344,7 @@ def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split
     # n_rows rows split at most n_rows - 1 times, into at most 2 * n_rows - 1 nodes
     nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1))
     node_depth = np.zeros_like(nodes.feature)
-    node_of_row = np.zeros((n_trees, n_rows), dtype=np.int64)
+    node_of_row = np.zeros((n_trees, n_rows), dtype=np.int32)  # ids stay below 2 * n_rows
     # per tree, the ids of nodes that passed the stop checks and wait for a
     # split, with their class counts, sizes and Gini impurities; they hold
     # disjoint rows, at least two each
