@@ -319,7 +319,7 @@ class _Presorted(NamedTuple):
 
     x: np.ndarray  # float64
     y: np.ndarray  # the smallest integer type that holds the classes
-    key: np.ndarray  # int32: trees x rows stays far below 2**31 (16 GiB a float64 column)
+    key: np.ndarray  # int32: a lockstep holds fewer than 2**31 rows (16 GiB a float64 column)
 
     @classmethod
     def of(cls, Xt, yt, k: int) -> "_Presorted":
@@ -494,7 +494,7 @@ def _best_splits(presorted, Xt, trees, masks, members, columns, n_columns, count
     order of a class-last sum (``_class_sum``).  Ties break to the earlier
     column in ``columns`` and then to the lower split position.
     """
-    n_trees, d, n_rows = presorted.x.shape
+    _, d, n_rows = presorted.x.shape
     n_nodes, width = columns.shape
     node = np.repeat(np.arange(n_nodes), n_columns)
     column = columns[np.arange(width) < n_columns[:, None]]
