@@ -182,7 +182,7 @@ def test_bootstrap_rows_equal_numpy_integers(seed, n, n_trees):
 def test_bootstrap_row_with_a_lemire_rejection_is_drawn_again(monkeypatch):
     """A raw word whose halves fall under Lemire's threshold makes numpy
     draw again, so the sampler must hand that row to numpy."""
-    n = 190  # 2**32 % 190 = 46: a half of 0 is rejected
+    n = 190  # 2**32 % 190 = 6: a half of 0 is rejected
     assert 2**32 % n > 0
     original = seeding.pcg64_words
 
