@@ -8,13 +8,15 @@ export footprint tables, ``train``/``recommend`` fit and apply a model, and
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 data problem
 (including partially failed corpora), 3 internal error.  Set SCA_RECO_LOG to
-debug/info/warning/error to control diagnostics on stderr.
+debug/info/warning/error to control diagnostics on stderr.  Each command runs
+with Python's cyclic garbage collector paused.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import logging
 import os
 import sys
@@ -378,6 +380,11 @@ def main(argv=None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command's records form no reference cycles, so the cyclic GC would
+    # only rescan them; it is paused for the command and the caller's state
+    # restored after, with no collection forced.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -396,6 +403,9 @@ def main(argv=None) -> int:
         log.exception("unhandled error")
         print(f"sca-reco: internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import datetime as dt
 import errno
+import itertools
 import logging
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,8 +29,10 @@ from .core import (
     Release,
     RecordSpec,
     ScaId,
+    named_tuples,
     read_json,
     read_record,
+    read_records,
     read_text,
 )
 from .exceptions import (
@@ -55,7 +59,10 @@ REPORT_ENTRY = RecordSpec(
 
 
 def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[ScaId, list[RawWarning]]:
-    """Load one analyzer report, checking it belongs to (project, release)."""
+    """Load one analyzer report, checking it belongs to (project, release).
+
+    The entries are checked a list at a time; when any check fails they are
+    read again one at a time, so the error names the first bad entry."""
     path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -65,6 +72,13 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
         raise MismatchError(
             f"{path}: report is for {project}/{release}, expected {project_id}/{release_id}"
         )
+    entries = read_records(raw, REPORT_ENTRY)
+    if entries and sca:
+        columns = list(zip(*entries))
+        types, classes, _, starts, ends, _, _ = columns
+        if all(types) and all(classes) and min(starts) > 0 and all(map(operator.le, starts, ends)):
+            return sca, named_tuples(RawWarning, zip(itertools.repeat(sca), *columns))
+    # entry by entry, so the first bad entry is the one named
     warnings = []
     for i, entry in enumerate(raw):
         fields = read_record(entry, REPORT_ENTRY, "%s: warning %d", path, i)

@@ -8,8 +8,10 @@ outcome is independent of worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +28,9 @@ from .core import (
     decode_json,
     default_taxonomy_path,
     load_taxonomy,
+    named_tuples,
     read_record,
+    read_records,
     read_text,
     validate_beta,
     write_text,
@@ -252,6 +256,10 @@ def record_to_labels(record: dict) -> ProjectLabels:
     repeating another's analyzer and index raises a SchemaError."""
     where = "label record"
     project_id, rows = read_record(record, LABEL_RECORD, where)
+    labels = _read_label_rows(project_id, rows)
+    if labels is not None:
+        return labels
+    # row by row, so the first bad row is the one named
     by_sca: dict[ScaId, list[AlignedWarning]] = {}
     audits: dict[ScaId, list[AuditRecord]] = {}
     seen: dict[tuple[ScaId, int], int] = {}
@@ -281,8 +289,44 @@ def record_to_labels(record: dict) -> ProjectLabels:
     )
 
 
+def _read_label_rows(project_id: str, rows: list) -> ProjectLabels | None:
+    """``record_to_labels`` of ``rows`` with every check made a column at a
+    time, or None if any check fails or an analyzer's rows are not
+    contiguous, as ``labels_to_record`` writes them."""
+    values = read_records(rows, LABEL_ROW)
+    if not values:
+        return None
+    scas, stages, labels, categories, classes, starts, ends, indexes, lines, origins = zip(*values)
+    try:
+        labels = list(map(_LABELS.__getitem__, labels))
+        stages = list(map(_STAGES.__getitem__, stages))
+    except KeyError:  # a text no label or stage has
+        return None
+    keys = list(zip(scas, indexes))
+    if min(starts) < 1 or not all(map(operator.le, starts, ends)) or len(set(keys)) < len(keys):
+        return None
+    warnings = named_tuples(AlignedWarning, zip(categories, classes, starts, ends, labels, keys))
+    audits = named_tuples(AuditRecord, zip(labels, stages, lines, origins))
+    by_sca: dict[ScaId, tuple[AlignedWarning, ...]] = {}
+    audits_by_sca: dict[ScaId, tuple[AuditRecord, ...]] = {}
+    done = 0
+    for sca, run in itertools.groupby(scas):
+        if sca in by_sca:
+            return None
+        stop = done + len(list(run))
+        by_sca[sca], audits_by_sca[sca] = tuple(warnings[done:stop]), tuple(audits[done:stop])
+        done = stop
+    return ProjectLabels(project_id, by_sca, audits_by_sca)
+
+
+# one encoder for every JSONL line: a record is a tree, so the cycle check
+# json.dumps makes is skipped; the bytes are those of json.dumps(record, sort_keys=True)
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
+
+
 def _write_jsonl(path: str | Path, records) -> None:
-    write_text(path, (json.dumps(record, sort_keys=True) + "\n" for record in records))
+    encode = _JSONL_ENCODER.encode
+    write_text(path, (encode(record) + "\n" for record in records))
 
 
 def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:

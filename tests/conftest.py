@@ -4,10 +4,13 @@ The acceptance module registers one outcome per criterion; the terminal
 summary hook below prints them as a single pass/fail line each, so the
 result survives pytest's output capturing.  An autouse fixture checks that
 every tree and forest a test fits, alone or in a batch, encodes to the bytes
-``json.dumps`` gives.
+``json.dumps`` gives; another fails a test that leaves the cyclic garbage
+collector disabled.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -62,3 +65,11 @@ def tree_states_encode_like_json_dumps(monkeypatch):
     checked = _checked_batch_fit(forest.fit_forests)
     monkeypatch.setattr(forest, "fit_forests", checked)
     monkeypatch.setitem(ESTIMATORS, ModelKind.RF, (*ESTIMATORS[ModelKind.RF][:2], checked))
+
+
+@pytest.fixture(autouse=True)
+def gc_left_enabled():
+    yield
+    if not gc.isenabled():
+        gc.enable()  # so the tests after this one run as usual
+        pytest.fail("the test left the cyclic garbage collector disabled")

@@ -304,3 +304,18 @@ def mutated_entries(draw, valid: dict):
     for key in draw(st.lists(st.text(max_size=6), max_size=2)):
         entry.setdefault(key, draw(ODD_VALUES))
     return entry
+
+
+@st.composite
+def faulted(draw, records: list, faults: dict):
+    """``records`` with up to two of them faulted: mutated (see
+    ``mutated_entries``), or given a value from ``faults`` for one key."""
+    whole, records = records, list(records)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(records) - 1))
+        key = draw(st.sampled_from([None, *faults]))
+        if key is None:
+            records[i] = draw(mutated_entries(whole[i]))
+        else:
+            records[i] = {**whole[i], key: draw(st.sampled_from(faults[key]))}
+    return records

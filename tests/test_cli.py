@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -114,6 +115,55 @@ def test_internal_error_exits_3(workspace, monkeypatch):
         ]
     )
     assert rc == 3
+
+
+def _set_gc(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _gc_state_after(argv, enabled: bool):
+    """``main(argv)``'s exit code (or the exception it raised), with the
+    cyclic GC enabled or not before it, and the GC state after it."""
+    was = gc.isenabled()
+    _set_gc(enabled)
+    try:
+        try:
+            outcome = cli.main(argv)
+        except (KeyboardInterrupt, SystemExit) as exc:
+            outcome = type(exc)
+        return outcome, gc.isenabled()
+    finally:
+        _set_gc(was)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_commands_restore_the_gc_state(workspace, tmp_path, monkeypatch, enabled):
+    seen = []
+
+    def failing(exc):
+        def run(args):
+            seen.append(gc.isenabled())
+            raise exc
+
+        return run
+
+    corpus, out = str(workspace["corpus"]), str(tmp_path / "out")
+    cases = [
+        (["baseline", "--evaluations", str(workspace["evaluations"])], 0),
+        (["label", "--corpus", str(tmp_path / "missing"), "--out", out], 2),
+        (["evaluate", "--corpus", corpus, "--beta", "-1", "--out-dir", out], 1),
+    ]
+    for argv, code in cases:
+        assert _gc_state_after(argv, enabled) == (code, enabled)
+    recommend = ["recommend", "--model-file", "m", "--features", str(workspace["features"])]
+    for exc, outcome in ((RuntimeError("boom"), 3), (KeyboardInterrupt(), KeyboardInterrupt)):
+        monkeypatch.setattr(cli.RecommendationModel, "load", staticmethod(failing(exc)))
+        assert _gc_state_after(recommend, enabled) == (outcome, enabled)
+    assert _gc_state_after(["frobnicate"], enabled) == (SystemExit, enabled)
+    assert seen == [False, False]  # each command ran with the GC paused
 
 
 def test_label_output_structure(workspace):

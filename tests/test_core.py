@@ -5,16 +5,21 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import aw
+from helpers import aw, mutated_entries
 from sca_reco.core import (
     GdcCategory,
     GdcTaxonomy,
+    RecordSpec,
     decode_json,
     default_taxonomy_path,
     format_beta,
     load_taxonomy,
     parse_beta,
+    read_record,
+    read_records,
     sort_warnings,
     validate_beta,
     warning_sort_key,
@@ -109,3 +114,47 @@ def test_decode_json_rejects_constants_json_lacks(constant):
     with pytest.raises(ParseError, match=f"^model.json: {constant} is not a JSON value"):
         decode_json(f'{{"stds": [1.0, {constant}]}}', "model.json")
     assert decode_json('{"stds": [1.0, 1e308]}', "model.json") == {"stds": [1.0, 1e308]}
+
+
+# the list reader against the one-record reader
+
+SPEC = RecordSpec(("name", str), ("count", int), ("note", (str, None)))
+VALID_RECORD = {"name": "a", "count": 1, "note": "b"}
+
+
+def read_alone(record):
+    """``read_record``'s values of ``record``, or None if it refuses it."""
+    try:
+        return read_record(record, SPEC, "record")
+    except SchemaError:
+        return None
+
+
+@given(
+    records=st.lists(
+        st.one_of(
+            st.fixed_dictionaries(
+                {
+                    "name": st.text(max_size=2),
+                    "count": st.integers(),
+                    "note": st.none() | st.text(max_size=2),
+                }
+            ),
+            mutated_entries(VALID_RECORD),
+        ),
+        max_size=8,
+    )
+)
+@example(records=[])
+@example(records=[VALID_RECORD, {"name": "a", "count": 1}])  # an absent optional key
+@example(records=[VALID_RECORD, {"name": "a", "count": True, "note": None}])
+@example(records=[VALID_RECORD, ["a", 1, "b"]])
+@example(records=[VALID_RECORD, None])
+def test_read_records_equals_read_record_on_every_record(records):
+    alone = [read_alone(record) for record in records]
+    # the list reader takes a list whose records are all objects that hold
+    # every field with one of its types, and only such a list
+    whole = None not in alone and all(
+        type(record) is dict and all(key in record for key, _ in SPEC.fields) for record in records
+    )
+    assert read_records(records, SPEC) == (alone if whole else None)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     check_report_entry,
+    faulted,
     label_snapshot,
     mutated_entries,
     optional_field,
@@ -368,13 +369,38 @@ def outcome(load, *args):
         return str(exc)
 
 
+# values an entry may hold, and values of the right type that its checks
+# refuse: an empty text, or a start line of 0 or past the end line
+ENTRY_CHOICES = {
+    "method": ["run", None],
+    "start_line": [10, 12],
+    "severity": ["high", None],
+}
+ENTRY_FAULTS = {"type": [""], "class": [""], "start_line": [0, 13]}
+
+
+@st.composite
+def report_entries(draw):
+    """One to twelve valid report entries, up to two of them then faulted."""
+    entries = []
+    for _ in range(draw(st.integers(1, 12))):
+        values = {key: draw(st.sampled_from(choices)) for key, choices in ENTRY_CHOICES.items()}
+        entries.append({**VALID_ENTRY, **values})
+    return draw(faulted(entries, ENTRY_FAULTS))
+
+
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(entries=st.lists(mutated_entries(VALID_ENTRY), min_size=1, max_size=4))
-def test_report_fast_path_equals_checked_path(tmp_path, entries):
+@given(
+    entries=st.one_of(
+        st.lists(mutated_entries(VALID_ENTRY), min_size=1, max_size=4), report_entries()
+    ),
+    sca=st.sampled_from(["spotbugs"] * 9 + [""]),
+)
+def test_report_fast_path_equals_checked_path(tmp_path, entries, sca):
     path = tmp_path / "spotbugs.json"
-    write_report(path, entries)
+    write_report(path, entries, sca=sca)
     try:
         json.dumps(entries, allow_nan=False)
     except ValueError:  # json.dumps wrote NaN or Infinity, which JSON lacks
@@ -382,10 +408,31 @@ def test_report_fast_path_equals_checked_path(tmp_path, entries):
             load_report(path, "p1", "r1")
         assert str(exc.value).startswith(f"{path}: ")
         return
-    expected = outcome(checked_report, path, "spotbugs", entries)
+    expected = outcome(checked_report, path, sca, entries)
     assert outcome(load_report, path, "p1", "r1") == expected
     if isinstance(expected, str):
         assert expected.startswith(f"{path}: warning ")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"start_line": 12, "end_line": 10}, "warning line span 12..10 is inverted"),
+        ({"start_line": 0}, "warning start line 0 < 1"),
+        ({"type": ""}, "warning has an empty type"),
+        ({"class": ""}, "warning has an empty class path"),
+    ],
+)
+@pytest.mark.parametrize("later", [{}, {"start_line": "10"}])
+def test_report_names_its_first_bad_entry(tmp_path, fault, message, later):
+    path = tmp_path / "spotbugs.json"
+    entries = [dict(VALID_ENTRY) for _ in range(5)]
+    entries[1].update(fault)
+    entries[3].update(later)
+    write_report(path, entries)
+    with pytest.raises(SchemaError) as exc:
+        load_report(path, "p1", "r1")
+    assert str(exc.value) == f"{path}: warning 1: {message}"
 
 
 @settings(max_examples=50, deadline=None)

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_label_span, mutated_entries, optional_field, require_field
+from helpers import check_label_span, faulted, mutated_entries, optional_field, require_field
 from sca_reco import cli
 from sca_reco.core import AlignedWarning, WarningLabel
 from sca_reco.effectiveness import ConfusionCounts, ProjectEvaluation, optimal_set, score_sca
 from sca_reco.exceptions import IoError, ParseError, SchemaError
 from sca_reco.matching import AuditRecord, MatchStage
 from sca_reco.pipeline import (
+    _write_jsonl,
     evaluate_corpus,
     ProjectLabels,
     evaluate_label_records,
@@ -270,10 +271,40 @@ def stored_outcome(read, path, record, expected):
     return got, want
 
 
+# values a written row may hold, and values that make one faulty: a bad
+# span or text, or an analyzer or index that breaks up or repeats another's
+WRITTEN_ROW_CHOICES = {
+    "start_line": [10, 12],
+    "label": ["actionable", "unactionable", "unknown"],
+    "stage": ["location", "snippet", "hash", None, ""],
+}
+ROW_FAULTS = {
+    "start_line": [0, 13],
+    "label": ["x"],
+    "stage": ["x"],
+    "sca": ["alpha", "beta", "gamma"],
+    "index": [0, 1, 2, 3],
+}
+
+
+@st.composite
+def written_rows(draw):
+    """Up to twelve label rows as ``labels_to_record`` writes them, each
+    analyzer's rows together and each of its indexes once; up to two of
+    them are then faulted."""
+    rows = []
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    for sca, count in zip(("alpha", "beta", "gamma"), counts):
+        for index in range(count):
+            values = {key: draw(st.sampled_from(c)) for key, c in WRITTEN_ROW_CHOICES.items()}
+            rows.append({**VALID_ROW, **values, "sca": sca, "index": index})
+    return draw(faulted(rows, ROW_FAULTS))
+
+
 @settings(
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(rows=mutated_records(VALID_ROW, ROW_CHOICES))
+@given(rows=st.one_of(mutated_records(VALID_ROW, ROW_CHOICES), written_rows()))
 def test_label_rows_equal_the_checked_path(tmp_path, rows):
     # every analyzer a row names is listed, so no record is refused for that
     listed = [row["sca"] for row in rows if type(row) is dict and type(row.get("sca")) is str]
@@ -304,6 +335,75 @@ def test_evaluation_scores_equal_the_checked_path(tmp_path, entries):
     record = {"project": "p1", "beta": "1", "scores": entries, "optimal": optimal}
     got, want = stored_outcome(read_evaluations, tmp_path / "evaluations.jsonl", record, expected)
     assert got == want
+
+
+# stored lines: the shared encoder against json.dumps
+
+# ids with what JSON must escape or may spell out: quotes, backslashes,
+# control characters, lone surrogates, and text beyond ASCII
+IDS = st.text(
+    st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "日", "😀"]),
+        st.integers(0xD800, 0xDFFF).map(chr),
+    ),
+    max_size=6,
+)
+COUNTS = st.integers(0, 10**6)
+LABEL_RECORDS = st.fixed_dictionaries(
+    {
+        "project": IDS,
+        "warnings": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "sca": IDS,
+                    "index": COUNTS,
+                    "category": IDS,
+                    "class": IDS,
+                    "start_line": COUNTS,
+                    "end_line": COUNTS,
+                    "label": st.sampled_from([label.value for label in WarningLabel]),
+                    "stage": st.sampled_from([None, *(stage.value for stage in MatchStage)]),
+                    "matched_line": st.none() | COUNTS,
+                    "matched_index": st.none() | COUNTS,
+                }
+            ),
+            max_size=4,
+        ),
+    }
+)
+EVALUATION_RECORDS = st.fixed_dictionaries(
+    {
+        "project": IDS,
+        "beta": st.sampled_from(["0", "0.5", "1", "inf"]),
+        "scores": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "sca": IDS,
+                    "tp": COUNTS,
+                    "fp": COUNTS,
+                    "union_actionable": COUNTS,
+                    "p": st.floats(),
+                    "r": st.floats(),
+                    "f_beta": st.floats(),
+                }
+            ),
+            max_size=4,
+        ),
+        "optimal": st.lists(IDS, max_size=3),
+    }
+)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(records=st.lists(LABEL_RECORDS | EVALUATION_RECORDS, max_size=4))
+def test_jsonl_lines_equal_json_dumps(tmp_path, records):
+    path = tmp_path / "records.jsonl"
+    _write_jsonl(path, records)
+    lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
+    assert lines == [json.dumps(record, sort_keys=True) + "\n" for record in records]
 
 
 # Labeling behaviour, pinned: a churn-style corpus (most files renamed) sends
