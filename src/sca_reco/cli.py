@@ -297,6 +297,7 @@ def _add_dataset_options(sub) -> None:
     sub.add_argument("--features", required=True, help="feature table CSV path")
 
 
+@functools.cache  # built once a process: argparse leaves every parser in reference cycles
 def build_parser() -> _Parser:
     parser = _Parser(prog="sca-reco", description=__doc__.split("\n\n")[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -378,8 +379,7 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # A command's records form no reference cycles, so the cyclic GC would
     # only rescan them; it is paused for the command and the caller's state
     # restored after, with no collection forced.

@@ -73,14 +73,23 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON value")
 
 
-# json.loads would accept NaN, Infinity and -Infinity, which JSON lacks
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is beyond the float range")
+    return value
+
+
+# json.loads would accept NaN, Infinity and -Infinity, which JSON lacks, and
+# read a number literal beyond the float range, such as 1e999, as infinite
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
 
 
 def decode_json(text: str, where: str):
     """Decode one JSON text; text that is not JSON (NaN, Infinity and
-    -Infinity included), or is nested too deeply for the decoder, raises a
-    ParseError that starts with ``where``."""
+    -Infinity included), holds a number beyond the float range, or is
+    nested too deeply for the decoder, raises a ParseError that starts with
+    ``where``."""
     try:
         return _DECODER.decode(text)
     except ValueError as exc:  # JSONDecodeError or a rejected constant
@@ -134,7 +143,6 @@ class RecordSpec:
             frozenset(type(None) if kind is None else kind for kind in kinds)
             for _, kinds in self.fields
         ]
-        self.allowed = frozenset(itertools.product(*self.types))
 
 
 def read_record(record, spec: RecordSpec, where: str, *args) -> tuple:
@@ -142,14 +150,9 @@ def read_record(record, spec: RecordSpec, where: str, *args) -> tuple:
     null or absent optional field as None.  Anything else raises a
     SchemaError that starts with the location ``where % args``, formatted
     only then, and names the first bad field in spec order."""
-    if type(record) is dict:
-        try:
-            values = spec.values(record)
-        except KeyError:
-            pass
-        else:
-            if tuple(map(type, values)) in spec.allowed:
-                return values
+    rows = read_records([record], spec)
+    if rows is not None:
+        return rows[0]
     if args:
         where %= args
     if not isinstance(record, dict):
@@ -169,12 +172,11 @@ def read_record(record, spec: RecordSpec, where: str, *args) -> tuple:
 
 
 def read_records(records: list, spec: RecordSpec) -> list[tuple] | None:
-    """The list form of ``read_record``'s fast path: the values of
-    ``spec``'s fields in each of ``records``, in order, when every record is
-    a dict that holds every field with one of its exact types; otherwise
-    None, and the caller reads the records one at a time with
-    ``read_record`` to name the first fault.  Each field's types are checked
-    a column at a time."""
+    """``read_record``'s fast path over a list: the values of ``spec``'s
+    fields in each of ``records``, in order, when every record is a dict
+    that holds every field with one of its exact types; otherwise None, and
+    the caller reads the records one at a time with ``read_record`` to name
+    the first fault.  Each field's types are checked a column at a time."""
     if not set(map(type, records)) <= {dict}:
         return None
     try:
@@ -191,35 +193,6 @@ def named_tuples(cls: type, rows) -> list:
     """``cls._make(row)`` of each row, for a NamedTuple ``cls`` and rows of
     its full length, with no Python call per row."""
     return list(map(tuple.__new__, itertools.repeat(cls), rows))
-
-
-def encode_json(value) -> str:
-    """``json.dumps(value, sort_keys=True, separators=(",", ":"))``, written
-    with an explicit stack, so a deeply nested value such as a deep decision
-    tree encodes without recursion.  Object keys must be strings."""
-    parts: list[str] = []
-    stack = [(False, value)]  # (is finished text, item)
-    while stack:
-        finished, item = stack.pop()
-        if finished:
-            parts.append(item)
-        elif isinstance(item, dict):
-            pending = [(True, "{")]
-            for i, key in enumerate(sorted(item)):
-                if not isinstance(key, str):
-                    raise TypeError(f"object keys must be strings, got {key!r}")
-                pending += [(True, ("," if i else "") + json.dumps(key) + ":"), (False, item[key])]
-            stack += reversed(pending + [(True, "}")])
-        elif isinstance(item, (list, tuple)):
-            pending = [(True, "[")]
-            for i, element in enumerate(item):
-                if i:
-                    pending.append((True, ","))
-                pending.append((False, element))
-            stack += reversed(pending + [(True, "]")])
-        else:
-            parts.append(json.dumps(item))
-    return "".join(parts)
 
 
 def default_taxonomy_path() -> Path:

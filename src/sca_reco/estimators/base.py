@@ -13,7 +13,10 @@ from ..exceptions import LengthMismatch, NotFittedError
 
 def check_array(X, *, name: str = "X") -> np.ndarray:
     """Coerce to a 2-D float64 array of finite values."""
-    array = np.asarray(X, dtype=np.float64)
+    try:
+        array = np.asarray(X, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} contains non-finite values") from None
     if array.ndim == 1:
         array = array.reshape(1, -1)
     if array.ndim != 2:
@@ -81,7 +84,10 @@ def check_real(
     with ``low_open``, as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range, refused below
+        number = math.inf
     above_low = low < number if low_open else low <= number
     if not (math.isfinite(number) and above_low and number < high):
         interval = f"{'(' if low_open else '['}{low}, {high})"
@@ -97,7 +103,7 @@ def state_array(state: dict, key: str, shape: tuple) -> np.ndarray:
     """
     try:
         array = np.asarray(state[key], dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # not numbers, or ragged
+    except (TypeError, ValueError, OverflowError) as exc:  # not numbers, ragged, or too large
         raise ValueError(f"field {key!r}: {exc}") from exc
     if array.ndim != len(shape) or any(
         size < 1 or (want is not None and size != want)

@@ -24,7 +24,7 @@ tree was fitted on its own.
 
 The fitted trees are rows of one set of flat node arrays (``tree.Nodes``);
 ``predict`` descends all trees for all rows at once and counts the votes.
-``trees_`` and ``get_fitted_state`` render the trees one by one, and
+``get_fitted_state`` renders the trees one by one from those arrays, and
 ``load_fitted_state`` checks each saved tree and stacks their arrays.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 from ..core import RecordSpec, read_record
 from .seeding import derive_seeds, pcg64_integers
 from .base import check_array, check_count, check_is_fitted, check_X_y
-from .tree import TREE_STATE, DecisionTreeClassifier, Nodes, fit_lockstep
+from .tree import TREE_STATE, Nodes, fit_lockstep
 
 # caps on rows x features x classes summed over the trees of one lockstep,
 # which bound the memory of its per-step arrays and of the fitted forests a
@@ -89,22 +89,6 @@ class RandomForestClassifier:
         self.tree_importances_ = None
         self.feature_importances_ = None
 
-    @property
-    def trees_(self) -> list[DecisionTreeClassifier] | None:
-        """Each fitted tree as a ``DecisionTreeClassifier``, made anew on
-        every read; a loaded forest's trees have no importances."""
-        if self.nodes_ is None:
-            return None
-        trees = []
-        for t in range(len(self.nodes_.count)):
-            tree = DecisionTreeClassifier(self.max_depth, self.min_samples_split)
-            tree.nodes_ = self.nodes_.tree(t)
-            tree.n_classes_, tree.n_features_ = self.n_classes_, self.n_features_
-            if self.tree_importances_ is not None:
-                tree.feature_importances_ = self.tree_importances_[t]
-            trees.append(tree)
-        return trees
-
     def fit(self, X, y, n_classes: int | None = None) -> "RandomForestClassifier":
         return next(fit_forests([self], [X], [y], [n_classes]))
 
@@ -121,7 +105,10 @@ class RandomForestClassifier:
         return {
             "n_classes": int(self.n_classes_),
             "n_features": int(self.n_features_),
-            "trees": [tree.get_fitted_state() for tree in self.trees_],
+            "trees": [
+                self.nodes_.state(t, self.n_classes_, self.n_features_)
+                for t in range(len(self.nodes_.count))
+            ],
         }
 
     def load_fitted_state(self, state: dict) -> "RandomForestClassifier":

@@ -5,9 +5,11 @@ left, right and class, one entry per node, with node 0 the root.  A forest
 keeps all of its trees as rows of one set of arrays.  Growth and prediction
 work on these arrays with no Python work per node.  The nested dict of a
 tree (``{"feature", "threshold", "left", "right"}`` or ``{"class"}``) is made
-only at the edges: ``DecisionTreeClassifier.tree_`` renders it for the model
-file, and ``load_fitted_state`` checks a loaded one node by node and fills
-the arrays from it.
+only at the edges: ``Nodes.render`` builds it for the model file of a tree
+or a forest, and ``Nodes.parse`` checks a loaded one node by node and fills
+the arrays from it.  Both work without recursion, so a deep tree fits,
+renders and parses; the JSON encoder and decoder do recurse, and a model
+file of a tree deeper than their limit is refused when it is written.
 
 ``fit_lockstep`` grows a batch of trees at once, each on its own block of
 rows: the single tree of a ``DecisionTreeClassifier``, or the trees of a
@@ -115,10 +117,6 @@ class Nodes(NamedTuple):
             start += rows
         return stacked
 
-    def tree(self, t: int) -> "Nodes":
-        """Tree ``t`` alone."""
-        return Nodes(*(array[t : t + 1] for array in self))
-
     def classes(self, X: np.ndarray) -> np.ndarray:
         """The leaf class that each tree gives each row of ``X``, (trees, rows)."""
         n_trees, capacity = self.feature.shape
@@ -132,6 +130,10 @@ class Nodes(NamedTuple):
             goes_left = X[rows, feature[node]] <= threshold[node]
             node = np.where(goes_left, left[node], right[node])
         return self.leaf_class.ravel()[node]
+
+    def state(self, t: int, n_classes: int, n_features: int) -> dict:
+        """Tree ``t``'s saved state, a ``TREE_STATE`` record."""
+        return {"n_classes": int(n_classes), "n_features": int(n_features), "tree": self.render(t)}
 
     def render(self, t: int) -> dict:
         """Tree ``t`` as the nested dict of the model file, built bottom-up."""
@@ -250,11 +252,7 @@ class DecisionTreeClassifier:
 
     def get_fitted_state(self) -> dict:
         check_is_fitted(self, "nodes_")
-        return {
-            "n_classes": int(self.n_classes_),
-            "n_features": int(self.n_features_),
-            "tree": self.tree_,
-        }
+        return self.nodes_.state(0, self.n_classes_, self.n_features_)
 
     def load_fitted_state(self, state: dict) -> "DecisionTreeClassifier":
         """Restore a saved tree, checking every node so that ``predict``

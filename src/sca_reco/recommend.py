@@ -9,6 +9,7 @@ predictions against the full set.
 
 from __future__ import annotations
 
+import json
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -17,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import RecordSpec, ScaId, encode_json, format_beta, read_json, read_record, write_text
+from .core import RecordSpec, ScaId, format_beta, read_json, read_record, write_text
 from .effectiveness import ProjectEvaluation, reevaluate
 from .estimators import (
     DecisionTreeClassifier,
@@ -163,6 +164,10 @@ class RecommendationModel:
         return self.predict_matrix([values], self.feature_names)[0]
 
     def save(self, path: str | Path) -> None:
+        """Write the model file, one line of JSON with sorted keys.  A tree
+        nested too deeply for the JSON encoder, whose recursion limit the
+        decoder shares, raises a DataError naming ``path``; no file is
+        written then."""
         document = {
             "version": MODEL_FILE_VERSION,
             "kind": self.kind.value,
@@ -175,7 +180,11 @@ class RecommendationModel:
             },
             "seed": self.seed,
         }
-        write_text(path, encode_json(document) + "\n")
+        try:
+            text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        except RecursionError as exc:
+            raise DataError(f"{path}: model nested too deeply to write as JSON") from exc
+        write_text(path, text + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "RecommendationModel":

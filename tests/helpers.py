@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,17 +200,6 @@ def java_class(class_name: str, package: str = "com.example", n_methods: int = 2
         lines.append("    }")
     lines.append("}")
     return lines
-
-
-def reference_dumps(value) -> str:
-    """The bytes model files are written as, from ``json.dumps`` with the
-    recursion limit raised for deep trees."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20_000))
-    try:
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def load_truth(path: str | Path) -> CorpusTruth:

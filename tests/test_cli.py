@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import math
+import re
 import shutil
 
 import pytest
@@ -164,6 +165,17 @@ def test_commands_restore_the_gc_state(workspace, tmp_path, monkeypatch, enabled
         assert _gc_state_after(recommend, enabled) == (outcome, enabled)
     assert _gc_state_after(["frobnicate"], enabled) == (SystemExit, enabled)
     assert seen == [False, False]  # each command ran with the GC paused
+
+
+def test_second_command_leaves_no_reference_cycles(workspace):
+    """The parser is built once a process; argparse leaves every parser it
+    builds in reference cycles, hundreds of objects a command if rebuilt."""
+    argv = ["baseline", "--evaluations", str(workspace["evaluations"])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        gc.collect()
+        assert cli.main(argv) == 0
+    assert gc.collect() == 0
 
 
 def test_label_output_structure(workspace):
@@ -509,6 +521,17 @@ def test_unusable_feature_list_exits_2(workspace, tmp_path, capsys, text):
     assert not model_path.exists()
 
 
+def literal(text: str) -> str:
+    """A value that ``dumps`` writes as ``text`` verbatim: a number literal
+    that json.dumps cannot write, such as 1e999."""
+    return f"<literal:{text}>"
+
+
+def dumps(document) -> str:
+    """``json.dumps(document)`` with each ``literal`` written out."""
+    return re.sub(r'"<literal:([^"]*)>"', r"\1", json.dumps(document))
+
+
 def corrupted_model(workspace, tmp_path, kind, corrupt):
     """Train a ``kind`` model, let ``corrupt`` edit its JSON, return the path."""
     path = tmp_path / f"{kind}.json"
@@ -530,7 +553,7 @@ def corrupted_model(workspace, tmp_path, kind, corrupt):
     assert rc == 0
     document = json.loads(path.read_text(encoding="utf-8"))
     corrupt(document)
-    path.write_text(json.dumps(document), encoding="utf-8")
+    path.write_text(dumps(document), encoding="utf-8")
     return path
 
 
@@ -776,6 +799,51 @@ def test_corrupt_estimator_state_exits_2(workspace, tmp_path, capsys, case):
     assert str(path) in err
 
 
+def _set_number(*path, value):
+    """A corruption that sets the number at ``path``, or the first number
+    of the (nested) list there."""
+
+    def corrupt(document):
+        *parents, key = path
+        for parent in parents:
+            document = document[parent]
+        while isinstance(document[key], list):
+            document, key = document[key], 0
+        document[key] = value
+
+    return corrupt
+
+
+# (kind, path of a model-file number, what refusing an int there that is
+# beyond the float range names)
+FLOAT_FIELDS = {
+    "means": ("lr", ("standardization", "means"), "field 'means'"),
+    "stds": ("lr", ("standardization", "stds"), "field 'stds'"),
+    **{
+        f"{kind}-{field}": (kind, ("params", "state", field), f"field {field!r}")
+        for kind, fields in (("lr", ["W", "b"]), ("mlp", ["W1", "b1", "W2", "b2"]))
+        for field in fields
+    },
+    "knn-X": ("knn", ("params", "state", "X"), "X contains non-finite values"),
+    "dt-threshold": ("dt", ("params", "state", "tree", "threshold"), "threshold"),
+    "rf-threshold": ("rf", ("params", "state", "trees", 0, "tree", "threshold"), "threshold"),
+}
+BEYOND_FLOAT = {"int-1e400": 10**400, "literal-1e999": literal("1e999")}
+
+
+@pytest.mark.parametrize("number", sorted(BEYOND_FLOAT))
+@pytest.mark.parametrize("case", sorted(FLOAT_FIELDS))
+def test_model_number_beyond_the_float_range_exits_2(workspace, tmp_path, capsys, case, number):
+    kind, path, named = FLOAT_FIELDS[case]
+    corrupt = _set_number(*path, value=BEYOND_FLOAT[number])
+    model = corrupted_model(workspace, tmp_path, kind, corrupt)
+    rc, err = recommend_exit(workspace, model, capsys)
+    assert rc == 2
+    assert f"{model}: " in err
+    # the decoder refuses the literal before any field is read
+    assert (named if number == "int-1e400" else "number 1e999 is beyond the float range") in err
+
+
 @pytest.fixture(scope="module")
 def saved_models(workspace, tmp_path_factory):
     """The directory and decoded JSON of one trained model file per kind."""
@@ -787,7 +855,8 @@ def saved_models(workspace, tmp_path_factory):
     return root, documents
 
 
-# values that no hyperparameter takes: the wrong type, negative, NaN, infinite
+# values that no hyperparameter takes: the wrong type, negative, NaN,
+# infinite, or a number literal beyond the float range
 NEVER_VALID = st.one_of(
     st.text("abcsx0 ", max_size=5).filter(lambda text: text not in ("sqrt", "gini")),
     st.lists(st.integers(0, 3), max_size=2),
@@ -795,6 +864,7 @@ NEVER_VALID = st.one_of(
     st.integers(max_value=-1),
     st.floats(max_value=-1e-3),
     st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from([-(10**400), literal("1e999"), literal("-1e999"), literal("[1e999]")]),
 )
 REAL_HYPERPARAMS = {"l2", "learning_rate", "momentum"}
 OPTIONAL_HYPERPARAMS = {"max_depth", "max_features"}
@@ -807,7 +877,9 @@ def invalid_values(name):
         options.append(st.booleans())
     if name not in OPTIONAL_HYPERPARAMS:
         options.append(st.none())
-    if name not in REAL_HYPERPARAMS:
+    if name in REAL_HYPERPARAMS:
+        options.append(st.just(10**400))  # an int beyond the float range
+    else:
         options.append(st.floats(1e-3, 1e6).filter(lambda value: not value.is_integer()))
     return st.one_of(options)
 
@@ -825,7 +897,7 @@ def test_invalid_hyperparameter_in_model_file_exits_2(workspace, saved_models, c
     document = json.loads(json.dumps(documents[kind]))
     document["hyperparams"][name] = data.draw(invalid_values(name), label=name)
     path = root / "invalid.json"
-    path.write_text(json.dumps(document), encoding="utf-8")
+    path.write_text(dumps(document), encoding="utf-8")
     argv = ["recommend", "--model-file", str(path), "--features", str(workspace["features"])]
     with contextlib.redirect_stderr(io.StringIO()) as err:
         rc = cli.main(argv)
@@ -1149,6 +1221,7 @@ BAD_VALUES = {
     "string": "x",
     "list": [],
     "object": {},
+    "1e999": literal("1e999"),
 }
 
 # Fields of a stored record, each with the kinds of BAD_VALUES it accepts;
@@ -1203,7 +1276,7 @@ def test_malformed_stored_record_exits_2(workspace, tmp_path, capsys, kind, path
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = BAD_VALUES[value]
-    lines[1] = json.dumps(record)
+    lines[1] = dumps(record)
     broken = tmp_path / workspace[kind].name
     broken.write_text("\n".join(lines) + "\n", encoding="utf-8")
     if kind == "labels":

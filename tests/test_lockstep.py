@@ -4,8 +4,9 @@
 and ``_candidate_columns`` that fitted one tree at a time, and
 ``reference_forest`` the forest loop that fitted its trees one by one.  The
 lockstep grower must give the same nodes and bit-equal importances on
-tie-heavy inputs, and must fit and save trees far deeper than Python's
-recursion limit.  ``fit_forests`` must give every forest of a mixed batch
+tie-heavy inputs, and must fit trees far deeper than Python's recursion
+limit and restore them from their state; ``train`` writes no model file
+too deep for the JSON decoder to load.  ``fit_forests`` must give every forest of a mixed batch
 the same bits as a fit on its own, whatever the caps.  ``walk_predict``
 walks a tree's nested dict one row at a time; ``predict`` of fitted and of
 loaded trees and forests must equal it.
@@ -15,21 +16,19 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_dumps
 from sca_reco import cli
 from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, fit_forests, forest
 from sca_reco.estimators.base import check_X_y
 from sca_reco.estimators.tree import _class_sum
-from sca_reco.features import PreferenceDataset
-from sca_reco.recommend import MODEL_FILE_VERSION, ModelKind, train
+from sca_reco.recommend import RecommendationModel
 from sca_reco.rng import derive_seed
 
 
@@ -134,6 +133,11 @@ def reference_forest(
     return trees, importances / n_estimators
 
 
+def rendered(forest) -> list[dict]:
+    """Each tree of a fitted forest as the nested dict of the model file."""
+    return [forest.nodes_.render(t) for t in range(len(forest.nodes_.count))]
+
+
 def bits(array) -> bytes:
     """Exact bytes of a float array, so -0.0 and 0.0 or one ulp differ."""
     return np.ascontiguousarray(array, dtype=np.float64).tobytes()
@@ -210,9 +214,9 @@ def test_forest_matches_tree_by_tree_fit(
     trees, importances = reference_forest(
         X, y, k, n_estimators, width, bootstrap, max_depth, min_split, seed
     )
-    assert [tree.tree_ for tree in forest.trees_] == [tree.tree_ for tree in trees]
-    for tree, reference in zip(forest.trees_, trees):
-        assert bits(tree.feature_importances_) == bits(reference.feature_importances_)
+    assert rendered(forest) == [tree.tree_ for tree in trees]
+    for importances_t, reference in zip(forest.tree_importances_, trees):
+        assert bits(importances_t) == bits(reference.feature_importances_)
     assert bits(forest.feature_importances_) == bits(importances)
 
 
@@ -224,7 +228,7 @@ def test_forest_of_many_classes_matches_on_wide_sums():
     y = rng.integers(0, 9, size=120)
     forest = RandomForestClassifier(n_estimators=30, random_state=7).fit(X, y, n_classes=9)
     trees, importances = reference_forest(X, y, 9, 30, "sqrt", True, None, 2, 7)
-    assert [tree.tree_ for tree in forest.trees_] == [tree.tree_ for tree in trees]
+    assert rendered(forest) == [tree.tree_ for tree in trees]
     assert bits(forest.feature_importances_) == bits(importances)
 
 
@@ -246,7 +250,7 @@ def test_forest_grown_in_small_batches_is_the_same(monkeypatch):
     whole = RandomForestClassifier(n_estimators=7, random_state=1).fit(X, y)
     monkeypatch.setattr(forest, "BATCH_CELLS", 2 * 30 * 4 * 3)  # two trees per lockstep
     batched = RandomForestClassifier(n_estimators=7, random_state=1).fit(X, y)
-    assert [t.tree_ for t in batched.trees_] == [t.tree_ for t in whole.trees_]
+    assert rendered(batched) == rendered(whole)
     assert bits(batched.feature_importances_) == bits(whole.feature_importances_)
 
 
@@ -315,7 +319,7 @@ def test_forest_batch_matches_forests_fitted_alone(batch, shared_trees, lockstep
         )
     assert len(together) == len(alone)
     for shared, single in zip(together, alone):
-        assert [t.tree_ for t in shared.trees_] == [t.tree_ for t in single.trees_]
+        assert rendered(shared) == rendered(single)
         assert bits(shared.tree_importances_) == bits(single.tree_importances_)
         assert bits(shared.feature_importances_) == bits(single.feature_importances_)
         assert (shared.n_classes_, shared.n_features_) == (single.n_classes_, single.n_features_)
@@ -400,48 +404,91 @@ def test_deep_tree_fits_without_recursion():
     while "feature" in node:
         depth, node = depth + 1, node["right"]
     assert depth >= n - 2
-    fresh = DecisionTreeClassifier().load_fitted_state(tree.get_fitted_state())
-    assert (fresh.predict(X) == y).all()
-    probe = np.array([[-1.0], [n + 1.0], [n / 2 + 0.25]])
-    assert (fresh.predict(probe) == tree.predict(probe)).all()
 
 
-def test_deep_tree_model_saves_and_round_trips(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "make",
+    [
+        DecisionTreeClassifier,
+        lambda: RandomForestClassifier(n_estimators=2, max_features=None, bootstrap=False),
+    ],
+    ids=["dt", "rf"],
+)
+def test_deep_tree_state_round_trips_without_json(make):
+    """A state too deep for the JSON decoder still renders and parses: the
+    1,500-level tree loaded from its state predicts as the fitted one."""
     n = 1500
-    dataset = PreferenceDataset(
-        feature_names=("f0",),
-        project_ids=tuple(f"p{i}" for i in range(n)),
-        matrix=np.arange(n, dtype=np.float64)[:, None],
-        label_sets=tuple((("alpha",), ("beta",))[i % 2] for i in range(n)),
-        sca_order=("alpha", "beta"),
+    X = np.arange(n, dtype=np.float64)[:, None]
+    y = np.arange(n) % 2
+    fitted = make().fit(X, y)
+    assert fitted.nodes_.depth.min() >= n - 2
+    loaded = make().load_fitted_state(fitted.get_fitted_state())
+    assert (loaded.nodes_.depth == fitted.nodes_.depth).all()
+    probe = np.vstack([X, [[-1.0], [n + 1.0], [n / 2 + 0.25]]])
+    assert (loaded.predict(probe) == fitted.predict(probe)).all()
+
+
+DEEP_SCAS = ("alpha", "beta")
+
+
+def train_deep_tree(tmp_path, n: int):
+    """``train --model dt`` on ``n`` projects whose one feature orders them
+    and whose best analyzer alternates, so every split of the tree peels
+    off one project; returns the exit code and the paths of the model and
+    the features."""
+    evaluations, features = tmp_path / "evaluations.jsonl", tmp_path / "features.csv"
+    records = [
+        {
+            "project": f"p{i}",
+            "beta": "1",
+            "scores": [
+                {"sca": sca, "tp": int(j == i % 2), "fp": 0, "union_actionable": 1}
+                for j, sca in enumerate(DEEP_SCAS)
+            ],
+            "optimal": [DEEP_SCAS[i % 2]],
+        }
+        for i in range(n)
+    ]
+    evaluations.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    features.write_text(
+        "project,f0\n" + "".join(f"p{i},{i}\n" for i in range(n)), encoding="utf-8"
     )
-    model = train(dataset, ModelKind.DT)
-    path = tmp_path / "deep.json"
-    model.save(path)
-    text = path.read_text(encoding="utf-8")
-    document = {
-        "version": MODEL_FILE_VERSION,
-        "kind": "dt",
-        "hyperparams": model.hyperparams,
-        "feature_names": ["f0"],
-        "standardization": model.scaler.get_fitted_state(),
-        "params": {"classes": ["alpha", "beta"], "state": model.estimator.get_fitted_state()},
-        "seed": 0,
-    }
-    assert text == reference_dumps(document) + "\n"
-    # the decoder recurses, so loading this file fails as bad data naming it
-    assert cli.main(["recommend", "--model-file", str(path), "--features", "unread.csv"]) == 2
-    assert str(path) in capsys.readouterr().err
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(20_000)
-    try:
-        state = json.loads(text)["params"]["state"]
-    finally:
-        sys.setrecursionlimit(limit)
-    loaded = DecisionTreeClassifier().load_fitted_state(state)
-    X = model.scaler.transform(dataset.matrix)
-    assert (loaded.predict(X) == model.estimator.predict(X)).all()
-    assert (loaded.predict(X) == np.arange(n) % 2).all()
+    model = tmp_path / "model.json"
+    argv = ["train", "--evaluations", str(evaluations), "--features", str(features)]
+    return cli.main(argv + ["--model", "dt", "--out", str(model)]), model, features
+
+
+def recommend_lines(model, features, capsys) -> list[str]:
+    capsys.readouterr()
+    assert cli.main(["recommend", "--model-file", str(model), "--features", str(features)]) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+def test_deep_tree_model_loads_or_is_refused(tmp_path, capsys):
+    """Every model file that ``train`` writes, ``recommend`` loads: a tree
+    too deep for the JSON encoder, whose recursion limit the decoder
+    shares, makes ``train`` exit 2 naming ``--out``, and no file is written.
+    At Python's default recursion limit of 1,000 this 1,500-level tree is
+    refused."""
+    n = 1500
+    rc, model, features = train_deep_tree(tmp_path, n)
+    if rc == 2:
+        assert f"{model}: " in capsys.readouterr().err
+        assert not model.exists()
+    else:
+        assert rc == 0
+        expected = [f"p{i}\t{DEEP_SCAS[i % 2]}" for i in range(n)]
+        assert recommend_lines(model, features, capsys) == expected
+
+
+def test_deep_tree_model_of_500_levels_saves_and_loads(tmp_path, capsys):
+    n = 500
+    rc, model, features = train_deep_tree(tmp_path, n)
+    assert rc == 0
+    assert RecommendationModel.load(model).estimator.nodes_.depth[0] >= n - 2
+    # the tree fits every project, so its recommendations are the labels
+    expected = [f"p{i}\t{DEEP_SCAS[i % 2]}" for i in range(n)]
+    assert recommend_lines(model, features, capsys) == expected
 
 
 def walk_predict(root, X):
