@@ -9,7 +9,9 @@ per-split budget, ``max_depth``, ``min_samples_split``) form a run.  A run
 is cut into groups of whole forests whose trees stay within
 ``SHARED_CELLS``, and ``tree.fit_lockstep`` grows the trees of a group side
 by side, one vectorized split search per step across all of them, so small
-forests share the cost of a step.  A forest above ``SHARED_CELLS`` grows
+forests share the cost of a step.  The group's data is stacked once, a
+block per forest, and each tree grows from its sample's row indices into
+it, with no copy of its rows.  A forest above ``SHARED_CELLS`` grows
 alone and whole: at a few hundred rows a lockstep gains nothing from more
 trees, and splitting a forest across locksteps adds steps.  Only a forest
 above ``BATCH_CELLS`` grows in several locksteps, which bounds memory.
@@ -45,7 +47,7 @@ from .tree import TREE_STATE, Nodes, fit_lockstep
 # which bound the memory of its per-step arrays and of the fitted forests a
 # group hands on together: forests grow together only within SHARED_CELLS,
 # and a forest alone above BATCH_CELLS grows in several locksteps
-SHARED_CELLS = 1 << 17
+SHARED_CELLS = 1 << 18
 BATCH_CELLS = 1 << 22
 
 # a saved forest's fitted state; each of its trees is a tree.TREE_STATE
@@ -214,8 +216,8 @@ def _fit_group(group, draws):
     side in locksteps of at most ``BATCH_CELLS`` cells, and yield the
     forests in order."""
     n, d, k, budget, max_depth, min_samples_split = group[0].shape
-    # every tree's sample as rows of the group's stacked X and y
-    X, y = np.concatenate([fit.X for fit in group]), np.concatenate([fit.y for fit in group])
+    # the group's X and y stacked as blocks, and every tree's sample as rows of them
+    X, y = np.stack([fit.X for fit in group]), np.stack([fit.y for fit in group])
     rows = np.concatenate([draws.take(fit.draw) + i * n for i, fit in enumerate(group)])
     seeds = np.concatenate(
         [derive_seeds(fit.draw[0], np.arange(fit.forest.n_estimators), 1) for fit in group]
@@ -223,7 +225,7 @@ def _fit_group(group, draws):
     step = max(1, BATCH_CELLS // (n * d * k))
     grown = [
         fit_lockstep(
-            X[rows[start : start + step]], y[rows[start : start + step]], k,
+            X, y, rows[start : start + step], k,
             seeds[start : start + step], budget, max_depth, min_samples_split,
         )
         for start in range(0, len(rows), step)

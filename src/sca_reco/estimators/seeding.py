@@ -95,8 +95,8 @@ def _seed_words_type() -> type:
     """A seed sequence that hands a bit generator words computed in advance.
 
     The class is made on first use because it subclasses a numpy.random
-    type, and importing numpy.random takes about 5 MB of memory that a run
-    fitting no tree never needs.
+    type, and importing numpy.random adds about 6 MB of resident memory
+    (numpy 2.4, x86-64 Linux) that a run fitting no tree never needs.
     """
 
     class SeedWords(np.random.bit_generator.ISeedSequence):

@@ -11,30 +11,36 @@ the arrays from it.  Both work without recursion, so a deep tree fits,
 renders and parses; the JSON encoder and decoder do recurse, and a model
 file of a tree deeper than their limit is refused when it is written.
 
-``fit_lockstep`` grows a batch of trees at once, each on its own block of
-rows: the single tree of a ``DecisionTreeClassifier``, or the trees of a
-group of equal-shape forests (``forest.fit_forests``).  Each tree keeps its
-own depth-first stack of node ids, pushing the right child before the left,
-so it visits its nodes in preorder.  Every step pops the next node of every
-tree that still has one and searches all of their splits in one vectorized
-pass, which removes the numpy call overhead of many small per-node
-searches.  Row membership is one node id per row, so a popped node's rows
-are those that hold its id, and a split moves its rows to the children's
-ids.  Growing one depth at a time instead would not keep the
-draw order: a right child's draws depend on the size of its left sibling's
-subtree.
+``fit_lockstep`` grows a batch of trees at once, each on its own sample
+rows of one block of data: the single tree of a ``DecisionTreeClassifier``
+on its whole block, or the trees of a group of equal-shape forests
+(``forest.fit_forests``), each forest a block.  No tree copies its rows.
+Each tree keeps its own depth-first stack of node ids, pushing the right
+child before the left, so it visits its nodes in preorder.  Every step pops
+the next node of every tree that still has one and searches all of their
+splits in one vectorized pass, which removes the numpy call overhead of
+many small per-node searches.  Row membership is one node id per row, so a
+popped node's rows are those that hold its id, and a split moves its rows
+to the children's ids.  Growing one depth at a time instead would not keep
+the draw order: a right child's draws depend on the size of its left
+sibling's subtree.
 
 Split search is exact: every candidate feature is scanned at the midpoints
-between consecutive distinct values.  Each tree's columns are sorted once
-(stable argsort), values and labels alike.  A step gathers the members of
-every popped node, in each candidate column's value order, into flat arrays,
-and counts the rows of each class left of every split as differences of
-integer running counts, one class at a time, so the counts are exact.  The
-Gini sums add the class shares in the order of numpy's pairwise sum over a
-class-last axis (``_class_sum``), so they have the bits of a per-node
-search.  A node's class counts come from its parent's split (the left
-child's from the running counts, the right child's as the rest), so only
-the roots are counted from their labels.
+between consecutive distinct values.  Each block's columns are ranked once
+(equal values share a rank), and each tree's columns are sorted once by
+rank, stably, with ranks and labels alike; a threshold is the mean of the
+two float values around it.  Growth keeps ranks, row positions, labels,
+counts and node ids in the smallest integer type that holds them: one byte
+each up to 255 rows and 256 classes (node ids up to 128 rows).  A step
+gathers the members of every popped node, in each candidate column's value
+order, into flat arrays (the root step of a group of forests, where every
+tree pops all of its rows, in parts), and counts the rows of each class
+left of every split as differences of integer running counts, one class at
+a time, so the counts are exact.  The Gini sums add the class shares in the
+order of numpy's pairwise sum over a class-last axis (``_class_sum``), so
+they have the bits of a per-node search.  A node's class counts come from
+its parent's split (the left child's from the running counts, the right
+child's as the rest), so only the roots are counted from their labels.
 Determinism is pinned down to tie level: equal gains go to the earlier
 feature in candidate order, then to the lower threshold; leaf ties go to
 the smallest class index.  Only a node that passes the stop checks (impure,
@@ -87,26 +93,32 @@ class Nodes(NamedTuple):
 
     PER_NODE = ("feature", "threshold", "left", "right", "leaf_class")
 
+    # the types of the feature, child id and leaf class arrays of a fitted
+    # or loaded tree; growth uses the smallest types that hold its values
+    TYPES = (np.int64, np.int64, np.int64)
+
     @classmethod
-    def leaves_only(cls, n_trees: int, capacity: int) -> "Nodes":
+    def leaves_only(cls, n_trees: int, capacity: int, types=TYPES) -> "Nodes":
+        feature, node, leaf_class = types
         ids = np.broadcast_to(np.arange(capacity), (n_trees, capacity))
         return cls(
-            feature=np.full((n_trees, capacity), -1, dtype=np.int64),
+            feature=np.full((n_trees, capacity), -1, dtype=feature),
             threshold=np.zeros((n_trees, capacity)),
-            left=ids.copy(),
-            right=ids.copy(),
-            leaf_class=np.zeros((n_trees, capacity), dtype=np.int64),
+            left=ids.astype(node),
+            right=ids.astype(node),
+            leaf_class=np.zeros((n_trees, capacity), dtype=leaf_class),
             count=np.ones(n_trees, dtype=np.int64),
             depth=np.zeros(n_trees, dtype=np.int64),
         )
 
     @classmethod
-    def stack(cls, parts: list["Nodes"], capacity: int | None = None) -> "Nodes":
-        """The trees of ``parts`` in order, as one set of arrays with room
-        for ``capacity`` nodes a tree, by default for the largest tree."""
+    def stack(cls, parts: list["Nodes"], capacity: int | None = None, types=TYPES) -> "Nodes":
+        """The trees of ``parts`` in order, as one set of arrays of ``types``
+        with room for ``capacity`` nodes a tree, by default for the largest
+        tree."""
         if capacity is None:
             capacity = max(int(part.count.max()) for part in parts)
-        stacked = cls.leaves_only(sum(len(part.count) for part in parts), capacity)
+        stacked = cls.leaves_only(sum(len(part.count) for part in parts), capacity, types)
         start = 0
         for part in parts:
             rows, width = len(part.count), min(part.feature.shape[1], capacity)
@@ -237,10 +249,10 @@ class DecisionTreeClassifier:
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, k = check_X_y(X, y, n_classes)
         nodes, importances = fit_lockstep(
-            X[None], y[None], k, [self.random_state or 0],
+            X[None], y[None], np.arange(len(y))[None], k, [self.random_state or 0],
             self.max_features, self.max_depth, self.min_samples_split,
         )
-        self.nodes_ = nodes
+        self.nodes_ = Nodes.stack([nodes])
         self.n_classes_ = k
         self.n_features_ = X.shape[1]
         self.feature_importances_ = importances[0]
@@ -268,42 +280,52 @@ def _is_index(value, size: int) -> bool:
 
 
 def fit_lockstep(
-    Xt, yt, n_classes: int, random_states, max_features, max_depth, min_samples_split
+    X, y, rows, n_classes: int, random_states, max_features, max_depth, min_samples_split
 ) -> tuple[Nodes, np.ndarray]:
-    """Fit tree ``i`` on the rows ``Xt[i]``, ``yt[i]`` of checked
-    (trees, rows, features) and (trees, rows) blocks, all in one lockstep;
-    return their nodes and their (trees, features) importances.
+    """Fit tree ``i`` on the rows ``rows[i]`` of checked (blocks, rows,
+    features) and (blocks, rows) arrays, all in one lockstep; return their
+    nodes, in growth's narrow types (``Nodes.stack`` makes the int64 arrays
+    of a fitted tree), and their (trees, features) importances.
 
+    ``rows`` (trees, rows) indexes the rows of all blocks in order, and each
+    tree's rows lie in one block: a forest's block and its trees' samples.
     Tree ``i`` draws from the stream of ``derive_seed(random_states[i])``.
     Every tree comes out as if fitted alone, so the batch never changes a
     model.  The per-step arrays grow with trees x rows x features x classes,
     so a caller that fits many trees bounds that product.
     """
-    d = Xt.shape[2]
+    d = X.shape[2]
     draws = max_features is not None and max_features < d
     permutations = (
         _Permutations(pcg64_generators(derive_seeds(random_states)), d) if draws else None
     )
     return _grow_lockstep(
-        Xt, yt, n_classes, permutations, max_features if draws else d, max_depth, min_samples_split
+        X, y, rows, n_classes, permutations, max_features if draws else d,
+        max_depth, min_samples_split,
     )
 
 
 class _Permutations:
     """Each tree's ``permutation(d)`` draws in stream order, drawn ahead
-    ``PERMUTATION_BLOCK`` at a time."""
+    ``PERMUTATION_BLOCK`` at a time.
+
+    The blocks stay int64: ``Generator.permuted`` shuffles 8-byte items on
+    a fast path, and a block of a narrower type takes about a quarter
+    longer to draw.
+    """
 
     def __init__(self, rngs, d: int):
         self.rngs = rngs
         self.identity = np.broadcast_to(np.arange(d), (PERMUTATION_BLOCK, d))
         self.drawn = np.empty((len(rngs), PERMUTATION_BLOCK, d), dtype=np.int64)
+        self.outs = list(self.drawn)  # each tree's block, the ``out`` of its draws
         self.used = np.full(len(rngs), PERMUTATION_BLOCK)
 
     def next(self, trees: np.ndarray) -> np.ndarray:
         """The next permutation of each of ``trees`` (distinct tree ids)."""
         spent = trees[self.used[trees] == PERMUTATION_BLOCK]
         for t in spent.tolist():
-            self.rngs[t].permuted(self.identity, axis=1, out=self.drawn[t])
+            self.rngs[t].permuted(self.identity, axis=1, out=self.outs[t])
         self.used[spent] = 0
         orders = self.drawn[trees, self.used[trees]]
         self.used[trees] += 1
@@ -312,44 +334,74 @@ class _Permutations:
 
 class _Presorted(NamedTuple):
     """Each tree's columns in value order (stable argsort), as (trees,
-    features, rows) arrays: the values, the labels, and each row's index
-    into the raveled (trees, rows) row arrays."""
+    features, rows) arrays: the values' ranks within their block, the
+    labels, and each member's position in its tree's rows.
 
-    x: np.ndarray  # float64
-    y: np.ndarray  # the smallest integer type that holds the classes
-    key: np.ndarray  # int32: a lockstep holds fewer than 2**31 rows (16 GiB a float64 column)
+    Equal values share a rank and ranks keep the values' order, so ranks
+    order and compare members as their values do.  A block of at most 256
+    rows keeps its ranks and positions as uint8.
+    """
+
+    rank: np.ndarray  # the smallest unsigned type that holds a position
+    y: np.ndarray  # the smallest unsigned type that holds a class
+    key: np.ndarray  # the type of ``rank``
 
     @classmethod
-    def of(cls, Xt, yt, k: int) -> "_Presorted":
-        n_trees, n_rows, _ = Xt.shape
-        columns = Xt.transpose(0, 2, 1)
-        key = np.argsort(columns, axis=2, kind="stable")
-        x = np.take_along_axis(columns, key, axis=2)
-        key = (key + (np.arange(n_trees) * n_rows)[:, None, None]).astype(np.int32)
-        return cls(x=x, y=yt.astype(np.min_scalar_type(k - 1)).ravel()[key], key=key)
+    def of(cls, X, y, rows, k: int) -> "_Presorted":
+        n_rows, d = X.shape[1:]
+        position = np.min_scalar_type(n_rows - 1)
+        order = np.argsort(X, axis=1, kind="stable")
+        ordered = np.take_along_axis(X, order, axis=1)
+        rises = np.zeros(X.shape, dtype=position)
+        np.cumsum(ordered[:, 1:] > ordered[:, :-1], axis=1, dtype=position, out=rises[:, 1:])
+        ranks = np.empty_like(rises)
+        np.put_along_axis(ranks, order, rises, axis=1)
+        # each member as its rank and its position packed into one integer:
+        # the packed values are distinct, and their sort is the stable sort
+        # of the ranks
+        bits = max(1, (n_rows - 1).bit_length())
+        packed = ranks.reshape(-1, d)[rows].transpose(0, 2, 1)
+        packed = packed.astype(np.min_scalar_type((1 << 2 * bits) - 1), order="C")
+        packed <<= bits
+        packed |= np.arange(n_rows, dtype=packed.dtype)
+        packed.sort(axis=2)
+        key = (packed & ((1 << bits) - 1)).astype(position)
+        packed >>= bits
+        labels = y.astype(np.min_scalar_type(k - 1)).reshape(-1)[rows]
+        return cls(
+            rank=packed.astype(position),
+            y=labels[np.arange(len(rows))[:, None, None], key],
+            key=key,
+        )
 
 
-def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split):
-    """Grow one tree per leading row of ``Xt`` (trees, rows, features) and
-    ``yt`` (trees, rows); returns their nodes and importances.
+def _grow_lockstep(X, y, rows, k, permutations, budget, max_depth, min_samples_split):
+    """Grow one tree per row of ``rows`` over the blocks ``X`` (blocks,
+    rows, features) and ``y`` (blocks, rows); returns their nodes and
+    importances.
 
     ``permutations`` gives each popped node its column order, or is None
     when every node examines all columns in order.
     """
-    n_trees, n_rows, d = Xt.shape
-    presorted = _Presorted.of(Xt, yt, k)
+    n_trees, n_rows = rows.shape
+    n_blocks, _, d = X.shape
+    presorted = _Presorted.of(X, y, rows, k)
+    X = X.reshape(-1, d)
     importances = np.zeros((n_trees, d))
-    # n_rows rows split at most n_rows - 1 times, into at most 2 * n_rows - 1 nodes
-    nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1))
-    node_depth = np.zeros_like(nodes.feature)
-    node_of_row = np.zeros((n_trees, n_rows), dtype=np.int32)  # ids stay below 2 * n_rows
+    # n_rows rows split at most n_rows - 1 times, into at most 2 * n_rows - 1
+    # nodes; each array takes the smallest type that holds its values
+    node_id, row_count = np.min_scalar_type(2 * n_rows - 2), np.min_scalar_type(n_rows)
+    types = (np.min_scalar_type(-d), node_id, np.min_scalar_type(k - 1))
+    nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1), types)
+    node_depth = np.zeros_like(nodes.left)
+    node_of_row = np.zeros((n_trees, n_rows), dtype=node_id)
     # per tree, the ids of nodes that passed the stop checks and wait for a
     # split, with their class counts, sizes and Gini impurities; they hold
     # disjoint rows, at least two each
     room = n_rows // 2 + 1
-    stack = np.empty((n_trees, room), dtype=np.int64)
-    stack_counts = np.empty((k, n_trees, room), dtype=np.int64)
-    stack_sizes = np.empty((n_trees, room), dtype=np.int64)
+    stack = np.empty((n_trees, room), dtype=node_id)
+    stack_counts = np.empty((k, n_trees, room), dtype=row_count)
+    stack_sizes = np.empty((n_trees, room), dtype=row_count)
     stack_gini = np.empty((n_trees, room))
     height = np.zeros(n_trees, dtype=np.int64)
 
@@ -376,54 +428,68 @@ def _grow_lockstep(Xt, yt, k, permutations, budget, max_depth, min_samples_split
     settle(
         np.arange(n_trees),
         np.zeros(n_trees, dtype=np.int64),
-        (yt == np.arange(k)[:, None, None]).sum(axis=2),
+        (presorted.y[:, 0] == np.arange(k)[:, None, None]).sum(axis=2),
         np.full(n_trees, n_rows),
     )
+    # the flat arrays of a split search hold each popped node's rows once
+    # per column it examines.  At the root step every tree pops all of its
+    # rows, so a lockstep of several blocks (a group of forests) searches
+    # that step in ``budget`` parts, each of about as many members as the
+    # lockstep has rows.  One block's root step is searched whole, as a
+    # forest alone always was: a part costs about as much as a step.
+    parts = budget if n_blocks > 1 else 1
     while True:
-        trees = np.flatnonzero(height)
-        if not trees.size:
+        popped = np.flatnonzero(height)
+        if not popped.size:
             break
-        height[trees] -= 1
-        slot = height[trees]
-        ids = stack[trees, slot]
-        masks = node_of_row[trees] == ids[:, None]
-        members = node_of_row.ravel()[presorted.key[trees]] == ids[:, None, None]
-        if permutations is not None:  # one draw per popped node, from its own tree's stream
-            orders = permutations.next(trees)
-        else:
-            orders = np.broadcast_to(np.arange(d), (trees.size, d))
-        columns, n_columns = _candidate_columns(presorted.x[trees], members, orders, budget)
-        splits = np.flatnonzero(n_columns)  # the others stay leaves
-        if not splits.size:
-            continue
-        trees, ids, masks, slot = trees[splits], ids[splits], masks[splits], slot[splits]
-        counts, sizes = stack_counts[:, trees, slot], stack_sizes[trees, slot]
-        feature, threshold, gain, goes_left, left_sizes, left_counts = _best_splits(
-            presorted, Xt, trees, masks, members[splits], columns[splits], n_columns[splits],
-            counts, sizes, stack_gini[trees, slot],
-        )
-        importances[trees, feature] += (sizes / n_rows) * gain
-        left = nodes.count[trees]
-        right = left + 1
-        if right.max() >= nodes.feature.shape[1]:
-            nodes = Nodes.stack([nodes], 2 * nodes.feature.shape[1])
-            node_depth = np.concatenate([node_depth, np.zeros_like(node_depth)], axis=1)
-        nodes.count[trees] += 2
-        nodes.feature[trees, ids] = feature
-        nodes.threshold[trees, ids] = threshold
-        nodes.left[trees, ids] = left
-        nodes.right[trees, ids] = right
-        node_depth[trees, left] = node_depth[trees, right] = node_depth[trees, ids] + 1
-        node_of_row[trees] = np.where(
-            masks, np.where(goes_left, left[:, None], right[:, None]), node_of_row[trees]
-        )
-        # right before left, so that each tree pops its left child first
-        settle(
-            np.repeat(trees, 2),
-            np.stack([right, left], axis=1).ravel(),
-            np.stack([counts - left_counts, left_counts], axis=2).reshape(k, -1),
-            np.stack([sizes - left_sizes, left_sizes], axis=1).ravel(),
-        )
+        height[popped] -= 1
+        size = -(-popped.size // parts)
+        for start in range(0, popped.size, size):
+            trees = popped[start : start + size]
+            slot = height[trees]
+            ids = stack[trees, slot]
+            masks = node_of_row[trees] == ids[:, None]
+            # each column's rows in value order, as indices into the raveled masks
+            members = masks.ravel()[
+                presorted.key[trees] + (np.arange(trees.size) * n_rows)[:, None, None]
+            ]
+            if permutations is not None:  # one draw per popped node, from its own tree's stream
+                orders = permutations.next(trees)
+            else:
+                orders = np.broadcast_to(np.arange(d), (trees.size, d))
+            columns, n_columns = _candidate_columns(presorted.rank, trees, members, orders, budget)
+            splits = np.flatnonzero(n_columns)  # the others stay leaves
+            if not splits.size:
+                continue
+            trees, ids, masks, slot = trees[splits], ids[splits], masks[splits], slot[splits]
+            counts, sizes = stack_counts[:, trees, slot], stack_sizes[trees, slot].astype(np.int64)
+            feature, threshold, gain, goes_left, left_sizes, left_counts = _best_splits(
+                presorted, X, rows, trees, masks, members[splits], columns[splits],
+                n_columns[splits], counts, sizes, stack_gini[trees, slot],
+            )
+            importances[trees, feature] += (sizes / n_rows) * gain
+            left = nodes.count[trees]
+            right = left + 1
+            if right.max() >= nodes.feature.shape[1]:
+                nodes = Nodes.stack([nodes], 2 * nodes.feature.shape[1], types)
+                node_depth = np.concatenate([node_depth, np.zeros_like(node_depth)], axis=1)
+            nodes.count[trees] += 2
+            nodes.feature[trees, ids] = feature
+            nodes.threshold[trees, ids] = threshold
+            nodes.left[trees, ids] = left
+            nodes.right[trees, ids] = right
+            node_depth[trees, left] = node_depth[trees, right] = node_depth[trees, ids] + 1
+            node_of_row[trees] = np.where(
+                masks, np.where(goes_left, left[:, None], right[:, None]), node_of_row[trees]
+            )
+            # right before left, so that each tree pops its left child first
+            settle(
+                np.repeat(trees, 2),
+                np.stack([right, left], axis=1).ravel(),
+                np.stack([counts - left_counts, left_counts], axis=2).reshape(k, -1),
+                np.stack([sizes - left_sizes, left_sizes], axis=1).ravel(),
+            )
+        parts = 1
     return nodes._replace(depth=node_depth.max(axis=1)), importances
 
 
@@ -459,19 +525,21 @@ def _gini(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return 1.0 - _class_sum(np.square(shares, out=shares))
 
 
-def _candidate_columns(xs, members, orders, budget: int):
+def _candidate_columns(rank, trees, members, orders, budget: int):
     """Each node's first ``budget`` non-constant columns in ``orders``.
 
-    ``xs`` holds each node's tree's columns in value order and ``members``
-    marks the node's rows in them, both (nodes, features, rows), so a column
-    varies when its first and last members differ.  Returns (nodes, width)
-    column ids, left-aligned, and how many of each row are real; the rest
-    of a row is padding.
+    ``rank`` holds each tree's columns in value order, and ``members``
+    (nodes, features, rows) marks the rows of each node of ``trees`` in
+    them, so a column varies when its first and last members differ.
+    Returns (nodes, width) column ids, left-aligned, and how many of each
+    row are real; the rest of a row is padding.
     """
-    lowest = members.argmax(axis=2)[..., None]
-    highest = members.shape[2] - 1 - members[..., ::-1].argmax(axis=2)[..., None]
-    varies = (np.take_along_axis(xs, lowest, 2) < np.take_along_axis(xs, highest, 2))[..., 0]
-    rows = np.arange(len(orders))[:, None]
+    n_nodes, d, n_rows = members.shape
+    start = (trees[:, None] * d + np.arange(d)) * n_rows  # each column's start in ``rank``
+    lowest = start + members.argmax(axis=2)
+    highest = start + n_rows - 1 - members[..., ::-1].argmax(axis=2)
+    varies = rank.ravel()[lowest] < rank.ravel()[highest]
+    rows = np.arange(n_nodes)[:, None]
     ordered = varies[rows, orders]
     chosen = ordered & (np.cumsum(ordered, axis=1) <= budget)
     n_chosen = chosen.sum(axis=1)
@@ -479,7 +547,9 @@ def _candidate_columns(xs, members, orders, budget: int):
     return orders[rows, front], n_chosen
 
 
-def _best_splits(presorted, Xt, trees, masks, members, columns, n_columns, counts, sizes, gini):
+def _best_splits(
+    presorted, X, rows, trees, masks, members, columns, n_columns, counts, sizes, gini
+):
     """Each node's best split over its columns, and its left child.
 
     Returns the (feature, threshold, gain) of each node, which of its
@@ -487,12 +557,13 @@ def _best_splits(presorted, Xt, trees, masks, members, columns, n_columns, count
     class counts.  The members of each (node, real column) pair are taken
     in the column's value order, pair after pair, into flat arrays; a split
     may follow any member whose successor in the pair has a larger value.
+    Its threshold is the mean of those two members' values in ``X``.
     Class counts left of a split are differences of integer running counts
     per class, so they are exact, and the Gini sums add the classes in the
     order of a class-last sum (``_class_sum``).  Ties break to the earlier
     column in ``columns`` and then to the lower split position.
     """
-    _, d, n_rows = presorted.x.shape
+    _, d, n_rows = presorted.rank.shape
     n_nodes, width = columns.shape
     node = np.repeat(np.arange(n_nodes), n_columns)
     column = columns[np.arange(width) < n_columns[:, None]]
@@ -501,14 +572,18 @@ def _best_splits(presorted, Xt, trees, masks, members, columns, n_columns, count
     first = np.cumsum(length) - length  # each pair's first member in the flat arrays
     taken = np.flatnonzero(members[node, column])
     taken += np.repeat((pair - np.arange(pair.size)) * n_rows, length)
-    xs, ys = presorted.x.ravel()[taken], presorted.y.ravel()[taken]
+    ranks, ys = presorted.rank.ravel()[taken], presorted.y.ravel()[taken]
     owner = np.repeat(np.arange(pair.size), length)
     # the splits, each after a member; every node has at least one
-    after = np.flatnonzero((xs[1:] > xs[:-1]) & (owner[1:] == owner[:-1]))
+    after = np.flatnonzero((ranks[1:] > ranks[:-1]) & (owner[1:] == owner[:-1]))
     after_pair = owner[after]
     after_node = node[after_pair]
-    running = np.zeros((len(counts), xs.size + 1), dtype=np.int64)
-    np.cumsum(ys == np.arange(len(counts))[:, None], axis=1, out=running[:, 1:])
+    # each class's running count of the members before each position; int32,
+    # as a step holds fewer than 2**31 members (16 GiB of float64 X a tree)
+    running = np.empty((len(counts), ys.size + 1), dtype=np.int32)
+    running[:, 0] = 0
+    np.equal(ys, np.arange(len(counts))[:, None], out=running[:, 1:], casting="unsafe")
+    np.cumsum(running[:, 1:], axis=1, out=running[:, 1:])
     left = running.take(after + 1, axis=1) - running.take(first[after_pair], axis=1)
     n_left = after + 1 - first[after_pair]
     n_right = sizes[after_node] - n_left
@@ -521,9 +596,12 @@ def _best_splits(presorted, Xt, trees, masks, members, columns, n_columns, count
     best = gains == np.maximum.reduceat(gains, starts)[after_node]
     pick = np.minimum.reduceat(np.where(best, np.arange(after.size), after.size), starts)
     split, chosen = after[pick], after_pair[pick]
-    threshold = (xs[split] + xs[split + 1]) / 2.0
     feature = column[chosen]
-    goes_left = Xt[trees, :, feature] <= threshold[:, None]
+    # each node's tree's rows at its feature, and the two members around its split
+    values = X.ravel()[rows[trees] * X.shape[1] + feature[:, None]]
+    below, above = presorted.key.ravel()[taken[split]], presorted.key.ravel()[taken[split + 1]]
+    threshold = (values[np.arange(n_nodes), below] + values[np.arange(n_nodes), above]) / 2.0
+    goes_left = values <= threshold[:, None]
     # the left child: a prefix of the chosen pair's members
     left_sizes = np.count_nonzero(masks & goes_left, axis=1)
     start = first[chosen]

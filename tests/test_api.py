@@ -1,6 +1,7 @@
 """Every exported name resolves, so a removed function leaves no dangling
-export; importing the package or its corpus generator loads no numpy; and
-the README's library snippet runs."""
+export; importing the package or its corpus generator loads no numpy, and a
+flow that fits no tree loads no numpy.random; and the README's library
+snippet runs."""
 
 from __future__ import annotations
 
@@ -30,16 +31,52 @@ def test_unknown_attribute_raises():
 
 @pytest.mark.parametrize("module_name", ["sca_reco", "sca_reco.synth"])
 def test_import_loads_no_numpy(module_name):
+    result = run_probe(f"import sys, {module_name}; assert 'numpy' not in sys.modules")
+    assert result.returncode == 0, result.stderr
+
+
+def run_probe(probe: str, *args: str, timeout: int = 60) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's package."""
     source_root = str(Path(sca_reco.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    probe = f"import sys, {module_name}; assert 'numpy' not in sys.modules"
-    result = subprocess.run(
-        [sys.executable, "-c", probe],
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        timeout=60,
+        timeout=timeout,
     )
+
+
+LR_FLOW_PROBE = """
+import sys
+from pathlib import Path
+from sca_reco import cli
+from sca_reco.synth import SynthConfig, generate_corpus
+
+root = Path(sys.argv[1])
+corpus, out = root / "corpus", root / "out"
+out.mkdir()
+generate_corpus(SynthConfig(n_projects=10, files_per_project=4), corpus)
+labels, features = str(out / "labels.jsonl"), str(corpus / "features.csv")
+evaluations = str(out / "eval" / "evaluations.jsonl")
+dataset = ["--evaluations", evaluations, "--features", features, "--model", "lr"]
+for argv in [
+    ["label", "--corpus", str(corpus), "--out", labels],
+    ["evaluate", "--corpus", str(corpus), "--labels", labels, "--out-dir", str(out / "eval")],
+    ["mine", *dataset, "--out-dir", str(out / "mine"), "--footprints"],
+    ["train", *dataset, "--cv-folds", "10", "--out", str(out / "model.json")],
+    ["recommend", "--model-file", str(out / "model.json"), "--features", features],
+    ["sweep", *dataset, "--betas", "0,1,inf", "--out", str(out / "sweep.tsv")],
+]:
+    assert cli.main(argv) == 0, argv
+assert "numpy.random" not in sys.modules, "the lr flow imported numpy.random"
+"""
+
+
+def test_lr_flow_loads_no_numpy_random(tmp_path):
+    # numpy.random costs about 6 MB of memory, and only tree fits draw from it
+    result = run_probe(LR_FLOW_PROBE, str(tmp_path), timeout=300)
     assert result.returncode == 0, result.stderr
 
 

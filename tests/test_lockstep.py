@@ -232,6 +232,48 @@ def test_forest_of_many_classes_matches_on_wide_sums():
     assert bits(forest.feature_importances_) == bits(importances)
 
 
+# (rows, features, classes) on both sides of each limit of the types that
+# growth narrows: node ids fit uint8 up to 128 rows (a row a class, so each
+# tree has all 2 * rows - 1 nodes), row counts up to 255 rows, value ranks
+# and row positions up to 256; labels up to 256 classes; and feature ids
+# fit int8 up to 128 features (only the last feature varies there, so every
+# split takes the largest id)
+NARROWED_TYPE_LIMITS = [
+    (128, 3, 128), (129, 3, 129), (255, 3, 3), (256, 3, 3), (257, 3, 3),
+    (257, 2, 256), (257, 2, 257), (20, 128, 3), (20, 129, 3),
+]
+
+
+@pytest.mark.parametrize("n, d, k", NARROWED_TYPE_LIMITS)
+def test_fits_match_on_both_sides_of_each_narrowed_type(n, d, k, monkeypatch):
+    rng = np.random.default_rng(n * d * k)
+    X = rng.permutation(n * d).reshape(n, d) / 8.0  # every value distinct
+    if d > 3:
+        X[:, :-1] = 0.0
+    y = (np.arange(n) if k > 3 else rng.integers(0, k, size=n)) % k
+    per_split = max(1, int(math.sqrt(d)))
+    tree = DecisionTreeClassifier(max_features=per_split, random_state=n).fit(X, y, n_classes=k)
+    reference = RecursiveTree(max_features=per_split, random_state=n).fit(X, y, n_classes=k)
+    assert tree.tree_ == reference.tree_
+    assert bits(tree.feature_importances_) == bits(reference.feature_importances_)
+    alone = [
+        RandomForestClassifier(n_estimators=3, random_state=n).fit(data, y, n_classes=k)
+        for data in (X, 2.0 - X)
+    ]
+    trees, importances = reference_forest(X, y, k, 3, "sqrt", True, None, 2, n)
+    assert rendered(alone[0]) == [tree.tree_ for tree in trees]
+    assert bits(alone[0].feature_importances_) == bits(importances)
+    # both forests share one lockstep, and each comes out as if fitted alone
+    monkeypatch.setattr(forest, "SHARED_CELLS", forest.BATCH_CELLS)
+    together = fit_forests(
+        [RandomForestClassifier(n_estimators=3, random_state=n) for _ in alone],
+        [X, 2.0 - X], [y, y], [k, k],
+    )
+    for shared, single in zip(together, alone, strict=True):
+        assert rendered(shared) == rendered(single)
+        assert bits(shared.tree_importances_) == bits(single.tree_importances_)
+
+
 def test_class_sum_has_the_bits_of_numpy_sum_over_the_last_axis():
     # the split search adds class planes; numpy's sum over a class-last axis
     # is pairwise from 8 terms, so a running sum over 8 or more planes differs
@@ -338,9 +380,9 @@ def test_rfe_cv_shaped_batch_draws_each_bootstrap_once(monkeypatch):
         bootstraps.append(len(seeds))
         return original_integers(seeds, n)
 
-    def counted_lockstep(Xt, *args):
-        locksteps.append(Xt.shape)
-        return original_lockstep(Xt, *args)
+    def counted_lockstep(X, y, rows, *args):
+        locksteps.append((*rows.shape, X.shape[2]))  # (trees, rows, features)
+        return original_lockstep(X, y, rows, *args)
 
     monkeypatch.setattr(forest, "pcg64_integers", counted_integers)
     monkeypatch.setattr(forest, "fit_lockstep", counted_lockstep)
@@ -362,21 +404,21 @@ def test_rfe_cv_shaped_batch_draws_each_bootstrap_once(monkeypatch):
     assert locksteps == [(80, 21, size) for size in range(8, 0, -1)]
 
 
-def test_forest_batch_memory_is_bounded_by_a_group():
+def batch_peak_and_locksteps(monkeypatch) -> tuple[int, int]:
     """Peak traced memory of 37 default forests fitted in one batch at
-    21 rows x 8 features x 3 classes, with each forest dropped as it comes.
+    21 rows x 8 features x 3 classes, with each forest dropped as it comes,
+    and the number of locksteps that grow them."""
+    locksteps = []
+    original = forest.fit_lockstep
 
-    At ``SHARED_CELLS = 1 << 17`` (two forests a lockstep) the peak
-    measured 2.59 MB (numpy 2, x86-64 Linux); the bound is that plus about
-    20 %.  Growing the whole batch in one lockstep peaked at 43.5 MB, a cap
-    of ``1 << 18`` at 6.0 MB, and holding every fitted forest until the
-    batch ends at 5.5 MB, so each of those fails here.  numpy reports its
-    array buffers to tracemalloc, so the peak counts the lockstep's arrays
-    and the fitted node arrays.
-    """
+    def counted(*args):
+        locksteps.append(None)
+        return original(*args)
+
     rng = np.random.default_rng(7)
     X, y = rng.normal(size=(21, 8)), np.arange(21) % 3
     RandomForestClassifier(n_estimators=2).fit(X, y)  # import numpy.random before measuring
+    monkeypatch.setattr(forest, "fit_lockstep", counted)
     tracemalloc.start()
     try:
         for _ in fit_forests(
@@ -389,6 +431,31 @@ def test_forest_batch_memory_is_bounded_by_a_group():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, len(locksteps)
+
+
+def test_forest_batch_memory_is_bounded_by_a_group(monkeypatch):
+    """At ``SHARED_CELLS = 1 << 18`` (five forests a lockstep, 8 locksteps)
+    the peak of ``batch_peak_and_locksteps`` measured 2.97 MB (numpy 2.4,
+    x86-64 Linux); the bound is 3.1 MiB.  Before growth narrowed its arrays
+    and searched the root step in parts, the peak was 2.69 MB at
+    ``1 << 17`` and 6.50 MB at ``1 << 18``.  A cap of ``1 << 19`` peaks at
+    5.78 MB, growing the whole batch in one lockstep more still, and holding
+    every fitted forest until the batch ends 5.63 MB, so each of those
+    would fail here.  numpy reports its array buffers to
+    tracemalloc, so the peak counts the lockstep's arrays and the fitted
+    node arrays.
+    """
+    peak, locksteps = batch_peak_and_locksteps(monkeypatch)
+    assert locksteps == 8
+    assert peak <= 3.1 * 2**20
+
+
+def test_forest_batch_at_half_the_cap_takes_19_locksteps(monkeypatch):
+    # two forests a lockstep; the peak measured 1.32 MB
+    monkeypatch.setattr(forest, "SHARED_CELLS", 1 << 17)
+    peak, locksteps = batch_peak_and_locksteps(monkeypatch)
+    assert locksteps == 19
     assert peak <= 3.1 * 2**20
 
 

@@ -252,9 +252,9 @@ def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
     fits = []
     original = forest.fit_lockstep
 
-    def counted(Xt, *args):
-        fits.append(Xt.shape[1])
-        return original(Xt, *args)
+    def counted(X, y, rows, *args):
+        fits.append(rows.shape[1])
+        return original(X, y, rows, *args)
 
     monkeypatch.setattr(forest, "fit_lockstep", counted)
     dataset = two_class_dataset()
