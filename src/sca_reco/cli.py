@@ -113,15 +113,15 @@ def _cmd_evaluate(args) -> int:
 
 def _load_dataset(args):
     """The dataset of ``--evaluations`` and ``--features``, with the stored
-    evaluations and feature vectors it joins.  A check that spans the
+    evaluations and feature table it joins.  A check that spans the
     evaluation records names the evaluations file."""
     evaluations = read_evaluations(args.evaluations)
-    vectors = load_features(args.features)
+    table = load_features(args.features)
     try:
-        dataset = dataset_from_evaluations(vectors, evaluations)
+        dataset = dataset_from_evaluations(table, evaluations)
     except DataError as exc:
         raise type(exc)(f"{args.evaluations}: {exc}") from exc
-    return dataset, evaluations, vectors
+    return dataset, evaluations, table
 
 
 def _naming_features_file(command):
@@ -167,7 +167,7 @@ def _cmd_train(args) -> int:
         except DataError as exc:
             raise type(exc)(f"{args.feature_list}: {exc}") from exc
     if args.cv_folds is not None:
-        check_folds(args.cv_folds)
+        check_folds(args.cv_folds, dataset.n_projects)
     model = train(dataset, kind, seed=args.seed)
     model.save(args.out)
     print(
@@ -184,19 +184,17 @@ def _cmd_train(args) -> int:
 
 def _cmd_recommend(args) -> int:
     model = RecommendationModel.load(args.model_file)
-    vectors = load_features(args.features)
+    table = load_features(args.features)
     if args.project is not None:
-        vectors = [v for v in vectors if v.project_id == args.project]
-        if not vectors:
+        if args.project not in table.project_ids:
             raise DataError(f"project {args.project!r} is not in the feature table")
-    lines = []
-    for vector in vectors:
-        try:
-            lines.append(f"{vector.project_id}\t{model.predict(vector)}")
-        except DataError as exc:
-            raise type(exc)(
-                f"{args.model_file} on {args.features}, project {vector.project_id}: {exc}"
-            ) from exc
+        row = table.project_ids.index(args.project)
+        table = table._replace(project_ids=(args.project,), matrix=table.matrix[row : row + 1])
+    try:
+        recommended = model.predict_table(table)
+    except DataError as exc:
+        raise type(exc)(f"{args.model_file} on {args.features}, {exc}") from exc
+    lines = [f"{project}\t{sca}" for project, sca in zip(table.project_ids, recommended)]
     text = "\n".join(lines) + "\n"
     if args.out:
         write_text(args.out, text)
@@ -209,7 +207,7 @@ def _cmd_baseline(args) -> int:
     evaluations = read_evaluations(args.evaluations)
     if not evaluations:
         raise DataError("no evaluation records")
-    truth = [e.optimal.optimal for e in evaluations]
+    truth = [e.optimal for e in evaluations]
     sca_order = evaluations[0].sca_order()
     print("baseline\tp_micro\tr_micro\tf1_micro")
     if args.fixed:
@@ -229,8 +227,8 @@ def _cmd_sweep(args) -> int:
     betas = [parse_beta(token) for token in args.betas.split(",") if token.strip()]
     if not betas:
         raise ConfigError("--betas lists no values")
-    _, evaluations, vectors = _load_dataset(args)  # checks the records before any fit
-    rows = beta_sweep(evaluations, vectors, kind, betas, folds=args.folds, seed=args.seed)
+    _, evaluations, table = _load_dataset(args)  # checks the records before any fit
+    rows = beta_sweep(evaluations, table, kind, betas, folds=args.folds, seed=args.seed)
     table = sweep_table(rows)
     write_text(args.out, table)
     sys.stdout.write(table)

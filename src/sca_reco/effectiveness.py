@@ -5,6 +5,10 @@ analyzer's warning and resolved to actionable, and as a false positive when
 it resolved to unactionable.  Recall is measured against the union of all
 distinct actionable defects any analyzer found, so analyzers are compared on
 the same denominator.
+
+A ``ProjectEvaluation`` holds its project id and beta once; its scores hold
+only each analyzer's counts and scores, and its optimal set is the tuple of
+analyzers tied at the best score, the first of them the primary label.
 """
 
 from __future__ import annotations
@@ -86,36 +90,20 @@ def per_sca_confusion(result: AlignmentResult, sca: ScaId) -> ConfusionCounts:
 
 @dataclass(frozen=True)
 class EffectivenessScore:
-    project_id: str
+    """One analyzer's counts and scores; the project and beta they belong
+    to are held once, by the ``ProjectEvaluation`` that lists them."""
+
     sca: ScaId
     counts: ConfusionCounts
-    beta: float
     p: float
     r: float
     f_beta: float
 
 
-@dataclass(frozen=True)
-class OptimalLabelSet:
-    """Analyzers tied for the best score on one project, in corpus order."""
-
-    project_id: str
-    optimal: tuple[ScaId, ...]
-
-    def __post_init__(self):
-        if not self.optimal:
-            raise ValueError("an optimal set is never empty")
-
-    def primary(self) -> ScaId:
-        return self.optimal[0]
-
-
-def score_sca(project_id: str, sca: ScaId, counts: ConfusionCounts, beta: float) -> EffectivenessScore:
+def score_sca(sca: ScaId, counts: ConfusionCounts, beta: float) -> EffectivenessScore:
     return EffectivenessScore(
-        project_id=project_id,
         sca=sca,
         counts=counts,
-        beta=validate_beta(beta),
         p=precision(counts),
         r=recall(counts),
         f_beta=f_beta(counts, beta),
@@ -123,33 +111,20 @@ def score_sca(project_id: str, sca: ScaId, counts: ConfusionCounts, beta: float)
 
 
 def evaluate_project(
-    project_id: str,
-    result: AlignmentResult,
-    scas: Sequence[ScaId],
-    beta: float,
+    result: AlignmentResult, scas: Sequence[ScaId], beta: float
 ) -> list[EffectivenessScore]:
     """One score per analyzer, in the given (corpus) order."""
-    return [
-        score_sca(project_id, sca, per_sca_confusion(result, sca), beta)
-        for sca in scas
-    ]
+    return [score_sca(sca, per_sca_confusion(result, sca), beta) for sca in scas]
 
 
-def optimal_set(scores: Sequence[EffectivenessScore]) -> OptimalLabelSet:
-    """All analyzers tied at the best score, compared at 12 decimals."""
+def optimal_set(scores: Sequence[EffectivenessScore]) -> tuple[ScaId, ...]:
+    """All analyzers tied at the best score, compared at 12 decimals, in
+    the scores' (corpus) order; the first is the primary label."""
     if not scores:
         raise ValueError("optimal_set needs at least one score")
-    project = scores[0].project_id
-    beta = scores[0].beta
-    for score in scores:
-        if score.project_id != project or score.beta != beta:
-            raise ValueError("scores must share one project and one beta")
     rounded = [round(score.f_beta, ROUND_DIGITS) for score in scores]
     best = max(rounded)
-    return OptimalLabelSet(
-        project,
-        tuple(score.sca for score, value in zip(scores, rounded) if value == best),
-    )
+    return tuple(score.sca for score, value in zip(scores, rounded) if value == best)
 
 
 EVALUATION_RECORD = RecordSpec(
@@ -165,7 +140,7 @@ class ProjectEvaluation:
     project_id: str
     beta: float
     scores: tuple[EffectivenessScore, ...]
-    optimal: OptimalLabelSet
+    optimal: tuple[ScaId, ...]
 
     def sca_order(self) -> tuple[ScaId, ...]:
         return tuple(score.sca for score in self.scores)
@@ -186,7 +161,7 @@ class ProjectEvaluation:
                 }
                 for s in self.scores
             ],
-            "optimal": list(self.optimal.optimal),
+            "optimal": list(self.optimal),
         }
 
     @classmethod
@@ -209,22 +184,18 @@ class ProjectEvaluation:
                     raise SchemaError(
                         f"{where}: score {i}: analyzer {sca!r} repeats score {first[sca]}"
                     )
-                scores.append(score_sca(project, sca, ConfusionCounts(tp, fp, union), beta))
+                scores.append(score_sca(sca, ConfusionCounts(tp, fp, union), beta))
         except (InvalidBeta, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         best = optimal_set(scores)
-        if list(best.optimal) != optimal:
+        if list(best) != optimal:
             raise SchemaError(
-                f"{where}: field 'optimal' is {optimal} but the counts give "
-                f"{list(best.optimal)}"
+                f"{where}: field 'optimal' is {optimal} but the counts give {list(best)}"
             )
         return cls(project, beta, tuple(scores), best)
 
 
 def reevaluate(evaluation: ProjectEvaluation, beta: float) -> ProjectEvaluation:
     """Re-score a stored evaluation at a different beta from its counts."""
-    scores = tuple(
-        score_sca(evaluation.project_id, s.sca, s.counts, beta)
-        for s in evaluation.scores
-    )
+    scores = tuple(score_sca(s.sca, s.counts, beta) for s in evaluation.scores)
     return ProjectEvaluation(evaluation.project_id, validate_beta(beta), scores, optimal_set(scores))

@@ -1,8 +1,8 @@
 """Small scikit-learn-style estimators implemented on numpy.
 
 Every estimator follows the fit/predict (or fit/transform) protocol, checks
-its hyperparameters in its constructor, and is deterministic given its
-``random_state``.  The classifiers report ``n_classes_`` and ``n_features_``
+its hyperparameters in its constructor, and is deterministic (given its
+``random_state``, where it takes one).  The classifiers report ``n_classes_`` and ``n_features_``
 after ``fit`` and after ``load_fitted_state``.  ``fit_stacked`` fits a batch
 of logistic regressions as one; ``fit_forests`` fits a batch of random
 forests with shared bootstrap draws, growing the trees of equal-shape

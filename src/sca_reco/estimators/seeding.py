@@ -1,7 +1,7 @@
 """PCG64 generators for the trees, seeded in one vectorized pass.
 
-Every tree draws from numpy's PCG64, one stream per tree seeded with a seed
-derived from the estimator's ``random_state`` (``rng.derive_seed``).
+Every forest tree draws from numpy's PCG64, one stream per tree seeded with
+a seed derived from the forest's ``random_state`` (``rng.derive_seed``).
 ``derive_seeds`` derives many such seeds at once, and ``pcg64_generators``
 builds their generators: it computes the ``SeedSequence`` words of every
 seed in one vectorized pass, which is most of what ``np.random.PCG64(seed)``

@@ -213,29 +213,20 @@ class DecisionTreeClassifier:
     """Gini-impurity CART; unlimited depth unless capped (``max_depth`` 0
     makes the root a leaf, a majority vote).
 
-    ``max_features`` limits how many non-constant features each node
-    examines (drawn in seeded random order; constant features do not consume
-    the budget).  ``feature_importances_`` accumulates total impurity
-    decrease weighted by the fraction of samples reaching each split.  The
-    fitted tree is ``nodes_``, flat arrays; ``tree_`` renders it as a nested
-    dict.
+    Every node examines every feature, so a fit draws nothing and takes no
+    seed; a forest's trees, which examine a drawn subset
+    (``RandomForestClassifier.max_features``), are grown by
+    ``forest.fit_forests``.  ``feature_importances_`` accumulates total
+    impurity decrease weighted by the fraction of samples reaching each
+    split.  The fitted tree is ``nodes_``, flat arrays; ``tree_`` renders it
+    as a nested dict.
     """
 
-    def __init__(
-        self,
-        max_depth: int | None = None,
-        min_samples_split: int = 2,
-        max_features: int | None = None,
-        random_state: int | None = None,
-    ):
-        if max_features is not None:
-            max_features = check_count("max_features", max_features, 1)
+    def __init__(self, max_depth: int | None = None, min_samples_split: int = 2):
         if max_depth is not None:
             max_depth = check_count("max_depth", max_depth, 0)
         self.max_depth = max_depth
         self.min_samples_split = check_count("min_samples_split", min_samples_split, 2)
-        self.max_features = max_features
-        self.random_state = random_state
         self.nodes_ = None
         self.n_classes_ = None
         self.n_features_ = None
@@ -249,8 +240,8 @@ class DecisionTreeClassifier:
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, k = check_X_y(X, y, n_classes)
         nodes, importances = fit_lockstep(
-            X[None], y[None], np.arange(len(y))[None], k, [self.random_state or 0],
-            self.max_features, self.max_depth, self.min_samples_split,
+            X[None], y[None], np.arange(len(y))[None], k, [0], None,
+            self.max_depth, self.min_samples_split,
         )
         self.nodes_ = Nodes.stack([nodes])
         self.n_classes_ = k

@@ -1,4 +1,9 @@
-"""Project feature vectors and the dataset joining them with optimal labels."""
+"""The project feature table and the dataset joining it with optimal labels.
+
+A feature CSV is loaded once into a ``FeatureTable``: its header, its
+project ids and one float64 matrix, so the header is held once and not per
+row.  ``build_dataset`` keeps the table's labeled rows, in table order.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,25 +28,20 @@ from .exceptions import (
 )
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    project_id: str
-    names: tuple[str, ...]
-    values: tuple[float, ...]
+class FeatureTable(NamedTuple):
+    """A feature CSV held once: the feature names, the project ids in file
+    order, and their (projects, features) float64 matrix."""
 
-    def __post_init__(self):
-        if len(self.names) != len(self.values):
-            raise SchemaError(
-                f"project {self.project_id}: {len(self.names)} names "
-                f"vs {len(self.values)} values"
-            )
+    feature_names: tuple[str, ...]
+    project_ids: tuple[str, ...]
+    matrix: np.ndarray
 
 
-def load_features(path: str | Path) -> list[FeatureVector]:
+def load_features(path: str | Path) -> FeatureTable:
     """Load a feature CSV: header ``project,<name>,...``, one row per project.
 
     Cells must be finite numbers; feature names (kept verbatim) must be
-    unique; project ids must be unique.
+    non-empty and unique; project ids must be unique.
     """
     path = Path(path)
     reader = csv.reader(io.StringIO(read_text(path)))
@@ -57,9 +57,12 @@ def load_features(path: str | Path) -> list[FeatureVector]:
     names = tuple(header[1:])
     if not names:
         raise SchemaError(f"feature file {path} has no feature columns")
+    if "" in names:
+        raise SchemaError(f"feature file {path}: column {names.index('') + 2} has no name")
     if len(set(names)) != len(names):
         raise SchemaError(f"feature file {path} repeats a feature name")
-    vectors: list[FeatureVector] = []
+    projects: list[str] = []
+    values: list[float] = []
     seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
@@ -72,7 +75,7 @@ def load_features(path: str | Path) -> list[FeatureVector]:
         if project in seen:
             raise DuplicateProject(f"{path}: project {project!r} occurs twice")
         seen.add(project)
-        values = []
+        projects.append(project)
         for name, cell in zip(names, row[1:]):
             try:
                 value = float(cell)
@@ -81,8 +84,8 @@ def load_features(path: str | Path) -> list[FeatureVector]:
             if not math.isfinite(value):
                 raise NonNumericCell(f"{path}:{lineno}: {name}={cell!r} is not finite")
             values.append(value)
-        vectors.append(FeatureVector(project, names, tuple(values)))
-    return vectors
+    matrix = np.array(values, dtype=np.float64).reshape(len(projects), len(names))
+    return FeatureTable(names, tuple(projects), matrix)
 
 
 @dataclass(frozen=True)
@@ -150,25 +153,18 @@ class PreferenceDataset:
 
 
 def build_dataset(
-    vectors: Sequence[FeatureVector],
+    table: FeatureTable,
     label_sets: Mapping[str, Sequence[ScaId]],
     sca_order: Sequence[ScaId],
 ) -> PreferenceDataset:
-    """Join feature vectors with per-project optimal label sets.
+    """Join a feature table with per-project optimal label sets.
 
-    Row order follows the feature vectors.  Every labeled project must have
-    features; feature rows without a label are dropped.
+    Row order follows the table.  Every labeled project must have features;
+    feature rows without a label are dropped.
     """
-    if not vectors:
-        raise TooFewSamples("no feature vectors")
-    names = vectors[0].names
-    for vector in vectors:
-        if vector.names != names:
-            raise SchemaError(
-                f"project {vector.project_id!r} has a different feature header"
-            )
-    by_project = {v.project_id: v for v in vectors}
-    missing = sorted(set(label_sets) - set(by_project))
+    if not table.project_ids:
+        raise TooFewSamples("the feature table has no rows")
+    missing = sorted(set(label_sets) - set(table.project_ids))
     if missing:
         raise MismatchError(f"labeled projects without features: {missing}")
     order = set(sca_order)
@@ -176,13 +172,14 @@ def build_dataset(
         unknown = [s for s in labels if s not in order]
         if unknown:
             raise SchemaError(f"project {project!r} labeled with unknown analyzers {unknown}")
-    kept = [v for v in vectors if v.project_id in label_sets]
+    kept = [i for i, project in enumerate(table.project_ids) if project in label_sets]
     if not kept:
         raise TooFewSamples("no feature row carries a label")
+    project_ids = tuple(table.project_ids[i] for i in kept)
     return PreferenceDataset(
-        feature_names=names,
-        project_ids=tuple(v.project_id for v in kept),
-        matrix=np.array([v.values for v in kept], dtype=np.float64),
-        label_sets=tuple(tuple(label_sets[v.project_id]) for v in kept),
+        feature_names=table.feature_names,
+        project_ids=project_ids,
+        matrix=table.matrix[kept],
+        label_sets=tuple(tuple(label_sets[project]) for project in project_ids),
         sca_order=tuple(sca_order),
     )

@@ -148,7 +148,7 @@ def evaluate_labels(
         for sca, warnings in labels.by_sca.items()
     }
     result = align_project(judged, sca_order)
-    scores = tuple(evaluate_project(labels.project_id, result, sca_order, beta))
+    scores = tuple(evaluate_project(result, sca_order, beta))
     return ProjectEvaluation(
         labels.project_id, validate_beta(beta), scores, optimal_set(scores)
     )
@@ -387,6 +387,6 @@ def write_optimal_sets(path: str | Path, evaluations: Sequence[ProjectEvaluation
     """TSV of each project's optimal analyzer set (first entry is primary)."""
     lines = ["project\tprimary\toptimal"]
     for evaluation in evaluations:
-        optimal = evaluation.optimal.optimal
+        optimal = evaluation.optimal
         lines.append(f"{evaluation.project_id}\t{optimal[0]}\t{','.join(optimal)}")
     write_text(path, "\n".join(lines) + "\n")

@@ -4,7 +4,8 @@ A trained model bundles the estimator with the standardization fitted on its
 own training rows and the ordered class list, so a saved model file is
 self-contained.  Training reduces each project's optimal label set to its
 primary label (first element in corpus analyzer order); evaluation scores
-predictions against the full set.
+predictions against the full set.  A model predicts a whole feature table
+(or dataset) at once, taking its features from the table's columns by name.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .exceptions import (
     TooFewSamples,
     UnsupportedModelKind,
 )
-from .features import FeatureVector, PreferenceDataset, build_dataset
+from .features import FeatureTable, PreferenceDataset, build_dataset
 from .metrics import MicroMetrics, mean_metrics, micro_metrics
 from .rng import SplitMix64, derive_seed
 
@@ -87,7 +88,7 @@ DEFAULT_HYPERPARAMS: dict[ModelKind, dict] = {
 # function that fits a batch of its estimators, each on its own rows, and
 # returns an iterable of them
 ESTIMATORS: dict[ModelKind, tuple[type, bool, Callable]] = {
-    ModelKind.DT: (DecisionTreeClassifier, True, fit_each),
+    ModelKind.DT: (DecisionTreeClassifier, False, fit_each),
     ModelKind.KNN: (KNeighborsClassifier, False, fit_each),
     ModelKind.LR: (LogisticRegression, False, fit_stacked),
     ModelKind.MLP: (MLPClassifier, True, fit_each),
@@ -134,34 +135,28 @@ class RecommendationModel:
     estimator: object
     seed: int
 
-    def predict_matrix(self, matrix, feature_names: Sequence[str]) -> list[ScaId]:
-        if tuple(feature_names) != self.feature_names:
-            raise FeatureMismatch(
-                f"model expects features {list(self.feature_names)}, "
-                f"got {list(feature_names)}"
-            )
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[1] != len(self.feature_names):
-            raise FeatureMismatch("feature matrix width disagrees with the model")
-        with np.errstate(over="ignore", invalid="ignore"):
-            standardized = self.scaler.transform(matrix)
-        finite = np.isfinite(standardized).all(axis=0)
-        if not finite.all():
-            name = self.feature_names[int(np.argmin(finite))]
-            raise DataError(f"feature {name!r}: standardized value is not finite")
-        indices = self.estimator.predict(standardized)
-        return [self.classes[i] for i in indices]
-
-    def predict(self, vector: FeatureVector) -> ScaId:
-        """The recommendation for one project.  The model's features are
-        taken from ``vector`` by name, so a model trained on a feature list
-        applies to the full feature table."""
-        value_of = dict(zip(vector.names, vector.values))
+    def predict_table(self, table: FeatureTable | PreferenceDataset) -> list[ScaId]:
+        """The recommendation for each project of ``table``, in its order.
+        The model's features are taken from the table's columns by name, so
+        a model trained on a feature list applies to the full feature table.
+        A missing feature raises a FeatureMismatch; a standardized value
+        that is not finite raises a DataError naming the first such project
+        and its first such feature."""
+        position = {name: i for i, name in enumerate(table.feature_names)}
         for name in self.feature_names:
-            if name not in value_of:
-                raise FeatureMismatch(f"model feature {name!r} is not in the feature vector")
-        values = [value_of[name] for name in self.feature_names]
-        return self.predict_matrix([values], self.feature_names)[0]
+            if name not in position:
+                raise FeatureMismatch(f"model feature {name!r} is not in the feature table")
+        columns = [position[name] for name in self.feature_names]
+        with np.errstate(over="ignore", invalid="ignore"):
+            standardized = self.scaler.transform(table.matrix[:, columns])
+        finite = np.isfinite(standardized)
+        if not finite.all():
+            row, column = divmod(int(np.argmin(finite)), len(columns))
+            raise DataError(
+                f"project {table.project_ids[row]}: feature {self.feature_names[column]!r}: "
+                "standardized value is not finite"
+            )
+        return [self.classes[i] for i in self.estimator.predict(standardized)]
 
     def save(self, path: str | Path) -> None:
         """Write the model file, one line of JSON with sorted keys.  A tree
@@ -305,10 +300,13 @@ def train_batch(
         )
 
 
-def check_folds(folds: int) -> int:
-    """A fold count of at least 2; ``InvalidCount`` otherwise."""
+def check_folds(folds: int, rows: int) -> int:
+    """A fold count of at least 2 (``InvalidCount`` otherwise) and at most
+    ``rows`` (``TooFewSamples`` otherwise)."""
     if folds < 2:
         raise InvalidCount(f"folds must be at least 2, got {folds}")
+    if folds > rows:
+        raise TooFewSamples(f"cannot split {rows} rows into {folds} folds")
     return folds
 
 
@@ -320,9 +318,7 @@ def stratified_folds(
     Rows of each class are shuffled with a seeded stream and dealt into
     contiguous chunks whose sizes differ by at most one.
     """
-    check_folds(folds)
-    if folds > len(labels):
-        raise TooFewSamples(f"cannot split {len(labels)} rows into {folds} folds")
+    check_folds(folds, len(labels))
     by_class: dict[ScaId, list[int]] = {}
     for i, label in enumerate(labels):
         by_class.setdefault(label, []).append(i)
@@ -404,7 +400,7 @@ def _fold_predictions(
         [
             (
                 test_rows,
-                next(models).predict_matrix(dataset.matrix[test_rows], dataset.feature_names)
+                next(models).predict_table(dataset.subset_rows(test_rows))
                 if test_rows
                 else None,
             )
@@ -460,10 +456,10 @@ def baseline_random(
 
 
 def dataset_from_evaluations(
-    vectors: Sequence[FeatureVector],
+    table: FeatureTable,
     evaluations: Sequence[ProjectEvaluation],
 ) -> PreferenceDataset:
-    """Join feature vectors with the optimal sets of stored evaluations."""
+    """Join a feature table with the optimal sets of stored evaluations."""
     if not evaluations:
         raise TooFewSamples("no evaluation records")
     sca_order = evaluations[0].sca_order()
@@ -474,13 +470,13 @@ def dataset_from_evaluations(
                 f"evaluation for {evaluation.project_id!r} lists analyzers "
                 "in a different order"
             )
-        label_sets[evaluation.project_id] = evaluation.optimal.optimal
-    return build_dataset(vectors, label_sets, sca_order)
+        label_sets[evaluation.project_id] = evaluation.optimal
+    return build_dataset(table, label_sets, sca_order)
 
 
 def beta_sweep(
     evaluations: Sequence[ProjectEvaluation],
-    vectors: Sequence[FeatureVector],
+    table: FeatureTable,
     kind: ModelKind,
     betas: Sequence[float],
     folds: int = 10,
@@ -496,7 +492,7 @@ def beta_sweep(
     if not betas:
         raise ValueError("betas must not be empty")
     datasets = [
-        dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+        dataset_from_evaluations(table, [reevaluate(e, beta) for e in evaluations])
         for beta in betas
     ]
     distinct = {}

@@ -93,7 +93,6 @@ class RfeCvResult:
     selected: tuple[str, ...]
     best_size: int
     scores: tuple[tuple[int, float], ...]
-    path: tuple[tuple[str, ...], ...]
 
 
 def rfe_cv(
@@ -109,7 +108,7 @@ def rfe_cv(
     The best size is the one with the highest mean micro F1, preferring the
     smaller set on ties.
     """
-    check_folds(folds)
+    check_folds(folds, dataset.n_projects)
     run = rfe(dataset, kind, 1, seed)
     results = cross_validate_batch(
         [dataset.subset_features(list(names)) for names in run.path], kind, folds, seed
@@ -122,7 +121,6 @@ def rfe_cv(
         selected=best_names,
         best_size=best_size,
         scores=tuple(sorted((size, score) for size, score, _ in scored)),
-        path=run.path,
     )
 
 

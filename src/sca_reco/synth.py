@@ -43,6 +43,9 @@ SITE_CATEGORIES = ("null_dereference", "resource_leak", "api_misuse", "dead_code
 OLD_RELEASE = ("r1", "2024-01-15")
 NEW_RELEASE = ("r2", "2024-07-15")
 
+# field declarations at the top of every generated class
+FIELD_LINES = 14
+
 # Stream tags, one per independent family of random decisions.
 _T_MUTATION = 1
 _T_METHODS = 2
@@ -99,7 +102,6 @@ class SynthConfig:
     files_per_project: int = 8
     # methods per class, one inclusive (low, high) band per archetype
     method_bands: tuple[tuple[int, int], ...] = ((4, 6), (8, 10), (12, 14))
-    field_lines: int = 14
     noise_features: int = 2
     mutation_weights: tuple[float, float, float, float] = (0.4, 0.3, 0.15, 0.15)
     seed: int = 0
@@ -126,8 +128,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be in [0, 1]")
         if self.files_per_project < 1:
             raise ConfigError("files_per_project must be at least 1")
-        if self.field_lines < 0 or self.noise_features < 0:
-            raise ConfigError("field_lines and noise_features must be non-negative")
+        if self.noise_features < 0:
+            raise ConfigError("noise_features must be non-negative")
         if len(self.mutation_weights) != 4 or min(self.mutation_weights) < 0:
             raise ConfigError("mutation_weights must be 4 non-negative numbers")
         if sum(self.mutation_weights) <= 0:
@@ -203,7 +205,7 @@ def _stream(seed: int, *parts: int) -> SplitMix64:
 
 
 def _build_class_lines(
-    package: str, class_name: str, methods: list[_MethodPlan], field_lines: int
+    package: str, class_name: str, methods: list[_MethodPlan]
 ) -> tuple[list[str], int]:
     """Emit one class; fills in each plan's old_start.  Returns (lines,
     1-based class declaration line number)."""
@@ -211,7 +213,7 @@ def _build_class_lines(
     lines.append(f"public class {class_name} {{")
     decl_line = len(lines)
     stem = class_name.lower()
-    for k in range(field_lines):
+    for k in range(FIELD_LINES):
         lines.append(f"    private int field_{stem}_{k} = {k};")
     for m, plan in enumerate(methods):
         lines.append("")
@@ -291,9 +293,7 @@ def _plan_file(config: SynthConfig, p: int, f: int, archetype: int) -> _FilePlan
                 category=SITE_CATEGORIES[(f + m) % len(SITE_CATEGORIES)],
             )
         )
-    old_lines, decl_line = _build_class_lines(
-        package, class_name, methods, config.field_lines
-    )
+    old_lines, decl_line = _build_class_lines(package, class_name, methods)
     mutation = _pick_mutation(config.mutation_weights, _stream(seed, _T_MUTATION, p, f))
     if mutation is Mutation.CLASS_RENAME and not _class_rename_eligible(
         old_lines, decl_line, [plan.old_start for plan in methods]

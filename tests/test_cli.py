@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import ODD_VALUES, mutated_entries
-from sca_reco import cli
+from sca_reco import cli, recommend
 from sca_reco.effectiveness import ConfusionCounts, optimal_set, score_sca
 from sca_reco.exceptions import ParseError, SchemaError
 from sca_reco.ingestion import load_report
@@ -965,6 +965,45 @@ def test_count_below_minimum_exits_1(workspace, tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+# each command with a fold count above the workspace's 12 projects
+TOO_MANY_FOLDS = {
+    "mine": ["--model", "dt", "--folds", "50", "--out-dir", "{tmp}"],
+    "train": ["--model", "dt", "--cv-folds", "50", "--out", "{tmp}/model.json"],
+    "sweep": ["--model", "dt", "--folds", "50", "--out", "{tmp}/sweep.tsv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TOO_MANY_FOLDS))
+def test_folds_above_the_project_count_exit_2_before_any_fit(
+    workspace, tmp_path, capsys, monkeypatch, command
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted before the fold count was checked")
+
+    monkeypatch.setattr(recommend, "train_batch", no_fit)
+    argv = [command, "--evaluations", str(workspace["evaluations"])]
+    argv += ["--features", str(workspace["features"])]
+    argv += [token.format(tmp=tmp_path) for token in TOO_MANY_FOLDS[command]]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert "cannot split 12 rows into 50 folds" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_feature_column_without_a_name_exits_2(workspace, tmp_path, capsys):
+    lines = workspace["features"].read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    header[1] = ""
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join([",".join(header), *lines[1:]]) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "mine"
+    argv = ["mine", "--evaluations", str(workspace["evaluations"]), "--features", str(features)]
+    capsys.readouterr()
+    assert cli.main(argv + ["--model", "dt", "--folds", "3", "--out-dir", str(out_dir)]) == 2
+    assert f"{features}: column 2 has no name" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_baseline_commands(workspace, capsys):
     rc = cli.main(
         ["baseline", "--evaluations", str(workspace["evaluations"]), "--repeats", "20"]
@@ -1153,10 +1192,10 @@ def test_repeated_score_exits_2(workspace, tmp_path, capsys, command):
     entries[1]["sca"] = entries[0]["sca"]
     # an optimal set the repeated counts give, so only the repeat is wrong
     scores = [
-        score_sca("x", e["sca"], ConfusionCounts(e["tp"], e["fp"], e["union_actionable"]), 1.0)
+        score_sca(e["sca"], ConfusionCounts(e["tp"], e["fp"], e["union_actionable"]), 1.0)
         for e in entries
     ]
-    record["optimal"] = list(optimal_set(scores).optimal)
+    record["optimal"] = list(optimal_set(scores))
     lines[1] = json.dumps(record)
     evaluations = tmp_path / "evaluations.jsonl"
     evaluations.write_text("\n".join(lines) + "\n", encoding="utf-8")

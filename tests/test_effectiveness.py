@@ -139,65 +139,55 @@ def test_voted_label_drives_counting():
 
 
 def test_evaluate_project_orders_scores_by_corpus():
-    scores = evaluate_project("p", shared_group_fixture(), SCAS, beta=1.0)
+    scores = evaluate_project(shared_group_fixture(), SCAS, beta=1.0)
     assert [s.sca for s in scores] == list(SCAS)
-    assert all(s.beta == 1.0 for s in scores)
-    reordered = evaluate_project("p", shared_group_fixture(), SCAS[::-1], beta=1.0)
+    reordered = evaluate_project(shared_group_fixture(), SCAS[::-1], beta=1.0)
     assert {s.sca: s.f_beta for s in scores} == {s.sca: s.f_beta for s in reordered}
 
 
 def test_empty_alignment_scores_zero():
     from sca_reco.alignment import AlignmentResult
 
-    scores = evaluate_project("p", AlignmentResult((), ()), SCAS, beta=1.0)
+    scores = evaluate_project(AlignmentResult((), ()), SCAS, beta=1.0)
     assert [s.f_beta for s in scores] == [0.0, 0.0, 0.0]
 
 
-def make_score(sca, f, project="p", beta=1.0):
-    return EffectivenessScore(
-        project_id=project,
-        sca=sca,
-        counts=ConfusionCounts(0, 0, 0),
-        p=0.0,
-        r=0.0,
-        f_beta=f,
-        beta=beta,
-    )
+def make_score(sca, f):
+    return EffectivenessScore(sca=sca, counts=ConfusionCounts(0, 0, 0), p=0.0, r=0.0, f_beta=f)
 
 
 def test_optimal_set_single_winner():
     winners = optimal_set(
         [make_score("alpha", 0.07), make_score("beta", 0.06), make_score("gamma", 0.08)]
     )
-    assert winners.optimal == ("gamma",)
-    assert winners.primary() == "gamma"
+    assert winners == ("gamma",)
 
 
 def test_optimal_set_keeps_all_ties():
     winners = optimal_set([make_score(s, 0.0) for s in SCAS])
-    assert winners.optimal == SCAS
+    assert winners == SCAS
     winners = optimal_set(
         [make_score("alpha", 0.5), make_score("beta", 0.5), make_score("gamma", 0.2)]
     )
-    assert winners.optimal == ("alpha", "beta")
+    assert winners == ("alpha", "beta")
 
 
 def test_optimal_set_rounds_float_noise():
     nearly = 0.1 + 0.2  # 0.30000000000000004
     winners = optimal_set([make_score("alpha", 0.3), make_score("beta", nearly)])
-    assert winners.optimal == ("alpha", "beta")
+    assert winners == ("alpha", "beta")
 
 
 def test_optimal_set_scale_invariance():
     scores = [make_score("alpha", 0.2), make_score("beta", 0.4), make_score("gamma", 0.4)]
     scaled = [make_score(s.sca, s.f_beta * 2.0) for s in scores]
-    assert optimal_set(scores).optimal == optimal_set(scaled).optimal
+    assert optimal_set(scores) == optimal_set(scaled)
 
 
 def test_score_record_round_trip():
     result = shared_group_fixture()
     for beta in (0.0, 0.5, 1.0, math.inf):
-        scores = evaluate_project("p", result, SCAS, beta)
+        scores = evaluate_project(result, SCAS, beta)
         evaluation = ProjectEvaluation("p", beta, tuple(scores), optimal_set(scores))
         record = evaluation.to_record()
         json.dumps(record)  # must be serializable as-is
@@ -211,12 +201,12 @@ def test_reevaluate_changes_only_scores():
         ("beta", ConfusionCounts(9, 9, 12)),
         ("gamma", ConfusionCounts(2, 0, 12)),
     ]
-    scores = tuple(score_sca("p", sca, c, 1.0) for sca, c in counts)
+    scores = tuple(score_sca(sca, c, 1.0) for sca, c in counts)
     evaluation = ProjectEvaluation("p", 1.0, scores, optimal_set(scores))
     at_zero = reevaluate(evaluation, 0.0)
     at_inf = reevaluate(evaluation, math.inf)
     assert [s.counts for s in at_zero.scores] == [c for _, c in counts]
     # P ranking favours gamma (1.0); R ranking favours beta (0.75)
-    assert at_zero.optimal.optimal == ("gamma",)
-    assert at_inf.optimal.optimal == ("beta",)
+    assert at_zero.optimal == ("gamma",)
+    assert at_inf.optimal == ("beta",)
     assert reevaluate(evaluation, 1.0) == evaluation

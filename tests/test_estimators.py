@@ -71,7 +71,6 @@ def test_check_is_fitted():
     "estimator_class, name, value",
     [
         (DecisionTreeClassifier, "min_samples_split", 1),
-        (DecisionTreeClassifier, "max_features", 0),
         (DecisionTreeClassifier, "max_depth", -3),
         (DecisionTreeClassifier, "max_depth", "x"),
         (DecisionTreeClassifier, "max_depth", 1.5),
@@ -172,7 +171,7 @@ def test_scaler_width_check():
 
 def test_tree_memorizes_conflict_free_data():
     X, y = toy_blobs()
-    tree = DecisionTreeClassifier(random_state=0).fit(X, y)
+    tree = DecisionTreeClassifier().fit(X, y)
     assert (tree.predict(X) == y).all()
 
 
@@ -202,8 +201,8 @@ def test_tree_importances_on_informative_feature():
 
 def test_tree_deterministic_and_round_trips():
     X, y = toy_blobs(seed=3)
-    a = DecisionTreeClassifier(random_state=5).fit(X, y)
-    b = DecisionTreeClassifier(random_state=5).fit(X, y)
+    a = DecisionTreeClassifier().fit(X, y)
+    b = DecisionTreeClassifier().fit(X, y)
     assert a.tree_ == b.tree_
     fresh = DecisionTreeClassifier().load_fitted_state(a.get_fitted_state())
     probe, _ = toy_blobs(seed=77)

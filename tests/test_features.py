@@ -18,11 +18,7 @@ from sca_reco.exceptions import (
     TooFewSamples,
     UnknownFeature,
 )
-from sca_reco.features import (
-    FeatureVector,
-    build_dataset,
-    load_features,
-)
+from sca_reco.features import FeatureTable, build_dataset, load_features
 
 
 NAMES = ("CountLineCode_total", "Class_CountLineCodeDecl_average", "Cyclomatic_max")
@@ -44,11 +40,33 @@ def sample_csv(tmp_path):
 
 
 def test_load_features_reads_names_verbatim(tmp_path):
-    vectors = load_features(sample_csv(tmp_path))
-    assert [v.project_id for v in vectors] == ["proj-a", "proj-b"]
-    assert vectors[0].names == NAMES
-    assert vectors[0].values == (120.0, 14.5, 7.0)
-    assert vectors[1].values == (88.0, 9.25, 3.0)
+    table = load_features(sample_csv(tmp_path))
+    assert table.feature_names == NAMES
+    assert table.project_ids == ("proj-a", "proj-b")
+    assert table.matrix.tolist() == [[120.0, 14.5, 7.0], [88.0, 9.25, 3.0]]
+
+
+@pytest.mark.parametrize(
+    "rows", [[], [("z9", 1.5, -2.0)], [("p2", 0.0, 1e300), ("p10", 3.0, 4.0), ("a", 5.0, 6.0)]]
+)
+def test_load_features_keeps_file_order_in_a_float64_matrix(tmp_path, rows):
+    text = "project,b,a\n" + "".join(f"{p},{x!r},{y!r}\n" for p, x, y in rows)
+    table = load_features(write_csv(tmp_path, text))
+    assert table.feature_names == ("b", "a")
+    assert table.project_ids == tuple(p for p, _, _ in rows)  # file order, not sorted
+    assert table.matrix.dtype == np.float64
+    assert table.matrix.shape == (len(rows), 2)
+    assert table.matrix.tolist() == [[x, y] for _, x, y in rows]
+
+
+@pytest.mark.parametrize(
+    "header, column", [("project,,n_files", 2), ("project,n_files,", 3), ("project,a,b,,c", 4)]
+)
+def test_load_features_rejects_an_empty_feature_name(tmp_path, header, column):
+    width = header.count(",")
+    path = write_csv(tmp_path, header + "\np1" + ",1" * width + "\n")
+    with pytest.raises(SchemaError, match=f"^feature file {re.escape(str(path))}: column {column} "):
+        load_features(path)
 
 
 def test_load_features_duplicate_project(tmp_path):
@@ -101,22 +119,15 @@ def test_load_features_duplicate_feature_name(tmp_path):
         load_features(write_csv(tmp_path, "project,a,a\np1,1,2\n"))
 
 
-def test_feature_vector_shape_check():
-    with pytest.raises(SchemaError):
-        FeatureVector("p1", ("a", "b"), (1.0,))
-
-
-def vectors3():
-    return [
-        FeatureVector("p1", ("a", "b"), (1.0, 10.0)),
-        FeatureVector("p2", ("a", "b"), (2.0, 20.0)),
-        FeatureVector("p3", ("a", "b"), (3.0, 30.0)),
-    ]
+def table3():
+    return FeatureTable(
+        ("a", "b"), ("p1", "p2", "p3"), np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]])
+    )
 
 
 def test_build_dataset_row_order_follows_vectors():
     labels = {"p3": ("beta",), "p1": ("alpha", "beta")}
-    dataset = build_dataset(vectors3(), labels, ("alpha", "beta"))
+    dataset = build_dataset(table3(), labels, ("alpha", "beta"))
     assert dataset.project_ids == ("p1", "p3")  # p2 has no label and is dropped
     assert dataset.label_sets == (("alpha", "beta"), ("beta",))
     assert dataset.primary_labels() == ("alpha", "beta")
@@ -126,30 +137,24 @@ def test_build_dataset_row_order_follows_vectors():
 
 def test_build_dataset_labeled_project_must_have_features():
     with pytest.raises(MismatchError):
-        build_dataset(vectors3(), {"ghost": ("alpha",)}, ("alpha",))
+        build_dataset(table3(), {"ghost": ("alpha",)}, ("alpha",))
 
 
 def test_build_dataset_rejects_unknown_analyzer():
     with pytest.raises(SchemaError):
-        build_dataset(vectors3(), {"p1": ("gamma",)}, ("alpha", "beta"))
-
-
-def test_build_dataset_rejects_mixed_headers():
-    bad = vectors3() + [FeatureVector("p4", ("a", "c"), (4.0, 40.0))]
-    with pytest.raises(SchemaError):
-        build_dataset(bad, {"p1": ("alpha",)}, ("alpha",))
+        build_dataset(table3(), {"p1": ("gamma",)}, ("alpha", "beta"))
 
 
 def test_build_dataset_needs_rows():
     with pytest.raises(TooFewSamples):
-        build_dataset([], {}, ("alpha",))
+        build_dataset(FeatureTable(("a",), (), np.empty((0, 1))), {}, ("alpha",))
     with pytest.raises(TooFewSamples):
-        build_dataset(vectors3(), {}, ("alpha",))
+        build_dataset(table3(), {}, ("alpha",))
 
 
 def dataset2():
     return build_dataset(
-        vectors3(), {"p1": ("alpha",), "p2": ("beta",), "p3": ("alpha",)}, ("alpha", "beta")
+        table3(), {"p1": ("alpha",), "p2": ("beta",), "p3": ("alpha",)}, ("alpha", "beta")
     )
 
 

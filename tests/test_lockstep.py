@@ -172,20 +172,40 @@ def budget(max_features, d):
     return d if max_features == "d" else max_features
 
 
+def one_tree_forest(max_features, max_depth=None, min_samples_split=2, random_state=None):
+    """A forest of one tree grown on all rows: a single tree whose splits
+    examine ``max_features`` features drawn from its seeded stream."""
+    return RandomForestClassifier(
+        n_estimators=1,
+        max_features=max_features,
+        bootstrap=False,
+        max_depth=max_depth,
+        min_samples_split=min_samples_split,
+        random_state=random_state,
+    )
+
+
+def assert_one_tree_matches(fitted, reference_trees):
+    """A fitted one-tree forest has the nodes and importance bits of the
+    one recursive tree of ``reference_forest``."""
+    (reference,) = reference_trees
+    assert rendered(fitted) == [reference.tree_]
+    assert bits(fitted.tree_importances_[0]) == bits(reference.feature_importances_)
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tie_heavy_data(), MAX_FEATURES, MAX_DEPTH, MIN_SPLIT, st.integers(0, 2**32))
 def test_tree_matches_recursive_grower(data, max_features, max_depth, min_split, seed):
     X, y, k = data
-    params = dict(
-        max_depth=max_depth,
-        min_samples_split=min_split,
-        max_features=budget(max_features, X.shape[1]),
-        random_state=seed,
-    )
-    tree = DecisionTreeClassifier(**params).fit(X, y, n_classes=k)
-    reference = RecursiveTree(**params).fit(X, y, n_classes=k)
+    tree = DecisionTreeClassifier(max_depth, min_split).fit(X, y, n_classes=k)
+    reference = RecursiveTree(max_depth, min_split).fit(X, y, n_classes=k)
     assert tree.tree_ == reference.tree_
     assert bits(tree.feature_importances_) == bits(reference.feature_importances_)
+    # the draws of a tree that examines a subset of the features
+    width = budget(max_features, X.shape[1])
+    drawing = one_tree_forest(width, max_depth, min_split, seed).fit(X, y, n_classes=k)
+    trees, _ = reference_forest(X, y, k, 1, width, False, max_depth, min_split, seed)
+    assert_one_tree_matches(drawing, trees)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -251,11 +271,14 @@ def test_fits_match_on_both_sides_of_each_narrowed_type(n, d, k, monkeypatch):
     if d > 3:
         X[:, :-1] = 0.0
     y = (np.arange(n) if k > 3 else rng.integers(0, k, size=n)) % k
-    per_split = max(1, int(math.sqrt(d)))
-    tree = DecisionTreeClassifier(max_features=per_split, random_state=n).fit(X, y, n_classes=k)
-    reference = RecursiveTree(max_features=per_split, random_state=n).fit(X, y, n_classes=k)
+    tree = DecisionTreeClassifier().fit(X, y, n_classes=k)
+    reference = RecursiveTree().fit(X, y, n_classes=k)
     assert tree.tree_ == reference.tree_
     assert bits(tree.feature_importances_) == bits(reference.feature_importances_)
+    per_split = max(1, int(math.sqrt(d)))
+    drawing = one_tree_forest(per_split, random_state=n).fit(X, y, n_classes=k)
+    trees, _ = reference_forest(X, y, k, 1, per_split, False, None, 2, n)
+    assert_one_tree_matches(drawing, trees)
     alone = [
         RandomForestClassifier(n_estimators=3, random_state=n).fit(data, y, n_classes=k)
         for data in (X, 2.0 - X)
@@ -588,13 +611,19 @@ def test_tree_predict_equals_the_nested_walk(data, max_features, max_depth, prob
     X, y, k = data
     d = X.shape[1]
     rows = np.vstack([X, np.array(probes, dtype=np.float64).reshape(-1, 6)[:, :d]])
-    fitted = DecisionTreeClassifier(
-        max_depth=max_depth, max_features=budget(max_features, d), random_state=seed
-    ).fit(X, y, n_classes=k)
+    fitted = DecisionTreeClassifier(max_depth=max_depth).fit(X, y, n_classes=k)
     state = json.loads(json.dumps(fitted.get_fitted_state()))
     loaded = DecisionTreeClassifier().load_fitted_state(state)
     expected = walk_predict(state["tree"], rows)
     assert (fitted.predict(rows) == expected).all()
+    assert (loaded.predict(rows) == expected).all()
+    # a tree that drew the features its splits examine
+    drawing = one_tree_forest(budget(max_features, d), max_depth, random_state=seed)
+    drawing.fit(X, y, n_classes=k)
+    state = json.loads(json.dumps(drawing.get_fitted_state()))
+    loaded = RandomForestClassifier().load_fitted_state(state)
+    expected = walk_predict(state["trees"][0]["tree"], rows)
+    assert (drawing.predict(rows) == expected).all()
     assert (loaded.predict(rows) == expected).all()
 
 

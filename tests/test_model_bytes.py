@@ -181,6 +181,6 @@ def test_paper_scale_fit_is_pinned(kind):
     if kind == "rf":
         estimator = RandomForestClassifier(n_estimators=100, random_state=13)
     else:
-        estimator = DecisionTreeClassifier(random_state=13)
+        estimator = DecisionTreeClassifier()
     estimator.fit(X, y, n_classes=3)
     assert nodes_digest(estimator) == PINNED_PAPER_SCALE_SHA256[kind]

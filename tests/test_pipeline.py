@@ -150,8 +150,8 @@ def test_write_optimal_sets_format(context, tmp_path):
     for line, evaluation in zip(lines[1:], evaluations):
         project, primary, optimal = line.split("\t")
         assert project == evaluation.project_id
-        assert primary == evaluation.optimal.primary()
-        assert optimal == ",".join(evaluation.optimal.optimal)
+        assert primary == evaluation.optimal[0]
+        assert optimal == ",".join(evaluation.optimal)
 
 
 # stored records: the one record reader against the per-field rule
@@ -243,7 +243,7 @@ def checked_scores(entries) -> list:
             raise SchemaError(f"{at}: analyzer {sca!r} repeats score {first[sca]}")
         first[sca] = i
         try:
-            scores.append(score_sca("p1", sca, ConfusionCounts(*counts), 1.0))
+            scores.append(score_sca(sca, ConfusionCounts(*counts), 1.0))
         except ValueError as exc:
             raise SchemaError(f"evaluation record: {exc}") from exc
     return scores
@@ -324,7 +324,7 @@ def test_label_rows_equal_the_checked_path(tmp_path, rows):
 @given(entries=mutated_records(VALID_SCORE, SCORE_CHOICES))
 def test_evaluation_scores_equal_the_checked_path(tmp_path, entries):
     try:  # an ``optimal`` the counts give, so only the scores can be refused
-        optimal = list(optimal_set(checked_scores(entries)).optimal)
+        optimal = list(optimal_set(checked_scores(entries)))
     except SchemaError:
         optimal = []
 

@@ -7,6 +7,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sca_reco.effectiveness import (
     ConfusionCounts,
@@ -17,13 +19,14 @@ from sca_reco.effectiveness import (
 )
 from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, forest
 from sca_reco.exceptions import (
+    DataError,
     DegenerateDataset,
     FeatureMismatch,
     TooFewSamples,
     UnsupportedModelKind,
 )
 from sca_reco import recommend
-from sca_reco.features import FeatureVector, PreferenceDataset
+from sca_reco.features import FeatureTable, PreferenceDataset
 from sca_reco.metrics import MicroMetrics, mean_metrics
 from sca_reco.recommend import (
     ESTIMATORS,
@@ -108,8 +111,7 @@ def test_train_requires_rows_and_classes():
 def test_lr_model_separates_training_data():
     dataset = two_class_dataset()
     model = train(dataset, ModelKind.LR, seed=0)
-    predictions = model.predict_matrix(dataset.matrix, dataset.feature_names)
-    assert tuple(predictions) == dataset.primary_labels()
+    assert tuple(model.predict_table(dataset)) == dataset.primary_labels()
 
 
 def test_rf_defaults_are_embedded():
@@ -118,30 +120,81 @@ def test_rf_defaults_are_embedded():
     assert model.estimator.n_estimators == 100
 
 
+def table(names, rows, ids=None):
+    """A feature table of ``rows``, its projects named ``q0``, ``q1``, ...
+    unless ``ids`` names them."""
+    ids = tuple(f"q{i}" for i in range(len(rows))) if ids is None else tuple(ids)
+    matrix = np.array(rows, dtype=np.float64).reshape(len(ids), len(names))
+    return FeatureTable(tuple(names), ids, matrix)
+
+
 def test_predict_single_vector():
-    dataset = two_class_dataset()
-    model = train(dataset, ModelKind.DT, seed=0)
-    vector = FeatureVector("probe", NAMES, (0.05, 1.05, 0.5, 0.5))
-    assert model.predict(vector) == "alpha"
+    model = train(two_class_dataset(), ModelKind.DT, seed=0)
+    assert model.predict_table(table(NAMES, [[0.05, 1.05, 0.5, 0.5]])) == ["alpha"]
 
 
 def test_predict_takes_the_model_features_by_name():
     model = train(two_class_dataset().subset_features(["f2", "f0"]), ModelKind.LR, seed=0)
     probe = [[0.5, 0.05], [0.5, 1.05]]
-    expected = model.predict_matrix(probe, ("f2", "f0"))
-    for (f2, f0), sca in zip(probe, expected):
-        vector = FeatureVector("probe", ("f3", "f0", "f1", "f2"), (9.0, f0, 9.0, f2))
-        assert model.predict(vector) == sca
+    expected = model.predict_table(table(("f2", "f0"), probe))
+    wide = table(("f3", "f0", "f1", "f2"), [[9.0, f0, 9.0, f2] for f2, f0 in probe])
+    assert model.predict_table(wide) == expected
     with pytest.raises(FeatureMismatch, match="'f2'"):
-        model.predict(FeatureVector("probe", ("f0", "f1"), (0.05, 1.05)))
+        model.predict_table(table(("f0", "f1"), [[0.05, 1.05]]))
 
 
 def test_feature_mismatch_is_rejected():
     model = train(two_class_dataset(), ModelKind.DT, seed=0)
+    with pytest.raises(FeatureMismatch, match="model feature 'f3' is not in the feature table"):
+        model.predict_table(table(("f1", "f0", "f2"), [[0.0, 1.0, 0.5]]))
     with pytest.raises(FeatureMismatch):
-        model.predict_matrix([[0.0, 1.0, 0.5, 0.5]], ("f1", "f0", "f2", "f3"))
-    with pytest.raises(FeatureMismatch):
-        model.predict_matrix([[0.0, 1.0]], NAMES)
+        model.predict_table(table((), []))
+
+
+# a table of probe rows over the model's four features in a drawn order,
+# with up to two extra columns
+@st.composite
+def probe_tables(draw):
+    extras = draw(st.integers(0, 2))
+    names = draw(st.permutations(NAMES + ("x0", "x1")[:extras]))
+    values = st.integers(-20, 80).map(lambda v: v / 10.0)
+    rows = draw(
+        st.lists(st.lists(values, min_size=len(names), max_size=len(names)), max_size=8)
+    )
+    return table(names, rows)
+
+
+TABLE_MODELS = {
+    kind: train(two_class_dataset(), kind, seed=5, hyperparams=FAST_HP[kind])
+    for kind in (ModelKind.DT, ModelKind.LR, ModelKind.RF)
+}
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(TABLE_MODELS, key=lambda kind: kind.value)), probe_tables())
+def test_predicting_a_table_equals_predicting_each_row_alone(kind, probes):
+    model = TABLE_MODELS[kind]
+    alone = [
+        model.predict_table(
+            table(NAMES, [[row[probes.feature_names.index(name)] for name in NAMES]], [project])
+        )[0]
+        for project, row in zip(probes.project_ids, probes.matrix.tolist())
+    ]
+    assert model.predict_table(probes) == alone
+
+
+def test_a_non_finite_standardized_value_names_the_first_project_and_feature():
+    model = train(two_class_dataset(), ModelKind.LR, seed=0, hyperparams=FAST_HP[ModelKind.LR])
+    # a subnormal scale overflows f2 and f3 at any value but their mean, 0
+    model.scaler.mean_ = np.zeros(4)
+    model.scaler.scale_ = np.array([1.0, 1.0, 1e-320, 1e-320])
+    rows = [[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 5.0], [0.0, 1.0, 7.0, 7.0], [9.0, 1.0, 0.0, 9.0]]
+    probes = table(("f0", "f1", "f2", "f3"), rows, ["p-z", "p-b", "p-c", "p-a"])
+    with pytest.raises(DataError, match="^project p-b: feature 'f3': standardized value"):
+        model.predict_table(probes)
+    rest = probes._replace(project_ids=probes.project_ids[2:], matrix=probes.matrix[2:])
+    with pytest.raises(DataError, match="^project p-c: feature 'f2': standardized value"):
+        model.predict_table(rest)
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
@@ -157,10 +210,8 @@ def test_save_load_round_trip(kind, tmp_path):
     assert loaded.feature_names == NAMES
     assert loaded.classes == model.classes
     stream = SplitMix64(99)
-    probe = np.array(
-        [[stream.uniform() * 7 for _ in NAMES] for _ in range(8)]
-    )
-    assert loaded.predict_matrix(probe, NAMES) == model.predict_matrix(probe, NAMES)
+    probe = table(NAMES, [[stream.uniform() * 7 for _ in NAMES] for _ in range(8)])
+    assert loaded.predict_table(probe) == model.predict_table(probe)
 
 
 def test_model_files_are_byte_identical_per_seed(tmp_path):
@@ -304,7 +355,7 @@ def test_baseline_random_argument_checks():
 
 def make_evaluation(project_id, counts_by_sca, beta=1.0):
     scores = tuple(
-        score_sca(project_id, sca, ConfusionCounts(*counts), beta)
+        score_sca(sca, ConfusionCounts(*counts), beta)
         for sca, counts in counts_by_sca
     )
     return ProjectEvaluation(project_id, beta, scores, optimal_set(scores))
@@ -313,22 +364,19 @@ def make_evaluation(project_id, counts_by_sca, beta=1.0):
 def sweep_fixture():
     dataset = two_class_dataset()
     evaluations = []
-    vectors = []
-    for project_id, labels, row in zip(
-        dataset.project_ids, dataset.label_sets, dataset.matrix
-    ):
+    for project_id, labels in zip(dataset.project_ids, dataset.label_sets):
         if labels[0] == "alpha":
             counts = [("alpha", (5, 0, 5)), ("beta", (1, 4, 5))]
         else:
             counts = [("alpha", (1, 4, 5)), ("beta", (5, 0, 5))]
         evaluations.append(make_evaluation(project_id, counts))
-        vectors.append(FeatureVector(project_id, NAMES, tuple(row)))
-    return evaluations, vectors, dataset
+    features = FeatureTable(dataset.feature_names, dataset.project_ids, dataset.matrix)
+    return evaluations, features, dataset
 
 
 def test_dataset_from_evaluations_matches_source():
-    evaluations, vectors, dataset = sweep_fixture()
-    rebuilt = dataset_from_evaluations(vectors, evaluations)
+    evaluations, features, dataset = sweep_fixture()
+    rebuilt = dataset_from_evaluations(features, evaluations)
     assert rebuilt.project_ids == dataset.project_ids
     assert rebuilt.label_sets == dataset.label_sets
     assert rebuilt.sca_order == ("alpha", "beta")
@@ -336,8 +384,8 @@ def test_dataset_from_evaluations_matches_source():
 
 
 def test_beta_sweep_single_beta_equals_direct_cv():
-    evaluations, vectors, dataset = sweep_fixture()
-    rows = beta_sweep(evaluations, vectors, ModelKind.DT, [1.0], folds=3, seed=0)
+    evaluations, features, dataset = sweep_fixture()
+    rows = beta_sweep(evaluations, features, ModelKind.DT, [1.0], folds=3, seed=0)
     assert len(rows) == 1 and rows[0][0] == 1.0
     direct = cross_validate(dataset, ModelKind.DT, folds=3, seed=0)
     assert rows[0][1] == direct
@@ -345,17 +393,17 @@ def test_beta_sweep_single_beta_equals_direct_cv():
 
 @pytest.mark.parametrize("kind", [ModelKind.DT, ModelKind.LR], ids=lambda k: k.value)
 def test_beta_sweep_rows_equal_standalone_cv(kind):
-    evaluations, vectors, _ = sweep_fixture()
+    evaluations, features, _ = sweep_fixture()
     # at beta 0 only precision counts, so one project ties both analyzers
     evaluations[0] = make_evaluation(
         evaluations[0].project_id, [("alpha", (2, 0, 5)), ("beta", (4, 0, 5))]
     )
     betas = [0.0, 0.5, 1.0, 2.0, float("inf")]
-    rows = beta_sweep(evaluations, vectors, kind, betas, folds=4, seed=1)
+    rows = beta_sweep(evaluations, features, kind, betas, folds=4, seed=1)
     assert [beta for beta, _ in rows] == betas
     for beta, result in rows:
         rescored = dataset_from_evaluations(
-            vectors, [reevaluate(evaluation, beta) for evaluation in evaluations]
+            features, [reevaluate(evaluation, beta) for evaluation in evaluations]
         )
         assert result == cross_validate(rescored, kind, folds=4, seed=1)
 
@@ -377,58 +425,58 @@ def nonempty_folds(dataset, folds, seed):
 
 
 def test_beta_sweep_fits_once_per_primary_label_vector(monkeypatch):
-    evaluations, vectors, _ = sweep_fixture()
+    evaluations, features, _ = sweep_fixture()
     evaluations[0] = make_evaluation(
         evaluations[0].project_id, [("alpha", (2, 0, 5)), ("beta", (4, 0, 5))]
     )
     betas = [0.0, 0.5, 1.0, 2.0, float("inf")]
-    rows, fits = sweep_fits(monkeypatch, evaluations, vectors, ModelKind.DT, betas, folds=4)
+    rows, fits = sweep_fits(monkeypatch, evaluations, features, ModelKind.DT, betas, folds=4)
     datasets = {
         dataset.primary_labels(): dataset
         for dataset in (
-            dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+            dataset_from_evaluations(features, [reevaluate(e, beta) for e in evaluations])
             for beta in betas
         )
     }
     assert len(datasets) == 2  # beta 0 flips project 0's primary label
     assert fits == sum(nonempty_folds(dataset, 4, 0) for dataset in datasets.values())
     for beta, result in rows:
-        rescored = dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+        rescored = dataset_from_evaluations(features, [reevaluate(e, beta) for e in evaluations])
         assert result == cross_validate(rescored, ModelKind.DT, folds=4, seed=0)
 
 
 @pytest.mark.parametrize("kind", [ModelKind.DT, ModelKind.LR], ids=lambda k: k.value)
 def test_beta_sweep_shared_primary_labels_scored_by_own_label_sets(monkeypatch, kind):
-    evaluations, vectors, _ = sweep_fixture()
+    evaluations, features, _ = sweep_fixture()
     # at beta 0 project 0 ties both analyzers, and alpha stays its primary label
     evaluations[0] = make_evaluation(
         evaluations[0].project_id, [("alpha", (4, 0, 5)), ("beta", (2, 0, 5))]
     )
     betas = [0.0, 1.0]
     datasets = [
-        dataset_from_evaluations(vectors, [reevaluate(e, beta) for e in evaluations])
+        dataset_from_evaluations(features, [reevaluate(e, beta) for e in evaluations])
         for beta in betas
     ]
     assert datasets[0].primary_labels() == datasets[1].primary_labels()
     assert datasets[0].label_sets[0] == ("alpha", "beta")
     assert datasets[1].label_sets[0] == ("alpha",)
-    rows, fits = sweep_fits(monkeypatch, evaluations, vectors, kind, betas, folds=3, seed=2)
+    rows, fits = sweep_fits(monkeypatch, evaluations, features, kind, betas, folds=3, seed=2)
     assert fits == nonempty_folds(datasets[0], 3, 2)
     for (beta, result), dataset in zip(rows, datasets):
         assert result == cross_validate(dataset, kind, folds=3, seed=2)
 
 
 def test_beta_sweep_covers_all_betas():
-    evaluations, vectors, _ = sweep_fixture()
+    evaluations, features, _ = sweep_fixture()
     betas = [0.0, 0.5, 1.0, 2.0, float("inf")]
-    rows = beta_sweep(evaluations, vectors, ModelKind.DT, betas, folds=3, seed=0)
+    rows = beta_sweep(evaluations, features, ModelKind.DT, betas, folds=3, seed=0)
     assert [beta for beta, _ in rows] == betas
 
 
 def test_beta_sweep_rejects_empty_betas():
-    evaluations, vectors, _ = sweep_fixture()
+    evaluations, features, _ = sweep_fixture()
     with pytest.raises(ValueError):
-        beta_sweep(evaluations, vectors, ModelKind.DT, [])
+        beta_sweep(evaluations, features, ModelKind.DT, [])
 
 
 def test_sweep_table_format():

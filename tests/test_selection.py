@@ -128,6 +128,10 @@ def test_rfe_cv_checks_folds_before_eliminating(monkeypatch):
     monkeypatch.setattr(selection, "rfe", no_elimination)
     with pytest.raises(InvalidCount, match="at least 2"):
         rfe_cv(signal_dataset(), ModelKind.DT, folds=1)
+    dataset = signal_dataset()
+    too_many = dataset.n_projects + 1
+    with pytest.raises(TooFewSamples, match=f"{dataset.n_projects} rows into {too_many} folds"):
+        rfe_cv(dataset, ModelKind.DT, folds=too_many)
 
 
 def test_selected_features_text():

@@ -142,10 +142,10 @@ def test_corpus_layout_loads(small_corpus):
     assert load_sca_order(out) == list(truth.scas)
     context = load_corpus_context(out)
     assert context.sca_order == truth.scas
-    vectors = load_features(out / "features.csv")
-    assert len(vectors) == 4
-    assert vectors[0].names == feature_names(SMALL)
-    assert [v.project_id for v in vectors] == ["p000", "p001", "p002", "p003"]
+    table = load_features(out / "features.csv")
+    assert table.feature_names == feature_names(SMALL)
+    assert table.project_ids == ("p000", "p001", "p002", "p003")
+    assert table.matrix.shape == (4, len(feature_names(SMALL)))
 
 
 def test_pipeline_reproduces_site_truth(small_corpus):
