@@ -92,7 +92,6 @@ class DiscardedPair:
     """Two warnings that matched in every respect except their labels."""
 
     members: tuple[AlignedWarning, AlignedWarning]
-    reason: str = "label-conflict"
 
 
 @dataclass(frozen=True)

@@ -77,10 +77,17 @@ def _report_failures(failures) -> None:
         print(f"project {failure.project_id}: {failure.message}", file=sys.stderr)
 
 
-def _cmd_label(args) -> int:
-    context = load_corpus_context(
+def _load_context(args):
+    """The corpus context of the corpus options, once ``--jobs`` is checked."""
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    return load_corpus_context(
         args.corpus, args.taxonomy, args.gdc_map, strict_taxonomy=not args.any_taxonomy
     )
+
+
+def _cmd_label(args) -> int:
+    context = _load_context(args)
     all_labels, failures = label_corpus(context, args.jobs)
     write_labels(args.out, all_labels)
     print(f"labeled {len(all_labels)} projects -> {args.out}", file=sys.stderr)
@@ -89,9 +96,7 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    context = load_corpus_context(
-        args.corpus, args.taxonomy, args.gdc_map, strict_taxonomy=not args.any_taxonomy
-    )
+    context = _load_context(args)
     beta = parse_beta(args.beta)
     if args.labels:
         evaluations, failures = evaluate_label_records(
@@ -188,8 +193,7 @@ def _cmd_recommend(args) -> int:
     if args.project is not None:
         if args.project not in table.project_ids:
             raise DataError(f"project {args.project!r} is not in the feature table")
-        row = table.project_ids.index(args.project)
-        table = table._replace(project_ids=(args.project,), matrix=table.matrix[row : row + 1])
+        table = table.subset_rows([table.project_ids.index(args.project)])
     try:
         recommended = model.predict_table(table)
     except DataError as exc:

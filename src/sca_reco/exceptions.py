@@ -59,11 +59,7 @@ class NonFiniteStatistic(DataError):
 
 
 class UnknownFeature(DataError):
-    """A referenced feature name does not exist in the dataset."""
-
-
-class FeatureMismatch(DataError):
-    """Feature names or their order differ from what a model was trained on."""
+    """A referenced feature name does not exist in the feature table."""
 
 
 class LengthMismatch(ScaRecoError):

@@ -2,7 +2,9 @@
 
 A feature CSV is loaded once into a ``FeatureTable``: its header, its
 project ids and one float64 matrix, so the header is held once and not per
-row.  ``build_dataset`` keeps the table's labeled rows, in table order.
+row.  Its ``subset_rows`` and ``subset_features`` are the package's row and
+by-name column pickers.  ``build_dataset`` keeps the table's labeled rows,
+in table order, and pairs them with their label sets.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -35,6 +36,27 @@ class FeatureTable(NamedTuple):
     feature_names: tuple[str, ...]
     project_ids: tuple[str, ...]
     matrix: np.ndarray
+
+    def subset_rows(self, indices: Sequence[int]) -> "FeatureTable":
+        """The table's rows ``indices``, in that order."""
+        indices = list(indices)
+        project_ids = tuple(self.project_ids[i] for i in indices)
+        return FeatureTable(self.feature_names, project_ids, self.matrix[indices])
+
+    def subset_features(self, names: Sequence[str]) -> "FeatureTable":
+        """The table's columns ``names``, in that order; an empty or
+        repeated name list raises a SchemaError, an unknown name an
+        UnknownFeature."""
+        if not names:
+            raise SchemaError("the feature list names no feature")
+        if len(set(names)) != len(names):
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            raise SchemaError(f"the feature list repeats {repeated}")
+        missing = [name for name in names if name not in self.feature_names]
+        if missing:
+            raise UnknownFeature(f"feature {missing[0]!r} is not in the feature table")
+        columns = [self.feature_names.index(name) for name in names]
+        return FeatureTable(tuple(names), self.project_ids, self.matrix[:, columns])
 
 
 def load_features(path: str | Path) -> FeatureTable:
@@ -88,68 +110,33 @@ def load_features(path: str | Path) -> FeatureTable:
     return FeatureTable(names, tuple(projects), matrix)
 
 
-@dataclass(frozen=True)
-class PreferenceDataset:
-    """Feature matrix plus, per project, the set of best analyzers.
+class PreferenceDataset(NamedTuple):
+    """A feature table plus, per row (project), the set of best analyzers.
 
     The first element of each label set (in corpus analyzer order) is the
     primary label used for training and stratification; evaluation scores
     predictions against the full set.
     """
 
-    feature_names: tuple[str, ...]
-    project_ids: tuple[str, ...]
-    matrix: np.ndarray
+    table: FeatureTable
     label_sets: tuple[tuple[ScaId, ...], ...]
     sca_order: tuple[ScaId, ...]
 
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise SchemaError("feature matrix must be 2-dimensional")
-        if matrix.shape != (len(self.project_ids), len(self.feature_names)):
-            raise SchemaError("feature matrix shape disagrees with ids/names")
-        if len(self.label_sets) != len(self.project_ids):
-            raise SchemaError("one label set per project is required")
-        object.__setattr__(self, "matrix", matrix)
-
     @property
     def n_projects(self) -> int:
-        return len(self.project_ids)
+        return len(self.label_sets)
 
     def primary_labels(self) -> tuple[ScaId, ...]:
         return tuple(labels[0] for labels in self.label_sets)
 
-    def feature_index(self, name: str) -> int:
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise UnknownFeature(f"feature {name!r} is not in the dataset")
-
     def subset_rows(self, indices: Sequence[int]) -> "PreferenceDataset":
-        indices = list(indices)
-        return replace(
-            self,
-            project_ids=tuple(self.project_ids[i] for i in indices),
-            matrix=self.matrix[indices],
-            label_sets=tuple(self.label_sets[i] for i in indices),
-        )
+        label_sets = tuple(self.label_sets[i] for i in indices)
+        return PreferenceDataset(self.table.subset_rows(indices), label_sets, self.sca_order)
 
     def subset_features(self, names: Sequence[str]) -> "PreferenceDataset":
-        """The dataset's columns ``names``, in that order; an empty or
-        repeated name list raises a SchemaError, an unknown name an
-        UnknownFeature."""
-        if not names:
-            raise SchemaError("the feature list names no feature")
-        if len(set(names)) != len(names):
-            repeated = sorted({name for name in names if names.count(name) > 1})
-            raise SchemaError(f"the feature list repeats {repeated}")
-        columns = [self.feature_index(name) for name in names]
-        return replace(
-            self,
-            feature_names=tuple(names),
-            matrix=self.matrix[:, columns],
-        )
+        """The dataset with its table's columns ``names`` (see
+        ``FeatureTable.subset_features``)."""
+        return self._replace(table=self.table.subset_features(names))
 
 
 def build_dataset(
@@ -175,11 +162,9 @@ def build_dataset(
     kept = [i for i, project in enumerate(table.project_ids) if project in label_sets]
     if not kept:
         raise TooFewSamples("no feature row carries a label")
-    project_ids = tuple(table.project_ids[i] for i in kept)
+    table = table.subset_rows(kept)
     return PreferenceDataset(
-        feature_names=table.feature_names,
-        project_ids=project_ids,
-        matrix=table.matrix[kept],
-        label_sets=tuple(tuple(label_sets[project]) for project in project_ids),
-        sca_order=tuple(sca_order),
+        table,
+        tuple(tuple(label_sets[project]) for project in table.project_ids),
+        tuple(sca_order),
     )

@@ -154,8 +154,9 @@ def evaluate_labels(
     )
 
 
-def _run_isolated(worker: Callable[[str], object], project_ids: Sequence[str], jobs: int):
-    """Apply ``worker`` per project, catching per-project data errors."""
+def _run_isolated(worker: Callable[[str], object], project_ids: Sequence[str], jobs: int = 1):
+    """Apply ``worker`` per project, catching per-project data errors; the
+    results and the failures come back sorted by project id."""
 
     def guarded(project_id: str):
         try:
@@ -178,23 +179,24 @@ def _run_isolated(worker: Callable[[str], object], project_ids: Sequence[str], j
 def label_corpus(
     context: CorpusContext, jobs: int = 1
 ) -> tuple[list[ProjectLabels], list[ProjectFailure]]:
-    projects = list_projects(context.root)
-
     def worker(project_id: str) -> ProjectLabels:
         return label_project(context, load_snapshot(context.root, project_id))
 
-    return _run_isolated(worker, projects, jobs)
+    return _run_isolated(worker, list_projects(context.root), jobs)
 
 
 def evaluate_corpus(
     context: CorpusContext, beta: float, jobs: int = 1
 ) -> tuple[list[ProjectEvaluation], list[ProjectFailure]]:
-    """Label every project, then score the labels; failures of either step
-    come back sorted by project id."""
+    """Label and score each project in one step, so one project's labels
+    are held at a time; a failure of either comes back as the project's."""
     validate_beta(beta)
-    all_labels, label_failures = label_corpus(context, jobs)
-    evaluations, failures = evaluate_label_records(all_labels, context.sca_order, beta)
-    return evaluations, sorted(label_failures + failures, key=lambda f: f.project_id)
+
+    def worker(project_id: str) -> ProjectEvaluation:
+        labels = label_project(context, load_snapshot(context.root, project_id))
+        return evaluate_labels(labels, context.sca_order, beta)
+
+    return _run_isolated(worker, list_projects(context.root), jobs)
 
 
 def evaluate_label_records(
@@ -204,15 +206,10 @@ def evaluate_label_records(
 ) -> tuple[list[ProjectEvaluation], list[ProjectFailure]]:
     """Score already-labeled projects (the re-entry path for stored labels)."""
     validate_beta(beta)
-    evaluations = []
-    failures = []
-    for labels in sorted(all_labels, key=lambda l: l.project_id):
-        try:
-            evaluations.append(evaluate_labels(labels, sca_order, beta))
-        except DataError as exc:
-            log.warning("project %s failed: %s", labels.project_id, exc)
-            failures.append(ProjectFailure(labels.project_id, str(exc)))
-    return evaluations, failures
+    by_project = {labels.project_id: labels for labels in all_labels}
+    return _run_isolated(
+        lambda p: evaluate_labels(by_project[p], sca_order, beta), list(by_project)
+    )
 
 
 def labels_to_record(labels: ProjectLabels) -> dict:

@@ -5,7 +5,7 @@ own training rows and the ordered class list, so a saved model file is
 self-contained.  Training reduces each project's optimal label set to its
 primary label (first element in corpus analyzer order); evaluation scores
 predictions against the full set.  A model predicts a whole feature table
-(or dataset) at once, taking its features from the table's columns by name.
+at once, taking its features from the table's columns by name.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .estimators import (
 from .exceptions import (
     DataError,
     DegenerateDataset,
-    FeatureMismatch,
     InvalidCount,
     LengthMismatch,
     SchemaError,
@@ -135,23 +134,19 @@ class RecommendationModel:
     estimator: object
     seed: int
 
-    def predict_table(self, table: FeatureTable | PreferenceDataset) -> list[ScaId]:
+    def predict_table(self, table: FeatureTable) -> list[ScaId]:
         """The recommendation for each project of ``table``, in its order.
         The model's features are taken from the table's columns by name, so
         a model trained on a feature list applies to the full feature table.
-        A missing feature raises a FeatureMismatch; a standardized value
+        A missing feature raises an UnknownFeature; a standardized value
         that is not finite raises a DataError naming the first such project
         and its first such feature."""
-        position = {name: i for i, name in enumerate(table.feature_names)}
-        for name in self.feature_names:
-            if name not in position:
-                raise FeatureMismatch(f"model feature {name!r} is not in the feature table")
-        columns = [position[name] for name in self.feature_names]
+        matrix = table.subset_features(self.feature_names).matrix
         with np.errstate(over="ignore", invalid="ignore"):
-            standardized = self.scaler.transform(table.matrix[:, columns])
+            standardized = self.scaler.transform(matrix)
         finite = np.isfinite(standardized)
         if not finite.all():
-            row, column = divmod(int(np.argmin(finite)), len(columns))
+            row, column = divmod(int(np.argmin(finite)), len(self.feature_names))
             raise DataError(
                 f"project {table.project_ids[row]}: feature {self.feature_names[column]!r}: "
                 "standardized value is not finite"
@@ -276,9 +271,10 @@ def train_batch(
         y, classes = encode_labels(dataset.primary_labels(), dataset.sca_order)
         if len(classes) < 2:
             raise DegenerateDataset("training labels collapse to a single analyzer")
-        scaler = StandardScaler().fit(dataset.matrix, dataset.feature_names)
-        prepared.append((dataset, seed, scaler, classes, scaler.transform(dataset.matrix), y))
-    datasets, seeds, scalers, class_lists, Xs, ys = zip(*prepared)
+        table = dataset.table
+        scaler = StandardScaler().fit(table.matrix, table.feature_names)
+        prepared.append((table, seed, scaler, classes, scaler.transform(table.matrix), y))
+    tables, seeds, scalers, class_lists, Xs, ys = zip(*prepared)
     _, _, fit_batch = ESTIMATORS[kind]
     fitted = fit_batch(
         (build_estimator(kind, hyperparams, seed) for seed in seeds),
@@ -286,13 +282,13 @@ def train_batch(
         ys,
         [len(classes) for classes in class_lists],
     )
-    for dataset, seed, scaler, classes, estimator in zip(
-        datasets, seeds, scalers, class_lists, fitted
+    for table, seed, scaler, classes, estimator in zip(
+        tables, seeds, scalers, class_lists, fitted
     ):
         yield RecommendationModel(
             kind=kind,
             hyperparams=resolve_hyperparams(kind, hyperparams),
-            feature_names=dataset.feature_names,
+            feature_names=table.feature_names,
             scaler=scaler,
             classes=classes,
             estimator=estimator,
@@ -400,7 +396,7 @@ def _fold_predictions(
         [
             (
                 test_rows,
-                next(models).predict_table(dataset.subset_rows(test_rows))
+                next(models).predict_table(dataset.table.subset_rows(test_rows))
                 if test_rows
                 else None,
             )

@@ -62,12 +62,12 @@ def rfe(
 ) -> RfeResult:
     """Eliminate features one per round until ``target`` remain."""
     _require_rankable(kind)
-    n_features = len(dataset.feature_names)
+    n_features = len(dataset.table.feature_names)
     if not 1 <= target <= n_features:
         raise InvalidTarget(
             f"target must be between 1 and {n_features}, got {target}"
         )
-    current = list(dataset.feature_names)
+    current = list(dataset.table.feature_names)
     path = [tuple(current)]
     eliminated: list[str] = []
     round_index = 0

@@ -44,7 +44,7 @@ from sca_reco.effectiveness import (
     reevaluate,
 )
 from sca_reco.estimators import PCA
-from sca_reco.features import PreferenceDataset, load_features
+from sca_reco.features import FeatureTable, PreferenceDataset, load_features
 from sca_reco.ingestion import load_snapshot
 from sca_reco.matching import MatchStage, ReleasePair, label_release_detailed
 from sca_reco.metrics import micro_metrics
@@ -514,13 +514,7 @@ def benchmark_dataset(seed):
             rows.append([x1, x2, *noise])
             labels.append((sca,))
             ids.append(f"p{c}{i}")
-    return PreferenceDataset(
-        feature_names=names,
-        project_ids=tuple(ids),
-        matrix=np.array(rows),
-        label_sets=tuple(labels),
-        sca_order=SCAS3,
-    )
+    return PreferenceDataset(FeatureTable(names, tuple(ids), np.array(rows)), tuple(labels), SCAS3)
 
 
 def test_criterion_06_elimination_finds_informative_pair():
@@ -530,7 +524,7 @@ def test_criterion_06_elimination_finds_informative_pair():
         for seed in range(600, 610):
             dataset = benchmark_dataset(seed)
             scored = []
-            for pair in combinations(dataset.feature_names, 2):
+            for pair in combinations(dataset.table.feature_names, 2):
                 result = cross_validate(
                     dataset.subset_features(pair), ModelKind.DT, folds=4, seed=seed
                 )

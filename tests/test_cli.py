@@ -5,11 +5,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
 import re
 import shutil
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,6 +27,7 @@ from sca_reco.pipeline import read_evaluations, read_labels
 from sca_reco.recommend import DEFAULT_HYPERPARAMS
 
 SCAS = {"hawkeye", "lintmax", "bugnet"}
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +65,23 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as info:
         cli.main(["frobnicate"])
     assert info.value.code == 1
+
+
+@pytest.mark.parametrize("model", ["rf", "lr"])
+def test_the_benchmark_command_lines_parse(tmp_path, monkeypatch, model):
+    """Every argv of the benchmark's flow parses, so each option it passes
+    (``label --jobs 1`` among them) must stay while the benchmark runs it."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # run.py prepends its directory
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCHMARK)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    flow = run.flow_commands(tmp_path / "corpus", tmp_path / "out", model)
+    assert flow
+    for command, argv in flow:
+        args = cli.build_parser().parse_args(argv)
+        assert args.command == command
+        if "--model" in argv:
+            assert args.model == model
 
 
 def test_config_error_exits_1(workspace, tmp_path):
@@ -962,6 +983,26 @@ def test_count_below_minimum_exits_1(workspace, tmp_path, capsys, case):
     assert cli.main(argv) == 1
     assert "at least" in capsys.readouterr().err
     # the count is checked before any work, so nothing is written
+    assert list(tmp_path.iterdir()) == []
+
+
+# label and evaluate, the latter with and without stored labels
+JOBS_COMMANDS = {
+    "label": ["label", "--out", "{tmp}/labels.jsonl"],
+    "evaluate": ["evaluate", "--out-dir", "{tmp}/eval"],
+    "evaluate-labels": ["evaluate", "--labels", "{labels}", "--out-dir", "{tmp}/eval"],
+}
+
+
+# a large --jobs starts that many threads, so only counts below 1 are tried
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("case", sorted(JOBS_COMMANDS))
+def test_jobs_below_1_exits_1_before_writing(workspace, tmp_path, capsys, case, jobs):
+    argv = [t.format(tmp=tmp_path, labels=workspace["labels"]) for t in JOBS_COMMANDS[case]]
+    argv += ["--corpus", str(workspace["corpus"]), "--jobs", jobs]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -128,10 +128,11 @@ def table3():
 def test_build_dataset_row_order_follows_vectors():
     labels = {"p3": ("beta",), "p1": ("alpha", "beta")}
     dataset = build_dataset(table3(), labels, ("alpha", "beta"))
-    assert dataset.project_ids == ("p1", "p3")  # p2 has no label and is dropped
+    assert dataset.table.project_ids == ("p1", "p3")  # p2 has no label and is dropped
     assert dataset.label_sets == (("alpha", "beta"), ("beta",))
     assert dataset.primary_labels() == ("alpha", "beta")
-    assert np.array_equal(dataset.matrix, [[1.0, 10.0], [3.0, 30.0]])
+    assert dataset.table.feature_names == ("a", "b")
+    assert np.array_equal(dataset.table.matrix, [[1.0, 10.0], [3.0, 30.0]])
     assert dataset.sca_order == ("alpha", "beta")
 
 
@@ -161,23 +162,33 @@ def dataset2():
 def test_subset_rows_and_features():
     dataset = dataset2()
     rows = dataset.subset_rows([2, 0])
-    assert rows.project_ids == ("p3", "p1")
+    assert rows.table.project_ids == ("p3", "p1")
     assert rows.label_sets == (("alpha",), ("alpha",))
-    assert np.array_equal(rows.matrix, [[3.0, 30.0], [1.0, 10.0]])
-    cols = dataset.subset_features(["b"])
-    assert cols.feature_names == ("b",)
-    assert np.array_equal(cols.matrix, [[10.0], [20.0], [30.0]])
-    assert cols.project_ids == dataset.project_ids
+    assert np.array_equal(rows.table.matrix, [[3.0, 30.0], [1.0, 10.0]])
+    cols = dataset.subset_features(["b", "a"])
+    assert cols.table.feature_names == ("b", "a")
+    assert np.array_equal(cols.table.matrix, [[10.0, 1.0], [20.0, 2.0], [30.0, 3.0]])
+    assert cols.table.project_ids == dataset.table.project_ids
+    assert cols.label_sets == dataset.label_sets
 
 
-def test_feature_index_unknown_name():
-    with pytest.raises(UnknownFeature):
-        dataset2().feature_index("nope")
+@pytest.mark.parametrize(
+    "names, error, message",
+    [
+        ([], SchemaError, "the feature list names no feature"),
+        (["b", "a", "b"], SchemaError, r"the feature list repeats \['b'\]"),
+        (["a", "nope"], UnknownFeature, "^feature 'nope' is not in the feature table$"),
+    ],
+    ids=["empty", "repeated", "unknown"],
+)
+def test_subset_features_rejects_an_unusable_name_list(names, error, message):
+    with pytest.raises(error, match=message):
+        table3().subset_features(names)
 
 
 def test_standardize_oracle():
     scaler = StandardScaler()
-    scaled = scaler.fit_transform(dataset2().matrix)
+    scaled = scaler.fit_transform(dataset2().table.matrix)
     # column a was 1,2,3: mean 2, population std sqrt(2/3)
     expected = (np.array([1.0, 2.0, 3.0]) - 2.0) / np.sqrt(2.0 / 3.0)
     assert np.allclose(scaled[:, 0], expected, atol=1e-12)

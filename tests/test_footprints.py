@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sca_reco.features import PreferenceDataset
+from sca_reco.features import FeatureTable, PreferenceDataset
 from sca_reco.footprints import (
     FEATURE_HEADER,
     OPTIMAL_HEADER,
@@ -17,10 +17,10 @@ from sca_reco.footprints import (
 
 
 def dataset4():
-    return PreferenceDataset(
-        feature_names=("loc", "churn", "flat"),
-        project_ids=("p1", "p2", "p3", "p4"),
-        matrix=np.array(
+    table = FeatureTable(
+        ("loc", "churn", "flat"),
+        ("p1", "p2", "p3", "p4"),
+        np.array(
             [
                 [10.0, 1.0, 7.0],
                 [40.0, 3.0, 7.0],
@@ -28,23 +28,35 @@ def dataset4():
                 [30.0, 5.0, 7.0],
             ]
         ),
-        label_sets=(("alpha",), ("beta",), ("alpha", "beta"), ("beta",)),
-        sca_order=("alpha", "beta"),
+    )
+    return PreferenceDataset(
+        table, (("alpha",), ("beta",), ("alpha", "beta"), ("beta",)), ("alpha", "beta")
     )
 
 
 def test_projection_shape_and_determinism():
+    table = dataset4().table
+    a = project_footprint(table)
+    b = project_footprint(table)
+    assert a.shape == (4, 2)
+    assert np.array_equal(a, b)
+
+
+def test_tables_list_the_projects_in_table_order():
     dataset = dataset4()
-    a = project_footprint(dataset)
-    b = project_footprint(dataset)
-    assert a.coordinates.shape == (4, 2)
-    assert a.project_ids == dataset.project_ids
-    assert np.array_equal(a.coordinates, b.coordinates)
+    coordinates = project_footprint(dataset.table)
+    for text in (
+        render_feature_footprint(coordinates, dataset.table, "churn"),
+        render_optimal_footprint(coordinates, dataset, "beta"),
+    ):
+        rows = [row.split(",") for row in text.splitlines()[1:]]
+        assert [row[2] for row in rows] == list(dataset.table.project_ids)
+        assert [[float(row[0]), float(row[1])] for row in rows] == coordinates.tolist()
 
 
 def test_feature_table_minmax_normalization():
     dataset = dataset4()
-    text = render_feature_footprint(project_footprint(dataset), dataset, "loc")
+    text = render_feature_footprint(project_footprint(dataset.table), dataset.table, "loc")
     lines = text.splitlines()
     assert lines[0] == FEATURE_HEADER
     values = {row.split(",")[2]: float(row.split(",")[3]) for row in lines[1:]}
@@ -56,22 +68,22 @@ def test_feature_table_minmax_normalization():
 
 def test_constant_feature_normalizes_to_zero():
     dataset = dataset4()
-    text = render_feature_footprint(project_footprint(dataset), dataset, "flat")
+    text = render_feature_footprint(project_footprint(dataset.table), dataset.table, "flat")
     for row in text.splitlines()[1:]:
         assert row.endswith(",0.0")
 
 
 def test_optimal_table_flags():
     dataset = dataset4()
-    projection = project_footprint(dataset)
-    alpha = render_optimal_footprint(projection, dataset, "alpha")
+    coordinates = project_footprint(dataset.table)
+    alpha = render_optimal_footprint(coordinates, dataset, "alpha")
     lines = alpha.splitlines()
     assert lines[0] == OPTIMAL_HEADER
     flags = {row.split(",")[2]: row.split(",")[3] for row in lines[1:]}
     assert flags == {"p1": "1", "p2": "0", "p3": "1", "p4": "0"}
     beta_flags = {
         row.split(",")[2]: row.split(",")[3]
-        for row in render_optimal_footprint(projection, dataset, "beta").splitlines()[1:]
+        for row in render_optimal_footprint(coordinates, dataset, "beta").splitlines()[1:]
     }
     assert beta_flags == {"p1": "0", "p2": "1", "p3": "1", "p4": "1"}
 

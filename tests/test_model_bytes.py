@@ -7,6 +7,11 @@ and of its recommendations, the CV line that ``train --cv-folds`` prints,
 trees are grown or weights descended, stored or applied must leave every
 one of them as it is.
 
+``mine --footprints``'s tables are pinned by one SHA-256 over each table's
+name and bytes.  Like the lr model file, they rest on the BLAS/LAPACK kernel
+numpy picks for this CPU: the footprint PCA is an SVD through LAPACK, and
+another kernel changes the last digits of every table (ROADMAP item 3).
+
 Those fits have about 14 rows.  A 100-tree forest and a single tree fitted
 directly on 190 rows x 8 features x 3 classes, the size of a fit at the
 paper's 213 projects, are pinned too: the SHA-256 of their node arrays and
@@ -85,6 +90,8 @@ PINNED_SWEEP_TSV = {
         "inf\t0.55\t0.4345238095238095\t0.48376623376623373\n"
     ),
 }
+# every table of rf's mine --footprints: name, NUL, bytes, in sorted name order
+PINNED_FOOTPRINTS_SHA256 = "c278346aab83f74d9916a13badec015a9e73128d24b8a3c94491a93ae650736a"
 # node arrays and importances of direct fits at 190 rows x 8 features x 3 classes
 PINNED_PAPER_SCALE_SHA256 = {
     "rf": "9ec2eb5c58af1f7579f7abecfba793aee0bb08bfe9747e39e2e3f79aa7d87270",
@@ -139,6 +146,17 @@ def test_mine_bytes_are_pinned(evaluated, tmp_path, capsys):
         assert stdout == pinned, kind
         selected = (tmp_path / kind / "selected_features.txt").read_text(encoding="utf-8")
         assert selected.splitlines() == stdout.splitlines()[-1].split(": ")[1].split(",")
+
+
+def test_footprint_bytes_are_pinned(evaluated, tmp_path):
+    """The rf ``mine --footprints`` tables; their PCA runs through LAPACK,
+    so this pin, like the lr model file's, holds for this CPU's kernel."""
+    argv = ["mine", *evaluated["data"], "--model", "rf", "--folds", "3", "--footprints"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted((tmp_path / "footprints").iterdir(), key=lambda p: p.name):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == PINNED_FOOTPRINTS_SHA256
 
 
 def test_sweep_bytes_are_pinned(evaluated, tmp_path, capsys):

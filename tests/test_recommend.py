@@ -21,8 +21,8 @@ from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, 
 from sca_reco.exceptions import (
     DataError,
     DegenerateDataset,
-    FeatureMismatch,
     TooFewSamples,
+    UnknownFeature,
     UnsupportedModelKind,
 )
 from sca_reco import recommend
@@ -68,11 +68,7 @@ def two_class_dataset(n_per_class=6):
         labels.append(("beta",))
         ids.append(f"b{i}")
     return PreferenceDataset(
-        feature_names=NAMES,
-        project_ids=tuple(ids),
-        matrix=np.array(rows),
-        label_sets=tuple(labels),
-        sca_order=("alpha", "beta"),
+        FeatureTable(NAMES, tuple(ids), np.array(rows)), tuple(labels), ("alpha", "beta")
     )
 
 
@@ -111,7 +107,7 @@ def test_train_requires_rows_and_classes():
 def test_lr_model_separates_training_data():
     dataset = two_class_dataset()
     model = train(dataset, ModelKind.LR, seed=0)
-    assert tuple(model.predict_table(dataset)) == dataset.primary_labels()
+    assert tuple(model.predict_table(dataset.table)) == dataset.primary_labels()
 
 
 def test_rf_defaults_are_embedded():
@@ -139,15 +135,15 @@ def test_predict_takes_the_model_features_by_name():
     expected = model.predict_table(table(("f2", "f0"), probe))
     wide = table(("f3", "f0", "f1", "f2"), [[9.0, f0, 9.0, f2] for f2, f0 in probe])
     assert model.predict_table(wide) == expected
-    with pytest.raises(FeatureMismatch, match="'f2'"):
+    with pytest.raises(UnknownFeature, match="'f2'"):
         model.predict_table(table(("f0", "f1"), [[0.05, 1.05]]))
 
 
 def test_feature_mismatch_is_rejected():
     model = train(two_class_dataset(), ModelKind.DT, seed=0)
-    with pytest.raises(FeatureMismatch, match="model feature 'f3' is not in the feature table"):
+    with pytest.raises(UnknownFeature, match="feature 'f3' is not in the feature table"):
         model.predict_table(table(("f1", "f0", "f2"), [[0.0, 1.0, 0.5]]))
-    with pytest.raises(FeatureMismatch):
+    with pytest.raises(UnknownFeature):
         model.predict_table(table((), []))
 
 
@@ -192,7 +188,7 @@ def test_a_non_finite_standardized_value_names_the_first_project_and_feature():
     probes = table(("f0", "f1", "f2", "f3"), rows, ["p-z", "p-b", "p-c", "p-a"])
     with pytest.raises(DataError, match="^project p-b: feature 'f3': standardized value"):
         model.predict_table(probes)
-    rest = probes._replace(project_ids=probes.project_ids[2:], matrix=probes.matrix[2:])
+    rest = probes.subset_rows([2, 3])
     with pytest.raises(DataError, match="^project p-c: feature 'f2': standardized value"):
         model.predict_table(rest)
 
@@ -364,23 +360,22 @@ def make_evaluation(project_id, counts_by_sca, beta=1.0):
 def sweep_fixture():
     dataset = two_class_dataset()
     evaluations = []
-    for project_id, labels in zip(dataset.project_ids, dataset.label_sets):
+    for project_id, labels in zip(dataset.table.project_ids, dataset.label_sets):
         if labels[0] == "alpha":
             counts = [("alpha", (5, 0, 5)), ("beta", (1, 4, 5))]
         else:
             counts = [("alpha", (1, 4, 5)), ("beta", (5, 0, 5))]
         evaluations.append(make_evaluation(project_id, counts))
-    features = FeatureTable(dataset.feature_names, dataset.project_ids, dataset.matrix)
-    return evaluations, features, dataset
+    return evaluations, dataset.table, dataset
 
 
 def test_dataset_from_evaluations_matches_source():
     evaluations, features, dataset = sweep_fixture()
     rebuilt = dataset_from_evaluations(features, evaluations)
-    assert rebuilt.project_ids == dataset.project_ids
+    assert rebuilt.table.project_ids == dataset.table.project_ids
     assert rebuilt.label_sets == dataset.label_sets
     assert rebuilt.sca_order == ("alpha", "beta")
-    assert np.array_equal(rebuilt.matrix, dataset.matrix)
+    assert np.array_equal(rebuilt.table.matrix, dataset.table.matrix)
 
 
 def test_beta_sweep_single_beta_equals_direct_cv():

@@ -7,7 +7,7 @@ import pytest
 
 from sca_reco import selection
 from sca_reco.exceptions import InvalidCount, InvalidTarget, TooFewSamples, UnsupportedModelKind
-from sca_reco.features import PreferenceDataset
+from sca_reco.features import FeatureTable, PreferenceDataset
 from sca_reco.recommend import ModelKind, train
 from sca_reco.selection import (
     feature_importances,
@@ -29,11 +29,7 @@ def signal_dataset(n_per_class=6):
         labels.append(("beta",))
         ids.append(f"b{i}")
     return PreferenceDataset(
-        feature_names=names,
-        project_ids=tuple(ids),
-        matrix=np.array(rows),
-        label_sets=tuple(labels),
-        sca_order=("alpha", "beta"),
+        FeatureTable(names, tuple(ids), np.array(rows)), tuple(labels), ("alpha", "beta")
     )
 
 
@@ -59,9 +55,9 @@ def test_importances_unsupported_kinds():
 def test_rfe_target_equal_to_width_is_identity():
     dataset = signal_dataset()
     run = rfe(dataset, ModelKind.DT, target=4)
-    assert run.selected == dataset.feature_names
+    assert run.selected == dataset.table.feature_names
     assert run.eliminated == ()
-    assert run.path == (dataset.feature_names,)
+    assert run.path == (dataset.table.feature_names,)
 
 
 def test_rfe_invalid_targets():
@@ -94,7 +90,7 @@ def test_rfe_partition_invariant_and_determinism():
     dataset = signal_dataset()
     run = rfe(dataset, ModelKind.DT, target=2, seed=42)
     assert len(run.selected) == 2
-    assert sorted(run.selected + run.eliminated) == sorted(dataset.feature_names)
+    assert sorted(run.selected + run.eliminated) == sorted(dataset.table.feature_names)
     again = rfe(dataset, ModelKind.DT, target=2, seed=42)
     assert run == again
 
