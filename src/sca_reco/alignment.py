@@ -7,19 +7,20 @@ pairwise.  Labels are then resolved by vote: unanimous groups keep their
 label, a 2-vs-1 group takes the majority, and a conflicting pair is
 discarded outright.  Warnings that group with nobody stand alone.
 
-The pairwise rule is defined once, in ``_same_defect``.  ``identical``
-applies it to every pair of a group, so ``AlignedGroup`` validates its
-members through it, and the greedy grouping checks each candidate against
-each member with it directly, once per pair.  The grouping looks only at
-the candidates the rule can accept: those of the seed's category and class
-starting within OFFSET_LIMIT lines of it.
+The pairwise rule is defined once, in ``_same_defect``.  The greedy
+grouping checks each candidate against each member with it, once per pair,
+and ``identical`` applies it to every pair of a given group.  The grouping
+looks only at the candidates the rule can accept: those of the seed's
+category and class starting within OFFSET_LIMIT lines of it.  Groups and
+discarded pairs are plain tuples that ``align_project`` alone builds, so
+each group's vote is taken once, as the group closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .core import AlignedWarning, ScaId, WarningLabel, sort_warnings, warning_sort_key
 
@@ -67,28 +68,15 @@ def _resolve_label(members: Sequence[AlignedWarning]) -> WarningLabel | None:
     return WarningLabel.ACTIONABLE if actionable >= 2 else WarningLabel.UNACTIONABLE
 
 
-@dataclass(frozen=True)
-class AlignedGroup:
-    """A resolved group of 1..3 warnings agreeing on one defect."""
+class AlignedGroup(NamedTuple):
+    """A resolved group of 1..3 warnings from distinct analyzers agreeing on
+    one defect, in canonical order, with their voted label."""
 
     members: tuple[AlignedWarning, ...]
     resolved_label: WarningLabel
 
-    def __post_init__(self):
-        if not 1 <= len(self.members) <= 3:
-            raise ValueError("a group holds 1 to 3 warnings")
-        if len(self.members) > 1 and not identical(self.members, ignore_label=True):
-            raise ValueError("group members do not denote the same defect")
-        voted = _resolve_label(self.members)
-        if voted is None or voted is not self.resolved_label:
-            raise ValueError("resolved label disagrees with the member vote")
 
-    def has_sca(self, sca: ScaId) -> bool:
-        return any(m.origin[0] == sca for m in self.members)
-
-
-@dataclass(frozen=True)
-class DiscardedPair:
+class DiscardedPair(NamedTuple):
     """Two warnings that matched in every respect except their labels."""
 
     members: tuple[AlignedWarning, AlignedWarning]
@@ -110,7 +98,8 @@ def align_project(
     canonical order) seeds a group, then every later analyzer contributes its
     best compatible unconsumed warning: minimal summed start-line distance to
     the current members, ties by canonical order.  Labels are ignored while
-    grouping and resolved by vote afterwards.
+    grouping; each group's vote is taken as it closes, and a lone warning
+    keeps its own label.
 
     Each analyzer's pool is indexed by (category, class) and then by start
     line, and a seed looks only at the lines within OFFSET_LIMIT of its
@@ -134,7 +123,8 @@ def align_project(
     }
     indexes = {sca: _index_by_line(pool) for sca, pool in pools.items()}
     consumed: set[tuple[ScaId, int]] = set()
-    raw_groups: list[list[AlignedWarning]] = []
+    groups: list[AlignedGroup] = []
+    discarded: list[DiscardedPair] = []
 
     for i, sca in enumerate(sca_order):
         for seed in pools[sca]:
@@ -154,17 +144,14 @@ def align_project(
                 if best is not None:
                     consumed.add(best.origin)
                     members.append(best)
-            raw_groups.append(members)
-
-    groups: list[AlignedGroup] = []
-    discarded: list[DiscardedPair] = []
-    for members in raw_groups:
-        resolved = _resolve_label(members)
-        if resolved is None:
-            a, b = sort_warnings(members)
-            discarded.append(DiscardedPair((a, b)))
-        else:
-            groups.append(AlignedGroup(tuple(sort_warnings(members)), resolved))
+            if len(members) == 1:
+                groups.append(AlignedGroup((seed,), seed.label))
+                continue
+            resolved = _resolve_label(members)
+            if resolved is None:
+                discarded.append(DiscardedPair(tuple(sort_warnings(members))))
+            else:
+                groups.append(AlignedGroup(tuple(sort_warnings(members)), resolved))
     groups.sort(key=lambda g: warning_sort_key(g.members[0]))
     discarded.sort(key=lambda d: warning_sort_key(d.members[0]))
     return AlignmentResult(tuple(groups), tuple(discarded))

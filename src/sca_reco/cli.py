@@ -100,7 +100,7 @@ def _cmd_evaluate(args) -> int:
     beta = parse_beta(args.beta)
     if args.labels:
         evaluations, failures = evaluate_label_records(
-            read_labels(args.labels, context.sca_order), context.sca_order, beta
+            read_labels(args.labels, context.sca_order), context.sca_order, beta, args.jobs
         )
     else:
         evaluations, failures = evaluate_corpus(context, beta, args.jobs)

@@ -4,7 +4,8 @@ For one analyzer, a group counts as a true positive when it contains that
 analyzer's warning and resolved to actionable, and as a false positive when
 it resolved to unactionable.  Recall is measured against the union of all
 distinct actionable defects any analyzer found, so analyzers are compared on
-the same denominator.
+the same denominator.  ``evaluate_project`` takes every analyzer's counts and
+the union in one pass over the groups.
 
 A ``ProjectEvaluation`` holds its project id and beta once; its scores hold
 only each analyzer's counts and scores, and its optimal set is the tuple of
@@ -14,6 +15,7 @@ analyzers tied at the best score, the first of them the primary label.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,21 +75,6 @@ def f_beta(counts: ConfusionCounts, beta: float) -> float:
     return (1 + beta * beta) * p * r / denominator
 
 
-def per_sca_confusion(result: AlignmentResult, sca: ScaId) -> ConfusionCounts:
-    """Count one analyzer's actionable/unactionable groups in an alignment."""
-    tp = fp = union = 0
-    for group in result.groups:
-        actionable = group.resolved_label is WarningLabel.ACTIONABLE
-        if actionable:
-            union += 1
-        if group.has_sca(sca):
-            if actionable:
-                tp += 1
-            else:
-                fp += 1
-    return ConfusionCounts(tp, fp, union)
-
-
 @dataclass(frozen=True)
 class EffectivenessScore:
     """One analyzer's counts and scores; the project and beta they belong
@@ -113,8 +100,20 @@ def score_sca(sca: ScaId, counts: ConfusionCounts, beta: float) -> Effectiveness
 def evaluate_project(
     result: AlignmentResult, scas: Sequence[ScaId], beta: float
 ) -> list[EffectivenessScore]:
-    """One score per analyzer, in the given (corpus) order."""
-    return [score_sca(sca, per_sca_confusion(result, sca), beta) for sca in scas]
+    """One score per analyzer, in the given (corpus) order.  A group holds
+    at most one warning per analyzer, so counting members counts groups."""
+    tp: Counter[ScaId] = Counter()
+    fp: Counter[ScaId] = Counter()
+    union = 0
+    for group in result.groups:
+        if group.resolved_label is WarningLabel.ACTIONABLE:
+            union += 1
+            counts = tp
+        else:
+            counts = fp
+        for member in group.members:
+            counts[member.origin[0]] += 1
+    return [score_sca(sca, ConfusionCounts(tp[sca], fp[sca], union), beta) for sca in scas]
 
 
 def optimal_set(scores: Sequence[EffectivenessScore]) -> tuple[ScaId, ...]:

@@ -203,36 +203,14 @@ def evaluate_label_records(
     all_labels: Sequence[ProjectLabels],
     sca_order: Sequence[ScaId],
     beta: float,
+    jobs: int = 1,
 ) -> tuple[list[ProjectEvaluation], list[ProjectFailure]]:
     """Score already-labeled projects (the re-entry path for stored labels)."""
     validate_beta(beta)
     by_project = {labels.project_id: labels for labels in all_labels}
     return _run_isolated(
-        lambda p: evaluate_labels(by_project[p], sca_order, beta), list(by_project)
+        lambda p: evaluate_labels(by_project[p], sca_order, beta), list(by_project), jobs
     )
-
-
-def labels_to_record(labels: ProjectLabels) -> dict:
-    """JSON form of one project's labels, audit details included."""
-    rows = []
-    for sca, warnings in labels.by_sca.items():
-        audit = labels.audits.get(sca, ())
-        for warning, record in zip(warnings, audit):
-            rows.append(
-                {
-                    "sca": sca,
-                    "index": warning.origin[1],
-                    "category": warning.new_type,
-                    "class": warning.class_info,
-                    "start_line": warning.start_line,
-                    "end_line": warning.end_line,
-                    "label": warning.label.value,
-                    "stage": record.stage.value if record.stage else None,
-                    "matched_line": record.matched_line,
-                    "matched_index": record.matched_origin,
-                }
-            )
-    return {"project": labels.project_id, "warnings": rows}
 
 
 LABEL_RECORD = RecordSpec(("project", str), ("warnings", list))
@@ -248,7 +226,7 @@ _STAGES = {None: None, "": None, **{stage.value: stage for stage in MatchStage}}
 
 
 def record_to_labels(record: dict) -> ProjectLabels:
-    """Inverse of ``labels_to_record``; a missing field, one of the wrong
+    """Inverse of a ``write_labels`` line's JSON; a missing field, one of the wrong
     type or value, a line span that is not 1 <= start <= end, or a row
     repeating another's analyzer and index raises a SchemaError."""
     where = "label record"
@@ -289,7 +267,7 @@ def record_to_labels(record: dict) -> ProjectLabels:
 def _read_label_rows(project_id: str, rows: list) -> ProjectLabels | None:
     """``record_to_labels`` of ``rows`` with every check made a column at a
     time, or None if any check fails or an analyzer's rows are not
-    contiguous, as ``labels_to_record`` writes them."""
+    contiguous, as ``write_labels`` writes them."""
     values = read_records(rows, LABEL_ROW)
     if not values:
         return None
@@ -316,8 +294,8 @@ def _read_label_rows(project_id: str, rows: list) -> ProjectLabels | None:
     return ProjectLabels(project_id, by_sca, audits_by_sca)
 
 
-# one encoder for every JSONL line: a record is a tree, so the cycle check
-# json.dumps makes is skipped; the bytes are those of json.dumps(record, sort_keys=True)
+# one encoder for every JSONL line but the labels': a record is a tree, so the cycle
+# check json.dumps makes is skipped; the bytes are those of json.dumps(record, sort_keys=True)
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
@@ -353,7 +331,35 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
 
 
 def write_labels(path: str | Path, all_labels: Sequence[ProjectLabels]) -> None:
-    _write_jsonl(path, (labels_to_record(l) for l in all_labels))
+    """One JSON line per project with the bytes of ``json.dumps(record,
+    sort_keys=True)`` for ``{"project": id, "warnings": rows}``, a row per
+    warning and its audit record, formatted straight from the tuples:
+    strings quoted by ``encode_basestring_ascii``, the encoder ``json.dumps``
+    uses, integers as ``str(int)`` and a missing stage, line or index as
+    ``null``."""
+    write_text(path, map(_label_line, all_labels))
+
+
+_QUOTE = json.encoder.encode_basestring_ascii
+_LABEL_TEXTS = {label: _QUOTE(label.value) for label in WarningLabel}
+_STAGE_TEXTS = {None: "null", **{stage: _QUOTE(stage.value) for stage in MatchStage}}
+
+
+def _label_line(labels: ProjectLabels) -> str:
+    rows = []
+    for sca, warnings in labels.by_sca.items():
+        sca_text = _QUOTE(sca)
+        for w, audit in zip(warnings, labels.audits.get(sca, ())):
+            line, origin = audit.matched_line, audit.matched_origin
+            rows.append(
+                f'{{"category": {_QUOTE(w.new_type)}, "class": {_QUOTE(w.class_info)}, '
+                f'"end_line": {w.end_line}, "index": {w.origin[1]}, '
+                f'"label": {_LABEL_TEXTS[w.label]}, '
+                f'"matched_index": {"null" if origin is None else origin}, '
+                f'"matched_line": {"null" if line is None else line}, "sca": {sca_text}, '
+                f'"stage": {_STAGE_TEXTS[audit.stage]}, "start_line": {w.start_line}}}'
+            )
+    return f'{{"project": {_QUOTE(labels.project_id)}, "warnings": [{", ".join(rows)}]}}\n'
 
 
 def read_labels(path: str | Path, sca_order: Sequence[ScaId]) -> list[ProjectLabels]:

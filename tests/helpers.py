@@ -15,6 +15,12 @@ specs.  ``check_report_entry`` and ``check_label_span`` state the value
 rules the readers apply to a report entry and a stored label row, one
 condition at a time.  The equivalence tests of the record readers compare
 against them.
+
+``labels_to_record`` is the JSON record of one project's labels as a dict;
+``json.dumps(record, sort_keys=True)`` of it is the line ``write_labels``
+must write.  ``labeled_warnings`` draws judged warnings of three analyzers
+that crowd a few lines of two classes, for the alignment and scoring
+oracles.
 """
 
 from __future__ import annotations
@@ -307,3 +313,53 @@ def faulted(draw, records: list, faults: dict):
         else:
             records[i] = {**whole[i], key: draw(st.sampled_from(faults[key]))}
     return records
+
+
+def labels_to_record(labels) -> dict:
+    """JSON form of one project's ``ProjectLabels``, audit details included."""
+    rows = []
+    for sca, warnings in labels.by_sca.items():
+        audit = labels.audits.get(sca, ())
+        for warning, record in zip(warnings, audit):
+            rows.append(
+                {
+                    "sca": sca,
+                    "index": warning.origin[1],
+                    "category": warning.new_type,
+                    "class": warning.class_info,
+                    "start_line": warning.start_line,
+                    "end_line": warning.end_line,
+                    "label": warning.label.value,
+                    "stage": record.stage.value if record.stage else None,
+                    "matched_line": record.matched_line,
+                    "matched_index": record.matched_origin,
+                }
+            )
+    return {"project": labels.project_id, "warnings": rows}
+
+
+ALIGNED_SCAS = ("alpha", "beta", "gamma")
+_ALIGNED_ROW = st.tuples(
+    st.sampled_from(("null_dereference", "resource_leak")),
+    st.sampled_from(("com.example.Foo", "com.example.Bar")),
+    st.integers(1, 12),
+    st.integers(0, 4),
+    st.sampled_from((A, U)),
+)
+
+
+@st.composite
+def labeled_warnings(draw) -> dict[str, list[AlignedWarning]]:
+    """Up to twelve judged warnings for each of ``ALIGNED_SCAS``, the
+    analyzer's indexes in order; start lines and spans are small, so many
+    warnings denote one defect and ties are common."""
+    return {
+        sca: [
+            aw(new_type=kind, class_info=cls, start=start, end=start + span, label=label,
+               sca=sca, index=i)
+            for i, (kind, cls, start, span, label) in enumerate(
+                draw(st.lists(_ALIGNED_ROW, max_size=12))
+            )
+        ]
+        for sca in ALIGNED_SCAS
+    }

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import A, U, UNKNOWN, aw
-from sca_reco.alignment import (
-    AlignedGroup,
-    AlignmentResult,
-    align_project,
-    identical,
-)
+from sca_reco.alignment import AlignmentResult, align_project, identical
 from sca_reco.core import WarningLabel
 
 SCAS = ("alpha", "beta", "gamma")
@@ -186,15 +181,6 @@ def test_origin_must_match_report_key():
     labeled = {"alpha": [aw(class_info=C, start=10, sca="beta")]}
     with pytest.raises(ValueError):
         align_project(labeled, ("alpha", "beta"))
-
-
-def test_group_constructor_validates_membership():
-    w1 = aw(class_info=C, start=10, label=A, sca="alpha")
-    w2 = aw(class_info=C, start=100, label=A, sca="beta")
-    with pytest.raises(ValueError):
-        AlignedGroup((w1, w2), WarningLabel.ACTIONABLE)
-    with pytest.raises(ValueError):
-        AlignedGroup((w1,), WarningLabel.UNACTIONABLE)  # label disagrees
 
 
 def test_distinct_counts():

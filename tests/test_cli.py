@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import ODD_VALUES, mutated_entries
-from sca_reco import cli, recommend
+from sca_reco import cli, pipeline, recommend
 from sca_reco.effectiveness import ConfusionCounts, optimal_set, score_sca
 from sca_reco.exceptions import ParseError, SchemaError
 from sca_reco.ingestion import load_report
@@ -240,6 +240,26 @@ def test_evaluate_from_stored_labels_matches_direct(workspace, tmp_path):
     assert rc == 0
     direct = workspace["evaluations"].read_bytes()
     assert (tmp_path / "evaluations.jsonl").read_bytes() == direct
+
+
+def test_evaluate_from_stored_labels_runs_jobs_workers(workspace, tmp_path, monkeypatch):
+    asked = []
+    pool = pipeline.ThreadPoolExecutor
+
+    def counted_pool(max_workers):
+        asked.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", counted_pool)
+    written = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels"]
+        argv += [str(workspace["labels"]), "--out-dir", str(out), "--jobs", jobs]
+        assert cli.main(argv) == 0
+        written.append([(out / n).read_bytes() for n in ("evaluations.jsonl", "optimal_sets.tsv")])
+    assert asked == [2]
+    assert written[0] == written[1]
 
 
 def test_corrupted_project_partial_failure(workspace, tmp_path):

@@ -6,10 +6,10 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import A, U, aw
-from sca_reco.alignment import align_project
+from helpers import A, ALIGNED_SCAS, U, aw, labeled_warnings
+from sca_reco.alignment import AlignmentResult, align_project
 from sca_reco.core import WarningLabel
 from sca_reco.effectiveness import (
     ConfusionCounts,
@@ -18,7 +18,6 @@ from sca_reco.effectiveness import (
     evaluate_project,
     f_beta,
     optimal_set,
-    per_sca_confusion,
     precision,
     recall,
     reevaluate,
@@ -93,6 +92,27 @@ def test_f_beta_monotone_in_tp(counts, beta):
     assert f_beta(grown, beta) >= f_beta(counts, beta) - 1e-12
 
 
+def per_sca_confusion(result: AlignmentResult, sca: str) -> ConfusionCounts:
+    """One analyzer's counts by a scan of every group, the loop
+    ``evaluate_project`` ran once per analyzer before it counted all of
+    them in one pass; the oracle that pass must equal."""
+    tp = fp = union = 0
+    for group in result.groups:
+        actionable = group.resolved_label is WarningLabel.ACTIONABLE
+        if actionable:
+            union += 1
+        if any(m.origin[0] == sca for m in group.members):
+            if actionable:
+                tp += 1
+            else:
+                fp += 1
+    return ConfusionCounts(tp, fp, union)
+
+
+def counts_of(result: AlignmentResult, scas=SCAS) -> dict:
+    return {score.sca: score.counts for score in evaluate_project(result, scas, 1.0)}
+
+
 def shared_group_fixture():
     labeled = {
         sca: [aw(class_info=C, start=10 + i, end=14, label=A, sca=sca)]
@@ -111,17 +131,18 @@ def test_per_sca_confusion_counting():
         "beta": [aw(class_info=C, start=70, end=72, label=A, sca="beta", index=0)],
     }
     result = align_project(labeled, ("alpha", "beta"))
-    counts_alpha = per_sca_confusion(result, "alpha")
+    counts = counts_of(result)
+    counts_alpha = counts["alpha"]
     assert (counts_alpha.tp, counts_alpha.fp) == (1, 2)
     assert counts_alpha.union_actionable == 2  # alpha's actionable + beta's
-    counts_gamma = per_sca_confusion(result, "gamma")
+    counts_gamma = counts["gamma"]  # listed, but raised no warning
     assert (counts_gamma.tp, counts_gamma.fp, counts_gamma.union_actionable) == (0, 0, 2)
 
 
 def test_shared_group_gives_everyone_recall_one():
-    result = shared_group_fixture()
+    counts_by_sca = counts_of(shared_group_fixture())
     for sca in SCAS:
-        counts = per_sca_confusion(result, sca)
+        counts = counts_by_sca[sca]
         assert (counts.tp, counts.union_actionable) == (1, 1)
         assert recall(counts) == 1.0
 
@@ -134,7 +155,7 @@ def test_voted_label_drives_counting():
     }
     result = align_project(labeled, SCAS)
     # the vote flips alpha's member to actionable, so alpha earns the tp
-    counts = per_sca_confusion(result, "alpha")
+    counts = counts_of(result)["alpha"]
     assert (counts.tp, counts.fp) == (1, 0)
 
 
@@ -146,10 +167,23 @@ def test_evaluate_project_orders_scores_by_corpus():
 
 
 def test_empty_alignment_scores_zero():
-    from sca_reco.alignment import AlignmentResult
-
-    scores = evaluate_project(AlignmentResult((), ()), SCAS, beta=1.0)
+    empty = AlignmentResult((), ())
+    scores = evaluate_project(empty, SCAS, beta=1.0)
     assert [s.f_beta for s in scores] == [0.0, 0.0, 0.0]
+    assert [s.counts for s in scores] == [per_sca_confusion(empty, sca) for sca in SCAS]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labeled=labeled_warnings(),
+    order=st.permutations(ALIGNED_SCAS),
+    beta=st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf]),
+)
+def test_evaluate_project_equals_per_analyzer_scans(labeled, order, beta):
+    result = align_project(labeled, order)
+    scas = (*order, "delta")  # delta is listed but raised no warning
+    expected = [score_sca(sca, per_sca_confusion(result, sca), beta) for sca in scas]
+    assert evaluate_project(result, scas, beta) == expected
 
 
 def make_score(sca, f):

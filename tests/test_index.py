@@ -8,7 +8,9 @@ its match away.  So the stage keys the cascade looks up are checked against
 an independent statement of each rule, and the picks and consumption of the
 cascade against a scan that shares none of its code.
 ``reference_align`` tries every unconsumed warning of a later analyzer
-against a group.
+against a group.  ``test_alignment_invariants`` states what every group
+and discarded pair must be on the same draws, since nothing checks a group
+as it is built.
 The indexed code must give the same labels, audit records and groups on
 tie-heavy inputs, and the stage keys it computes and the bucket members it
 examines must grow linearly with the warnings per project.
@@ -28,13 +30,14 @@ from hypothesis import strategies as st
 
 from helpers import (
     A,
+    ALIGNED_SCAS,
     U,
     UNKNOWN,
     MatchContext,
-    aw,
     canonicalize,
     identity_mapping,
     label_snapshot,
+    labeled_warnings,
     match_hash,
     match_location,
     match_snippet,
@@ -49,7 +52,7 @@ from sca_reco.alignment import (
     align_project,
     identical,
 )
-from sca_reco.core import sort_warnings, warning_sort_key
+from sca_reco.core import WarningLabel, sort_warnings, warning_sort_key
 from sca_reco.ingestion import load_snapshot
 from sca_reco.matching import (
     AuditRecord,
@@ -328,32 +331,41 @@ def test_hash_hit_among_location_candidates_is_not_final():
     assert (audit[0].stage, audit[0].matched_origin) == (MatchStage.HASH, 1)
 
 
-aligned_st = st.builds(
-    lambda kind, cls, start, span, label: (kind, cls, start, start + span, label),
-    st.sampled_from(("null_dereference", "resource_leak")),
-    st.sampled_from(CLASSES[:2]),
-    st.integers(1, 12),
-    st.integers(0, 4),
-    st.sampled_from((A, U)),
-)
-
-
 @settings(max_examples=400, deadline=None)
-@given(
-    specs=st.fixed_dictionaries(
-        {sca: st.lists(aligned_st, max_size=12) for sca in ("alpha", "beta", "gamma")}
-    ),
-    order=st.permutations(("alpha", "beta", "gamma")),
-)
-def test_indexed_alignment_equals_full_scan(specs, order):
-    labeled = {
-        sca: [
-            aw(new_type=kind, class_info=cls, start=start, end=end, label=label, sca=sca, index=i)
-            for i, (kind, cls, start, end, label) in enumerate(rows)
-        ]
-        for sca, rows in specs.items()
-    }
+@given(labeled=labeled_warnings(), order=st.permutations(ALIGNED_SCAS))
+def test_indexed_alignment_equals_full_scan(labeled, order):
     assert align_project(labeled, order) == reference_align(labeled, order)
+
+
+def voted(labels) -> WarningLabel:
+    """The label a group of these member labels resolves to."""
+    return A if labels.count(A) * 2 > len(labels) else U
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled=labeled_warnings(), order=st.permutations(ALIGNED_SCAS))
+def test_alignment_invariants(labeled, order):
+    result = align_project(labeled, order)
+    seen = []
+    for group in result.groups:
+        members = group.members
+        assert 1 <= len(members) <= 3
+        assert len({m.origin[0] for m in members}) == len(members)
+        assert list(members) == sort_warnings(members)
+        if len(members) > 1:
+            assert identical(members, ignore_label=True)
+        labels = [m.label for m in members]
+        assert len(set(labels)) == 1 or len(members) == 3
+        assert group.resolved_label is voted(labels)
+        seen += members
+    for pair in result.discarded:
+        a, b = pair.members
+        assert a.origin[0] != b.origin[0] and a.label is not b.label
+        assert identical(pair.members, ignore_label=True)
+        assert list(pair.members) == sort_warnings(pair.members)
+        seen += pair.members
+    judged = [w for warnings in labeled.values() for w in warnings]
+    assert Counter(w.origin for w in seen) == Counter(w.origin for w in judged)
 
 
 # quadratic guard: stage work per warning stays flat as projects grow

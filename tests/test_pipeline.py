@@ -11,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_label_span, faulted, mutated_entries, optional_field, require_field
+from helpers import (
+    check_label_span,
+    faulted,
+    labels_to_record,
+    mutated_entries,
+    optional_field,
+    require_field,
+)
 from sca_reco import cli
 from sca_reco.core import AlignedWarning, WarningLabel
 from sca_reco.effectiveness import ConfusionCounts, ProjectEvaluation, optimal_set, score_sca
@@ -23,7 +30,6 @@ from sca_reco.pipeline import (
     ProjectLabels,
     evaluate_label_records,
     label_corpus,
-    labels_to_record,
     load_corpus_context,
     read_evaluations,
     read_labels,
@@ -404,6 +410,41 @@ def test_jsonl_lines_equal_json_dumps(tmp_path, records):
     _write_jsonl(path, records)
     lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
     assert lines == [json.dumps(record, sort_keys=True) + "\n" for record in records]
+
+
+@st.composite
+def project_labels(draw) -> ProjectLabels:
+    """A project's labels with ids, categories and classes from ``IDS``; an
+    analyzer may have no rows, or warnings but no audit records."""
+    by_sca, audits = {}, {}
+    for sca in draw(st.lists(IDS, unique=True, max_size=3)):
+        rows = draw(
+            st.lists(
+                st.tuples(
+                    IDS, IDS, COUNTS, COUNTS, st.sampled_from(WarningLabel), COUNTS,
+                    st.sampled_from([None, *MatchStage]), st.none() | COUNTS, st.none() | COUNTS,
+                ),
+                max_size=4,
+            )
+        )
+        by_sca[sca] = tuple(
+            AlignedWarning(category, class_info, start, end, label, (sca, index))
+            for category, class_info, start, end, label, index, *_ in rows
+        )
+        if draw(st.integers(0, 4)):
+            audits[sca] = tuple(AuditRecord(row[4], *row[6:]) for row in rows)
+    return ProjectLabels(draw(IDS), by_sca, audits)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(all_labels=st.lists(project_labels(), max_size=3))
+def test_label_lines_equal_json_dumps(tmp_path, all_labels):
+    path = tmp_path / "labels.jsonl"
+    write_labels(path, all_labels)
+    lines = path.read_bytes().decode("ascii").splitlines(keepends=True)
+    assert lines == [json.dumps(labels_to_record(l), sort_keys=True) + "\n" for l in all_labels]
 
 
 # Labeling behaviour, pinned: a churn-style corpus (most files renamed) sends

@@ -4,7 +4,9 @@
 outside the package and takes its per-layer counts from what they return.
 A rename in the package would break a traced run, and a changed return
 value would zero its counts without an error.  These tests load the tracer
-as it is and check both against the current package.
+as it is and check both against the current package: the cascade's stage
+counts, the alignment's group sizes and discards, and the label file's
+bytes, each recounted from what the package itself returns or writes.
 """
 
 from __future__ import annotations
@@ -12,15 +14,18 @@ from __future__ import annotations
 import importlib.util
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from helpers import identity_mapping, label_snapshot, raw, snapshot
 from sca_reco import cli
+from sca_reco.alignment import align_project
+from sca_reco.core import WarningLabel
 from sca_reco.ingestion import load_snapshot
 from sca_reco.matching import ReleasePair, label_release_detailed
-from sca_reco.pipeline import load_corpus_context
+from sca_reco.pipeline import label_corpus, load_corpus_context, write_labels
 from sca_reco.synth import SynthConfig, generate_corpus
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -86,14 +91,20 @@ def test_audit_counts_equal_the_label_pass(tracing, corpus):
     assert counts == expected
 
 
-def test_traced_label_run_counts_every_stage(tracing, corpus, tmp_path):
-    out = tmp_path / "labels.jsonl"
+def traced(tracing, argv):
+    """The tracer of one traced CLI command, which must succeed."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert cli.main(["label", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert cli.main(argv) == 0
     finally:
         tracer.uninstall()
+    return tracer
+
+
+def test_traced_label_run_counts_every_stage(tracing, corpus, tmp_path):
+    out = tmp_path / "labels.jsonl"
+    tracer = traced(tracing, ["label", "--corpus", str(corpus), "--out", str(out)])
     rows = [
         row
         for line in out.read_text(encoding="utf-8").splitlines()
@@ -108,3 +119,60 @@ def test_traced_label_run_counts_every_stage(tracing, corpus, tmp_path):
         assert tracer.counts[f"matching.hits.{stage}"] == stages[stage] > 0, stage
     assert tracer.counts["matching.unmatched"] == stages["unmatched"]
     assert tracer.counts["matching.unknown"] == sum(row["label"] == "unknown" for row in rows)
+    assert tracer.counts["pipeline.jsonl_bytes"] == out.stat().st_size > 0
+
+
+ALIGNMENT_COUNTS = (
+    "alignment.groups.1", "alignment.groups.2", "alignment.groups.3", "alignment.discarded",
+)
+
+
+def judged(labels) -> dict:
+    return {
+        sca: [w for w in warnings if w.label is not WarningLabel.UNKNOWN]
+        for sca, warnings in labels.by_sca.items()
+    }
+
+
+def alignment_counts(all_labels, sca_order) -> Counter:
+    """The group sizes and discards of each project's own alignment."""
+    counts = Counter()
+    for labels in all_labels:
+        result = align_project(judged(labels), sca_order)
+        counts.update(f"alignment.groups.{len(group.members)}" for group in result.groups)
+        counts["alignment.discarded"] += len(result.discarded)
+    return counts
+
+
+def with_one_conflict(labels, sca_order):
+    """``labels`` with one member of its first aligned pair given the other
+    label, so that the pair is discarded."""
+    result = align_project(judged(labels), sca_order)
+    member = next(g for g in result.groups if len(g.members) == 2).members[1]
+    label = WarningLabel.ACTIONABLE
+    if member.label is label:
+        label = WarningLabel.UNACTIONABLE
+    by_sca = {
+        sca: tuple(w._replace(label=label) if w == member else w for w in warnings)
+        for sca, warnings in labels.by_sca.items()
+    }
+    return replace(labels, by_sca=by_sca)
+
+
+def test_traced_evaluate_runs_count_every_group_size(tracing, corpus, tmp_path):
+    context = load_corpus_context(corpus)
+    all_labels, _ = label_corpus(context)
+    # synthetic analyzers never disagree on a label, so the stored labels
+    # are given one conflicting pair
+    stored = [with_one_conflict(all_labels[0], context.sca_order), *all_labels[1:]]
+    path = tmp_path / "labels.jsonl"
+    write_labels(path, stored)
+    argv = ["evaluate", "--corpus", str(corpus), "--out-dir", str(tmp_path)]
+    for labels, extra in ((all_labels, []), (stored, ["--labels", str(path)])):
+        tracer = traced(tracing, argv + extra)
+        expected = alignment_counts(labels, context.sca_order)
+        assert tracer.calls["alignment.align_project"] == 2
+        for name in ALIGNMENT_COUNTS:
+            assert tracer.counts[name] == expected[name], name
+    # the stored run reaches every group size and a discard
+    assert all(expected[name] > 0 for name in ALIGNMENT_COUNTS)
