@@ -192,7 +192,9 @@ def _cmd_recommend(args) -> int:
     table = load_features(args.features)
     if args.project is not None:
         if args.project not in table.project_ids:
-            raise DataError(f"project {args.project!r} is not in the feature table")
+            raise DataError(
+                f"{args.features}: project {args.project!r} is not in the feature table"
+            )
         table = table.subset_rows([table.project_ids.index(args.project)])
     try:
         recommended = model.predict_table(table)
@@ -210,7 +212,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_baseline(args) -> int:
     evaluations = read_evaluations(args.evaluations)
     if not evaluations:
-        raise DataError("no evaluation records")
+        raise DataError(f"{args.evaluations}: no evaluation records")
     truth = [e.optimal for e in evaluations]
     sca_order = evaluations[0].sca_order()
     print("baseline\tp_micro\tr_micro\tf1_micro")

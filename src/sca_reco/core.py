@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .exceptions import InvalidBeta, IoError, ParseError, SchemaError
+from .exceptions import ConfigError, DataError, SchemaError
 
 # An analyzer identity is a short lowercase token such as "spotbugs".
 ScaId = str
@@ -88,27 +88,27 @@ _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_co
 def decode_json(text: str, where: str):
     """Decode one JSON text; text that is not JSON (NaN, Infinity and
     -Infinity included), holds a number beyond the float range, or is
-    nested too deeply for the decoder, raises a ParseError that starts with
+    nested too deeply for the decoder, raises a DataError that starts with
     ``where``."""
     try:
         return _DECODER.decode(text)
     except ValueError as exc:  # JSONDecodeError or a rejected constant
-        raise ParseError(f"{where}: {exc}") from exc
+        raise DataError(f"{where}: {exc}") from exc
     except RecursionError as exc:
-        raise ParseError(f"{where}: JSON nested too deeply ({exc})") from exc
+        raise DataError(f"{where}: JSON nested too deeply ({exc})") from exc
 
 
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read as
-    ``\\n``.  A file that cannot be read raises an IoError; bytes that are
-    not UTF-8 raise a ParseError naming the file and the byte offset."""
+    ``\\n``.  A file that cannot be read raises a DataError; bytes that are
+    not UTF-8 raise a DataError naming the file and the byte offset."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()  # one decode, so exc.start is a file offset
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
     except UnicodeDecodeError as exc:
-        raise ParseError(
+        raise DataError(
             f"{path}: not UTF-8 at byte offset {exc.start}: {exc.reason}"
         ) from exc
 
@@ -120,14 +120,14 @@ def read_json(path: str | Path):
 
 def write_text(path: str | Path, parts) -> None:
     """Write ``parts``, one string or an iterable of strings, to ``path`` as
-    UTF-8, in order and without joining them; an OSError becomes an IoError."""
+    UTF-8, in order and without joining them; an OSError becomes a DataError."""
     if isinstance(parts, str):
         parts = (parts,)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(parts)
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
 
 
 class RecordSpec:
@@ -210,15 +210,15 @@ def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:
     path = Path(path)
     lines = [line for line in read_text(path).split("\n") if line.strip()]
     if not lines:
-        raise ParseError(f"taxonomy file {path} is empty")
+        raise DataError(f"taxonomy file {path} is empty")
     if tuple(lines[0].split("\t")) != TAXONOMY_HEADER:
-        raise ParseError(f"taxonomy file {path} has a bad header line")
+        raise DataError(f"taxonomy file {path} has a bad header line")
     categories = []
     groups: list[str] = []
     for line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != 3:
-            raise ParseError(f"taxonomy row {line!r} does not have 3 cells")
+            raise DataError(f"taxonomy row {line!r} does not have 3 cells")
         gdc_id, name, group = (c.strip() for c in cells)
         if not gdc_id or not name or not group:
             raise SchemaError(f"taxonomy row {line!r} has an empty cell")
@@ -324,7 +324,7 @@ def validate_beta(beta: float) -> float:
     """Check that ``beta`` is a non-negative real or infinity."""
     value = float(beta)
     if math.isnan(value) or value < 0:
-        raise InvalidBeta(f"beta must be a non-negative real or inf, got {beta!r}")
+        raise ConfigError(f"beta must be a non-negative real or inf, got {beta!r}")
     return value
 
 
@@ -336,7 +336,7 @@ def parse_beta(text: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise InvalidBeta(f"cannot parse beta from {text!r}")
+        raise ConfigError(f"cannot parse beta from {text!r}")
     return validate_beta(value)
 
 

@@ -28,7 +28,7 @@ from .core import (
     read_record,
     validate_beta,
 )
-from .exceptions import InvalidBeta, SchemaError
+from .exceptions import ConfigError, SchemaError
 from .alignment import AlignmentResult
 
 ROUND_DIGITS = 12  # scores are compared at this precision when ranking
@@ -184,7 +184,7 @@ class ProjectEvaluation:
                         f"{where}: score {i}: analyzer {sca!r} repeats score {first[sca]}"
                     )
                 scores.append(score_sca(sca, ConfusionCounts(tp, fp, union), beta))
-        except (InvalidBeta, ValueError) as exc:
+        except (ConfigError, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
         best = optimal_set(scores)
         if list(best) != optimal:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import InvalidK
+from ..exceptions import ConfigError
 from .base import check_array, check_is_fitted
 
 
@@ -28,7 +28,7 @@ class PCA:
         n, d = X.shape
         k = self.n_components
         if not 1 <= k <= min(n, d):
-            raise InvalidK(f"n_components must be in 1..{min(n, d)}, got {k}")
+            raise ConfigError(f"n_components must be in 1..{min(n, d)}, got {k}")
         self.mean_ = X.mean(axis=0)
         centered = X - self.mean_
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import NonFiniteStatistic, TooFewSamples
+from ..exceptions import DataError, NonFiniteStatistic
 from .base import check_array, check_is_fitted
 
 
@@ -26,7 +26,7 @@ class StandardScaler:
         """Fit on ``X``; ``feature_names`` name its columns in the error."""
         X = check_array(X)
         if X.shape[0] < 2:
-            raise TooFewSamples("standardization needs at least 2 rows")
+            raise DataError("standardization needs at least 2 rows")
         with np.errstate(over="ignore", invalid="ignore"):
             means, stds = X.mean(axis=0), X.std(axis=0)  # population (ddof=0)
         finite = np.isfinite(means) & np.isfinite(stds)

@@ -18,15 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .core import ScaId, read_text
-from .exceptions import (
-    DuplicateProject,
-    MismatchError,
-    NonNumericCell,
-    ParseError,
-    SchemaError,
-    TooFewSamples,
-    UnknownFeature,
-)
+from .exceptions import DataError, SchemaError
 
 
 class FeatureTable(NamedTuple):
@@ -45,8 +37,8 @@ class FeatureTable(NamedTuple):
 
     def subset_features(self, names: Sequence[str]) -> "FeatureTable":
         """The table's columns ``names``, in that order; an empty or
-        repeated name list raises a SchemaError, an unknown name an
-        UnknownFeature."""
+        repeated name list raises a SchemaError, an unknown name a
+        DataError."""
         if not names:
             raise SchemaError("the feature list names no feature")
         if len(set(names)) != len(names):
@@ -54,7 +46,7 @@ class FeatureTable(NamedTuple):
             raise SchemaError(f"the feature list repeats {repeated}")
         missing = [name for name in names if name not in self.feature_names]
         if missing:
-            raise UnknownFeature(f"feature {missing[0]!r} is not in the feature table")
+            raise DataError(f"feature {missing[0]!r} is not in the feature table")
         columns = [self.feature_names.index(name) for name in names]
         return FeatureTable(tuple(names), self.project_ids, self.matrix[:, columns])
 
@@ -70,12 +62,12 @@ def load_features(path: str | Path) -> FeatureTable:
     try:
         rows = list(reader)
     except csv.Error as exc:
-        raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
-        raise ParseError(f"feature file {path} is empty")
+        raise DataError(f"feature file {path} is empty")
     header = rows[0]
     if not header or header[0] != "project":
-        raise ParseError(f"feature file {path} must start with a 'project' column")
+        raise DataError(f"feature file {path} must start with a 'project' column")
     names = tuple(header[1:])
     if not names:
         raise SchemaError(f"feature file {path} has no feature columns")
@@ -90,21 +82,21 @@ def load_features(path: str | Path) -> FeatureTable:
         if not row:
             continue
         if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
+            raise DataError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
         project = row[0]
         if not project:
             raise SchemaError(f"{path}:{lineno}: empty project id")
         if project in seen:
-            raise DuplicateProject(f"{path}: project {project!r} occurs twice")
+            raise DataError(f"{path}: project {project!r} occurs twice")
         seen.add(project)
         projects.append(project)
         for name, cell in zip(names, row[1:]):
             try:
                 value = float(cell)
             except ValueError:
-                raise NonNumericCell(f"{path}:{lineno}: {name}={cell!r} is not a number")
+                raise DataError(f"{path}:{lineno}: {name}={cell!r} is not a number")
             if not math.isfinite(value):
-                raise NonNumericCell(f"{path}:{lineno}: {name}={cell!r} is not finite")
+                raise DataError(f"{path}:{lineno}: {name}={cell!r} is not finite")
             values.append(value)
     matrix = np.array(values, dtype=np.float64).reshape(len(projects), len(names))
     return FeatureTable(names, tuple(projects), matrix)
@@ -150,10 +142,10 @@ def build_dataset(
     feature rows without a label are dropped.
     """
     if not table.project_ids:
-        raise TooFewSamples("the feature table has no rows")
+        raise DataError("the feature table has no rows")
     missing = sorted(set(label_sets) - set(table.project_ids))
     if missing:
-        raise MismatchError(f"labeled projects without features: {missing}")
+        raise DataError(f"labeled projects without features: {missing}")
     order = set(sca_order)
     for project, labels in label_sets.items():
         unknown = [s for s in labels if s not in order]
@@ -161,7 +153,7 @@ def build_dataset(
             raise SchemaError(f"project {project!r} labeled with unknown analyzers {unknown}")
     kept = [i for i, project in enumerate(table.project_ids) if project in label_sets]
     if not kept:
-        raise TooFewSamples("no feature row carries a label")
+        raise DataError("no feature row carries a label")
     table = table.subset_rows(kept)
     return PreferenceDataset(
         table,

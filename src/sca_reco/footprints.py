@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import ScaId, write_text
 from .estimators import PCA, StandardScaler
-from .exceptions import IoError
+from .exceptions import DataError
 from .features import FeatureTable, PreferenceDataset
 
 FEATURE_HEADER = "pc1,pc2,project,value"
@@ -68,7 +68,7 @@ def export_footprints(dataset: PreferenceDataset, out_dir: str | Path) -> list[P
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
     written = []
     for name in table.feature_names:
         path = out_dir / f"feature_{name}.csv"

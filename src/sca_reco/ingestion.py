@@ -35,15 +35,7 @@ from .core import (
     read_records,
     read_text,
 )
-from .exceptions import (
-    DuplicateConflict,
-    IoError,
-    MismatchError,
-    ParseError,
-    SchemaError,
-    UnknownCategory,
-    UnmappedType,
-)
+from .exceptions import DataError, SchemaError, UnmappedType
 
 log = logging.getLogger(__name__)
 
@@ -69,7 +61,7 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
         raise SchemaError(f"{path}: report must be a JSON object")
     sca, project, release, raw = read_record(doc, REPORT_HEADER, str(path))
     if project != project_id or release != release_id:
-        raise MismatchError(
+        raise DataError(
             f"{path}: report is for {project}/{release}, expected {project_id}/{release_id}"
         )
     entries = read_records(raw, REPORT_ENTRY)
@@ -120,21 +112,21 @@ def load_gdc_mapping(path: str | Path, taxonomy) -> GdcMapping:
     if not lines:
         return GdcMapping({})
     if tuple(lines[0].split("\t")) != GDC_MAP_HEADER:
-        raise ParseError(f"mapping file {path} has a bad header line")
+        raise DataError(f"mapping file {path} has a bad header line")
     known = taxonomy.category_ids
     entries: dict[tuple[str, str], str] = {}
     for line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != 3:
-            raise ParseError(f"mapping row {line!r} does not have 3 cells")
+            raise DataError(f"mapping row {line!r} does not have 3 cells")
         sca, original_type, gdc_id = (c.strip() for c in cells)
         if not sca or not original_type or not gdc_id:
             raise SchemaError(f"mapping row {line!r} has an empty cell")
         if gdc_id not in known:
-            raise UnknownCategory(f"mapping row {line!r} references unknown category")
+            raise DataError(f"mapping row {line!r} references unknown category")
         key = (sca, original_type)
         if key in entries and entries[key] != gdc_id:
-            raise DuplicateConflict(
+            raise DataError(
                 f"({sca!r}, {original_type!r}) mapped to both "
                 f"{entries[key]!r} and {gdc_id!r}"
             )
@@ -172,7 +164,7 @@ def _tree_files(directory: str) -> list[tuple[tuple[str, ...], str]]:
                     elif _is_file(entry):
                         found.append((child, entry.path))
         except OSError as exc:
-            raise IoError(str(exc)) from exc
+            raise DataError(str(exc)) from exc
     found.sort()
     return found
 
@@ -196,7 +188,7 @@ def load_source_tree(
     """
     directory = Path(directory)
     if not directory.is_dir():
-        raise IoError(f"source directory {directory} does not exist")
+        raise DataError(f"source directory {directory} does not exist")
     files: dict[str, tuple[str, ...]] = {}
     for parts, path in _tree_files(str(directory)):
         rel = "/".join(parts)
@@ -204,7 +196,7 @@ def load_source_tree(
             with open(path, "rb") as handle:
                 blob = handle.read()
         except OSError as exc:
-            raise IoError(str(exc)) from exc
+            raise DataError(str(exc)) from exc
         if b"\x00" in blob:
             log.info("skipping binary file %s", rel)
             continue
@@ -256,7 +248,7 @@ def _load_release(project_dir: Path, release_id: str, timestamp: dt.date, projec
         for report_path in sorted(reports_dir.glob("*.json")):
             sca, warnings = load_report(report_path, project_id, release_id)
             if sca != report_path.stem:
-                raise MismatchError(
+                raise DataError(
                     f"{report_path}: file is named {report_path.stem!r} but "
                     f"declares analyzer {sca!r}"
                 )
@@ -288,7 +280,7 @@ def list_projects(corpus_root: str | Path) -> list[str]:
     """
     root = Path(corpus_root)
     if not root.is_dir():
-        raise IoError(f"corpus directory {root} does not exist")
+        raise DataError(f"corpus directory {root} does not exist")
     projects = []
     for name in sorted(p.name for p in root.iterdir() if p.is_dir()):
         if (root / name / "releases.json").is_file():

@@ -36,7 +36,7 @@ from .core import (
     write_text,
 )
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
-from .exceptions import DataError, DuplicateProject, IoError, SchemaError, UnmappedType
+from .exceptions import DataError, SchemaError, UnmappedType
 from .ingestion import (
     GdcMapping,
     list_projects,
@@ -75,7 +75,7 @@ def load_corpus_context(
     """
     root = Path(corpus_root)
     if not root.is_dir():
-        raise IoError(f"corpus directory {root} does not exist")
+        raise DataError(f"corpus directory {root} does not exist")
     if taxonomy_path is None:
         candidate = root / "taxonomy.tsv"
         taxonomy_path = candidate if candidate.is_file() else default_taxonomy_path()
@@ -83,7 +83,7 @@ def load_corpus_context(
     if mapping_path is None:
         candidate = root / "gdc_map.tsv"
         if not candidate.is_file():
-            raise IoError(f"no type mapping: {candidate} not found and none given")
+            raise DataError(f"no type mapping: {candidate} not found and none given")
         mapping_path = candidate
     mapping = load_gdc_mapping(mapping_path, taxonomy)
     return CorpusContext(
@@ -309,7 +309,7 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
 
     A SchemaError ``parse`` raises is prefixed with the file and line
     number.  A record whose ``project_id`` an earlier line gave raises a
-    DuplicateProject naming the file and both lines.
+    DataError naming the file and both lines.
     """
     records = []
     first_line: dict[str, int] = {}
@@ -323,7 +323,7 @@ def _read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> list:
             raise SchemaError(f"{where}: {exc}") from exc
         first = first_line.setdefault(record.project_id, number)
         if first != number:
-            raise DuplicateProject(
+            raise DataError(
                 f"{where}: project {record.project_id!r} repeats line {first}"
             )
         records.append(record)

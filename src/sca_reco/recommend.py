@@ -32,15 +32,7 @@ from .estimators import (
     fit_forests,
     fit_stacked,
 )
-from .exceptions import (
-    DataError,
-    DegenerateDataset,
-    InvalidCount,
-    LengthMismatch,
-    SchemaError,
-    TooFewSamples,
-    UnsupportedModelKind,
-)
+from .exceptions import ConfigError, DataError, LengthMismatch, SchemaError
 from .features import FeatureTable, PreferenceDataset, build_dataset
 from .metrics import MicroMetrics, mean_metrics, micro_metrics
 from .rng import SplitMix64, derive_seed
@@ -99,14 +91,14 @@ def parse_model_kind(token: str) -> ModelKind:
     try:
         return ModelKind(token.strip().lower())
     except ValueError:
-        raise UnsupportedModelKind(f"unknown model kind {token!r}")
+        raise ConfigError(f"unknown model kind {token!r}")
 
 
 def resolve_hyperparams(kind: ModelKind, overrides: dict | None = None) -> dict:
     params = dict(DEFAULT_HYPERPARAMS[kind])
     for key, value in (overrides or {}).items():
         if key not in params:
-            raise UnsupportedModelKind(f"{kind.value} has no hyperparameter {key!r}")
+            raise ConfigError(f"{kind.value} has no hyperparameter {key!r}")
         params[key] = value
     return params
 
@@ -115,9 +107,9 @@ def build_estimator(kind: ModelKind, hyperparams: dict | None, seed: int):
     """Instantiate the estimator behind a model kind."""
     hp = resolve_hyperparams(kind, hyperparams)
     if hp.pop("criterion", "gini") != "gini":
-        raise UnsupportedModelKind("only the gini criterion is implemented")
+        raise ConfigError("only the gini criterion is implemented")
     if hp.pop("metric", "euclidean") != "euclidean":
-        raise UnsupportedModelKind("only the euclidean metric is implemented")
+        raise ConfigError("only the euclidean metric is implemented")
     estimator_class, seeded, _ = ESTIMATORS[kind]
     return estimator_class(**hp, random_state=seed) if seeded else estimator_class(**hp)
 
@@ -138,7 +130,7 @@ class RecommendationModel:
         """The recommendation for each project of ``table``, in its order.
         The model's features are taken from the table's columns by name, so
         a model trained on a feature list applies to the full feature table.
-        A missing feature raises an UnknownFeature; a standardized value
+        A missing feature raises a DataError; a standardized value
         that is not finite raises a DataError naming the first such project
         and its first such feature."""
         matrix = table.subset_features(self.feature_names).matrix
@@ -208,7 +200,7 @@ class RecommendationModel:
             raise SchemaError(f"{path}: malformed model file: missing field {exc}") from exc
         except (TypeError, ValueError, LengthMismatch, SchemaError) as exc:
             raise SchemaError(f"{path}: malformed model file: {exc}") from exc
-        except UnsupportedModelKind as exc:
+        except ConfigError as exc:
             # the kind and hyperparameters come from the file, so a
             # disagreement between them is bad data, not bad configuration
             raise SchemaError(f"{path}: {exc}") from exc
@@ -267,10 +259,10 @@ def train_batch(
     prepared = []
     for dataset, seed in training_sets:
         if dataset.n_projects < 2:
-            raise TooFewSamples("training needs at least 2 projects")
+            raise DataError("training needs at least 2 projects")
         y, classes = encode_labels(dataset.primary_labels(), dataset.sca_order)
         if len(classes) < 2:
-            raise DegenerateDataset("training labels collapse to a single analyzer")
+            raise DataError("training labels collapse to a single analyzer")
         table = dataset.table
         scaler = StandardScaler().fit(table.matrix, table.feature_names)
         prepared.append((table, seed, scaler, classes, scaler.transform(table.matrix), y))
@@ -297,12 +289,12 @@ def train_batch(
 
 
 def check_folds(folds: int, rows: int) -> int:
-    """A fold count of at least 2 (``InvalidCount`` otherwise) and at most
-    ``rows`` (``TooFewSamples`` otherwise)."""
+    """A fold count of at least 2 (a ConfigError otherwise) and at most
+    ``rows`` (a DataError otherwise)."""
     if folds < 2:
-        raise InvalidCount(f"folds must be at least 2, got {folds}")
+        raise ConfigError(f"folds must be at least 2, got {folds}")
     if folds > rows:
-        raise TooFewSamples(f"cannot split {rows} rows into {folds} folds")
+        raise DataError(f"cannot split {rows} rows into {folds} folds")
     return folds
 
 
@@ -440,7 +432,7 @@ def baseline_random(
     results do not depend on evaluation order.
     """
     if repeats < 1:
-        raise InvalidCount(f"repeats must be at least 1, got {repeats}")
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     if not sca_order:
         raise ValueError("the analyzer list is empty")
     runs = []
@@ -457,7 +449,7 @@ def dataset_from_evaluations(
 ) -> PreferenceDataset:
     """Join a feature table with the optimal sets of stored evaluations."""
     if not evaluations:
-        raise TooFewSamples("no evaluation records")
+        raise DataError("no evaluation records")
     sca_order = evaluations[0].sca_order()
     label_sets = {}
     for evaluation in evaluations:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import InvalidTarget, UnsupportedModelKind
+from .exceptions import ConfigError
 from .features import PreferenceDataset
 from .recommend import (
     ModelKind,
@@ -30,7 +30,7 @@ RANKABLE_KINDS = (ModelKind.RF, ModelKind.DT, ModelKind.LR)
 
 def _require_rankable(kind: ModelKind) -> None:
     if kind not in RANKABLE_KINDS:
-        raise UnsupportedModelKind(
+        raise ConfigError(
             f"{kind.value} exposes no per-feature importance; use rf, dt, or lr"
         )
 
@@ -64,7 +64,7 @@ def rfe(
     _require_rankable(kind)
     n_features = len(dataset.table.feature_names)
     if not 1 <= target <= n_features:
-        raise InvalidTarget(
+        raise ConfigError(
             f"target must be between 1 and {n_features}, got {target}"
         )
     current = list(dataset.table.feature_names)

@@ -34,7 +34,7 @@ from enum import Enum
 from pathlib import Path
 
 from .core import ScaId, default_taxonomy_path, read_text, write_text
-from .exceptions import ConfigError, IoError
+from .exceptions import ConfigError, DataError
 from .matching import hash_window, token_stream
 from .rng import SplitMix64, derive_seed, extend_seed
 
@@ -463,7 +463,7 @@ def _write_texts(texts: dict[Path, str]) -> None:
         for directory in {path.parent for path in texts}:
             directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise IoError(str(exc)) from exc
+        raise DataError(str(exc)) from exc
     for path, text in texts.items():
         write_text(path, text)
 

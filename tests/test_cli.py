@@ -19,9 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import ODD_VALUES, mutated_entries
-from sca_reco import cli, pipeline, recommend
+from sca_reco import cli, exceptions, pipeline, recommend
 from sca_reco.effectiveness import ConfusionCounts, optimal_set, score_sca
-from sca_reco.exceptions import ParseError, SchemaError
+from sca_reco.exceptions import ConfigError, DataError, SchemaError
 from sca_reco.ingestion import load_report
 from sca_reco.pipeline import read_evaluations, read_labels
 from sca_reco.recommend import DEFAULT_HYPERPARAMS
@@ -122,9 +122,20 @@ def test_synth_over_another_corpus_exits_1(tmp_path, capsys):
     assert cli.main(argv + ["--projects", "12"]) == 0
 
 
-def test_internal_error_exits_3(workspace, monkeypatch):
+PACKAGE_ERRORS = [
+    cls for cls in vars(exceptions).values() if isinstance(cls, type) and issubclass(cls, Exception)
+]
+
+
+@pytest.mark.parametrize(
+    "error", [*PACKAGE_ERRORS, RuntimeError], ids=lambda cls: cls.__name__
+)
+def test_each_error_class_exits_with_its_code(workspace, monkeypatch, capsys, error):
+    """ConfigError and its subclasses exit 1, DataError and its subclasses
+    exit 2, and any other exception exits 3 as an internal error."""
+
     def boom(path):
-        raise RuntimeError("wires crossed")
+        raise error("wires crossed")
 
     monkeypatch.setattr(cli.RecommendationModel, "load", staticmethod(boom))
     rc = cli.main(
@@ -136,7 +147,21 @@ def test_internal_error_exits_3(workspace, monkeypatch):
             str(workspace["features"]),
         ]
     )
-    assert rc == 3
+    if issubclass(error, ConfigError):
+        code, line = 1, "sca-reco: wires crossed"
+    elif issubclass(error, DataError):
+        code, line = 2, "sca-reco: wires crossed"
+    else:
+        code, line = 3, "sca-reco: internal error: wires crossed"
+    assert rc == code
+    assert line in capsys.readouterr().err.splitlines()
+
+
+def test_baseline_of_an_empty_evaluations_file_names_it(tmp_path, capsys):
+    empty = tmp_path / "evaluations.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert cli.main(["baseline", "--evaluations", str(empty)]) == 2
+    assert capsys.readouterr().err == f"sca-reco: {empty}: no evaluation records\n"
 
 
 def _set_gc(enabled: bool) -> None:
@@ -486,6 +511,8 @@ def test_train_and_recommend(workspace, tmp_path, capsys):
         ]
     )
     assert rc == 2
+    message = f"sca-reco: {workspace['features']}: project 'ghost' is not in the feature table\n"
+    assert capsys.readouterr().err == message
 
 
 
@@ -1415,10 +1442,11 @@ def test_label_of_a_mutated_report_never_exits_3(one_project, data):
         try:
             load_report(report, project, release)
             loads = True
-        except ParseError:  # NaN or Infinity: the text is not JSON
-            loads, where = False, f"{report}: "
         except SchemaError:
             loads = False
+        except DataError as exc:  # NaN or Infinity: the text is not JSON
+            assert re.search("Infinity|NaN", str(exc))
+            loads, where = False, f"{report}: "
         with contextlib.redirect_stderr(io.StringIO()) as err:
             out = corpus.parent / "labels.jsonl"
             rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
@@ -1470,7 +1498,8 @@ def test_command_on_a_mutated_stored_row_never_exits_3(workspace, kind, data):
     try:
         read(path)
         reads = True
-    except (ParseError, SchemaError):
+    except DataError as exc:  # a SchemaError, or NaN or Infinity: the text is not JSON
+        assert isinstance(exc, SchemaError) or re.search("Infinity|NaN", str(exc))
         reads = False
     fields = {"corpus": workspace["corpus"], "features": workspace["features"]}
     argv = [token.format(path=path, out=out, **fields) for token in argv]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -24,7 +25,7 @@ from sca_reco.core import (
     validate_beta,
     warning_sort_key,
 )
-from sca_reco.exceptions import InvalidBeta, ParseError, SchemaError
+from sca_reco.exceptions import ConfigError, DataError, SchemaError
 
 
 def test_packaged_taxonomy_shape():
@@ -46,7 +47,8 @@ def test_taxonomy_strict_shape_rejects_other_sizes(tmp_path):
 def test_taxonomy_bad_header(tmp_path):
     path = tmp_path / "tax.tsv"
     path.write_text("id\tname\tgroup\n", encoding="utf-8")
-    with pytest.raises(ParseError):
+    header = f"^taxonomy file {re.escape(str(path))} has a bad header line$"
+    with pytest.raises(DataError, match=header):
         load_taxonomy(path)
 
 
@@ -86,9 +88,9 @@ def test_sort_warnings_is_total_and_stable():
 def test_validate_beta():
     assert validate_beta(0) == 0.0
     assert validate_beta(math.inf) == math.inf
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(ConfigError, match=r"^beta must be a non-negative real or inf, got -0\.5$"):
         validate_beta(-0.5)
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(ConfigError, match="^beta must be a non-negative real or inf, got nan$"):
         validate_beta(math.nan)
 
 
@@ -98,9 +100,9 @@ def test_parse_beta_accepts_decimals_and_inf():
     assert parse_beta("0") == 0.0
     assert parse_beta("inf") == math.inf
     assert parse_beta(" Infinity ") == math.inf
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(ConfigError, match="^cannot parse beta from 'beta'$"):
         parse_beta("beta")
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(ConfigError, match=r"^beta must be a non-negative real or inf, got -2\.0$"):
         parse_beta("-2")
 
 
@@ -111,7 +113,7 @@ def test_format_beta_round_trips():
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
 def test_decode_json_rejects_constants_json_lacks(constant):
-    with pytest.raises(ParseError, match=f"^model.json: {constant} is not a JSON value"):
+    with pytest.raises(DataError, match=f"^model.json: {constant} is not a JSON value"):
         decode_json(f'{{"stds": [1.0, {constant}]}}', "model.json")
     assert decode_json('{"stds": [1.0, 1e308]}', "model.json") == {"stds": [1.0, 1e308]}
 

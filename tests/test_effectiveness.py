@@ -23,7 +23,7 @@ from sca_reco.effectiveness import (
     reevaluate,
     score_sca,
 )
-from sca_reco.exceptions import InvalidBeta
+from sca_reco.exceptions import ConfigError
 
 C = "com.example.Foo"
 SCAS = ("alpha", "beta", "gamma")
@@ -72,7 +72,7 @@ def test_beta_endpoints_exact():
 
 
 def test_negative_beta_rejected():
-    with pytest.raises(InvalidBeta):
+    with pytest.raises(ConfigError, match=r"^beta must be a non-negative real or inf, got -1\.0$"):
         f_beta(ConfusionCounts(1, 1, 1), -1.0)
 
 

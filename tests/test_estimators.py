@@ -18,7 +18,7 @@ from sca_reco.estimators import (
     check_is_fitted,
     check_X_y,
 )
-from sca_reco.exceptions import LengthMismatch, NotFittedError, TooFewSamples
+from sca_reco.exceptions import DataError, LengthMismatch, NotFittedError
 from sca_reco.rng import SplitMix64
 
 
@@ -156,7 +156,7 @@ def test_scaler_is_idempotent_numerically():
 
 
 def test_scaler_needs_two_rows():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="^standardization needs at least 2 rows$"):
         StandardScaler().fit([[1.0, 2.0]])
 
 

@@ -28,15 +28,7 @@ from sca_reco.core import (
     default_taxonomy_path,
     load_taxonomy,
 )
-from sca_reco.exceptions import (
-    DuplicateConflict,
-    IoError,
-    MismatchError,
-    ParseError,
-    SchemaError,
-    UnknownCategory,
-    UnmappedType,
-)
+from sca_reco.exceptions import DataError, SchemaError, UnmappedType
 from sca_reco.ingestion import (
     GdcMapping,
     _split_lines,
@@ -102,15 +94,16 @@ def test_load_report_inverted_span(tmp_path):
 def test_load_report_header_mismatch(tmp_path):
     path = tmp_path / "spotbugs.json"
     write_report(path, [], project="other")
-    with pytest.raises(MismatchError):
+    with pytest.raises(DataError, match=r"spotbugs\.json: report is for other/r1, expected p1/r1$"):
         load_report(path, "p1", "r1")
 
 
 def test_load_report_malformed_json(tmp_path):
     path = tmp_path / "spotbugs.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match=r"spotbugs\.json: Expecting property name") as exc:
         load_report(path, "p1", "r1")
+    assert type(exc.value) is DataError
 
 
 def test_load_report_missing_field(tmp_path):
@@ -152,7 +145,7 @@ def test_mapping_conflicting_rows(tmp_path, taxonomy):
         "spotbugs\tX\tduplication\n",
         encoding="utf-8",
     )
-    with pytest.raises(DuplicateConflict):
+    with pytest.raises(DataError, match="mapped to both 'dead_code' and 'duplication'$"):
         load_gdc_mapping(path, taxonomy)
 
 
@@ -169,7 +162,7 @@ def test_mapping_repeated_identical_rows_ok(tmp_path, taxonomy):
 def test_mapping_unknown_category(tmp_path, taxonomy):
     path = tmp_path / "map.tsv"
     path.write_text("sca\toriginal_type\tgdc_id\nspotbugs\tX\tnot_a_category\n", encoding="utf-8")
-    with pytest.raises(UnknownCategory):
+    with pytest.raises(DataError, match="not_a_category' references unknown category$"):
         load_gdc_mapping(path, taxonomy)
 
 
@@ -276,7 +269,7 @@ def test_source_tree_order_equals_the_rglob_reference(paths):
 
 
 def test_source_tree_missing_dir(tmp_path):
-    with pytest.raises(IoError):
+    with pytest.raises(DataError, match="^source directory .*nope does not exist$"):
         load_source_tree(tmp_path / "nope", "r")
 
 
@@ -324,7 +317,7 @@ def test_report_name_must_match_declared_sca(tmp_path):
         json.dumps({"old": {"id": "r1", "date": "2024-01-01"}, "new": {"id": "r2", "date": "2024-06-01"}}),
         encoding="utf-8",
     )
-    with pytest.raises(MismatchError):
+    with pytest.raises(DataError, match="file is named 'alpha' but declares analyzer 'beta'$"):
         load_snapshot(corpus, "p1")
 
 
@@ -404,8 +397,9 @@ def test_report_fast_path_equals_checked_path(tmp_path, entries, sca):
     try:
         json.dumps(entries, allow_nan=False)
     except ValueError:  # json.dumps wrote NaN or Infinity, which JSON lacks
-        with pytest.raises(ParseError, match=r"Infinity|NaN") as exc:
+        with pytest.raises(DataError, match=r"Infinity|NaN") as exc:
             load_report(path, "p1", "r1")
+        assert type(exc.value) is DataError  # the decoder's, not a SchemaError
         assert str(exc.value).startswith(f"{path}: ")
         return
     expected = outcome(checked_report, path, sca, entries)

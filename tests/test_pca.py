@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sca_reco.estimators import PCA
-from sca_reco.exceptions import InvalidK
+from sca_reco.exceptions import ConfigError
 from sca_reco.rng import SplitMix64
 
 
@@ -74,9 +74,9 @@ def test_truncated_transform_shape():
 
 def test_invalid_component_counts():
     X = random_matrix(4, 3, seed=500)
-    with pytest.raises(InvalidK):
+    with pytest.raises(ConfigError, match=r"^n_components must be in 1\.\.3, got 0$"):
         PCA(n_components=0).fit(X)
-    with pytest.raises(InvalidK):
+    with pytest.raises(ConfigError, match=r"^n_components must be in 1\.\.3, got 4$"):
         PCA(n_components=4).fit(X)  # min(n, d) is 3
 
 

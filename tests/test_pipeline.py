@@ -22,7 +22,7 @@ from helpers import (
 from sca_reco import cli
 from sca_reco.core import AlignedWarning, WarningLabel
 from sca_reco.effectiveness import ConfusionCounts, ProjectEvaluation, optimal_set, score_sca
-from sca_reco.exceptions import IoError, ParseError, SchemaError
+from sca_reco.exceptions import DataError, SchemaError
 from sca_reco.matching import AuditRecord, MatchStage
 from sca_reco.pipeline import (
     _write_jsonl,
@@ -57,9 +57,9 @@ def context(corpus):
 
 def test_context_requires_mapping(tmp_path):
     (tmp_path / "scas.txt").write_text("alpha\n", encoding="utf-8")
-    with pytest.raises(IoError):
+    with pytest.raises(DataError, match="^no type mapping: .* not found and none given$"):
         load_corpus_context(tmp_path)
-    with pytest.raises(IoError):
+    with pytest.raises(DataError, match=r"^corpus directory .*missing does not exist$"):
         load_corpus_context(tmp_path / "missing")
 
 
@@ -262,8 +262,9 @@ def stored_outcome(read, path, record, expected):
         path.write_text(json.dumps(record, allow_nan=False) + "\n", encoding="utf-8")
     except ValueError:  # NaN or Infinity, which JSON lacks
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match=r"Infinity|NaN") as exc:
+        with pytest.raises(DataError, match=r"Infinity|NaN") as exc:
             read(path)
+        assert type(exc.value) is DataError  # the decoder's, not a SchemaError
         assert str(exc.value).startswith(f"{path}:1: ")
         return None, None
     try:

@@ -18,13 +18,7 @@ from sca_reco.effectiveness import (
     score_sca,
 )
 from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, forest
-from sca_reco.exceptions import (
-    DataError,
-    DegenerateDataset,
-    TooFewSamples,
-    UnknownFeature,
-    UnsupportedModelKind,
-)
+from sca_reco.exceptions import ConfigError, DataError
 from sca_reco import recommend
 from sca_reco.features import FeatureTable, PreferenceDataset
 from sca_reco.metrics import MicroMetrics, mean_metrics
@@ -75,7 +69,7 @@ def two_class_dataset(n_per_class=6):
 def test_parse_model_kind():
     assert parse_model_kind("rf") is ModelKind.RF
     assert parse_model_kind(" DT ") is ModelKind.DT
-    with pytest.raises(UnsupportedModelKind):
+    with pytest.raises(ConfigError, match="^unknown model kind 'svm'$"):
         parse_model_kind("svm")
 
 
@@ -83,7 +77,7 @@ def test_resolve_hyperparams():
     params = resolve_hyperparams(ModelKind.RF, {"n_estimators": 7})
     assert params["n_estimators"] == 7
     assert params["max_features"] == "sqrt"
-    with pytest.raises(UnsupportedModelKind):
+    with pytest.raises(ConfigError, match="^knn has no hyperparameter 'depth'$"):
         resolve_hyperparams(ModelKind.KNN, {"depth": 3})
 
 
@@ -97,10 +91,10 @@ def test_encode_labels_follows_corpus_order():
 
 def test_train_requires_rows_and_classes():
     single = two_class_dataset().subset_rows([0])
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="^training needs at least 2 projects$"):
         train(single, ModelKind.DT)
     one_class = two_class_dataset().subset_rows([0, 2, 4])
-    with pytest.raises(DegenerateDataset):
+    with pytest.raises(DataError, match="^training labels collapse to a single analyzer$"):
         train(one_class, ModelKind.DT)
 
 
@@ -135,15 +129,15 @@ def test_predict_takes_the_model_features_by_name():
     expected = model.predict_table(table(("f2", "f0"), probe))
     wide = table(("f3", "f0", "f1", "f2"), [[9.0, f0, 9.0, f2] for f2, f0 in probe])
     assert model.predict_table(wide) == expected
-    with pytest.raises(UnknownFeature, match="'f2'"):
+    with pytest.raises(DataError, match="^feature 'f2' is not in the feature table$"):
         model.predict_table(table(("f0", "f1"), [[0.05, 1.05]]))
 
 
 def test_feature_mismatch_is_rejected():
     model = train(two_class_dataset(), ModelKind.DT, seed=0)
-    with pytest.raises(UnknownFeature, match="feature 'f3' is not in the feature table"):
+    with pytest.raises(DataError, match="^feature 'f3' is not in the feature table$"):
         model.predict_table(table(("f1", "f0", "f2"), [[0.0, 1.0, 0.5]]))
-    with pytest.raises(UnknownFeature):
+    with pytest.raises(DataError, match="^feature 'f0' is not in the feature table$"):
         model.predict_table(table((), []))
 
 
@@ -238,9 +232,9 @@ def test_stratified_folds_deterministic():
 
 
 def test_stratified_folds_argument_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^folds must be at least 2, got 1$"):
         stratified_folds(["alpha", "beta"], 1)
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="^cannot split 2 rows into 3 folds$"):
         stratified_folds(["alpha", "beta"], 3)
 
 
@@ -340,9 +334,9 @@ def test_baseline_random_deterministic_and_near_uniform():
 
 
 def test_baseline_random_argument_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^repeats must be at least 1, got 0$"):
         baseline_random([("alpha",)], ("alpha",), repeats=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the analyzer list is empty$"):
         baseline_random([("alpha",)], (), repeats=1)
 
 

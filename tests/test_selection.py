@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sca_reco import selection
-from sca_reco.exceptions import InvalidCount, InvalidTarget, TooFewSamples, UnsupportedModelKind
+from sca_reco.exceptions import ConfigError, DataError
 from sca_reco.features import FeatureTable, PreferenceDataset
 from sca_reco.recommend import ModelKind, train
 from sca_reco.selection import (
@@ -48,7 +48,7 @@ def test_importances_unsupported_kinds():
     dataset = signal_dataset()
     for kind in (ModelKind.KNN, ModelKind.MLP):
         model = train(dataset, kind, seed=0)
-        with pytest.raises(UnsupportedModelKind):
+        with pytest.raises(ConfigError, match=f"^{kind.value} exposes no per-feature importance;"):
             feature_importances(model)
 
 
@@ -62,14 +62,14 @@ def test_rfe_target_equal_to_width_is_identity():
 
 def test_rfe_invalid_targets():
     dataset = signal_dataset()
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(ConfigError, match="^target must be between 1 and 4, got 0$"):
         rfe(dataset, ModelKind.DT, target=0)
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(ConfigError, match="^target must be between 1 and 4, got 5$"):
         rfe(dataset, ModelKind.DT, target=5)
 
 
 def test_rfe_rejects_unrankable_kind():
-    with pytest.raises(UnsupportedModelKind):
+    with pytest.raises(ConfigError, match="^knn exposes no per-feature importance;"):
         rfe(signal_dataset(), ModelKind.KNN, target=1)
 
 
@@ -113,7 +113,7 @@ def test_rfe_cv_deterministic():
 
 
 def test_rfe_cv_rejects_too_many_folds():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(DataError, match="^cannot split 12 rows into 13 folds$"):
         rfe_cv(signal_dataset(), ModelKind.DT, folds=13)
 
 
@@ -122,11 +122,12 @@ def test_rfe_cv_checks_folds_before_eliminating(monkeypatch):
         raise AssertionError("rfe ran before the fold count was checked")
 
     monkeypatch.setattr(selection, "rfe", no_elimination)
-    with pytest.raises(InvalidCount, match="at least 2"):
+    with pytest.raises(ConfigError, match="^folds must be at least 2, got 1$"):
         rfe_cv(signal_dataset(), ModelKind.DT, folds=1)
     dataset = signal_dataset()
     too_many = dataset.n_projects + 1
-    with pytest.raises(TooFewSamples, match=f"{dataset.n_projects} rows into {too_many} folds"):
+    split = f"^cannot split {dataset.n_projects} rows into {too_many} folds$"
+    with pytest.raises(DataError, match=split):
         rfe_cv(dataset, ModelKind.DT, folds=too_many)
 
 
