@@ -107,7 +107,9 @@ def align_project(
     category and class and starts within OFFSET_LIMIT lines of it, so those
     lines hold every compatible candidate; the pick is by a total order, so
     the groups are the same as when scanning the whole pool.  The index
-    lives for one call, that is for one project.
+    holds each warning with its rank in its sorted pool, which orders as
+    ``warning_sort_key`` does, so the tie-break key is computed once per
+    warning.  The index lives for one call, that is for one project.
     """
     if len(set(sca_order)) != len(sca_order):
         raise ValueError(f"analyzer order {list(sca_order)} repeats an analyzer")
@@ -132,15 +134,20 @@ def align_project(
                 continue
             consumed.add(seed.origin)
             members = [seed]
+            first = seed.start_line - OFFSET_LIMIT
+            near = range(first, first + 2 * OFFSET_LIMIT + 1)
             for later in sca_order[i + 1 :]:
+                lines = indexes[later].get((seed.new_type, seed.class_info))
+                if not lines:
+                    continue
                 best = best_key = None
-                for candidate in _near(indexes[later], seed):
-                    if candidate.origin in consumed or not _compatible(members, candidate):
-                        continue
-                    distance = sum(abs(candidate.start_line - m.start_line) for m in members)
-                    key = (distance, warning_sort_key(candidate))
-                    if best_key is None or key < best_key:
-                        best, best_key = candidate, key
+                for line in near:
+                    for rank, candidate in lines.get(line, ()):
+                        if candidate.origin in consumed or not _compatible(members, candidate):
+                            continue
+                        distance = sum(abs(candidate.start_line - m.start_line) for m in members)
+                        if best_key is None or (distance, rank) < best_key:
+                            best, best_key = candidate, (distance, rank)
                 if best is not None:
                     consumed.add(best.origin)
                     members.append(best)
@@ -165,23 +172,14 @@ def _compatible(members: list[AlignedWarning], candidate: AlignedWarning) -> boo
     return True
 
 
-# (category, class) -> start line -> warnings, in canonical order
-_LineIndex = dict[tuple[str, str], dict[int, list[AlignedWarning]]]
+# (category, class) -> start line -> (rank, warning) pairs, where rank is
+# the warning's position in its canonically sorted pool
+_LineIndex = dict[tuple[str, str], dict[int, list[tuple[int, AlignedWarning]]]]
 
 
 def _index_by_line(pool: list[AlignedWarning]) -> _LineIndex:
     index: _LineIndex = {}
-    for w in pool:
+    for rank, w in enumerate(pool):
         lines = index.setdefault((w.new_type, w.class_info), {})
-        lines.setdefault(w.start_line, []).append(w)
+        lines.setdefault(w.start_line, []).append((rank, w))
     return index
-
-
-def _near(index: _LineIndex, seed: AlignedWarning) -> list[AlignedWarning]:
-    """Indexed warnings sharing the seed's category and class that start
-    within OFFSET_LIMIT lines of it."""
-    lines = index.get((seed.new_type, seed.class_info))
-    if not lines:
-        return []
-    first = seed.start_line - OFFSET_LIMIT
-    return [w for line in range(first, first + 2 * OFFSET_LIMIT + 1) for w in lines.get(line, ())]

@@ -20,26 +20,27 @@ Each stage is defined once, by its keys: ``location_kind`` with
 ``location_lines`` (and the ``methods_agree`` condition), ``snippet_key``
 and ``hash_key``.  A pair passes a stage exactly when the new warning's key
 is one the old warning's keys accept.  The cascade (``_Pool``) indexes one
-analyzer's newer-release warnings by each stage's key, and the index
-decides a stage's hits: they are the unconsumed members of the buckets the
-old warning's keys look up.  ``label_release_detailed`` is the cascade's
-one entry point: it reads a report's entries as ``_Site`` tuples, whose
-fields come in canonical order so that sites sort as plain tuples, runs
-each old site through the pool, and builds each old warning's
-``AlignedWarning`` once, from its site, with its label.  An old warning's
-snippet is cut only when some newer warning shares its category and class,
-since every snippet key carries both.  The pairwise predicates that
-restate each rule for one pair live with the tests, which check the
-indexed keys against them.
+analyzer's newer-release warnings by each stage's key in one loop, keying
+each warning once per stage, and the index decides a stage's hits: they
+are the unconsumed members of the buckets the old warning's keys look up.
+``label_release_detailed`` is the cascade's one entry point: it reads a
+report's entries as ``_Site`` tuples, whose fields come in canonical order
+so that sites sort as plain tuples, runs each old site through the pool,
+and builds each old warning's ``AlignedWarning`` and ``AuditRecord`` once,
+with ``tuple.__new__``.  An old warning's snippet is cut only when some
+newer warning shares its category and class, since every snippet key
+carries both.  The pairwise predicates that restate each rule for one pair
+live with the tests, which check the indexed keys against them.
 
 ``ReleasePair`` is the only cache.  It resolves class files, sorts each
 old file's mapped lines and tokenizes each file once per project, and all
 analyzers of the project share it.  A file's tokens are kept as one
 ASCII buffer of its tokens joined by 0x1F, the prefix sums of their
-lengths, and the per-line prefix token counts; a window's tokens are found
-from those counts, and its bytes are one slice of the buffer.  A
-diff-mapped start line is found by bisection over the file's sorted mapped
-old lines, so its cost does not grow with the start line a report gives.
+lengths, and the per-line prefix token counts; ``hash_window`` finds a
+window's tokens from those counts, and its bytes are one slice of the
+buffer.  A diff-mapped start line is found by bisection over the file's
+sorted mapped old lines, so its cost does not grow with the start line a
+report gives.
 """
 
 from __future__ import annotations
@@ -67,14 +68,15 @@ from .linediff import lcs_pairs
 LOCATION_OFFSET_LIMIT = 3
 HASH_WINDOW_TOKENS = 50  # tokens taken on each side of the warned line
 
-_SEPARATOR = "\x1f"
+_SEPARATOR = b"\x1f"
 
 
 # Tokens are the runs of ASCII letters, digits and underscores.  The table
 # blanks every other byte except the line break, so each line's tokens are
 # left separated by spaces.  A non-ASCII character (a lone surrogate too,
 # through "surrogatepass") encodes to bytes of 0x80 and above, all of which
-# are blanked, so every text takes the same table lookup in C.
+# are blanked, so every text takes the same table lookup in C, and the
+# tokens are split from the blanked bytes as they are.
 _TOKEN_BYTES = (string.ascii_letters + string.digits + "_\n").encode("ascii")
 _TOKEN_TEXT = bytes(byte if byte in _TOKEN_BYTES else 0x20 for byte in range(256))
 
@@ -128,31 +130,33 @@ def resolve_class_file(release: Release, class_info: str) -> str | None:
     return min(hits, default=None)
 
 
-def token_stream(lines: Sequence[str]) -> tuple[list[str], list[int]]:
+def token_stream(lines: Sequence[str]) -> tuple[list[bytes], list[int]]:
     """All identifier/number tokens of a file, and where each line's tokens start.
 
     ``lines`` are the file's lines without their line breaks.  Returns the
-    tokens in file order, and the prefix counts ``before``:
+    tokens in file order, as ASCII bytes, and the prefix counts ``before``:
     ``before[i]`` is the number of tokens on the first ``i`` lines, so the
     tokens of 1-based line ``n`` are ``tokens[before[n - 1] : before[n]]``
     and ``before[-1]`` is the total.
     """
     blanked = "\n".join(lines).encode("utf-8", "surrogatepass").translate(_TOKEN_TEXT)
-    text = blanked.decode("ascii")
-    per_line = list(map(str.split, text.split("\n"))) if lines else []
+    per_line = list(map(bytes.split, blanked.split(b"\n"))) if lines else []
     return list(chain.from_iterable(per_line)), list(accumulate(map(len, per_line), initial=0))
 
 
-def hash_window(before: list[int], start_line: int) -> range:
-    """The indices of the tokens the hash-stage window at ``start_line`` covers.
+def hash_window(before: list[int], start_line: int) -> tuple[int, int]:
+    """The first and the stop index of the tokens the hash-stage window at
+    ``start_line`` covers; the window is empty when the two are equal.
 
     ``before`` holds the per-line prefix token counts, as ``token_stream``
     returns them.  The window is the HASH_WINDOW_TOKENS tokens before the
     first token at or after ``start_line`` plus the same count from that
     token onward, truncated at file boundaries.
     """
-    anchor = before[min(start_line - 1, len(before) - 1)]
-    return range(max(0, anchor - HASH_WINDOW_TOKENS), min(before[-1], anchor + HASH_WINDOW_TOKENS))
+    total = before[-1]
+    anchor = before[start_line - 1] if start_line <= len(before) else total
+    first, stop = anchor - HASH_WINDOW_TOKENS, anchor + HASH_WINDOW_TOKENS
+    return first if first > 0 else 0, stop if stop < total else total
 
 
 class _Site(NamedTuple):
@@ -176,10 +180,11 @@ class ReleasePair:
     """One project's two releases, their line mapping, and a memo over them.
 
     A project builds one pair and shares it across all its analyzers.  The
-    memo caches class-file resolutions, each old file's sorted mapped
-    lines, and, per side, the token buffer of each file a window is cut
-    from.  It keeps no token list, window, snippet or location target:
-    each of those is a slice or a bisection, cheaper to redo than to key.
+    memo keeps each class-file resolution, each old file's sorted mapped
+    lines, and, per side, the token buffer, token-length prefix sums and
+    per-line token counts of each file a window is cut from.  It keeps no
+    token list, window, snippet or location target: each is a slice or a
+    bisection, cheaper to redo than to key.
     What it keeps is a pure function of the two releases and their line
     mapping, never of a report, so sharing the memo cannot change any
     outcome.  ``which`` names a side, ``"old"`` or ``"new"``.  The memo
@@ -238,16 +243,16 @@ class ReleasePair:
         path = self.resolve(which, warning.class_info)
         if path is None:
             return None
-        key = ("tokens", which, path)
-        if key not in self.memo:
+        cut = self.memo.get(("tokens", which, path))
+        if cut is None:
             tokens, before = token_stream(self._release(which).files[path])
             lengths = list(accumulate(map(len, tokens), initial=0))
-            self.memo[key] = _SEPARATOR.join(tokens).encode("ascii"), lengths, before
-        text, lengths, before = self.memo[key]
-        window = hash_window(before, warning.start_line)
-        if not window:
+            cut = _SEPARATOR.join(tokens), lengths, before
+            self.memo["tokens", which, path] = cut
+        text, lengths, before = cut
+        first, stop = hash_window(before, warning.start_line)
+        if first == stop:
             return None
-        first, stop = window.start, window.stop
         return text[lengths[first] + first : lengths[stop] + stop - 1]
 
 
@@ -291,50 +296,39 @@ def hash_key(releases: ReleasePair, which: str, warning: _Site) -> tuple | None:
     return None if window is None else (warning.new_type, window)
 
 
-def _index(warnings: list[_Site], key) -> dict[tuple, list[int]]:
-    """Positions in ``warnings`` bucketed by ``key``, each bucket ascending;
-    a warning whose key is None is left out."""
-    buckets: dict[tuple, list[int]] = {}
-    for position, warning in enumerate(warnings):
-        bucket_key = key(warning)
-        if bucket_key is not None:
-            buckets.setdefault(bucket_key, []).append(position)
-    return buckets
-
-
 class _Pool:
     """One analyzer's unconsumed newer-release warnings, indexed by stage key.
 
     ``warnings`` are in canonical order, and the indexes hold positions in
     it, so a bucket lists its warnings in canonical order.  The location
     index maps a warning's ``location_kind`` to its start line and then to
-    its bucket.  Every warning a stage accepts is in the buckets of that
-    stage's keys, which the stage looks up and nothing else.  The hash
-    index is built the first time a warning reaches the hash stage.
+    its bucket; the snippet and hash indexes map a warning's other keys to
+    theirs, leaving out a None key.  Every warning a stage accepts is in
+    the buckets of that stage's keys, which the stage looks up alone.
     """
 
     def __init__(self, warnings: list[_Site], releases: ReleasePair):
         self.releases = releases
         self.warnings = warnings
         self.available = [True] * len(warnings)
-        self.by_location: dict[tuple[str, str], dict[int, list[int]]] = {}
+        self.by_location, self.by_snippet, self.by_hash = {}, {}, {}
+        by_location, by_snippet, by_hash = self.by_location, self.by_snippet, self.by_hash
         for position, warning in enumerate(warnings):
-            lines = self.by_location.setdefault(location_kind(warning), {})
+            lines = by_location.setdefault(location_kind(warning), {})
             lines.setdefault(warning.start_line, []).append(position)
-        self.by_snippet = _index(warnings, lambda w: snippet_key(releases, "new", w))
-        self.by_hash: dict[tuple, list[int]] | None = None
+            key = snippet_key(releases, "new", warning)
+            if key is not None:
+                by_snippet.setdefault(key, []).append(position)
+            key = hash_key(releases, "new", warning)
+            if key is not None:
+                by_hash.setdefault(key, []).append(position)
 
     def take(self, warning: _Site) -> tuple[int, MatchStage] | None:
         """Run the cascade for older-release ``warning``: the position of
         the warning it matches, which is then consumed, and the stage; None
-        when no stage matches."""
-        hit = self._match(warning)
-        if hit is not None:
-            self.available[hit[0]] = False
-        return hit
+        when no stage matches.
 
-    def _match(self, warning: _Site) -> tuple[int, MatchStage] | None:
-        """Each stage in turn picks its hit of minimal |start-line
+        Each stage in turn picks its hit of minimal |start-line
         difference|, taken from the diff-mapped line for the location stage,
         and then the canonically first.  The location lines come nearest
         first and a bucket in canonical order, so the first location hit is
@@ -347,29 +341,31 @@ class _Pool:
                     if available[position] and methods_agree(
                         warning.method, warnings[position].method
                     ):
+                        available[position] = False
                         return position, MatchStage.LOCATION
             bucket = self.by_snippet.get(snippet_key(releases, "old", warning))
-            position = self._nearest(bucket, warning.start_line)
+            position = self._take_nearest(bucket, warning.start_line)
             if position is not None:
                 return position, MatchStage.SNIPPET
         key = hash_key(releases, "old", warning)
         if key is not None:
-            if self.by_hash is None:
-                self.by_hash = _index(self.warnings, lambda w: hash_key(releases, "new", w))
-            position = self._nearest(self.by_hash.get(key), warning.start_line)
+            position = self._take_nearest(self.by_hash.get(key), warning.start_line)
             if position is not None:
                 return position, MatchStage.HASH
         return None
 
-    def _nearest(self, bucket: list[int] | None, line: int) -> int | None:
-        """The available position of ``bucket`` whose warning starts nearest
-        ``line``, the canonically first among equally near ones."""
+    def _take_nearest(self, bucket: list[int] | None, line: int) -> int | None:
+        """Consume the available position of ``bucket`` whose warning starts
+        nearest ``line``, the canonically first among equally near ones."""
+        available, warnings = self.available, self.warnings
         best = best_distance = None
         for position in bucket or ():
-            if self.available[position]:
-                distance = abs(line - self.warnings[position].start_line)
+            if available[position]:
+                distance = abs(line - warnings[position].start_line)
                 if best is None or distance < best_distance:
                     best, best_distance = position, distance
+        if best is not None:
+            available[best] = False
         return best
 
 
@@ -384,12 +380,18 @@ class AuditRecord(NamedTuple):
 
 
 def _sites(raws: Sequence[RawWarning], mapping: GdcMapping) -> list[_Site]:
-    """The sites of a report's entries, in canonical order."""
-    lookup = mapping.lookup
-    sites = [
-        _Site(class_path, start, end, lookup(sca, original_type), (sca, i), method)
-        for i, (sca, original_type, class_path, method, start, end, _, _) in enumerate(raws)
-    ]
+    """The sites of a report's entries, in canonical order.  An entry whose
+    type has no category raises ``GdcMapping.lookup``'s UnmappedType."""
+    entries, new = mapping.entries, tuple.__new__
+    try:
+        sites = [
+            new(_Site, (class_path, start, end, entries[sca, original_type], (sca, i), method))
+            for i, (sca, original_type, class_path, method, start, end, _, _) in enumerate(raws)
+        ]
+    except KeyError:
+        for raw in raws:
+            mapping.lookup(raw.sca, raw.original_type)
+        raise
     sites.sort()
     return sites
 
@@ -424,19 +426,18 @@ def label_release_detailed(
         raise SchemaError(f"project {snapshot.project_id} has no {sca!r} report")
     old_sites = _sites(snapshot.reports_old[sca], mapping)
     pool = _Pool(_sites(snapshot.reports_new[sca], mapping), releases)
+    take, new = pool.take, tuple.__new__
     labeled: list[AlignedWarning] = []
     audit: list[AuditRecord] = []
     for site in old_sites:
-        hit = pool.take(site)
-        if hit is not None:
-            position, stage = hit
-            matched = pool.warnings[position]
-            matched_line, matched_origin = matched.start_line, matched.origin[1]
-            label = WarningLabel.UNACTIONABLE
-        else:
-            stage = matched_line = matched_origin = None
+        class_info, start, end, new_type, origin, _ = site
+        hit = take(site)
+        if hit is None:
             label = WarningLabel.UNKNOWN if _is_gone(site, releases) else WarningLabel.ACTIONABLE
-        class_info, start_line, end_line, new_type, origin, _ = site
-        labeled.append(AlignedWarning(new_type, class_info, start_line, end_line, label, origin))
-        audit.append(AuditRecord(label, stage, matched_line, matched_origin))
+            record = new(AuditRecord, (label, None, None, None))
+        else:
+            label, matched = WarningLabel.UNACTIONABLE, pool.warnings[hit[0]]
+            record = new(AuditRecord, (label, hit[1], matched.start_line, matched.origin[1]))
+        labeled.append(new(AlignedWarning, (new_type, class_info, start, end, label, origin)))
+        audit.append(record)
     return labeled, audit

@@ -241,8 +241,8 @@ def _class_rename_eligible(lines: list[str], decl_line: int, starts: list[int]) 
     decl_first, decl_stop = before[decl_line - 1], before[decl_line]
     for start in starts:
         for jitter in (0, 1):
-            window = hash_window(before, start + jitter)
-            if max(window.start, decl_first) < min(window.stop, decl_stop):
+            first, stop = hash_window(before, start + jitter)
+            if max(first, decl_first) < min(stop, decl_stop):
                 return False
     return True
 

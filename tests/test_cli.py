@@ -1560,8 +1560,11 @@ def test_label_row_of_an_impossible_span_exits_2(workspace, tmp_path, capsys, st
     assert not (tmp_path / "eval").exists()
 
 
-def test_unmapped_type_names_the_report_and_entry(one_project):
-    corpus, report, text = one_project
+@pytest.mark.parametrize("release", ["r1", "r2"], ids=["older-release", "newer-release"])
+def test_unmapped_type_names_the_report_and_entry(one_project, release):
+    corpus = one_project[0]
+    report = sorted(corpus.glob(f"*/{release}/reports/*.json"))[0]
+    text = report.read_text(encoding="utf-8")
     document = json.loads(text)
     document["warnings"][1]["type"] = "NO_SUCH_TYPE"
     report.write_text(json.dumps(document), encoding="utf-8")

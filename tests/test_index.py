@@ -62,7 +62,7 @@ from sca_reco.matching import (
     label_release_detailed,
     token_stream,
 )
-from sca_reco.pipeline import evaluate_corpus, load_corpus_context
+from sca_reco.pipeline import evaluate_corpus, label_project, load_corpus_context
 from sca_reco.synth import SynthConfig, generate_corpus
 
 SCAS = ("alpha", "beta")
@@ -143,10 +143,10 @@ class FnvReleasePair(ReleasePair):
         if path is None:
             return None
         tokens, before = token_stream(self._release(which).files[path])
-        window = hash_window(before, warning.start_line)
-        if not window:
+        first, stop = hash_window(before, warning.start_line)
+        if first == stop:
             return None
-        return fnv1a("\x1f".join(tokens[window.start : window.stop]).encode("ascii"))
+        return fnv1a(b"\x1f".join(tokens[first:stop]))
 
 
 def reference_align(labeled, sca_order):
@@ -424,3 +424,35 @@ def test_predicate_calls_grow_linearly(grown_corpora, monkeypatch):
             assert small[name] > 0, name
             # a full scan would double the calls per warning
             assert large[name] / large_n <= 1.3 * small[name] / small_n, name
+
+
+def test_each_warning_is_keyed_once_per_stage(grown_corpora, monkeypatch):
+    # Labeling one project: every pool keys each newer warning once for the
+    # snippet stage and at most once for the hash stage, and an older
+    # warning is hash-keyed exactly when neither location nor snippet
+    # matched it.  Keying a warning per candidate it is compared with
+    # breaks these counts.
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(matching, name)
+
+        def wrapper(releases, which, warning):
+            calls[name, which] += 1
+            return inner(releases, which, warning)
+
+        monkeypatch.setattr(matching, name, wrapper)
+
+    counting("snippet_key")
+    counting("hash_key")
+    corpus = grown_corpora[16]
+    snap = load_snapshot(corpus, "p000")
+    labels = label_project(load_corpus_context(corpus), snap)
+    monkeypatch.undo()
+    newer = sum(map(len, snap.reports_new.values()))
+    stages = Counter(record.stage for audit in labels.audits.values() for record in audit)
+    past_location = sum(stages.values()) - stages[MatchStage.LOCATION]
+    assert calls["snippet_key", "new"] == newer
+    assert 0 < calls["snippet_key", "old"] <= past_location
+    assert 0 < calls["hash_key", "new"] <= newer
+    assert calls["hash_key", "old"] == past_location - stages[MatchStage.SNIPPET] > 0

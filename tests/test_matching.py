@@ -25,7 +25,6 @@ from helpers import (
     release,
     snapshot,
 )
-from sca_reco.core import WarningLabel
 from sca_reco.exceptions import SchemaError
 from sca_reco.matching import (
     MatchStage,
@@ -306,10 +305,10 @@ def test_window_hash_is_the_joined_window_tokens(start_line, width):
     per_line = [TOKEN.findall(line) for line in lines]
     tokens = [token for found in per_line for token in found]
     before = [sum(map(len, per_line[:n])) for n in range(len(lines) + 1)]
-    window = hash_window(before, start_line)
-    assert len(window) == width
+    first, stop = hash_window(before, start_line)
+    assert stop - first == width
     releases = make_context({"com/example/Foo.java": lines}, {}).releases
-    expected = "\x1f".join(tokens[i] for i in window).encode("ascii")
+    expected = "\x1f".join(tokens[first:stop]).encode("ascii")
     assert releases.window_hash("old", aw(class_info=FOO, start=start_line)) == expected
 
 
@@ -334,10 +333,10 @@ source_lines = st.lists(
 def test_window_hash_equals_the_per_line_reference(lines, start_line):
     tokens, before = token_stream(lines)
     per_line = [TOKEN.findall(line) for line in lines]
-    assert tokens == [token for found in per_line for token in found]
+    assert tokens == [token.encode("ascii") for found in per_line for token in found]
     assert before == [sum(map(len, per_line[:n])) for n in range(len(lines) + 1)]
-    window = hash_window(before, start_line)
-    assert 0 <= window.start <= window.stop <= len(tokens)
+    first, stop = hash_window(before, start_line)
+    assert 0 <= first <= stop <= len(tokens)
     releases = make_context({"com/example/Foo.java": lines}, {}).releases
     expected = reference_window(lines, start_line)
     assert releases.window_hash("old", aw(class_info=FOO, start=start_line)) == expected
