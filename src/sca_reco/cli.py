@@ -42,12 +42,11 @@ from .recommend import (
     baseline_fixed,
     baseline_random,
     beta_sweep,
-    check_folds,
-    cross_validate,
     dataset_from_evaluations,
     parse_model_kind,
     sweep_table,
     train,
+    train_and_cross_validate,
 )
 from .selection import rfe_cv, selected_features_text
 from .synth import AnalyzerProfile, SynthConfig, generate_corpus
@@ -171,17 +170,17 @@ def _cmd_train(args) -> int:
             dataset = dataset.subset_features(names)
         except DataError as exc:
             raise type(exc)(f"{args.feature_list}: {exc}") from exc
-    if args.cv_folds is not None:
-        check_folds(args.cv_folds, dataset.n_projects)
-    model = train(dataset, kind, seed=args.seed)
+    if args.cv_folds is None:
+        model, result = train(dataset, kind, seed=args.seed), None
+    else:
+        model, result = train_and_cross_validate(dataset, kind, args.cv_folds, args.seed)
     model.save(args.out)
     print(
         f"trained {kind.value} on {dataset.n_projects} projects, "
         f"classes: {','.join(model.classes)} -> {args.out}",
         file=sys.stderr,
     )
-    if args.cv_folds is not None:
-        result = cross_validate(dataset, kind, folds=args.cv_folds, seed=args.seed)
+    if result is not None:
         m = result.mean
         print(f"cv\t{m.p_micro!r}\t{m.r_micro!r}\t{m.f1_micro!r}")
     return 0

@@ -5,12 +5,13 @@
 of equal shape (rows, features, classes) are stacked into ``(F, n, d)``
 arrays, and all stacks of one class count share one descent loop.  Per
 stack, a step runs only its two matmuls and its bias-gradient sum; the bias
-add, softmax, residual, L2 term and updates run once over flat buffers that
-hold every stack's rows and weights.  Stacked matmuls and sums perform the
-same operations in the same order per model as unstacked ones, and the rest
-is elementwise, so every model comes out bit-equal to a fit on its own.
-Fits of different shapes keep separate matmuls and sums; padding them to
-one shape would change the sums.
+add, softmax, residual, L2 term and update run once over flat buffers that
+hold every stack's rows and every fit's parameters (``_descend`` lists the
+step's operations and buffers).  Stacked matmuls and sums perform the same
+operations in the same order per model as unstacked ones, and the rest is
+elementwise, so every model comes out bit-equal to a fit on its own.  Fits
+of different shapes keep separate matmuls and sums; padding them to one
+shape would change the sums.
 """
 
 from __future__ import annotations
@@ -109,19 +110,37 @@ def _descend(Xs, labels, k, l2, learning_rate, n_iter):
     stack's rows in order.  Returns (W (k, d), b (k,)) per fit, stack by
     stack.
 
-    Rows and weights of all stacks live in flat buffers; each stack works
-    on views of them, so the elementwise steps run once for the batch.
+    Every buffer is allocated once, before the first step.  ``params``
+    holds every fit's W, then every fit's b, and ``grad`` their gradients
+    in the same layout; ``scores`` holds every stack's rows, first as
+    logits, then as probabilities, then as the residual.  Each stack's
+    matmuls and bias-gradient sum work on views of them, and the rest of a
+    step runs once for the batch, in this order:
+
+    1. ``scores = X @ W.T`` per stack, then ``scores += b`` of each row's
+       fit, gathered by ``take`` into ``bias``;
+    2. softmax: ``scores -= max(scores)`` per row, ``exp``, ``scores /=
+       sum(scores)`` per row (``np.maximum.reduce``, ``np.add.reduce``);
+    3. ``scores -= one_hot``, then ``scores /= n`` of each row's fit;
+    4. ``grad_W = scores.T @ X`` and ``grad_b = sum(scores)`` per stack,
+       then ``grad_W += (l2 / n) * W`` through ``penalty``;
+    5. ``grad *= learning_rate`` and ``params -= grad``.
+
+    These are the ufuncs, operands and orders of the textbook step, so every
+    weight keeps its bits.
     """
     n_rows = sum(F * n for F, n, _ in (X.shape for X in Xs))
     n_weights = sum(F * d for F, _, d in (X.shape for X in Xs)) * k
     n_fits = sum(len(X) for X in Xs)
     one_hot = np.zeros((n_rows, k))
     one_hot[np.arange(n_rows), labels] = 1.0
-    logits, residual = np.empty((n_rows, k)), np.empty((n_rows, k))
-    W, grad_W = np.zeros(n_weights), np.empty(n_weights)
-    b, grad_b = np.zeros((n_fits, k)), np.empty((n_fits, k))
+    scores, bias = np.empty((n_rows, k)), np.empty((n_rows, k))
+    row_max, row_sum = np.empty((n_rows, 1)), np.empty((n_rows, 1))
+    params, grad = np.zeros(n_weights + n_fits * k), np.empty(n_weights + n_fits * k)
+    W, grad_W, penalty = params[:n_weights], grad[:n_weights], np.empty(n_weights)
+    b, grad_b = params[n_weights:].reshape(n_fits, k), grad[n_weights:].reshape(n_fits, k)
     row_fit = np.empty(n_rows, dtype=np.intp)  # the fit each row belongs to
-    rows_n = np.empty((n_rows, 1))  # the row count n of the row's fit
+    rows_n = np.empty((n_rows, k))  # the row count n of the row's fit, per class
     l2_n = np.empty(n_weights)  # l2 / n of the weight's fit
     forward, backward, fitted = [], [], []  # per stack: matmul operands and views
     row = weight = fit = 0
@@ -132,28 +151,40 @@ def _descend(Xs, labels, k, l2, learning_rate, n_iter):
         rows_n[rows] = n
         l2_n[weights] = l2 / n
         stack_W = W[weights].reshape(F, k, d)
-        stack_residual = residual[rows].reshape(F, n, k)
-        forward.append((X, stack_W.transpose(0, 2, 1), logits[rows].reshape(F, n, k)))
+        stack_scores = scores[rows].reshape(F, n, k)
+        forward.append((X, stack_W.transpose(0, 2, 1), stack_scores))
         backward.append(
             (
-                stack_residual.transpose(0, 2, 1),
+                stack_scores.transpose(0, 2, 1),
                 X,
                 grad_W[weights].reshape(F, k, d),
-                stack_residual,
+                stack_scores,
                 grad_b[fit : fit + F],
             )
         )
         fitted.extend(zip(stack_W, b[fit : fit + F]))
         row, weight, fit = rows.stop, weights.stop, fit + F
+    # out, axis and keepdims go by position, the rate is a 0-d array, and
+    # take clips (row_fit is in range) instead of checking and buffering:
+    # on arrays this small those costs match the step's ufuncs
+    rate = np.array(learning_rate, dtype=np.float64)
     for _ in range(n_iter):
-        for X, W_T, stack_logits in forward:
-            np.matmul(X, W_T, out=stack_logits)
-        logits += b[row_fit]
-        np.divide(softmax(logits) - one_hot, rows_n, out=residual)
-        for residual_T, X, stack_grad_W, stack_residual, stack_grad_b in backward:
-            np.matmul(residual_T, X, out=stack_grad_W)
-            stack_residual.sum(axis=1, out=stack_grad_b)
-        grad_W += l2_n * W
-        W -= learning_rate * grad_W
-        b -= learning_rate * grad_b
+        for X, W_T, stack_scores in forward:
+            np.matmul(X, W_T, stack_scores)
+        b.take(row_fit, 0, bias, "clip")
+        np.add(scores, bias, scores)
+        np.maximum.reduce(scores, 1, None, row_max, True)
+        np.subtract(scores, row_max, scores)
+        np.exp(scores, scores)
+        np.add.reduce(scores, 1, None, row_sum, True)
+        np.divide(scores, row_sum, scores)
+        np.subtract(scores, one_hot, scores)
+        np.divide(scores, rows_n, scores)
+        for scores_T, X, stack_grad_W, stack_scores, stack_grad_b in backward:
+            np.matmul(scores_T, X, stack_grad_W)
+            np.add.reduce(stack_scores, 1, None, stack_grad_b)
+        np.multiply(l2_n, W, penalty)
+        np.add(grad_W, penalty, grad_W)
+        np.multiply(grad, rate, grad)
+        np.subtract(params, grad, params)
     return fitted

@@ -231,6 +231,15 @@ def encode_labels(
     return np.array([index[s] for s in primary], dtype=np.int64), classes
 
 
+def check_trainable(dataset: PreferenceDataset) -> None:
+    """Raise a DataError unless ``dataset`` holds at least 2 projects and
+    at least 2 distinct primary labels."""
+    if dataset.n_projects < 2:
+        raise DataError("training needs at least 2 projects")
+    if len(set(dataset.primary_labels())) < 2:
+        raise DataError("training labels collapse to a single analyzer")
+
+
 def train(
     dataset: PreferenceDataset,
     kind: ModelKind,
@@ -258,11 +267,8 @@ def train_batch(
     """
     prepared = []
     for dataset, seed in training_sets:
-        if dataset.n_projects < 2:
-            raise DataError("training needs at least 2 projects")
+        check_trainable(dataset)
         y, classes = encode_labels(dataset.primary_labels(), dataset.sca_order)
-        if len(classes) < 2:
-            raise DataError("training labels collapse to a single analyzer")
         table = dataset.table
         scaler = StandardScaler().fit(table.matrix, table.feature_names)
         prepared.append((table, seed, scaler, classes, scaler.transform(table.matrix), y))
@@ -339,7 +345,9 @@ def cross_validate(
     """Stratified k-fold cross-validation; the summary is the fold mean.
 
     A fold with no test rows scores ``MicroMetrics(0.0, 0.0, 0.0)`` and
-    fits no model.
+    fits no model.  A fold whose training rows hold fewer than 2 projects
+    or a single primary label raises a DataError naming the fold before
+    any model is fitted.
     """
     return cross_validate_batch([dataset], kind, folds, seed, hyperparams)[0]
 
@@ -353,24 +361,41 @@ def cross_validate_batch(
 ) -> list[CvResult]:
     """``cross_validate`` of each dataset, with the models of all their
     folds fitted in one ``train_batch`` call."""
+    assignments, training_sets = _fold_training_sets(datasets, folds, seed)
+    models = train_batch(training_sets, kind, hyperparams)
     return [
         _score_folds(dataset.label_sets, predicted)
-        for dataset, predicted in zip(
-            datasets, _fold_predictions(datasets, kind, folds, seed, hyperparams)
-        )
+        for dataset, predicted in zip(datasets, _fold_predictions(datasets, assignments, models))
     ]
 
 
-def _fold_predictions(
-    datasets: Sequence[PreferenceDataset],
+def train_and_cross_validate(
+    dataset: PreferenceDataset,
     kind: ModelKind,
-    folds: int,
-    seed: int,
-    hyperparams: dict | None,
-) -> list[list[tuple[list[int], list[ScaId] | None]]]:
-    """Per dataset and fold, the test rows and what the fold's model predicts
-    for them; an empty fold fits no model and predicts None.  The models of
-    all datasets' folds are fitted in one ``train_batch`` call."""
+    folds: int = 10,
+    seed: int = 0,
+    hyperparams: dict | None = None,
+) -> tuple[RecommendationModel, CvResult]:
+    """``train`` and ``cross_validate`` of one dataset, with the full-data
+    model and every fold's model fitted in one ``train_batch`` call.  Both
+    equal those of the two functions run apart, since a batch never changes
+    a model.  The fold count and the full dataset are checked before the
+    folds are."""
+    check_folds(folds, dataset.n_projects)
+    check_trainable(dataset)
+    assignments, training_sets = _fold_training_sets([dataset], folds, seed)
+    models = train_batch([(dataset, seed), *training_sets], kind, hyperparams)
+    model = next(models)
+    [predicted] = _fold_predictions([dataset], assignments, models)
+    return model, _score_folds(dataset.label_sets, predicted)
+
+
+def _fold_training_sets(
+    datasets: Sequence[PreferenceDataset], folds: int, seed: int
+) -> tuple[list[list[list[int]]], list[tuple[PreferenceDataset, int]]]:
+    """Each dataset's fold assignment (test rows per fold), and the
+    (training rows, seed) of every non-empty fold, dataset by dataset.  A
+    fold that cannot train a model raises a DataError naming the fold."""
     assignments = [
         stratified_folds(dataset.primary_labels(), folds, seed) for dataset in datasets
     ]
@@ -379,11 +404,25 @@ def _fold_predictions(
         for fold_number, test_rows in enumerate(assignment):
             if test_rows:
                 held_out = set(test_rows)
-                train_rows = [i for i in range(dataset.n_projects) if i not in held_out]
-                training_sets.append(
-                    (dataset.subset_rows(train_rows), derive_seed(seed, fold_number))
+                training = dataset.subset_rows(
+                    [i for i in range(dataset.n_projects) if i not in held_out]
                 )
-    models = train_batch(training_sets, kind, hyperparams)
+                try:
+                    check_trainable(training)
+                except DataError as exc:
+                    raise DataError(f"cv fold {fold_number}: {exc}") from exc
+                training_sets.append((training, derive_seed(seed, fold_number)))
+    return assignments, training_sets
+
+
+def _fold_predictions(
+    datasets: Sequence[PreferenceDataset],
+    assignments: list[list[list[int]]],
+    models: Iterator[RecommendationModel],
+) -> list[list[tuple[list[int], list[ScaId] | None]]]:
+    """Per dataset and fold, the test rows and what the fold's model, the
+    next of ``models``, predicts for them; an empty fold takes no model and
+    predicts None."""
     return [
         [
             (
@@ -486,9 +525,10 @@ def beta_sweep(
     distinct = {}
     for dataset in datasets:
         distinct.setdefault(dataset.primary_labels(), dataset)
-    predicted = dict(
-        zip(distinct, _fold_predictions(list(distinct.values()), kind, folds, seed, None))
-    )
+    fitted = list(distinct.values())
+    assignments, training_sets = _fold_training_sets(fitted, folds, seed)
+    models = train_batch(training_sets, kind, None)
+    predicted = dict(zip(distinct, _fold_predictions(fitted, assignments, models)))
     return [
         (beta, _score_folds(dataset.label_sets, predicted[dataset.primary_labels()]))
         for beta, dataset in zip(betas, datasets)

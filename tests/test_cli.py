@@ -1078,6 +1078,55 @@ def test_folds_above_the_project_count_exit_2_before_any_fit(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("model", ["dt", "lr"])
+def test_train_with_cv_folds_fits_one_batch_and_writes_the_same_model(
+    workspace, tmp_path, capsys, monkeypatch, model
+):
+    batches = []
+    train_batch = recommend.train_batch
+
+    def counting(training_sets, *rest):
+        batches.append(len(training_sets))
+        return train_batch(training_sets, *rest)
+
+    monkeypatch.setattr(recommend, "train_batch", counting)
+    argv = ["train", "--evaluations", str(workspace["evaluations"])]
+    argv += ["--features", str(workspace["features"]), "--model", model]
+    assert cli.main(argv + ["--out", str(tmp_path / "alone.json")]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--cv-folds", "3", "--out", str(tmp_path / "cv.json")]) == 0
+    assert capsys.readouterr().out.startswith("cv\t")
+    assert batches == [1, 1 + 3]
+    assert (tmp_path / "cv.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+
+
+# each command with 2 folds
+TWO_FOLDS = {
+    "mine": ["--model", "dt", "--folds", "2", "--out-dir", "{tmp}/mine"],
+    "train": ["--model", "dt", "--cv-folds", "2", "--out", "{tmp}/model.json"],
+    "sweep": ["--model", "dt", "--folds", "2", "--out", "{tmp}/sweep.tsv"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(TWO_FOLDS))
+def test_a_fold_that_cannot_train_exits_2_naming_it(workspace, tmp_path, capsys, command):
+    # primary labels hawkeye x3 and lintmax x1: fold 0 holds out two
+    # hawkeye rows and the lintmax row, leaving one project to train on
+    by_primary = {}
+    for line in workspace["evaluations"].read_text(encoding="utf-8").splitlines():
+        by_primary.setdefault(json.loads(line)["optimal"][0], []).append(line)
+    lines = by_primary["hawkeye"][:3] + by_primary["lintmax"][:1]
+    assert len(lines) == 4
+    evaluations = tmp_path / "evaluations.jsonl"
+    evaluations.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [command, "--evaluations", str(evaluations), "--features", str(workspace["features"])]
+    argv += [token.format(tmp=tmp_path) for token in TWO_FOLDS[command]]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "sca-reco: cv fold 0: training needs at least 2 projects\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["evaluations.jsonl"]
+
+
 def test_feature_column_without_a_name_exits_2(workspace, tmp_path, capsys):
     lines = workspace["features"].read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")

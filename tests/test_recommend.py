@@ -286,6 +286,40 @@ def test_cross_validate_fits_each_non_empty_fold_once(monkeypatch):
     assert max(alive) <= 1  # each fold's model is dropped before the next but one
 
 
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_train_and_cross_validate_fit_one_batch_equal_to_the_two_apart(monkeypatch, kind):
+    # gamma's one row leaves fold 0 with two classes, so lr's batch runs
+    # two descent loops; the other rows carry noise and second labels
+    stream = np.random.default_rng(7)
+    primaries = ["alpha"] * 6 + ["beta"] * 6 + ["gamma"]
+    label_sets = tuple(
+        (label, "gamma") if i % 4 == 0 and label != "gamma" else (label,)
+        for i, label in enumerate(primaries)
+    )
+    rows = stream.normal(size=(13, 4)) + np.array([[primaries.index(p)] for p in primaries])
+    ids = tuple(f"p{i}" for i in range(13))
+    dataset = PreferenceDataset(
+        FeatureTable(NAMES, ids, rows), label_sets, ("alpha", "beta", "gamma")
+    )
+    hp = FAST_HP[kind]
+    batches = []
+
+    def counting(training_sets, *rest):
+        batches.append([d.n_projects for d, _ in training_sets])
+        return train_batch(training_sets, *rest)
+
+    monkeypatch.setattr(recommend, "train_batch", counting)
+    model, result = recommend.train_and_cross_validate(dataset, kind, 4, 3, hp)
+    assert batches == [[13, 8, 9, 11, 11]]  # the full-data model, then each fold
+    alone = train(dataset, kind, seed=3, hyperparams=hp)
+    assert model.estimator.get_fitted_state() == alone.estimator.get_fitted_state()
+    assert (model.classes, model.scaler.get_fitted_state()) == (
+        alone.classes,
+        alone.scaler.get_fitted_state(),
+    )
+    assert result == cross_validate(dataset, kind, folds=4, seed=3, hyperparams=hp)
+
+
 def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
     # a batch that fitted every fold's forest up front would hold them all
     # in memory at once; forests of different row counts grow in separate

@@ -104,30 +104,45 @@ def test_stacked_fit_ignores_batch_mates(problems, others, hyperparams, random):
 
 
 def test_single_fit_matches_reference_at_default_hyperparameters():
+    # a paper-sized training set (190 x 8 x 3) and its ten CV folds of 171
+    # rows, stacked: their sums run over more than 128 rows, past numpy's
+    # pairwise-summation block, which no smaller case reaches
     stream = np.random.default_rng(5)
-    for n, d, k in [(9, 8, 3), (21, 11, 3), (5, 1, 2)]:
+    for n, d, k in [(9, 8, 3), (21, 11, 3), (5, 1, 2), (190, 8, 3)]:
         X = stream.normal(size=(n, d))
         y = np.arange(n) % k
         model = LogisticRegression().fit(X, y)
         W, b = reference_fit(X, y)
         assert bits(model.W_) == bits(W) and bits(model.b_) == bits(b)
+    X = stream.normal(size=(190, 8))
+    y = np.arange(190) % 3
+    folds = [np.delete(np.arange(190), np.arange(fold, 190, 10)) for fold in range(10)]
+    assert {len(rows) for rows in folds} == {171}
+    problems = [(X[rows], y[rows], 3) for rows in folds]
+    for model, (X_fold, y_fold, _) in zip(fitted(problems, {}), problems):
+        W, b = reference_fit(X_fold, y_fold)
+        assert bits(model.W_) == bits(W) and bits(model.b_) == bits(b)
 
 
 def test_one_descent_loop_per_class_count(monkeypatch):
     """Stacks of different rows and features but one class count share a
-    loop: softmax runs once per iteration over all their rows."""
-    softmax_rows = []
+    loop: ``_descend`` runs once per class count, over all their rows."""
+    loops = []
+    descend = linear._descend
 
-    def counting_softmax(logits):
-        softmax_rows.append(logits.shape)
-        return softmax(logits)
+    def counting_descend(Xs, labels, k, *hyperparams):
+        loops.append((k, sorted(X.shape for X in Xs), len(labels)))
+        return descend(Xs, labels, k, *hyperparams)
 
-    monkeypatch.setattr(linear, "softmax", counting_softmax)
+    monkeypatch.setattr(linear, "_descend", counting_descend)
     stream = np.random.default_rng(3)
     shapes = [(7, 1, 3), (9, 8, 3), (7, 2, 3), (9, 8, 3), (5, 3, 2), (6, 3, 2)]
     problems = [(stream.normal(size=(n, d)), np.arange(n) % k, k) for n, d, k in shapes]
     fitted(problems, {"n_iter": 4})
-    assert sorted(softmax_rows) == [(11, 2)] * 4 + [(32, 3)] * 4
+    assert sorted(loops) == [
+        (2, [(1, 5, 3), (1, 6, 3)], 11),
+        (3, [(1, 7, 1), (1, 7, 2), (2, 9, 8)], 32),
+    ]
 
 
 def test_fit_infers_class_count_per_problem():
