@@ -209,20 +209,22 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     evaluations = read_evaluations(args.evaluations)
     if not evaluations:
         raise DataError(f"{args.evaluations}: no evaluation records")
     truth = [e.optimal for e in evaluations]
     sca_order = evaluations[0].sca_order()
-    print("baseline\tp_micro\tr_micro\tf1_micro")
     if args.fixed:
         if args.fixed not in sca_order:
             raise ConfigError(f"analyzer {args.fixed!r} is not in the corpus")
-        m = baseline_fixed(args.fixed, truth)
-        print(f"fixed:{args.fixed}\t{m.p_micro!r}\t{m.r_micro!r}\t{m.f1_micro!r}")
+        name, m = f"fixed:{args.fixed}", baseline_fixed(args.fixed, truth)
     else:
+        name = f"random:{args.repeats}"
         m = baseline_random(truth, sca_order, repeats=args.repeats, seed=args.seed)
-        print(f"random:{args.repeats}\t{m.p_micro!r}\t{m.r_micro!r}\t{m.f1_micro!r}")
+    print("baseline\tp_micro\tr_micro\tf1_micro")
+    print(f"{name}\t{m.p_micro!r}\t{m.r_micro!r}\t{m.f1_micro!r}")
     return 0
 
 

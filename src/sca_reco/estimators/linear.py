@@ -3,18 +3,20 @@
 ``fit_stacked`` fits a batch of models at once: the single model of
 ``LogisticRegression.fit`` or, say, every fold of a cross-validation.  Fits
 of equal shape (rows, features, classes) are stacked into ``(F, n, d)``
-arrays, and all stacks of one class count share one descent loop.  Per
-stack, a step runs only its two matmuls and its bias-gradient sum; the bias
-add, softmax, residual, L2 term and update run once over flat buffers that
-hold every stack's rows and every fit's parameters (``_descend`` lists the
-step's operations and buffers).  Stacked matmuls and sums perform the same
-operations in the same order per model as unstacked ones, and the rest is
-elementwise, so every model comes out bit-equal to a fit on its own.  Fits
-of different shapes keep separate matmuls and sums; padding them to one
-shape would change the sums.
+arrays, and all stacks of one class count share one descent loop, ordered
+by row count.  Per stack, a step runs only its two matmuls, and per row
+count one bias-gradient sum; the bias add, softmax, residual, L2 term and
+update run once over flat buffers that hold every stack's rows and every
+fit's parameters (``_descend`` lists the step's operations and buffers).
+Stacked matmuls and sums perform the same operations in the same order per
+model as unstacked ones, and the rest is elementwise, so every model comes
+out bit-equal to a fit on its own.  Fits of different shapes keep separate
+matmuls; padding them to one shape changes their bits (see ``_descend``).
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -89,10 +91,11 @@ def fit_stacked(models, Xs, ys, n_classes) -> list[LogisticRegression]:
     loops: dict[int, dict[tuple[int, int], list[int]]] = {}
     for i, (X, _, k) in enumerate(checked):
         loops.setdefault(k, {}).setdefault(X.shape, []).append(i)
-    for k, stacks in loops.items():
-        members = [i for stack in stacks.values() for i in stack]
+    for k, by_shape in loops.items():
+        stacks = [by_shape[shape] for shape in sorted(by_shape, key=lambda shape: shape[0])]
+        members = [i for stack in stacks for i in stack]
         weights = _descend(
-            [np.stack([checked[i][0] for i in stack]) for stack in stacks.values()],
+            [np.stack([checked[i][0] for i in stack]) for stack in stacks],
             np.concatenate([checked[i][1] for i in members]),
             k,
             *hyperparams,
@@ -122,12 +125,17 @@ def _descend(Xs, labels, k, l2, learning_rate, n_iter):
     2. softmax: ``scores -= max(scores)`` per row, ``exp``, ``scores /=
        sum(scores)`` per row (``np.maximum.reduce``, ``np.add.reduce``);
     3. ``scores -= one_hot``, then ``scores /= n`` of each row's fit;
-    4. ``grad_W = scores.T @ X`` and ``grad_b = sum(scores)`` per stack,
+    4. ``grad_W = scores.T @ X`` per stack, and ``grad_b = sum(scores)`` per
+       fit, one sum over a (fits, n, k) view per run of stacks of equal n
+       (``fit_stacked`` orders them by n: 16 stacks of ``mine``'s CV take 2),
        then ``grad_W += (l2 / n) * W`` through ``penalty``;
     5. ``grad *= learning_rate`` and ``params -= grad``.
 
-    These are the ufuncs, operands and orders of the textbook step, so every
-    weight keeps its bits.
+    These are the ufuncs, operands and orders of the textbook step (a sum
+    over fits adds each fit's rows in its own order), so every weight keeps
+    its bits.  Zero-padding fits to share a matmul changed the bits of
+    ``scores.T @ X`` under OpenBLAS's Haswell, Zen, Prescott and (at d = 1)
+    SkylakeX kernels.
     """
     n_rows = sum(F * n for F, n, _ in (X.shape for X in Xs))
     n_weights = sum(F * d for F, _, d in (X.shape for X in Xs)) * k
@@ -153,38 +161,38 @@ def _descend(Xs, labels, k, l2, learning_rate, n_iter):
         stack_W = W[weights].reshape(F, k, d)
         stack_scores = scores[rows].reshape(F, n, k)
         forward.append((X, stack_W.transpose(0, 2, 1), stack_scores))
-        backward.append(
-            (
-                stack_scores.transpose(0, 2, 1),
-                X,
-                grad_W[weights].reshape(F, k, d),
-                stack_scores,
-                grad_b[fit : fit + F],
-            )
-        )
+        backward.append((stack_scores.transpose(0, 2, 1), X, grad_W[weights].reshape(F, k, d)))
         fitted.extend(zip(stack_W, b[fit : fit + F]))
         row, weight, fit = rows.stop, weights.stop, fit + F
-    # out, axis and keepdims go by position, the rate is a 0-d array, and
-    # take clips (row_fit is in range) instead of checking and buffering:
-    # on arrays this small those costs match the step's ufuncs
+    sums, row, fit = [], 0, 0  # per run of stacks of equal n: its rows and grad_b
+    for n, run in itertools.groupby(Xs, lambda X: X.shape[1]):
+        fits = sum(len(X) for X in run)
+        sums.append((scores[row : row + fits * n].reshape(fits, n, k), grad_b[fit : fit + fits]))
+        row, fit = row + fits * n, fit + fits
+    # out, axis and keepdims go by position, the rate is a 0-d array, take
+    # clips (row_fit is in range) instead of checking and buffering, and the
+    # ufuncs are locals: on arrays this small those costs match the step's ufuncs
     rate = np.array(learning_rate, dtype=np.float64)
+    matmul, add, subtract, divide, multiply = np.matmul, np.add, np.subtract, np.divide, np.multiply
+    exp, gather, add_reduce, max_reduce = np.exp, b.take, np.add.reduce, np.maximum.reduce
     for _ in range(n_iter):
         for X, W_T, stack_scores in forward:
-            np.matmul(X, W_T, stack_scores)
-        b.take(row_fit, 0, bias, "clip")
-        np.add(scores, bias, scores)
-        np.maximum.reduce(scores, 1, None, row_max, True)
-        np.subtract(scores, row_max, scores)
-        np.exp(scores, scores)
-        np.add.reduce(scores, 1, None, row_sum, True)
-        np.divide(scores, row_sum, scores)
-        np.subtract(scores, one_hot, scores)
-        np.divide(scores, rows_n, scores)
-        for scores_T, X, stack_grad_W, stack_scores, stack_grad_b in backward:
-            np.matmul(scores_T, X, stack_grad_W)
-            np.add.reduce(stack_scores, 1, None, stack_grad_b)
-        np.multiply(l2_n, W, penalty)
-        np.add(grad_W, penalty, grad_W)
-        np.multiply(grad, rate, grad)
-        np.subtract(params, grad, params)
+            matmul(X, W_T, stack_scores)
+        gather(row_fit, 0, bias, "clip")
+        add(scores, bias, scores)
+        max_reduce(scores, 1, None, row_max, True)
+        subtract(scores, row_max, scores)
+        exp(scores, scores)
+        add_reduce(scores, 1, None, row_sum, True)
+        divide(scores, row_sum, scores)
+        subtract(scores, one_hot, scores)
+        divide(scores, rows_n, scores)
+        for scores_T, X, stack_grad_W in backward:
+            matmul(scores_T, X, stack_grad_W)
+        for block, block_grad_b in sums:
+            add_reduce(block, 1, None, block_grad_b)
+        multiply(l2_n, W, penalty)
+        add(grad_W, penalty, grad_W)
+        multiply(grad, rate, grad)
+        subtract(params, grad, params)
     return fitted

@@ -16,6 +16,9 @@ rules the readers apply to a report entry and a stored label row, one
 condition at a time.  The equivalence tests of the record readers compare
 against them.
 
+``run_probe`` runs a snippet in a fresh interpreter that imports this
+checkout's package, for checks that need a clean process or environment.
+
 ``labels_to_record`` is the JSON record of one project's labels as a dict;
 ``json.dumps(record, sort_keys=True)`` of it is the line ``write_labels``
 must write.  ``labeled_warnings`` draws judged warnings of three analyzers
@@ -27,11 +30,15 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from hypothesis import strategies as st
 
+import sca_reco
 from sca_reco.core import (
     AlignedWarning,
     ProjectSnapshot,
@@ -363,3 +370,19 @@ def labeled_warnings(draw) -> dict[str, list[AlignedWarning]]:
         ]
         for sca in ALIGNED_SCAS
     }
+
+
+def run_probe(
+    probe: str, *args: str, timeout: int = 60, env: dict[str, str] | None = None
+) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's
+    package, with ``env`` set over the current environment."""
+    source_root = str(Path(sca_reco.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args],
+        env={**os.environ, **(env or {}), "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )

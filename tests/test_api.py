@@ -6,14 +6,12 @@ snippet runs."""
 from __future__ import annotations
 
 import importlib
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import sca_reco
+from helpers import run_probe
 
 
 @pytest.mark.parametrize("module_name", ["sca_reco", "sca_reco.estimators"])
@@ -33,19 +31,6 @@ def test_unknown_attribute_raises():
 def test_import_loads_no_numpy(module_name):
     result = run_probe(f"import sys, {module_name}; assert 'numpy' not in sys.modules")
     assert result.returncode == 0, result.stderr
-
-
-def run_probe(probe: str, *args: str, timeout: int = 60) -> subprocess.CompletedProcess:
-    """Run ``probe`` in a fresh interpreter that imports this checkout's package."""
-    source_root = str(Path(sca_reco.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", probe, *args],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-    )
 
 
 LR_FLOW_PROBE = """

@@ -1028,9 +1028,11 @@ def test_count_below_minimum_exits_1(workspace, tmp_path, capsys, case):
     argv += [token.format(tmp=tmp_path) for token in BAD_COUNTS[case]]
     capsys.readouterr()
     assert cli.main(argv) == 1
-    assert "at least" in capsys.readouterr().err
-    # the count is checked before any work, so nothing is written
+    captured = capsys.readouterr()
+    assert "at least" in captured.err
+    # the count is checked before any work, so nothing is written or printed
     assert list(tmp_path.iterdir()) == []
+    assert captured.out == ""
 
 
 # label and evaluate, the latter with and without stored labels
@@ -1166,6 +1168,9 @@ def test_baseline_commands(workspace, capsys):
         ["baseline", "--evaluations", str(workspace["evaluations"]), "--fixed", "nosuch"]
     )
     assert rc == 1
+    captured = capsys.readouterr()
+    assert "'nosuch' is not in the corpus" in captured.err
+    assert captured.out == ""
 
 
 def test_sweep_command(workspace, tmp_path, capsys):

@@ -12,14 +12,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import run_probe
 from sca_reco.estimators import LogisticRegression, fit_stacked, linear
 from sca_reco.estimators.base import check_X_y
 from sca_reco.estimators.linear import softmax
 
 
 def reference_fit(X, y, n_classes=None, l2=1.0, learning_rate=0.1, n_iter=1000):
-    """One model by full-batch gradient descent; returns (W, b)."""
-    X, y, k = check_X_y(X, y, n_classes)
+    """One model by full-batch gradient descent; returns (W, b).  ``X`` is
+    copied contiguous first, as ``fit_stacked`` copies it, so the oracle
+    does not depend on the caller's layout: numpy takes a non-BLAS matmul
+    for some strided operands, whose sums round differently."""
+    X, y, k = check_X_y(np.ascontiguousarray(X), y, n_classes)
     n, d = X.shape
     one_hot = np.zeros((n, k))
     one_hot[np.arange(n), y] = 1.0
@@ -124,14 +128,69 @@ def test_single_fit_matches_reference_at_default_hyperparameters():
         assert bits(model.W_) == bits(W) and bits(model.b_) == bits(b)
 
 
+def test_paper_size_mixed_batch_matches_reference_and_each_fit_alone():
+    # a 190-row full fit and 171-row folds at every feature count from 8 down
+    # to 1, shuffled: the 171-row fits share one bias-gradient sum across
+    # eight stacks, over more rows than numpy's 128-row pairwise-summation block
+    stream = np.random.default_rng(8)
+    X, y = stream.normal(size=(190, 8)), np.arange(190) % 3
+    fold = np.delete(np.arange(190), np.arange(3, 190, 10))
+    problems = [(X, y, 3)] + [
+        (np.ascontiguousarray(X[fold, :d]), y[fold], 3) for d in range(8, 0, -1)
+    ]
+    problems = [problems[i] for i in stream.permutation(len(problems))]
+    for model, problem in zip(fitted(problems, {}), problems):
+        W, b = reference_fit(*problem)
+        (alone,) = fitted([problem], {})
+        assert bits(model.W_) == bits(W) == bits(alone.W_)
+        assert bits(model.b_) == bits(b) == bits(alone.b_)
+
+
+# one mixed batch of two class counts, several row counts per class count and
+# several feature counts per row count, against each fit alone
+BATCH_PROBE = """
+import numpy as np
+from sca_reco.estimators import LogisticRegression, fit_stacked
+
+stream = np.random.default_rng(12)
+shapes = [(190, 8, 3)] + [(171, d, 3) for d in range(8, 0, -1)]
+shapes += [(n, d, k) for n in (7, 9) for d in (1, 3, 8) for k in (2, 3)]
+problems = [(stream.normal(size=(n, d)), np.arange(n) % k, k) for n, d, k in shapes * 2]
+problems = [problems[i] for i in stream.permutation(len(problems))]
+
+def fit(batch):
+    return fit_stacked([LogisticRegression(n_iter=200) for _ in batch], *zip(*batch))
+
+for model, problem in zip(fit(problems), problems):
+    (alone,) = fit([problem])
+    assert model.W_.tobytes() == alone.W_.tobytes(), problem[0].shape
+    assert model.b_.tobytes() == alone.b_.tobytes(), problem[0].shape
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Prescott"])
+def test_a_batch_never_changes_a_model_under_other_blas_kernels(kernel):
+    """Each model of a mixed batch equals the same fit alone when OpenBLAS
+    runs the kernels of an older CPU, whose gemm blocks and rounds
+    differently: stacking fits of different shapes into one matmul (padding
+    them) passes on one kernel and fails on another.  This checks only that
+    a batch agrees with fits alone under each kernel, not the bytes pinned
+    for the native one.  A BLAS build that ignores ``OPENBLAS_CORETYPE``
+    runs its one kernel each time, so there this proves nothing."""
+    result = run_probe(BATCH_PROBE, env={"OPENBLAS_CORETYPE": kernel})
+    assert result.returncode == 0, result.stderr
+
+
 def test_one_descent_loop_per_class_count(monkeypatch):
     """Stacks of different rows and features but one class count share a
-    loop: ``_descend`` runs once per class count, over all their rows."""
+    loop: ``_descend`` runs once per class count, over all their rows, with
+    the stacks ordered by row count (stably), so each row count's fits hold
+    adjacent rows."""
     loops = []
     descend = linear._descend
 
     def counting_descend(Xs, labels, k, *hyperparams):
-        loops.append((k, sorted(X.shape for X in Xs), len(labels)))
+        loops.append((k, [X.shape for X in Xs], len(labels)))
         return descend(Xs, labels, k, *hyperparams)
 
     monkeypatch.setattr(linear, "_descend", counting_descend)
