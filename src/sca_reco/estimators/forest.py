@@ -4,14 +4,18 @@
 ``RandomForestClassifier.fit`` or, say, every fold of a cross-validation.
 Forests that share ``random_state``, ``n_estimators``, row count and
 ``bootstrap`` share one bootstrap draw, made when the first of them is
-grown.  Consecutive forests of equal shape (rows, features, classes,
-per-split budget, ``max_depth``, ``min_samples_split``) form a run.  A run
-is cut into groups of whole forests whose trees stay within
-``SHARED_CELLS``, and ``tree.fit_lockstep`` grows the trees of a group side
-by side, one vectorized split search per step across all of them, so small
-forests share the cost of a step.  The group's data is stacked once, a
-block per forest, and each tree grows from its sample's row indices into
-it, with no copy of its rows.  A forest above ``SHARED_CELLS`` grows
+grown.  Consecutive forests of equal shape (features, classes, per-split
+budget, ``max_depth``, ``min_samples_split``) form a run, whatever their
+row counts, so cross-validation folds that differ by a row or two share
+one.  A run is cut into groups of whole forests whose trees, counted at
+the group's largest row count, stay within ``SHARED_CELLS``, and
+``tree.fit_lockstep`` grows the trees of a group side by side, one
+vectorized split search per step across all of them, so small forests
+share the cost of a step.  The group's data is stacked once, a block per
+forest padded to the largest row count, and each tree grows from its
+sample's row indices into it, with no copy of its rows; a shorter sample
+is padded with a padding row of its own block, and growth never counts a
+padding position as a member of a node.  A forest above ``SHARED_CELLS`` grows
 alone and whole: at a few hundred rows a lockstep gains nothing from more
 trees, and splitting a forest across locksteps adds steps.  Only a forest
 above ``BATCH_CELLS`` grows in several locksteps, which bounds memory.
@@ -146,16 +150,17 @@ def fit_forests(forests, Xs, ys, n_classes):
         fits.append(_Fit(forest, X, y, draw, _shape(forest, X, k)))
     draws = _Draws([fit.draw for fit in fits])
     # groups: runs of consecutive forests of one shape, cut where their
-    # trees would pass SHARED_CELLS
-    group, cells = [], 0
+    # trees, padded to the group's largest row count, would pass SHARED_CELLS
+    group, trees, n = [], 0, 0
     for fit in _popped(fits):
-        n, d, k = fit.shape[:3]
-        fit_cells = fit.forest.n_estimators * n * d * k
-        if group and (fit.shape != group[0].shape or cells + fit_cells > SHARED_CELLS):
+        d, k = fit.shape[:2]
+        cells = (trees + fit.forest.n_estimators) * max(n, len(fit.y)) * d * k
+        if group and (fit.shape != group[0].shape or cells > SHARED_CELLS):
             yield from _fit_group(group, draws)
-            group, cells = [], 0
+            group, trees, n = [], 0, 0
         group.append(fit)
-        cells += fit_cells
+        trees += fit.forest.n_estimators
+        n = max(n, len(fit.y))
     if group:
         yield from _fit_group(group, draws)
 
@@ -165,7 +170,7 @@ class _Fit(NamedTuple):
     X: np.ndarray  # checked
     y: np.ndarray
     draw: tuple  # (seed, trees, rows, bootstrap): forests with equal draws share samples
-    shape: tuple  # forests with equal shapes may share a lockstep (see _shape)
+    shape: tuple  # forests with equal shapes may share a lockstep, whatever their rows (see _shape)
 
 
 def _popped(fits: deque):
@@ -176,13 +181,14 @@ def _popped(fits: deque):
 
 
 def _shape(forest: RandomForestClassifier, X, k: int) -> tuple:
-    """What forests must share to grow in one lockstep: rows, features,
-    classes, per-split budget (``d`` when every split examines every
-    feature), ``max_depth`` and ``min_samples_split``."""
-    n, d = X.shape
+    """What forests must share to grow in one lockstep: features, classes,
+    per-split budget (``d`` when every split examines every feature),
+    ``max_depth`` and ``min_samples_split``.  Row counts may differ: a
+    lockstep pads each forest's rows to its largest count."""
+    d = X.shape[1]
     per_split = max(1, int(math.sqrt(d))) if forest.max_features == "sqrt" else forest.max_features
     budget = d if per_split is None else min(per_split, d)
-    return n, d, k, budget, forest.max_depth, forest.min_samples_split
+    return d, k, budget, forest.max_depth, forest.min_samples_split
 
 
 class _Draws:
@@ -215,17 +221,31 @@ def _fit_group(group, draws):
     """Grow the trees of ``group``'s forests, which share one shape, side by
     side in locksteps of at most ``BATCH_CELLS`` cells, and yield the
     forests in order."""
-    n, d, k, budget, max_depth, min_samples_split = group[0].shape
-    # the group's X and y stacked as blocks, and every tree's sample as rows of them
-    X, y = np.stack([fit.X for fit in group]), np.stack([fit.y for fit in group])
-    rows = np.concatenate([draws.take(fit.draw) + i * n for i, fit in enumerate(group)])
+    d, k, budget, max_depth, min_samples_split = group[0].shape
+    n = max(len(fit.y) for fit in group)
+    # the group's X and y stacked as blocks of n rows, each forest's rows
+    # first and zeros after them, and every tree's sample as rows of them:
+    # a shorter sample is padded with its block's last row, and growth
+    # takes only the first n_samples positions of a tree as members
+    X, y = np.zeros((len(group), n, d)), np.zeros((len(group), n), dtype=np.int64)
+    n_trees = sum(fit.forest.n_estimators for fit in group)
+    rows = np.empty((n_trees, n), dtype=np.int64)
+    n_samples = np.empty(n_trees, dtype=np.int64)
+    start = 0
+    for i, fit in enumerate(group):
+        m, trees = len(fit.y), slice(start, start + fit.forest.n_estimators)
+        X[i, :m], y[i, :m] = fit.X, fit.y
+        rows[trees, :m] = draws.take(fit.draw) + i * n
+        rows[trees, m:] = i * n + n - 1
+        n_samples[trees] = m
+        start = trees.stop
     seeds = np.concatenate(
         [derive_seeds(fit.draw[0], np.arange(fit.forest.n_estimators), 1) for fit in group]
     )
     step = max(1, BATCH_CELLS // (n * d * k))
     grown = [
         fit_lockstep(
-            X, y, rows[start : start + step], k,
+            X, y, rows[start : start + step], n_samples[start : start + step], k,
             seeds[start : start + step], budget, max_depth, min_samples_split,
         )
         for start in range(0, len(rows), step)

@@ -15,6 +15,12 @@ file of a tree deeper than their limit is refused when it is written.
 rows of one block of data: the single tree of a ``DecisionTreeClassifier``
 on its whole block, or the trees of a group of equal-shape forests
 (``forest.fit_forests``), each forest a block.  No tree copies its rows.
+Trees of unequal sample counts share the lockstep's arrays: each tree's
+sample is padded to the batch's width, and each tree's own count is passed
+in.  A padding position starts at the id ``2 * rows - 1``, above every
+node id and still within the narrowest id type, so it is never popped and
+never a member; the root's class counts and size, and the weights of its
+importances, come from the tree's own count.
 Each tree keeps its own depth-first stack of node ids, pushing the right
 child before the left, so it visits its nodes in preorder.  Every step pops
 the next node of every tree that still has one and searches all of their
@@ -240,7 +246,7 @@ class DecisionTreeClassifier:
     def fit(self, X, y, n_classes: int | None = None) -> "DecisionTreeClassifier":
         X, y, k = check_X_y(X, y, n_classes)
         nodes, importances = fit_lockstep(
-            X[None], y[None], np.arange(len(y))[None], k, [0], None,
+            X[None], y[None], np.arange(len(y))[None], np.array([len(y)]), k, [0], None,
             self.max_depth, self.min_samples_split,
         )
         self.nodes_ = Nodes.stack([nodes])
@@ -271,15 +277,20 @@ def _is_index(value, size: int) -> bool:
 
 
 def fit_lockstep(
-    X, y, rows, n_classes: int, random_states, max_features, max_depth, min_samples_split
+    X, y, rows, n_samples, n_classes: int, random_states, max_features, max_depth,
+    min_samples_split,
 ) -> tuple[Nodes, np.ndarray]:
-    """Fit tree ``i`` on the rows ``rows[i]`` of checked (blocks, rows,
-    features) and (blocks, rows) arrays, all in one lockstep; return their
-    nodes, in growth's narrow types (``Nodes.stack`` makes the int64 arrays
-    of a fitted tree), and their (trees, features) importances.
+    """Fit tree ``i`` on the first ``n_samples[i]`` rows of ``rows[i]`` of
+    checked (blocks, rows, features) and (blocks, rows) arrays, all in one
+    lockstep; return their nodes, in growth's narrow types (``Nodes.stack``
+    makes the int64 arrays of a fitted tree), and their (trees, features)
+    importances.
 
     ``rows`` (trees, rows) indexes the rows of all blocks in order, and each
     tree's rows lie in one block: a forest's block and its trees' samples.
+    Tree ``i``'s positions past ``n_samples[i]`` (an int64 array) are
+    padding, so that trees of unequal samples share the lockstep's arrays;
+    they are never members of any node.
     Tree ``i`` draws from the stream of ``derive_seed(random_states[i])``.
     Every tree comes out as if fitted alone, so the batch never changes a
     model.  The per-step arrays grow with trees x rows x features x classes,
@@ -291,7 +302,7 @@ def fit_lockstep(
         _Permutations(pcg64_generators(derive_seeds(random_states)), d) if draws else None
     )
     return _grow_lockstep(
-        X, y, rows, n_classes, permutations, max_features if draws else d,
+        X, y, rows, n_samples, n_classes, permutations, max_features if draws else d,
         max_depth, min_samples_split,
     )
 
@@ -366,10 +377,10 @@ class _Presorted(NamedTuple):
         )
 
 
-def _grow_lockstep(X, y, rows, k, permutations, budget, max_depth, min_samples_split):
+def _grow_lockstep(X, y, rows, n_samples, k, permutations, budget, max_depth, min_samples_split):
     """Grow one tree per row of ``rows`` over the blocks ``X`` (blocks,
-    rows, features) and ``y`` (blocks, rows); returns their nodes and
-    importances.
+    rows, features) and ``y`` (blocks, rows), each on the first of its
+    ``n_samples`` positions; returns their nodes and importances.
 
     ``permutations`` gives each popped node its column order, or is None
     when every node examines all columns in order.
@@ -385,7 +396,10 @@ def _grow_lockstep(X, y, rows, k, permutations, budget, max_depth, min_samples_s
     types = (np.min_scalar_type(-d), node_id, np.min_scalar_type(k - 1))
     nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1), types)
     node_depth = np.zeros_like(nodes.left)
+    # a padding position holds 2 * n_rows - 1, an id no node takes (the
+    # type holds it, as its largest value is odd), so it is never a member
     node_of_row = np.zeros((n_trees, n_rows), dtype=node_id)
+    node_of_row[np.arange(n_rows) >= n_samples[:, None]] = 2 * n_rows - 1
     # per tree, the ids of nodes that passed the stop checks and wait for a
     # split, with their class counts, sizes and Gini impurities; they hold
     # disjoint rows, at least two each
@@ -416,11 +430,12 @@ def _grow_lockstep(X, y, rows, k, permutations, budget, max_depth, min_samples_s
         stack_gini[trees, slot] = gini[grows]
         height[:] += np.bincount(trees, minlength=n_trees)
 
+    real = presorted.key[:, 0] < n_samples[:, None]  # in the first column's value order
     settle(
         np.arange(n_trees),
         np.zeros(n_trees, dtype=np.int64),
-        (presorted.y[:, 0] == np.arange(k)[:, None, None]).sum(axis=2),
-        np.full(n_trees, n_rows),
+        ((presorted.y[:, 0] == np.arange(k)[:, None, None]) & real).sum(axis=2),
+        n_samples,
     )
     # the flat arrays of a split search hold each popped node's rows once
     # per column it examines.  At the root step every tree pops all of its
@@ -458,7 +473,7 @@ def _grow_lockstep(X, y, rows, k, permutations, budget, max_depth, min_samples_s
                 presorted, X, rows, trees, masks, members[splits], columns[splits],
                 n_columns[splits], counts, sizes, stack_gini[trees, slot],
             )
-            importances[trees, feature] += (sizes / n_rows) * gain
+            importances[trees, feature] += (sizes / n_samples[trees]) * gain
             left = nodes.count[trees]
             right = left + 1
             if right.max() >= nodes.feature.shape[1]:

@@ -390,6 +390,92 @@ def test_forest_batch_matches_forests_fitted_alone(batch, shared_trees, lockstep
         assert (shared.n_classes_, shared.n_features_) == (single.n_classes_, single.n_features_)
 
 
+def assert_fitted_alike(shared, single):
+    """Two fitted forests have equal node arrays, importance bits and
+    fitted states."""
+    for name, array in shared.nodes_._asdict().items():
+        expected = getattr(single.nodes_, name)
+        assert array.dtype == expected.dtype and array.shape == expected.shape, name
+        assert array.tobytes() == expected.tobytes(), name
+    assert bits(shared.tree_importances_) == bits(single.tree_importances_)
+    assert bits(shared.feature_importances_) == bits(single.feature_importances_)
+    assert shared.get_fitted_state() == single.get_fitted_state()
+
+
+@st.composite
+def unequal_rows_batch(draw):
+    """Forests of 2 to 40 training rows over one feature count, interleaved,
+    with their own seeds, bootstrap settings and one of at most two
+    (max_depth, min_samples_split) pairs, then a group of forests of one
+    row count over one more feature, so that it shares no lockstep with
+    the others."""
+    d, k = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    levels = draw(st.integers(1, 4))
+    values = st.integers(0, levels).map(lambda v: v / 2.0)
+
+    def data(n, width):
+        row = st.lists(values, min_size=width, max_size=width)
+        X = np.array(draw(st.lists(row, min_size=n, max_size=n)))
+        y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        return X, y
+
+    limits = draw(st.lists(st.tuples(MAX_DEPTH, MIN_SPLIT), min_size=1, max_size=2))
+    batch = []
+    for n in draw(st.lists(st.integers(2, 40), min_size=2, max_size=6)):
+        max_depth, min_samples_split = draw(st.sampled_from(limits))
+        setting = {
+            "n_estimators": draw(st.integers(1, 4)),
+            "bootstrap": draw(st.booleans()),
+            "max_depth": max_depth,
+            "min_samples_split": min_samples_split,
+            "random_state": draw(st.integers(0, 2**32)),
+        }
+        batch.append((*data(n, d), k, setting))
+    n = draw(st.integers(2, 40))
+    for _ in range(draw(st.integers(2, 3))):
+        setting = {"n_estimators": draw(st.integers(1, 4)), "random_state": draw(st.integers(0, 9))}
+        batch.append((*data(n, d + 1), k, setting))
+    return batch
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(unequal_rows_batch())
+def test_forests_of_unequal_rows_share_a_lockstep_and_match_alone(batch):
+    alone = [
+        RandomForestClassifier(**setting).fit(X, y, n_classes=k) for X, y, k, setting in batch
+    ]
+    together = list(
+        fit_forests(
+            [RandomForestClassifier(**setting) for *_, setting in batch],
+            *zip(*[(X, y, k) for X, y, k, _ in batch]),
+        )
+    )
+    assert len(together) == len(alone)
+    for shared, single in zip(together, alone):
+        assert_fitted_alike(shared, single)
+
+
+@pytest.mark.parametrize("rows", [(128, 127), (129, 128), (2, 129)])
+def test_padding_id_fits_the_narrowed_node_type(rows, monkeypatch):
+    """A lockstep padded to 128 rows keeps uint8 node ids, whose largest
+    value is the padding id 255; at 129 rows they widen.  Each forest, the
+    shorter one padded, comes out as if fitted alone."""
+    rng = np.random.default_rng(sum(rows))
+    data = [(rng.permutation(n * 2).reshape(n, 2) / 4.0, np.arange(n) % 3) for n in rows]
+    alone = [
+        RandomForestClassifier(n_estimators=3, random_state=1).fit(X, y, n_classes=3)
+        for X, y in data
+    ]
+    monkeypatch.setattr(forest, "SHARED_CELLS", forest.BATCH_CELLS)
+    together = fit_forests(
+        [RandomForestClassifier(n_estimators=3, random_state=1) for _ in data],
+        *zip(*data),
+        [3, 3],
+    )
+    for shared, single in zip(together, alone, strict=True):
+        assert_fitted_alike(shared, single)
+
+
 def test_rfe_cv_shaped_batch_draws_each_bootstrap_once(monkeypatch):
     """8 feature-set sizes x 8 folds, as RFE-CV fits them: fold ``f`` has
     the same seed and rows at every size, so the batch draws 8 bootstraps,

@@ -322,24 +322,60 @@ def test_train_and_cross_validate_fit_one_batch_equal_to_the_two_apart(monkeypat
 
 def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
     # a batch that fitted every fold's forest up front would hold them all
-    # in memory at once; forests of different row counts grow in separate
-    # locksteps, so each lockstep here is one forest
+    # in memory at once; forests of different feature counts grow in
+    # separate locksteps, so each lockstep here is one forest
     fits = []
     original = forest.fit_lockstep
 
     def counted(X, y, rows, *args):
-        fits.append(rows.shape[1])
+        fits.append((rows.shape[1], X.shape[2]))  # (rows, features)
         return original(X, y, rows, *args)
 
     monkeypatch.setattr(forest, "fit_lockstep", counted)
     dataset = two_class_dataset()
-    training_sets = [(dataset.subset_rows(list(range(start, 12))), start) for start in (0, 2, 4)]
+    training_sets = [
+        (dataset.subset_rows(list(range(start, 12))).subset_features(NAMES[: 4 - i]), start)
+        for i, start in enumerate((0, 2, 4))
+    ]
     models = train_batch(training_sets, ModelKind.RF, FAST_HP[ModelKind.RF])
     assert fits == []
     next(models)
-    assert fits == [12]
+    assert fits == [(12, 4)]
     next(models)
-    assert fits == [12, 10]
+    assert fits == [(12, 4), (10, 3)]
+
+
+def test_rf_cv_batch_grows_one_lockstep_per_feature_count(monkeypatch):
+    """``rfe_cv``'s batch: path datasets of 8 ... 1 features, each
+    cross-validated on 10 projects whose folds train on 7, 7, 7 and 9 rows.
+    Forests of one feature count (and so one per-split budget) share a
+    lockstep whatever their row counts, padded to the largest, so the batch
+    takes one lockstep per feature count, not one per row count."""
+    locksteps = []
+    original = forest.fit_lockstep
+
+    def counted(X, y, rows, *args):
+        locksteps.append((*rows.shape, X.shape[2]))  # (trees, rows, features)
+        return original(X, y, rows, *args)
+
+    primaries = ["alpha"] * 4 + ["beta"] * 3 + ["gamma"] * 3
+    names = tuple(f"f{i}" for i in range(8))
+    rows = np.random.default_rng(3).normal(size=(10, 8)) + np.array(
+        [[primaries.index(p)] for p in primaries]
+    )
+    dataset = PreferenceDataset(
+        FeatureTable(names, tuple(f"p{i}" for i in range(10)), rows),
+        tuple((p,) for p in primaries),
+        ("alpha", "beta", "gamma"),
+    )
+    folds = stratified_folds(dataset.primary_labels(), 10, 0)
+    assert [10 - len(fold) for fold in folds if fold] == [7, 7, 7, 9]
+    datasets = [dataset.subset_features(names[:size]) for size in range(8, 0, -1)]
+    hp = FAST_HP[ModelKind.RF]
+    monkeypatch.setattr(forest, "fit_lockstep", counted)
+    results = recommend.cross_validate_batch(datasets, ModelKind.RF, 10, 0, hp)
+    assert locksteps == [(4 * 5, 9, size) for size in range(8, 0, -1)]
+    assert results == [cross_validate(data, ModelKind.RF, 10, 0, hp) for data in datasets]
 
 
 # baselines
