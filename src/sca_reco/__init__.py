@@ -19,12 +19,10 @@ _EXPORTS = {
     "alignment": ("AlignedGroup", "AlignmentResult", "align_project", "identical"),
     "core": (
         "AlignedWarning",
-        "GdcTaxonomy",
         "ProjectSnapshot",
         "RawWarning",
         "Release",
         "WarningLabel",
-        "load_taxonomy",
     ),
     "effectiveness": (
         "ConfusionCounts",
@@ -36,7 +34,7 @@ _EXPORTS = {
     ),
     "exceptions": ("ConfigError", "DataError", "ScaRecoError"),
     "features": ("PreferenceDataset", "build_dataset", "load_features"),
-    "ingestion": ("load_gdc_mapping", "load_report", "load_snapshot"),
+    "ingestion": ("load_gdc_mapping", "load_report", "load_snapshot", "load_taxonomy"),
     "matching": ("MatchStage", "compute_line_mapping"),
     "metrics": ("MicroMetrics", "micro_metrics"),
     "recommend": (

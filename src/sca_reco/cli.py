@@ -26,6 +26,7 @@ from .core import parse_beta, read_text, write_text
 from .exceptions import ConfigError, DataError, NonFiniteStatistic, ScaRecoError
 from .features import load_features
 from .footprints import export_footprints
+from .ingestion import load_sca_order
 from .pipeline import (
     evaluate_corpus,
     evaluate_label_records,
@@ -76,17 +77,14 @@ def _report_failures(failures) -> None:
         print(f"project {failure.project_id}: {failure.message}", file=sys.stderr)
 
 
-def _load_context(args):
-    """The corpus context of the corpus options, once ``--jobs`` is checked."""
+def _check_jobs(args) -> None:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    return load_corpus_context(
-        args.corpus, args.taxonomy, args.gdc_map, strict_taxonomy=not args.any_taxonomy
-    )
 
 
 def _cmd_label(args) -> int:
-    context = _load_context(args)
+    _check_jobs(args)
+    context = load_corpus_context(args.corpus, args.taxonomy, args.gdc_map)
     all_labels, failures = label_corpus(context, args.jobs)
     write_labels(args.out, all_labels)
     print(f"labeled {len(all_labels)} projects -> {args.out}", file=sys.stderr)
@@ -95,13 +93,17 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    context = _load_context(args)
+    _check_jobs(args)
+    if args.labels and (args.taxonomy, args.gdc_map) != (None, None):
+        raise ConfigError("evaluate --labels reads only scas.txt: drop --taxonomy and --gdc-map")
     beta = parse_beta(args.beta)
     if args.labels:
+        sca_order = load_sca_order(args.corpus)
         evaluations, failures = evaluate_label_records(
-            read_labels(args.labels, context.sca_order), context.sca_order, beta, args.jobs
+            read_labels(args.labels, sca_order), sca_order, beta, args.jobs
         )
     else:
+        context = load_corpus_context(args.corpus, args.taxonomy, args.gdc_map)
         evaluations, failures = evaluate_corpus(context, beta, args.jobs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,13 +289,11 @@ def _cmd_synth(args) -> int:
 
 def _add_corpus_options(sub) -> None:
     sub.add_argument("--corpus", required=True, help="corpus root directory")
-    sub.add_argument("--taxonomy", help="taxonomy TSV (default: corpus or packaged)")
-    sub.add_argument("--gdc-map", help="type mapping TSV (default: corpus file)")
     sub.add_argument(
-        "--any-taxonomy",
-        action="store_true",
-        help="accept taxonomies of any shape, not just 2 groups / 16 categories",
+        "--taxonomy",
+        help="taxonomy TSV: the category ids the mapping may name (default: corpus or packaged)",
     )
+    sub.add_argument("--gdc-map", help="type mapping TSV (default: corpus file)")
     sub.add_argument("--jobs", type=int, default=1, help="worker threads (default 1)")
 
 
@@ -314,7 +314,9 @@ def build_parser() -> _Parser:
 
     sub = commands.add_parser("evaluate", help="align, score, and rank analyzers")
     _add_corpus_options(sub)
-    sub.add_argument("--labels", help="reuse stored labels.jsonl instead of matching")
+    sub.add_argument(
+        "--labels", help="reuse stored labels.jsonl instead of matching; reads only scas.txt"
+    )
     sub.add_argument("--beta", default="1", help="F-score beta (number or 'inf')")
     sub.add_argument("--out-dir", required=True, help="output directory")
     sub.set_defaults(func=_cmd_evaluate)

@@ -19,7 +19,6 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -28,45 +27,11 @@ from .exceptions import ConfigError, DataError, SchemaError
 # An analyzer identity is a short lowercase token such as "spotbugs".
 ScaId = str
 
-TAXONOMY_HEADER = ("gdc_id", "name", "group")
-
 
 class WarningLabel(Enum):
     ACTIONABLE = "actionable"
     UNACTIONABLE = "unactionable"
     UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class GdcCategory:
-    gdc_id: str
-    name: str
-    group: str
-
-
-@dataclass(frozen=True)
-class GdcTaxonomy:
-    """Two-level defect categorization: coarse groups over fine categories."""
-
-    categories: tuple[GdcCategory, ...]
-    groups: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(set(self.groups)) != len(self.groups):
-            raise SchemaError("taxonomy declares a duplicate group")
-        ids = [c.gdc_id for c in self.categories]
-        if len(set(ids)) != len(ids):
-            raise SchemaError("taxonomy declares a duplicate gdc_id")
-        known = set(self.groups)
-        for category in self.categories:
-            if category.group not in known:
-                raise SchemaError(
-                    f"category {category.gdc_id!r} references missing group {category.group!r}"
-                )
-
-    @property
-    def category_ids(self) -> frozenset[str]:
-        return frozenset(c.gdc_id for c in self.categories)
 
 
 def _reject_constant(name: str):
@@ -193,44 +158,6 @@ def named_tuples(cls: type, rows) -> list:
     """``cls._make(row)`` of each row, for a NamedTuple ``cls`` and rows of
     its full length, with no Python call per row."""
     return list(map(tuple.__new__, itertools.repeat(cls), rows))
-
-
-def default_taxonomy_path() -> Path:
-    """The taxonomy TSV that ships with the package."""
-    return Path(str(resources.files("sca_reco.data").joinpath("default_taxonomy.tsv")))
-
-
-def load_taxonomy(path: str | Path, strict_shape: bool = True) -> GdcTaxonomy:
-    """Load a taxonomy TSV (header ``gdc_id<TAB>name<TAB>group``).
-
-    With ``strict_shape`` the file must describe exactly two groups and
-    sixteen categories, the only shape this artifact was calibrated for;
-    pass ``strict_shape=False`` to accept any well-formed taxonomy.
-    """
-    path = Path(path)
-    lines = [line for line in read_text(path).split("\n") if line.strip()]
-    if not lines:
-        raise DataError(f"taxonomy file {path} is empty")
-    if tuple(lines[0].split("\t")) != TAXONOMY_HEADER:
-        raise DataError(f"taxonomy file {path} has a bad header line")
-    categories = []
-    groups: list[str] = []
-    for line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DataError(f"taxonomy row {line!r} does not have 3 cells")
-        gdc_id, name, group = (c.strip() for c in cells)
-        if not gdc_id or not name or not group:
-            raise SchemaError(f"taxonomy row {line!r} has an empty cell")
-        categories.append(GdcCategory(gdc_id, name, group))
-        if group not in groups:
-            groups.append(group)
-    if strict_shape and (len(groups) != 2 or len(categories) != 16):
-        raise SchemaError(
-            f"taxonomy shape is {len(groups)} groups / {len(categories)} categories, "
-            "expected 2 / 16 (pass strict_shape=False to accept)"
-        )
-    return GdcTaxonomy(tuple(categories), tuple(groups))
 
 
 class RawWarning(NamedTuple):

@@ -55,7 +55,8 @@ def load_features(path: str | Path) -> FeatureTable:
     """Load a feature CSV: header ``project,<name>,...``, one row per project.
 
     Cells must be finite numbers; feature names (kept verbatim) must be
-    non-empty and unique; project ids must be unique.
+    non-empty and unique; project ids must be unique.  Rows are sorted by
+    project id, so the file's row order changes no result.
     """
     path = Path(path)
     reader = csv.reader(io.StringIO(read_text(path)))
@@ -75,9 +76,7 @@ def load_features(path: str | Path) -> FeatureTable:
         raise SchemaError(f"feature file {path}: column {names.index('') + 2} has no name")
     if len(set(names)) != len(names):
         raise SchemaError(f"feature file {path} repeats a feature name")
-    projects: list[str] = []
-    values: list[float] = []
-    seen: set[str] = set()
+    values_of: dict[str, list[float]] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row:
             continue
@@ -86,10 +85,9 @@ def load_features(path: str | Path) -> FeatureTable:
         project = row[0]
         if not project:
             raise SchemaError(f"{path}:{lineno}: empty project id")
-        if project in seen:
+        if project in values_of:
             raise DataError(f"{path}: project {project!r} occurs twice")
-        seen.add(project)
-        projects.append(project)
+        values = values_of[project] = []
         for name, cell in zip(names, row[1:]):
             try:
                 value = float(cell)
@@ -98,8 +96,9 @@ def load_features(path: str | Path) -> FeatureTable:
             if not math.isfinite(value):
                 raise DataError(f"{path}:{lineno}: {name}={cell!r} is not finite")
             values.append(value)
-    matrix = np.array(values, dtype=np.float64).reshape(len(projects), len(names))
-    return FeatureTable(names, tuple(projects), matrix)
+    projects = tuple(sorted(values_of))
+    matrix = np.array([values_of[project] for project in projects], dtype=np.float64)
+    return FeatureTable(names, projects, matrix.reshape(len(projects), len(names)))
 
 
 class PreferenceDataset(NamedTuple):

@@ -21,6 +21,7 @@ import logging
 import operator
 import os
 from dataclasses import dataclass
+from importlib import resources
 from pathlib import Path
 
 from .core import (
@@ -39,6 +40,7 @@ from .exceptions import DataError, SchemaError, UnmappedType
 
 log = logging.getLogger(__name__)
 
+TAXONOMY_HEADER = ("gdc_id", "name", "group")
 GDC_MAP_HEADER = ("sca", "original_type", "gdc_id")
 
 
@@ -101,36 +103,63 @@ class GdcMapping:
             raise UnmappedType(f"no category mapping for ({sca!r}, {original_type!r})")
 
 
-def load_gdc_mapping(path: str | Path, taxonomy) -> GdcMapping:
-    """Load a mapping TSV (``sca<TAB>original_type<TAB>gdc_id`` with header).
-
-    A file with no rows is a valid empty mapping.  Repeated identical rows
-    are tolerated; the same key mapped to two categories is an error.
-    """
-    path = Path(path)
-    lines = [line for line in read_text(path).split("\n") if line.strip()]
-    if not lines:
-        return GdcMapping({})
-    if tuple(lines[0].split("\t")) != GDC_MAP_HEADER:
-        raise DataError(f"mapping file {path} has a bad header line")
-    known = taxonomy.category_ids
-    entries: dict[tuple[str, str], str] = {}
-    for line in lines[1:]:
-        cells = line.split("\t")
+def _tsv_rows(path: str | Path, header: tuple[str, str, str], key_cells: int):
+    """Each row of the 3-column TSV file ``path`` after its ``header`` line,
+    as ``path:line`` and the row's stripped cells; blank lines are skipped,
+    and a file of blank lines only has no rows.  A bad header line, a row
+    that does not have 3 cells or has an empty cell, or a row whose first
+    ``key_cells`` cells repeat an earlier row's with other cells raises a
+    DataError that starts with ``path:line``."""
+    lines = [
+        (f"{path}:{number}", line)
+        for number, line in enumerate(read_text(path).split("\n"), start=1)
+        if line.strip()
+    ]
+    if lines and tuple(lines[0][1].split("\t")) != header:
+        raise DataError(f"{lines[0][0]}: bad header line, expected {'<TAB>'.join(header)}")
+    seen: dict[tuple[str, ...], str] = {}
+    for where, line in lines[1:]:
+        cells = tuple(cell.strip() for cell in line.split("\t"))
         if len(cells) != 3:
-            raise DataError(f"mapping row {line!r} does not have 3 cells")
-        sca, original_type, gdc_id = (c.strip() for c in cells)
-        if not sca or not original_type or not gdc_id:
-            raise SchemaError(f"mapping row {line!r} has an empty cell")
-        if gdc_id not in known:
-            raise DataError(f"mapping row {line!r} references unknown category")
-        key = (sca, original_type)
-        if key in entries and entries[key] != gdc_id:
+            raise DataError(f"{where}: row {line!r} does not have 3 cells")
+        if not all(cells):
+            raise DataError(f"{where}: row {line!r} has an empty cell")
+        key, rest = cells[:key_cells], "\t".join(cells[key_cells:])
+        first = seen.setdefault(key, rest)
+        if first != rest:
             raise DataError(
-                f"({sca!r}, {original_type!r}) mapped to both "
-                f"{entries[key]!r} and {gdc_id!r}"
+                f"{where}: {', '.join(map(repr, key))} mapped to both {first!r} and {rest!r}"
             )
-        entries[key] = gdc_id
+        yield where, cells
+
+
+def default_taxonomy_path() -> Path:
+    """The taxonomy TSV that ships with the package."""
+    return Path(str(resources.files("sca_reco.data").joinpath("default_taxonomy.tsv")))
+
+
+def load_taxonomy(path: str | Path) -> frozenset[str]:
+    """The category ids of a taxonomy TSV (header ``gdc_id<TAB>name<TAB>group``),
+    the only cells labeling reads; the name and group cells document them."""
+    ids = frozenset(gdc_id for _, (gdc_id, _, _) in _tsv_rows(path, TAXONOMY_HEADER, 1))
+    if not ids:
+        raise DataError(f"{path}: taxonomy lists no category")
+    return ids
+
+
+def load_gdc_mapping(path: str | Path, category_ids: frozenset[str]) -> GdcMapping:
+    """Load a mapping TSV (header ``sca<TAB>original_type<TAB>gdc_id``) onto
+    the categories ``category_ids``.
+
+    A file with no rows is a valid empty mapping.  A repeated row is read
+    once; the same key mapped to two categories, or to a category outside
+    ``category_ids``, is an error naming the file and the line.
+    """
+    entries: dict[tuple[str, str], str] = {}
+    for where, (sca, original_type, gdc_id) in _tsv_rows(path, GDC_MAP_HEADER, 2):
+        if gdc_id not in category_ids:
+            raise DataError(f"{where}: unknown category {gdc_id!r}")
+        entries[sca, original_type] = gdc_id
     return GdcMapping(entries)
 
 
@@ -293,6 +322,8 @@ def list_projects(corpus_root: str | Path) -> list[str]:
 def load_sca_order(corpus_root: str | Path) -> list[ScaId]:
     """Corpus analyzer order: scas.txt if present, else sorted report names."""
     root = Path(corpus_root)
+    if not root.is_dir():
+        raise DataError(f"corpus directory {root} does not exist")
     listing = root / "scas.txt"
     if listing.is_file():
         order = [line.strip() for line in read_text(listing).splitlines() if line.strip()]

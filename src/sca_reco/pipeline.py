@@ -20,14 +20,11 @@ from typing import Callable, Sequence
 from .alignment import align_project
 from .core import (
     AlignedWarning,
-    GdcTaxonomy,
     ProjectSnapshot,
     RecordSpec,
     ScaId,
     WarningLabel,
     decode_json,
-    default_taxonomy_path,
-    load_taxonomy,
     named_tuples,
     read_record,
     read_records,
@@ -39,10 +36,12 @@ from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
 from .exceptions import DataError, SchemaError, UnmappedType
 from .ingestion import (
     GdcMapping,
+    default_taxonomy_path,
     list_projects,
     load_gdc_mapping,
     load_sca_order,
     load_snapshot,
+    load_taxonomy,
     unmapped_entry,
 )
 from .matching import AuditRecord, MatchStage, ReleasePair, label_release_detailed
@@ -55,7 +54,6 @@ class CorpusContext:
     """A corpus root plus the shared artifacts every project needs."""
 
     root: Path
-    taxonomy: GdcTaxonomy
     mapping: GdcMapping
     sca_order: tuple[ScaId, ...]
 
@@ -64,34 +62,26 @@ def load_corpus_context(
     corpus_root: str | Path,
     taxonomy_path: str | Path | None = None,
     mapping_path: str | Path | None = None,
-    strict_taxonomy: bool = True,
 ) -> CorpusContext:
-    """Resolve taxonomy, type mapping, and analyzer order for a corpus.
+    """Resolve the type mapping and analyzer order for a corpus.
 
     Explicit paths win; otherwise ``taxonomy.tsv``/``gdc_map.tsv`` in the
     corpus root are used.  A missing taxonomy falls back to the packaged
     default; a missing mapping is an error since warnings cannot be compared
-    without it.
+    without it.  The taxonomy's ids are the categories the mapping may name.
     """
     root = Path(corpus_root)
-    if not root.is_dir():
-        raise DataError(f"corpus directory {root} does not exist")
+    sca_order = tuple(load_sca_order(root))
     if taxonomy_path is None:
         candidate = root / "taxonomy.tsv"
         taxonomy_path = candidate if candidate.is_file() else default_taxonomy_path()
-    taxonomy = load_taxonomy(taxonomy_path, strict_shape=strict_taxonomy)
+    category_ids = load_taxonomy(taxonomy_path)
     if mapping_path is None:
         candidate = root / "gdc_map.tsv"
         if not candidate.is_file():
             raise DataError(f"no type mapping: {candidate} not found and none given")
         mapping_path = candidate
-    mapping = load_gdc_mapping(mapping_path, taxonomy)
-    return CorpusContext(
-        root=root,
-        taxonomy=taxonomy,
-        mapping=mapping,
-        sca_order=tuple(load_sca_order(root)),
-    )
+    return CorpusContext(root, load_gdc_mapping(mapping_path, category_ids), sca_order)
 
 
 @dataclass(frozen=True)
@@ -383,7 +373,10 @@ def write_evaluations(path: str | Path, evaluations: Sequence[ProjectEvaluation]
 
 
 def read_evaluations(path: str | Path) -> list[ProjectEvaluation]:
-    return _read_jsonl(path, ProjectEvaluation.from_record)
+    """The evaluation records of ``path`` sorted by project id, so the
+    order of its lines changes no result."""
+    evaluations = _read_jsonl(path, ProjectEvaluation.from_record)
+    return sorted(evaluations, key=operator.attrgetter("project_id"))
 
 
 def write_optimal_sets(path: str | Path, evaluations: Sequence[ProjectEvaluation]) -> None:

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import ScaId, default_taxonomy_path, read_text, write_text
+from .core import ScaId, read_text, write_text
 from .exceptions import ConfigError, DataError
+from .ingestion import default_taxonomy_path
 from .matching import hash_window, token_stream
 from .rng import SplitMix64, derive_seed, extend_seed
 

@@ -12,6 +12,7 @@ import math
 import re
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -1214,6 +1215,61 @@ def test_sweep_command(workspace, tmp_path, capsys):
     )
     assert rc == 1
 
+
+
+def _model_flow_outputs(evaluations: Path, features: Path, out: Path, model: str) -> list:
+    """The stdout of mine, train, recommend, baseline and sweep on one
+    evaluations file and feature table, then every file they wrote."""
+    dataset = ["--evaluations", str(evaluations), "--features", str(features), "--model", model]
+    stdouts = []
+    for argv in (
+        ["mine", *dataset, "--folds", "3", "--out-dir", str(out / "mine"), "--footprints"],
+        ["train", *dataset, "--cv-folds", "3", "--out", str(out / "model.json")],
+        ["recommend", "--model-file", str(out / "model.json"), "--features", str(features)],
+        ["baseline", "--evaluations", str(evaluations), "--repeats", "20"],
+        ["sweep", *dataset, "--folds", "3", "--betas", "0,1,inf", "--out", str(out / "sweep.tsv")],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+        stdouts.append(stdout.getvalue())
+    written = sorted(path for path in out.rglob("*") if path.is_file())
+    return stdouts + [(path.relative_to(out).as_posix(), path.read_bytes()) for path in written]
+
+
+@pytest.fixture(scope="module")
+def sorted_flow_outputs(workspace, tmp_path_factory):
+    """Each model kind's flow outputs on the workspace's own files, whose
+    rows are sorted by project, made on first use."""
+    made = {}
+
+    def outputs(model: str) -> list:
+        if model not in made:
+            out = tmp_path_factory.mktemp(f"sorted-{model}")
+            made[model] = _model_flow_outputs(
+                workspace["evaluations"], workspace["features"], out, model
+            )
+        return made[model]
+
+    return outputs
+
+
+@pytest.mark.parametrize("model", ["rf", "lr"])
+@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_row_order_of_the_inputs_changes_no_output(workspace, sorted_flow_outputs, model, data):
+    header, *rows = workspace["features"].read_text(encoding="utf-8").splitlines(keepends=True)
+    records = workspace["evaluations"].read_text(encoding="utf-8").splitlines(keepends=True)
+    rows = data.draw(st.permutations(rows), label="feature rows")
+    records = data.draw(st.permutations(records), label="evaluation lines")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        features, evaluations = root / "features.csv", root / "evaluations.jsonl"
+        features.write_text(header + "".join(rows), encoding="utf-8")
+        evaluations.write_text("".join(records), encoding="utf-8")
+        (root / "out").mkdir()
+        outputs = _model_flow_outputs(evaluations, features, root / "out", model)
+    assert outputs == sorted_flow_outputs(model)
 
 
 def test_labels_of_an_unlisted_analyzer_exit_2(workspace, tmp_path, capsys):

@@ -11,13 +11,9 @@ from hypothesis import strategies as st
 
 from helpers import aw, mutated_entries
 from sca_reco.core import (
-    GdcCategory,
-    GdcTaxonomy,
     RecordSpec,
     decode_json,
-    default_taxonomy_path,
     format_beta,
-    load_taxonomy,
     parse_beta,
     read_record,
     read_records,
@@ -26,43 +22,49 @@ from sca_reco.core import (
     warning_sort_key,
 )
 from sca_reco.exceptions import ConfigError, DataError, SchemaError
+from sca_reco.ingestion import default_taxonomy_path, load_taxonomy
 
 
 def test_packaged_taxonomy_shape():
-    taxonomy = load_taxonomy(default_taxonomy_path())
-    assert len(taxonomy.categories) == 16
-    assert len(taxonomy.groups) == 2
-    assert "null_dereference" in taxonomy.category_ids
+    ids = load_taxonomy(default_taxonomy_path())
+    assert len(ids) == 16
+    assert "null_dereference" in ids
 
 
-def test_taxonomy_strict_shape_rejects_other_sizes(tmp_path):
+def test_a_one_category_taxonomy_loads(tmp_path):
     path = tmp_path / "tax.tsv"
     path.write_text("gdc_id\tname\tgroup\na\tA\tg1\n", encoding="utf-8")
-    with pytest.raises(SchemaError):
+    assert load_taxonomy(path) == frozenset({"a"})
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "gdc_id\tname\tgroup\n"])
+def test_a_taxonomy_of_no_category_is_refused(tmp_path, text):
+    path = tmp_path / "tax.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: taxonomy lists no category$"):
         load_taxonomy(path)
-    small = load_taxonomy(path, strict_shape=False)
-    assert small.category_ids == frozenset({"a"})
 
 
 def test_taxonomy_bad_header(tmp_path):
     path = tmp_path / "tax.tsv"
-    path.write_text("id\tname\tgroup\n", encoding="utf-8")
-    header = f"^taxonomy file {re.escape(str(path))} has a bad header line$"
+    path.write_text("\nid\tname\tgroup\n", encoding="utf-8")
+    header = f"^{re.escape(str(path))}:2: bad header line, expected gdc_id<TAB>name<TAB>group$"
     with pytest.raises(DataError, match=header):
         load_taxonomy(path)
 
 
-def test_taxonomy_duplicate_id_rejected():
-    cat = GdcCategory("dup", "Dup", "g")
-    with pytest.raises(SchemaError):
-        GdcTaxonomy((cat, cat), ("g",))
+def test_taxonomy_duplicate_id_rejected(tmp_path):
+    path = tmp_path / "tax.tsv"
+    path.write_text("gdc_id\tname\tgroup\ndup\tDup\tg\ndup\tDup\th\n", encoding="utf-8")
+    message = f"^{re.escape(str(path))}:3: 'dup' mapped to both 'Dup\\\\tg' and 'Dup\\\\th'$"
+    with pytest.raises(DataError, match=message):
+        load_taxonomy(path)
 
 
 def test_taxonomy_crlf_tolerated(tmp_path):
     path = tmp_path / "tax.tsv"
     path.write_text("gdc_id\tname\tgroup\r\na\tA\tg1\r\n", encoding="utf-8")
-    taxonomy = load_taxonomy(path, strict_shape=False)
-    assert taxonomy.categories[0].group == "g1"
+    assert load_taxonomy(path) == frozenset({"a"})
 
 
 def test_canonical_order_class_then_lines():

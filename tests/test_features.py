@@ -40,11 +40,12 @@ def test_load_features_reads_names_verbatim(tmp_path):
 @pytest.mark.parametrize(
     "rows", [[], [("z9", 1.5, -2.0)], [("p2", 0.0, 1e300), ("p10", 3.0, 4.0), ("a", 5.0, 6.0)]]
 )
-def test_load_features_keeps_file_order_in_a_float64_matrix(tmp_path, rows):
+def test_load_features_sorts_rows_by_project_in_a_float64_matrix(tmp_path, rows):
     text = "project,b,a\n" + "".join(f"{p},{x!r},{y!r}\n" for p, x, y in rows)
     table = load_features(write_csv(tmp_path, text))
-    assert table.feature_names == ("b", "a")
-    assert table.project_ids == tuple(p for p, _, _ in rows)  # file order, not sorted
+    assert table.feature_names == ("b", "a")  # columns keep file order
+    rows = sorted(rows)  # by project id: "a", "p10", "p2"
+    assert table.project_ids == tuple(p for p, _, _ in rows)
     assert table.matrix.dtype == np.float64
     assert table.matrix.shape == (len(rows), 2)
     assert table.matrix.tolist() == [[x, y] for _, x, y in rows]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -21,23 +22,21 @@ from helpers import (
     require_field,
     snapshot,
 )
-from sca_reco.core import (
-    RawWarning,
-    Release,
-    WarningLabel,
-    default_taxonomy_path,
-    load_taxonomy,
-)
+from sca_reco.core import RawWarning, Release, WarningLabel
 from sca_reco.exceptions import DataError, SchemaError, UnmappedType
 from sca_reco.ingestion import (
+    GDC_MAP_HEADER,
+    TAXONOMY_HEADER,
     GdcMapping,
     _split_lines,
+    default_taxonomy_path,
     list_projects,
     load_gdc_mapping,
     load_report,
     load_sca_order,
     load_snapshot,
     load_source_tree,
+    load_taxonomy,
 )
 
 
@@ -162,8 +161,55 @@ def test_mapping_repeated_identical_rows_ok(tmp_path, taxonomy):
 def test_mapping_unknown_category(tmp_path, taxonomy):
     path = tmp_path / "map.tsv"
     path.write_text("sca\toriginal_type\tgdc_id\nspotbugs\tX\tnot_a_category\n", encoding="utf-8")
-    with pytest.raises(DataError, match="not_a_category' references unknown category$"):
+    message = f"^{re.escape(str(path))}:2: unknown category 'not_a_category'$"
+    with pytest.raises(DataError, match=message):
         load_gdc_mapping(path, taxonomy)
+
+
+TSV_LOADERS = {
+    "taxonomy": (TAXONOMY_HEADER, lambda path: load_taxonomy(path)),
+    "mapping": (GDC_MAP_HEADER, lambda path: load_gdc_mapping(path, frozenset({"c", "d"}))),
+}
+# each faulty row after the good one on line 2 (a blank line 3 is skipped),
+# and the end of the message that names its line 4
+TSV_FAULTS = {
+    "two-cells": ("a\tc", "row 'a\\tc' does not have 3 cells"),
+    "four-cells": ("a\tb\tc\td", "row 'a\\tb\\tc\\td' does not have 3 cells"),
+    "empty-cell": ("x\t \tc", "row 'x\\t \\tc' has an empty cell"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TSV_FAULTS))
+@pytest.mark.parametrize("kind", sorted(TSV_LOADERS))
+def test_a_tsv_row_fault_names_the_file_and_line(tmp_path, kind, fault):
+    header, load = TSV_LOADERS[kind]
+    row, message = TSV_FAULTS[fault]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text("\t".join(header) + "\na\tb\tc\n\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:4: {re.escape(message)}$"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    ("kind", "rows", "message"),
+    [
+        ("taxonomy", "c\tC\tg\nc\tC\th", "'c' mapped to both 'C\\tg' and 'C\\th'"),
+        ("mapping", "a\tb\tc\na\tb\td", "'a', 'b' mapped to both 'c' and 'd'"),
+        ("mapping", "a\tb\tc\na\tz\te", "unknown category 'e'"),
+    ],
+)
+def test_a_repeated_id_or_unknown_category_names_the_file_and_line(tmp_path, kind, rows, message):
+    header, load = TSV_LOADERS[kind]
+    path = tmp_path / f"{kind}.tsv"
+    path.write_text("\t".join(header) + "\n" + rows + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: {re.escape(message)}$"):
+        load(path)
+
+
+def test_a_whole_row_repeated_is_read_once(tmp_path):
+    path = tmp_path / "tax.tsv"
+    path.write_text("gdc_id\tname\tgroup\nc\tC\tg\nc\tC\tg\n", encoding="utf-8")
+    assert load_taxonomy(path) == frozenset({"c"})
 
 
 def test_canonicalize_drops_method_and_severity():

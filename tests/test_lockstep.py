@@ -634,6 +634,12 @@ def train_deep_tree(tmp_path, n: int):
     return cli.main(argv + ["--model", "dt", "--out", str(model)]), model, features
 
 
+def deep_tree_lines(n: int) -> list[str]:
+    """The recommend lines of a tree that fits every project of
+    ``train_deep_tree``: each project's label, in project id order."""
+    return [f"p{i}\t{DEEP_SCAS[i % 2]}" for i in sorted(range(n), key=lambda i: f"p{i}")]
+
+
 def recommend_lines(model, features, capsys) -> list[str]:
     capsys.readouterr()
     assert cli.main(["recommend", "--model-file", str(model), "--features", str(features)]) == 0
@@ -653,8 +659,7 @@ def test_deep_tree_model_loads_or_is_refused(tmp_path, capsys):
         assert not model.exists()
     else:
         assert rc == 0
-        expected = [f"p{i}\t{DEEP_SCAS[i % 2]}" for i in range(n)]
-        assert recommend_lines(model, features, capsys) == expected
+        assert recommend_lines(model, features, capsys) == deep_tree_lines(n)
 
 
 def test_deep_tree_model_of_500_levels_saves_and_loads(tmp_path, capsys):
@@ -663,8 +668,7 @@ def test_deep_tree_model_of_500_levels_saves_and_loads(tmp_path, capsys):
     assert rc == 0
     assert RecommendationModel.load(model).estimator.nodes_.depth[0] >= n - 2
     # the tree fits every project, so its recommendations are the labels
-    expected = [f"p{i}\t{DEEP_SCAS[i % 2]}" for i in range(n)]
-    assert recommend_lines(model, features, capsys) == expected
+    assert recommend_lines(model, features, capsys) == deep_tree_lines(n)
 
 
 def walk_predict(root, X):

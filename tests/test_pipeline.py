@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import shutil
 from collections import Counter
 
@@ -63,13 +64,11 @@ def test_context_requires_mapping(tmp_path):
         load_corpus_context(tmp_path / "missing")
 
 
-def test_context_falls_back_to_packaged_taxonomy(corpus, tmp_path):
+def test_context_falls_back_to_packaged_taxonomy(corpus, context, tmp_path):
     clone = tmp_path / "clone"
     shutil.copytree(corpus, clone)
     (clone / "taxonomy.tsv").unlink()
-    context = load_corpus_context(clone)
-    assert "null_dereference" in context.taxonomy.category_ids
-    assert len(context.taxonomy.categories) == 16
+    assert load_corpus_context(clone).mapping == context.mapping
 
 
 def test_explicit_paths_win(corpus, tmp_path):
@@ -83,16 +82,14 @@ def test_explicit_paths_win(corpus, tmp_path):
         "sca\toriginal_type\tgdc_id\nhawkeye\tHAWKEYE-null_dereference\tnull_dereference\n",
         encoding="utf-8",
     )
-    context = load_corpus_context(
-        corpus,
-        taxonomy_path=taxonomy,
-        mapping_path=mapping,
-        strict_taxonomy=False,
-    )
-    assert context.taxonomy.category_ids == {"null_dereference"}
+    context = load_corpus_context(corpus, taxonomy_path=taxonomy, mapping_path=mapping)
     assert dict(context.mapping.entries) == {
         ("hawkeye", "HAWKEYE-null_dereference"): "null_dereference"
     }
+    # the corpus's own mapping names categories the tiny taxonomy lacks
+    where = re.escape(str(corpus / "gdc_map.tsv"))
+    with pytest.raises(DataError, match=rf"^{where}:\d+: unknown category "):
+        load_corpus_context(corpus, taxonomy_path=taxonomy)
 
 
 def test_label_and_evaluate_corpus(context):
