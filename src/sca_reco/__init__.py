@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # the module that defines each export
 _EXPORTS = {
-    "alignment": ("AlignedGroup", "AlignmentResult", "align_project", "identical"),
+    "alignment": ("AlignedGroup", "AlignmentResult", "align_project"),
     "core": (
         "AlignedWarning",
         "ProjectSnapshot",

@@ -8,9 +8,8 @@ label, a 2-vs-1 group takes the majority, and a conflicting pair is
 discarded outright.  Warnings that group with nobody stand alone.
 
 The pairwise rule is defined once, in ``_same_defect``.  The greedy
-grouping checks each candidate against each member with it, once per pair,
-and ``identical`` applies it to every pair of a given group.  The grouping
-looks only at the candidates the rule can accept: those of the seed's
+grouping checks each candidate against each member with it, once per pair.
+It looks only at the candidates the rule can accept: those of the seed's
 category and class starting within OFFSET_LIMIT lines of it.  Groups and
 discarded pairs are plain tuples that ``align_project`` alone builds, so
 each group's vote is taken once, as the group closes.
@@ -19,7 +18,6 @@ each group's vote is taken once, as the group closes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, NamedTuple, Sequence
 
 from .core import AlignedWarning, ScaId, WarningLabel, sort_warnings, warning_sort_key
@@ -38,23 +36,6 @@ def _same_defect(a: AlignedWarning, b: AlignedWarning) -> bool:
         and abs(a.end_line - b.end_line) <= OFFSET_LIMIT
         and max(a.start_line, b.start_line) <= min(a.end_line, b.end_line)
     )
-
-
-def identical(warnings: Sequence[AlignedWarning], ignore_label: bool = False) -> bool:
-    """Do these 2 or 3 warnings from distinct analyzers denote one defect?
-
-    Every pair must pass ``_same_defect``, and unless ``ignore_label`` all
-    must carry one label.
-    """
-    group = list(warnings)
-    if len(group) not in (2, 3):
-        raise ValueError("identity is defined for 2 or 3 warnings")
-    scas = [w.origin[0] for w in group]
-    if len(set(scas)) != len(scas):
-        raise ValueError("warnings must come from distinct analyzers")
-    if not ignore_label and any(w.label is not group[0].label for w in group):
-        return False
-    return all(_same_defect(a, b) for a, b in combinations(group, 2))
 
 
 def _resolve_label(members: Sequence[AlignedWarning]) -> WarningLabel | None:

@@ -6,8 +6,9 @@ been replaced by a general defect category so warnings from different
 analyzers become comparable.  Both are named tuples: immutable, cheap to
 build, and equal exactly when their fields are, as tuples are.  Their
 constructors check nothing; the readers of outside data check each field
-(``ingestion.load_report`` a report's entries, ``pipeline.record_to_labels``
-a stored label row), and the label pass builds them only from checked ones.
+through ``read_record``, or ``read_rows`` for a list (a report's entries, a
+stored label record's rows), and the label pass builds them only from
+checked ones.
 """
 
 from __future__ import annotations
@@ -115,42 +116,56 @@ def read_record(record, spec: RecordSpec, where: str, *args) -> tuple:
     null or absent optional field as None.  Anything else raises a
     SchemaError that starts with the location ``where % args``, formatted
     only then, and names the first bad field in spec order."""
-    rows = read_records([record], spec)
-    if rows is not None:
-        return rows[0]
-    if args:
-        where %= args
     if not isinstance(record, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    values = []
-    for key, kinds in spec.fields:
-        value = record.get(key)
-        if value is None and None in kinds:
-            values.append(None)
-        elif key not in record:
-            raise SchemaError(f"{where}: missing field {key!r}")
-        elif type(value) not in kinds:
-            raise SchemaError(f"{where}: field {key!r} has the wrong type")
+        fault = " must be a JSON object"
+    else:
+        values = []
+        for key, kinds in spec.fields:
+            value = record.get(key)
+            if value is None and None in kinds:
+                values.append(None)
+            elif type(value) in kinds:
+                values.append(value)
+            elif key in record:
+                fault = f": field {key!r} has the wrong type"
+                break
+            else:
+                fault = f": missing field {key!r}"
+                break
         else:
-            values.append(value)
-    return tuple(values)
+            return tuple(values)
+    raise SchemaError(f"{where % args if args else where}{fault}")
 
 
-def read_records(records: list, spec: RecordSpec) -> list[tuple] | None:
-    """``read_record``'s fast path over a list: the values of ``spec``'s
-    fields in each of ``records``, in order, when every record is a dict
-    that holds every field with one of its exact types; otherwise None, and
-    the caller reads the records one at a time with ``read_record`` to name
-    the first fault.  Each field's types are checked a column at a time."""
-    if not set(map(type, records)) <= {dict}:
-        return None
+def read_rows(
+    records: list, spec: RecordSpec, where: str, *args, valid=None, fault=None
+) -> list[tuple]:
+    """``read_record`` of each of ``records``, in order, checked a column at a
+    time: each field's types, then ``valid(*columns)``, one tuple of values
+    per field in spec order, over a non-empty list.  Only when either check
+    fails are the records read one at a time, each through ``read_record``
+    and then ``fault(i, values)``, a message or None, so the SchemaError
+    names the first bad record as ``where % (*args, i)`` and, within it, a
+    type fault before a value fault."""
     try:
-        rows = list(map(spec.values, records))
-    except KeyError:
-        return None
-    for column, types in zip(zip(*rows), spec.types):
-        if not set(map(type, column)) <= types:
-            return None
+        rows = list(map(spec.values, records)) if set(map(type, records)) <= {dict} else []
+    except KeyError:  # a missing field, or an absent optional one
+        rows = []
+    columns = list(zip(*rows))
+    if (
+        rows
+        and all(set(map(type, column)) <= types for column, types in zip(columns, spec.types))
+        and (valid is None or valid(*columns))
+    ):
+        return rows
+    # one record at a time, so the first bad record is the one named
+    rows = []
+    for i, record in enumerate(records):
+        values = read_record(record, spec, where, *args, i)
+        message = fault and fault(i, values)
+        if message:
+            raise SchemaError(f"{where % (*args, i)}: {message}")
+        rows.append(values)
     return rows
 
 

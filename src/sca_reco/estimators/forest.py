@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import RecordSpec, read_record
+from ..core import RecordSpec, read_record, read_rows
 from .seeding import derive_seeds, pcg64_integers
 from .base import check_array, check_count, check_is_fitted, check_X_y
 from .tree import TREE_STATE, Nodes, fit_lockstep
@@ -120,10 +120,7 @@ class RandomForestClassifier:
     def load_fitted_state(self, state: dict) -> "RandomForestClassifier":
         self.n_classes_, self.n_features_, tree_states = read_record(state, FOREST_STATE, "state")
         fitted = (self.n_classes_, self.n_features_)
-        trees = [
-            read_record(tree_state, TREE_STATE, "state: tree %d", i)
-            for i, tree_state in enumerate(tree_states)
-        ]
+        trees = read_rows(tree_states, TREE_STATE, "state: tree %d")
         if not trees or any((n_classes, n_features) != fitted for n_classes, n_features, _ in trees):
             raise ValueError("a forest needs trees fitted on its classes and features")
         self.nodes_ = Nodes.stack(

@@ -8,8 +8,9 @@ Corpus layout on disk::
     <corpus>/scas.txt                           analyzer order, one id per line
 
 ``scas.txt`` fixes the corpus analyzer order used for iteration and
-tie-breaking; without it the order falls back to the sorted union of report
-names found in the corpus.
+tie-breaking; without it the order falls back to the sorted union of the
+report names of the projects (see ``list_projects``).  A report's entries
+are read through ``core.read_rows``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .core import (
     named_tuples,
     read_json,
     read_record,
-    read_records,
+    read_rows,
     read_text,
 )
 from .exceptions import DataError, SchemaError, UnmappedType
@@ -55,8 +56,9 @@ REPORT_ENTRY = RecordSpec(
 def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[ScaId, list[RawWarning]]:
     """Load one analyzer report, checking it belongs to (project, release).
 
-    The entries are checked a list at a time; when any check fails they are
-    read again one at a time, so the error names the first bad entry."""
+    Each entry's analyzer, type and class must be non-empty and its lines
+    must satisfy 1 <= start <= end; ``core.read_rows`` checks that a list
+    at a time, and the error names the first bad entry."""
     path = Path(path)
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -66,28 +68,26 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
         raise DataError(
             f"{path}: report is for {project}/{release}, expected {project_id}/{release_id}"
         )
-    entries = read_records(raw, REPORT_ENTRY)
-    if entries and sca:
-        columns = list(zip(*entries))
-        types, classes, _, starts, ends, _, _ = columns
-        if all(types) and all(classes) and min(starts) > 0 and all(map(operator.le, starts, ends)):
-            return sca, named_tuples(RawWarning, zip(itertools.repeat(sca), *columns))
-    # entry by entry, so the first bad entry is the one named
-    warnings = []
-    for i, entry in enumerate(raw):
-        fields = read_record(entry, REPORT_ENTRY, "%s: warning %d", path, i)
-        original_type, class_path, _, start, end, _, _ = fields
-        if not (sca and original_type and class_path and 0 < start <= end):
-            fault = (
-                "has an empty analyzer id" if not sca
-                else "has an empty type" if not original_type
-                else "has an empty class path" if not class_path
-                else f"start line {start} < 1" if start < 1
-                else f"line span {start}..{end} is inverted"
-            )
-            raise SchemaError(f"{path}: warning {i}: warning {fault}")
-        warnings.append(RawWarning(sca, *fields))
-    return sca, warnings
+
+    def valid(types, classes, _methods, starts, ends, *_) -> bool:
+        return (
+            sca != "" and all(types) and all(classes) and min(starts) > 0
+            and all(map(operator.le, starts, ends))
+        )
+
+    def fault(i, entry) -> str | None:
+        original_type, class_path, _, start, end, _, _ = entry
+        return (
+            "warning has an empty analyzer id" if not sca
+            else "warning has an empty type" if not original_type
+            else "warning has an empty class path" if not class_path
+            else f"warning start line {start} < 1" if start < 1
+            else f"warning line span {start}..{end} is inverted" if start > end
+            else None
+        )
+
+    entries = read_rows(raw, REPORT_ENTRY, "%s: warning %d", path, valid=valid, fault=fault)
+    return sca, named_tuples(RawWarning, map(tuple.__add__, itertools.repeat((sca,)), entries))
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,8 @@ def list_projects(corpus_root: str | Path) -> list[str]:
 
 
 def load_sca_order(corpus_root: str | Path) -> list[ScaId]:
-    """Corpus analyzer order: scas.txt if present, else sorted report names."""
+    """Corpus analyzer order: scas.txt if present, else the sorted names of
+    the reports of the corpus's projects (see ``list_projects``)."""
     root = Path(corpus_root)
     if not root.is_dir():
         raise DataError(f"corpus directory {root} does not exist")
@@ -333,6 +334,7 @@ def load_sca_order(corpus_root: str | Path) -> list[ScaId]:
             raise SchemaError(f"{listing} lists no analyzer ids")
         return order
     found: set[str] = set()
-    for reports_dir in root.glob("*/*/reports"):
-        found.update(p.stem for p in reports_dir.glob("*.json"))
+    for project in list_projects(root):
+        for reports_dir in (root / project).glob("*/reports"):
+            found.update(p.stem for p in reports_dir.glob("*.json"))
     return sorted(found)

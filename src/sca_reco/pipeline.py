@@ -4,6 +4,9 @@ A corpus is processed project by project.  Data problems in one project
 (malformed report, missing release, unmapped type) are recorded as failures
 and do not stop the others.  All aggregation is sorted by project id, so the
 outcome is independent of worker count.
+
+A stored label record's rows are read through ``core.read_rows`` and need
+not be grouped by analyzer.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .core import (
     decode_json,
     named_tuples,
     read_record,
-    read_records,
+    read_rows,
     read_text,
     validate_beta,
     write_text,
@@ -218,70 +221,60 @@ _STAGES = {None: None, "": None, **{stage.value: stage for stage in MatchStage}}
 def record_to_labels(record: dict) -> ProjectLabels:
     """Inverse of a ``write_labels`` line's JSON; a missing field, one of the wrong
     type or value, a line span that is not 1 <= start <= end, or a row
-    repeating another's analyzer and index raises a SchemaError."""
+    repeating another's analyzer and index raises a SchemaError that names
+    the first bad row.  Each analyzer's rows keep their order, and the
+    analyzers come in the order of their first rows."""
     where = "label record"
-    project_id, rows = read_record(record, LABEL_RECORD, where)
-    labels = _read_label_rows(project_id, rows)
-    if labels is not None:
-        return labels
-    # row by row, so the first bad row is the one named
-    by_sca: dict[ScaId, list[AlignedWarning]] = {}
-    audits: dict[ScaId, list[AuditRecord]] = {}
-    seen: dict[tuple[ScaId, int], int] = {}
-    for i, row in enumerate(rows):
-        sca, stage, label, category, class_info, start, end, index, line, origin = read_record(
-            row, LABEL_ROW, "%s: warning %d", where, i
+    project_id, raw = read_record(record, LABEL_RECORD, where)
+
+    def valid(scas, stages, labels, _categories, _classes, starts, ends, indexes, *_) -> bool:
+        return (
+            set(labels) <= _LABELS.keys() and set(stages) <= _STAGES.keys()
+            and min(starts) > 0 and all(map(operator.le, starts, ends))
+            and len(set(zip(scas, indexes))) == len(scas)
         )
-        try:
-            label = _LABELS[label] if label in _LABELS else WarningLabel(label)
-            stage = _STAGES[stage] if stage in _STAGES else MatchStage(stage)
+
+    seen: dict[tuple[ScaId, int], int] = {}
+
+    def fault(i, row) -> str | None:
+        sca, stage, label, _, _, start, end, index, _, _ = row
+        try:  # the enum's ValueError names a text no label or stage has
+            if label not in _LABELS:
+                WarningLabel(label)
+            if stage not in _STAGES:
+                MatchStage(stage)
         except ValueError as exc:
-            raise SchemaError(f"{where}: warning {i}: {exc}") from exc
+            return str(exc)
         if not 0 < start <= end:
-            raise SchemaError(f"{where}: warning {i}: warning line span {start}..{end} is invalid")
-        warning = AlignedWarning(category, class_info, start, end, label, (sca, index))
-        first = seen.setdefault(warning.origin, i)
+            return f"warning line span {start}..{end} is invalid"
+        first = seen.setdefault((sca, index), i)
         if first != i:
-            raise SchemaError(
-                f"{where}: warning {i}: analyzer {sca!r} index {index} repeats warning {first}"
-            )
-        by_sca.setdefault(sca, []).append(warning)
-        audits.setdefault(sca, []).append(AuditRecord(label, stage, line, origin))
-    return ProjectLabels(
-        project_id,
-        {sca: tuple(rows) for sca, rows in by_sca.items()},
-        {sca: tuple(rows) for sca, rows in audits.items()},
+            return f"analyzer {sca!r} index {index} repeats warning {first}"
+        return None
+
+    rows = read_rows(raw, LABEL_ROW, "%s: warning %d", where, valid=valid, fault=fault)
+    if not rows:
+        return ProjectLabels(project_id, {}, {})
+    scas, stages, labels, categories, classes, starts, ends, indexes, lines, origins = zip(*rows)
+    labels = list(map(_LABELS.__getitem__, labels))
+    warnings = named_tuples(
+        AlignedWarning, zip(categories, classes, starts, ends, labels, zip(scas, indexes))
     )
-
-
-def _read_label_rows(project_id: str, rows: list) -> ProjectLabels | None:
-    """``record_to_labels`` of ``rows`` with every check made a column at a
-    time, or None if any check fails or an analyzer's rows are not
-    contiguous, as ``write_labels`` writes them."""
-    values = read_records(rows, LABEL_ROW)
-    if not values:
-        return None
-    scas, stages, labels, categories, classes, starts, ends, indexes, lines, origins = zip(*values)
-    try:
-        labels = list(map(_LABELS.__getitem__, labels))
-        stages = list(map(_STAGES.__getitem__, stages))
-    except KeyError:  # a text no label or stage has
-        return None
-    keys = list(zip(scas, indexes))
-    if min(starts) < 1 or not all(map(operator.le, starts, ends)) or len(set(keys)) < len(keys):
-        return None
-    warnings = named_tuples(AlignedWarning, zip(categories, classes, starts, ends, labels, keys))
-    audits = named_tuples(AuditRecord, zip(labels, stages, lines, origins))
-    by_sca: dict[ScaId, tuple[AlignedWarning, ...]] = {}
-    audits_by_sca: dict[ScaId, tuple[AuditRecord, ...]] = {}
+    audits = named_tuples(AuditRecord, zip(labels, map(_STAGES.__getitem__, stages), lines, origins))
+    # each analyzer's runs of rows joined, the analyzers in the order of their first rows
+    by_sca: dict[ScaId, list[AlignedWarning]] = {}
+    audits_by_sca: dict[ScaId, list[AuditRecord]] = {}
     done = 0
     for sca, run in itertools.groupby(scas):
-        if sca in by_sca:
-            return None
         stop = done + len(list(run))
-        by_sca[sca], audits_by_sca[sca] = tuple(warnings[done:stop]), tuple(audits[done:stop])
+        by_sca.setdefault(sca, []).extend(warnings[done:stop])
+        audits_by_sca.setdefault(sca, []).extend(audits[done:stop])
         done = stop
-    return ProjectLabels(project_id, by_sca, audits_by_sca)
+    return ProjectLabels(
+        project_id,
+        {sca: tuple(run) for sca, run in by_sca.items()},
+        {sca: tuple(run) for sca, run in audits_by_sca.items()},
+    )
 
 
 # one encoder for every JSONL line but the labels': a record is a tree, so the cycle

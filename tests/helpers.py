@@ -9,6 +9,10 @@ stage's rule for one pair of warnings, straight from the rule and the
 window), not through the stage keys the label pass indexes by.  The oracles
 that check the label pass compare its hits against them.
 
+``same_defect`` states the alignment module's pair rule from its stated
+terms, not through ``alignment``: the oracles of the grouping test the
+groups it builds against it.
+
 ``require_field`` and ``optional_field`` state the rule for one field of a
 JSON record, one call per field, not through ``core.read_record``'s record
 specs.  ``check_report_entry`` and ``check_label_span`` state the value
@@ -202,6 +206,20 @@ def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) 
     return window is not None and window == context.releases.window_hash("new", w_b)
 
 
+def same_defect(a: AlignedWarning, b: AlignedWarning) -> bool:
+    """Do two warnings denote one defect?  They share category and class,
+    their start lines are within 3 of each other and so are their end
+    lines, and their line ranges overlap."""
+    return (
+        a.new_type == b.new_type
+        and a.class_info == b.class_info
+        and abs(a.start_line - b.start_line) <= 3
+        and abs(a.end_line - b.end_line) <= 3
+        and a.start_line <= b.end_line
+        and b.start_line <= a.end_line
+    )
+
+
 def java_class(class_name: str, package: str = "com.example", n_methods: int = 2) -> list[str]:
     """A small pseudo-Java file with one method per block of 4 lines."""
     lines = [f"package {package};", "", f"public class {class_name} " + "{"]
@@ -312,7 +330,7 @@ def faulted(draw, records: list, faults: dict):
     """``records`` with up to two of them faulted: mutated (see
     ``mutated_entries``), or given a value from ``faults`` for one key."""
     whole, records = records, list(records)
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
         i = draw(st.integers(0, len(records) - 1))
         key = draw(st.sampled_from([None, *faults]))
         if key is None:

@@ -30,11 +30,12 @@ from helpers import (
     match_location,
     match_snippet,
     raw,
+    same_defect,
     snapshot,
 )
 
 from sca_reco import cli
-from sca_reco.alignment import align_project, identical
+from sca_reco.alignment import align_project
 from sca_reco.core import WarningLabel, warning_sort_key
 from sca_reco.effectiveness import (
     ConfusionCounts,
@@ -366,7 +367,7 @@ def exhaustive_best_partition(warnings):
             return False
         if any(m.origin[0] == w.origin[0] for m in block):
             return False
-        return all(identical((m, w), ignore_label=True) for m in block)
+        return all(same_defect(m, w) for m in block)
 
     best_score = (-1, -1)
     best = None

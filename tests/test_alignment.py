@@ -1,35 +1,54 @@
-"""Cross-analyzer identity conditions, grouping, voting, and discards."""
+"""Cross-analyzer identity conditions, as the groups ``align_project``
+builds show them, grouping, voting, and discards."""
 
 from __future__ import annotations
 
 import pytest
 
 from helpers import A, U, UNKNOWN, aw
-from sca_reco.alignment import AlignmentResult, align_project, identical
+from sca_reco.alignment import AlignmentResult, align_project
 from sca_reco.core import WarningLabel
 
 SCAS = ("alpha", "beta", "gamma")
 C = "com.example.Foo"
 
 
+def blocks(*warnings, order=None):
+    """What ``align_project`` makes of ``warnings``: the sorted analyzers of
+    each group with its voted label, and of each discarded pair with None."""
+    labeled = {}
+    for w in warnings:
+        labeled.setdefault(w.origin[0], []).append(w)
+    result = align_project(labeled, order or list(labeled))
+    made = [(g.members, g.resolved_label) for g in result.groups]
+    made += [(d.members, None) for d in result.discarded]
+    return sorted(
+        ((tuple(sorted(m.origin[0] for m in members)), label) for members, label in made),
+        key=lambda block: block[0],
+    )
+
+
+# which warnings the grouping puts together
+
+
 def test_identical_triple_within_offsets():
     w1 = aw(class_info=C, start=100, end=102, sca="alpha")
     w2 = aw(class_info=C, start=101, end=103, sca="beta")
     w3 = aw(class_info=C, start=100, end=101, sca="gamma")
-    assert identical((w1, w2, w3))
+    assert blocks(w1, w2, w3) == [(SCAS, A)]
 
 
 def test_offset_three_without_overlap_fails():
     # offsets are exactly 3 but the single-line ranges do not overlap
     w1 = aw(class_info=C, start=100, end=100, sca="alpha")
     w2 = aw(class_info=C, start=103, end=103, sca="beta")
-    assert not identical((w1, w2))
+    assert blocks(w1, w2) == [(("alpha",), A), (("beta",), A)]
 
 
 def test_overlap_at_boundary_passes():
     w1 = aw(class_info=C, start=100, end=103, sca="alpha")
     w2 = aw(class_info=C, start=103, end=103, sca="beta")
-    assert identical((w1, w2))
+    assert blocks(w1, w2) == [(("alpha", "beta"), A)]
 
 
 def test_identical_same_category_from_mapping():
@@ -37,43 +56,46 @@ def test_identical_same_category_from_mapping():
     # same class/line, which is exactly the cross-analyzer identity case
     w1 = aw(new_type="performance_smell", class_info=C, start=139, end=139, sca="alpha")
     w2 = aw(new_type="performance_smell", class_info=C, start=139, end=139, sca="beta")
-    assert identical((w1, w2))
+    assert blocks(w1, w2) == [(("alpha", "beta"), A)]
 
 
 def test_identical_requires_type_class_and_label():
     base = aw(class_info=C, start=10, end=10, sca="alpha")
-    assert not identical((base, aw(new_type="dead_code", class_info=C, start=10, sca="beta")))
-    assert not identical((base, aw(class_info="com.example.Bar", start=10, sca="beta")))
+    apart = [(("alpha",), A), (("beta",), A)]
+    assert blocks(base, aw(new_type="dead_code", class_info=C, start=10, sca="beta")) == apart
+    assert blocks(base, aw(class_info="com.example.Bar", start=10, sca="beta")) == apart
+    # labels are ignored while grouping, and a pair whose labels differ is discarded
     mismatched = aw(class_info=C, start=10, end=10, label=U, sca="beta")
-    assert not identical((base, mismatched))
-    assert identical((base, mismatched), ignore_label=True)
+    assert blocks(base, mismatched) == [(("alpha", "beta"), None)]
 
 
 def test_identical_offset_limits_pairwise():
     w1 = aw(class_info=C, start=10, end=20, sca="alpha")
     w2 = aw(class_info=C, start=13, end=20, sca="beta")
     w3 = aw(class_info=C, start=16, end=20, sca="gamma")
-    assert identical((w1, w2))
-    assert identical((w2, w3))
-    assert not identical((w1, w2, w3))  # w1 vs w3 start offset is 6
+    assert blocks(w1, w2) == [(("alpha", "beta"), A)]
+    assert blocks(w2, w3) == [(("beta", "gamma"), A)]
+    # w1 vs w3 start offset is 6, so the three are not one group
+    assert blocks(w1, w2, w3) == [(("alpha", "beta"), A), (("gamma",), A)]
 
 
 def test_identical_is_symmetric():
     w1 = aw(class_info=C, start=10, end=12, sca="alpha")
     w2 = aw(class_info=C, start=11, end=13, sca="beta")
-    assert identical((w1, w2)) == identical((w2, w1))
+    assert blocks(w1, w2, order=("alpha", "beta")) == [(("alpha", "beta"), A)]
+    assert blocks(w1, w2, order=("beta", "alpha")) == [(("alpha", "beta"), A)]
 
 
 def test_identical_rejects_duplicate_analyzers():
+    # two warnings of one analyzer never share a group, however close
     w1 = aw(class_info=C, start=10, sca="alpha", index=0)
     w2 = aw(class_info=C, start=11, sca="alpha", index=1)
-    with pytest.raises(ValueError):
-        identical((w1, w2))
+    assert blocks(w1, w2) == [(("alpha",), A), (("alpha",), A)]
 
 
 def test_identical_arity():
-    with pytest.raises(ValueError):
-        identical((aw(),))
+    # a lone warning stands alone with its own label
+    assert blocks(aw(label=U)) == [(("alpha",), U)]
 
 
 # grouping

@@ -268,6 +268,44 @@ def test_evaluate_from_stored_labels_matches_direct(workspace, tmp_path):
     assert (tmp_path / "evaluations.jsonl").read_bytes() == direct
 
 
+def test_a_stray_reports_directory_names_no_analyzer(tmp_path):
+    """Without scas.txt the analyzer order comes from the projects' reports:
+    a reports directory outside any project changes no output byte."""
+    corpus = tmp_path / "corpus"
+    argv = ["synth", "--out", str(corpus), "--projects", "3", "--files", "1", "--seed", "5"]
+    assert cli.main(argv) == 0
+    (corpus / "scas.txt").unlink()
+    written = []
+    for stray in (False, True):
+        if stray:
+            reports = corpus / "notes" / "old" / "reports"
+            reports.mkdir(parents=True)
+            document = {"sca": "zzz", "project": "notes", "release": "old", "warnings": []}
+            (reports / "zzz.json").write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / f"eval-{stray}"
+        assert cli.main(["evaluate", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+        written.append((out / "evaluations.jsonl").read_bytes())
+    assert written[0] == written[1]
+    assert b"zzz" not in written[1]
+
+
+def test_a_project_without_warnings_labels_and_evaluates(tmp_path):
+    """Every report empty: ``label`` writes the project's record with no
+    rows, and ``evaluate --labels`` reads it back and exits 0."""
+    corpus = tmp_path / "corpus"
+    argv = ["synth", "--out", str(corpus), "--projects", "1", "--files", "1", "--seed", "3"]
+    assert cli.main(argv) == 0
+    for report in corpus.glob("*/*/reports/*.json"):
+        document = json.loads(report.read_text(encoding="utf-8"))
+        report.write_text(json.dumps({**document, "warnings": []}), encoding="utf-8")
+    labels = tmp_path / "labels.jsonl"
+    assert cli.main(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
+    assert labels.read_text(encoding="utf-8") == '{"project": "p000", "warnings": []}\n'
+    argv = ["evaluate", "--corpus", str(corpus), "--labels", str(labels)]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "evaluations.jsonl").is_file()
+
+
 def test_evaluate_from_stored_labels_runs_jobs_workers(workspace, tmp_path, monkeypatch):
     asked = []
     pool = pipeline.ThreadPoolExecutor

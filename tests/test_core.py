@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import aw, mutated_entries
+from sca_reco import core
 from sca_reco.core import (
     RecordSpec,
     decode_json,
     format_beta,
     parse_beta,
     read_record,
-    read_records,
+    read_rows,
     sort_warnings,
     validate_beta,
     warning_sort_key,
@@ -126,12 +128,32 @@ SPEC = RecordSpec(("name", str), ("count", int), ("note", (str, None)))
 VALID_RECORD = {"name": "a", "count": 1, "note": "b"}
 
 
-def read_alone(record):
-    """``read_record``'s values of ``record``, or None if it refuses it."""
+def negative_count(i, values):
+    """The per-record value rule of the list reader's tests."""
+    return f"count {values[1]} < 0" if values[1] < 0 else None
+
+
+def no_negative_count(names, counts, notes):
+    """``negative_count`` over the columns of a whole list, which is never
+    empty."""
+    assert len(names) == len(counts) == len(notes) > 0
+    return min(counts) >= 0
+
+
+def read_one_at_a_time(records, ruled):
+    """``read_record`` of each record, then the value rule if ``ruled``, or
+    the message of the first fault."""
     try:
-        return read_record(record, SPEC, "record")
-    except SchemaError:
-        return None
+        rows = []
+        for i, record in enumerate(records):
+            values = read_record(record, SPEC, "record %d", i)
+            message = ruled and negative_count(i, values)
+            if message:
+                raise SchemaError(f"record {i}: {message}")
+            rows.append(values)
+        return rows
+    except SchemaError as exc:
+        return str(exc)
 
 
 @given(
@@ -147,18 +169,30 @@ def read_alone(record):
             mutated_entries(VALID_RECORD),
         ),
         max_size=8,
-    )
+    ),
+    ruled=st.booleans(),
 )
-@example(records=[])
-@example(records=[VALID_RECORD, {"name": "a", "count": 1}])  # an absent optional key
-@example(records=[VALID_RECORD, {"name": "a", "count": True, "note": None}])
-@example(records=[VALID_RECORD, ["a", 1, "b"]])
-@example(records=[VALID_RECORD, None])
-def test_read_records_equals_read_record_on_every_record(records):
-    alone = [read_alone(record) for record in records]
-    # the list reader takes a list whose records are all objects that hold
-    # every field with one of its types, and only such a list
-    whole = None not in alone and all(
+@example(records=[], ruled=True)
+@example(records=[VALID_RECORD, {"name": "a", "count": 1}], ruled=False)  # an absent optional key
+@example(records=[VALID_RECORD, {"name": "a", "count": True, "note": None}], ruled=False)
+@example(records=[VALID_RECORD, ["a", 1, "b"]], ruled=False)
+@example(records=[VALID_RECORD, None], ruled=False)
+# a value fault before a type fault, and a type fault before a value fault
+@example(records=[{**VALID_RECORD, "count": -1}, {**VALID_RECORD, "count": "1"}], ruled=True)
+@example(records=[{**VALID_RECORD, "count": "1"}, {**VALID_RECORD, "count": -1}], ruled=True)
+def test_read_rows_equals_read_record_on_every_record(records, ruled):
+    rule = {"valid": no_negative_count, "fault": negative_count} if ruled else {}
+    with mock.patch.object(core, "read_record", wraps=core.read_record) as one_at_a_time:
+        try:
+            got = read_rows(records, SPEC, "record %d", **rule)
+        except SchemaError as exc:
+            got = str(exc)
+    expected = read_one_at_a_time(records, ruled)
+    assert got == expected
+    # the records are read one at a time exactly when the column checks
+    # refuse them: not every record is an object that holds every field
+    # with one of its types, or the value rule fails
+    whole = type(expected) is list and all(
         type(record) is dict and all(key in record for key, _ in SPEC.fields) for record in records
     )
-    assert read_records(records, SPEC) == (alone if whole else None)
+    assert one_at_a_time.called == (bool(records) and not whole)

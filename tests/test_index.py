@@ -23,6 +23,7 @@ themselves, which can differ from it only on a hash collision.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,6 +43,7 @@ from helpers import (
     match_location,
     match_snippet,
     raw,
+    same_defect,
     snapshot,
 )
 from sca_reco import alignment, matching
@@ -50,7 +52,6 @@ from sca_reco.alignment import (
     AlignmentResult,
     DiscardedPair,
     align_project,
-    identical,
 )
 from sca_reco.core import WarningLabel, sort_warnings, warning_sort_key
 from sca_reco.ingestion import load_snapshot
@@ -165,7 +166,7 @@ def reference_align(labeled, sca_order):
                 for candidate in pools[later]:
                     if candidate.origin in consumed:
                         continue
-                    if not all(identical((m, candidate), ignore_label=True) for m in members):
+                    if not all(same_defect(m, candidate) for m in members):
                         continue
                     distance = sum(abs(candidate.start_line - m.start_line) for m in members)
                     key = (distance, warning_sort_key(candidate))
@@ -353,7 +354,7 @@ def test_alignment_invariants(labeled, order):
         assert len({m.origin[0] for m in members}) == len(members)
         assert list(members) == sort_warnings(members)
         if len(members) > 1:
-            assert identical(members, ignore_label=True)
+            assert all(same_defect(a, b) for a, b in combinations(members, 2))
         labels = [m.label for m in members]
         assert len(set(labels)) == 1 or len(members) == 3
         assert group.resolved_label is voted(labels)
@@ -361,7 +362,7 @@ def test_alignment_invariants(labeled, order):
     for pair in result.discarded:
         a, b = pair.members
         assert a.origin[0] != b.origin[0] and a.label is not b.label
-        assert identical(pair.members, ignore_label=True)
+        assert same_defect(*pair.members)
         assert list(pair.members) == sort_warnings(pair.members)
         seen += pair.members
     judged = [w for warnings in labeled.values() for w in warnings]

@@ -7,9 +7,10 @@ import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -22,6 +23,7 @@ from helpers import (
     require_field,
     snapshot,
 )
+from sca_reco import core
 from sca_reco.core import RawWarning, Release, WarningLabel
 from sca_reco.exceptions import DataError, SchemaError, UnmappedType
 from sca_reco.ingestion import (
@@ -347,8 +349,14 @@ def test_sca_order_falls_back_to_report_names(tmp_path):
     corpus = tmp_path / "corpus"
     project = corpus / "p1"
     (project / "r1" / "reports").mkdir(parents=True)
+    (project / "releases.json").write_text("{}", encoding="utf-8")
     write_report(project / "r1" / "reports" / "beta.json", [], sca="beta")
     write_report(project / "r1" / "reports" / "alpha.json", [], sca="alpha")
+    assert load_sca_order(corpus) == ["alpha", "beta"]
+    # a directory without a releases.json is not a project, so its reports
+    # name no analyzer
+    (corpus / "notes" / "old" / "reports").mkdir(parents=True)
+    write_report(corpus / "notes" / "old" / "reports" / "zzz.json", [], sca="zzz")
     assert load_sca_order(corpus) == ["alpha", "beta"]
 
 
@@ -420,9 +428,9 @@ ENTRY_FAULTS = {"type": [""], "class": [""], "start_line": [0, 13]}
 
 @st.composite
 def report_entries(draw):
-    """One to twelve valid report entries, up to two of them then faulted."""
+    """Up to twelve valid report entries, up to two of them then faulted."""
     entries = []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(st.integers(0, 12))):
         values = {key: draw(st.sampled_from(choices)) for key, choices in ENTRY_CHOICES.items()}
         entries.append({**VALID_ENTRY, **values})
     return draw(faulted(entries, ENTRY_FAULTS))
@@ -437,6 +445,10 @@ def report_entries(draw):
     ),
     sca=st.sampled_from(["spotbugs"] * 9 + [""]),
 )
+# a value fault in entry 0 is named before a type fault in entry 1
+@example(entries=[{**VALID_ENTRY, "start_line": 0}, {**VALID_ENTRY, "end_line": "12"}], sca="spotbugs")
+@example(entries=[{**VALID_ENTRY, "type": ""}, {**VALID_ENTRY, "class": None}], sca="spotbugs")
+@example(entries=[], sca="")
 def test_report_fast_path_equals_checked_path(tmp_path, entries, sca):
     path = tmp_path / "spotbugs.json"
     write_report(path, entries, sca=sca)
@@ -449,9 +461,16 @@ def test_report_fast_path_equals_checked_path(tmp_path, entries, sca):
         assert str(exc.value).startswith(f"{path}: ")
         return
     expected = outcome(checked_report, path, sca, entries)
-    assert outcome(load_report, path, "p1", "r1") == expected
+    with mock.patch.object(core, "read_record", wraps=core.read_record) as one_at_a_time:
+        assert outcome(load_report, path, "p1", "r1") == expected
     if isinstance(expected, str):
         assert expected.startswith(f"{path}: warning ")
+    # entries that load, each an object with every field, are read a column
+    # at a time
+    whole = not isinstance(expected, str) and all(
+        type(entry) is dict and set(VALID_ENTRY) <= entry.keys() for entry in entries
+    )
+    assert one_at_a_time.called == (bool(entries) and not whole)
 
 
 @pytest.mark.parametrize(

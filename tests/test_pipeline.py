@@ -7,9 +7,10 @@ import json
 import re
 import shutil
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,7 +21,7 @@ from helpers import (
     optional_field,
     require_field,
 )
-from sca_reco import cli
+from sca_reco import cli, core
 from sca_reco.core import AlignedWarning, WarningLabel
 from sca_reco.effectiveness import ConfusionCounts, ProjectEvaluation, optimal_set, score_sca
 from sca_reco.exceptions import DataError, SchemaError
@@ -134,6 +135,11 @@ def test_label_records_round_trip(context, tmp_path):
     path = tmp_path / "labels.jsonl"
     write_labels(path, all_labels)
     assert read_labels(path, context.sca_order) == all_labels
+
+
+def test_a_label_record_of_no_rows_reads_as_no_warnings():
+    record = {"project": "p1", "warnings": []}
+    assert record_to_labels(record) == ProjectLabels("p1", {}, {})
 
 
 def test_evaluation_records_round_trip(context, tmp_path):
@@ -294,14 +300,16 @@ ROW_FAULTS = {
 @st.composite
 def written_rows(draw):
     """Up to twelve label rows as ``labels_to_record`` writes them, each
-    analyzer's rows together and each of its indexes once; up to two of
-    them are then faulted."""
+    analyzer's rows together and each of its indexes once, or those rows
+    with the analyzers interleaved; up to two of them are then faulted."""
     rows = []
-    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    counts = draw(st.lists(st.integers(1, 4), max_size=3))
     for sca, count in zip(("alpha", "beta", "gamma"), counts):
         for index in range(count):
             values = {key: draw(st.sampled_from(c)) for key, c in WRITTEN_ROW_CHOICES.items()}
             rows.append({**VALID_ROW, **values, "sca": sca, "index": index})
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
     return draw(faulted(rows, ROW_FAULTS))
 
 
@@ -309,17 +317,50 @@ def written_rows(draw):
     max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(rows=st.one_of(mutated_records(VALID_ROW, ROW_CHOICES), written_rows()))
+# a value fault in row 0 is named before a type fault in row 1
+@example(rows=[{**VALID_ROW, "start_line": 13}, {**VALID_ROW, "index": 1, "start_line": "10"}])
+@example(rows=[{**VALID_ROW, "label": "x"}, {**VALID_ROW, "index": 1, "label": None}])
+# interleaved analyzers, each of its rows in order
+@example(rows=[{**VALID_ROW, "sca": sca, "index": i} for i, sca in enumerate("abab")])
 def test_label_rows_equal_the_checked_path(tmp_path, rows):
     # every analyzer a row names is listed, so no record is refused for that
     listed = [row["sca"] for row in rows if type(row) is dict and type(row.get("sca")) is str]
     record = {"project": "p1", "warnings": rows}
-    got, want = stored_outcome(
-        lambda path: read_labels(path, listed),
-        tmp_path / "labels.jsonl",
-        record,
-        lambda: [checked_labels(rows)],
-    )
+    with mock.patch.object(core, "read_record", wraps=core.read_record) as one_at_a_time:
+        got, want = stored_outcome(
+            lambda path: read_labels(path, listed),
+            tmp_path / "labels.jsonl",
+            record,
+            lambda: [checked_labels(rows)],
+        )
     assert got == want
+    if want is not None:
+        # rows that read, each an object with every field, were read a
+        # column at a time, however their analyzers interleave
+        whole = type(want) is list and all(
+            type(row) is dict and set(VALID_ROW) <= row.keys() for row in rows
+        )
+        assert one_at_a_time.called == (bool(rows) and not whole)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ({"start_line": 13}, "warning line span 13..12 is invalid"),
+        ({"start_line": 0}, "warning line span 0..12 is invalid"),
+        ({"label": "x"}, "'x' is not a valid WarningLabel"),
+        ({"stage": "x"}, "'x' is not a valid MatchStage"),
+        ({"index": 0}, "analyzer 'alpha' index 0 repeats warning 0"),
+    ],
+)
+def test_label_rows_name_their_first_bad_row(fault, message):
+    # row 1 holds a value fault and row 2 a type fault: row 1 is named
+    rows = [{**VALID_ROW, "index": i} for i in range(4)]
+    rows[1].update(fault)
+    rows[2]["start_line"] = "10"
+    with pytest.raises(SchemaError) as exc:
+        record_to_labels({"project": "p1", "warnings": rows})
+    assert str(exc.value) == f"label record: warning 1: {message}"
 
 
 @settings(
