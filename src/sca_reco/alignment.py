@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .core import AlignedWarning, ScaId, WarningLabel, sort_warnings, warning_sort_key
+from .core import AlignedWarning, ScaId, WarningLabel
 
 OFFSET_LIMIT = 3
 
@@ -89,20 +89,27 @@ def align_project(
     lines hold every compatible candidate; the pick is by a total order, so
     the groups are the same as when scanning the whole pool.  The index
     holds each warning with its rank in its sorted pool, which orders as
-    ``warning_sort_key`` does, so the tie-break key is computed once per
-    warning.  The index lives for one call, that is for one project.
+    the warnings do, so the tie-break compares two integers.  The index
+    lives for one call, that is for one project.
+
+    Warnings sort as tuples, and a repeated origin would leave two of them
+    to be told apart by their labels, so one is refused.
     """
     if len(set(sca_order)) != len(sca_order):
         raise ValueError(f"analyzer order {list(sca_order)} repeats an analyzer")
     for sca, warnings in labeled.items():
+        origins = set()
         for w in warnings:
             if w.label is WarningLabel.UNKNOWN:
                 raise ValueError(f"unknown-labeled warning from {sca!r} cannot be aligned")
             if w.origin[0] != sca:
                 raise ValueError(f"warning origin {w.origin} filed under {sca!r}")
+            if w.origin in origins:
+                raise ValueError(f"warning origin {w.origin} filed twice under {sca!r}")
+            origins.add(w.origin)
 
     pools: dict[ScaId, list[AlignedWarning]] = {
-        sca: sort_warnings(labeled.get(sca, ())) for sca in sca_order
+        sca: sorted(labeled.get(sca, ())) for sca in sca_order
     }
     indexes = {sca: _index_by_line(pool) for sca, pool in pools.items()}
     consumed: set[tuple[ScaId, int]] = set()
@@ -137,11 +144,11 @@ def align_project(
                 continue
             resolved = _resolve_label(members)
             if resolved is None:
-                discarded.append(DiscardedPair(tuple(sort_warnings(members))))
+                discarded.append(DiscardedPair(tuple(sorted(members))))
             else:
-                groups.append(AlignedGroup(tuple(sort_warnings(members)), resolved))
-    groups.sort(key=lambda g: warning_sort_key(g.members[0]))
-    discarded.sort(key=lambda d: warning_sort_key(d.members[0]))
+                groups.append(AlignedGroup(tuple(sorted(members)), resolved))
+    groups.sort(key=lambda g: g.members[0])
+    discarded.sort(key=lambda d: d.members[0])
     return AlignmentResult(tuple(groups), tuple(discarded))
 
 

@@ -1,14 +1,15 @@
-"""Shared domain types and the canonical orderings every stage relies on.
+"""Shared domain types, whose warnings carry the canonical order every stage relies on.
 
 A "warning" exists in two forms: the raw record exactly as an analyzer
 reported it, and the canonical form in which the analyzer-native type has
 been replaced by a general defect category so warnings from different
 analyzers become comparable.  Both are named tuples: immutable, cheap to
-build, and equal exactly when their fields are, as tuples are.  Their
-constructors check nothing; the readers of outside data check each field
-through ``read_record``, or ``read_rows`` for a list (a report's entries, a
-stored label record's rows), and the label pass builds them only from
-checked ones.
+build, and equal exactly when their fields are, as tuples are.  The
+canonical order of warnings is ``AlignedWarning``'s field order, so
+warnings sort as plain tuples.  Their constructors check nothing; the
+readers of outside data check each field through ``read_record``, or
+``read_rows`` for a list (a report's entries, a stored label record's
+rows), and the label pass builds them only from checked ones.
 """
 
 from __future__ import annotations
@@ -192,31 +193,19 @@ class AlignedWarning(NamedTuple):
     """A warning in canonical form: general category plus location and label.
 
     ``origin`` is (analyzer id, index of the warning in its source report),
-    which keeps canonical warnings traceable back to the raw record.
+    which keeps canonical warnings traceable back to the raw record.  The
+    fields come in canonical order: class, start line, end line, category,
+    analyzer, index.  No two warnings of one pool share an origin, so
+    warnings sort as plain tuples in that order, which breaks every tie of
+    the label pass and of alignment, and ``label`` is never compared.
     """
 
-    new_type: str
     class_info: str
     start_line: int
     end_line: int
-    label: WarningLabel
+    new_type: str
     origin: tuple[ScaId, int]
-
-
-def warning_sort_key(warning: AlignedWarning):
-    """Key of the canonical total order used for every deterministic tie-break."""
-    return (
-        warning.class_info,
-        warning.start_line,
-        warning.end_line,
-        warning.new_type,
-        warning.origin[0],
-        warning.origin[1],
-    )
-
-
-def sort_warnings(warnings) -> list[AlignedWarning]:
-    return sorted(warnings, key=warning_sort_key)
+    label: WarningLabel
 
 
 @dataclass(frozen=True)

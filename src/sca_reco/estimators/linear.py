@@ -59,7 +59,9 @@ class LogisticRegression:
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, "W_")
         X = check_array(X)
-        return X @ self.W_.T + self.b_
+        # summed per row, so a row's logits do not depend on how many rows
+        # come with it, as a BLAS product's rounding may
+        return np.add.reduce(X[:, None, :] * self.W_, axis=2) + self.b_
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1).astype(np.int64)

@@ -74,8 +74,9 @@ class MLPClassifier:
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, "W1_")
         X = check_array(X)
-        hidden = np.maximum(X @ self.W1_ + self.b1_, 0.0)
-        return hidden @ self.W2_ + self.b2_
+        # summed per row, as ``LogisticRegression.decision_function`` does
+        hidden = np.maximum(np.add.reduce(X[:, None, :] * self.W1_.T, axis=2) + self.b1_, 0.0)
+        return np.add.reduce(hidden[:, None, :] * self.W2_.T, axis=2) + self.b2_
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1).astype(np.int64)

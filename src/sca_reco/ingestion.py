@@ -10,7 +10,8 @@ Corpus layout on disk::
 ``scas.txt`` fixes the corpus analyzer order used for iteration and
 tie-breaking; without it the order falls back to the sorted union of the
 report names of the projects (see ``list_projects``).  A report's entries
-are read through ``core.read_rows``.
+are read through ``core.read_rows``.  The category mapping is a plain dict
+from (analyzer id, analyzer-native type) to category id.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import itertools
 import logging
 import operator
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .core import (
     read_rows,
     read_text,
 )
-from .exceptions import DataError, SchemaError, UnmappedType
+from .exceptions import DataError, SchemaError
 
 log = logging.getLogger(__name__)
 
@@ -90,19 +90,6 @@ def load_report(path: str | Path, project_id: str, release_id: str) -> tuple[Sca
     return sca, named_tuples(RawWarning, map(tuple.__add__, itertools.repeat((sca,)), entries))
 
 
-@dataclass(frozen=True)
-class GdcMapping:
-    """Mapping from (analyzer id, analyzer-native type) to a category id."""
-
-    entries: dict[tuple[ScaId, str], str]
-
-    def lookup(self, sca: ScaId, original_type: str) -> str:
-        try:
-            return self.entries[(sca, original_type)]
-        except KeyError:
-            raise UnmappedType(f"no category mapping for ({sca!r}, {original_type!r})")
-
-
 def _tsv_rows(path: str | Path, header: tuple[str, str, str], key_cells: int):
     """Each row of the 3-column TSV file ``path`` after its ``header`` line,
     as ``path:line`` and the row's stripped cells; blank lines are skipped,
@@ -147,9 +134,10 @@ def load_taxonomy(path: str | Path) -> frozenset[str]:
     return ids
 
 
-def load_gdc_mapping(path: str | Path, category_ids: frozenset[str]) -> GdcMapping:
+def load_gdc_mapping(path: str | Path, category_ids: frozenset[str]) -> dict:
     """Load a mapping TSV (header ``sca<TAB>original_type<TAB>gdc_id``) onto
-    the categories ``category_ids``.
+    the categories ``category_ids``: a dict from (analyzer id, analyzer-native
+    type) to category id.
 
     A file with no rows is a valid empty mapping.  A repeated row is read
     once; the same key mapped to two categories, or to a category outside
@@ -160,7 +148,7 @@ def load_gdc_mapping(path: str | Path, category_ids: frozenset[str]) -> GdcMappi
         if gdc_id not in category_ids:
             raise DataError(f"{where}: unknown category {gdc_id!r}")
         entries[sca, original_type] = gdc_id
-    return GdcMapping(entries)
+    return entries
 
 
 def _split_lines(text: str) -> tuple[str, ...]:
@@ -251,7 +239,7 @@ def _parse_release_meta(meta: dict, where: str) -> tuple[str, dt.date]:
     return release_id, timestamp
 
 
-def unmapped_entry(root, snapshot: ProjectSnapshot, sca: ScaId, mapping: GdcMapping) -> str:
+def unmapped_entry(root, snapshot: ProjectSnapshot, sca: ScaId, mapping: dict) -> str:
     """``<report>: warning <i>`` of the first entry of ``sca``'s reports,
     older release first, whose type ``mapping`` lacks: the entry at which
     labeling ``sca`` stops with UnmappedType.  ``root`` is the corpus the
@@ -262,7 +250,7 @@ def unmapped_entry(root, snapshot: ProjectSnapshot, sca: ScaId, mapping: GdcMapp
         (snapshot.release_new, snapshot.reports_new),
     ):
         for i, raw in enumerate(reports[sca]):
-            if (sca, raw.original_type) not in mapping.entries:
+            if (sca, raw.original_type) not in mapping:
                 report = project_dir / release.release_id / "reports" / f"{sca}.json"
                 return f"{report}: warning {i}"
     raise ValueError(f"every {sca!r} entry of project {snapshot.project_id} is mapped")

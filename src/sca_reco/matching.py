@@ -27,20 +27,22 @@ are the unconsumed members of the buckets the old warning's keys look up.
 report's entries as ``_Site`` tuples, whose fields come in canonical order
 so that sites sort as plain tuples, runs each old site through the pool,
 and builds each old warning's ``AlignedWarning`` and ``AuditRecord`` once,
-with ``tuple.__new__``.  An old warning's snippet is cut only when some
-newer warning shares its category and class, since every snippet key
-carries both.  The pairwise predicates that restate each rule for one pair
+with ``tuple.__new__``.  The category mapping is a plain dict from
+(analyzer, native type) to category.  An old warning's snippet is cut only
+when some newer warning shares its category and class, since every snippet
+key carries both.  The pairwise predicates that restate each rule for one pair
 live with the tests, which check the indexed keys against them.
 
-``ReleasePair`` is the only cache.  It resolves class files, sorts each
-old file's mapped lines and tokenizes each file once per project, and all
-analyzers of the project share it.  A file's tokens are kept as one
-ASCII buffer of its tokens joined by 0x1F, the prefix sums of their
-lengths, and the per-line prefix token counts; ``hash_window`` finds a
+``ReleasePair`` is the only cache.  It holds the line mapping, resolves
+class files and tokenizes each file once per project, and all analyzers of
+the project share it.  A file's tokens are kept as one ASCII buffer of its
+tokens joined by 0x1F, the prefix sums of their lengths, and the per-line
+prefix token counts; ``hash_window`` finds a
 window's tokens from those counts, and its bytes are one slice of the
-buffer.  A diff-mapped start line is found by bisection over the file's
-sorted mapped old lines, so its cost does not grow with the start line a
-report gives.
+buffer.  The line mapping of a file is its unchanged old lines and their
+new lines, two increasing lists, and a diff-mapped start line is found by
+bisection over the old ones, so its cost does not grow with the start line
+a report gives.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ from .core import (
     ScaId,
     WarningLabel,
 )
-from .exceptions import SchemaError
-from .ingestion import GdcMapping
+from .exceptions import SchemaError, UnmappedType
 from .linediff import lcs_pairs
 
 LOCATION_OFFSET_LIMIT = 3
@@ -87,26 +88,16 @@ class MatchStage(Enum):
     HASH = "hash"
 
 
-@dataclass(frozen=True)
-class LineMapping:
-    """Old-to-new line map per file; lines absent from a map were deleted or
-    changed.  ``deleted_files`` holds old paths with no counterpart."""
-
-    files: dict[str, dict[int, int]]
-    deleted_files: frozenset[str]
-
-
-def compute_line_mapping(old: Release, new: Release) -> LineMapping:
-    """LCS-diff every shared file; map unchanged old lines to new lines."""
-    files: dict[str, dict[int, int]] = {}
-    deleted = set()
+def compute_line_mapping(old: Release, new: Release) -> dict[str, tuple[list[int], list[int]]]:
+    """LCS-diff every file the two releases share: per file, its unchanged
+    old lines and their new lines, 1-based and increasing.  A line absent
+    from both was deleted or changed."""
+    files = {}
     for path, old_lines in old.files.items():
-        if path not in new.files:
-            deleted.add(path)
-            continue
-        pairs = lcs_pairs(old_lines, new.files[path])
-        files[path] = {i + 1: j + 1 for i, j in pairs}
-    return LineMapping(files, frozenset(deleted))
+        if path in new.files:
+            pairs = lcs_pairs(old_lines, new.files[path])
+            files[path] = [i + 1 for i, _ in pairs], [j + 1 for _, j in pairs]
+    return files
 
 
 def _class_file_candidates(class_info: str) -> tuple[str, str]:
@@ -163,9 +154,9 @@ class _Site(NamedTuple):
     """A report entry's canonical fields before it has a label, and its
     method path: what the cascade reads of a warning, old or new.
     ``ReleasePair`` reads a site as it reads an ``AlignedWarning``.  The
-    fields up to ``origin`` are those of ``warning_sort_key`` in its order,
-    and no two sites of a report share an origin, so sites sort as tuples
-    in canonical order."""
+    fields up to ``origin`` are ``AlignedWarning``'s first five, and no two
+    sites of a report share an origin, so sites sort as tuples in canonical
+    order."""
 
     class_info: str
     start_line: int
@@ -180,11 +171,11 @@ class ReleasePair:
     """One project's two releases, their line mapping, and a memo over them.
 
     A project builds one pair and shares it across all its analyzers.  The
-    memo keeps each class-file resolution, each old file's sorted mapped
-    lines, and, per side, the token buffer, token-length prefix sums and
-    per-line token counts of each file a window is cut from.  It keeps no
-    token list, window, snippet or location target: each is a slice or a
-    bisection, cheaper to redo than to key.
+    memo keeps each class-file resolution and, per side, the token buffer,
+    token-length prefix sums and per-line token counts of each file a
+    window is cut from.  It keeps no token list, window, snippet or
+    location target: each is a slice or a bisection, cheaper to redo than
+    to key.
     What it keeps is a pure function of the two releases and their line
     mapping, never of a report, so sharing the memo cannot change any
     outcome.  ``which`` names a side, ``"old"`` or ``"new"``.  The memo
@@ -193,7 +184,7 @@ class ReleasePair:
 
     old: Release
     new: Release
-    mapping: LineMapping
+    mapping: dict[str, tuple[list[int], list[int]]]
     memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
@@ -215,12 +206,8 @@ class ReleasePair:
         A deleted or changed line falls back to the nearest surviving line
         above; a deleted file or an unresolved class has no target.
         """
-        key = ("mapped", self.resolve("old", warning.class_info))
-        if key not in self.memo:
-            file_map = self.mapping.files.get(key[1], {})
-            old_lines = sorted(file_map)
-            self.memo[key] = old_lines, [file_map[line] for line in old_lines]
-        old_lines, new_lines = self.memo[key]
+        path = self.resolve("old", warning.class_info)
+        old_lines, new_lines = self.mapping.get(path, ((), ()))
         below = bisect_right(old_lines, warning.start_line)
         return new_lines[below - 1] if below else None
 
@@ -379,26 +366,25 @@ class AuditRecord(NamedTuple):
     matched_origin: int | None
 
 
-def _sites(raws: Sequence[RawWarning], mapping: GdcMapping) -> list[_Site]:
-    """The sites of a report's entries, in canonical order.  An entry whose
-    type has no category raises ``GdcMapping.lookup``'s UnmappedType."""
-    entries, new = mapping.entries, tuple.__new__
+def _sites(raws: Sequence[RawWarning], mapping: dict[tuple[ScaId, str], str]) -> list[_Site]:
+    """The sites of a report's entries, in canonical order.  The first entry
+    whose (analyzer, type) ``mapping`` lacks raises UnmappedType."""
+    new = tuple.__new__
     try:
         sites = [
-            new(_Site, (class_path, start, end, entries[sca, original_type], (sca, i), method))
+            new(_Site, (class_path, start, end, mapping[sca, original_type], (sca, i), method))
             for i, (sca, original_type, class_path, method, start, end, _, _) in enumerate(raws)
         ]
-    except KeyError:
-        for raw in raws:
-            mapping.lookup(raw.sca, raw.original_type)
-        raise
+    except KeyError as exc:
+        raise UnmappedType(f"no category mapping for {exc.args[0]!r}") from exc
     sites.sort()
     return sites
 
 
 def _is_gone(warning: _Site, releases: ReleasePair) -> bool:
     """True when the warned code cannot be judged in the newer release."""
-    if releases.resolve("old", warning.class_info) in releases.mapping.deleted_files:
+    old_path = releases.resolve("old", warning.class_info)
+    if old_path is not None and old_path not in releases.new.files:
         return True
     return releases.resolve("new", warning.class_info) is None
 
@@ -406,7 +392,7 @@ def _is_gone(warning: _Site, releases: ReleasePair) -> bool:
 def label_release_detailed(
     snapshot: ProjectSnapshot,
     sca: ScaId,
-    mapping: GdcMapping,
+    mapping: dict[tuple[ScaId, str], str],
     releases: ReleasePair,
 ) -> tuple[list[AlignedWarning], list[AuditRecord]]:
     """Label one analyzer's old-release warnings, returning an audit trail.
@@ -430,7 +416,6 @@ def label_release_detailed(
     labeled: list[AlignedWarning] = []
     audit: list[AuditRecord] = []
     for site in old_sites:
-        class_info, start, end, new_type, origin, _ = site
         hit = take(site)
         if hit is None:
             label = WarningLabel.UNKNOWN if _is_gone(site, releases) else WarningLabel.ACTIONABLE
@@ -438,6 +423,6 @@ def label_release_detailed(
         else:
             label, matched = WarningLabel.UNACTIONABLE, pool.warnings[hit[0]]
             record = new(AuditRecord, (label, hit[1], matched.start_line, matched.origin[1]))
-        labeled.append(new(AlignedWarning, (new_type, class_info, start, end, label, origin)))
+        labeled.append(new(AlignedWarning, (*site[:5], label)))
         audit.append(record)
     return labeled, audit

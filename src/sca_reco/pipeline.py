@@ -38,7 +38,6 @@ from .core import (
 from .effectiveness import ProjectEvaluation, evaluate_project, optimal_set
 from .exceptions import DataError, SchemaError, UnmappedType
 from .ingestion import (
-    GdcMapping,
     default_taxonomy_path,
     list_projects,
     load_gdc_mapping,
@@ -57,7 +56,7 @@ class CorpusContext:
     """A corpus root plus the shared artifacts every project needs."""
 
     root: Path
-    mapping: GdcMapping
+    mapping: dict[tuple[ScaId, str], str]
     sca_order: tuple[ScaId, ...]
 
 
@@ -258,7 +257,7 @@ def record_to_labels(record: dict) -> ProjectLabels:
     scas, stages, labels, categories, classes, starts, ends, indexes, lines, origins = zip(*rows)
     labels = list(map(_LABELS.__getitem__, labels))
     warnings = named_tuples(
-        AlignedWarning, zip(categories, classes, starts, ends, labels, zip(scas, indexes))
+        AlignedWarning, zip(classes, starts, ends, categories, zip(scas, indexes), labels)
     )
     audits = named_tuples(AuditRecord, zip(labels, map(_STAGES.__getitem__, stages), lines, origins))
     # each analyzer's runs of rows joined, the analyzers in the order of their first rows

@@ -11,7 +11,9 @@ that check the label pass compare its hits against them.
 
 ``same_defect`` states the alignment module's pair rule from its stated
 terms, not through ``alignment``: the oracles of the grouping test the
-groups it builds against it.
+groups it builds against it.  ``canonical_key`` states the canonical order
+of warnings from README's words, not through the field order of
+``AlignedWarning``: the oracles sort by it.
 
 ``require_field`` and ``optional_field`` state the rule for one field of a
 JSON record, one call per field, not through ``core.read_record``'s record
@@ -51,7 +53,6 @@ from sca_reco.core import (
     WarningLabel,
 )
 from sca_reco.exceptions import SchemaError
-from sca_reco.ingestion import GdcMapping
 from sca_reco.matching import AuditRecord, ReleasePair, label_release_detailed
 from sca_reco.synth import CorpusTruth, ProjectTruth, SiteTruth
 
@@ -124,7 +125,7 @@ def snapshot(
     )
 
 
-def identity_mapping(pairs: dict[tuple[str, str], str] | None = None) -> GdcMapping:
+def identity_mapping(pairs: dict[tuple[str, str], str] | None = None) -> dict:
     """Mapping used by the hand-built snapshots.
 
     Defaults map each analyzer's native spelling onto the category ids the
@@ -137,11 +138,11 @@ def identity_mapping(pairs: dict[tuple[str, str], str] | None = None) -> GdcMapp
         ("beta", "LEAK"): "resource_leak",
     }
     entries.update(pairs or {})
-    return GdcMapping(entries)
+    return entries
 
 
 def label_snapshot(
-    snap: ProjectSnapshot, sca: str, mapping: GdcMapping
+    snap: ProjectSnapshot, sca: str, mapping: dict
 ) -> tuple[list[AlignedWarning], list[AuditRecord]]:
     """Label one analyzer's warnings with a ReleasePair of the snapshot's own."""
     releases = ReleasePair.diff(snap.release_old, snap.release_new)
@@ -149,11 +150,11 @@ def label_snapshot(
 
 
 def canonicalize(
-    raw: RawWarning, mapping: GdcMapping, origin_index: int, label: WarningLabel = UNKNOWN
+    raw: RawWarning, mapping: dict, origin_index: int, label: WarningLabel = UNKNOWN
 ) -> AlignedWarning:
     """A report entry in canonical form, with ``label`` as a placeholder."""
     return AlignedWarning(
-        new_type=mapping.lookup(raw.sca, raw.original_type),
+        new_type=mapping[raw.sca, raw.original_type],
         class_info=raw.class_path,
         start_line=raw.start_line,
         end_line=raw.end_line,
@@ -204,6 +205,12 @@ def match_hash(w_a: AlignedWarning, w_b: AlignedWarning, context: MatchContext) 
         return False
     window = context.releases.window_hash("old", w_a)
     return window is not None and window == context.releases.window_hash("new", w_b)
+
+
+def canonical_key(w: AlignedWarning) -> tuple:
+    """The canonical order of warnings, as README states it: class, start
+    line, end line, category, analyzer, index."""
+    return w.class_info, w.start_line, w.end_line, w.new_type, w.origin[0], w.origin[1]
 
 
 def same_defect(a: AlignedWarning, b: AlignedWarning) -> bool:

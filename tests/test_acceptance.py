@@ -24,6 +24,7 @@ from helpers import (
     U,
     MatchContext,
     aw,
+    canonical_key,
     canonicalize,
     identity_mapping,
     match_hash,
@@ -36,7 +37,7 @@ from helpers import (
 
 from sca_reco import cli
 from sca_reco.alignment import align_project
-from sca_reco.core import WarningLabel, warning_sort_key
+from sca_reco.core import WarningLabel
 from sca_reco.effectiveness import (
     ConfusionCounts,
     f_beta,
@@ -333,7 +334,7 @@ def test_criterion_03_labeling_matches_optimal_assignment(tmp_path):
             pair = pair_context(snap, "alpha", releases)
             taken = [a.matched_origin for a in audit if a.matched_origin is not None]
             assert len(taken) == len(set(taken))  # one-to-one
-            keys = [warning_sort_key(w) for w in labeled]
+            keys = [canonical_key(w) for w in labeled]
             assert keys == sorted(keys)  # canonical output order
             for warning, entry in zip(labeled, audit):
                 if entry.stage is None:

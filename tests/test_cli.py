@@ -1310,6 +1310,29 @@ def test_row_order_of_the_inputs_changes_no_output(workspace, sorted_flow_output
     assert outputs == sorted_flow_outputs(model)
 
 
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_order_of_the_stored_labels_changes_no_evaluation(workspace, data):
+    # the rows of test_row_order_of_the_inputs_changes_no_output's case, for
+    # evaluate --labels: lines of labels.jsonl, and the rows within each line
+    lines = workspace["labels"].read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in data.draw(st.permutations(lines), label="lines")]
+    for record in records:
+        record["warnings"] = data.draw(st.permutations(record["warnings"]), label="rows")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        labels = root / "labels.jsonl"
+        labels.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        argv = ["evaluate", "--corpus", str(workspace["corpus"]), "--labels", str(labels)]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv + ["--out-dir", str(root / "eval")]) == 0
+        written = {p.name: p.read_bytes() for p in (root / "eval").iterdir()}
+    stored = workspace["evaluations"].parent
+    assert written == {
+        name: (stored / name).read_bytes() for name in ("evaluations.jsonl", "optimal_sets.tsv")
+    }
+
+
 def test_labels_of_an_unlisted_analyzer_exit_2(workspace, tmp_path, capsys):
     lines = workspace["labels"].read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[2])
@@ -1713,14 +1736,18 @@ def test_unmapped_type_names_the_report_and_entry(one_project, release):
     corpus = one_project[0]
     report = sorted(corpus.glob(f"*/{release}/reports/*.json"))[0]
     text = report.read_text(encoding="utf-8")
-    document = json.loads(text)
-    document["warnings"][1]["type"] = "NO_SUCH_TYPE"
-    report.write_text(json.dumps(document), encoding="utf-8")
-    try:
-        with contextlib.redirect_stderr(io.StringIO()) as err:
-            out = corpus.parent / "labels.jsonl"
-            rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
-    finally:
-        report.write_text(text, encoding="utf-8")
-    assert rc == 2
-    assert f"{report}: warning 1: no category mapping for " in err.getvalue()
+    # the message quotes the analyzer and type as Python's repr does, a
+    # type holding a quote in double quotes
+    for original_type, quoted in (("NO_SUCH_TYPE", "'NO_SUCH_TYPE'"), ("O'Brien", '"O\'Brien"')):
+        document = json.loads(text)
+        document["warnings"][1]["type"] = original_type
+        report.write_text(json.dumps(document), encoding="utf-8")
+        try:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                out = corpus.parent / "labels.jsonl"
+                rc = cli.main(["label", "--corpus", str(corpus), "--out", str(out)])
+        finally:
+            report.write_text(text, encoding="utf-8")
+        assert rc == 2
+        message = f"{report}: warning 1: no category mapping for ('{document['sca']}', {quoted})"
+        assert f"{message}\n" in err.getvalue()

@@ -1,4 +1,7 @@
-"""Domain types, the taxonomy loader, and canonical ordering."""
+"""Domain types, the taxonomy loader, and canonical ordering.
+
+The canonical order is checked against ``helpers.canonical_key``, written
+from README's words, not taken from the field order it checks."""
 
 from __future__ import annotations
 
@@ -10,8 +13,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import aw, mutated_entries
+from helpers import A, U, aw, canonical_key, mutated_entries
 from sca_reco import core
+from sca_reco.alignment import align_project
 from sca_reco.core import (
     RecordSpec,
     decode_json,
@@ -19,9 +23,7 @@ from sca_reco.core import (
     parse_beta,
     read_record,
     read_rows,
-    sort_warnings,
     validate_beta,
-    warning_sort_key,
 )
 from sca_reco.exceptions import ConfigError, DataError, SchemaError
 from sca_reco.ingestion import default_taxonomy_path, load_taxonomy
@@ -73,9 +75,9 @@ def test_canonical_order_class_then_lines():
     first = aw(class_info="a.A", start=5, end=5)
     second = aw(class_info="a.A", start=5, end=7)
     third = aw(class_info="a.B", start=1, end=1)
-    assert warning_sort_key(first) < warning_sort_key(second) < warning_sort_key(third)
-    assert warning_sort_key(third) > warning_sort_key(first)
-    assert warning_sort_key(first) == warning_sort_key(aw(class_info="a.A", start=5, end=5))
+    assert first < second < third
+    assert third > first
+    assert first == aw(class_info="a.A", start=5, end=5)
 
 
 def test_sort_warnings_is_total_and_stable():
@@ -84,9 +86,38 @@ def test_sort_warnings_is_total_and_stable():
         aw(class_info="a.A", start=9, sca="alpha", index=0),
         aw(class_info="a.A", start=9, sca="alpha", index=2),
     ]
-    ordered = sort_warnings(warnings)
+    ordered = sorted(warnings)
     assert [w.class_info for w in ordered] == ["a.A", "a.A", "b.B"]
     assert ordered[0].origin[1] < ordered[1].origin[1]
+
+
+# warnings crowding two classes, two categories and a few lines, so every
+# field of the canonical key breaks some tie
+_CROWDED = st.builds(
+    lambda cls, start, span, kind, sca, index, label: aw(
+        new_type=kind, class_info=cls, start=start, end=start + span, label=label,
+        sca=sca, index=index,
+    ),
+    st.sampled_from(("a.B", "a.A")), st.integers(1, 3), st.integers(0, 2),
+    st.sampled_from(("resource_leak", "null_dereference")), st.sampled_from(("beta", "alpha")),
+    st.integers(0, 3), st.sampled_from((A, U)),
+)
+
+
+@given(st.lists(_CROWDED, unique_by=lambda w: w.origin, max_size=12), st.data())
+def test_warnings_of_distinct_origins_sort_as_tuples_in_canonical_order(warnings, data):
+    assert sorted(warnings) == sorted(warnings, key=canonical_key)
+    if not warnings:
+        return
+    # a repeated origin would leave a tie to the labels, so alignment refuses it
+    twin = data.draw(st.sampled_from(warnings), label="repeated")
+    twin = twin._replace(label=U if twin.label is A else A)
+    labeled = {
+        sca: [w for w in warnings + [twin] if w.origin[0] == sca] for sca in ("alpha", "beta")
+    }
+    message = rf"^warning origin \('{twin.origin[0]}', {twin.origin[1]}\) filed twice under "
+    with pytest.raises(ValueError, match=message):
+        align_project(labeled, ("alpha", "beta"))
 
 
 def test_validate_beta():

@@ -35,6 +35,7 @@ from helpers import (
     U,
     UNKNOWN,
     MatchContext,
+    canonical_key,
     canonicalize,
     identity_mapping,
     label_snapshot,
@@ -53,7 +54,7 @@ from sca_reco.alignment import (
     DiscardedPair,
     align_project,
 )
-from sca_reco.core import WarningLabel, sort_warnings, warning_sort_key
+from sca_reco.core import WarningLabel
 from sca_reco.ingestion import load_snapshot
 from sca_reco.matching import (
     AuditRecord,
@@ -78,13 +79,15 @@ def reference_label(snap, sca, mapping):
     old_canon = [canonicalize(r, mapping, i) for i, r in enumerate(raws_old)]
     available = [canonicalize(r, mapping, i) for i, r in enumerate(raws_new)]
     labeled, audit = [], []
-    for warning in sort_warnings(old_canon):
+    # old files the newer release lacks
+    deleted = set(snap.release_old.files) - set(snap.release_new.files)
+    for warning in sorted(old_canon, key=canonical_key):
         matched, stage = reference_match(warning, available, context)
         if matched is not None:
             available.remove(matched)
             label = U
         elif (
-            releases.resolve("old", warning.class_info) in releases.mapping.deleted_files
+            releases.resolve("old", warning.class_info) in deleted
             or releases.resolve("new", warning.class_info) is None
         ):
             label = UNKNOWN
@@ -115,7 +118,7 @@ def reference_match(w_a, candidates, context):
     )
     for stage, predicate, anchor in stages:
         hits = [
-            (abs(anchor - c.start_line), warning_sort_key(c), c)
+            (abs(anchor - c.start_line), canonical_key(c), c)
             for c in candidates
             if predicate(w_a, c, context)
         ]
@@ -152,7 +155,7 @@ class FnvReleasePair(ReleasePair):
 
 def reference_align(labeled, sca_order):
     """The greedy alignment as a full scan of every later analyzer's pool."""
-    pools = {sca: sort_warnings(labeled.get(sca, ())) for sca in sca_order}
+    pools = {sca: sorted(labeled.get(sca, ()), key=canonical_key) for sca in sca_order}
     consumed = set()
     raw_groups = []
     for i, sca in enumerate(sca_order):
@@ -169,7 +172,7 @@ def reference_align(labeled, sca_order):
                     if not all(same_defect(m, candidate) for m in members):
                         continue
                     distance = sum(abs(candidate.start_line - m.start_line) for m in members)
-                    key = (distance, warning_sort_key(candidate))
+                    key = (distance, canonical_key(candidate))
                     if best_key is None or key < best_key:
                         best, best_key = candidate, key
                 if best is not None:
@@ -179,15 +182,15 @@ def reference_align(labeled, sca_order):
     groups, discarded = [], []
     for members in raw_groups:
         labels = [m.label for m in members]
-        members = tuple(sort_warnings(members))
+        members = tuple(sorted(members, key=canonical_key))
         if len(set(labels)) == 1:
             groups.append(AlignedGroup(members, labels[0]))
         elif len(labels) == 2:
             discarded.append(DiscardedPair(members))
         else:
             groups.append(AlignedGroup(members, max(set(labels), key=labels.count)))
-    groups.sort(key=lambda g: warning_sort_key(g.members[0]))
-    discarded.sort(key=lambda d: warning_sort_key(d.members[0]))
+    groups.sort(key=lambda g: canonical_key(g.members[0]))
+    discarded.sort(key=lambda d: canonical_key(d.members[0]))
     return AlignmentResult(tuple(groups), tuple(discarded))
 
 
@@ -352,7 +355,7 @@ def test_alignment_invariants(labeled, order):
         members = group.members
         assert 1 <= len(members) <= 3
         assert len({m.origin[0] for m in members}) == len(members)
-        assert list(members) == sort_warnings(members)
+        assert list(members) == sorted(members, key=canonical_key)
         if len(members) > 1:
             assert all(same_defect(a, b) for a, b in combinations(members, 2))
         labels = [m.label for m in members]
@@ -363,7 +366,7 @@ def test_alignment_invariants(labeled, order):
         a, b = pair.members
         assert a.origin[0] != b.origin[0] and a.label is not b.label
         assert same_defect(*pair.members)
-        assert list(pair.members) == sort_warnings(pair.members)
+        assert list(pair.members) == sorted(pair.members, key=canonical_key)
         seen += pair.members
     judged = [w for warnings in labeled.values() for w in warnings]
     assert Counter(w.origin for w in seen) == Counter(w.origin for w in judged)

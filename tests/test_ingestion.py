@@ -29,7 +29,6 @@ from sca_reco.exceptions import DataError, SchemaError, UnmappedType
 from sca_reco.ingestion import (
     GDC_MAP_HEADER,
     TAXONOMY_HEADER,
-    GdcMapping,
     _split_lines,
     default_taxonomy_path,
     list_projects,
@@ -127,15 +126,16 @@ def test_mapping_shared_category(tmp_path, taxonomy):
         "sonarqube\tCODE_SMELL\tperformance_smell\n",
         encoding="utf-8",
     )
-    mapping = load_gdc_mapping(path, taxonomy)
-    assert mapping.lookup("spotbugs", "DM_BOXED_PRIMITIVE_FOR_PARSING") == "performance_smell"
-    assert mapping.lookup("sonarqube", "CODE_SMELL") == "performance_smell"
+    assert load_gdc_mapping(path, taxonomy) == {
+        ("spotbugs", "DM_BOXED_PRIMITIVE_FOR_PARSING"): "performance_smell",
+        ("sonarqube", "CODE_SMELL"): "performance_smell",
+    }
 
 
 def test_mapping_empty_file(tmp_path, taxonomy):
     path = tmp_path / "map.tsv"
     path.write_text("", encoding="utf-8")
-    assert load_gdc_mapping(path, taxonomy).entries == {}
+    assert load_gdc_mapping(path, taxonomy) == {}
 
 
 def test_mapping_conflicting_rows(tmp_path, taxonomy):
@@ -156,8 +156,7 @@ def test_mapping_repeated_identical_rows_ok(tmp_path, taxonomy):
         "sca\toriginal_type\tgdc_id\nspotbugs\tX\tdead_code\nspotbugs\tX\tdead_code\n",
         encoding="utf-8",
     )
-    mapping = load_gdc_mapping(path, taxonomy)
-    assert mapping.lookup("spotbugs", "X") == "dead_code"
+    assert load_gdc_mapping(path, taxonomy) == {("spotbugs", "X"): "dead_code"}
 
 
 def test_mapping_unknown_category(tmp_path, taxonomy):
@@ -217,7 +216,7 @@ def test_a_whole_row_repeated_is_read_once(tmp_path):
 def test_canonicalize_drops_method_and_severity():
     # the label pass gives each report entry its canonical form: mapped
     # category, class, lines and origin, and no method or severity
-    mapping = GdcMapping({("alpha", "NULL_DEREF"): "null_dereference"})
+    mapping = {("alpha", "NULL_DEREF"): "null_dereference"}
     entries = [raw(start=200 + k) for k in range(4)] + [raw(method="of", start=139, end=139)]
     snap = snapshot({}, {}, {"alpha": entries}, {"alpha": []})
     warning = label_snapshot(snap, "alpha", mapping)[0][0]
@@ -233,8 +232,8 @@ def test_canonicalize_drops_method_and_severity():
 def test_canonicalize_unmapped_type():
     snap = snapshot({}, {}, {"alpha": [raw()]}, {"alpha": []})
     with pytest.raises(UnmappedType) as exc:
-        label_snapshot(snap, "alpha", GdcMapping({}))
-    assert "alpha" in str(exc.value) and "NULL_DEREF" in str(exc.value)
+        label_snapshot(snap, "alpha", {})
+    assert str(exc.value) == "no category mapping for ('alpha', 'NULL_DEREF')"
 
 
 def test_source_tree_crlf_equivalence(tmp_path):

@@ -61,9 +61,8 @@ WARNED_LINE = 3 + 30 + 1  # package, blank, class decl, 30 filler lines
 def test_identity_release_maps_every_line():
     files = {"com/example/Foo.java": class_file("Foo", ["    int x;"])}
     mapping = compute_line_mapping(release(files), release(files, old=False))
-    n = len(files["com/example/Foo.java"])
-    assert mapping.files["com/example/Foo.java"] == {k: k for k in range(1, n + 1)}
-    assert mapping.deleted_files == frozenset()
+    lines = list(range(1, len(files["com/example/Foo.java"]) + 1))
+    assert mapping == {"com/example/Foo.java": (lines, lines)}
 
 
 def test_insertion_shifts_mapping():
@@ -72,7 +71,7 @@ def test_insertion_shifts_mapping():
     mapping = compute_line_mapping(
         release({"F.java": old_lines}), release({"F.java": new_lines}, old=False)
     )
-    assert mapping.files["F.java"] == {k: k + 2 for k in range(1, 11)}
+    assert mapping["F.java"] == (list(range(1, 11)), list(range(3, 13)))
 
 
 def test_removed_file_recorded_as_deleted():
@@ -80,7 +79,7 @@ def test_removed_file_recorded_as_deleted():
         release({"A.java": ["x"], "B.java": ["y"]}),
         release({"A.java": ["x"]}, old=False),
     )
-    assert mapping.deleted_files == frozenset({"B.java"})
+    assert mapping == {"A.java": ([1], [1])}  # no lines of the removed B.java
 
 
 def test_changed_line_absent_from_mapping():
@@ -88,7 +87,7 @@ def test_changed_line_absent_from_mapping():
         release({"F.java": ["a", "b", "c"]}),
         release({"F.java": ["a", "edited", "c"]}, old=False),
     )
-    assert mapping.files["F.java"] == {1: 1, 3: 3}
+    assert mapping["F.java"] == ([1, 3], [1, 3])
 
 
 # class-file resolution
@@ -197,7 +196,8 @@ def walk_target(file_map: dict[int, int], start_line: int) -> int | None:
 def test_location_target_equals_the_line_walk(old, new, start, class_info, deleted):
     new_files = {} if deleted else {"com/example/Foo.java": new}
     releases = make_context({"com/example/Foo.java": old}, new_files).releases
-    file_map = releases.mapping.files.get("com/example/Foo.java", {}) if class_info == FOO else {}
+    old_lines, new_lines = releases.mapping.get("com/example/Foo.java", ([], []))
+    file_map = dict(zip(old_lines, new_lines)) if class_info == FOO else {}
     warning = aw(class_info=class_info, start=start)
     assert releases.location_target(warning) == walk_target(file_map, start)
 
@@ -455,10 +455,13 @@ def test_label_fixed_warning_actionable():
 
 
 def test_label_deleted_file_unknown():
-    old_files = {"com/example/Foo.java": class_file("Foo", ["    int v;"])}
-    snap = snapshot(old_files, {"Other.java": ["x"]}, {"alpha": [raw(start=4)]}, {"alpha": []})
-    labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
-    assert [w.label for w in labeled] == [UNKNOWN]
+    foo = class_file("Foo", ["    int v;"])
+    old_files = {"com/example/Foo.java": foo}
+    # the class is gone, or still resolves but from another file
+    for new_files in ({"Other.java": ["x"]}, {"src/com/example/Foo.java": foo}):
+        snap = snapshot(old_files, new_files, {"alpha": [raw(start=4)]}, {"alpha": []})
+        labeled = label_snapshot(snap, "alpha", identity_mapping())[0]
+        assert [w.label for w in labeled] == [UNKNOWN]
 
 
 def test_label_unresolvable_class_unknown():

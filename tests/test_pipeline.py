@@ -84,7 +84,7 @@ def test_explicit_paths_win(corpus, tmp_path):
         encoding="utf-8",
     )
     context = load_corpus_context(corpus, taxonomy_path=taxonomy, mapping_path=mapping)
-    assert dict(context.mapping.entries) == {
+    assert context.mapping == {
         ("hawkeye", "HAWKEYE-null_dereference"): "null_dereference"
     }
     # the corpus's own mapping names categories the tiny taxonomy lacks
@@ -227,7 +227,10 @@ def checked_labels(rows) -> ProjectLabels:
         except ValueError as exc:
             raise SchemaError(f"{at}: {exc}") from exc
         check_label_span(at, start, end)
-        warning = AlignedWarning(category, class_info, start, end, label, (sca, index))
+        warning = AlignedWarning(
+            class_info=class_info, start_line=start, end_line=end, new_type=category,
+            origin=(sca, index), label=label,
+        )
         if (sca, index) in seen:
             raise SchemaError(f"{at}: analyzer {sca!r} index {index} repeats warning {seen[sca, index]}")
         seen[sca, index] = i
@@ -467,7 +470,10 @@ def project_labels(draw) -> ProjectLabels:
             )
         )
         by_sca[sca] = tuple(
-            AlignedWarning(category, class_info, start, end, label, (sca, index))
+            AlignedWarning(
+                class_info=class_info, start_line=start, end_line=end, new_type=category,
+                origin=(sca, index), label=label,
+            )
             for category, class_info, start, end, label, index, *_ in rows
         )
         if draw(st.integers(0, 4)):

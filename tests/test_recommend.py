@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sca_reco.effectiveness import (
@@ -156,12 +156,17 @@ def probe_tables(draw):
 
 TABLE_MODELS = {
     kind: train(two_class_dataset(), kind, seed=5, hyperparams=FAST_HP[kind])
-    for kind in (ModelKind.DT, ModelKind.LR, ModelKind.RF)
+    for kind in (ModelKind.DT, ModelKind.LR, ModelKind.MLP, ModelKind.RF)
 }
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.sampled_from(sorted(TABLE_MODELS, key=lambda kind: kind.value)), probe_tables())
+# a matrix product of 6 rows rounded this last row's lr logits unlike one of 1 row
+@example(
+    ModelKind.LR,
+    table(("f2", "f3", "f0", "x0", "x1", "f1"), [[0.0] * 6] * 5 + [[0.0, 0.0, -0.7, 0.0, 0.0, 7.2]]),
+)
 def test_predicting_a_table_equals_predicting_each_row_alone(kind, probes):
     model = TABLE_MODELS[kind]
     alone = [
