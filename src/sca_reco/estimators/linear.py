@@ -22,6 +22,20 @@ import numpy as np
 
 from .base import check_array, check_count, check_is_fitted, check_real, check_X_y, state_array
 
+# the products ``row_sums`` holds at once, 8 MiB of float64
+BLOCK_PRODUCTS = 1 << 20
+
+
+def row_sums(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """``X @ W.T`` summed a row's products at a time, so that, unlike a BLAS
+    product, a row's result does not depend on the rows that come with it;
+    rows go in blocks of at most ``BLOCK_PRODUCTS`` products, or of one."""
+    out = np.empty((len(X), len(W)))
+    step = max(1, BLOCK_PRODUCTS // max(1, W.size))
+    for start in range(0, len(X), step):
+        out[start : start + step] = np.add.reduce(X[start : start + step, None, :] * W, axis=2)
+    return out
+
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
@@ -58,10 +72,7 @@ class LogisticRegression:
 
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, "W_")
-        X = check_array(X)
-        # summed per row, so a row's logits do not depend on how many rows
-        # come with it, as a BLAS product's rounding may
-        return np.add.reduce(X[:, None, :] * self.W_, axis=2) + self.b_
+        return row_sums(check_array(X), self.W_) + self.b_
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1).astype(np.int64)

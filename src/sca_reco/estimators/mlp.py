@@ -6,7 +6,7 @@ import numpy as np
 
 from ..rng import derive_seed
 from .base import check_array, check_count, check_is_fitted, check_real, check_X_y, state_array
-from .linear import softmax
+from .linear import row_sums, softmax
 
 
 class MLPClassifier:
@@ -73,10 +73,8 @@ class MLPClassifier:
 
     def decision_function(self, X) -> np.ndarray:
         check_is_fitted(self, "W1_")
-        X = check_array(X)
-        # summed per row, as ``LogisticRegression.decision_function`` does
-        hidden = np.maximum(np.add.reduce(X[:, None, :] * self.W1_.T, axis=2) + self.b1_, 0.0)
-        return np.add.reduce(hidden[:, None, :] * self.W2_.T, axis=2) + self.b2_
+        hidden = np.maximum(row_sums(check_array(X), self.W1_.T) + self.b1_, 0.0)
+        return row_sums(hidden, self.W2_.T) + self.b2_
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1).astype(np.int64)

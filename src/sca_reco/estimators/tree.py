@@ -73,10 +73,6 @@ from .base import check_array, check_count, check_is_fitted, check_X_y
 # permutations each tree draws ahead at a time
 PERMUTATION_BLOCK = 8
 
-# nodes per tree that growth makes room for at first; it doubles the room
-# when a tree needs more
-INITIAL_CAPACITY = 16
-
 # a saved tree's fitted state
 TREE_STATE = RecordSpec(("n_classes", int), ("n_features", int), ("tree", dict))
 
@@ -118,13 +114,11 @@ class Nodes(NamedTuple):
         )
 
     @classmethod
-    def stack(cls, parts: list["Nodes"], capacity: int | None = None, types=TYPES) -> "Nodes":
-        """The trees of ``parts`` in order, as one set of arrays of ``types``
-        with room for ``capacity`` nodes a tree, by default for the largest
-        tree."""
-        if capacity is None:
-            capacity = max(int(part.count.max()) for part in parts)
-        stacked = cls.leaves_only(sum(len(part.count) for part in parts), capacity, types)
+    def stack(cls, parts: list["Nodes"]) -> "Nodes":
+        """The trees of ``parts`` in order, as one set of int64 and float64
+        arrays with room for the largest tree's nodes."""
+        capacity = max(int(part.count.max()) for part in parts)
+        stacked = cls.leaves_only(sum(len(part.count) for part in parts), capacity)
         start = 0
         for part in parts:
             rows, width = len(part.count), min(part.feature.shape[1], capacity)
@@ -391,10 +385,13 @@ def _grow_lockstep(X, y, rows, n_samples, k, permutations, budget, max_depth, mi
     X = X.reshape(-1, d)
     importances = np.zeros((n_trees, d))
     # n_rows rows split at most n_rows - 1 times, into at most 2 * n_rows - 1
-    # nodes; each array takes the smallest type that holds its values
+    # nodes (fewer below max_depth); each array takes the smallest type that
+    # holds its values
+    depth = n_rows if max_depth is None else min(max_depth, n_rows)
+    capacity = min(2 * n_rows, 2 ** (depth + 1)) - 1
     node_id, row_count = np.min_scalar_type(2 * n_rows - 2), np.min_scalar_type(n_rows)
     types = (np.min_scalar_type(-d), node_id, np.min_scalar_type(k - 1))
-    nodes = Nodes.leaves_only(n_trees, min(INITIAL_CAPACITY, 2 * n_rows - 1), types)
+    nodes = Nodes.leaves_only(n_trees, capacity, types)
     node_depth = np.zeros_like(nodes.left)
     # a padding position holds 2 * n_rows - 1, an id no node takes (the
     # type holds it, as its largest value is odd), so it is never a member
@@ -476,9 +473,6 @@ def _grow_lockstep(X, y, rows, n_samples, k, permutations, budget, max_depth, mi
             importances[trees, feature] += (sizes / n_samples[trees]) * gain
             left = nodes.count[trees]
             right = left + 1
-            if right.max() >= nodes.feature.shape[1]:
-                nodes = Nodes.stack([nodes], 2 * nodes.feature.shape[1], types)
-                node_depth = np.concatenate([node_depth, np.zeros_like(node_depth)], axis=1)
             nodes.count[trees] += 2
             nodes.feature[trees, ids] = feature
             nodes.threshold[trees, ids] = threshold

@@ -94,18 +94,19 @@ def parse_model_kind(token: str) -> ModelKind:
         raise ConfigError(f"unknown model kind {token!r}")
 
 
-def resolve_hyperparams(kind: ModelKind, overrides: dict | None = None) -> dict:
+def resolve_hyperparams(kind: ModelKind, overrides: dict) -> dict:
+    """The kind's defaults with a model file's ``overrides`` in their place."""
     params = dict(DEFAULT_HYPERPARAMS[kind])
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key not in params:
             raise ConfigError(f"{kind.value} has no hyperparameter {key!r}")
         params[key] = value
     return params
 
 
-def build_estimator(kind: ModelKind, hyperparams: dict | None, seed: int):
-    """Instantiate the estimator behind a model kind."""
-    hp = resolve_hyperparams(kind, hyperparams)
+def build_estimator(kind: ModelKind, hyperparams: dict, seed: int):
+    """The estimator behind a model kind, built from all its hyperparameters."""
+    hp = dict(hyperparams)
     if hp.pop("criterion", "gini") != "gini":
         raise ConfigError("only the gini criterion is implemented")
     if hp.pop("metric", "euclidean") != "euclidean":
@@ -194,7 +195,7 @@ class RecommendationModel:
         try:
             kind = parse_model_kind(kind)
             scaler = StandardScaler().load_fitted_state(standardization)
-            estimator = build_estimator(kind, hyperparams, seed)
+            estimator = build_estimator(kind, resolve_hyperparams(kind, hyperparams), seed)
             estimator.load_fitted_state(state)
         except KeyError as exc:
             raise SchemaError(f"{path}: malformed model file: missing field {exc}") from exc
@@ -240,23 +241,17 @@ def check_trainable(dataset: PreferenceDataset) -> None:
         raise DataError("training labels collapse to a single analyzer")
 
 
-def train(
-    dataset: PreferenceDataset,
-    kind: ModelKind,
-    seed: int = 0,
-    hyperparams: dict | None = None,
-) -> RecommendationModel:
+def train(dataset: PreferenceDataset, kind: ModelKind, seed: int = 0) -> RecommendationModel:
     """Fit a recommender on the whole dataset (primary labels)."""
-    return next(train_batch([(dataset, seed)], kind, hyperparams))
+    return next(train_batch([(dataset, seed)], kind))
 
 
 def train_batch(
-    training_sets: Sequence[tuple[PreferenceDataset, int]],
-    kind: ModelKind,
-    hyperparams: dict | None = None,
+    training_sets: Sequence[tuple[PreferenceDataset, int]], kind: ModelKind
 ) -> Iterator[RecommendationModel]:
     """Fit one recommender per (dataset, seed) with the kind's batch fit,
-    and yield them in order.
+    and yield them in order.  Every model is built from, and records, the
+    kind's ``DEFAULT_HYPERPARAMS`` as they stand when the first is reached.
 
     Every dataset is checked, standardized and label-encoded on its own
     before anything is fitted, so each model equals the one ``train`` fits
@@ -274,6 +269,7 @@ def train_batch(
         prepared.append((table, seed, scaler, classes, scaler.transform(table.matrix), y))
     tables, seeds, scalers, class_lists, Xs, ys = zip(*prepared)
     _, _, fit_batch = ESTIMATORS[kind]
+    hyperparams = dict(DEFAULT_HYPERPARAMS[kind])
     fitted = fit_batch(
         (build_estimator(kind, hyperparams, seed) for seed in seeds),
         Xs,
@@ -285,7 +281,7 @@ def train_batch(
     ):
         yield RecommendationModel(
             kind=kind,
-            hyperparams=resolve_hyperparams(kind, hyperparams),
+            hyperparams=dict(hyperparams),
             feature_names=table.feature_names,
             scaler=scaler,
             classes=classes,
@@ -340,7 +336,6 @@ def cross_validate(
     kind: ModelKind,
     folds: int = 10,
     seed: int = 0,
-    hyperparams: dict | None = None,
 ) -> CvResult:
     """Stratified k-fold cross-validation; the summary is the fold mean.
 
@@ -349,7 +344,7 @@ def cross_validate(
     or a single primary label raises a DataError naming the fold before
     any model is fitted.
     """
-    return cross_validate_batch([dataset], kind, folds, seed, hyperparams)[0]
+    return cross_validate_batch([dataset], kind, folds, seed)[0]
 
 
 def cross_validate_batch(
@@ -357,12 +352,11 @@ def cross_validate_batch(
     kind: ModelKind,
     folds: int = 10,
     seed: int = 0,
-    hyperparams: dict | None = None,
 ) -> list[CvResult]:
     """``cross_validate`` of each dataset, with the models of all their
     folds fitted in one ``train_batch`` call."""
     assignments, training_sets = _fold_training_sets(datasets, folds, seed)
-    models = train_batch(training_sets, kind, hyperparams)
+    models = train_batch(training_sets, kind)
     return [
         _score_folds(dataset.label_sets, predicted)
         for dataset, predicted in zip(datasets, _fold_predictions(datasets, assignments, models))
@@ -374,7 +368,6 @@ def train_and_cross_validate(
     kind: ModelKind,
     folds: int = 10,
     seed: int = 0,
-    hyperparams: dict | None = None,
 ) -> tuple[RecommendationModel, CvResult]:
     """``train`` and ``cross_validate`` of one dataset, with the full-data
     model and every fold's model fitted in one ``train_batch`` call.  Both
@@ -384,7 +377,7 @@ def train_and_cross_validate(
     check_folds(folds, dataset.n_projects)
     check_trainable(dataset)
     assignments, training_sets = _fold_training_sets([dataset], folds, seed)
-    models = train_batch([(dataset, seed), *training_sets], kind, hyperparams)
+    models = train_batch([(dataset, seed), *training_sets], kind)
     model = next(models)
     [predicted] = _fold_predictions([dataset], assignments, models)
     return model, _score_folds(dataset.label_sets, predicted)
@@ -527,7 +520,7 @@ def beta_sweep(
         distinct.setdefault(dataset.primary_labels(), dataset)
     fitted = list(distinct.values())
     assignments, training_sets = _fold_training_sets(fitted, folds, seed)
-    models = train_batch(training_sets, kind, None)
+    models = train_batch(training_sets, kind)
     predicted = dict(zip(distinct, _fold_predictions(fitted, assignments, models)))
     return [
         (beta, _score_folds(dataset.label_sets, predicted[dataset.primary_labels()]))

@@ -22,6 +22,10 @@ rules the readers apply to a report entry and a stored label row, one
 condition at a time.  The equivalence tests of the record readers compare
 against them.
 
+``fast_hyperparams`` swaps small hyperparameters into
+``recommend.DEFAULT_HYPERPARAMS``, the one table training reads, for tests
+that need many quick fits rather than the paper's configuration.
+
 ``run_probe`` runs a snippet in a fresh interpreter that imports this
 checkout's package, for checks that need a clean process or environment.
 
@@ -34,6 +38,7 @@ oracles.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
 import os
@@ -54,6 +59,7 @@ from sca_reco.core import (
 )
 from sca_reco.exceptions import SchemaError
 from sca_reco.matching import AuditRecord, ReleasePair, label_release_detailed
+from sca_reco.recommend import DEFAULT_HYPERPARAMS, ModelKind
 from sca_reco.synth import CorpusTruth, ProjectTruth, SiteTruth
 
 A = WarningLabel.ACTIONABLE
@@ -411,3 +417,27 @@ def run_probe(
         text=True,
         timeout=timeout,
     )
+
+
+# hyperparameters that fit in milliseconds; dt's defaults already do
+FAST_HYPERPARAMS = {
+    ModelKind.KNN: {"n_neighbors": 3},
+    ModelKind.LR: {"n_iter": 200},
+    ModelKind.MLP: {"hidden_units": 8, "epochs": 30},
+    ModelKind.RF: {"n_estimators": 5},
+}
+
+
+@contextlib.contextmanager
+def fast_hyperparams():
+    """Train with ``FAST_HYPERPARAMS`` in place of the defaults they name
+    while the block runs, and restore the table after.  A plain context
+    manager, so it serves at import time and inside ``@given`` bodies,
+    where a function-scoped fixture cannot."""
+    saved = dict(DEFAULT_HYPERPARAMS)
+    try:
+        for kind, values in FAST_HYPERPARAMS.items():
+            DEFAULT_HYPERPARAMS[kind] = {**DEFAULT_HYPERPARAMS[kind], **values}
+        yield
+    finally:
+        DEFAULT_HYPERPARAMS.update(saved)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,3 +330,23 @@ def test_mlp_round_trip():
     mlp = MLPClassifier(random_state=1, epochs=50).fit(X, y)
     fresh = MLPClassifier().load_fitted_state(mlp.get_fitted_state())
     assert (fresh.predict(X) == mlp.predict(X)).all()
+
+
+def test_mlp_predict_memory_is_bounded_by_a_block():
+    """4,000 rows of 30 features through 100 hidden units are 12,000,000
+    products, 96 MB of float64.  Summed in blocks of ``linear.BLOCK_PRODUCTS``
+    (8 MiB) the peak measured 11.9 MB, and summed at once 99.2 MB (numpy 2.4,
+    x86-64 Linux); the bound is 16 MiB.  numpy reports its array buffers to
+    tracemalloc."""
+    mlp = MLPClassifier(hidden_units=100, epochs=1, random_state=0).fit(*toy_blobs(d=30))
+    X = np.random.default_rng(5).normal(size=(4000, 30))
+    tracemalloc.start()
+    try:
+        predicted = mlp.predict(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    # the blocks fall elsewhere in parts of the table, and change no row
+    parts = [mlp.predict(part) for part in np.array_split(X, 7)]
+    assert (np.concatenate(parts) == predicted).all()

@@ -6,7 +6,9 @@ import hashlib
 import json
 import re
 import shutil
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -574,6 +576,49 @@ def test_seed_9_labels_are_pinned(tmp_path, mix):
     seen, digests = label_and_evaluate(corpus, tmp_path)
     assert all(seen[stage] > 0 for stage in ("location", "snippet", "hash"))
     assert digests == {"labels.jsonl": labels_sha, "evaluations.jsonl": evaluations_sha}
+
+
+def corpus_outputs(corpus, out) -> tuple[dict[str, Counter], dict[str, bytes]]:
+    """Each project's rows of ``label`` on ``corpus`` as a multiset, less
+    the report indices (``index``, ``matched_index``) that the order of a
+    report's entries sets, and the files that ``evaluate`` writes."""
+    out.mkdir()
+    labels = out / "labels.jsonl"
+    assert cli.main(["label", "--corpus", str(corpus), "--out", str(labels)]) == 0
+    assert cli.main(["evaluate", "--corpus", str(corpus), "--out-dir", str(out / "eval")]) == 0
+    rows = {}
+    for line in labels.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        rows[record["project"]] = Counter(
+            json.dumps(
+                {key: value for key, value in row.items() if key not in ("index", "matched_index")},
+                sort_keys=True,
+            )
+            for row in record["warnings"]
+        )
+    written = {path.name: path.read_bytes() for path in (out / "eval").iterdir()}
+    return rows, written
+
+
+@pytest.mark.parametrize("mix", sorted(SEED_9_LABEL_DIGESTS))
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**16), data=st.data())
+def test_order_of_report_warnings_changes_no_label_or_evaluation(mix, seed, data):
+    mix_options = SEED_9_LABEL_DIGESTS[mix][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        corpus = root / "corpus"
+        generate_corpus(SynthConfig(n_projects=2, files_per_project=3, seed=seed, **mix_options), corpus)
+        before = corpus_outputs(corpus, root / "before")
+        for report in sorted(corpus.glob("*/*/reports/*.json")):
+            document = json.loads(report.read_text(encoding="utf-8"))
+            document["warnings"] = data.draw(
+                st.permutations(document["warnings"]), label=report.relative_to(corpus).as_posix()
+            )
+            report.write_text(json.dumps(document), encoding="utf-8")
+        after = corpus_outputs(corpus, root / "after")
+    assert set(after[1]) == {"evaluations.jsonl", "optimal_sets.tsv"}
+    assert after == before
 
 
 # A hand-made corpus of line-ending and tokenizer edge cases: CRLF sources,

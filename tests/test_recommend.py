@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from helpers import fast_hyperparams
 from sca_reco.effectiveness import (
     ConfusionCounts,
     ProjectEvaluation,
@@ -17,12 +20,13 @@ from sca_reco.effectiveness import (
     reevaluate,
     score_sca,
 )
-from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, forest
+from sca_reco.estimators import DecisionTreeClassifier, RandomForestClassifier, forest, linear
 from sca_reco.exceptions import ConfigError, DataError
 from sca_reco import recommend
 from sca_reco.features import FeatureTable, PreferenceDataset
 from sca_reco.metrics import MicroMetrics, mean_metrics
 from sca_reco.recommend import (
+    DEFAULT_HYPERPARAMS,
     ESTIMATORS,
     CvResult,
     ModelKind,
@@ -43,13 +47,6 @@ from sca_reco.recommend import (
 from sca_reco.rng import SplitMix64
 
 NAMES = ("f0", "f1", "f2", "f3")
-FAST_HP = {
-    ModelKind.DT: None,
-    ModelKind.KNN: {"n_neighbors": 3},
-    ModelKind.LR: {"n_iter": 200},
-    ModelKind.MLP: {"hidden_units": 8, "epochs": 30},
-    ModelKind.RF: {"n_estimators": 5},
-}
 
 
 def two_class_dataset(n_per_class=6):
@@ -79,6 +76,26 @@ def test_resolve_hyperparams():
     assert params["max_features"] == "sqrt"
     with pytest.raises(ConfigError, match="^knn has no hyperparameter 'depth'$"):
         resolve_hyperparams(ModelKind.KNN, {"depth": 3})
+
+
+# the hyperparameters that take one value, and that value
+SINGLE_VALUED = {"criterion": "gini", "metric": "euclidean"}
+
+
+@pytest.mark.parametrize("kind", list(ModelKind), ids=lambda k: k.value)
+def test_default_hyperparams_are_the_estimators_own(kind):
+    """A kind's table names every constructor parameter but the seed, with
+    the constructor's default, plus the single-valued choices the
+    estimators implement without a parameter."""
+    estimator_class, seeded, _ = ESTIMATORS[kind]
+    parameters = inspect.signature(estimator_class).parameters
+    assert ("random_state" in parameters) == seeded
+    table = dict(DEFAULT_HYPERPARAMS[kind])
+    fixed = {name: table.pop(name) for name in SINGLE_VALUED if name in table}
+    assert fixed == {name: SINGLE_VALUED[name] for name in fixed}
+    assert table == {
+        name: parameter.default for name, parameter in parameters.items() if name != "random_state"
+    }
 
 
 def test_encode_labels_follows_corpus_order():
@@ -154,32 +171,42 @@ def probe_tables(draw):
     return table(names, rows)
 
 
-TABLE_MODELS = {
-    kind: train(two_class_dataset(), kind, seed=5, hyperparams=FAST_HP[kind])
-    for kind in (ModelKind.DT, ModelKind.LR, ModelKind.MLP, ModelKind.RF)
-}
+with fast_hyperparams():
+    TABLE_MODELS = {
+        kind: train(two_class_dataset(), kind, seed=5)
+        for kind in (ModelKind.DT, ModelKind.LR, ModelKind.MLP, ModelKind.RF)
+    }
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(sorted(TABLE_MODELS, key=lambda kind: kind.value)), probe_tables())
+@given(
+    st.sampled_from(sorted(TABLE_MODELS, key=lambda kind: kind.value)),
+    probe_tables(),
+    # lr's and mlp's row sums take a block of rows at a time; a block of one
+    # product, or of a few, splits a table into blocks of one row or a few
+    st.sampled_from([linear.BLOCK_PRODUCTS, 1, 40]),
+)
 # a matrix product of 6 rows rounded this last row's lr logits unlike one of 1 row
 @example(
     ModelKind.LR,
     table(("f2", "f3", "f0", "x0", "x1", "f1"), [[0.0] * 6] * 5 + [[0.0, 0.0, -0.7, 0.0, 0.0, 7.2]]),
+    linear.BLOCK_PRODUCTS,
 )
-def test_predicting_a_table_equals_predicting_each_row_alone(kind, probes):
+def test_predicting_a_table_equals_predicting_each_row_alone(kind, probes, block_products):
     model = TABLE_MODELS[kind]
-    alone = [
-        model.predict_table(
-            table(NAMES, [[row[probes.feature_names.index(name)] for name in NAMES]], [project])
-        )[0]
-        for project, row in zip(probes.project_ids, probes.matrix.tolist())
-    ]
-    assert model.predict_table(probes) == alone
+    with mock.patch.object(linear, "BLOCK_PRODUCTS", block_products):
+        alone = [
+            model.predict_table(
+                table(NAMES, [[row[probes.feature_names.index(name)] for name in NAMES]], [project])
+            )[0]
+            for project, row in zip(probes.project_ids, probes.matrix.tolist())
+        ]
+        assert model.predict_table(probes) == alone
 
 
 def test_a_non_finite_standardized_value_names_the_first_project_and_feature():
-    model = train(two_class_dataset(), ModelKind.LR, seed=0, hyperparams=FAST_HP[ModelKind.LR])
+    with fast_hyperparams():
+        model = train(two_class_dataset(), ModelKind.LR, seed=0)
     # a subnormal scale overflows f2 and f3 at any value but their mean, 0
     model.scaler.mean_ = np.zeros(4)
     model.scaler.scale_ = np.array([1.0, 1.0, 1e-320, 1e-320])
@@ -195,7 +222,8 @@ def test_a_non_finite_standardized_value_names_the_first_project_and_feature():
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_save_load_round_trip(kind, tmp_path):
     dataset = two_class_dataset()
-    model = train(dataset, kind, seed=3, hyperparams=FAST_HP[kind])
+    with fast_hyperparams():
+        model = train(dataset, kind, seed=3)
     path = tmp_path / f"{kind.value}.json"
     model.save(path)
     text = path.read_text(encoding="utf-8")
@@ -212,9 +240,8 @@ def test_save_load_round_trip(kind, tmp_path):
 def test_model_files_are_byte_identical_per_seed(tmp_path):
     dataset = two_class_dataset()
     for run in ("one", "two"):
-        train(dataset, ModelKind.RF, seed=7, hyperparams={"n_estimators": 5}).save(
-            tmp_path / run
-        )
+        with fast_hyperparams():
+            train(dataset, ModelKind.RF, seed=7).save(tmp_path / run)
     assert (tmp_path / "one").read_bytes() == (tmp_path / "two").read_bytes()
 
 
@@ -267,7 +294,8 @@ def test_cross_validate_empty_folds_score_zero(monkeypatch):
             return fit_batch(estimators, *problems)
 
         monkeypatch.setitem(ESTIMATORS, kind, (estimator_class, seeded, counted))
-        result = cross_validate(dataset, kind, folds=12, seed=0, hyperparams=FAST_HP[kind])
+        with fast_hyperparams():
+            result = cross_validate(dataset, kind, folds=12, seed=0)
         assert batches == [6]  # one batch call that fits only the non-empty folds
         assert len(result.per_fold) == 12
         assert result.per_fold[6:] == (MicroMetrics(0.0, 0.0, 0.0),) * 6
@@ -306,7 +334,6 @@ def test_train_and_cross_validate_fit_one_batch_equal_to_the_two_apart(monkeypat
     dataset = PreferenceDataset(
         FeatureTable(NAMES, ids, rows), label_sets, ("alpha", "beta", "gamma")
     )
-    hp = FAST_HP[kind]
     batches = []
 
     def counting(training_sets, *rest):
@@ -314,15 +341,16 @@ def test_train_and_cross_validate_fit_one_batch_equal_to_the_two_apart(monkeypat
         return train_batch(training_sets, *rest)
 
     monkeypatch.setattr(recommend, "train_batch", counting)
-    model, result = recommend.train_and_cross_validate(dataset, kind, 4, 3, hp)
-    assert batches == [[13, 8, 9, 11, 11]]  # the full-data model, then each fold
-    alone = train(dataset, kind, seed=3, hyperparams=hp)
-    assert model.estimator.get_fitted_state() == alone.estimator.get_fitted_state()
-    assert (model.classes, model.scaler.get_fitted_state()) == (
-        alone.classes,
-        alone.scaler.get_fitted_state(),
-    )
-    assert result == cross_validate(dataset, kind, folds=4, seed=3, hyperparams=hp)
+    with fast_hyperparams():
+        model, result = recommend.train_and_cross_validate(dataset, kind, 4, 3)
+        assert batches == [[13, 8, 9, 11, 11]]  # the full-data model, then each fold
+        alone = train(dataset, kind, seed=3)
+        assert model.estimator.get_fitted_state() == alone.estimator.get_fitted_state()
+        assert (model.classes, model.scaler.get_fitted_state()) == (
+            alone.classes,
+            alone.scaler.get_fitted_state(),
+        )
+        assert result == cross_validate(dataset, kind, folds=4, seed=3)
 
 
 def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
@@ -342,12 +370,13 @@ def test_rf_batch_fits_a_forest_only_when_its_model_is_reached(monkeypatch):
         (dataset.subset_rows(list(range(start, 12))).subset_features(NAMES[: 4 - i]), start)
         for i, start in enumerate((0, 2, 4))
     ]
-    models = train_batch(training_sets, ModelKind.RF, FAST_HP[ModelKind.RF])
-    assert fits == []
-    next(models)
-    assert fits == [(12, 4)]
-    next(models)
-    assert fits == [(12, 4), (10, 3)]
+    with fast_hyperparams():
+        models = train_batch(training_sets, ModelKind.RF)
+        assert fits == []
+        next(models)
+        assert fits == [(12, 4)]
+        next(models)
+        assert fits == [(12, 4), (10, 3)]
 
 
 def test_rf_cv_batch_grows_one_lockstep_per_feature_count(monkeypatch):
@@ -376,11 +405,11 @@ def test_rf_cv_batch_grows_one_lockstep_per_feature_count(monkeypatch):
     folds = stratified_folds(dataset.primary_labels(), 10, 0)
     assert [10 - len(fold) for fold in folds if fold] == [7, 7, 7, 9]
     datasets = [dataset.subset_features(names[:size]) for size in range(8, 0, -1)]
-    hp = FAST_HP[ModelKind.RF]
     monkeypatch.setattr(forest, "fit_lockstep", counted)
-    results = recommend.cross_validate_batch(datasets, ModelKind.RF, 10, 0, hp)
-    assert locksteps == [(4 * 5, 9, size) for size in range(8, 0, -1)]
-    assert results == [cross_validate(data, ModelKind.RF, 10, 0, hp) for data in datasets]
+    with fast_hyperparams():
+        results = recommend.cross_validate_batch(datasets, ModelKind.RF, 10, 0)
+        assert locksteps == [(4 * 5, 9, size) for size in range(8, 0, -1)]
+        assert results == [cross_validate(data, ModelKind.RF, 10, 0) for data in datasets]
 
 
 # baselines

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import fast_hyperparams
 from sca_reco import selection
 from sca_reco.exceptions import ConfigError, DataError
 from sca_reco.features import FeatureTable, PreferenceDataset
@@ -40,7 +41,8 @@ def test_importances_per_model_kind():
         scores = feature_importances(model)
         assert scores.shape == (4,)
         assert np.argmax(scores) == 0
-    rf = train(dataset, ModelKind.RF, seed=0, hyperparams={"n_estimators": 5})
+    with fast_hyperparams():
+        rf = train(dataset, ModelKind.RF, seed=0)
     assert feature_importances(rf).shape == (4,)
 
 
